@@ -10,7 +10,6 @@ Run: python demos/chip_monte_carlo.py
 """
 
 import pathlib
-from dataclasses import replace
 
 import numpy as np
 
@@ -42,11 +41,10 @@ def main():
     agg = aggregate_series(ds)
 
     # single chips fluctuate; the growing spread shows up in the median trend
-    coarse = replace(p.sim, integration_dt_s=3600.0)
     starts, ends = [], []
     for seed in range(25):
         c = draw_chip(p.spec, seed=seed)
-        d = simulate_chip(c, p.schedule, [], samples, coarse, seed=seed)
+        d = simulate_chip(c, p.schedule, [], samples, p.sim, seed=seed)
         a = aggregate_series(d)
         starts.append(a[0][2])
         ends.append(a[-1][2])

@@ -47,6 +47,7 @@ from .trajectory import (
     apply_voltage_anneal,
     bound_curve,
     measurement_exposure,
+    propagate,
     resume_trajectory,
     simulate_trajectory,
 )

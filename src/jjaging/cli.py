@@ -34,6 +34,7 @@ from .ensemble import ChipDataset, ChipSpec, MeasurementRecord, aggregate_series
 from .errors import JJAgingError, ValidationError
 from .fitting import FitOptions, fit_chip
 from .model import (
+    AMBIENT,
     AgingParams,
     Environment,
     EnvironmentKind,
@@ -55,6 +56,7 @@ from .trajectory import (
     VoltageAnneal,
     apply_thermal_anneal,
     apply_voltage_anneal,
+    propagate,
     resume_trajectory,
 )
 
@@ -300,7 +302,7 @@ def cmd_anneal(args) -> int:
         )
         junctions[j] = {
             "r0": r0,
-            "a_eff": a_eff,
+            "curve": JunctionProfile(a=a_eff, b=1.0),
             "state": TrajectoryState(t_s=last.t_s, y_env=y0),
             "last_r": last.r_ohm,
         }
@@ -325,7 +327,7 @@ def cmd_anneal(args) -> int:
         t_meas = ev.t_s + hold_s
         changes = []
         for j, info in junctions.items():
-            state = _advance_ambient(info["state"], ev.t_s, cfg, info["a_eff"])
+            state = _advance_ambient(info["state"], ev.t_s, cfg, info["curve"])
             if ev.junction_ids is None or j in ev.junction_ids:
                 if isinstance(ev.kind, ThermalAnneal):
                     state = apply_thermal_anneal(state, ev, cfg)
@@ -334,7 +336,7 @@ def cmd_anneal(args) -> int:
                         np.random.SeedSequence(entropy=seed, spawn_key=(k, j)).generate_state(1)[0]
                     )
                     state = apply_voltage_anneal(state, ev, cfg, seed_jk)
-            state = _advance_ambient(state, t_meas, cfg, info["a_eff"])
+            state = _advance_ambient(state, t_meas, cfg, info["curve"])
             r_now = info["r0"] * (1.0 + state.y)
             changes.append(r_now / info["last_r"] - 1.0)
             min_r_over_r0 = min(min_r_over_r0, r_now / info["r0"])
@@ -371,18 +373,14 @@ def cmd_anneal(args) -> int:
 
 
 def _advance_ambient(
-    state: TrajectoryState, t_to: float, cfg: SimConfig, a_eff: float
+    state: TrajectoryState, t_to: float, cfg: SimConfig, curve: JunctionProfile
 ) -> TrajectoryState:
-    """March a state forward along its own ambient-timescale aging curve."""
-    from .trajectory import _advance
+    """Advance a state along its own ambient-timescale aging curve.
 
-    if t_to <= state.t_s:
-        return state
-    tau = cfg.env_tau_s[EnvironmentKind.AMBIENT]
-    y_env = _advance(state.y_env, state.t_s, t_to, a_eff, tau, 1.0,
-                     cfg.relax_gas_to_gas_s, cfg.integration_dt_s)
-    return replace(state, t_s=t_to, y_env=y_env,
-                   virtual_age_s=state.virtual_age_s + (t_to - state.t_s))
+    A target before the state's time (an event inside the previous step's
+    hold) leaves the state where it is.
+    """
+    return propagate(state, max(t_to, state.t_s), AMBIENT, cfg.relax_gas_to_gas_s, curve, cfg)
 
 
 def build_parser() -> argparse.ArgumentParser:

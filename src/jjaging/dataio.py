@@ -223,8 +223,10 @@ def _parse_junctions(text: str) -> tuple[int, ...]:
     ids: list[int] = []
     for chunk in text.split("+"):
         if "-" in chunk:
-            lo, hi = chunk.split("-", 1)
-            ids.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(x) for x in chunk.split("-", 1))
+            if hi < lo:
+                raise ValueError(f"inverted junction range {chunk.strip()!r}")
+            ids.extend(range(lo, hi + 1))
         else:
             ids.append(int(chunk))
     return tuple(sorted(set(ids)))

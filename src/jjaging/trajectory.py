@@ -8,23 +8,31 @@ relaxes toward it first-order:
     dy/dt = y_bound'(t) + (y_bound(t) - y) / T_relax
 
 where ``y = R/R0 - 1`` and ``y_bound`` is the active environment's bound
-curve evaluated at wall time (the virtual age is kept synchronized with the
-wall clock, never reset per segment).  Because an environment swap changes
-which bound curve is active, the target value steps at the swap, which is
-what produces the observed transients: moving from lab air into a nitrogen
-glovebox puts the target *below* the current state and the resistance
-transiently decreases (deaging); leaving high vacuum puts the target above
-and the state is pulled up quickly.
+curve evaluated at wall time (its clock is never restarted at a swap).
+Because an environment swap changes which bound curve is active, the target
+value steps at the swap, which is what produces the observed transients:
+moving from lab air into a nitrogen glovebox puts the target *below* the
+current state and the resistance transiently decreases (deaging); leaving
+high vacuum puts the target above and the state is pulled up quickly.
 
 Discrete anneal events live in a separate multiplicative channel stacked on
 top of the relaxation state, so a voltage-annealed junction keeps its new
 resistance instead of relaxing back: the anneal changes the junction's
 internal configuration rather than accelerating the environmental aging.
 
-Integration is fixed-step and explicit (reproducibility over adaptive
-stepping): the bound-curve feedforward is applied exactly per step and the
-relaxation term with a forward Euler update, so a trajectory starting on its
-bound in an unchanged environment reproduces the closed form to rounding.
+Each storage segment is mapped in closed form.  The kinetics are
+discretized on a fixed grid of ``n = ceil(span / integration_dt_s)`` equal
+substeps ``h``: the bound-curve feedforward is exact per substep and the
+relaxation term is a forward Euler update, so the gap to the bound,
+``e = y - y_bound``, shrinks by exactly ``1 - h / T_relax`` per substep.  A
+whole segment is therefore
+
+    y(t_b) = y_bound(t_b) + (y(t_a) - y_bound(t_a)) * (1 - h / T_relax) ** n
+
+in O(1), and a trajectory starting on its bound in an unchanged environment
+reproduces the closed form to rounding.  ``SimConfig`` requires every
+relaxation time to be at least one substep, so the factor lies in [0, 1)
+and the gap decays monotonically.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ __all__ = [
     "JunctionProfile",
     "TrajectoryState",
     "bound_curve",
+    "propagate",
     "simulate_trajectory",
     "resume_trajectory",
     "apply_voltage_anneal",
@@ -67,6 +76,8 @@ class StorageSchedule:
         if not self.segments:
             raise ValidationError("schedule needs at least one segment")
         starts = [s for s, _ in self.segments]
+        if not all(math.isfinite(s) for s in starts):
+            raise ValidationError("segment start times must be finite")
         if starts[0] != 0.0:
             raise ValidationError("first schedule segment must start at t = 0")
         if any(b <= a for a, b in zip(starts, starts[1:])):
@@ -125,8 +136,8 @@ class AnnealEvent:
     junction_ids: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.t_s < 0:
-            raise ValidationError("event time must be >= 0")
+        if not (math.isfinite(self.t_s) and self.t_s >= 0):
+            raise ValidationError(f"event time must be finite and >= 0, got {self.t_s}")
         if not isinstance(self.kind, (VoltageAnneal, ThermalAnneal)):
             raise ValidationError(f"unknown anneal kind: {self.kind!r}")
 
@@ -174,10 +185,13 @@ class SimConfig:
         for kind, tau in self.env_tau_s.items():
             if tau <= 0:
                 raise ParameterError(f"env tau for {kind} must be > 0")
-        if self.relax_gas_to_gas_s <= 0 or self.relax_vacuum_to_gas_s <= 0:
-            raise ParameterError("relaxation times must be > 0")
         if not 0 < self.integration_dt_s <= 3600.0:
             raise ParameterError("integration_dt_s must be in (0, 3600]")
+        dt = self.integration_dt_s
+        if not (self.relax_gas_to_gas_s >= dt and self.relax_vacuum_to_gas_s >= dt):
+            # The per-substep decay factor 1 - h/T would go negative and the
+            # state would overshoot the bound on every substep.
+            raise ParameterError("relaxation times must be >= integration_dt_s")
         if self.voltage_jump_sd < 0 or self.voltage_drift_a < 0:
             raise ParameterError("voltage response parameters must be >= 0")
         if self.voltage_drift_tau_s <= 0:
@@ -213,7 +227,7 @@ class JunctionProfile:
 
 @dataclass(frozen=True)
 class TrajectoryState:
-    """Integrator state at time ``t_s``.
+    """Junction state at time ``t_s``.
 
     ``y_env`` is the environment-relaxation component of the fractional
     aging; voltage/thermal anneals contribute through ``anneal_gain`` and
@@ -223,7 +237,6 @@ class TrajectoryState:
 
     t_s: float = 0.0
     y_env: float = 0.0
-    virtual_age_s: float = 0.0
     anneal_gain: float = 1.0
     post_anneal: AgingParams | None = None
     post_anneal_t0_s: float = 0.0
@@ -231,8 +244,6 @@ class TrajectoryState:
     def __post_init__(self):
         if self.y_env < -1.0:
             raise ParameterError("fractional aging cannot go below -1")
-        if self.virtual_age_s < 0:
-            raise ParameterError("virtual age must be >= 0")
 
     def drift_factor(self, t_s: float | None = None) -> float:
         """Multiplicative post-anneal drift factor at time ``t_s``."""
@@ -255,11 +266,7 @@ def bound_curve(env: Environment, cfg: SimConfig, r0_ohm: float) -> AgingParams:
     return AgingParams(a=cfg.fab_a, tau_s=cfg.env_tau_s[env.kind], b=1.0, r0_ohm=r0_ohm)
 
 
-def _bound_y(a: float, tau: float, b: float, t: float) -> float:
-    return a * math.log(t / tau + b)
-
-
-def _advance(
+def _segment(
     y_env: float,
     t_a: float,
     t_b: float,
@@ -269,24 +276,51 @@ def _advance(
     relax_s: float,
     dt_s: float,
 ) -> float:
-    """March y_env from t_a to t_b under one environment.
+    """Map y_env from t_a to t_b under one environment in closed form.
 
-    The bound-curve increment is applied exactly per substep; the pull
-    toward the bound uses forward Euler.  Substeps never exceed dt_s.
+    Equal to ``n = ceil(span / dt_s)`` substeps of ``h = span / n`` with the
+    bound increment applied exactly and forward Euler for the pull toward
+    the bound: the gap to the bound decays by ``1 - h / relax_s`` per substep.
     """
     span = t_b - t_a
     if span <= 0:
         return y_env
     n = max(1, math.ceil(span / dt_s - 1e-12))
-    h = span / n
-    t = t_a
-    yb_lo = _bound_y(a, tau, b, t)
-    for _ in range(n):
-        t_next = t + h
-        yb_hi = _bound_y(a, tau, b, t_next)
-        y_env = y_env + (yb_hi - yb_lo) + h * (yb_lo - y_env) / relax_s
-        t, yb_lo = t_next, yb_hi
-    return y_env
+    gap = y_env - a * math.log(t_a / tau + b)
+    return a * math.log(t_b / tau + b) + gap * (1.0 - span / n / relax_s) ** n
+
+
+def _tau(env: Environment, cfg: SimConfig, profile: JunctionProfile) -> float:
+    if env.kind not in cfg.env_tau_s:
+        raise ConfigurationError(f"no timescale configured for environment {env.kind.value!r}")
+    return cfg.env_tau_s[env.kind] * profile.tau_scale
+
+
+def propagate(
+    state: TrajectoryState,
+    t_to: float,
+    env: Environment,
+    relax_s: float,
+    profile: JunctionProfile,
+    cfg: SimConfig,
+) -> TrajectoryState:
+    """Advance a state to ``t_to`` under one storage environment.
+
+    The environment component relaxes toward ``profile``'s bound curve in
+    ``env`` with relaxation time ``relax_s``; the anneal channel is carried
+    unchanged.  ``t_to`` equal to the state's time is the identity.
+    """
+    if not math.isfinite(t_to):
+        raise ValidationError(f"target time must be finite, got {t_to}")
+    if not t_to >= state.t_s:
+        raise ValidationError(f"cannot propagate from t = {state.t_s} s to {t_to} s")
+    if not relax_s >= cfg.integration_dt_s:
+        raise ParameterError("relaxation time must be >= integration_dt_s")
+    if t_to == state.t_s:
+        return state
+    y_env = _segment(state.y_env, state.t_s, t_to, profile.a, _tau(env, cfg, profile),
+                     profile.b, relax_s, cfg.integration_dt_s)
+    return replace(state, t_s=t_to, y_env=y_env)
 
 
 def apply_voltage_anneal(
@@ -358,24 +392,10 @@ def measurement_exposure(
     """
     if duration_s < 0:
         raise ValidationError("exposure duration must be >= 0")
-    if duration_s == 0:
-        return state
-    prof = profile or JunctionProfile(a=cfg.fab_a)
     ambient = Environment.from_kind(EnvironmentKind.AMBIENT)
-    if ambient.kind not in cfg.env_tau_s:
-        raise ConfigurationError("ambient timescale missing from config")
-    tau = cfg.env_tau_s[ambient.kind] * prof.tau_scale
     relax = cfg.relax_time_s(from_env or ambient, ambient)
-    y_env = _advance(
-        state.y_env, state.t_s, state.t_s + duration_s,
-        prof.a, tau, prof.b, relax, cfg.integration_dt_s,
-    )
-    return replace(
-        state,
-        t_s=state.t_s + duration_s,
-        y_env=y_env,
-        virtual_age_s=state.virtual_age_s + duration_s,
-    )
+    return propagate(state, state.t_s + duration_s, ambient, relax,
+                     profile or JunctionProfile(a=cfg.fab_a), cfg)
 
 
 def resume_trajectory(
@@ -394,22 +414,16 @@ def resume_trajectory(
     if t_end_s < t_start_s:
         raise ValidationError("t_end_s must be >= t_start_s")
     prof = profile or JunctionProfile(a=cfg.fab_a)
+    state = TrajectoryState(t_s=t_start_s, y_env=y_start)
     env = schedule.environment_at(t_start_s)
-    if env.kind not in cfg.env_tau_s:
-        raise ConfigurationError(f"no timescale configured for {env.kind.value!r}")
     relax = cfg.relax_gas_to_gas_s
-    y, t = y_start, t_start_s
     for start, nxt in schedule.segments:
         if start <= t_start_s or start >= t_end_s:
             continue
-        tau = cfg.env_tau_s[env.kind] * prof.tau_scale
-        y = _advance(y, t, start, prof.a, tau, prof.b, relax, cfg.integration_dt_s)
+        state = propagate(state, start, env, relax, prof, cfg)
         relax = cfg.relax_time_s(env, nxt)
-        env, t = nxt, start
-        if nxt.kind not in cfg.env_tau_s:
-            raise ConfigurationError(f"no timescale configured for {nxt.kind.value!r}")
-    tau = cfg.env_tau_s[env.kind] * prof.tau_scale
-    return _advance(y, t, t_end_s, prof.a, tau, prof.b, relax, cfg.integration_dt_s)
+        env = nxt
+    return propagate(state, t_end_s, env, relax, prof, cfg).y_env
 
 
 def _event_seed(seed: int, index: int) -> int:
@@ -454,8 +468,8 @@ def simulate_trajectory(
     if r0_ohm <= 0:
         raise ParameterError("r0_ohm must be > 0")
     samples = [float(t) for t in sample_t_s]
-    if any(t < 0 for t in samples):
-        raise ValidationError("sample times must be >= 0")
+    if not all(math.isfinite(t) and t >= 0 for t in samples):
+        raise ValidationError("sample times must be finite and >= 0")
     if any(b < a for a, b in zip(samples, samples[1:])):
         raise ValidationError("sample times must be nondecreasing")
     ev_times = [ev.t_s for ev in events]
@@ -463,11 +477,7 @@ def simulate_trajectory(
         raise ValidationError("events must be sorted by time")
 
     prof = profile or JunctionProfile(a=cfg.fab_a)
-    for _, env in schedule.segments:
-        if env.kind not in cfg.env_tau_s:
-            raise ConfigurationError(
-                f"no timescale configured for environment {env.kind.value!r}"
-            )
+    taus = {env.kind: _tau(env, cfg, prof) for _, env in schedule.segments}
 
     # Action stream ordered by (time, kind): segment swaps, then events,
     # then sample emissions.
@@ -481,32 +491,33 @@ def simulate_trajectory(
     actions.sort(key=lambda item: (item[0], item[1]))
 
     # A junction with early-time offset b starts on its bound, slightly
-    # pre-aged: y(0) = a ln(b).
-    state = TrajectoryState(y_env=prof.a * math.log(prof.b))
+    # pre-aged: y(0) = a ln(b).  Time and the environment component are
+    # plain floats; ``anneal`` carries the anneal channel and is rebuilt
+    # only when an event is applied.
+    a, b, dt = prof.a, prof.b, cfg.integration_dt_s
+    anneal = TrajectoryState(y_env=a * math.log(b))
+    t, y_env = 0.0, anneal.y_env
     env = schedule.segments[0][1]
+    tau = taus[env.kind]
     relax = cfg.relax_gas_to_gas_s
     out: list[tuple[float, float]] = []
 
     for t_act, kind, payload in actions:
-        if t_act > state.t_s:
-            tau = cfg.env_tau_s[env.kind] * prof.tau_scale
-            y_env = _advance(
-                state.y_env, state.t_s, t_act,
-                prof.a, tau, prof.b, relax, cfg.integration_dt_s,
-            )
-            state = replace(
-                state, t_s=t_act, y_env=y_env,
-                virtual_age_s=state.virtual_age_s + (t_act - state.t_s),
-            )
+        if t_act > t:
+            y_env = _segment(y_env, t, t_act, a, tau, b, relax, dt)
+            t = t_act
         if kind == 0:
             relax = cfg.relax_time_s(env, payload)
             env = payload
+            tau = taus[env.kind]
         elif kind == 1:
             k, ev = payload
+            state = replace(anneal, t_s=t, y_env=y_env)
             if isinstance(ev.kind, VoltageAnneal):
-                state = apply_voltage_anneal(state, ev, cfg, _event_seed(seed, k))
+                anneal = apply_voltage_anneal(state, ev, cfg, _event_seed(seed, k))
             else:
-                state = apply_thermal_anneal(state, ev, cfg)
+                anneal = apply_thermal_anneal(state, ev, cfg)
         else:
-            out.append((state.t_s, r0_ohm * (1.0 + state.y)))
+            gain = anneal.anneal_gain * anneal.drift_factor(t)
+            out.append((t, r0_ohm * (1.0 + y_env) * gain))
     return out

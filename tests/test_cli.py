@@ -249,6 +249,15 @@ class TestAnneal:
                    "--out", str(tmp_path / "x.csv"))
         assert code == 2
 
+    def test_inverted_junction_range_exits_2(self, tmp_path, capsys):
+        data = self._dataset(tmp_path, days="20")
+        events = tmp_path / "v.txt"
+        events.write_text("event,20.5,voltage,junctions=5-2\n")
+        code = run("anneal", str(data), "--events", str(events), "--preset", "chip1",
+                   "--seed", "4", "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "line 1" in capsys.readouterr().err
+
     def test_voltage_events_require_seed(self, tmp_path, capsys):
         data = self._dataset(tmp_path, days="20")
         events = tmp_path / "v.txt"

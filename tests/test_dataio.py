@@ -188,6 +188,23 @@ class TestScheduleFile:
         (ev,) = load_events(path)
         assert ev.junction_ids == (1, 4, 9)
 
+    def test_inverted_junction_range_reported(self, tmp_path):
+        path = tmp_path / "ev.txt"
+        path.write_text("event,1,voltage,junctions=0-3\nevent,2,voltage,junctions=5-2\n")
+        with pytest.raises(ParseError) as err:
+            load_events(path)
+        assert err.value.lines == [2]
+
+    def test_non_finite_times_reported(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("0,ambient\nnan,glovebox\nevent,inf,voltage\n")
+        with pytest.raises(ParseError):
+            load_schedule(path)
+        path.write_text("event,nan,voltage\n")
+        with pytest.raises(ParseError) as err:
+            load_events(path)
+        assert err.value.lines == [1]
+
     def test_bad_lines_reported(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0,ambient\nevent,notatime,voltage\n4,atlantis\n")

@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jjaging import (
+    AMBIENT,
     AgingParams,
     BarrierParams,
+    JunctionProfile,
+    SimConfig,
+    TrajectoryState,
     TwoLogParams,
     coefficient_of_variation,
     critical_current_from_resistance,
@@ -16,9 +20,12 @@ from jjaging import (
     eval_single_log,
     eval_two_log,
     fit_single_log,
+    propagate,
     qubit_frequency_shift,
     resistance_ratio_from_barrier,
 )
+from jjaging.model import EnvironmentKind
+from reference_stepper import reference_advance
 
 amps = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_subnormal=False)
 pos_amps = st.floats(min_value=1e-3, max_value=1.0)
@@ -140,14 +147,40 @@ def test_fit_round_trip_inside_bounds(a, log_tau, b):
     steps=st.integers(min_value=1, max_value=40),
 )
 def test_relaxation_contracts_state_pairs(y0, y1, steps):
-    from jjaging.trajectory import _advance
-
-    t, dt, relax = 5 * 86400.0, 600.0, 3 * 86400.0
+    cfg = SimConfig(fab_a=0.21)
+    prof = JunctionProfile(a=0.21)
+    dt, relax = 600.0, 3 * 86400.0
+    s0 = TrajectoryState(t_s=5 * 86400.0, y_env=y0)
+    s1 = TrajectoryState(t_s=5 * 86400.0, y_env=y1)
     gap = abs(y1 - y0)
     for _ in range(steps):
-        y0 = _advance(y0, t, t + dt, 0.21, 1.2e4, 1.0, relax, dt)
-        y1 = _advance(y1, t, t + dt, 0.21, 1.2e4, 1.0, relax, dt)
-        t += dt
-        new_gap = abs(y1 - y0)
+        s0 = propagate(s0, s0.t_s + dt, AMBIENT, relax, prof, cfg)
+        s1 = propagate(s1, s1.t_s + dt, AMBIENT, relax, prof, cfg)
+        new_gap = abs(s1.y_env - s0.y_env)
         assert new_gap <= gap + 1e-15
         gap = new_gap
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    y0=st.floats(min_value=-0.5, max_value=1.5),
+    a=st.floats(min_value=0.0, max_value=0.5),
+    tau=st.floats(min_value=1e3, max_value=1e6),
+    b=st.floats(min_value=0.5, max_value=2.0),
+    tau_scale=st.floats(min_value=0.5, max_value=2.0),
+    t_a=st.floats(min_value=0.0, max_value=30 * 86400.0),
+    span=st.floats(min_value=0.0, max_value=60 * 86400.0),
+    dt=st.floats(min_value=60.0, max_value=3600.0),
+    relax_steps=st.floats(min_value=1.0, max_value=1e4),
+)
+def test_propagate_matches_reference_stepper(y0, a, tau, b, tau_scale, t_a, span, dt,
+                                             relax_steps):
+    # The closed-form segment map against the explicit loop it replaced.
+    relax = dt * relax_steps
+    cfg = SimConfig(fab_a=a, env_tau_s={EnvironmentKind.AMBIENT: tau}, integration_dt_s=dt,
+                    relax_gas_to_gas_s=relax, relax_vacuum_to_gas_s=relax)
+    prof = JunctionProfile(a=a, b=b, tau_scale=tau_scale)
+    state = TrajectoryState(t_s=t_a, y_env=y0)
+    got = propagate(state, t_a + span, AMBIENT, relax, prof, cfg).y_env
+    want = reference_advance(y0, t_a, t_a + span, a, tau * tau_scale, b, relax, dt)
+    assert abs(got - want) <= 1e-11

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from jjaging import (
     bound_curve,
     eval_single_log,
     measurement_exposure,
+    propagate,
     resume_trajectory,
     simulate_trajectory,
 )
@@ -43,6 +46,11 @@ class TestSchedule:
     def test_strictly_increasing(self):
         with pytest.raises(ValidationError):
             StorageSchedule(segments=((0.0, AMBIENT), (4 * DAY, GLOVEBOX), (4 * DAY, AMBIENT)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_start_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            StorageSchedule(segments=((0.0, AMBIENT), (bad, GLOVEBOX)))
 
     def test_environment_lookup(self):
         sched = StorageSchedule(segments=((0.0, AMBIENT), (4 * DAY, GLOVEBOX)))
@@ -96,6 +104,12 @@ class TestSingleEnvironment:
         with pytest.raises(ValidationError):
             simulate_trajectory(sched, ev, cfg, 1.0, [0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sample_time_rejected(self, bad):
+        cfg = chip1_cfg()
+        with pytest.raises(ValidationError):
+            simulate_trajectory(StorageSchedule.single(AMBIENT), [], cfg, 1.0, [bad, DAY])
+
 
 class TestSwapDynamics:
     def test_deaging_after_move_into_glovebox(self):
@@ -132,17 +146,16 @@ class TestSwapDynamics:
 
     def test_contraction_same_environment(self):
         # Two states in one environment converge monotonically in |dy|.
-        from jjaging.trajectory import _advance
-
         cfg = chip1_cfg()
-        y1, y2 = 0.30, 0.80
+        prof = JunctionProfile(a=0.21)
+        s1 = TrajectoryState(t_s=10 * DAY, y_env=0.30)
+        s2 = TrajectoryState(t_s=10 * DAY, y_env=0.80)
         gaps = []
-        t = 10 * DAY
         for _ in range(20):
-            y1 = _advance(y1, t, t + DAY / 4, 0.21, 1.2e4, 1.0, cfg.relax_gas_to_gas_s, 600.0)
-            y2 = _advance(y2, t, t + DAY / 4, 0.21, 1.2e4, 1.0, cfg.relax_gas_to_gas_s, 600.0)
-            t += DAY / 4
-            gaps.append(abs(y2 - y1))
+            t = s1.t_s + DAY / 4
+            s1 = propagate(s1, t, AMBIENT, cfg.relax_gas_to_gas_s, prof, cfg)
+            s2 = propagate(s2, t, AMBIENT, cfg.relax_gas_to_gas_s, prof, cfg)
+            gaps.append(abs(s2.y_env - s1.y_env))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
     def test_determinism(self):
@@ -180,6 +193,11 @@ class TestVoltageAnneal:
         assert out.y == state.y
         assert out.drift_factor(20 * DAY) == 1.0
         assert out.post_anneal is not None  # event bookkeeping retained
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_event_time_must_be_finite_and_nonnegative(self, bad):
+        with pytest.raises(ValidationError):
+            AnnealEvent(t_s=bad, kind=VoltageAnneal())
 
     def test_wrong_kind_rejected(self):
         cfg = chip1_cfg()
@@ -289,6 +307,47 @@ class TestResume:
         assert y6 == pytest.approx(full[1][1] - 1.0, rel=1e-12)
 
 
+class TestPropagate:
+    def test_on_bound_state_stays_on_bound(self):
+        cfg = chip1_cfg()
+        prof = JunctionProfile(a=0.21, b=1.01)
+        p = AgingParams(a=0.21, tau_s=1.2e4, b=1.01)
+        state = TrajectoryState(t_s=3 * DAY, y_env=float(eval_single_log(p, 3 * DAY)) - 1)
+        out = propagate(state, 40 * DAY, AMBIENT, cfg.relax_gas_to_gas_s, prof, cfg)
+        assert out.t_s == 40 * DAY
+        assert out.y_env == pytest.approx(float(eval_single_log(p, 40 * DAY)) - 1, rel=1e-12)
+
+    def test_gap_decays_by_step_factor(self):
+        # Off-bound by e: after n steps of h the gap is e (1 - h/T)^n.
+        cfg = chip1_cfg()
+        prof = JunctionProfile(a=0.21)
+        relax = cfg.relax_gas_to_gas_s
+        yb1, yb2 = (0.21 * math.log(t / 1.2e4 + 1.0) for t in (DAY, 2 * DAY))
+        state = TrajectoryState(t_s=DAY, y_env=yb1 + 0.1)
+        out = propagate(state, 2 * DAY, AMBIENT, relax, prof, cfg)
+        expected = 0.1 * (1 - 600.0 / relax) ** 144
+        assert out.y_env - yb2 == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_span_identity_and_anneal_channel_kept(self):
+        cfg = chip1_cfg()
+        prof = JunctionProfile(a=0.21)
+        state = TrajectoryState(t_s=DAY, y_env=0.3, anneal_gain=1.1)
+        assert propagate(state, DAY, AMBIENT, 1e5, prof, cfg) == state
+        assert propagate(state, 2 * DAY, AMBIENT, 1e5, prof, cfg).anneal_gain == 1.1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.5 * 86400.0])
+    def test_bad_target_time_rejected(self, bad):
+        cfg = chip1_cfg()
+        state = TrajectoryState(t_s=DAY, y_env=0.3)
+        with pytest.raises(ValidationError):
+            propagate(state, bad, AMBIENT, 1e5, JunctionProfile(a=0.21), cfg)
+
+    def test_relax_shorter_than_step_rejected(self):
+        cfg = chip1_cfg()
+        with pytest.raises(ParameterError):
+            propagate(TrajectoryState(), DAY, AMBIENT, 300.0, JunctionProfile(a=0.21), cfg)
+
+
 class TestConfigValidation:
     def test_dt_ceiling(self):
         with pytest.raises(ParameterError):
@@ -297,6 +356,15 @@ class TestConfigValidation:
     def test_relax_times_positive(self):
         with pytest.raises(ParameterError):
             SimConfig(relax_gas_to_gas_s=0.0)
+
+    def test_relax_shorter_than_step_rejected(self):
+        # A relaxation time below the step makes the per-step decay factor
+        # 1 - h/T negative: R would oscillate around the bound after a swap.
+        with pytest.raises(ParameterError):
+            SimConfig(relax_gas_to_gas_s=300.0)
+        with pytest.raises(ParameterError):
+            SimConfig(relax_vacuum_to_gas_s=300.0)
+        SimConfig(relax_gas_to_gas_s=300.0, integration_dt_s=300.0)
 
     def test_relax_class_selection(self):
         cfg = chip1_cfg()
