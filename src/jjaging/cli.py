@@ -30,7 +30,15 @@ from .dataio import (
     write_report,
     TOOL_VERSION,
 )
-from .ensemble import ChipDataset, ChipSpec, MeasurementRecord, aggregate_series, draw_chip, simulate_chip
+from .ensemble import (
+    ENV_LABELS,
+    FLAG_OK,
+    ChipDataset,
+    ChipSpec,
+    aggregate_series,
+    draw_chip,
+    simulate_chip,
+)
 from .errors import JJAgingError, ValidationError
 from .fitting import FitOptions, fit_chip
 from .model import (
@@ -105,7 +113,9 @@ def cmd_simulate(args) -> int:
     if args.schedule:
         schedule, events = load_schedule(args.schedule)
     if args.events:
-        events = load_events(args.events)
+        # Extra events join the schedule's own; the sort is stable, so at
+        # equal times the schedule's events come first.
+        events = sorted([*events, *load_events(args.events)], key=lambda ev: ev.t_s)
     target_s = args.target_days * DAY_S
     step_s = args.sample_days * DAY_S
     samples = list(np.arange(0.0, target_s + 1e-9, step_s))
@@ -120,11 +130,12 @@ def cmd_simulate(args) -> int:
     agg = aggregate_series(ds)
     t_f, mean_f, cv_f, n_f = agg[-1]
     frac = []
-    for j in ds.junction_ids():
-        recs = [r for r in ds.for_junction(j) if r.flag == "ok"]
-        if recs:
+    ok = ds.flag == FLAG_OK
+    for j, lo, hi in ds.junction_rows():
+        rows = np.flatnonzero(ok[lo:hi])
+        if rows.size:
             # fractional aging against the drawn reference resistance
-            frac.append(recs[-1].r_ohm / chip.junctions[j][0].r0_ohm)
+            frac.append(ds.r_ohm[lo + rows[-1]] / chip.junctions[j][0].r0_ohm)
     summary = {
         "config_digest": _digest({**cfg_desc, "seed": args.seed,
                                   "target_days": args.target_days,
@@ -154,7 +165,7 @@ def cmd_fit(args) -> int:
     ds = load_measurements(args.data)
     opts = FitOptions(model=args.model)
     chip_fit = fit_chip(ds, opts, share_b=args.share_b, window_s=args.window_s)
-    chip_id = ds.records[0].chip_id if ds.records else "chip"
+    chip_id = ds.chip_id[0] if len(ds) else "chip"
     provenance = {
         "input_sha256": sha256_of_file(args.data),
         "tool_version": TOOL_VERSION,
@@ -286,45 +297,62 @@ def cmd_anneal(args) -> int:
     seed = args.seed if args.seed is not None else 0
 
     tau_amb = cfg.env_tau_s[EnvironmentKind.AMBIENT]
+    ok = ds.flag == FLAG_OK
     junctions = {}
-    for j in ds.junction_ids():
-        recs = [r for r in ds.for_junction(j) if r.flag == "ok"]
-        if not recs:
+    t_rows = 0.0   # latest row of any usable junction, whatever its flag
+    for j, lo, hi in ds.junction_rows():
+        rows = lo + np.flatnonzero(ok[lo:hi])
+        if not rows.size:
             continue
-        r0 = recs[0].r_ohm
-        last = recs[-1]
-        y0 = last.r_ohm / r0 - 1.0
+        r0 = float(ds.r_ohm[rows[0]])
+        t_last, r_last = float(ds.t_s[rows[-1]]), float(ds.r_ohm[rows[-1]])
+        y0 = r_last / r0 - 1.0
         # Each junction continues its own aging trend during session waits:
         # amplitude inferred from its current state, state placed on that
         # curve so waits add pure (strictly positive) aging increments.
         a_eff = (
-            max(y0, 0.0) / math.log(last.t_s / tau_amb + 1.0) if last.t_s > 0 else 0.0
+            max(y0, 0.0) / math.log(t_last / tau_amb + 1.0) if t_last > 0 else 0.0
         )
         junctions[j] = {
             "r0": r0,
             "curve": JunctionProfile(a=a_eff, b=1.0),
-            "state": TrajectoryState(t_s=last.t_s, y_env=y0),
-            "last_r": last.r_ohm,
+            "state": TrajectoryState(t_s=t_last, y_env=y0),
+            "last_r": r_last,
         }
+        t_rows = max(t_rows, float(ds.t_s[hi - 1]))
     if not junctions:
         raise ValidationError("dataset has no usable junctions")
-    t_latest = max(info["state"].t_s for info in junctions.values())
+
+    # Each step records every junction once, at ev.t_s plus the oven hold.
+    # A step may not start before the previous measurement, and its record
+    # must come strictly after every row the junction already has.
+    t_prev = max(info["state"].t_s for info in junctions.values())
+    t_meas_of = []
     for ev in events:
-        if ev.t_s < t_latest:
+        hold_s = ev.kind.hold_min * 60.0 if isinstance(ev.kind, ThermalAnneal) else 0.0
+        t_meas = ev.t_s + hold_s
+        if ev.t_s < t_prev:
             raise ValidationError(
                 f"event at day {ev.t_s / DAY_S:g} precedes the last measurement "
-                f"(day {t_latest / DAY_S:g})"
+                f"(day {t_prev / DAY_S:g})"
             )
+        if not t_meas > t_rows:
+            raise ValidationError(
+                f"event at day {ev.t_s / DAY_S:g} would record at day {t_meas / DAY_S:g}, "
+                f"not after the record at day {t_rows / DAY_S:g}"
+            )
+        t_prev = t_rows = t_meas
+        t_meas_of.append(t_meas)
 
-    chip_id = ds.records[0].chip_id
-    new_records = list(ds.records)
+    chip_id = ds.chip_id[0]
+    new_j: list[int] = []
+    new_t: list[float] = []
+    new_r: list[float] = []
     steps = []
     min_r_over_r0 = min(
         info["last_r"] / info["r0"] for info in junctions.values()
     )
-    for k, ev in enumerate(events):
-        hold_s = ev.kind.hold_min * 60.0 if isinstance(ev.kind, ThermalAnneal) else 0.0
-        t_meas = ev.t_s + hold_s
+    for k, (ev, t_meas) in enumerate(zip(events, t_meas_of)):
         changes = []
         for j, info in junctions.items():
             state = _advance_ambient(info["state"], ev.t_s, cfg, info["curve"])
@@ -342,10 +370,9 @@ def cmd_anneal(args) -> int:
             min_r_over_r0 = min(min_r_over_r0, r_now / info["r0"])
             info["state"] = state
             info["last_r"] = r_now
-            new_records.append(
-                MeasurementRecord(chip_id=chip_id, junction_id=j, t_s=t_meas,
-                                  r_ohm=r_now, env_label="ambient", flag="ok")
-            )
+            new_j.append(j)
+            new_t.append(t_meas)
+            new_r.append(r_now)
         kind_name = "thermal" if isinstance(ev.kind, ThermalAnneal) else "voltage"
         steps.append({
             "step": k + 1,
@@ -356,7 +383,15 @@ def cmd_anneal(args) -> int:
         print(f"step {k + 1} ({kind_name} @ day {ev.t_s / DAY_S:g}): "
               f"mean change {np.mean(changes) * 100:+.3f}%")
 
-    out_ds = ChipDataset(records=tuple(new_records))
+    n_new = len(new_t)
+    out_ds = ChipDataset.from_columns(
+        junction_id=np.concatenate([ds.junction_id, np.array(new_j, dtype=np.int64)]),
+        t_s=np.concatenate([ds.t_s, np.array(new_t, dtype=float)]),
+        r_ohm=np.concatenate([ds.r_ohm, np.array(new_r, dtype=float)]),
+        env=np.concatenate([ds.env, np.full(n_new, ENV_LABELS.index("ambient"), np.int8)]),
+        flag=np.concatenate([ds.flag, np.full(n_new, FLAG_OK, np.int8)]),
+        chip_id=[*ds.chip_id.tolist(), *[chip_id] * n_new],
+    )
     save_measurements(out_ds, args.out)
     steps_path = Path(args.out).with_suffix(".steps.json")
     with open(steps_path, "w", encoding="utf-8") as fh:
@@ -375,12 +410,8 @@ def cmd_anneal(args) -> int:
 def _advance_ambient(
     state: TrajectoryState, t_to: float, cfg: SimConfig, curve: JunctionProfile
 ) -> TrajectoryState:
-    """Advance a state along its own ambient-timescale aging curve.
-
-    A target before the state's time (an event inside the previous step's
-    hold) leaves the state where it is.
-    """
-    return propagate(state, max(t_to, state.t_s), AMBIENT, cfg.relax_gas_to_gas_s, curve, cfg)
+    """Advance a state along its own ambient-timescale aging curve."""
+    return propagate(state, t_to, AMBIENT, cfg.relax_gas_to_gas_s, curve, cfg)
 
 
 def build_parser() -> argparse.ArgumentParser:

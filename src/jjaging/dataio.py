@@ -38,9 +38,11 @@ import numpy as np
 
 from .errors import InsufficientDataError, ParameterError, ParseError, ValidationError
 from .ensemble import (
+    ENV_LABELS,
+    FLAG_OK,
+    FLAGS,
     OPEN_RESISTANCE_THRESHOLD_OHM,
     ChipDataset,
-    MeasurementRecord,
 )
 from .model import AgingParams, Environment, TwoLogParams
 from .trajectory import (
@@ -77,9 +79,6 @@ MEASUREMENT_HEADER = [
     "environment",
     "flag",
 ]
-
-_ENV_NAMES = {"ambient", "glovebox", "vacuum", "unknown"}
-_FLAG_NAMES = {"ok", "open", "excluded"}
 
 
 @dataclass(frozen=True)
@@ -126,12 +125,18 @@ def resistance_from_iv(sweep: IVSweep, full_output: bool = False):
 def save_measurements(ds: ChipDataset, path) -> None:
     """Write a dataset in the measurement CSV schema (open rows keep an empty
     resistance field)."""
+    res = ["" if math.isnan(r) else repr(r) for r in ds.r_ohm.tolist()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(MEASUREMENT_HEADER)
-        for r in ds.records:
-            res = "" if r.r_ohm is None else repr(float(r.r_ohm))
-            w.writerow([r.chip_id, r.junction_id, repr(float(r.t_s)), res, r.env_label, r.flag])
+        w.writerows(zip(
+            ds.chip_id.tolist(),
+            ds.junction_id.tolist(),
+            map(repr, ds.t_s.tolist()),
+            res,
+            [ENV_LABELS[e] for e in ds.env.tolist()],
+            [FLAGS[f] for f in ds.flag.tolist()],
+        ))
 
 
 def load_measurements(path) -> ChipDataset:
@@ -139,10 +144,12 @@ def load_measurements(path) -> ChipDataset:
 
     Malformed rows are collected and raised together as a ParseError naming
     the offending 1-based line numbers; a header-only file yields an empty
-    dataset.  Resistances above the open threshold (or non-finite) are
-    flagged open.
+    dataset.  Times must be finite and >= 0, and no two rows may share
+    (junction_id, t_seconds); a duplicate names both lines.  Resistances
+    above the open threshold (or non-finite) are flagged open.
     """
-    records: list[MeasurementRecord] = []
+    rows: list[tuple] = []   # (chip_id, junction_id, t_s, r_ohm, env code, flag code)
+    linenos: list[int] = []
     problems: list[tuple[int, str]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -168,23 +175,26 @@ def load_measurements(path) -> ChipDataset:
             except ValueError:
                 problems.append((lineno, "junction_id must be an integer and t_seconds a number"))
                 continue
+            if not -2**63 <= junction_id < 2**63:
+                problems.append((lineno, "junction_id out of range"))
+                continue
             raw_r = row[3].strip()
             env = row[4].strip().lower()
             flag = row[5].strip().lower() if len(row) == 6 and row[5].strip() else "ok"
-            if env not in _ENV_NAMES:
+            if env not in ENV_LABELS:
                 problems.append((lineno, f"unknown environment {env!r}"))
                 continue
-            if flag not in _FLAG_NAMES:
+            if flag not in FLAGS:
                 problems.append((lineno, f"unknown flag {flag!r}"))
                 continue
-            if t_s < 0:
-                problems.append((lineno, "t_seconds must be >= 0"))
+            if not (math.isfinite(t_s) and t_s >= 0):
+                problems.append((lineno, "t_seconds must be finite and >= 0"))
                 continue
             if raw_r == "":
                 if flag != "open":
                     problems.append((lineno, "empty resistance only allowed for open rows"))
                     continue
-                r_ohm = None
+                r_ohm = math.nan
             else:
                 try:
                     r_ohm = float(raw_r)
@@ -192,20 +202,28 @@ def load_measurements(path) -> ChipDataset:
                     problems.append((lineno, f"bad resistance {raw_r!r}"))
                     continue
                 if not math.isfinite(r_ohm) or r_ohm > OPEN_RESISTANCE_THRESHOLD_OHM:
-                    r_ohm, flag = None, "open"
+                    r_ohm, flag = math.nan, "open"
                 elif r_ohm <= 0:
                     problems.append((lineno, "resistance must be > 0"))
                     continue
-            records.append(
-                MeasurementRecord(
-                    chip_id=chip_id, junction_id=junction_id, t_s=t_s,
-                    r_ohm=r_ohm, env_label=env, flag=flag,
-                )
-            )
+            rows.append((chip_id, junction_id, t_s, r_ohm,
+                         ENV_LABELS.index(env), FLAGS.index(flag)))
+            linenos.append(lineno)
+    chip, junction, t, r, env, flag = zip(*rows) if rows else ((),) * 6
+    junction, t = np.array(junction, dtype=np.int64), np.array(t, dtype=float)
+    lines = [ln for ln, _ in problems]
+    # Stable sort by (junction_id, t): of two equal keys the later line follows.
+    order = np.lexsort((t, junction))
+    same = (junction[order][1:] == junction[order][:-1]) & (t[order][1:] == t[order][:-1])
+    for prev, cur in zip(order[:-1][same].tolist(), order[1:][same].tolist()):
+        problems.append((linenos[cur], f"duplicate of line {linenos[prev]}: junction "
+                                       f"{int(junction[cur])} at t_seconds {float(t[cur])!r}"))
+        lines += [linenos[prev], linenos[cur]]
     if problems:
+        problems.sort()
         details = "; ".join(f"line {ln}: {msg}" for ln, msg in problems)
-        raise ParseError(f"{path}: {details}", lines=[ln for ln, _ in problems])
-    return ChipDataset(records=tuple(records))
+        raise ParseError(f"{path}: {details}", lines=sorted(set(lines)))
+    return ChipDataset.from_columns(junction, t, r, env, flag, chip)
 
 
 def _parse_kv(parts: Sequence[str], lineno: int, problems) -> dict[str, str]:
@@ -432,8 +450,8 @@ def build_fit_report(
                 "counts": [int(c) for c in counts],
                 "edges": [float(e) for e in edges],
             }
-    ok_records = [r for r in ds.records if r.flag == "ok"]
-    last = max(ok_records, key=lambda r: r.t_s)
+    ok_rows = np.flatnonzero(ds.flag == FLAG_OK)
+    last = ok_rows[np.argmax(ds.t_s[ok_rows])]   # first row at the latest time
     return FitReport(
         chip_id=chip_id,
         junction_ids=tuple(ds.junction_ids()),
@@ -445,8 +463,8 @@ def build_fit_report(
         histograms=histograms,
         skipped=dict(chip_fit.skipped),
         provenance=dict(provenance),
-        last_t_s=last.t_s,
-        last_env=last.env_label,
+        last_t_s=float(ds.t_s[last]),
+        last_env=ENV_LABELS[ds.env[last]],
     )
 
 

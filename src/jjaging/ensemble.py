@@ -16,23 +16,26 @@ junction): they report no resistance and are excluded from aggregates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError, ValidationError
-from .model import AgingParams
+from .model import AgingParams, EnvironmentKind
 from .trajectory import (
     AnnealEvent,
     JunctionProfile,
     SimConfig,
     StorageSchedule,
+    VoltageAnneal,
     simulate_trajectory,
 )
 
 __all__ = [
     "OPEN_RESISTANCE_THRESHOLD_OHM",
+    "FLAGS",
+    "ENV_LABELS",
     "ChipSpec",
     "MeasurementRecord",
     "ChipDataset",
@@ -48,6 +51,10 @@ __all__ = [
 OPEN_RESISTANCE_THRESHOLD_OHM = 1.0e6
 
 FLAGS = ("ok", "open", "excluded")
+FLAG_OK, FLAG_OPEN = FLAGS.index("ok"), FLAGS.index("open")
+# Environment labels a dataset row can carry, in code order.
+ENV_LABELS = tuple(kind.value for kind in EnvironmentKind) + ("unknown",)
+_ENV_CODE = {label: code for code, label in enumerate(ENV_LABELS)}
 
 
 @dataclass(frozen=True)
@@ -69,6 +76,9 @@ class ChipSpec:
     def __post_init__(self):
         if self.n_junctions < 1:
             raise ValidationError("n_junctions must be >= 1")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ParameterError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.r0_mean_ohm <= 0:
             raise ParameterError("r0_mean_ohm must be > 0")
         if self.a_mean < 0 or self.b_mean <= 0:
@@ -102,23 +112,142 @@ class MeasurementRecord:
                 )
 
 
-@dataclass(frozen=True)
+def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
+    """Indices where a new value begins in a sorted 1-D array."""
+    if not sorted_values.size:
+        return np.zeros(0, dtype=np.intp)
+    return np.flatnonzero(np.concatenate(([True], sorted_values[1:] != sorted_values[:-1])))
+
+
 class ChipDataset:
-    """Measurement records sorted by (junction_id, t_s)."""
+    """Measurements of one chip as read-only numpy columns.
 
-    records: tuple[MeasurementRecord, ...]
-    spec: ChipSpec | None = None
-    schedule: StorageSchedule | None = None
+    Columns, one entry per row: ``junction_id`` (int64), ``t_s`` (float64),
+    ``r_ohm`` (float64, NaN where a row has no resistance), ``env`` and
+    ``flag`` (int8 codes into ``ENV_LABELS`` and ``FLAGS``) and ``chip_id``
+    (object).  Rows are sorted once, stably, by (junction_id, t_s) and
+    validated once: times finite, codes known, and a finite resistance > 0
+    on every row not flagged open.
 
-    def __post_init__(self):
-        ordered = tuple(sorted(self.records, key=lambda r: (r.junction_id, r.t_s)))
-        object.__setattr__(self, "records", ordered)
+    ``ChipDataset(records=...)`` builds the columns from MeasurementRecords;
+    ``from_columns`` takes the columns directly.  ``records`` is a row view,
+    a tuple of MeasurementRecords built on first access.
+    """
+
+    __slots__ = ("junction_id", "t_s", "r_ohm", "env", "flag", "chip_id",
+                 "spec", "schedule", "_records")
+
+    def __init__(
+        self,
+        records: Sequence[MeasurementRecord] = (),
+        spec: ChipSpec | None = None,
+        schedule: StorageSchedule | None = None,
+    ):
+        records = tuple(records)
+        for r in records:
+            if r.env_label not in _ENV_CODE:
+                raise ValidationError(f"unknown environment label {r.env_label!r}")
+        order = self._set_columns(
+            [r.junction_id for r in records],
+            [r.t_s for r in records],
+            [np.nan if r.r_ohm is None else r.r_ohm for r in records],
+            [_ENV_CODE[r.env_label] for r in records],
+            [FLAGS.index(r.flag) for r in records],
+            [r.chip_id for r in records],
+        )
+        self._records = tuple(records[i] for i in order.tolist())
+        self.spec, self.schedule = spec, schedule
+
+    @classmethod
+    def from_columns(
+        cls,
+        junction_id,
+        t_s,
+        r_ohm,
+        env,
+        flag,
+        chip_id: str | Sequence[str],
+        spec: ChipSpec | None = None,
+        schedule: StorageSchedule | None = None,
+    ) -> "ChipDataset":
+        """Dataset from equal-length columns (``env``/``flag`` as codes);
+        a single ``chip_id`` string applies to every row."""
+        ds = cls.__new__(cls)
+        ds._set_columns(junction_id, t_s, r_ohm, env, flag, chip_id)
+        ds._records = None
+        ds.spec, ds.schedule = spec, schedule
+        return ds
+
+    def _set_columns(self, junction_id, t_s, r_ohm, env, flag, chip_id) -> np.ndarray:
+        cols = {
+            "junction_id": np.asarray(junction_id, dtype=np.int64),
+            "t_s": np.asarray(t_s, dtype=float),
+            "r_ohm": np.asarray(r_ohm, dtype=float),
+            "env": np.asarray(env, dtype=np.int8),
+            "flag": np.asarray(flag, dtype=np.int8),
+        }
+        n = cols["t_s"].size
+        if isinstance(chip_id, str):
+            cols["chip_id"] = np.full(n, chip_id, dtype=object)
+        else:
+            cols["chip_id"] = np.empty(n, dtype=object)
+            cols["chip_id"][:] = list(chip_id)
+        if any(c.shape != (n,) for c in cols.values()):
+            raise ValidationError("dataset columns must be 1-D and of equal length")
+        t, r, f, e = cols["t_s"], cols["r_ohm"], cols["flag"], cols["env"]
+        if not np.isfinite(t).all():
+            raise ValidationError("measurement times must be finite")
+        if ((f < 0) | (f >= len(FLAGS))).any():
+            raise ValidationError("unknown flag code")
+        if ((e < 0) | (e >= len(ENV_LABELS))).any():
+            raise ValidationError("unknown environment code")
+        bad = np.flatnonzero((f != FLAG_OPEN) & ~(np.isfinite(r) & (r > 0)))
+        if bad.size:
+            i = bad[0]
+            raise ValidationError(
+                f"junction {cols['junction_id'][i]} at t={t[i]}: resistance must be "
+                "finite and > 0 unless flagged open"
+            )
+        order = np.lexsort((t, cols["junction_id"]))
+        for name, col in cols.items():
+            col = col[order]
+            col.flags.writeable = False
+            setattr(self, name, col)
+        return order
+
+    @property
+    def records(self) -> tuple[MeasurementRecord, ...]:
+        if self._records is None:
+            self._records = tuple(map(
+                MeasurementRecord,
+                self.chip_id.tolist(),
+                self.junction_id.tolist(),
+                self.t_s.tolist(),
+                [None if math.isnan(r) else r for r in self.r_ohm.tolist()],
+                [ENV_LABELS[e] for e in self.env.tolist()],
+                [FLAGS[f] for f in self.flag.tolist()],
+            ))
+        return self._records
+
+    def __len__(self) -> int:
+        return self.t_s.size
+
+    def __repr__(self) -> str:
+        return f"ChipDataset({len(self)} rows, junctions {self.junction_ids()})"
 
     def junction_ids(self) -> list[int]:
-        return sorted({r.junction_id for r in self.records})
+        return self.junction_id[_run_starts(self.junction_id)].tolist()
+
+    def junction_rows(self) -> list[tuple[int, int, int]]:
+        """(junction_id, start, stop): each junction's row range, by id."""
+        starts = _run_starts(self.junction_id)
+        stops = np.append(starts[1:], len(self))
+        return list(zip(self.junction_id[starts].tolist(), starts.tolist(), stops.tolist()))
 
     def for_junction(self, junction_id: int) -> list[MeasurementRecord]:
-        return [r for r in self.records if r.junction_id == junction_id]
+        lo = np.searchsorted(self.junction_id, junction_id, side="left")
+        hi = np.searchsorted(self.junction_id, junction_id, side="right")
+        return list(self.records[lo:hi])
 
 
 @dataclass(frozen=True)
@@ -194,36 +323,40 @@ def simulate_chip(
     if home_kind not in cfg.env_tau_s:
         raise ValidationError(f"config lacks a timescale for {home_kind.value!r}")
     tau_home = cfg.env_tau_s[home_kind]
-    noise_sigma = chip.spec.noise_sigma
+    samples = [float(t) for t in sample_t_s]
+    n_j, n_s = len(chip), len(samples)
 
-    records: list[MeasurementRecord] = []
-    for j, (params, is_open) in enumerate(chip.junctions):
-        if is_open:
-            for t in sample_t_s:
-                records.append(
-                    MeasurementRecord(
-                        chip_id=chip_id, junction_id=j, t_s=float(t), r_ohm=None,
-                        env_label=schedule.environment_at(float(t)).kind.value,
-                        flag="open",
-                    )
-                )
+    # Rows of a junctions x samples array; open junctions keep NaN.
+    r = np.full((n_j, n_s), np.nan)
+    z = np.zeros((n_j, n_s))
+    is_open = np.zeros(n_j, dtype=bool)
+    for j, (params, open_j) in enumerate(chip.junctions):
+        if open_j:
+            is_open[j] = True
             continue
         profile = JunctionProfile(a=params.a, b=params.b, tau_scale=params.tau_s / tau_home)
         ev_j = [ev for ev in events if ev.junction_ids is None or j in ev.junction_ids]
+        # The anneal seed only feeds voltage-anneal draws.
+        draws = any(isinstance(ev.kind, VoltageAnneal) for ev in ev_j)
         traj = simulate_trajectory(
-            schedule, ev_j, cfg, params.r0_ohm, sample_t_s,
-            seed=_junction_seed(seed, j, 0), profile=profile,
+            schedule, ev_j, cfg, params.r0_ohm, samples,
+            seed=_junction_seed(seed, j, 0) if draws else 0, profile=profile,
         )
-        noise_rng = np.random.default_rng(_junction_seed(seed, j, 1))
-        eta = noise_sigma * noise_rng.standard_normal(len(traj))
-        for (t, r), e in zip(traj, eta):
-            records.append(
-                MeasurementRecord(
-                    chip_id=chip_id, junction_id=j, t_s=t, r_ohm=r * (1.0 + e),
-                    env_label=schedule.environment_at(t).kind.value, flag="ok",
-                )
-            )
-    return ChipDataset(records=tuple(records), spec=chip.spec, schedule=schedule)
+        r[j] = [r_ohm for _, r_ohm in traj]
+        z[j] = np.random.default_rng(_junction_seed(seed, j, 1)).standard_normal(n_s)
+    r *= 1.0 + chip.spec.noise_sigma * z
+
+    starts = [start for start, _ in schedule.segments]
+    seg_env = np.array([_ENV_CODE[env.kind.value] for _, env in schedule.segments], np.int8)
+    env = seg_env[np.searchsorted(starts, samples, side="right") - 1]
+    return ChipDataset.from_columns(
+        junction_id=np.repeat(np.arange(n_j), n_s),
+        t_s=np.tile(samples, n_j),
+        r_ohm=r.ravel(),
+        env=np.tile(env, n_j),
+        flag=np.repeat(np.where(is_open, FLAG_OPEN, FLAG_OK), n_s),
+        chip_id=chip_id, spec=chip.spec, schedule=schedule,
+    )
 
 
 def coefficient_of_variation(values: Iterable) -> float:
@@ -260,24 +393,30 @@ def aggregate_series(
     Records are grouped by sample time: times within ``window_s`` of a
     group's first time belong to that group.  Groups with a single usable
     record report CV = nan with n_used = 1.
+
+    Groups of equal size are reduced together as the rows of one 2-D block;
+    numpy reduces each row along the fast axis exactly as it reduces a 1-D
+    slice, so the values equal per-group ``np.mean``/``np.std`` bit for bit.
     """
-    usable = [r for r in ds.records if r.flag == "ok"]
-    if not usable:
+    ok = ds.flag == FLAG_OK
+    if not ok.any():
         raise InsufficientDataError("dataset has no usable records")
-    usable.sort(key=lambda r: r.t_s)
-    groups: list[list[MeasurementRecord]] = []
-    anchor = None
-    for rec in usable:
-        if anchor is None or rec.t_s - anchor > window_s:
-            groups.append([rec])
-            anchor = rec.t_s
-        else:
-            groups[-1].append(rec)
-    out = []
-    for grp in groups:
-        rs = np.asarray([r.r_ohm for r in grp])
-        t = float(np.mean([r.t_s for r in grp]))
-        mean = float(np.mean(rs))
-        cv = float(np.std(rs, ddof=1) / mean) if len(rs) >= 2 else float("nan")
-        out.append((t, mean, cv, len(rs)))
-    return out
+    order = np.argsort(ds.t_s[ok], kind="stable")
+    t, rs = ds.t_s[ok][order], ds.r_ohm[ok][order]
+    starts, anchor = [], None
+    for i, ti in enumerate(t.tolist()):
+        if anchor is None or ti - anchor > window_s:
+            starts.append(i)
+            anchor = ti
+    lo = np.array(starts)
+    size = np.diff(lo, append=t.size)
+    t_mean, r_mean, cv = (np.full(lo.size, np.nan) for _ in range(3))
+    for g in sorted(set(size.tolist())):
+        sel = size == g
+        rows = lo[sel, None] + np.arange(g)
+        block = rs[rows]
+        t_mean[sel] = np.mean(t[rows], axis=1)
+        r_mean[sel] = np.mean(block, axis=1)
+        if g >= 2:
+            cv[sel] = np.std(block, axis=1, ddof=1) / r_mean[sel]
+    return list(zip(t_mean.tolist(), r_mean.tolist(), cv.tolist(), size.tolist()))

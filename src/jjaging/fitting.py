@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError, ValidationError
-from .ensemble import ChipDataset, aggregate_series
+from .ensemble import FLAG_OK, ChipDataset, aggregate_series
 from .model import AgingParams, TwoLogParams
 
 __all__ = [
@@ -406,13 +406,15 @@ def fit_chip(
     per_junction: dict[int, FitResult] = {}
     r0s: dict[int, float] = {}
     skipped: dict[int, str] = {}
-    for j in ds.junction_ids():
-        recs = [r for r in ds.for_junction(j) if r.flag == "ok"]
-        if len({r.t_s for r in recs}) < min_pts:
+    ok = ds.flag == FLAG_OK
+    for j, lo, hi in ds.junction_rows():
+        t, r = ds.t_s[lo:hi][ok[lo:hi]], ds.r_ohm[lo:hi][ok[lo:hi]]
+        n_times = t.size and 1 + np.count_nonzero(t[1:] != t[:-1])   # t is sorted
+        if n_times < min_pts:
             skipped[j] = f"fewer than {min_pts} usable time points"
             continue
-        r0 = r0_override[j] if r0_override and j in r0_override else recs[0].r_ohm
-        series = [(r.t_s, r.r_ohm / r0) for r in recs]
+        r0 = r0_override[j] if r0_override and j in r0_override else float(r[0])
+        series = np.column_stack((t, r / r0))
         try:
             per_junction[j] = fit_fun(series, per_opts)
             r0s[j] = r0

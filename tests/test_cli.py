@@ -4,7 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from jjaging import AgingParams, eval_single_log, load_measurements
+from jjaging import (
+    AgingParams,
+    chip_preset,
+    draw_chip,
+    eval_single_log,
+    load_events,
+    load_measurements,
+    load_schedule,
+    save_measurements,
+    simulate_chip,
+)
 from jjaging.cli import main
 
 DAY = 86400.0
@@ -80,6 +90,31 @@ class TestSimulate:
         labels = {r.env_label for r in ds.records}
         assert labels == {"ambient", "glovebox"}
 
+    def test_events_file_adds_to_schedule_events(self, tmp_path, capsys):
+        sched = tmp_path / "sched.txt"
+        sched.write_text("0,ambient\nevent,10,voltage,junctions=0-3\n")
+        extra = tmp_path / "extra.txt"
+        extra.write_text("event,6,thermal,temp_c=200,env=ambient,hold_min=10\n"
+                         "event,10,voltage,junctions=8\n")
+        out, want = tmp_path / "d.csv", tmp_path / "want.csv"
+        assert run("simulate", "--preset", "chip1", "--schedule", str(sched),
+                   "--events", str(extra), "--target-days", "14", "--sample-days", "1",
+                   "--seed", "5", "--out", str(out)) == 0
+        # The same chip through the merged, time-sorted list, schedule first.
+        p = chip_preset("chip1")
+        (schedule, own), more = load_schedule(sched), load_events(extra)
+        events = [more[0], own[0], more[1]]
+        ds = simulate_chip(draw_chip(p.spec, 5), schedule, events,
+                           list(np.arange(0.0, 14 * DAY + 1e-9, DAY)), p.sim, 5)
+        save_measurements(ds, want)
+        assert out.read_bytes() == want.read_bytes()
+        # The schedule's day-10 voltage anneal survives: junctions 0-3 jump.
+        got = load_measurements(out)
+        r = got.r_ohm.reshape(16, 15)
+        jump = r[:, 10] / r[:, 9]
+        assert (jump[:4] > 1.1).all() and jump[8] > 1.1
+        assert (jump[4:8] < 1.05).all() and (jump[9:] < 1.05).all()
+
 
 class TestFit:
     def _simulate(self, tmp_path, preset="chip2", days="56"):
@@ -128,6 +163,19 @@ class TestFit:
         assert p["kind"] == "two-log"
         assert p["tau_int_s"] >= p["tau_ext_s"]
         assert p["a_int"] + p["a_ext"] == pytest.approx(0.21, abs=0.02)
+
+    @pytest.mark.parametrize("rows", [
+        "c,0,0,10000,ambient,ok\nc,0,nan,11000,ambient,ok\n",
+        "c,0,0,10000,ambient,ok\nc,0,inf,11000,ambient,ok\n",
+        "c,0,86400,10000,ambient,ok\nc,0,86400,11000,ambient,ok\n",
+    ])
+    def test_non_finite_or_duplicate_times_exit_2(self, tmp_path, capsys, rows):
+        data = tmp_path / "bad.csv"
+        data.write_text("chip_id,junction_id,t_seconds,resistance_ohms,environment,flag\n"
+                        + rows)
+        assert run("fit", str(data), "--out", str(tmp_path / "r.json")) == 2
+        assert "line 3" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -257,6 +305,37 @@ class TestAnneal:
                    "--seed", "4", "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines", [
+        # The second event starts inside the first one's 60-minute hold.
+        "event,30.5,thermal,temp_c=200,env=glovebox,hold_min=60\n"
+        "event,30.52,thermal,temp_c=250,env=glovebox,hold_min=10\n",
+        # Recorded at the last measurement's time (day 30).
+        "event,30,voltage\n",
+        # Recorded at the previous step's measurement time.
+        "event,30.5,voltage\nevent,30.5,thermal,temp_c=200,env=glovebox,hold_min=0\n",
+    ])
+    def test_unplaceable_event_exits_2(self, tmp_path, capsys, lines):
+        data = self._dataset(tmp_path, days="30")
+        events = tmp_path / "steps.txt"
+        events.write_text(lines)
+        out = tmp_path / "x.csv"
+        code = run("anneal", str(data), "--events", str(events), "--preset", "chip3",
+                   "--seed", "4", "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+
+    def test_back_to_back_steps_reload(self, tmp_path, capsys):
+        data = self._dataset(tmp_path, days="30")
+        events = tmp_path / "steps.txt"
+        events.write_text("event,30.5,thermal,temp_c=200,env=glovebox,hold_min=60\n"
+                          "event,30.5416666666667,thermal,temp_c=250,env=glovebox,hold_min=10\n")
+        out = tmp_path / "x.csv"
+        assert run("anneal", str(data), "--events", str(events), "--preset", "chip3",
+                   "--out", str(out)) == 0
+        ds = load_measurements(out)
+        assert len(ds) == len(load_measurements(data)) + 2 * 16
+        assert (np.diff(ds.t_s.reshape(16, -1), axis=1) > 0).all()
 
     def test_voltage_events_require_seed(self, tmp_path, capsys):
         data = self._dataset(tmp_path, days="20")

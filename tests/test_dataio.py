@@ -134,6 +134,44 @@ class TestMeasurementCSV:
             load_measurements(path)
         assert err.value.lines == [3, 4]
 
+    def test_non_finite_times_rejected(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text(
+            "chip_id,junction_id,t_seconds,resistance_ohms,environment,flag\n"
+            "c,0,0.0,10000,ambient,ok\n"
+            "c,0,nan,10000,ambient,ok\n"
+            "c,1,inf,10000,ambient,ok\n"
+            "c,1,-inf,10000,ambient,ok\n"
+        )
+        with pytest.raises(ParseError) as err:
+            load_measurements(path)
+        assert err.value.lines == [3, 4, 5]
+        assert "finite" in str(err.value)
+
+    def test_junction_id_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text(
+            "chip_id,junction_id,t_seconds,resistance_ohms,environment,flag\n"
+            "c,99999999999999999999,0.0,10000,ambient,ok\n"
+        )
+        with pytest.raises(ParseError) as err:
+            load_measurements(path)
+        assert err.value.lines == [2]
+
+    def test_duplicate_rows_name_both_lines(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text(
+            "chip_id,junction_id,t_seconds,resistance_ohms,environment,flag\n"
+            "c,0,86400,10000,ambient,ok\n"
+            "c,1,86400,10000,ambient,ok\n"
+            "c,0,0,9000,ambient,ok\n"
+            "c,0,86400.0,11000,ambient,excluded\n"
+        )
+        with pytest.raises(ParseError) as err:
+            load_measurements(path)
+        assert err.value.lines == [2, 5]
+        assert "line 5: duplicate of line 2" in str(err.value)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("a,b,c\n")
