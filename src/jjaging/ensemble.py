@@ -317,13 +317,16 @@ def simulate_chip(
     get independent multiplicative measurement noise (1 + eta), eta normal
     with sd ``chip.spec.noise_sigma``; open junctions yield flag="open" rows
     with no resistance.  Events carrying ``junction_ids`` apply only to
-    those junctions.
+    those junctions.  Sample times must be strictly increasing.
     """
     home_kind = schedule.segments[0][1].kind
     if home_kind not in cfg.env_tau_s:
         raise ValidationError(f"config lacks a timescale for {home_kind.value!r}")
     tau_home = cfg.env_tau_s[home_kind]
     samples = [float(t) for t in sample_t_s]
+    # A dataset holds one row per (junction, time); so does its CSV.
+    if any(b <= a for a, b in zip(samples, samples[1:])):
+        raise ValidationError("sample times must be strictly increasing")
     n_j, n_s = len(chip), len(samples)
 
     # Rows of a junctions x samples array; open junctions keep NaN.
@@ -391,13 +394,15 @@ def aggregate_series(
     """Per-time aggregates (t_s, mean R, CV, n_used) over usable records.
 
     Records are grouped by sample time: times within ``window_s`` of a
-    group's first time belong to that group.  Groups with a single usable
-    record report CV = nan with n_used = 1.
+    group's first time belong to that group (``window_s`` finite, >= 0).
+    Groups with a single usable record report CV = nan with n_used = 1.
 
     Groups of equal size are reduced together as the rows of one 2-D block;
     numpy reduces each row along the fast axis exactly as it reduces a 1-D
     slice, so the values equal per-group ``np.mean``/``np.std`` bit for bit.
     """
+    if not (math.isfinite(window_s) and window_s >= 0):
+        raise ValidationError(f"window_s must be finite and >= 0, got {window_s}")
     ok = ds.flag == FLAG_OK
     if not ok.any():
         raise InsufficientDataError("dataset has no usable records")

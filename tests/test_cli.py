@@ -134,6 +134,14 @@ class TestFit:
         assert report["provenance"]["tool_version"]
         assert report["histograms"]["a"]["counts"]
 
+    @pytest.mark.parametrize("window", ["nan", "inf", "-5"])
+    def test_bad_window_exits_2(self, tmp_path, capsys, window):
+        data = self._simulate(tmp_path)
+        code = run("fit", str(data), f"--window-s={window}", "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert "window_s" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_too_few_time_points_exits_2(self, tmp_path, capsys):
         out = tmp_path / "short.csv"
         assert run("simulate", "--preset", "chip1", "--target-days", "4",

@@ -2,6 +2,8 @@
 dataset's column contract."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -41,8 +43,9 @@ EVENT_SETS = {
         AnnealEvent(t_s=30 * DAY, kind=ThermalAnneal(temp_c=200.0, env=GLOVEBOX)),
     ),
 }
-# Daily samples with a repeated time and one off the daily grid.
-SAMPLES = sorted([*np.arange(0.0, 40 * DAY + 1.0, DAY).tolist(), 10 * DAY, 7.5 * DAY])
+# Daily samples and one off the daily grid.  (simulate_chip refuses a repeated
+# time, which would give duplicate (junction_id, t_s) rows.)
+SAMPLES = sorted([*np.arange(0.0, 40 * DAY + 1.0, DAY).tolist(), 7.5 * DAY])
 
 
 def rows(ds):
@@ -88,7 +91,7 @@ def test_reference_cases_cover_open_junctions_and_event_subsets():
                   st.floats(1.0, 1e5), st.sampled_from(["ok", "ok", "open", "excluded"])),
         min_size=1, max_size=40,
     ),
-    window=st.sampled_from([0.0, 100.0, 600.0, 1000.0, -1.0]),
+    window=st.sampled_from([0.0, 100.0, 600.0, 1000.0]),
 )
 def test_aggregate_series_equals_reference_on_random_groups(data, window):
     ds = ChipDataset(records=tuple(
@@ -98,6 +101,46 @@ def test_aggregate_series_equals_reference_on_random_groups(data, window):
     if not any(flag == "ok" for *_, flag in data):
         return
     assert repr(aggregate_series(ds, window)) == repr(reference_aggregate_series(ds, window))
+
+
+@pytest.mark.parametrize("window", [math.nan, math.inf, -5.0])
+def test_aggregate_series_rejects_bad_window(window):
+    # NaN used to merge every time into one group, -5 to split equal times.
+    ds = ChipDataset(records=(MeasurementRecord("c", 0, 0.0, 10.0),
+                              MeasurementRecord("c", 1, 0.0, 11.0)))
+    with pytest.raises(ValidationError, match="window_s"):
+        aggregate_series(ds, window)
+
+
+def test_simulate_chip_rejects_repeated_sample_times():
+    p = chip_preset("chip6")
+    chip = draw_chip(p.spec, 0)
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        simulate_chip(chip, p.schedule, [], [0.0, DAY, 10 * DAY, 10 * DAY, 11 * DAY],
+                      p.sim, 0)
+    # The per-record reference still writes the duplicate rows the CSV refuses.
+    ref = reference_simulate_chip(chip, p.schedule, [], [0.0, DAY, DAY], p.sim, 0)
+    assert len(ref.t_s) == 3 * len(chip)
+
+
+@settings(max_examples=40, deadline=None)
+@given(days=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 7.25, 10.0, 30.0, 56.0]),
+                     min_size=1, max_size=8).map(sorted))
+def test_simulate_chip_grids_round_trip_through_csv(days):
+    """Every sorted grid simulate_chip accepts gives a CSV that loads back to
+    the same rows; the grids it refuses repeat a time."""
+    p = chip_preset("chip6")
+    samples = [d * DAY for d in days]
+    args = (draw_chip(p.spec, 5), p.schedule, [], samples, p.sim, 5)
+    if any(b <= a for a, b in zip(samples, samples[1:])):
+        with pytest.raises(ValidationError):
+            simulate_chip(*args)
+        return
+    ds = simulate_chip(*args, chip_id="c6")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        save_measurements(ds, path)
+        assert rows(load_measurements(path)) == rows(ds)
 
 
 def test_csv_round_trip_is_byte_stable(tmp_path):
