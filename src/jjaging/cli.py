@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -74,19 +74,32 @@ def _digest(obj) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _sim_config_from_dict(d: dict) -> SimConfig:
-    kwargs = dict(d)
-    if "env_tau_s" in kwargs:
-        kwargs["env_tau_s"] = {
-            EnvironmentKind(k): float(v) for k, v in kwargs["env_tau_s"].items()
-        }
-    if "thermal_response" in kwargs:
-        table = {}
-        for key, v in kwargs["thermal_response"].items():
-            temp, env = key.split(",")
-            table[(float(temp), EnvironmentKind(env.strip()))] = float(v)
-        kwargs["thermal_response"] = table
-    return SimConfig(**kwargs)
+def _checked_section(section, name: str, known) -> dict:
+    """Return a spec-file section after checking it is an object with known keys."""
+    if not isinstance(section, dict):
+        raise ValidationError(f"spec section {name!r} must be a JSON object")
+    for key in section:
+        if key not in known:
+            raise ValidationError(f"unknown {name} key {key!r}")
+    return section
+
+
+def _sim_config_from_dict(d) -> SimConfig:
+    kwargs = dict(_checked_section(d, "sim", {f.name for f in fields(SimConfig)}))
+    try:
+        if "env_tau_s" in kwargs:
+            kwargs["env_tau_s"] = {
+                EnvironmentKind(k): float(v) for k, v in dict(kwargs["env_tau_s"]).items()
+            }
+        if "thermal_response" in kwargs:
+            table = {}
+            for key, v in dict(kwargs["thermal_response"]).items():
+                temp, env = key.split(",")
+                table[(float(temp), EnvironmentKind(env.strip()))] = float(v)
+            kwargs["thermal_response"] = table
+        return SimConfig(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad sim value: {exc}") from exc
 
 
 def _resolve_chip(args):
@@ -99,15 +112,27 @@ def _resolve_chip(args):
         raise ValidationError("either --preset or --spec is required")
     with open(args.spec, "r", encoding="utf-8") as fh:
         d = json.load(fh)
+    _checked_section(d, "spec", ("chip", "sim", "environment"))
     if "chip" not in d:
         raise ValidationError(f"{args.spec}: spec file needs a 'chip' section")
-    spec = ChipSpec(**d["chip"])
+    try:
+        spec = ChipSpec(**_checked_section(d["chip"], "chip",
+                                           {f.name for f in fields(ChipSpec)}))
+    except TypeError as exc:
+        raise ValidationError(f"bad chip value: {exc}") from exc
     sim = _sim_config_from_dict(d.get("sim", {}))
-    env = Environment.from_kind(d.get("environment", "ambient"))
+    env_name = d.get("environment", "ambient")
+    if env_name not in [k.value for k in EnvironmentKind]:
+        raise ValidationError(f"unknown environment {env_name!r}")
+    env = Environment.from_kind(env_name)
     return spec, sim, StorageSchedule.single(env), {"spec_file": d}
 
 
 def cmd_simulate(args) -> int:
+    if not (math.isfinite(args.target_days) and args.target_days >= 0):
+        raise ValidationError(f"--target-days must be finite and >= 0, got {args.target_days}")
+    if not (math.isfinite(args.sample_days) and args.sample_days > 0):
+        raise ValidationError(f"--sample-days must be finite and > 0, got {args.sample_days}")
     spec, cfg, schedule, cfg_desc = _resolve_chip(args)
     events = []
     if args.schedule:
@@ -355,7 +380,8 @@ def cmd_anneal(args) -> int:
     for k, (ev, t_meas) in enumerate(zip(events, t_meas_of)):
         changes = []
         for j, info in junctions.items():
-            state = _advance_ambient(info["state"], ev.t_s, cfg, info["curve"])
+            state = propagate(info["state"], ev.t_s, AMBIENT, cfg.relax_gas_to_gas_s,
+                              info["curve"], cfg)
             if ev.junction_ids is None or j in ev.junction_ids:
                 if isinstance(ev.kind, ThermalAnneal):
                     state = apply_thermal_anneal(state, ev, cfg)
@@ -364,7 +390,7 @@ def cmd_anneal(args) -> int:
                         np.random.SeedSequence(entropy=seed, spawn_key=(k, j)).generate_state(1)[0]
                     )
                     state = apply_voltage_anneal(state, ev, cfg, seed_jk)
-            state = _advance_ambient(state, t_meas, cfg, info["curve"])
+            state = propagate(state, t_meas, AMBIENT, cfg.relax_gas_to_gas_s, info["curve"], cfg)
             r_now = info["r0"] * (1.0 + state.y)
             changes.append(r_now / info["last_r"] - 1.0)
             min_r_over_r0 = min(min_r_over_r0, r_now / info["r0"])
@@ -405,13 +431,6 @@ def cmd_anneal(args) -> int:
     print(f"min R/R0 across the sequence: {min_r_over_r0:.4f}")
     print(f"wrote {args.out} and {steps_path}")
     return 0
-
-
-def _advance_ambient(
-    state: TrajectoryState, t_to: float, cfg: SimConfig, curve: JunctionProfile
-) -> TrajectoryState:
-    """Advance a state along its own ambient-timescale aging curve."""
-    return propagate(state, t_to, AMBIENT, cfg.relax_gas_to_gas_s, curve, cfg)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,24 +20,23 @@ top of the relaxation state, so a voltage-annealed junction keeps its new
 resistance instead of relaxing back: the anneal changes the junction's
 internal configuration rather than accelerating the environmental aging.
 
-Each storage segment is mapped in closed form.  The kinetics are
-discretized on a fixed grid of ``n = ceil(span / integration_dt_s)`` equal
-substeps ``h``: the bound-curve feedforward is exact per substep and the
-relaxation term is a forward Euler update, so the gap to the bound,
-``e = y - y_bound``, shrinks by exactly ``1 - h / T_relax`` per substep.  A
-whole segment is therefore
+Each storage segment is mapped by the exact solution of that linear
+equation: the gap to the bound, ``e = y - y_bound``, obeys ``de/dt = -e /
+T_relax``, so a whole segment is
 
-    y(t_b) = y_bound(t_b) + (y(t_a) - y_bound(t_a)) * (1 - h / T_relax) ** n
+    y(t_b) = y_bound(t_b) + (y(t_a) - y_bound(t_a)) * exp(-(t_b - t_a) / T_relax)
 
-in O(1), and a trajectory starting on its bound in an unchanged environment
-reproduces the closed form to rounding.  ``SimConfig`` requires every
-relaxation time to be at least one substep, so the factor lies in [0, 1)
-and the gap decays monotonically.
+in O(1), with no step size.  Splitting a segment at any time gives the same
+result, so a trajectory does not depend on where samples and events fall,
+and a junction on its bound (gap exactly 0.0) reproduces the closed form
+bit for bit.  Relaxation times only need to be finite and > 0: the gap
+decays monotonically for any of them.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -104,10 +103,12 @@ class VoltageAnneal:
     pulse_duration_s: float = 1.0
 
     def __post_init__(self):
-        if self.n_pulses <= 0:
-            raise ValidationError("n_pulses must be > 0")
-        if self.amplitude_v <= 0 or self.pulse_duration_s <= 0:
-            raise ValidationError("pulse amplitude and duration must be > 0")
+        n = self.n_pulses
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n <= 0:
+            raise ValidationError(f"n_pulses must be an integer > 0, got {n!r}")
+        for v in (self.amplitude_v, self.pulse_duration_s):
+            if not (math.isfinite(v) and v > 0):
+                raise ValidationError("pulse amplitude and duration must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -119,8 +120,10 @@ class ThermalAnneal:
     hold_min: float = 10.0
 
     def __post_init__(self):
-        if self.hold_min < 0:
-            raise ValidationError("hold_min must be >= 0")
+        if not math.isfinite(self.temp_c):
+            raise ValidationError(f"temp_c must be finite, got {self.temp_c}")
+        if not (math.isfinite(self.hold_min) and self.hold_min >= 0):
+            raise ValidationError(f"hold_min must be finite and >= 0, got {self.hold_min}")
 
 
 @dataclass(frozen=True)
@@ -177,25 +180,26 @@ class SimConfig:
     voltage_drift_a: float = 0.05
     voltage_drift_tau_s: float = 5.0e4
     floor_at_r0: bool = True
-    integration_dt_s: float = 600.0
 
     def __post_init__(self):
+        for name in ("fab_a", "voltage_jump_mean", "voltage_jump_sd", "voltage_drift_a"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ParameterError(f"{name} must be finite, got {v}")
         if self.fab_a < 0:
             raise ParameterError("fab_a must be >= 0")
         for kind, tau in self.env_tau_s.items():
-            if tau <= 0:
-                raise ParameterError(f"env tau for {kind} must be > 0")
-        if not 0 < self.integration_dt_s <= 3600.0:
-            raise ParameterError("integration_dt_s must be in (0, 3600]")
-        dt = self.integration_dt_s
-        if not (self.relax_gas_to_gas_s >= dt and self.relax_vacuum_to_gas_s >= dt):
-            # The per-substep decay factor 1 - h/T would go negative and the
-            # state would overshoot the bound on every substep.
-            raise ParameterError("relaxation times must be >= integration_dt_s")
+            if not (math.isfinite(tau) and tau > 0):
+                raise ParameterError(f"env tau for {kind} must be finite and > 0, got {tau}")
+        for name in ("relax_gas_to_gas_s", "relax_vacuum_to_gas_s", "voltage_drift_tau_s"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ParameterError(f"{name} must be finite and > 0, got {v}")
         if self.voltage_jump_sd < 0 or self.voltage_drift_a < 0:
             raise ParameterError("voltage response parameters must be >= 0")
-        if self.voltage_drift_tau_s <= 0:
-            raise ParameterError("voltage_drift_tau_s must be > 0")
+        for key, step in self.thermal_response.items():
+            if not (math.isfinite(step) and step > -1.0):
+                raise ParameterError(f"thermal response for {key} must be finite and > -1")
 
     def relax_time_s(self, old: Environment, new: Environment) -> float:
         """Relaxation time for the transition class old -> new."""
@@ -221,6 +225,8 @@ class JunctionProfile:
     tau_scale: float = 1.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.a, self.b, self.tau_scale)):
+            raise ParameterError("profile values must be finite")
         if self.a < 0 or self.b <= 0 or self.tau_scale <= 0:
             raise ParameterError("profile requires a >= 0, b > 0, tau_scale > 0")
 
@@ -267,27 +273,18 @@ def bound_curve(env: Environment, cfg: SimConfig, r0_ohm: float) -> AgingParams:
 
 
 def _segment(
-    y_env: float,
-    t_a: float,
-    t_b: float,
-    a: float,
-    tau: float,
-    b: float,
-    relax_s: float,
-    dt_s: float,
+    y_env: float, t_a: float, t_b: float, a: float, tau: float, b: float, relax_s: float
 ) -> float:
-    """Map y_env from t_a to t_b under one environment in closed form.
+    """Map y_env from t_a to t_b under one environment, exactly.
 
-    Equal to ``n = ceil(span / dt_s)`` substeps of ``h = span / n`` with the
-    bound increment applied exactly and forward Euler for the pull toward
-    the bound: the gap to the bound decays by ``1 - h / relax_s`` per substep.
+    The gap to the bound curve ``a ln(t / tau + b)`` decays by
+    ``exp(-(t_b - t_a) / relax_s)``.
     """
     span = t_b - t_a
     if span <= 0:
         return y_env
-    n = max(1, math.ceil(span / dt_s - 1e-12))
     gap = y_env - a * math.log(t_a / tau + b)
-    return a * math.log(t_b / tau + b) + gap * (1.0 - span / n / relax_s) ** n
+    return a * math.log(t_b / tau + b) + gap * math.exp(-span / relax_s)
 
 
 def _tau(env: Environment, cfg: SimConfig, profile: JunctionProfile) -> float:
@@ -314,12 +311,12 @@ def propagate(
         raise ValidationError(f"target time must be finite, got {t_to}")
     if not t_to >= state.t_s:
         raise ValidationError(f"cannot propagate from t = {state.t_s} s to {t_to} s")
-    if not relax_s >= cfg.integration_dt_s:
-        raise ParameterError("relaxation time must be >= integration_dt_s")
+    if not (math.isfinite(relax_s) and relax_s > 0):
+        raise ParameterError(f"relaxation time must be finite and > 0, got {relax_s}")
     if t_to == state.t_s:
         return state
     y_env = _segment(state.y_env, state.t_s, t_to, profile.a, _tau(env, cfg, profile),
-                     profile.b, relax_s, cfg.integration_dt_s)
+                     profile.b, relax_s)
     return replace(state, t_s=t_to, y_env=y_env)
 
 
@@ -450,7 +447,7 @@ def simulate_trajectory(
         Sorted by time; applied atomically at their timestamps (before any
         sample at the same instant).
     cfg : SimConfig
-        Kinetics, anneal responses, and integration step.
+        Environment timescales, relaxation times and anneal responses.
     r0_ohm : float
         Initial-time resistance; output resistances are r0 * (1 + y).
     sample_t_s : sequence of float
@@ -494,7 +491,7 @@ def simulate_trajectory(
     # pre-aged: y(0) = a ln(b).  Time and the environment component are
     # plain floats; ``anneal`` carries the anneal channel and is rebuilt
     # only when an event is applied.
-    a, b, dt = prof.a, prof.b, cfg.integration_dt_s
+    a, b = prof.a, prof.b
     anneal = TrajectoryState(y_env=a * math.log(b))
     t, y_env = 0.0, anneal.y_env
     env = schedule.segments[0][1]
@@ -504,7 +501,7 @@ def simulate_trajectory(
 
     for t_act, kind, payload in actions:
         if t_act > t:
-            y_env = _segment(y_env, t, t_act, a, tau, b, relax, dt)
+            y_env = _segment(y_env, t, t_act, a, tau, b, relax)
             t = t_act
         if kind == 0:
             relax = cfg.relax_time_s(env, payload)

@@ -1,8 +1,9 @@
 """Reference stepper: the explicit fixed-step integrator, kept as a test oracle.
 
-``jjaging.trajectory.propagate`` maps a whole segment in closed form.  This
-module keeps the original per-substep loop so that tests can compare the two;
-it shares no code with the package.
+``jjaging.trajectory.propagate`` maps a whole segment by the exact solution
+of the relaxation equation.  This module keeps the forward-Euler loop that
+the package once used, so that tests can check the exact map against it
+within the loop's first-order error; it shares no code with the package.
 """
 
 import math

@@ -50,7 +50,7 @@ def report(n, detail):
 
 def test_c01_single_environment_matches_closed_form():
     """Trajectory under one environment tracks the log law within 0.5%."""
-    cfg = SimConfig(fab_a=0.21, integration_dt_s=600.0)
+    cfg = SimConfig(fab_a=0.21)
     samples = np.arange(0.0, 56 * DAY + 1, 0.5 * DAY)
     traj = simulate_trajectory(StorageSchedule.single(AMBIENT), [], cfg,
                                CHIP1.r0_ohm, samples)
@@ -123,7 +123,7 @@ def _swap_schedule():
 def test_c05_alternating_schedule_pattern():
     """Alternating storage: bracketed by the bound curves, deaging after the
     day-4 swap, and <= 2% net drift over 40 days after the final swap."""
-    cfg = SimConfig(fab_a=0.05, integration_dt_s=600.0)
+    cfg = SimConfig(fab_a=0.05)
     samples = np.arange(0.0, 52 * DAY + 1, 0.25 * DAY)
     traj = simulate_trajectory(_swap_schedule(), [], cfg, 1.0, samples)
     y = np.array([r for _, r in traj]) - 1.0
@@ -146,7 +146,7 @@ def test_c05_alternating_schedule_pattern():
 
 def test_c06_vacuum_exit_relaxation():
     """Leaving high vacuum reaches within 10% of the glovebox bound in < 1 day."""
-    cfg = SimConfig(fab_a=0.12, integration_dt_s=600.0)
+    cfg = SimConfig(fab_a=0.12)
     sched = StorageSchedule(segments=((0.0, VACUUM), (7 * DAY, GLOVEBOX)))
     samples = np.arange(7 * DAY, 8.5 * DAY, 0.02 * DAY)
     traj = simulate_trajectory(sched, [], cfg, 1.0, samples)
@@ -318,7 +318,7 @@ def test_c10_determinism_and_io(tmp_path):
 def test_c11_cv_trends():
     """Heterogeneous ambient ensemble: CV rises ~5% -> ~7%; homogeneous
     glovebox ensemble stays flat within one point (100-trial medians)."""
-    cfg = SimConfig(fab_a=0.21, integration_dt_s=3600.0)
+    cfg = SimConfig(fab_a=0.21)
     samples = np.arange(0.0, 56 * DAY + 1, 2 * DAY)
     het = ChipSpec(r0_mean_ohm=22_800.0, r0_cv=0.048, a_mean=0.21, a_sd=0.015,
                    log_tau_mean=math.log(1.2e4), log_tau_sd=0.3, b_mean=1.01,
@@ -336,7 +336,7 @@ def test_c11_cv_trends():
     assert abs(cv1 - 0.07) <= 0.02
     assert cv1 > cv0
 
-    cfg_gb = SimConfig(fab_a=0.15, env_tau_s=dict(cfg.env_tau_s), integration_dt_s=3600.0)
+    cfg_gb = SimConfig(fab_a=0.15, env_tau_s=dict(cfg.env_tau_s))
     hom = ChipSpec(r0_mean_ohm=24_300.0, r0_cv=0.059, a_mean=0.15, a_sd=0.0,
                    log_tau_mean=math.log(4.3e4), log_tau_sd=0.0, b_mean=1.0,
                    noise_sigma=0.003)

@@ -58,6 +58,45 @@ class TestSimulate:
                    "--out", str(tmp_path / "d.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("section, key, value, named", [
+        ("sim", "integration_dt_s", 600.0, "unknown sim key 'integration_dt_s'"),
+        ("chip", "r0_mean", 22_800.0, "unknown chip key 'r0_mean'"),
+        (None, "environment", "mars", "unknown environment 'mars'"),
+        (None, "enviroment", "glovebox", "unknown spec key 'enviroment'"),
+        (None, "sim", [0.21], "spec section 'sim' must be a JSON object"),
+        ("sim", "fab_a", "0.21", "bad sim value"),
+        ("sim", "relax_gas_to_gas_s", math.nan, "relax_gas_to_gas_s must be finite"),
+        ("sim", "env_tau_s", {"mars": 1e4}, "bad sim value"),
+        ("chip", "r0_mean_ohm", "big", "bad chip value"),
+    ])
+    def test_malformed_spec_exits_2(self, tmp_path, capsys, section, key, value, named):
+        path = write_flat_spec(tmp_path)
+        sp = json.loads(path.read_text())
+        (sp if section is None else sp[section])[key] = value
+        path.write_text(json.dumps(sp))
+        out = tmp_path / "d.csv"
+        assert run("simulate", "--spec", str(path), "--seed", "1", "--out", str(out)) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--target-days", "nan"), ("--target-days", "inf"), ("--target-days", "-5"),
+        ("--sample-days", "nan"), ("--sample-days", "0"), ("--sample-days", "-1"),
+    ])
+    def test_bad_step_arguments_exit_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "d.csv"
+        code = run("simulate", "--preset", "chip1", flag, value, "--seed", "1",
+                   "--out", str(out))
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_target_days_gives_one_sample(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert run("simulate", "--preset", "chip1", "--target-days", "0", "--seed", "1",
+                   "--out", str(out)) == 0
+        assert set(load_measurements(out).t_s) == {0.0}
+
     def test_same_seed_byte_identical(self, tmp_path, capsys):
         o1, o2, o3 = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
         for o in (o1, o2):
@@ -304,6 +343,18 @@ class TestAnneal:
         code = run("anneal", str(data), "--events", str(events), "--preset", "chip3",
                    "--out", str(tmp_path / "x.csv"))
         assert code == 2
+
+    @pytest.mark.parametrize("args", ["amplitude_v=nan", "pulse_duration_s=inf",
+                                      "n_pulses=2.5"])
+    def test_bad_voltage_arguments_exit_2(self, tmp_path, capsys, args):
+        data = self._dataset(tmp_path, days="20")
+        events = tmp_path / "v.txt"
+        events.write_text(f"event,20.5,voltage,{args}\n")
+        out = tmp_path / "x.csv"
+        code = run("anneal", str(data), "--events", str(events), "--preset", "chip1",
+                   "--seed", "4", "--out", str(out))
+        assert code == 2
+        assert not out.exists()
 
     def test_inverted_junction_range_exits_2(self, tmp_path, capsys):
         data = self._dataset(tmp_path, days="20")

@@ -175,12 +175,53 @@ def test_relaxation_contracts_state_pairs(y0, y1, steps):
 )
 def test_propagate_matches_reference_stepper(y0, a, tau, b, tau_scale, t_a, span, dt,
                                              relax_steps):
-    # The closed-form segment map against the explicit loop it replaced.
+    # The exact segment map against the forward-Euler loop it replaced: per
+    # segment the Euler gap factor (1 - x)^n, x = h/T <= 1, trails exp(-n x)
+    # by at most x/2, so the two differ by no more than |gap0| * dt / relax.
     relax = dt * relax_steps
-    cfg = SimConfig(fab_a=a, env_tau_s={EnvironmentKind.AMBIENT: tau}, integration_dt_s=dt,
+    cfg = SimConfig(fab_a=a, env_tau_s={EnvironmentKind.AMBIENT: tau},
                     relax_gas_to_gas_s=relax, relax_vacuum_to_gas_s=relax)
     prof = JunctionProfile(a=a, b=b, tau_scale=tau_scale)
     state = TrajectoryState(t_s=t_a, y_env=y0)
     got = propagate(state, t_a + span, AMBIENT, relax, prof, cfg).y_env
     want = reference_advance(y0, t_a, t_a + span, a, tau * tau_scale, b, relax, dt)
-    assert abs(got - want) <= 1e-11
+    gap0 = y0 - a * math.log(t_a / (tau * tau_scale) + b)
+    assert abs(got - want) <= abs(gap0) * dt / relax + 1e-11
+
+
+@pytest.mark.parametrize("span_days, relax_days", [(1.0, 3.0), (2.0, 0.5), (10.0, 3.0)])
+def test_reference_stepper_error_is_first_order(span_days, relax_days):
+    # Halving the stepper's dt about halves its distance to the exact map.
+    a, tau, b, t_a = 0.21, 1.2e4, 1.0, 5 * 86400.0
+    relax, t_b = relax_days * 86400.0, t_a + span_days * 86400.0
+    cfg = SimConfig(fab_a=a, relax_gas_to_gas_s=relax)
+    y0 = a * math.log(t_a / tau + b) + 0.1
+    exact = propagate(TrajectoryState(t_s=t_a, y_env=y0), t_b, AMBIENT, relax,
+                      JunctionProfile(a=a, b=b), cfg).y_env
+    d600, d300 = (abs(exact - reference_advance(y0, t_a, t_b, a, tau, b, relax, dt))
+                  for dt in (600.0, 300.0))
+    assert d300 / d600 == pytest.approx(0.5, rel=0.01)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    y0=st.floats(min_value=-0.5, max_value=1.5),
+    a=st.floats(min_value=0.0, max_value=0.5),
+    tau=st.floats(min_value=1e3, max_value=1e6),
+    b=st.floats(min_value=0.5, max_value=2.0),
+    t_a=st.floats(min_value=0.0, max_value=30 * 86400.0),
+    span=st.floats(min_value=0.0, max_value=60 * 86400.0),
+    split=st.floats(min_value=0.0, max_value=1.0),
+    relax=st.floats(min_value=1.0, max_value=1e7),
+)
+def test_propagate_composes_exactly(y0, a, tau, b, t_a, span, split, relax):
+    # t_a -> t_m -> t_b lands where t_a -> t_b does, wherever t_m falls.
+    cfg = SimConfig(fab_a=a, env_tau_s={EnvironmentKind.AMBIENT: tau})
+    prof = JunctionProfile(a=a, b=b)
+    state = TrajectoryState(t_s=t_a, y_env=y0)
+    t_b = t_a + span
+    t_m = min(t_a + split * span, t_b)
+    direct = propagate(state, t_b, AMBIENT, relax, prof, cfg)
+    mid = propagate(state, t_m, AMBIENT, relax, prof, cfg)
+    two = propagate(mid, t_b, AMBIENT, relax, prof, cfg)
+    assert 1.0 + two.y_env == pytest.approx(1.0 + direct.y_env, rel=1e-12)

@@ -112,6 +112,34 @@ class TestSingleEnvironment:
 
 
 class TestSwapDynamics:
+    def test_short_relaxation_gap_shrinks_every_sample(self):
+        # Relaxation faster than the sampling: after the swap the state
+        # must close in on the new bound at every sample, never overshoot
+        # it and swing back.
+        cfg = chip1_cfg(relax_gas_to_gas_s=300.0)
+        sched = StorageSchedule(segments=((0.0, AMBIENT), (4 * DAY, GLOVEBOX)))
+        samples = 4 * DAY + 60.0 * np.arange(31)
+        traj = simulate_trajectory(sched, [], cfg, 1000.0, samples)
+        y = np.array([r for _, r in traj]) / 1000.0 - 1.0
+        y_gb = 0.21 * np.log(samples / 4.3e4 + 1.0)
+        gap = y - y_gb
+        assert np.all(gap > 0)
+        assert np.all(np.diff(gap) < 0)
+
+    def test_extra_samples_do_not_change_shared_values(self):
+        cfg = chip1_cfg(voltage_jump_sd=0.02)
+        sched = StorageSchedule(segments=((0.0, AMBIENT), (4 * DAY, GLOVEBOX),
+                                          (9 * DAY, VACUUM), (15 * DAY, AMBIENT)))
+        ev = [AnnealEvent(t_s=6.3 * DAY, kind=VoltageAnneal()),
+              AnnealEvent(t_s=16.1 * DAY, kind=ThermalAnneal(200.0, GLOVEBOX))]
+        daily = np.arange(0.0, 21 * DAY, DAY)
+        rng = np.random.default_rng(3)
+        dense = np.sort(np.concatenate([daily, rng.uniform(0.0, 21 * DAY, 200)]))
+        coarse = dict(simulate_trajectory(sched, ev, cfg, 9e3, daily, seed=5))
+        fine = dict(simulate_trajectory(sched, ev, cfg, 9e3, dense, seed=5))
+        for t, r in coarse.items():
+            assert fine[t] == pytest.approx(r, rel=1e-12)
+
     def test_deaging_after_move_into_glovebox(self):
         cfg = chip1_cfg(fab_a=0.05)
         sched = StorageSchedule(segments=((0.0, AMBIENT), (4 * DAY, GLOVEBOX)))
@@ -318,14 +346,14 @@ class TestPropagate:
         assert out.y_env == pytest.approx(float(eval_single_log(p, 40 * DAY)) - 1, rel=1e-12)
 
     def test_gap_decays_by_step_factor(self):
-        # Off-bound by e: after n steps of h the gap is e (1 - h/T)^n.
+        # Off-bound by e: after a span s the gap is e exp(-s/T).
         cfg = chip1_cfg()
         prof = JunctionProfile(a=0.21)
         relax = cfg.relax_gas_to_gas_s
         yb1, yb2 = (0.21 * math.log(t / 1.2e4 + 1.0) for t in (DAY, 2 * DAY))
         state = TrajectoryState(t_s=DAY, y_env=yb1 + 0.1)
         out = propagate(state, 2 * DAY, AMBIENT, relax, prof, cfg)
-        expected = 0.1 * (1 - 600.0 / relax) ** 144
+        expected = 0.1 * math.exp(-DAY / relax)
         assert out.y_env - yb2 == pytest.approx(expected, rel=1e-12)
 
     def test_zero_span_identity_and_anneal_channel_kept(self):
@@ -342,32 +370,76 @@ class TestPropagate:
         with pytest.raises(ValidationError):
             propagate(state, bad, AMBIENT, 1e5, JunctionProfile(a=0.21), cfg)
 
-    def test_relax_shorter_than_step_rejected(self):
+    @pytest.mark.parametrize("bad", [0.0, -300.0, math.nan, math.inf])
+    def test_relax_must_be_finite_and_positive(self, bad):
         cfg = chip1_cfg()
         with pytest.raises(ParameterError):
-            propagate(TrajectoryState(), DAY, AMBIENT, 300.0, JunctionProfile(a=0.21), cfg)
+            propagate(TrajectoryState(), DAY, AMBIENT, bad, JunctionProfile(a=0.21), cfg)
+        propagate(TrajectoryState(), DAY, AMBIENT, 1.0, JunctionProfile(a=0.21), cfg)
 
 
 class TestConfigValidation:
-    def test_dt_ceiling(self):
-        with pytest.raises(ParameterError):
-            SimConfig(integration_dt_s=7200.0)
-
     def test_relax_times_positive(self):
         with pytest.raises(ParameterError):
             SimConfig(relax_gas_to_gas_s=0.0)
 
-    def test_relax_shorter_than_step_rejected(self):
-        # A relaxation time below the step makes the per-step decay factor
-        # 1 - h/T negative: R would oscillate around the bound after a swap.
+    @pytest.mark.parametrize("name", ["relax_gas_to_gas_s", "relax_vacuum_to_gas_s"])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_relax_times_finite_and_positive(self, name, bad):
         with pytest.raises(ParameterError):
-            SimConfig(relax_gas_to_gas_s=300.0)
+            SimConfig(**{name: bad})
+        SimConfig(**{name: 1.0})
+
+    @pytest.mark.parametrize("over", [
+        {"fab_a": math.nan},
+        {"fab_a": -0.1},
+        {"voltage_jump_mean": math.nan},
+        {"voltage_jump_sd": math.nan},
+        {"voltage_drift_a": math.inf},
+        {"voltage_drift_tau_s": math.inf},
+        {"env_tau_s": {EnvironmentKind.AMBIENT: math.nan}},
+        {"env_tau_s": {EnvironmentKind.AMBIENT: math.inf}},
+        {"thermal_response": {(200.0, EnvironmentKind.AMBIENT): math.nan}},
+        {"thermal_response": {(200.0, EnvironmentKind.AMBIENT): -1.0}},
+    ], ids=repr)
+    def test_non_finite_or_out_of_range_rejected(self, over):
         with pytest.raises(ParameterError):
-            SimConfig(relax_vacuum_to_gas_s=300.0)
-        SimConfig(relax_gas_to_gas_s=300.0, integration_dt_s=300.0)
+            SimConfig(**over)
 
     def test_relax_class_selection(self):
         cfg = chip1_cfg()
         assert cfg.relax_time_s(VACUUM, GLOVEBOX) == cfg.relax_vacuum_to_gas_s
         assert cfg.relax_time_s(AMBIENT, GLOVEBOX) == cfg.relax_gas_to_gas_s
         assert cfg.relax_time_s(GLOVEBOX, AMBIENT) == cfg.relax_gas_to_gas_s
+
+
+class TestObjectValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"a": math.nan}, {"a": math.inf}, {"b": math.nan}, {"b": 0.0},
+        {"tau_scale": math.inf}, {"tau_scale": math.nan},
+    ], ids=repr)
+    def test_junction_profile_rejects_bad_values(self, kwargs):
+        with pytest.raises(ParameterError):
+            JunctionProfile(**{"a": 0.2, **kwargs})
+
+    @pytest.mark.parametrize("kwargs", [
+        {"hold_min": math.nan}, {"hold_min": math.inf}, {"hold_min": -1.0},
+        {"temp_c": math.nan}, {"temp_c": math.inf},
+    ], ids=repr)
+    def test_thermal_anneal_rejects_bad_values(self, kwargs):
+        with pytest.raises(ValidationError):
+            ThermalAnneal(**{"temp_c": 200.0, "env": GLOVEBOX, **kwargs})
+
+    @pytest.mark.parametrize("kwargs", [
+        {"amplitude_v": math.nan}, {"amplitude_v": 0.0}, {"pulse_duration_s": math.inf},
+        {"pulse_duration_s": math.nan}, {"n_pulses": 2.5}, {"n_pulses": 0},
+        {"n_pulses": True},
+    ], ids=repr)
+    def test_voltage_anneal_rejects_bad_values(self, kwargs):
+        with pytest.raises(ValidationError):
+            VoltageAnneal(**kwargs)
+
+    def test_valid_objects_accepted(self):
+        JunctionProfile(a=0.0, b=1e-3, tau_scale=1e3)
+        ThermalAnneal(temp_c=250.0, env=AMBIENT, hold_min=0.0)
+        VoltageAnneal(n_pulses=np.int64(5), amplitude_v=0.9, pulse_duration_s=1e-3)
