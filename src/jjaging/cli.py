@@ -9,6 +9,7 @@ the resolved configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -310,6 +311,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_anneal(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     ds = load_measurements(args.data)
     events = load_events(args.events)
     p = chip_preset(args.preset) if args.preset else None
@@ -450,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--chip-id", default="chip")
     sim.add_argument("--out", required=True)
-    sim.set_defaults(func=cmd_simulate)
 
     fit = sub.add_parser("fit", help="fit measurement CSV to the aging models")
     fit.add_argument("data", help="measurement CSV")
@@ -460,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--window-s", type=float, default=600.0)
     fit.add_argument("--seed", type=int, default=0)
     fit.add_argument("--out", required=True)
-    fit.set_defaults(func=cmd_fit)
 
     pred = sub.add_parser("predict", help="predict R, I_c, and df/f at a future time")
     pred.add_argument("--report", help="fit report JSON")
@@ -472,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="superconducting gap in micro-eV")
     pred.add_argument("--seed", type=int, default=0)
     pred.add_argument("--out")
-    pred.set_defaults(func=cmd_predict)
 
     ann = sub.add_parser("anneal", help="apply an anneal event sequence to a dataset")
     ann.add_argument("data", help="measurement CSV")
@@ -482,19 +482,26 @@ def build_parser() -> argparse.ArgumentParser:
                      help="disable the initial-resistance floor")
     ann.add_argument("--seed", type=int, default=None)
     ann.add_argument("--out", required=True)
-    ann.set_defaults(func=cmd_anneal)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; ``parse_args`` keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Looked up at call time, so a rebound module attribute is the one called.
+    command = {"simulate": cmd_simulate, "fit": cmd_fit, "predict": cmd_predict,
+               "anneal": cmd_anneal}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except JJAgingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ Measurement CSV (header required)::
 with environment in {ambient, glovebox, vacuum, unknown} and flag optional
 (ok, open, excluded; default ok).  The resistance field may be empty only
 for open rows; resistances above 1 MOhm or non-finite are coerced to open.
+Fields follow the ``csv`` module's quoting rules, and a file holds one chip.
 
 Schedule file: one segment per line ``start_days,environment`` plus event
 lines ``event,t_days,voltage,...`` / ``event,t_days,thermal,...`` with
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import warnings
@@ -40,6 +42,7 @@ from .errors import InsufficientDataError, ParameterError, ParseError, Validatio
 from .ensemble import (
     ENV_LABELS,
     FLAG_OK,
+    FLAG_OPEN,
     FLAGS,
     OPEN_RESISTANCE_THRESHOLD_OHM,
     ChipDataset,
@@ -122,35 +125,88 @@ def resistance_from_iv(sweep: IVSweep, full_output: bool = False):
     return float(slope)
 
 
+def _csv_prefix(chip_id) -> str:
+    """A row's first field and its comma, quoted as the ``csv`` module writes it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((chip_id, 0))
+    return buf.getvalue()[:-2]
+
+
+# Row endings ",environment,flag\n", indexed by env code * len(FLAGS) + flag code.
+_ROW_TAILS = [f",{e},{f}\n" for e in ENV_LABELS for f in FLAGS]
+
+
 def save_measurements(ds: ChipDataset, path) -> None:
     """Write a dataset in the measurement CSV schema (open rows keep an empty
-    resistance field)."""
-    res = ["" if math.isnan(r) else repr(r) for r in ds.r_ohm.tolist()]
+    resistance field).
+
+    The file is built as one string and written once.  Floats are written by
+    ``repr`` and junction ids by ``str``; each distinct chip id is quoted
+    once by the ``csv`` module, so the bytes equal a ``csv.writer``'s.
+    """
+    chip_ids = ds.chip_id.tolist()
+    prefix = {c: _csv_prefix(c) for c in set(chip_ids)}
+    res = list(map(repr, ds.r_ohm.tolist()))
+    for i in np.flatnonzero(np.isnan(ds.r_ohm)).tolist():
+        res[i] = ""
+    tails = (ds.env.astype(np.intp) * len(FLAGS) + ds.flag).tolist()
+    rows = [f"{prefix[c]}{j},{t!r},{r}{_ROW_TAILS[k]}" for c, j, t, r, k in zip(
+        chip_ids, ds.junction_id.tolist(), ds.t_s.tolist(), res, tails)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(MEASUREMENT_HEADER)
-        w.writerows(zip(
-            ds.chip_id.tolist(),
-            ds.junction_id.tolist(),
-            map(repr, ds.t_s.tolist()),
-            res,
-            [ENV_LABELS[e] for e in ds.env.tolist()],
-            [FLAGS[f] for f in ds.flag.tolist()],
-        ))
+        fh.write(",".join(MEASUREMENT_HEADER) + "\n" + "".join(rows))
+
+
+_ENV_CODES = {label: code for code, label in enumerate(ENV_LABELS)}
+_FLAG_CODES = {label: code for code, label in enumerate(FLAGS)}
+
+
+def _parse_column(conv, texts: Sequence[str], fill) -> tuple[list, list[int]]:
+    """``conv`` over a column; entries it refuses become ``fill`` and their
+    indices are returned beside the values."""
+    try:
+        return list(map(conv, texts)), []
+    except ValueError:
+        values, bad = [], []
+        for i, s in enumerate(texts):
+            try:
+                values.append(conv(s))
+            except ValueError:
+                values.append(fill)
+                bad.append(i)
+        return values, bad
+
+
+def _int64_column(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """int64 array of Python ints plus the mask of those beyond int64 (stored as 0)."""
+    try:
+        return np.array(values, dtype=np.int64), np.zeros(len(values), dtype=bool)
+    except OverflowError:
+        wide = np.array([not -2**63 <= v < 2**63 for v in values], dtype=bool)
+        return np.array([0 if w else v for v, w in zip(values, wide.tolist())],
+                        dtype=np.int64), wide
+
+
+def _blank(row: Sequence[str]) -> bool:
+    return not "".join(row).strip()
 
 
 def load_measurements(path) -> ChipDataset:
     """Parse, validate, and sort a measurement CSV.
 
     Malformed rows are collected and raised together as a ParseError naming
-    the offending 1-based line numbers; a header-only file yields an empty
-    dataset.  Times must be finite and >= 0, and no two rows may share
-    (junction_id, t_seconds); a duplicate names both lines.  Resistances
-    above the open threshold (or non-finite) are flagged open.
+    the offending 1-based line numbers (CSV records, counted from the header
+    as line 1); a header-only file yields an empty dataset.  Times must be
+    finite and >= 0, and no two rows may share (junction_id, t_seconds); a
+    duplicate names both lines.  Resistances above the open threshold (or
+    non-finite) are flagged open.  A file holds one chip: the first row whose
+    chip_id differs from the first valid row's is reported.
+
+    The fields are split by ``csv.reader`` and then parsed and checked a
+    column at a time.  Each row reports only the first check it fails, in
+    the order: field count; junction_id and t_seconds parse; junction_id
+    within int64; environment; flag; t_seconds finite and >= 0; empty
+    resistance only on open rows; resistance parse; resistance > 0.
     """
-    rows: list[tuple] = []   # (chip_id, junction_id, t_s, r_ohm, env code, flag code)
-    linenos: list[int] = []
-    problems: list[tuple[int, str]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -162,56 +218,74 @@ def load_measurements(path) -> ChipDataset:
                 f"{path}: bad header {header!r}; expected {','.join(MEASUREMENT_HEADER)}",
                 lines=[1],
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) not in (5, 6):
-                problems.append((lineno, f"expected 5 or 6 fields, got {len(row)}"))
-                continue
-            chip_id = row[0].strip()
-            try:
-                junction_id = int(row[1])
-                t_s = float(row[2])
-            except ValueError:
-                problems.append((lineno, "junction_id must be an integer and t_seconds a number"))
-                continue
-            if not -2**63 <= junction_id < 2**63:
-                problems.append((lineno, "junction_id out of range"))
-                continue
-            raw_r = row[3].strip()
-            env = row[4].strip().lower()
-            flag = row[5].strip().lower() if len(row) == 6 and row[5].strip() else "ok"
-            if env not in ENV_LABELS:
-                problems.append((lineno, f"unknown environment {env!r}"))
-                continue
-            if flag not in FLAGS:
-                problems.append((lineno, f"unknown flag {flag!r}"))
-                continue
-            if not (math.isfinite(t_s) and t_s >= 0):
-                problems.append((lineno, "t_seconds must be finite and >= 0"))
-                continue
-            if raw_r == "":
-                if flag != "open":
-                    problems.append((lineno, "empty resistance only allowed for open rows"))
-                    continue
-                r_ohm = math.nan
-            else:
-                try:
-                    r_ohm = float(raw_r)
-                except ValueError:
-                    problems.append((lineno, f"bad resistance {raw_r!r}"))
-                    continue
-                if not math.isfinite(r_ohm) or r_ohm > OPEN_RESISTANCE_THRESHOLD_OHM:
-                    r_ohm, flag = math.nan, "open"
-                elif r_ohm <= 0:
-                    problems.append((lineno, "resistance must be > 0"))
-                    continue
-            rows.append((chip_id, junction_id, t_s, r_ohm,
-                         ENV_LABELS.index(env), FLAGS.index(flag)))
-            linenos.append(lineno)
-    chip, junction, t, r, env, flag = zip(*rows) if rows else ((),) * 6
-    junction, t = np.array(junction, dtype=np.int64), np.array(t, dtype=float)
+        rows = list(reader)
+    problems: list[tuple[int, str]] = []
+    lineno = np.arange(2, len(rows) + 2)
+    n_fields = np.fromiter(map(len, rows), np.intp, len(rows))
+    if (n_fields != 6).any():
+        for i in np.flatnonzero((n_fields != 5) & (n_fields != 6)).tolist():
+            if not _blank(rows[i]):
+                problems.append((i + 2, f"expected 5 or 6 fields, got {len(rows[i])}"))
+        keep = np.flatnonzero((n_fields == 5) | (n_fields == 6))
+        lineno = lineno[keep]
+        # A 5-field row has no flag, which reads as "ok".
+        rows = [rows[i] if len(rows[i]) == 6 else [*rows[i], ""] for i in keep.tolist()]
+    m = len(rows)
+    chip_raw, j_raw, t_raw, r_raw, env_raw, flag_raw = zip(*rows) if rows else ((),) * 6
+
+    junction, bad_j = _parse_column(int, j_raw, 0)
+    t, bad_t = _parse_column(float, t_raw, 0.0)
+    junction, wide = _int64_column(junction)
+    t = np.array(t, dtype=float)
+    unparsed = np.zeros(m, dtype=bool)
+    unparsed[bad_j + bad_t] = True
+    # Only a row whose junction_id fails to parse can be blank.
+    blank = np.zeros(m, dtype=bool)
+    blank[[i for i in bad_j if _blank(rows[i])]] = True
+
+    code_of = {s: _ENV_CODES.get(s.strip().lower(), -1) for s in set(env_raw)}
+    env = np.fromiter(map(code_of.__getitem__, env_raw), np.int8, m)
+    code_of = {s: _FLAG_CODES.get(s.strip().lower() or "ok", -1) for s in set(flag_raw)}
+    flag = np.fromiter(map(code_of.__getitem__, flag_raw), np.int8, m)
+
+    r, bad_r = _parse_column(float, r_raw, math.nan)
+    r = np.array(r, dtype=float)
+    empty, bad_res = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+    for i in bad_r:
+        (bad_res if r_raw[i].strip() else empty)[i] = True
+
+    checks = (
+        (unparsed, lambda i: "junction_id must be an integer and t_seconds a number"),
+        (wide, lambda i: "junction_id out of range"),
+        (env < 0, lambda i: f"unknown environment {env_raw[i].strip().lower()!r}"),
+        (flag < 0, lambda i: f"unknown flag {flag_raw[i].strip().lower()!r}"),
+        (~(np.isfinite(t) & (t >= 0)), lambda i: "t_seconds must be finite and >= 0"),
+        (empty & (flag != FLAG_OPEN), lambda i: "empty resistance only allowed for open rows"),
+        (bad_res, lambda i: f"bad resistance {r_raw[i].strip()!r}"),
+        (np.isfinite(r) & (r <= 0), lambda i: "resistance must be > 0"),
+    )
+    first = np.full(m, len(checks))
+    for k in reversed(range(len(checks))):
+        first[checks[k][0]] = k
+    first[blank] = -1
+    for i in np.flatnonzero((first >= 0) & (first < len(checks))).tolist():
+        problems.append((int(lineno[i]), checks[first[i]][1](i)))
     lines = [ln for ln, _ in problems]
+
+    valid = np.flatnonzero(first == len(checks))
+    names = {s: s.strip() for s in set(chip_raw)}
+    chip_id = names[chip_raw[valid[0]]] if valid.size else ""
+    own = {s: name == chip_id for s, name in names.items()}
+    own = np.fromiter(map(own.__getitem__, chip_raw), bool, m)[valid]
+    if not own.all():
+        other = valid[~own][0]
+        problems.append((int(lineno[other]), f"chip_id {names[chip_raw[other]]!r} differs "
+                         f"from {chip_id!r} on line {int(lineno[valid[0]])}; "
+                         "a measurement file holds one chip"))
+        lines.append(int(lineno[other]))
+        valid = valid[own]
+
+    junction, t, linenos = junction[valid], t[valid], lineno[valid].tolist()
     # Stable sort by (junction_id, t): of two equal keys the later line follows.
     order = np.lexsort((t, junction))
     same = (junction[order][1:] == junction[order][:-1]) & (t[order][1:] == t[order][:-1])
@@ -223,7 +297,13 @@ def load_measurements(path) -> ChipDataset:
         problems.sort()
         details = "; ".join(f"line {ln}: {msg}" for ln, msg in problems)
         raise ParseError(f"{path}: {details}", lines=sorted(set(lines)))
-    return ChipDataset.from_columns(junction, t, r, env, flag, chip)
+    # Non-finite and above-threshold resistances read as open rows.
+    r = r[valid]
+    opened = ~np.isfinite(r) | (r > OPEN_RESISTANCE_THRESHOLD_OHM)
+    return ChipDataset.from_columns(
+        junction, t, np.where(opened, math.nan, r), env[valid],
+        np.where(opened, FLAG_OPEN, flag[valid]), chip_id,
+    )
 
 
 def _parse_kv(parts: Sequence[str], lineno: int, problems) -> dict[str, str]:
@@ -237,6 +317,11 @@ def _parse_kv(parts: Sequence[str], lineno: int, problems) -> dict[str, str]:
     return kv
 
 
+# Widest ``lo-hi`` junction range an event line may name; far above any chip,
+# it keeps a typo from expanding into billions of ids.
+MAX_JUNCTION_RANGE = 2**16
+
+
 def _parse_junctions(text: str) -> tuple[int, ...]:
     ids: list[int] = []
     for chunk in text.split("+"):
@@ -244,6 +329,9 @@ def _parse_junctions(text: str) -> tuple[int, ...]:
             lo, hi = (int(x) for x in chunk.split("-", 1))
             if hi < lo:
                 raise ValueError(f"inverted junction range {chunk.strip()!r}")
+            if hi - lo >= MAX_JUNCTION_RANGE:
+                raise ValueError(f"junction range {chunk.strip()!r} spans more than "
+                                 f"{MAX_JUNCTION_RANGE} ids")
             ids.extend(range(lo, hi + 1))
         else:
             ids.append(int(chunk))

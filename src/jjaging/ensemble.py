@@ -29,6 +29,7 @@ from .trajectory import (
     SimConfig,
     StorageSchedule,
     VoltageAnneal,
+    _check_seed,
     simulate_trajectory,
 )
 
@@ -281,9 +282,10 @@ def draw_chip(spec: ChipSpec, seed: int) -> DrawnChip:
     """Realize per-junction parameters from the chip population.
 
     Draw order per junction is fixed (r0, a, ln tau, b, open) so results are
-    reproducible for a given seed.  With all spreads zero every junction
-    equals the population means.
+    reproducible for a given seed (an integer >= 0).  With all spreads zero
+    every junction equals the population means.
     """
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     junctions = []
     for _ in range(spec.n_junctions):
@@ -317,8 +319,10 @@ def simulate_chip(
     get independent multiplicative measurement noise (1 + eta), eta normal
     with sd ``chip.spec.noise_sigma``; open junctions yield flag="open" rows
     with no resistance.  Events carrying ``junction_ids`` apply only to
-    those junctions.  Sample times must be strictly increasing.
+    those junctions.  Sample times must be strictly increasing and ``seed``
+    an integer >= 0.
     """
+    _check_seed(seed)
     home_kind = schedule.segments[0][1].kind
     if home_kind not in cfg.env_tau_s:
         raise ValidationError(f"config lacks a timescale for {home_kind.value!r}")

@@ -423,6 +423,12 @@ def resume_trajectory(
     return propagate(state, t_end_s, env, relax, prof, cfg).y_env
 
 
+def _check_seed(seed) -> None:
+    """Seeds feed ``np.random.SeedSequence``, which takes only integers >= 0."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def _event_seed(seed: int, index: int) -> int:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     return int(ss.generate_state(1)[0])
@@ -453,8 +459,8 @@ def simulate_trajectory(
     sample_t_s : sequence of float
         Nondecreasing times at which to record (t_s, R_ohm) pairs.
     seed : int
-        Drives the voltage-anneal response draws; identical inputs and seed
-        give bit-identical trajectories.
+        Drives the voltage-anneal response draws (an integer >= 0); identical
+        inputs and seed give bit-identical trajectories.
     profile : JunctionProfile, optional
         Per-junction bound-curve override used by ensemble simulation.
 
@@ -464,6 +470,7 @@ def simulate_trajectory(
     """
     if r0_ohm <= 0:
         raise ParameterError("r0_ohm must be > 0")
+    _check_seed(seed)
     samples = [float(t) for t in sample_t_s]
     if not all(math.isfinite(t) and t >= 0 for t in samples):
         raise ValidationError("sample times must be finite and >= 0")

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from jjaging import (
     save_measurements,
     simulate_chip,
 )
-from jjaging.cli import main
+from jjaging import cli
+from jjaging.cli import build_parser, main
 
 DAY = 86400.0
 
@@ -89,6 +91,14 @@ class TestSimulate:
                    "--out", str(out))
         assert code == 2
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        code = run("simulate", "--preset", "chip1", "--target-days", "4", "--seed", "-1",
+                   "--out", str(out))
+        assert code == 2
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_target_days_gives_one_sample(self, tmp_path, capsys):
@@ -230,6 +240,25 @@ class TestFit:
         assert run("fit", str(bad), "--out", str(tmp_path / "r.json")) == 2
 
 
+    def test_mixed_chip_ids_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "mixed.csv"
+        rows = [f"A,{j},0.0,10000.0,ambient,ok\nA,{j},86400.0,10100.0,ambient,ok\n"
+                for j in range(4)]
+        rows += [f"B,{j},3600.0,13000.0,ambient,ok\n" for j in range(4)]
+        data.write_text("chip_id,junction_id,t_seconds,resistance_ohms,environment,flag\n"
+                        + "".join(rows))
+        out = tmp_path / "r.json"
+        assert run("fit", str(data), "--out", str(out)) == 2
+        assert "line 10: chip_id 'B' differs from 'A'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_is_only_recorded(self, tmp_path, capsys):
+        data = self._simulate(tmp_path, days="20")
+        out = tmp_path / "r.json"
+        assert run("fit", str(data), "--seed", "-1", "--out", str(out)) in (0, 3)
+        assert json.loads(out.read_text())["provenance"]["seed"] == -1
+
+
 class TestPredict:
     def test_flat_amplitude_prediction_equals_last_resistance(self, tmp_path, capsys):
         spec = write_flat_spec(tmp_path)
@@ -365,6 +394,39 @@ class TestAnneal:
         assert code == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_huge_junction_range_exits_2(self, tmp_path, capsys):
+        data = self._dataset(tmp_path, days="20")
+        events = tmp_path / "v.txt"
+        events.write_text("event,20.5,voltage,junctions=0-10000000000\n")
+        code = run("anneal", str(data), "--events", str(events), "--preset", "chip1",
+                   "--seed", "4", "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "spans more than 65536 ids" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, seed):
+        data = self._dataset(tmp_path, days="20")
+        events = tmp_path / "v.txt"
+        events.write_text("event,20.5,voltage,n_pulses=30,amplitude_v=0.9,pulse_duration_s=1\n")
+        out = tmp_path / "x.csv"
+        code = run("anneal", str(data), "--events", str(events), "--preset", "chip1",
+                   "--seed", seed, "--out", str(out))
+        assert code == 2
+        assert f"--seed must be >= 0, got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mixed_chip_ids_exit_2(self, tmp_path, capsys):
+        data = self._dataset(tmp_path, days="20")
+        text = data.read_text()
+        data.write_text(text + text.splitlines()[1].replace("chip,", "other,", 1)
+                        .replace(",0.0,", ",3600.0,", 1) + "\n")
+        events = tmp_path / "t.txt"
+        events.write_text("event,20.5,thermal,temp_c=200,env=glovebox,hold_min=10\n")
+        code = run("anneal", str(data), "--events", str(events), "--preset", "chip3",
+                   "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "chip_id 'other' differs from 'chip'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("lines", [
         # The second event starts inside the first one's 60-minute hold.
         "event,30.5,thermal,temp_c=200,env=glovebox,hold_min=60\n"
@@ -414,3 +476,51 @@ class TestParser:
 
     def test_missing_required(self, capsys):
         assert run("simulate", "--preset", "chip1") == 2
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_one_parser_per_process_gives_the_same_outputs(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # simulate, two failing fits (an unknown option, a bad CSV flag), fit,
+        # predict and anneal, once through main's one cached parser and once
+        # with a fresh parser for every call; run from equal relative paths.
+        def session(workdir):
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            Path("events.txt").write_text(
+                "event,21,thermal,temp_c=200,env=glovebox,hold_min=10\n"
+                "event,22,voltage,n_pulses=30,amplitude_v=0.9,pulse_duration_s=1\n")
+            Path("bad.csv").write_text(
+                "chip_id,junction_id,t_seconds,resistance_ohms,environment,flag\n"
+                "c,0,0.0,10000.0,ambient,broken\n")
+            argvs = [
+                ["simulate", "--preset", "chip2", "--target-days", "20", "--seed", "3",
+                 "--chip-id", 'lot "7", wafer 2', "--out", "data.csv"],
+                ["fit", "data.csv", "--no-such-flag", "--out", "bad.json"],
+                ["fit", "bad.csv", "--out", "bad.json"],
+                ["fit", "data.csv", "--share-b", "--out", "report.json"],
+                ["predict", "--report", "report.json", "--target-days", "27",
+                 "--out", "pred.json"],
+                ["anneal", "data.csv", "--events", "events.txt", "--preset", "chip2",
+                 "--seed", "3", "--out", "annealed.csv"],
+            ]
+            calls = []
+            for argv in argvs:
+                code = main(argv)
+                calls.append((code, *capsys.readouterr()))
+            files = {p.name: p.read_bytes() for p in sorted(Path().iterdir())}
+            return calls, files
+
+        builds = []
+        real_build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real_build())
+        cli._parser.cache_clear()
+        cached = session(tmp_path / "cached")
+        assert len(builds) == 1
+        monkeypatch.setattr(cli, "_parser", real_build)
+        fresh = session(tmp_path / "fresh")
+        assert [c[0] for c in cached[0]] == [0, 2, 2, 0, 0, 0]
+        assert "unrecognized arguments: --no-such-flag" in cached[0][1][2]
+        assert "unknown flag 'broken'" in cached[0][2][2]
+        assert cached == fresh

@@ -19,7 +19,7 @@ from jjaging import (
     resistance_from_iv,
     save_measurements,
 )
-from jjaging.dataio import FitReport, read_report, write_report
+from jjaging.dataio import MAX_JUNCTION_RANGE, FitReport, read_report, write_report
 
 DAY = 86400.0
 
@@ -232,6 +232,23 @@ class TestScheduleFile:
         with pytest.raises(ParseError) as err:
             load_events(path)
         assert err.value.lines == [2]
+
+    def test_junction_range_wider_than_the_cap_reported(self, tmp_path):
+        # Refused from its bounds alone: no list of 10**10 ids is built.
+        path = tmp_path / "ev.txt"
+        path.write_text("event,1,voltage,junctions=0-3\n"
+                        "event,2,voltage,junctions=0-10000000000\n"
+                        f"event,3,voltage,junctions=5-{5 + MAX_JUNCTION_RANGE}\n")
+        with pytest.raises(ParseError) as err:
+            load_events(path)
+        assert err.value.lines == [2, 3]
+        assert f"spans more than {MAX_JUNCTION_RANGE} ids" in str(err.value)
+
+    def test_widest_allowed_junction_range(self, tmp_path):
+        path = tmp_path / "ev.txt"
+        path.write_text(f"event,1,voltage,junctions=7-{6 + MAX_JUNCTION_RANGE}\n")
+        (ev,) = load_events(path)
+        assert ev.junction_ids == tuple(range(7, 7 + MAX_JUNCTION_RANGE))
 
     def test_non_finite_times_reported(self, tmp_path):
         path = tmp_path / "s.txt"

@@ -44,6 +44,14 @@ class TestDrawChip:
         assert (p.a, p.tau_s, p.b, p.r0_ohm) == (0.21, pytest.approx(1.2e4), 1.01, 22_800.0)
         assert not any(open_ for _, open_ in chip)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, "3", None, True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            draw_chip(flat_spec(), seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert draw_chip(flat_spec(), seed=np.int64(9)) == draw_chip(flat_spec(), seed=9)
+
     def test_seed_repeat_identical(self):
         spec = flat_spec(r0_cv=0.05, a_sd=0.02, log_tau_sd=0.4, b_sd=0.1, open_prob=0.2)
         assert draw_chip(spec, seed=9) == draw_chip(spec, seed=9)
@@ -77,6 +85,13 @@ class TestDrawChip:
 
 
 class TestSimulateChip:
+    @pytest.mark.parametrize("seed", [-1, 1.0])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        chip = draw_chip(flat_spec(), seed=1)
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            simulate_chip(chip, StorageSchedule.single(AMBIENT), [], [0.0, DAY],
+                          SimConfig(fab_a=0.21), seed=seed)
+
     def test_zero_noise_zero_spread_matches_closed_form(self):
         spec = flat_spec(n_junctions=4)
         chip = draw_chip(spec, seed=0)

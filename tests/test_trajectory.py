@@ -104,6 +104,12 @@ class TestSingleEnvironment:
         with pytest.raises(ValidationError):
             simulate_trajectory(sched, ev, cfg, 1.0, [0.0])
 
+    @pytest.mark.parametrize("seed", [-1, 0.5])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            simulate_trajectory(StorageSchedule.single(AMBIENT), [], chip1_cfg(), 1.0,
+                                [0.0, DAY], seed=seed)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_sample_time_rejected(self, bad):
         cfg = chip1_cfg()
