@@ -46,7 +46,6 @@ from .trajectory import (
     apply_thermal_anneal,
     apply_voltage_anneal,
     bound_curve,
-    measurement_exposure,
     propagate,
     resume_trajectory,
     simulate_trajectory,

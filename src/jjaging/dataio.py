@@ -126,10 +126,15 @@ def resistance_from_iv(sweep: IVSweep, full_output: bool = False):
 
 
 def _csv_prefix(chip_id) -> str:
-    """A row's first field and its comma, quoted as the ``csv`` module writes it."""
+    """A row's first field and its comma, quoted as the ``csv`` module writes it.
+
+    The ``csv`` module quotes a field holding a character of the line
+    terminator; with ``"\r\n"`` that covers a bare carriage return, which a
+    reader would otherwise take for the end of the record.
+    """
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((chip_id, 0))
-    return buf.getvalue()[:-2]
+    csv.writer(buf, lineterminator="\r\n").writerow((chip_id, 0))
+    return buf.getvalue()[:-3]
 
 
 # Row endings ",environment,flag\n", indexed by env code * len(FLAGS) + flag code.
@@ -142,7 +147,9 @@ def save_measurements(ds: ChipDataset, path) -> None:
 
     The file is built as one string and written once.  Floats are written by
     ``repr`` and junction ids by ``str``; each distinct chip id is quoted
-    once by the ``csv`` module, so the bytes equal a ``csv.writer``'s.
+    once by the ``csv`` module, so the bytes equal a ``csv.writer``'s, except
+    that a chip id holding a bare carriage return is quoted too, so that the
+    file reads back.
     """
     chip_ids = ds.chip_id.tolist()
     prefix = {c: _csv_prefix(c) for c in set(chip_ids)}

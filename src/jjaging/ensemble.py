@@ -327,11 +327,13 @@ def simulate_chip(
     if home_kind not in cfg.env_tau_s:
         raise ValidationError(f"config lacks a timescale for {home_kind.value!r}")
     tau_home = cfg.env_tau_s[home_kind]
-    samples = [float(t) for t in sample_t_s]
+    samples = np.asarray(sample_t_s, dtype=float)
+    if samples.ndim != 1:
+        raise ValidationError("sample times must be a 1-D sequence")
     # A dataset holds one row per (junction, time); so does its CSV.
-    if any(b <= a for a, b in zip(samples, samples[1:])):
+    if (samples[1:] <= samples[:-1]).any():
         raise ValidationError("sample times must be strictly increasing")
-    n_j, n_s = len(chip), len(samples)
+    n_j, n_s = len(chip), samples.size
 
     # Rows of a junctions x samples array; open junctions keep NaN.
     r = np.full((n_j, n_s), np.nan)

@@ -31,6 +31,17 @@ result, so a trajectory does not depend on where samples and events fall,
 and a junction on its bound (gap exactly 0.0) reproduces the closed form
 bit for bit.  Relaxation times only need to be finite and > 0: the gap
 decays monotonically for any of them.
+
+``simulate_trajectory`` cuts the sample times into *storage pieces* at the
+breakpoints, the schedule swaps and anneal events.  Within a piece the
+environment and the anneal channel are fixed, so all its samples come from
+one numpy expression of the map above, taken from the piece's start ``s``:
+
+    y(t) = a ln(t / tau + b) + gap * exp(-(t - s) / T_relax)
+
+times the anneal gain and post-anneal drift.  Only the states at the
+breakpoints are advanced, by the same scalar map.  The first piece starts
+on the bound, where the gap is exactly 0.0, so it is the closed form.
 """
 
 from __future__ import annotations
@@ -59,7 +70,6 @@ __all__ = [
     "resume_trajectory",
     "apply_voltage_anneal",
     "apply_thermal_anneal",
-    "measurement_exposure",
 ]
 
 DAY_S = 86_400.0
@@ -373,28 +383,6 @@ def apply_thermal_anneal(
     return replace(state, anneal_gain=gain)
 
 
-def measurement_exposure(
-    state: TrajectoryState,
-    duration_s: float,
-    cfg: SimConfig,
-    from_env: Environment | None = None,
-    profile: JunctionProfile | None = None,
-) -> TrajectoryState:
-    """Advance the state under the ambient bound for a probe-station visit.
-
-    ``from_env`` selects the relaxation class for the excursion (vacuum
-    storage relaxes fast on exposure); the caller restores the scheduled
-    environment afterwards simply by resuming the schedule.  Zero duration
-    is the identity.
-    """
-    if duration_s < 0:
-        raise ValidationError("exposure duration must be >= 0")
-    ambient = Environment.from_kind(EnvironmentKind.AMBIENT)
-    relax = cfg.relax_time_s(from_env or ambient, ambient)
-    return propagate(state, state.t_s + duration_s, ambient, relax,
-                     profile or JunctionProfile(a=cfg.fab_a), cfg)
-
-
 def resume_trajectory(
     y_start: float,
     t_start_s: float,
@@ -434,6 +422,36 @@ def _event_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def _piece(
+    t: np.ndarray,
+    r0_ohm: float,
+    s: float,
+    y_env: float,
+    a: float,
+    tau: float,
+    b: float,
+    relax_s: float,
+    anneal: TrajectoryState,
+) -> np.ndarray:
+    """Resistances at sample times ``t`` >= s of one storage piece.
+
+    The piece starts from ``y_env`` at time ``s`` and runs under one
+    environment and one anneal channel, so every sample is ``_segment``'s
+    map from s written over an array:
+    ``y = a ln(t/tau + b) + gap exp(-(t - s)/relax)``.  A piece on its bound
+    (gap exactly 0.0) skips the relaxation term, which adds exactly 0.0.
+    """
+    y = a * np.log(t / tau + b)
+    gap = y_env - a * math.log(s / tau + b)
+    if gap:
+        y += gap * np.exp((s - t) / relax_s)
+    gain = anneal.anneal_gain
+    p = anneal.post_anneal
+    if p is not None:
+        gain = gain * (1.0 + p.a * np.log((t - anneal.post_anneal_t0_s) / p.tau_s + p.b))
+    return r0_ohm * (1.0 + y) * gain
+
+
 def simulate_trajectory(
     schedule: StorageSchedule,
     events: Sequence[AnnealEvent],
@@ -445,13 +463,21 @@ def simulate_trajectory(
 ) -> list[tuple[float, float]]:
     """Simulate one junction through a storage schedule with anneal events.
 
+    Schedule swaps and events are breakpoints, ordered by time and, at equal
+    times, swaps before events; samples at a breakpoint's time come after
+    it.  The breakpoints cut the sample times into storage pieces.  Only
+    the state at each breakpoint is advanced, by ``_segment``, and the
+    samples of a piece are evaluated together from the state at its start
+    (see ``_piece``).
+
     Parameters
     ----------
     schedule : StorageSchedule
         Environment timeline starting at t = 0.
     events : sequence of AnnealEvent
         Sorted by time; applied atomically at their timestamps (before any
-        sample at the same instant).
+        sample at the same instant).  Every event is applied, also those
+        after the last sample.
     cfg : SimConfig
         Environment timescales, relaxation times and anneal responses.
     r0_ohm : float
@@ -471,10 +497,12 @@ def simulate_trajectory(
     if r0_ohm <= 0:
         raise ParameterError("r0_ohm must be > 0")
     _check_seed(seed)
-    samples = [float(t) for t in sample_t_s]
-    if not all(math.isfinite(t) and t >= 0 for t in samples):
+    t = np.asarray(sample_t_s, dtype=float)
+    if t.ndim != 1:
+        raise ValidationError("sample times must be a 1-D sequence")
+    if not ((t >= 0) & (t < math.inf)).all():
         raise ValidationError("sample times must be finite and >= 0")
-    if any(b < a for a, b in zip(samples, samples[1:])):
+    if (t[1:] < t[:-1]).any():
         raise ValidationError("sample times must be nondecreasing")
     ev_times = [ev.t_s for ev in events]
     if any(b < a for a, b in zip(ev_times, ev_times[1:])):
@@ -482,46 +510,43 @@ def simulate_trajectory(
 
     prof = profile or JunctionProfile(a=cfg.fab_a)
     taus = {env.kind: _tau(env, cfg, prof) for _, env in schedule.segments}
-
-    # Action stream ordered by (time, kind): segment swaps, then events,
-    # then sample emissions.
-    actions: list[tuple[float, int, object]] = []
-    for start, env in schedule.segments[1:]:
-        actions.append((start, 0, env))
-    for k, ev in enumerate(events):
-        actions.append((ev.t_s, 1, (k, ev)))
-    for t in samples:
-        actions.append((t, 2, None))
-    actions.sort(key=lambda item: (item[0], item[1]))
+    breaks = sorted(
+        [(start, 0, env) for start, env in schedule.segments[1:]]
+        + [(ev.t_s, 1, (k, ev)) for k, ev in enumerate(events)],
+        key=lambda item: (item[0], item[1]),
+    )
+    # The samples before breakpoint k's time, and at or after the time of
+    # the one before it, form piece k; ``stops[k]`` is one past its last.
+    stops = np.searchsorted(t, [bp[0] for bp in breaks]).tolist() if breaks else []
 
     # A junction with early-time offset b starts on its bound, slightly
-    # pre-aged: y(0) = a ln(b).  Time and the environment component are
-    # plain floats; ``anneal`` carries the anneal channel and is rebuilt
-    # only when an event is applied.
+    # pre-aged: y(0) = a ln(b).  The current piece starts at time s with the
+    # environment component y_env; ``anneal`` carries the anneal channel
+    # and is rebuilt only when an event is applied.
     a, b = prof.a, prof.b
     anneal = TrajectoryState(y_env=a * math.log(b))
-    t, y_env = 0.0, anneal.y_env
+    s, y_env = 0.0, anneal.y_env
     env = schedule.segments[0][1]
     tau = taus[env.kind]
     relax = cfg.relax_gas_to_gas_s
-    out: list[tuple[float, float]] = []
-
-    for t_act, kind, payload in actions:
-        if t_act > t:
-            y_env = _segment(y_env, t, t_act, a, tau, b, relax)
-            t = t_act
+    r = np.empty(t.size)
+    lo = 0
+    for (t_bp, kind, payload), stop in zip(breaks, stops):
+        if stop > lo:
+            r[lo:stop] = _piece(t[lo:stop], r0_ohm, s, y_env, a, tau, b, relax, anneal)
+            lo = stop
+        y_env = _segment(y_env, s, t_bp, a, tau, b, relax)
+        s = t_bp
         if kind == 0:
             relax = cfg.relax_time_s(env, payload)
             env = payload
             tau = taus[env.kind]
-        elif kind == 1:
+        else:
             k, ev = payload
-            state = replace(anneal, t_s=t, y_env=y_env)
+            state = replace(anneal, t_s=s, y_env=y_env)
             if isinstance(ev.kind, VoltageAnneal):
                 anneal = apply_voltage_anneal(state, ev, cfg, _event_seed(seed, k))
             else:
                 anneal = apply_thermal_anneal(state, ev, cfg)
-        else:
-            gain = anneal.anneal_gain * anneal.drift_factor(t)
-            out.append((t, r0_ohm * (1.0 + y_env) * gain))
-    return out
+    r[lo:] = _piece(t[lo:], r0_ohm, s, y_env, a, tau, b, relax, anneal)
+    return list(zip(t.tolist(), r.tolist()))

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from jjaging import (
     ChipDataset,
@@ -266,6 +268,44 @@ class TestScheduleFile:
         with pytest.raises(ParseError) as err:
             load_schedule(path)
         assert err.value.lines == [2, 3]
+
+
+# Tokens of schedule-format lines, good ones and ones each parser step
+# must refuse: non-finite and overflowing times, unknown kinds and
+# environments, bad junction ranges and malformed key=value pairs.
+TIMES = ["0", "4", "1.5", " 8 ", "-1", "nan", "inf", "-inf", "1e400", "1e306", "abc", "",
+         "0x1", "1_0"]
+ENVIRONMENTS = ["ambient", "glovebox", "vacuum", " Vacuum", "GLOVEBOX", "mars", "unknown", ""]
+KINDS = ["voltage", "thermal", "Thermal", "laser", ""]
+ARGUMENTS = [
+    "junctions=0-7", "junctions=5-2", "junctions=0-10000000000", "junctions=1+4+9",
+    "junctions=", "junctions=-3", "junctions=1-2-3", "junctions=a", "junctions=1+",
+    f"junctions=7-{6 + MAX_JUNCTION_RANGE}", "n_pulses=30", "n_pulses=2.5", "n_pulses=0",
+    "n_pulses=1e400", "amplitude_v=nan", "amplitude_v=-1", "pulse_duration_s=inf",
+    "temp_c=200", "temp_c=nan", "temp_c=1e400", "env=glovebox", "env=mars", "hold_min=-1",
+    "hold_min=inf", "k=v=w", "n_pulses=3=4", "novalue", "=", "a=b",
+]
+SCHEDULE_LINES = st.one_of(
+    st.builds(lambda t, env: f"{t},{env}", st.sampled_from(TIMES), st.sampled_from(ENVIRONMENTS)),
+    st.builds(lambda t, kind, args: ",".join(["event", t, kind, *args]),
+              st.sampled_from(TIMES), st.sampled_from(KINDS),
+              st.lists(st.sampled_from(ARGUMENTS), max_size=4)),
+    st.sampled_from(["", "# note", "event", "event,1", ",", ",,", "0,ambient,extra",
+                     "Event,1,voltage"]),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(SCHEDULE_LINES, max_size=8))
+def test_schedule_parsers_return_or_raise_parse_error(tmp_path, lines):
+    path = tmp_path / "fuzz.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for loader in (load_schedule, load_events):
+        try:
+            loader(path)
+        except ParseError:
+            pass
 
 
 class TestReport:

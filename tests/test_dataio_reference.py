@@ -1,8 +1,10 @@
 """The measurement CSV writer and reader against the row-at-a-time versions
 in ``reference_dataio``: equal bytes, equal columns, equal error reports.
 
-The one intended difference, the one-chip-per-file rule, is tested on its
-own; the differential reader tests use files with a single chip id.
+Two differences are intended and tested on their own: the reader's
+one-chip-per-file rule (the differential reader tests use files with a
+single chip id), and the writer's quoting of a chip id that holds a bare
+carriage return, which the reference writes bare and so splits the record.
 """
 
 import csv
@@ -33,15 +35,11 @@ SETTINGS = settings(max_examples=100, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 # Chip ids the csv module has to quote or keep as they are.
-AWKWARD_IDS = ["", "c7", "a,b", 'a,"b', 'say "hi"', "two\nlines", " lead", "trail ",
-               "Δchip-µ", "日本", "tab\tid"]
+AWKWARD_IDS = ["", "c7", "a,b", 'a,"b', 'say "hi"', "two\nlines", "cr\rid", "cr\r\nlf",
+               " lead", "trail ", "Δchip-µ", "日本", "tab\tid"]
 TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
                max_size=8)
 CHIP_IDS = st.one_of(st.sampled_from(AWKWARD_IDS), TEXT)
-# A bare carriage return ends a CSV record when read back, which would split
-# a row in two; ids read back by the differential reader tests avoid it.
-READABLE_IDS = st.one_of(st.sampled_from(AWKWARD_IDS),
-                         TEXT.filter(lambda s: "\r" not in s))
 
 
 @st.composite
@@ -87,13 +85,38 @@ def test_writer_bytes_equal_reference(tmp_path, ds):
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
     save_measurements(ds, new)
     reference_save_measurements(ds, ref)
-    assert new.read_bytes() == ref.read_bytes()
+    if not any("\r" in c for c in ds.chip_id.tolist()):
+        assert new.read_bytes() == ref.read_bytes()
+        return
+    # The intended difference: the reference writes an id with a bare
+    # carriage return unquoted, so its records split when read.  Here every
+    # record reads back as the fields the reference was asked to write.
+    with open(new, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [MEASUREMENT_HEADER] + [
+        [c, str(j), repr(t), "" if math.isnan(r) else repr(r), ENV_LABELS[e], FLAGS[f]]
+        for c, j, t, r, e, f in zip(ds.chip_id.tolist(), ds.junction_id.tolist(),
+                                    ds.t_s.tolist(), ds.r_ohm.tolist(), ds.env.tolist(),
+                                    ds.flag.tolist())
+    ]
 
 
 def test_writer_quotes_chip_ids_as_csv_does(tmp_path):
     path = tmp_path / "q.csv"
     save_measurements(ChipDataset.from_columns([0], [0.0], [1.0], [0], [0], 'a,"b'), path)
     assert path.read_text().splitlines()[1] == '"a,""b",0,0.0,1.0,ambient,ok'
+
+
+def test_chip_id_with_bare_carriage_return_is_quoted_and_reads_back(tmp_path):
+    path = tmp_path / "cr.csv"
+    ds = ChipDataset.from_columns([0, 1], [0.0, 60.0], [1.0, 2.0], [0, 0], [0, 0], "a\rb")
+    save_measurements(ds, path)
+    assert path.read_bytes().split(b"\n")[1] == b'"a\rb",0,0.0,1.0,ambient,ok'
+    assert columns(load_measurements(path)) == columns(ds)
+    # The reference writer leaves the id bare, and the record splits on reading.
+    reference_save_measurements(ds, path)
+    with pytest.raises(ParseError, match="line 2: expected 5 or 6 fields, got 1"):
+        load_measurements(path)
 
 
 # --- reader ------------------------------------------------------------------
@@ -142,7 +165,7 @@ MUTATION_KINDS = ["field"] * 4 + ["count", "blank", "duplicate", "five"]
 @st.composite
 def measurement_files(draw, mutate: bool):
     """CSV records after the header, each a field list; one chip id throughout."""
-    chip_id = draw(READABLE_IDS).strip()
+    chip_id = draw(CHIP_IDS).strip()
     records = draw(st.lists(good_rows(chip_id), max_size=10))
     if mutate:
         for _ in range(draw(st.integers(1, 6))):
@@ -170,7 +193,9 @@ def measurement_files(draw, mutate: bool):
 
 def write_records(path, records, header=MEASUREMENT_HEADER):
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
+    # With "\r\n" ending records the csv module quotes a field holding a
+    # bare carriage return, so such a chip id stays in one record.
+    w = csv.writer(buf, lineterminator="\r\n")
     w.writerow(header)
     for rec in records:
         if rec and not any(f.strip() for f in rec):
@@ -277,7 +302,7 @@ def test_chip_ids_compare_after_stripping(tmp_path):
 def loadable_datasets(draw):
     """Single-chip datasets that a load gives back unchanged: unique
     (junction, time) keys, times >= 0 and no id the loader would strip."""
-    chip = draw(READABLE_IDS.filter(lambda s: s == s.strip()))
+    chip = draw(CHIP_IDS.filter(lambda s: s == s.strip()))
     keys = draw(st.lists(st.tuples(st.integers(0, 20), st.floats(0.0, 1e9)),
                          max_size=14, unique=True))
     flags = [draw(st.integers(0, len(FLAGS) - 1)) for _ in keys]

@@ -92,6 +92,12 @@ class TestSimulateChip:
             simulate_chip(chip, StorageSchedule.single(AMBIENT), [], [0.0, DAY],
                           SimConfig(fab_a=0.21), seed=seed)
 
+    def test_sample_times_must_be_one_dimensional(self):
+        chip = draw_chip(flat_spec(), seed=1)
+        with pytest.raises(ValidationError, match="1-D"):
+            simulate_chip(chip, StorageSchedule.single(AMBIENT), [], [[0.0, DAY]],
+                          SimConfig(fab_a=0.21), seed=1)
+
     def test_zero_noise_zero_spread_matches_closed_form(self):
         spec = flat_spec(n_junctions=4)
         chip = draw_chip(spec, seed=0)

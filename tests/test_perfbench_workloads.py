@@ -1,12 +1,15 @@
 """One operation of each benchmark workload, run and checked by the
-workload's own oracle.
+workload's own oracle, and the benchmark's traced counts of one operation.
 
 The workloads read the dataset API (``ds.records``, ``r.flag``,
 ``junction_ids()``) and the CLI; a change that breaks them would turn every
-benchmark operation into a failure.  The full benchmark smoke test,
+benchmark operation into a failure.  The tracer counts samples, records and
+fits from spans of the public per-junction functions, so a kernel that
+bypasses them would read 0.  The full benchmark smoke test,
 ``perfbench/test_smoke.py``, takes over a minute; this takes seconds.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -14,7 +17,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import tracing  # noqa: E402
 import workloads  # noqa: E402
+
+from jjaging import load_measurements  # noqa: E402
+from jjaging.ensemble import FLAGS  # noqa: E402
+
+FLAG_OPEN = FLAGS.index("open")
 
 
 @pytest.mark.parametrize("name", ["mc_ambient", "fit_chips", "cli_pipeline"])
@@ -23,3 +32,35 @@ def test_first_operation_passes_its_checks(name, tmp_path):
     outcome = wl.inspect(0, wl.execute(0))
     assert outcome.problems == []
     assert outcome.digest == wl.inspect(0, wl.execute(0)).digest
+
+
+def traced_op(name, workdir):
+    """Run operation 0 of a workload under the tracer; return its result and
+    the per-layer metrics of its spans."""
+    wl = workloads.WORKLOADS[name](seed=1, workdir=workdir)
+    tracer = tracing.Tracer()
+    tracer.op_id = 0
+    tracer.install()
+    try:
+        result = wl.execute(0)
+    finally:
+        tracer.uninstall()
+    return result, tracing.layer_metrics(tracer.spans, 0, len(tracer.spans))
+
+
+def test_traced_counts_of_mc_ambient_op(tmp_path):
+    (_, ds, _), m = traced_op("mc_ambient", tmp_path)
+    assert m["ensemble.records"] == len(ds) > 0
+    assert m["trajectory.samples"] == int((ds.flag != FLAG_OPEN).sum())
+    assert m["fitting.fits"] == 0
+
+
+def test_traced_counts_of_cli_pipeline_op(tmp_path):
+    (codes, _, _), m = traced_op("cli_pipeline", tmp_path)
+    assert codes[0] == 0 and codes[1] in (0, 3)
+    ds = load_measurements(tmp_path / "data.csv")
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert m["ensemble.records"] == len(ds) > 0
+    assert m["trajectory.samples"] == int((ds.flag != FLAG_OPEN).sum())
+    # The average curve plus one fit per usable junction.
+    assert m["fitting.fits"] == 1 + len(report["per_junction"])

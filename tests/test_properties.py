@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jjaging import (
     AMBIENT,
@@ -34,13 +34,19 @@ offsets = st.floats(min_value=1e-3, max_value=10.0)
 times = st.floats(min_value=0.0, max_value=1e8)
 
 
+@example(a=0.001, tau=100.0, b=0.001, t1=70.0, t2=math.nextafter(70.0, math.inf))
 @given(a=pos_amps, tau=taus, b=offsets, t1=times, t2=times)
 def test_single_log_strictly_increasing(a, tau, b, t1, t2):
     p = AgingParams(a=a, tau_s=tau, b=b)
     lo, hi = sorted((t1, t2))
     v_lo, v_hi = eval_single_log(p, lo), eval_single_log(p, hi)
     assert v_hi >= v_lo
-    if hi / tau + b > lo / tau + b:  # gap resolvable in float
+    # Strictly larger only where the increment a (ln u_hi - ln u_lo) exceeds
+    # what rounding can hide: per value up to an ulp of the log and half an
+    # ulp each of the product (a <= 1) and of the sum 1 + a ln u.
+    ln_lo, ln_hi = math.log(lo / tau + b), math.log(hi / tau + b)
+    resolution = 4 * max(math.ulp(v_lo), math.ulp(v_hi), math.ulp(ln_lo), math.ulp(ln_hi))
+    if a * (ln_hi - ln_lo) > resolution:
         assert v_hi > v_lo
 
 

@@ -22,7 +22,6 @@ from jjaging import (
     apply_voltage_anneal,
     bound_curve,
     eval_single_log,
-    measurement_exposure,
     propagate,
     resume_trajectory,
     simulate_trajectory,
@@ -109,6 +108,11 @@ class TestSingleEnvironment:
         with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
             simulate_trajectory(StorageSchedule.single(AMBIENT), [], chip1_cfg(), 1.0,
                                 [0.0, DAY], seed=seed)
+
+    @pytest.mark.parametrize("bad", [5.0, [[0.0, DAY]]], ids=["scalar", "2-D"])
+    def test_sample_times_must_be_one_dimensional(self, bad):
+        with pytest.raises(ValidationError, match="1-D"):
+            simulate_trajectory(StorageSchedule.single(AMBIENT), [], chip1_cfg(), 1.0, bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_sample_time_rejected(self, bad):
@@ -301,16 +305,24 @@ class TestThermalAnneal:
 
 
 class TestMeasurementExposure:
+    """A probe-station visit of a glovebox-stored junction: the state
+    relaxes toward the ambient bound for the visit's duration."""
+
+    @staticmethod
+    def exposed(state, duration_s, cfg):
+        return propagate(state, state.t_s + duration_s, AMBIENT,
+                         cfg.relax_time_s(GLOVEBOX, AMBIENT), JunctionProfile(a=cfg.fab_a), cfg)
+
     def test_zero_duration_identity(self):
         cfg = chip1_cfg()
         state = TrajectoryState(t_s=30 * DAY, y_env=0.5)
-        assert measurement_exposure(state, 0.0, cfg) == state
+        assert self.exposed(state, 0.0, cfg) == state
 
     def test_20_minutes_on_glovebox_stored_junction_is_tiny(self):
         cfg = chip1_cfg()
         y_gb = float(eval_single_log(AgingParams(a=0.21, tau_s=4.3e4, b=1.0), 30 * DAY)) - 1
         state = TrajectoryState(t_s=30 * DAY, y_env=y_gb)
-        out = measurement_exposure(state, 20 * 60.0, cfg, from_env=GLOVEBOX)
+        out = self.exposed(state, 20 * 60.0, cfg)
         change = (1 + out.y) / (1 + state.y) - 1
         assert 0 < change < 1e-3
 
@@ -318,8 +330,8 @@ class TestMeasurementExposure:
         cfg = chip1_cfg()
         y_gb = float(eval_single_log(AgingParams(a=0.21, tau_s=4.3e4, b=1.0), 30 * DAY)) - 1
         state = TrajectoryState(t_s=30 * DAY, y_env=y_gb)
-        c20 = (1 + measurement_exposure(state, 20 * 60.0, cfg, from_env=GLOVEBOX).y) / (1 + state.y) - 1
-        c90 = (1 + measurement_exposure(state, 90 * 60.0, cfg, from_env=GLOVEBOX).y) / (1 + state.y) - 1
+        c20 = (1 + self.exposed(state, 20 * 60.0, cfg).y) / (1 + state.y) - 1
+        c90 = (1 + self.exposed(state, 90 * 60.0, cfg).y) / (1 + state.y) - 1
         assert c90 > c20 > 0
 
 
