@@ -30,6 +30,7 @@ from .dataio import (
     sha256_of_file,
     write_report,
     TOOL_VERSION,
+    _not_utf8,
 )
 from .ensemble import (
     ENV_LABELS,
@@ -112,7 +113,10 @@ def _resolve_chip(args):
     if not args.spec:
         raise ValidationError("either --preset or --spec is required")
     with open(args.spec, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
+        try:
+            d = json.load(fh)
+        except UnicodeDecodeError:
+            raise _not_utf8(args.spec) from None
     _checked_section(d, "spec", ("chip", "sim", "environment"))
     if "chip" not in d:
         raise ValidationError(f"{args.spec}: spec file needs a 'chip' section")

@@ -125,6 +125,21 @@ def resistance_from_iv(sweep: IVSweep, full_output: bool = False):
     return float(slope)
 
 
+def _not_utf8(path) -> ParseError:
+    """The ParseError for a file that does not decode as UTF-8, naming the
+    line (counting \\n, \\r\\n and \\r line ends) of its first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = head.count(b"\n") + 1
+        return ParseError(f"{path}: line {line}: not valid UTF-8 "
+                          f"(byte {data[exc.start]:#04x} at offset {exc.start})", lines=[line])
+    return ParseError(f"{path}: not valid UTF-8")
+
+
 def _csv_prefix(chip_id) -> str:
     """A row's first field and its comma, quoted as the ``csv`` module writes it.
 
@@ -206,7 +221,8 @@ def load_measurements(path) -> ChipDataset:
     finite and >= 0, and no two rows may share (junction_id, t_seconds); a
     duplicate names both lines.  Resistances above the open threshold (or
     non-finite) are flagged open.  A file holds one chip: the first row whose
-    chip_id differs from the first valid row's is reported.
+    chip_id differs from the first valid row's is reported.  A file that is
+    not UTF-8 is refused, naming the line of its first undecodable byte.
 
     The fields are split by ``csv.reader`` and then parsed and checked a
     column at a time.  Each row reports only the first check it fails, in
@@ -214,18 +230,21 @@ def load_measurements(path) -> ChipDataset:
     within int64; environment; flag; t_seconds finite and >= 0; empty
     resistance only on open rows; resistance parse; resistance > 0.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file (header required)")
-        if [h.strip() for h in header] != MEASUREMENT_HEADER:
-            raise ParseError(
-                f"{path}: bad header {header!r}; expected {','.join(MEASUREMENT_HEADER)}",
-                lines=[1],
-            )
-        rows = list(reader)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(f"{path}: empty file (header required)")
+            if [h.strip() for h in header] != MEASUREMENT_HEADER:
+                raise ParseError(
+                    f"{path}: bad header {header!r}; expected {','.join(MEASUREMENT_HEADER)}",
+                    lines=[1],
+                )
+            rows = list(reader)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     problems: list[tuple[int, str]] = []
     lineno = np.arange(2, len(rows) + 2)
     n_fields = np.fromiter(map(len, rows), np.intp, len(rows))
@@ -361,54 +380,58 @@ def _parse_schedule_text(path, require_segments: bool):
     segments: list[tuple[float, Environment]] = []
     events: list[AnnealEvent] = []
     problems: list[tuple[int, str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.readlines()
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    for lineno, raw in enumerate(text, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if parts[0].lower() == "event":
+            if len(parts) < 3:
+                problems.append((lineno, "event line needs at least a time and a kind"))
                 continue
-            parts = [p.strip() for p in line.split(",")]
-            if parts[0].lower() == "event":
-                if len(parts) < 3:
-                    problems.append((lineno, "event line needs at least a time and a kind"))
+            try:
+                t_s = float(parts[1]) * DAY_S
+            except ValueError:
+                problems.append((lineno, f"bad event time {parts[1]!r}"))
+                continue
+            kind_name = parts[2].lower()
+            kv = _parse_kv(parts[3:], lineno, problems)
+            try:
+                junctions = _parse_junctions(kv["junctions"]) if "junctions" in kv else None
+                if kind_name == "voltage":
+                    kind = VoltageAnneal(
+                        n_pulses=int(kv.get("n_pulses", 30)),
+                        amplitude_v=float(kv.get("amplitude_v", 0.9)),
+                        pulse_duration_s=float(kv.get("pulse_duration_s", 1.0)),
+                    )
+                elif kind_name == "thermal":
+                    kind = ThermalAnneal(
+                        temp_c=float(kv["temp_c"]),
+                        env=Environment.from_kind(kv.get("env", "glovebox")),
+                        hold_min=float(kv.get("hold_min", 10.0)),
+                    )
+                else:
+                    problems.append((lineno, f"unknown event kind {kind_name!r}"))
                     continue
-                try:
-                    t_s = float(parts[1]) * DAY_S
-                except ValueError:
-                    problems.append((lineno, f"bad event time {parts[1]!r}"))
-                    continue
-                kind_name = parts[2].lower()
-                kv = _parse_kv(parts[3:], lineno, problems)
-                try:
-                    junctions = _parse_junctions(kv["junctions"]) if "junctions" in kv else None
-                    if kind_name == "voltage":
-                        kind = VoltageAnneal(
-                            n_pulses=int(kv.get("n_pulses", 30)),
-                            amplitude_v=float(kv.get("amplitude_v", 0.9)),
-                            pulse_duration_s=float(kv.get("pulse_duration_s", 1.0)),
-                        )
-                    elif kind_name == "thermal":
-                        kind = ThermalAnneal(
-                            temp_c=float(kv["temp_c"]),
-                            env=Environment.from_kind(kv.get("env", "glovebox")),
-                            hold_min=float(kv.get("hold_min", 10.0)),
-                        )
-                    else:
-                        problems.append((lineno, f"unknown event kind {kind_name!r}"))
-                        continue
-                    events.append(AnnealEvent(t_s=t_s, kind=kind, junction_ids=junctions))
-                except (KeyError, ValueError, ValidationError) as exc:
-                    problems.append((lineno, f"bad event arguments: {exc}"))
-            else:
-                if len(parts) != 2:
-                    problems.append((lineno, "segment line must be start_days,environment"))
-                    continue
-                try:
-                    start_s = float(parts[0]) * DAY_S
-                    env = Environment.from_kind(parts[1].lower())
-                except ValueError:
-                    problems.append((lineno, f"bad segment line {line!r}"))
-                    continue
-                segments.append((start_s, env))
+                events.append(AnnealEvent(t_s=t_s, kind=kind, junction_ids=junctions))
+            except (KeyError, ValueError, ValidationError) as exc:
+                problems.append((lineno, f"bad event arguments: {exc}"))
+        else:
+            if len(parts) != 2:
+                problems.append((lineno, "segment line must be start_days,environment"))
+                continue
+            try:
+                start_s = float(parts[0]) * DAY_S
+                env = Environment.from_kind(parts[1].lower())
+            except ValueError:
+                problems.append((lineno, f"bad segment line {line!r}"))
+                continue
+            segments.append((start_s, env))
     if problems:
         details = "; ".join(f"line {ln}: {msg}" for ln, msg in problems)
         raise ParseError(f"{path}: {details}", lines=[ln for ln, _ in problems])
@@ -577,6 +600,8 @@ def read_report(path) -> FitReport:
             d = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid report JSON ({exc})")
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
     try:
         return FitReport.from_dict(d)
     except (KeyError, TypeError) as exc:

@@ -6,6 +6,10 @@ and the steps are well scaled.  A trial step is accepted only if it lowers
 the residual sum of squares; otherwise the damping is increased and the
 step retried.  The returned point therefore never has a higher rss than the
 initialization.  Box bounds are enforced by projecting trial points.
+The 3x3 or 4x4 trial systems are solved by LAPACK's ``gesv`` gufunc under
+the error state ``np.linalg.solve`` sets: the same routine on the same
+bytes, without the wrapper's per-call type checks and casts, which cost
+more than the solve itself.
 
 ``grid_search_oracle`` provides an independent brute-force check: it
 evaluates the model on an explicit parameter grid and returns the grid
@@ -23,6 +27,7 @@ from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import InsufficientDataError, ParameterError, ValidationError
 from .ensemble import FLAG_OK, ChipDataset, aggregate_series
@@ -224,6 +229,19 @@ def _two_log_rj(x, t, y, sw):
     return r, _two_log_jac(cache, sw, np.empty((t.size, 4)))
 
 
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def _solve(a, b):
+    """``np.linalg.solve(a, b)`` for a float64 (p, p) ``a`` and (p,) ``b``:
+    the same LAPACK call under the same error state, bit-identical, and a
+    singular ``a`` raises ``LinAlgError`` likewise."""
+    return _umath_linalg.solve1(a, b, signature="dd->d")
+
+
 def _lm_minimize(resid, jac, x0, lo, hi, opts: FitOptions):
     """Damped least squares over a box; accepts only rss-decreasing steps.
 
@@ -247,14 +265,14 @@ def _lm_minimize(resid, jac, x0, lo, hi, opts: FitOptions):
         D = np.diag(d)
         while lam < 1e15:
             try:
-                dx = np.linalg.solve(JtJ + lam * D, neg_g)
-            except np.linalg.LinAlgError:
+                dx = _solve(JtJ + lam * D, neg_g)
+            except LinAlgError:
                 lam *= 5.0
                 continue
             # Same values as np.clip, signed zeros included, at a third of the cost.
             x_trial = np.minimum(np.maximum(x + dx, lo), hi)
             step = x_trial - x
-            if not step.any():
+            if not np.count_nonzero(step):
                 lam *= 5.0
                 continue
             r_trial, cache = resid(x_trial)
@@ -283,7 +301,7 @@ def _stderr_and_bounds(x, J, rss, n, lo, hi, names):
     try:
         cov = np.linalg.inv(J.T @ J) * (rss / (n - p) if n > p else float("nan"))
         sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    except np.linalg.LinAlgError:
+    except LinAlgError:
         sig = np.full(p, float("nan"))
     at = []
     for k, name in enumerate(names):

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -91,17 +92,18 @@ class StorageSchedule:
             raise ValidationError("first schedule segment must start at t = 0")
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValidationError("segment start times must be strictly increasing")
+        # Kept for environment_at's bisect; not a field, so eq and repr are unchanged.
+        object.__setattr__(self, "_starts", tuple(starts))
 
     @classmethod
     def single(cls, env: Environment) -> "StorageSchedule":
         return cls(segments=((0.0, env),))
 
     def environment_at(self, t_s: float) -> Environment:
-        env = self.segments[0][1]
-        for start, e in self.segments:
-            if t_s >= start:
-                env = e
-        return env
+        """The environment of the last segment starting at or before ``t_s``;
+        the first segment's for t_s < 0 and for NaN."""
+        k = bisect_right(self._starts, t_s) - 1 if t_s >= 0.0 else 0
+        return self.segments[k][1]
 
 
 @dataclass(frozen=True)

@@ -470,6 +470,32 @@ class TestAnneal:
         assert code == 0
 
 
+class TestNonUtf8Input:
+    """Every file the CLI reads refuses a non-UTF-8 byte with exit 2 and the
+    line it sits on, and writes no output."""
+
+    BAD = b"0,ambient\n\xff\xfe,glovebox\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--preset", "chip1", "--target-days", "4", "--seed", "1",
+         "--schedule", "BAD", "--out", "OUT"],
+        ["simulate", "--spec", "BAD", "--target-days", "4", "--seed", "1", "--out", "OUT"],
+        ["fit", "BAD", "--out", "OUT"],
+        ["predict", "--report", "BAD", "--target-days", "10", "--out", "OUT"],
+        ["anneal", "DATA", "--events", "BAD", "--seed", "1", "--out", "OUT"],
+    ], ids=["schedule", "spec", "measurements", "report", "events"])
+    def test_exits_2_naming_the_line(self, tmp_path, capsys, argv):
+        bad, out, data = tmp_path / "bad.txt", tmp_path / "out", tmp_path / "data.csv"
+        bad.write_bytes(self.BAD)
+        assert run("simulate", "--preset", "chip1", "--target-days", "4", "--seed", "1",
+                   "--out", str(data)) == 0
+        capsys.readouterr()
+        names = {"BAD": str(bad), "OUT": str(out), "DATA": str(data)}
+        assert run(*[names.get(a, a) for a in argv]) == 2
+        assert f"error: {bad}: line 2: not valid UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestParser:
     def test_unknown_command(self, capsys):
         assert run("frobnicate") == 2

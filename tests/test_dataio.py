@@ -308,6 +308,26 @@ def test_schedule_parsers_return_or_raise_parse_error(tmp_path, lines):
             pass
 
 
+_HEADER = b"chip_id,junction_id,t_seconds,resistance_ohms,environment,flag"
+
+
+@pytest.mark.parametrize("loader, content, line", [
+    (load_measurements,
+     _HEADER + b"\r\nc,0,0,10000,ambient,ok\r\nc,0,86400,1\xe9,ambient,ok\r\n", 3),
+    (load_measurements, _HEADER + b"\n" + b"c,0,0,10000,ambient,ok\n" * 999 + b"c,\xc3", 1001),
+    (load_schedule, b"# storage\r0,ambient\r4,glove\xffbox\r", 3),
+    (load_events, b"event,1,voltage\n\nevent,2,thermal,temp_c=\xfe200\n", 3),
+    (read_report, b'{\n  "chip_id": "c7",\n  "junction_ids": "\xff"\n}\n', 3),
+], ids=["measurements", "measurements-past-first-chunk", "schedule", "events", "report"])
+def test_non_utf8_file_raises_parse_error_naming_the_line(tmp_path, loader, content, line):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(content)
+    with pytest.raises(ParseError) as err:
+        loader(path)
+    assert err.value.lines == [line]
+    assert f"line {line}: not valid UTF-8" in str(err.value)
+
+
 class TestReport:
     def _report(self):
         return FitReport(

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jjaging import (
     AgingParams,
@@ -20,7 +23,7 @@ from jjaging import (
     grid_search_oracle,
     parameter_histogram,
 )
-from jjaging.fitting import _single_log_rj, _two_log_rj
+from jjaging.fitting import _single_log_rj, _solve, _two_log_rj
 
 DAY = 86400.0
 CHIP1 = AgingParams(a=0.21, tau_s=1.2e4, b=1.01)
@@ -380,3 +383,49 @@ class TestFitChip:
         ds = synthetic_dataset(n_times=3)
         with pytest.raises(InsufficientDataError):
             fit_chip(ds)
+
+
+def _solved(solve, a, b):
+    try:
+        return solve(a, b).tobytes()
+    except np.linalg.LinAlgError:
+        return "LinAlgError"
+
+
+@st.composite
+def lm_systems(draw):
+    """An LM trial system JᵀJ + λ·diag(d) and its right side -Jᵀr, with the
+    kernel's diagonal rule (d = diag(JᵀJ), zeros replaced by 1).  J may have
+    zero or duplicated columns, or be all zero; the undamped JᵀJ is also
+    returned, so singular systems are exercised too."""
+    p = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(4, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    J = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-6, 6, p)
+    shape = draw(st.sampled_from(["full", "zero column", "duplicate column", "all zero"]))
+    k = draw(st.integers(0, p - 1))
+    if shape == "zero column":
+        J[:, k] = 0.0
+    elif shape == "duplicate column":
+        J[:, k] = J[:, (k + 1) % p]
+    elif shape == "all zero":
+        J[:] = 0.0
+    lam = 10.0 ** draw(st.floats(-14, 15))
+    JtJ = J.T @ J
+    d = JtJ.diagonal().copy()
+    d[d <= 0] = 1.0
+    neg_g = -(J.T @ rng.standard_normal(n))
+    return JtJ + lam * np.diag(d), JtJ, neg_g
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=lm_systems())
+def test_solve_matches_numpy_solve_bytes(system):
+    damped, undamped, neg_g = system
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (damped, undamped):
+            assert _solved(_solve, a, neg_g) == _solved(np.linalg.solve, a, neg_g)
+        assert _solved(_solve, np.zeros_like(damped), neg_g) == "LinAlgError"
+    assert np.geterr() == before

@@ -34,15 +34,15 @@ def test_first_operation_passes_its_checks(name, tmp_path):
     assert outcome.digest == wl.inspect(0, wl.execute(0)).digest
 
 
-def traced_op(name, workdir):
-    """Run operation 0 of a workload under the tracer; return its result and
-    the per-layer metrics of its spans."""
+def traced_op(name, workdir, op=0):
+    """Run one operation of a workload under the tracer; return its result
+    and the per-layer metrics of its spans."""
     wl = workloads.WORKLOADS[name](seed=1, workdir=workdir)
     tracer = tracing.Tracer()
-    tracer.op_id = 0
+    tracer.op_id = op
     tracer.install()
     try:
-        result = wl.execute(0)
+        result = wl.execute(op)
     finally:
         tracer.uninstall()
     return result, tracing.layer_metrics(tracer.spans, 0, len(tracer.spans))
@@ -53,6 +53,15 @@ def test_traced_counts_of_mc_ambient_op(tmp_path):
     assert m["ensemble.records"] == len(ds) > 0
     assert m["trajectory.samples"] == int((ds.flag != FLAG_OPEN).sum())
     assert m["fitting.fits"] == 0
+
+
+@pytest.mark.parametrize("op", [0, 2], ids=["single-log", "two-log"])
+def test_traced_counts_of_fit_chips_op(op, tmp_path):
+    res, m = traced_op("fit_chips", tmp_path, op)
+    fits = [res.average, *res.per_junction.values()]
+    assert m["fitting.fits"] == 1 + len(res.per_junction) > 1
+    assert m["fitting.lm_iterations"] == sum(f.iterations for f in fits)
+    assert m["fitting.nonconverged"] == sum(not f.converged for f in fits)
 
 
 def test_traced_counts_of_cli_pipeline_op(tmp_path):

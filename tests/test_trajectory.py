@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jjaging import (
     AMBIENT,
@@ -56,6 +59,28 @@ class TestSchedule:
         assert sched.environment_at(0.0) is AMBIENT
         assert sched.environment_at(3.9 * DAY) is AMBIENT
         assert sched.environment_at(4 * DAY) is GLOVEBOX
+
+    @settings(max_examples=300, deadline=None)
+    @given(gaps=st.lists(st.floats(1e-300, 1e9), min_size=0, max_size=6),
+           first=st.sampled_from([0.0, -0.0]), data=st.data())
+    def test_environment_lookup_matches_linear_scan(self, gaps, first, data):
+        starts = [first]
+        for g in gaps:
+            nxt = starts[-1] + g
+            if nxt > starts[-1]:
+                starts.append(nxt)
+        envs = [replace(AMBIENT, label=f"segment {k}") for k in range(len(starts))]
+        sched = StorageSchedule(segments=tuple(zip(starts, envs)))
+        near = [float(np.nextafter(s, d)) for s in starts for d in (-math.inf, math.inf)]
+        t = data.draw(st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                                st.sampled_from(starts + near)))
+
+        # The linear scan the lookup replaced.
+        env = sched.segments[0][1]
+        for start, e in sched.segments:
+            if t >= start:
+                env = e
+        assert sched.environment_at(t) is env
 
 
 class TestBoundCurve:
