@@ -112,7 +112,7 @@ def _resolve_chip(args):
         return p.spec, p.sim, p.schedule, cfg_desc
     if not args.spec:
         raise ValidationError("either --preset or --spec is required")
-    with open(args.spec, "r", encoding="utf-8") as fh:
+    with open(args.spec, "r", encoding="utf-8-sig") as fh:
         try:
             d = json.load(fh)
         except UnicodeDecodeError:

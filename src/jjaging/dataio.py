@@ -221,7 +221,8 @@ def load_measurements(path) -> ChipDataset:
     finite and >= 0, and no two rows may share (junction_id, t_seconds); a
     duplicate names both lines.  Resistances above the open threshold (or
     non-finite) are flagged open.  A file holds one chip: the first row whose
-    chip_id differs from the first valid row's is reported.  A file that is
+    chip_id differs from the first valid row's is reported.  A leading UTF-8
+    byte-order mark, as spreadsheet exports write, is skipped; a file that is
     not UTF-8 is refused, naming the line of its first undecodable byte.
 
     The fields are split by ``csv.reader`` and then parsed and checked a
@@ -231,7 +232,7 @@ def load_measurements(path) -> ChipDataset:
     resistance only on open rows; resistance parse; resistance > 0.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -365,7 +366,9 @@ def _parse_junctions(text: str) -> tuple[int, ...]:
 
 
 def load_schedule(path) -> tuple[StorageSchedule, list[AnnealEvent]]:
-    """Parse a schedule file into a StorageSchedule plus sorted anneal events."""
+    """Parse a schedule file into a StorageSchedule plus sorted anneal events.
+
+    A leading UTF-8 byte-order mark is skipped."""
     schedule, events = _parse_schedule_text(path, require_segments=True)
     return schedule, events
 
@@ -381,7 +384,7 @@ def _parse_schedule_text(path, require_segments: bool):
     events: list[AnnealEvent] = []
     problems: list[tuple[int, str]] = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.readlines()
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
@@ -595,7 +598,7 @@ def write_report(report: FitReport, path) -> None:
 
 
 def read_report(path) -> FitReport:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             d = json.load(fh)
         except json.JSONDecodeError as exc:

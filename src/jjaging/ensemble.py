@@ -16,6 +16,7 @@ junction): they report no resistance and are excluded from aggregates.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
@@ -30,6 +31,7 @@ from .trajectory import (
     StorageSchedule,
     VoltageAnneal,
     _check_seed,
+    _spawn_entropy,
     simulate_trajectory,
 )
 
@@ -75,8 +77,9 @@ class ChipSpec:
     noise_sigma: float = 0.003
 
     def __post_init__(self):
-        if self.n_junctions < 1:
-            raise ValidationError("n_junctions must be >= 1")
+        n = self.n_junctions
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+            raise ValidationError(f"n_junctions must be an integer >= 1, got {n!r}")
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ParameterError(f"{f.name} must be finite, got {getattr(self, f.name)}")
@@ -299,7 +302,11 @@ def draw_chip(spec: ChipSpec, seed: int) -> DrawnChip:
 
 
 def _junction_seed(seed: int, junction_id: int, stream: int) -> int:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, junction_id))
+    """First word of ``SeedSequence(entropy=seed, spawn_key=(stream,
+    junction_id))``.  The sequence is built from the same entropy words
+    through ``_spawn_entropy``, so the seed is the same as the spawn-key
+    form gives."""
+    ss = np.random.SeedSequence(_spawn_entropy(seed, stream, junction_id))
     return int(ss.generate_state(1)[0])
 
 
@@ -339,6 +346,11 @@ def simulate_chip(
     r = np.full((n_j, n_s), np.nan)
     z = np.zeros((n_j, n_s))
     is_open = np.zeros(n_j, dtype=bool)
+    # Row j is _spawn_entropy(seed, 1, j): the noise stream of junction j
+    # comes from default_rng(_junction_seed(seed, j, 1)), whose int seed has
+    # the same entropy pool as the one-word array generate_state(1) returns.
+    noise_entropy = np.tile(_spawn_entropy(seed, 1, 0), (n_j, 1))
+    noise_entropy[:, -1] = np.arange(n_j)
     for j, (params, open_j) in enumerate(chip.junctions):
         if open_j:
             is_open[j] = True
@@ -352,7 +364,8 @@ def simulate_chip(
             seed=_junction_seed(seed, j, 0) if draws else 0, profile=profile,
         )
         r[j] = [r_ohm for _, r_ohm in traj]
-        z[j] = np.random.default_rng(_junction_seed(seed, j, 1)).standard_normal(n_s)
+        ss = np.random.SeedSequence(noise_entropy[j])
+        z[j] = np.random.default_rng(ss.generate_state(1)).standard_normal(n_s)
     r *= 1.0 + chip.spec.noise_sigma * z
 
     starts = [start for start, _ in schedule.segments]
@@ -403,6 +416,10 @@ def aggregate_series(
     group's first time belong to that group (``window_s`` finite, >= 0).
     Groups with a single usable record report CV = nan with n_used = 1.
 
+    The anchor loop visits only the first row of each run of equal times:
+    ``ti - anchor`` is the same for every row of a run, so a run never
+    splits and the group starts equal those of a loop over every row.
+
     Groups of equal size are reduced together as the rows of one 2-D block;
     numpy reduces each row along the fast axis exactly as it reduces a 1-D
     slice, so the values equal per-group ``np.mean``/``np.std`` bit for bit.
@@ -414,8 +431,9 @@ def aggregate_series(
         raise InsufficientDataError("dataset has no usable records")
     order = np.argsort(ds.t_s[ok], kind="stable")
     t, rs = ds.t_s[ok][order], ds.r_ohm[ok][order]
+    runs = _run_starts(t)
     starts, anchor = [], None
-    for i, ti in enumerate(t.tolist()):
+    for i, ti in zip(runs.tolist(), t[runs].tolist()):
         if anchor is None or ti - anchor > window_s:
             starts.append(i)
             anchor = ti

@@ -257,12 +257,15 @@ def _lm_minimize(resid, jac, x0, lo, hi, opts: FitOptions):
     J = jac(cache)
     rss = float(r @ r)
     lam = 1e-3
+    # D is diag(d): zeros off the diagonal, d written through a view of it.
+    p = x.size
+    D = np.zeros((p, p))
+    d = D.reshape(-1)[:: p + 1]
     for iterations in range(1, opts.max_iterations + 1):
         neg_g = -(J.T @ r)
         JtJ = J.T @ J
-        d = JtJ.diagonal().copy()
+        d[:] = JtJ.diagonal()
         d[d <= 0] = 1.0
-        D = np.diag(d)
         while lam < 1e15:
             try:
                 dx = _solve(JtJ + lam * D, neg_g)

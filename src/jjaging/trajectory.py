@@ -419,8 +419,36 @@ def _check_seed(seed) -> None:
         raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
 
 
+def _spawn_entropy(seed, *key) -> np.ndarray:
+    """The entropy pool input of ``SeedSequence(entropy=seed, spawn_key=key)``.
+
+    numpy splits the seed into 32-bit words, low word first (zero is the
+    single word 0), pads them with zeros to the pool size of 4 words when
+    a spawn key is given, and appends the words of each key element.
+    ``SeedSequence(_spawn_entropy(seed, *key))`` hashes that same word
+    array, so it generates the same state as the spawn-key form at a
+    fraction of its construction cost.  ``tests/test_seed_entropy.py``
+    checks this against the installed numpy.
+    """
+    words = _words(int(seed))
+    if key and len(words) < 4:
+        words += [0] * (4 - len(words))
+    for k in key:
+        words += _words(int(k))
+    return np.array(words, dtype=np.uint32)
+
+
+def _words(n: int) -> list[int]:
+    """32-bit words of an integer >= 0, low word first; [0] for zero."""
+    words = []
+    while n:
+        words.append(n & 0xFFFF_FFFF)
+        n >>= 32
+    return words or [0]
+
+
 def _event_seed(seed: int, index: int) -> int:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+    ss = np.random.SeedSequence(_spawn_entropy(seed, index))
     return int(ss.generate_state(1)[0])
 
 
@@ -447,11 +475,22 @@ def _piece(
     gap = y_env - a * math.log(s / tau + b)
     if gap:
         y += gap * np.exp((s - t) / relax_s)
+    # r0 * (1 + y) * gain, formed in place; an inert anneal channel (gain
+    # exactly 1.0, no drift) skips the multiplication, which would be exact.
+    y += 1.0
+    y *= r0_ohm
     gain = anneal.anneal_gain
     p = anneal.post_anneal
     if p is not None:
         gain = gain * (1.0 + p.a * np.log((t - anneal.post_anneal_t0_s) / p.tau_s + p.b))
-    return r0_ohm * (1.0 + y) * gain
+    elif gain == 1.0:
+        return y
+    y *= gain
+    return y
+
+
+# The anneal channel before any event: gain 1.0, no post-anneal drift.
+_INERT = TrajectoryState()
 
 
 def simulate_trajectory(
@@ -502,7 +541,8 @@ def simulate_trajectory(
     t = np.asarray(sample_t_s, dtype=float)
     if t.ndim != 1:
         raise ValidationError("sample times must be a 1-D sequence")
-    if not ((t >= 0) & (t < math.inf)).all():
+    # NaN propagates through min and max, so it fails this check too.
+    if t.size and not (t.min() >= 0 and t.max() < math.inf):
         raise ValidationError("sample times must be finite and >= 0")
     if (t[1:] < t[:-1]).any():
         raise ValidationError("sample times must be nondecreasing")
@@ -526,8 +566,11 @@ def simulate_trajectory(
     # environment component y_env; ``anneal`` carries the anneal channel
     # and is rebuilt only when an event is applied.
     a, b = prof.a, prof.b
-    anneal = TrajectoryState(y_env=a * math.log(b))
-    s, y_env = 0.0, anneal.y_env
+    y_env = a * math.log(b)
+    if y_env < -1.0:
+        raise ParameterError("fractional aging cannot go below -1")
+    anneal = _INERT
+    s = 0.0
     env = schedule.segments[0][1]
     tau = taus[env.kind]
     relax = cfg.relax_gas_to_gas_s

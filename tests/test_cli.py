@@ -60,6 +60,14 @@ class TestSimulate:
                    "--out", str(tmp_path / "d.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("n", [True, 2.5])
+    def test_non_integer_junction_count_exits_2(self, tmp_path, capsys, n):
+        spec = write_flat_spec(tmp_path, n_junctions=n)
+        out = tmp_path / "d.csv"
+        assert run("simulate", "--spec", str(spec), "--seed", "1", "--out", str(out)) == 2
+        assert f"n_junctions must be an integer >= 1, got {n!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("section, key, value, named", [
         ("sim", "integration_dt_s", 600.0, "unknown sim key 'integration_dt_s'"),
         ("chip", "r0_mean", 22_800.0, "unknown chip key 'r0_mean'"),
@@ -494,6 +502,56 @@ class TestNonUtf8Input:
         assert run(*[names.get(a, a) for a in argv]) == 2
         assert f"error: {bad}: line 2: not valid UTF-8" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestByteOrderMark:
+    """Every file the CLI reads may start with a UTF-8 byte-order mark and
+    then gives the same exit code, stdout and outputs as without it; only a
+    digest of the input file's own bytes differs."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, capsys):
+        data, report = tmp_path / "data.csv", tmp_path / "report.json"
+        assert run("simulate", "--preset", "chip1", "--target-days", "10", "--sample-days",
+                   "1", "--seed", "1", "--out", str(data)) == 0
+        assert run("fit", str(data), "--out", str(report)) == 0
+        capsys.readouterr()
+        return {
+            "schedule": b"0,ambient\n4,glovebox\nevent,6,voltage,n_pulses=30\n",
+            "spec": write_flat_spec(tmp_path, n_junctions=4).read_bytes(),
+            "data": data.read_bytes(),
+            "report": report.read_bytes(),
+            "events": b"event,11,thermal,temp_c=200,env=glovebox,hold_min=10\n",
+            "DATA": str(data),
+        }
+
+    @pytest.mark.parametrize("kind, argv", [
+        ("schedule", ["simulate", "--preset", "chip1", "--target-days", "8", "--seed", "1",
+                      "--schedule", "IN", "--out", "out.csv"]),
+        ("spec", ["simulate", "--spec", "IN", "--target-days", "8", "--seed", "1",
+                  "--out", "out.csv"]),
+        ("data", ["fit", "IN", "--out", "out.json"]),
+        ("report", ["predict", "--report", "IN", "--target-days", "12", "--out", "out.json"]),
+        ("events", ["anneal", "DATA", "--events", "IN", "--seed", "1", "--out", "out.csv"]),
+    ], ids=["schedule", "spec", "measurements", "report", "events"])
+    def test_reads_like_the_file_without_it(self, tmp_path, capsys, monkeypatch, inputs,
+                                            kind, argv):
+        from jjaging.dataio import sha256_of_file
+
+        runs = []
+        for name, prefix in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+            work = tmp_path / name
+            work.mkdir()
+            monkeypatch.chdir(work)
+            Path("in.txt").write_bytes(prefix + inputs[kind])
+            names = {"IN": "in.txt", "DATA": inputs["DATA"]}
+            code = run(*[names.get(a, a) for a in argv])
+            outs = {p.name: p.read_bytes() for p in sorted(work.iterdir()) if p.name != "in.txt"}
+            runs.append((code, capsys.readouterr(), outs, sha256_of_file("in.txt").encode()))
+        (code, std, outs, digest), (code_b, std_b, outs_b, digest_b) = runs
+        assert code == code_b == 0
+        assert (std.out, std.err) == (std_b.out, std_b.err)
+        assert outs and outs == {n: b.replace(digest_b, digest) for n, b in outs_b.items()}
 
 
 class TestParser:

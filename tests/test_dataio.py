@@ -328,6 +328,42 @@ def test_non_utf8_file_raises_parse_error_naming_the_line(tmp_path, loader, cont
     assert f"line {line}: not valid UTF-8" in str(err.value)
 
 
+_BOM = b"\xef\xbb\xbf"
+_REPORT_JSON = (b'{"average": {"converged": true, "params": {"a": 0.21, "b": 1.01, '
+                b'"kind": "single-log", "r0_ohm": 1.0, "tau_s": 12000.0}, "rss": 0.0}, '
+                b'"average_r0_ohm": 10050.0, "chip_id": "c7", "cv_series": [], '
+                b'"histograms": {}, "junction_ids": [0], "last_env": "ambient", '
+                b'"last_t_s": 86400.0, "per_junction": {}, "provenance": {}, "r0_ohm": {}, '
+                b'"schema_version": 1, "skipped": {}}\n')
+
+
+def _dataset_columns(ds):
+    return [getattr(ds, c).tolist() for c in ("chip_id", "junction_id", "t_s", "r_ohm",
+                                                "env", "flag")]
+
+
+@pytest.mark.parametrize("loader, content, view", [
+    (load_measurements, _HEADER + b"\r\nc,1,86400,11000,ambient,ok\r\nc,0,0,1e4,glovebox\r\n",
+     _dataset_columns),
+    (load_schedule, b"0,ambient\n4,glovebox\nevent,5,voltage,n_pulses=3\n", lambda r: r),
+    (load_events, b"event,1,thermal,temp_c=200,env=glovebox\n", lambda r: r),
+    (read_report, _REPORT_JSON, lambda r: r),
+], ids=["measurements", "schedule", "events", "report"])
+def test_byte_order_mark_reads_like_the_file_without_it(tmp_path, loader, content, view):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(content)
+    marked.write_bytes(_BOM + content)
+    assert view(loader(marked)) == view(loader(plain))
+
+
+def test_byte_order_mark_then_bad_byte_still_names_the_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(_BOM + b"0,ambient\n4,glove\xffbox\n")
+    with pytest.raises(ParseError, match="line 2: not valid UTF-8") as err:
+        load_schedule(path)
+    assert err.value.lines == [2]
+
+
 class TestReport:
     def _report(self):
         return FitReport(

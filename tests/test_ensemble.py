@@ -83,6 +83,14 @@ class TestDrawChip:
         with pytest.raises(ValidationError):
             ChipSpec(r0_mean_ohm=1e4, r0_cv=0.05, a_mean=0.2, n_junctions=0)
 
+    @pytest.mark.parametrize("n", [True, 2.5, "16", math.nan, 16.0])
+    def test_n_junctions_must_be_an_integer(self, n):
+        with pytest.raises(ValidationError, match="n_junctions must be an integer >= 1"):
+            flat_spec(n_junctions=n)
+
+    def test_numpy_integer_n_junctions_accepted(self):
+        assert len(draw_chip(flat_spec(n_junctions=np.int64(3)), seed=1)) == 3
+
 
 class TestSimulateChip:
     @pytest.mark.parametrize("seed", [-1, 1.0])

@@ -1,0 +1,79 @@
+"""The pre-assembled seed entropy against numpy's own spawn-key SeedSequence.
+
+``trajectory._spawn_entropy`` rebuilds the word array that
+``SeedSequence(entropy=seed, spawn_key=key)`` hashes, which is a numpy
+implementation detail; these tests hold it to the installed numpy.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+from jjaging import AMBIENT, ChipSpec, SimConfig, StorageSchedule, draw_chip, simulate_chip
+from jjaging.ensemble import _junction_seed
+from jjaging.trajectory import _event_seed, _spawn_entropy
+
+DAY = 86400.0
+
+SEEDS = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5]),
+    st.integers(0, 2**200),
+)
+# Seed types a caller may pass; a value that does not fit one is skipped.
+SEED_TYPES = st.sampled_from([int, np.int64, np.uint64])
+KEYS = st.one_of(
+    st.tuples(st.integers(0, 3), st.integers(0, 2**40)),
+    st.tuples(st.integers(0, 2**40)),
+)
+
+
+def _typed(seed: int, kind):
+    if kind is np.int64:
+        assume(seed < 2**63)
+    elif kind is np.uint64:
+        assume(seed < 2**64)
+    return kind(seed)
+
+
+def _spawn_key_seed(seed, *key) -> int:
+    return int(np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1)[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=SEEDS, kind=SEED_TYPES, key=KEYS)
+def test_entropy_gives_the_spawn_key_state(seed, kind, key):
+    seed = _typed(seed, kind)
+    ours = np.random.SeedSequence(_spawn_entropy(seed, *key))
+    numpys = np.random.SeedSequence(entropy=seed, spawn_key=key)
+    assert np.array_equal(ours.generate_state(4, np.uint64),
+                          numpys.generate_state(4, np.uint64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS, kind=SEED_TYPES, j=st.integers(0, 2**40), stream=st.integers(0, 3))
+def test_seed_helpers_equal_the_spawn_key_form(seed, kind, j, stream):
+    seed = _typed(seed, kind)
+    assert _junction_seed(seed, j, stream) == _spawn_key_seed(seed, stream, j)
+    assert _event_seed(seed, j) == _spawn_key_seed(seed, j)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, kind=SEED_TYPES, n_j=st.integers(1, 5), n_s=st.integers(1, 12))
+def test_noise_rows_equal_spawn_key_streams(seed, kind, n_j, n_s):
+    """simulate_chip's noise row j is default_rng(<spawn-key seed (1, j)>):
+    a noisy chip equals the noise-free one times (1 + sigma z), exactly."""
+    seed = _typed(seed, kind)
+    base = dict(r0_mean_ohm=1.0e4, r0_cv=0.05, a_mean=0.2, a_sd=0.01,
+                log_tau_mean=math.log(1.2e4), log_tau_sd=0.2, n_junctions=n_j)
+    sigma = 0.01
+    samples = np.arange(n_s) * DAY
+    sched, cfg = StorageSchedule.single(AMBIENT), SimConfig(fab_a=0.2)
+    quiet = simulate_chip(draw_chip(ChipSpec(**base, noise_sigma=0.0), seed), sched, [],
+                          samples, cfg, seed)
+    noisy = simulate_chip(draw_chip(ChipSpec(**base, noise_sigma=sigma), seed), sched, [],
+                          samples, cfg, seed)
+    z = np.array([np.random.default_rng(_spawn_key_seed(seed, 1, j)).standard_normal(n_s)
+                  for j in range(n_j)])
+    expect = quiet.r_ohm * (1.0 + sigma * z.ravel())
+    assert np.array_equal(noisy.r_ohm, expect)

@@ -145,6 +145,24 @@ class TestSingleEnvironment:
         with pytest.raises(ValidationError):
             simulate_trajectory(StorageSchedule.single(AMBIENT), [], cfg, 1.0, [bad, DAY])
 
+    @pytest.mark.parametrize("times", [
+        [0.0, math.nan], [0.0, DAY, math.inf], [-1.0, DAY], [2 * DAY, math.nan, DAY],
+    ])
+    def test_bad_sample_time_anywhere_rejected_first(self, times):
+        # The finiteness check comes before the order check.
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            simulate_trajectory(StorageSchedule.single(AMBIENT), [], chip1_cfg(), 1.0, times)
+
+    def test_no_sample_times_give_no_samples(self):
+        assert simulate_trajectory(StorageSchedule.single(AMBIENT), [], chip1_cfg(), 1.0,
+                                   []) == []
+
+    def test_start_below_minus_one_rejected(self):
+        # y(0) = a ln(b) = 0.5 ln(0.1) < -1.
+        with pytest.raises(ParameterError, match="fractional aging cannot go below -1"):
+            simulate_trajectory(StorageSchedule.single(AMBIENT), [], chip1_cfg(), 1.0,
+                                [0.0, DAY], profile=JunctionProfile(a=0.5, b=0.1))
+
 
 class TestSwapDynamics:
     def test_short_relaxation_gap_shrinks_every_sample(self):
