@@ -40,8 +40,7 @@ def main():
         (0.0, AMBIENT), (4 * DAY, GLOVEBOX), (8 * DAY, AMBIENT), (12 * DAY, GLOVEBOX),
     ))
     samples = np.arange(0, 52 * DAY + 1, 0.25 * DAY)
-    traj = simulate_trajectory(sched, [], cfg, 1.0, samples)
-    y = np.array([r for _, r in traj]) - 1
+    y = simulate_trajectory(sched, [], cfg, 1.0, samples) - 1
 
     i4 = int(np.searchsorted(samples, 4 * DAY))
     print(f"fractional aging at the day-4 swap: {y[i4]:.4f}")
@@ -61,8 +60,7 @@ def main():
     cfg5 = SimConfig(fab_a=0.12)
     sched5 = StorageSchedule(segments=((0.0, VACUUM), (7 * DAY, GLOVEBOX)))
     samples5 = np.arange(0, 10 * DAY, 0.02 * DAY)
-    traj5 = simulate_trajectory(sched5, [], cfg5, 1.0, samples5)
-    y5 = np.array([r for _, r in traj5]) - 1
+    y5 = simulate_trajectory(sched5, [], cfg5, 1.0, samples5) - 1
     gb5 = eval_single_log(AgingParams(0.12, 4.3e4, 1.0), samples5) - 1
     post = samples5 >= 7 * DAY
     rel = np.abs(y5[post] - gb5[post]) / gb5[post]

@@ -41,14 +41,13 @@ def main():
             [56 * DAY],
             56 * DAY + np.logspace(np.log10(600), np.log10(6 * DAY), 40),
         ])
-        traj = simulate_trajectory(p.schedule, ev, cfg, p.aging.r0_ohm, samples, seed=1)
-        rs = np.array([r for _, r in traj])
+        rs = simulate_trajectory(p.schedule, ev, cfg, p.aging.r0_ohm, samples, seed=1)
         jump = rs[13] / rs[12] - 1
         print(f"{name}: R just before = {rs[12] / 1e3:.1f} kohm, jump = {jump * 100:+.1f}% "
               f"(configured mean {cfg.voltage_jump_mean * 100:.1f}%)")
 
         # refit the post-anneal drift with its own time origin
-        drift = [(t - 56 * DAY, r / rs[13]) for t, r in traj[14:]]
+        drift = [(t - 56 * DAY, r / rs[13]) for t, r in zip(samples[14:], rs[14:])]
         res = fit_single_log(drift)
         print(f"  post-anneal drift refit: tau = {res.params.tau_s:.3g} s "
               f"(installed {cfg.voltage_drift_tau_s:.3g} s)")

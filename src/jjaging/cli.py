@@ -37,6 +37,7 @@ from .ensemble import (
     FLAG_OK,
     ChipDataset,
     ChipSpec,
+    _junction_seed,
     aggregate_series,
     draw_chip,
     simulate_chip,
@@ -393,10 +394,7 @@ def cmd_anneal(args) -> int:
                 if isinstance(ev.kind, ThermalAnneal):
                     state = apply_thermal_anneal(state, ev, cfg)
                 else:
-                    seed_jk = int(
-                        np.random.SeedSequence(entropy=seed, spawn_key=(k, j)).generate_state(1)[0]
-                    )
-                    state = apply_voltage_anneal(state, ev, cfg, seed_jk)
+                    state = apply_voltage_anneal(state, ev, cfg, _junction_seed(seed, j, k))
             state = propagate(state, t_meas, AMBIENT, cfg.relax_gas_to_gas_s, info["curve"], cfg)
             r_now = info["r0"] * (1.0 + state.y)
             changes.append(r_now / info["last_r"] - 1.0)
@@ -417,7 +415,7 @@ def cmd_anneal(args) -> int:
               f"mean change {np.mean(changes) * 100:+.3f}%")
 
     n_new = len(new_t)
-    out_ds = ChipDataset.from_columns(
+    out_ds = ChipDataset(
         junction_id=np.concatenate([ds.junction_id, np.array(new_j, dtype=np.int64)]),
         t_s=np.concatenate([ds.t_s, np.array(new_t, dtype=float)]),
         r_ohm=np.concatenate([ds.r_ohm, np.array(new_r, dtype=float)]),

@@ -327,7 +327,7 @@ def load_measurements(path) -> ChipDataset:
     # Non-finite and above-threshold resistances read as open rows.
     r = r[valid]
     opened = ~np.isfinite(r) | (r > OPEN_RESISTANCE_THRESHOLD_OHM)
-    return ChipDataset.from_columns(
+    return ChipDataset(
         junction, t, np.where(opened, math.nan, r), env[valid],
         np.where(opened, FLAG_OPEN, flag[valid]), chip_id,
     )

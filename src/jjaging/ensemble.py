@@ -96,7 +96,8 @@ class ChipSpec:
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """One timestamped resistance measurement of one junction."""
+    """One row of ``ChipDataset.records``: a timestamped resistance
+    measurement of one junction."""
 
     chip_id: str
     junction_id: int
@@ -129,42 +130,16 @@ class ChipDataset:
     Columns, one entry per row: ``junction_id`` (int64), ``t_s`` (float64),
     ``r_ohm`` (float64, NaN where a row has no resistance), ``env`` and
     ``flag`` (int8 codes into ``ENV_LABELS`` and ``FLAGS``) and ``chip_id``
-    (object).  Rows are sorted once, stably, by (junction_id, t_s) and
-    validated once: times finite, codes known, and a finite resistance > 0
-    on every row not flagged open.
-
-    ``ChipDataset(records=...)`` builds the columns from MeasurementRecords;
-    ``from_columns`` takes the columns directly.  ``records`` is a row view,
-    a tuple of MeasurementRecords built on first access.
+    (object; a single string applies to every row).  Rows are sorted once,
+    stably, by (junction_id, t_s) and validated once: times finite, codes
+    known, and a finite resistance > 0 on every row not flagged open.
     """
 
     __slots__ = ("junction_id", "t_s", "r_ohm", "env", "flag", "chip_id",
-                 "spec", "schedule", "_records")
+                 "spec", "schedule")
 
     def __init__(
         self,
-        records: Sequence[MeasurementRecord] = (),
-        spec: ChipSpec | None = None,
-        schedule: StorageSchedule | None = None,
-    ):
-        records = tuple(records)
-        for r in records:
-            if r.env_label not in _ENV_CODE:
-                raise ValidationError(f"unknown environment label {r.env_label!r}")
-        order = self._set_columns(
-            [r.junction_id for r in records],
-            [r.t_s for r in records],
-            [np.nan if r.r_ohm is None else r.r_ohm for r in records],
-            [_ENV_CODE[r.env_label] for r in records],
-            [FLAGS.index(r.flag) for r in records],
-            [r.chip_id for r in records],
-        )
-        self._records = tuple(records[i] for i in order.tolist())
-        self.spec, self.schedule = spec, schedule
-
-    @classmethod
-    def from_columns(
-        cls,
         junction_id,
         t_s,
         r_ohm,
@@ -173,16 +148,7 @@ class ChipDataset:
         chip_id: str | Sequence[str],
         spec: ChipSpec | None = None,
         schedule: StorageSchedule | None = None,
-    ) -> "ChipDataset":
-        """Dataset from equal-length columns (``env``/``flag`` as codes);
-        a single ``chip_id`` string applies to every row."""
-        ds = cls.__new__(cls)
-        ds._set_columns(junction_id, t_s, r_ohm, env, flag, chip_id)
-        ds._records = None
-        ds.spec, ds.schedule = spec, schedule
-        return ds
-
-    def _set_columns(self, junction_id, t_s, r_ohm, env, flag, chip_id) -> np.ndarray:
+    ):
         cols = {
             "junction_id": np.asarray(junction_id, dtype=np.int64),
             "t_s": np.asarray(t_s, dtype=float),
@@ -217,21 +183,24 @@ class ChipDataset:
             col = col[order]
             col.flags.writeable = False
             setattr(self, name, col)
-        return order
+        self.spec, self.schedule = spec, schedule
 
     @property
     def records(self) -> tuple[MeasurementRecord, ...]:
-        if self._records is None:
-            self._records = tuple(map(
-                MeasurementRecord,
-                self.chip_id.tolist(),
-                self.junction_id.tolist(),
-                self.t_s.tolist(),
-                [None if math.isnan(r) else r for r in self.r_ohm.tolist()],
-                [ENV_LABELS[e] for e in self.env.tolist()],
-                [FLAGS[f] for f in self.flag.tolist()],
-            ))
-        return self._records
+        """The rows as MeasurementRecords, built anew on every access.
+
+        A read-only view kept for the benchmark, which reads it; it and
+        ``MeasurementRecord`` go with ROADMAP item 1.
+        """
+        return tuple(map(
+            MeasurementRecord,
+            self.chip_id.tolist(),
+            self.junction_id.tolist(),
+            self.t_s.tolist(),
+            [None if math.isnan(r) else r for r in self.r_ohm.tolist()],
+            [ENV_LABELS[e] for e in self.env.tolist()],
+            [FLAGS[f] for f in self.flag.tolist()],
+        ))
 
     def __len__(self) -> int:
         return self.t_s.size
@@ -247,11 +216,6 @@ class ChipDataset:
         starts = _run_starts(self.junction_id)
         stops = np.append(starts[1:], len(self))
         return list(zip(self.junction_id[starts].tolist(), starts.tolist(), stops.tolist()))
-
-    def for_junction(self, junction_id: int) -> list[MeasurementRecord]:
-        lo = np.searchsorted(self.junction_id, junction_id, side="left")
-        hi = np.searchsorted(self.junction_id, junction_id, side="right")
-        return list(self.records[lo:hi])
 
 
 @dataclass(frozen=True)
@@ -359,11 +323,10 @@ def simulate_chip(
         ev_j = [ev for ev in events if ev.junction_ids is None or j in ev.junction_ids]
         # The anneal seed only feeds voltage-anneal draws.
         draws = any(isinstance(ev.kind, VoltageAnneal) for ev in ev_j)
-        traj = simulate_trajectory(
+        r[j] = simulate_trajectory(
             schedule, ev_j, cfg, params.r0_ohm, samples,
             seed=_junction_seed(seed, j, 0) if draws else 0, profile=profile,
         )
-        r[j] = [r_ohm for _, r_ohm in traj]
         ss = np.random.SeedSequence(noise_entropy[j])
         z[j] = np.random.default_rng(ss.generate_state(1)).standard_normal(n_s)
     r *= 1.0 + chip.spec.noise_sigma * z
@@ -371,7 +334,7 @@ def simulate_chip(
     starts = [start for start, _ in schedule.segments]
     seg_env = np.array([_ENV_CODE[env.kind.value] for _, env in schedule.segments], np.int8)
     env = seg_env[np.searchsorted(starts, samples, side="right") - 1]
-    return ChipDataset.from_columns(
+    return ChipDataset(
         junction_id=np.repeat(np.arange(n_j), n_s),
         t_s=np.tile(samples, n_j),
         r_ohm=r.ravel(),
@@ -382,17 +345,11 @@ def simulate_chip(
 
 
 def coefficient_of_variation(values: Iterable) -> float:
-    """Sample standard deviation over mean, ignoring open/excluded entries.
-
-    Accepts plain resistances (None/NaN dropped) or MeasurementRecords
-    (non-"ok" flags dropped).  Needs at least two usable values.
+    """Sample standard deviation over mean of resistances, ignoring missing
+    ones (None or NaN).  Needs at least two usable values.
     """
     xs = []
     for v in values:
-        if isinstance(v, MeasurementRecord):
-            if v.flag != "ok":
-                continue
-            v = v.r_ohm
         if v is None:
             continue
         v = float(v)

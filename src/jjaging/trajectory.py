@@ -501,7 +501,7 @@ def simulate_trajectory(
     sample_t_s: Sequence[float],
     seed: int = 0,
     profile: JunctionProfile | None = None,
-) -> list[tuple[float, float]]:
+) -> np.ndarray:
     """Simulate one junction through a storage schedule with anneal events.
 
     Schedule swaps and events are breakpoints, ordered by time and, at equal
@@ -522,9 +522,10 @@ def simulate_trajectory(
     cfg : SimConfig
         Environment timescales, relaxation times and anneal responses.
     r0_ohm : float
-        Initial-time resistance; output resistances are r0 * (1 + y).
+        Initial-time resistance, finite and > 0; output resistances are
+        r0 * (1 + y).
     sample_t_s : sequence of float
-        Nondecreasing times at which to record (t_s, R_ohm) pairs.
+        Nondecreasing times at which to record the resistance.
     seed : int
         Drives the voltage-anneal response draws (an integer >= 0); identical
         inputs and seed give bit-identical trajectories.
@@ -533,10 +534,11 @@ def simulate_trajectory(
 
     Returns
     -------
-    list of (t_s, R_ohm)
+    numpy.ndarray
+        float64 resistances in ohm, one per entry of ``sample_t_s``.
     """
-    if r0_ohm <= 0:
-        raise ParameterError("r0_ohm must be > 0")
+    if not (0 < r0_ohm < math.inf):
+        raise ParameterError(f"r0_ohm must be finite and > 0, got {r0_ohm!r}")
     _check_seed(seed)
     t = np.asarray(sample_t_s, dtype=float)
     if t.ndim != 1:
@@ -594,4 +596,4 @@ def simulate_trajectory(
             else:
                 anneal = apply_thermal_anneal(state, ev, cfg)
     r[lo:] = _piece(t[lo:], r0_ohm, s, y_env, a, tau, b, relax, anneal)
-    return list(zip(t.tolist(), r.tolist()))
+    return r

@@ -2,16 +2,16 @@
 ``aggregate_series``, kept as a test oracle.
 
 ``jjaging.ensemble`` fills and groups numpy columns.  This module keeps the
-original versions, which build one ``MeasurementRecord`` per row and group
-lists of records, so that tests can require equal outputs from the two.  It
-uses only the package's public API.
+original versions, which build one ``Row`` per measurement and group lists
+of rows, so that tests can require equal outputs from the two.  It uses
+only the package's public API.
 """
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from jjaging.ensemble import ChipDataset, DrawnChip, MeasurementRecord
+from jjaging.ensemble import DrawnChip
 from jjaging.errors import InsufficientDataError, ValidationError
 from jjaging.trajectory import (
     AnnealEvent,
@@ -20,6 +20,17 @@ from jjaging.trajectory import (
     StorageSchedule,
     simulate_trajectory,
 )
+
+
+class Row(NamedTuple):
+    """One measurement, in the order of a dataset's columns."""
+
+    chip_id: str
+    junction_id: int
+    t_s: float
+    r_ohm: float | None
+    env_label: str
+    flag: str
 
 
 def _junction_seed(seed: int, junction_id: int, stream: int) -> int:
@@ -35,7 +46,7 @@ def reference_simulate_chip(
     cfg: SimConfig,
     seed: int,
     chip_id: str = "chip",
-) -> ChipDataset:
+) -> list[Row]:
     """Simulate every junction of a drawn chip through a shared schedule.
 
     The drawn per-junction timescale is interpreted in the first segment's
@@ -43,7 +54,8 @@ def reference_simulate_chip(
     get independent multiplicative measurement noise (1 + eta), eta normal
     with sd ``chip.spec.noise_sigma``; open junctions yield flag="open" rows
     with no resistance.  Events carrying ``junction_ids`` apply only to
-    those junctions.
+    those junctions.  Rows come junction by junction, each in sample
+    order.
     """
     home_kind = schedule.segments[0][1].kind
     if home_kind not in cfg.env_tau_s:
@@ -51,12 +63,12 @@ def reference_simulate_chip(
     tau_home = cfg.env_tau_s[home_kind]
     noise_sigma = chip.spec.noise_sigma
 
-    records: list[MeasurementRecord] = []
+    rows: list[Row] = []
     for j, (params, is_open) in enumerate(chip.junctions):
         if is_open:
             for t in sample_t_s:
-                records.append(
-                    MeasurementRecord(
+                rows.append(
+                    Row(
                         chip_id=chip_id, junction_id=j, t_s=float(t), r_ohm=None,
                         env_label=schedule.environment_at(float(t)).kind.value,
                         flag="open",
@@ -71,30 +83,32 @@ def reference_simulate_chip(
         )
         noise_rng = np.random.default_rng(_junction_seed(seed, j, 1))
         eta = noise_sigma * noise_rng.standard_normal(len(traj))
-        for (t, r), e in zip(traj, eta):
-            records.append(
-                MeasurementRecord(
+        for t, r, e in zip(sample_t_s, traj, eta):
+            t = float(t)
+            rows.append(
+                Row(
                     chip_id=chip_id, junction_id=j, t_s=t, r_ohm=r * (1.0 + e),
                     env_label=schedule.environment_at(t).kind.value, flag="ok",
                 )
             )
-    return ChipDataset(records=tuple(records), spec=chip.spec, schedule=schedule)
+    return rows
 
 
 def reference_aggregate_series(
-    ds: ChipDataset, window_s: float = 600.0
+    rows: Sequence[Row], window_s: float = 600.0
 ) -> list[tuple[float, float, float, int]]:
-    """Per-time aggregates (t_s, mean R, CV, n_used) over usable records.
+    """Per-time aggregates (t_s, mean R, CV, n_used) over usable rows.
 
-    Records are grouped by sample time: times within ``window_s`` of a
+    Rows are grouped by sample time: times within ``window_s`` of a
     group's first time belong to that group.  Groups with a single usable
-    record report CV = nan with n_used = 1.
+    row report CV = nan with n_used = 1.  Rows of equal time are reduced in
+    the order given, which for a dataset is (junction_id, t_s) order.
     """
-    usable = [r for r in ds.records if r.flag == "ok"]
+    usable = [r for r in rows if r.flag == "ok"]
     if not usable:
         raise InsufficientDataError("dataset has no usable records")
     usable.sort(key=lambda r: r.t_s)
-    groups: list[list[MeasurementRecord]] = []
+    groups: list[list[Row]] = []
     anchor = None
     for rec in usable:
         if anchor is None or rec.t_s - anchor > window_s:

@@ -122,4 +122,4 @@ def reference_load_measurements(path) -> ChipDataset:
         problems.sort()
         details = "; ".join(f"line {ln}: {msg}" for ln, msg in problems)
         raise ParseError(f"{path}: {details}", lines=sorted(set(lines)))
-    return ChipDataset.from_columns(junction, t, r, env, flag, chip)
+    return ChipDataset(junction, t, r, env, flag, chip)

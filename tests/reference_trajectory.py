@@ -58,8 +58,8 @@ def reference_simulate_trajectory(
 ) -> list[tuple[float, float]]:
     """Simulate one junction through a storage schedule with anneal events,
     one action at a time; returns a list of (t_s, R_ohm)."""
-    if r0_ohm <= 0:
-        raise ParameterError("r0_ohm must be > 0")
+    if not (math.isfinite(r0_ohm) and r0_ohm > 0):
+        raise ParameterError("r0_ohm must be finite and > 0")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
     samples = [float(t) for t in sample_t_s]

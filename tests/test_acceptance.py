@@ -52,9 +52,8 @@ def test_c01_single_environment_matches_closed_form():
     """Trajectory under one environment tracks the log law within 0.5%."""
     cfg = SimConfig(fab_a=0.21)
     samples = np.arange(0.0, 56 * DAY + 1, 0.5 * DAY)
-    traj = simulate_trajectory(StorageSchedule.single(AMBIENT), [], cfg,
-                               CHIP1.r0_ohm, samples)
-    got = np.array([r for _, r in traj])
+    got = simulate_trajectory(StorageSchedule.single(AMBIENT), [], cfg,
+                              CHIP1.r0_ohm, samples)
     want = CHIP1.r0_ohm * eval_single_log(CHIP1, samples)
     rel = np.abs(got / want - 1.0)
     assert rel.max() <= 5e-3
@@ -125,8 +124,7 @@ def test_c05_alternating_schedule_pattern():
     day-4 swap, and <= 2% net drift over 40 days after the final swap."""
     cfg = SimConfig(fab_a=0.05)
     samples = np.arange(0.0, 52 * DAY + 1, 0.25 * DAY)
-    traj = simulate_trajectory(_swap_schedule(), [], cfg, 1.0, samples)
-    y = np.array([r for _, r in traj]) - 1.0
+    y = simulate_trajectory(_swap_schedule(), [], cfg, 1.0, samples) - 1.0
 
     amb = eval_single_log(AgingParams(0.05, 1.2e4, 1.0), samples) - 1.0
     gb = eval_single_log(AgingParams(0.05, 4.3e4, 1.0), samples) - 1.0
@@ -149,8 +147,7 @@ def test_c06_vacuum_exit_relaxation():
     cfg = SimConfig(fab_a=0.12)
     sched = StorageSchedule(segments=((0.0, VACUUM), (7 * DAY, GLOVEBOX)))
     samples = np.arange(7 * DAY, 8.5 * DAY, 0.02 * DAY)
-    traj = simulate_trajectory(sched, [], cfg, 1.0, samples)
-    y = np.array([r for _, r in traj]) - 1.0
+    y = simulate_trajectory(sched, [], cfg, 1.0, samples) - 1.0
     gb = eval_single_log(AgingParams(0.12, 4.3e4, 1.0), samples) - 1.0
     rel = np.abs(y - gb) / gb
     hit = samples[rel <= 0.10]
@@ -183,16 +180,10 @@ def test_c07_voltage_anneal_response():
     session = 90 * 60.0
     samples = [56 * DAY - session, 56 * DAY - 60.0, 56 * DAY, 56 * DAY + session]
     ds = simulate_chip(chip, StorageSchedule.single(AMBIENT), ev, samples, cfg, seed=0)
-    worst_bystander = 0.0
-    for j in range(8, 16):
-        recs = ds.for_junction(j)
-        change = abs(recs[-1].r_ohm / recs[0].r_ohm - 1)
-        worst_bystander = max(worst_bystander, change)
+    r = ds.r_ohm.reshape(len(chip), len(samples))
+    worst_bystander = float(np.abs(r[8:, -1] / r[8:, 0] - 1).max())
     assert worst_bystander <= 0.004
-    for j in range(0, 8):
-        recs = ds.for_junction(j)
-        jump = recs[2].r_ohm / recs[1].r_ohm - 1
-        assert jump == pytest.approx(0.142, abs=1e-4)
+    np.testing.assert_allclose(r[:8, 2] / r[:8, 1] - 1, 0.142, rtol=0, atol=1e-4)
 
     # drift refit on noiseless post-anneal samples
     offsets = np.logspace(math.log10(600), math.log10(6 * DAY), 30)
@@ -202,8 +193,7 @@ def test_c07_voltage_anneal_response():
         [AnnealEvent(t_s=56 * DAY, kind=VoltageAnneal())],
         cfg, 22_800.0, samples,
     )
-    r_post = traj[0][1]
-    series = [(t - 56 * DAY, r / r_post) for t, r in traj[1:]]
+    series = [(t - 56 * DAY, r / traj[0]) for t, r in zip(samples[1:], traj[1:])]
     res = fit_single_log(series)
     ratio = res.params.tau_s / 5.0e4
     assert 0.5 <= ratio <= 2.0
@@ -299,7 +289,9 @@ def test_c10_determinism_and_io(tmp_path):
 
     copy = tmp_path / "copy.csv"
     save_measurements(ds, copy)
-    assert load_measurements(copy).records == ds.records
+    back = load_measurements(copy)
+    for name in ("chip_id", "junction_id", "t_s", "r_ohm", "env", "flag"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(ds, name))
 
     rep1, rep2 = tmp_path / "rep1.json", tmp_path / "rep2.json"
     for rep in (rep1, rep2):

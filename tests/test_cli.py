@@ -18,6 +18,7 @@ from jjaging import (
 )
 from jjaging import cli
 from jjaging.cli import build_parser, main
+from jjaging.ensemble import ENV_LABELS
 
 DAY = 86400.0
 
@@ -144,7 +145,7 @@ class TestSimulate:
                    "--target-days", "10", "--seed", "3", "--out", str(out))
         assert code == 0
         ds = load_measurements(out)
-        labels = {r.env_label for r in ds.records}
+        labels = {ENV_LABELS[e] for e in ds.env.tolist()}
         assert labels == {"ambient", "glovebox"}
 
     def test_events_file_adds_to_schedule_events(self, tmp_path, capsys):

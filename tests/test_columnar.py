@@ -28,9 +28,10 @@ from jjaging import (
     save_measurements,
     simulate_chip,
 )
+from jjaging.ensemble import ENV_LABELS, FLAGS
 from jjaging.presets import PRESET_NAMES
 
-from reference_chip import reference_aggregate_series, reference_simulate_chip
+from reference_chip import Row, reference_aggregate_series, reference_simulate_chip
 
 DAY = 86400.0
 
@@ -49,31 +50,36 @@ SAMPLES = sorted([*np.arange(0.0, 40 * DAY + 1.0, DAY).tolist(), 7.5 * DAY])
 
 
 def rows(ds):
-    return [(r.chip_id, r.junction_id, r.t_s, r.r_ohm, r.env_label, r.flag)
-            for r in ds.records]
+    """The dataset's rows read from its columns, None for a missing resistance."""
+    return list(map(
+        Row, ds.chip_id.tolist(), ds.junction_id.tolist(), ds.t_s.tolist(),
+        [None if math.isnan(r) else r for r in ds.r_ohm.tolist()],
+        [ENV_LABELS[e] for e in ds.env.tolist()], [FLAGS[f] for f in ds.flag.tolist()],
+    ))
 
 
 def both(preset, seed, events):
     p = chip_preset(preset)
     chip = draw_chip(p.spec, seed)
     args = (chip, p.schedule, list(events), SAMPLES, p.sim, seed)
-    return simulate_chip(*args, chip_id=preset), reference_simulate_chip(*args, chip_id=preset)
+    return (simulate_chip(*args, chip_id=preset), reference_simulate_chip(*args, chip_id=preset),
+            chip, p.schedule)
 
 
 @pytest.mark.parametrize("events", sorted(EVENT_SETS))
 @pytest.mark.parametrize("seed", [0, 3, 11])
 @pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_simulate_chip_equals_reference(preset, seed, events):
-    ds, ref = both(preset, seed, EVENT_SETS[events])
-    assert rows(ds) == rows(ref)
-    assert ds.spec is ref.spec and ds.schedule is ref.schedule
+    ds, ref, chip, schedule = both(preset, seed, EVENT_SETS[events])
+    assert rows(ds) == ref
+    assert ds.spec is chip.spec and ds.schedule is schedule
     # repr compares every float exactly and treats nan CVs as equal.
     assert repr(aggregate_series(ds)) == repr(reference_aggregate_series(ref))
 
 
 def test_reference_cases_cover_open_junctions_and_event_subsets():
-    ds, _ = both("chip6", 0, EVENT_SETS["voltage+thermal"])
-    assert "open" in {r.flag for r in ds.records}
+    ds, *_ = both("chip6", 0, EVENT_SETS["voltage+thermal"])
+    assert FLAGS.index("open") in ds.flag
     assert any(math.isnan(r) for r in ds.r_ohm)
     # The day-20 voltage anneal raises junctions 0-7 only.
     jump = {j: ds.r_ohm[(ds.junction_id == j) & (ds.t_s == 20 * DAY)][0]
@@ -94,20 +100,18 @@ def test_reference_cases_cover_open_junctions_and_event_subsets():
     window=st.sampled_from([0.0, 100.0, 600.0, 1000.0]),
 )
 def test_aggregate_series_equals_reference_on_random_groups(data, window):
-    ds = ChipDataset(records=tuple(
-        MeasurementRecord("c", j, t, None if flag == "open" else r, flag=flag)
-        for j, t, r, flag in data
-    ))
+    ds = ChipDataset([j for j, *_ in data], [t for _, t, *_ in data],
+                     [math.nan if flag == "open" else r for *_, r, flag in data],
+                     env=[0] * len(data), flag=[FLAGS.index(f) for *_, f in data], chip_id="c")
     if not any(flag == "ok" for *_, flag in data):
         return
-    assert repr(aggregate_series(ds, window)) == repr(reference_aggregate_series(ds, window))
+    assert repr(aggregate_series(ds, window)) == repr(reference_aggregate_series(rows(ds), window))
 
 
 @pytest.mark.parametrize("window", [math.nan, math.inf, -5.0])
 def test_aggregate_series_rejects_bad_window(window):
     # NaN used to merge every time into one group, -5 to split equal times.
-    ds = ChipDataset(records=(MeasurementRecord("c", 0, 0.0, 10.0),
-                              MeasurementRecord("c", 1, 0.0, 11.0)))
+    ds = ChipDataset([0, 1], [0.0, 0.0], [10.0, 11.0], env=[0, 0], flag=[0, 0], chip_id="c")
     with pytest.raises(ValidationError, match="window_s"):
         aggregate_series(ds, window)
 
@@ -120,7 +124,7 @@ def test_simulate_chip_rejects_repeated_sample_times():
                       p.sim, 0)
     # The per-record reference still writes the duplicate rows the CSV refuses.
     ref = reference_simulate_chip(chip, p.schedule, [], [0.0, DAY, DAY], p.sim, 0)
-    assert len(ref.t_s) == 3 * len(chip)
+    assert len(ref) == 3 * len(chip)
 
 
 @settings(max_examples=40, deadline=None)
@@ -175,7 +179,7 @@ def test_hot_path_builds_no_row_objects(tmp_path, monkeypatch):
 
 class TestColumns:
     def _ds(self):
-        return ChipDataset.from_columns(
+        return ChipDataset(
             junction_id=[2, 0, 0, 1], t_s=[0.0, 5.0, 1.0, 0.0],
             r_ohm=[10.0, 11.0, 12.0, np.nan], env=[0, 0, 1, 3], flag=[0, 2, 0, 1],
             chip_id="c9",
@@ -191,20 +195,17 @@ class TestColumns:
 
     def test_row_view(self):
         ds = self._ds()
-        assert ds.records is ds.records
+        assert ds.records == tuple(MeasurementRecord(*row) for row in rows(ds))
         assert ds.records[0] == MeasurementRecord("c9", 0, 1.0, 12.0, "glovebox", "ok")
         assert ds.records[2] == MeasurementRecord("c9", 1, 0.0, None, "unknown", "open")
-        assert ds.for_junction(0) == list(ds.records[:2])
-        assert ds.for_junction(7) == []
         assert ds.junction_ids() == [0, 1, 2]
         assert ds.junction_rows() == [(0, 0, 2), (1, 2, 3), (2, 3, 4)]
         assert len(ds) == 4
 
-    def test_records_constructor_keeps_stable_order(self):
-        recs = (MeasurementRecord("a", 1, 0.0, 5.0), MeasurementRecord("b", 0, 3.0, 6.0),
-                MeasurementRecord("c", 0, 3.0, 7.0))
-        ds = ChipDataset(records=recs)
-        assert ds.records == (recs[1], recs[2], recs[0])
+    def test_constructor_keeps_stable_order(self):
+        ds = ChipDataset([1, 0, 0], [0.0, 3.0, 3.0], [5.0, 6.0, 7.0], env=[0, 0, 0],
+                         flag=[0, 0, 0], chip_id=["a", "b", "c"])
+        assert ds.r_ohm.tolist() == [6.0, 7.0, 5.0]
         assert ds.chip_id.tolist() == ["b", "c", "a"]
 
     @pytest.mark.parametrize("over", [
@@ -220,11 +221,7 @@ class TestColumns:
                     r_ohm=[10.0, 11.0, 12.0, np.nan], env=[0, 0, 1, 3], flag=[0, 2, 0, 1])
         cols.update(over)
         with pytest.raises(ValidationError):
-            ChipDataset.from_columns(**cols, chip_id="c")
-
-    def test_unknown_env_label_rejected(self):
-        with pytest.raises(ValidationError):
-            ChipDataset(records=(MeasurementRecord("c", 0, 0.0, 1.0, env_label="mars"),))
+            ChipDataset(**cols, chip_id="c")
 
 
 FLOAT_FIELDS = ("r0_mean_ohm", "r0_cv", "a_mean", "a_sd", "log_tau_mean", "log_tau_sd",

@@ -9,7 +9,6 @@ from jjaging import (
     ChipDataset,
     IVSweep,
     InsufficientDataError,
-    MeasurementRecord,
     ParameterError,
     ParseError,
     ThermalAnneal,
@@ -22,6 +21,7 @@ from jjaging import (
     save_measurements,
 )
 from jjaging.dataio import MAX_JUNCTION_RANGE, FitReport, read_report, write_report
+from jjaging.ensemble import ENV_LABELS, FLAGS
 
 DAY = 86400.0
 
@@ -74,12 +74,17 @@ class TestIV:
 
 
 def small_dataset():
-    return ChipDataset(records=(
-        MeasurementRecord("c7", 0, 0.0, 10_000.0, env_label="ambient"),
-        MeasurementRecord("c7", 0, DAY, 11_000.0, env_label="ambient"),
-        MeasurementRecord("c7", 1, 0.0, None, env_label="ambient", flag="open"),
-        MeasurementRecord("c7", 2, 0.0, 9_800.0, env_label="glovebox", flag="excluded"),
-    ))
+    amb, glove = ENV_LABELS.index("ambient"), ENV_LABELS.index("glovebox")
+    return ChipDataset(
+        junction_id=[0, 0, 1, 2], t_s=[0.0, DAY, 0.0, 0.0],
+        r_ohm=[10_000.0, 11_000.0, np.nan, 9_800.0], env=[amb, amb, amb, glove],
+        flag=[FLAGS.index(f) for f in ("ok", "ok", "open", "excluded")], chip_id="c7",
+    )
+
+
+def columns(ds):
+    return (ds.chip_id.tolist(), ds.junction_id.tolist(), ds.t_s.tobytes(),
+            ds.r_ohm.tobytes(), ds.env.tolist(), ds.flag.tolist())
 
 
 class TestMeasurementCSV:
@@ -88,7 +93,7 @@ class TestMeasurementCSV:
         path = tmp_path / "m.csv"
         save_measurements(ds, path)
         back = load_measurements(path)
-        assert back.records == ds.records
+        assert columns(back) == columns(ds)
 
     def test_write_is_byte_stable(self, tmp_path):
         ds = small_dataset()
@@ -102,7 +107,7 @@ class TestMeasurementCSV:
         path = tmp_path / "empty.csv"
         path.write_text("chip_id,junction_id,t_seconds,resistance_ohms,environment,flag\n")
         ds = load_measurements(path)
-        assert ds.records == ()
+        assert len(ds) == 0
 
     def test_huge_resistance_flagged_open(self, tmp_path):
         path = tmp_path / "open.csv"
@@ -112,7 +117,8 @@ class TestMeasurementCSV:
             "c,1,0.0,inf,ambient,\n"
         )
         ds = load_measurements(path)
-        assert all(r.flag == "open" and r.r_ohm is None for r in ds.records)
+        assert ds.flag.tolist() == [FLAGS.index("open")] * 2
+        assert np.isnan(ds.r_ohm).all()
 
     def test_out_of_order_rows_sorted(self, tmp_path):
         path = tmp_path / "ooo.csv"
@@ -122,7 +128,7 @@ class TestMeasurementCSV:
             "c,0,0,10000,ambient,ok\n"
         )
         ds = load_measurements(path)
-        assert [r.t_s for r in ds.records] == [0.0, 86400.0]
+        assert ds.t_s.tolist() == [0.0, 86400.0]
 
     def test_malformed_rows_reported_with_line_numbers(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -187,7 +193,7 @@ class TestMeasurementCSV:
             "c,0,0.0,10000,ambient,\n"
         )
         ds = load_measurements(path)
-        assert ds.records[0].flag == "ok"
+        assert ds.flag.tolist() == [FLAGS.index("ok")]
 
 
 class TestScheduleFile:

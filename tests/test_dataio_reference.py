@@ -62,7 +62,7 @@ def datasets(draw):
         cols["env"].append(draw(st.integers(0, len(ENV_LABELS) - 1)))
         cols["flag"].append(flag)
         cols["chip_id"].append(draw(st.sampled_from(ids)))
-    return ChipDataset.from_columns(**cols)
+    return ChipDataset(**cols)
 
 
 def columns(ds: ChipDataset):
@@ -103,13 +103,13 @@ def test_writer_bytes_equal_reference(tmp_path, ds):
 
 def test_writer_quotes_chip_ids_as_csv_does(tmp_path):
     path = tmp_path / "q.csv"
-    save_measurements(ChipDataset.from_columns([0], [0.0], [1.0], [0], [0], 'a,"b'), path)
+    save_measurements(ChipDataset([0], [0.0], [1.0], [0], [0], 'a,"b'), path)
     assert path.read_text().splitlines()[1] == '"a,""b",0,0.0,1.0,ambient,ok'
 
 
 def test_chip_id_with_bare_carriage_return_is_quoted_and_reads_back(tmp_path):
     path = tmp_path / "cr.csv"
-    ds = ChipDataset.from_columns([0, 1], [0.0, 60.0], [1.0, 2.0], [0, 0], [0, 0], "a\rb")
+    ds = ChipDataset([0, 1], [0.0, 60.0], [1.0, 2.0], [0, 0], [0, 0], "a\rb")
     save_measurements(ds, path)
     assert path.read_bytes().split(b"\n")[1] == b'"a\rb",0,0.0,1.0,ambient,ok'
     assert columns(load_measurements(path)) == columns(ds)
@@ -308,7 +308,7 @@ def loadable_datasets(draw):
     flags = [draw(st.integers(0, len(FLAGS) - 1)) for _ in keys]
     r = [math.nan if f == FLAG_OPEN else draw(st.floats(1e-6, 1e6)) for f in flags]
     env = [draw(st.integers(0, len(ENV_LABELS) - 1)) for _ in keys]
-    return ChipDataset.from_columns([j for j, _ in keys], [t for _, t in keys], r, env,
+    return ChipDataset([j for j, _ in keys], [t for _, t in keys], r, env,
                                     flags, chip)
 
 

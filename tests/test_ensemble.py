@@ -21,6 +21,7 @@ from jjaging import (
     eval_single_log,
     simulate_chip,
 )
+from jjaging.ensemble import FLAGS
 
 DAY = 86400.0
 
@@ -113,9 +114,8 @@ class TestSimulateChip:
         samples = np.linspace(0, 56 * DAY, 15)
         ds = simulate_chip(chip, StorageSchedule.single(AMBIENT), [], samples, cfg, seed=0)
         ref = 22_800.0 * eval_single_log(AgingParams(a=0.21, tau_s=1.2e4, b=1.01), samples)
-        for j in ds.junction_ids():
-            rs = [r.r_ohm for r in ds.for_junction(j)]
-            np.testing.assert_allclose(rs, ref, rtol=1e-12)
+        for _, lo, hi in ds.junction_rows():
+            np.testing.assert_allclose(ds.r_ohm[lo:hi], ref, rtol=1e-12)
 
     def test_voltage_anneal_on_half_leaves_rest_unperturbed(self):
         spec = flat_spec(n_junctions=8)
@@ -125,14 +125,9 @@ class TestSimulateChip:
         samples = [0.0, 29 * DAY, 31 * DAY]
         ds = simulate_chip(chip, StorageSchedule.single(AMBIENT), ev, samples, cfg, seed=0)
         baseline = simulate_chip(chip, StorageSchedule.single(AMBIENT), [], samples, cfg, seed=0)
-        for j in range(4, 8):
-            got = [r.r_ohm for r in ds.for_junction(j)]
-            want = [r.r_ohm for r in baseline.for_junction(j)]
-            assert got == want
-        for j in range(0, 4):
-            before = ds.for_junction(j)[1].r_ohm
-            after = ds.for_junction(j)[2].r_ohm
-            assert after / before > 1.10
+        r, r_base = ds.r_ohm.reshape(8, 3), baseline.r_ohm.reshape(8, 3)
+        assert r[4:].tolist() == r_base[4:].tolist()
+        assert (r[:4, 2] / r[:4, 1] > 1.10).all()
 
     def test_open_junctions_flagged_without_resistance(self):
         spec = flat_spec(open_prob=0.5, n_junctions=20)
@@ -141,9 +136,9 @@ class TestSimulateChip:
         ds = simulate_chip(chip, StorageSchedule.single(AMBIENT), [], [0.0, DAY], cfg, seed=0)
         open_ids = [j for j, (_, o) in enumerate(chip) if o]
         assert open_ids, "seed should produce some open junctions"
-        for j in open_ids:
-            for rec in ds.for_junction(j):
-                assert rec.flag == "open" and rec.r_ohm is None
+        rows = np.isin(ds.junction_id, open_ids)
+        assert (ds.flag[rows] == FLAGS.index("open")).all()
+        assert np.isnan(ds.r_ohm[rows]).all()
 
     def test_mean_amplitude_round_trip(self):
         # Heterogeneous chip: refitting the mean curve lands near the mean amplitude.
@@ -169,13 +164,9 @@ class TestCoefficientOfVariation:
         # sample sd of [9, 11] is sqrt(2); cv = sqrt(2)/10
         assert coefficient_of_variation([9.0, 11.0]) == pytest.approx(math.sqrt(2) / 10)
 
-    def test_open_record_excluded(self):
-        recs = [
-            MeasurementRecord("c", 0, 0.0, 9.0),
-            MeasurementRecord("c", 1, 0.0, 11.0),
-            MeasurementRecord("c", 2, 0.0, None, flag="open"),
-        ]
-        assert coefficient_of_variation(recs) == coefficient_of_variation([9.0, 11.0])
+    def test_none_and_nan_excluded(self):
+        values = [9.0, None, 11.0, math.nan]
+        assert coefficient_of_variation(values) == coefficient_of_variation([9.0, 11.0])
 
     def test_insufficient(self):
         with pytest.raises(InsufficientDataError):
@@ -184,9 +175,8 @@ class TestCoefficientOfVariation:
 
 class TestAggregateSeries:
     def _ds(self, rows):
-        return ChipDataset(records=tuple(
-            MeasurementRecord("c", j, t, r) for j, t, r in rows
-        ))
+        j, t, r = zip(*rows)
+        return ChipDataset(j, t, r, env=[0] * len(rows), flag=[0] * len(rows), chip_id="c")
 
     def test_single_junction_flagged_n1(self):
         ds = self._ds([(0, 0.0, 10.0), (0, DAY, 11.0)])
@@ -212,7 +202,8 @@ class TestAggregateSeries:
         assert a1 == a2
 
     def test_empty_dataset_rejected(self):
-        ds = ChipDataset(records=(MeasurementRecord("c", 0, 0.0, None, flag="open"),))
+        ds = ChipDataset([0], [0.0], [np.nan], env=[0], flag=[FLAGS.index("open")],
+                         chip_id="c")
         with pytest.raises(InsufficientDataError):
             aggregate_series(ds)
 
@@ -226,10 +217,7 @@ class TestRecordValidation:
             MeasurementRecord("c", 0, 0.0, -5.0)
 
     def test_dataset_sorted_on_construction(self):
-        ds = ChipDataset(records=(
-            MeasurementRecord("c", 1, 5.0, 10.0),
-            MeasurementRecord("c", 0, 9.0, 10.0),
-            MeasurementRecord("c", 0, 1.0, 10.0),
-        ))
-        keys = [(r.junction_id, r.t_s) for r in ds.records]
+        ds = ChipDataset([1, 0, 0], [5.0, 9.0, 1.0], [10.0] * 3, env=[0] * 3, flag=[0] * 3,
+                         chip_id="c")
+        keys = list(zip(ds.junction_id.tolist(), ds.t_s.tolist()))
         assert keys == sorted(keys)

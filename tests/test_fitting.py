@@ -11,7 +11,6 @@ from jjaging import (
     ChipDataset,
     FitOptions,
     InsufficientDataError,
-    MeasurementRecord,
     TwoLogParams,
     ValidationError,
     effective_tau,
@@ -23,6 +22,7 @@ from jjaging import (
     grid_search_oracle,
     parameter_histogram,
 )
+from jjaging.ensemble import ENV_LABELS, FLAGS
 from jjaging.fitting import _single_log_rj, _solve, _two_log_rj
 
 DAY = 86400.0
@@ -82,12 +82,8 @@ class TestSingleLogFit:
         # Scaling every resistance by a constant and renormalizing by the new
         # earliest value leaves the fractional-fit parameters unchanged.
         ds1 = synthetic_dataset(n_junctions=3)
-        scaled = ChipDataset(records=tuple(
-            MeasurementRecord(r.chip_id, r.junction_id, r.t_s,
-                              None if r.r_ohm is None else 3.7 * r.r_ohm,
-                              r.env_label, r.flag)
-            for r in ds1.records
-        ))
+        scaled = ChipDataset(ds1.junction_id, ds1.t_s, 3.7 * ds1.r_ohm, ds1.env, ds1.flag,
+                             ds1.chip_id)
         out1, out2 = fit_chip(ds1), fit_chip(scaled)
         assert out2.average.params.a == pytest.approx(out1.average.params.a, abs=1e-10)
         assert out2.average.params.tau_s == pytest.approx(out1.average.params.tau_s, rel=1e-10)
@@ -337,16 +333,16 @@ class TestHistogram:
 
 def synthetic_dataset(n_junctions=6, p=CHIP1, r0=22_800.0, open_ids=(), n_times=12):
     t = np.logspace(3, np.log10(56 * DAY), n_times)
-    recs = []
-    for j in range(n_junctions):
-        for tt in t:
-            if j in open_ids:
-                recs.append(MeasurementRecord("sync", j, float(tt), None, flag="open"))
-            else:
-                recs.append(MeasurementRecord(
-                    "sync", j, float(tt), float(r0 * eval_single_log(p, tt))
-                ))
-    return ChipDataset(records=tuple(recs))
+    curve = [float(r0 * eval_single_log(p, tt)) for tt in t]
+    is_open = np.isin(np.arange(n_junctions), open_ids)
+    return ChipDataset(
+        junction_id=np.repeat(np.arange(n_junctions), n_times),
+        t_s=np.tile(t, n_junctions),
+        r_ohm=np.where(is_open[:, None], np.nan, curve).ravel(),
+        env=np.full(n_junctions * n_times, ENV_LABELS.index("unknown")),
+        flag=np.repeat(np.where(is_open, FLAGS.index("open"), FLAGS.index("ok")), n_times),
+        chip_id="sync",
+    )
 
 
 class TestFitChip:

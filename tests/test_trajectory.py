@@ -106,14 +106,14 @@ class TestSingleEnvironment:
         samples = np.linspace(0, 56 * DAY, 57)
         traj = simulate_trajectory(StorageSchedule.single(AMBIENT), [], cfg, 22_800.0, samples)
         ref = 22_800.0 * eval_single_log(AgingParams(a=0.21, tau_s=1.2e4, b=1.0), samples)
-        np.testing.assert_allclose([r for _, r in traj], ref, rtol=1e-12)
+        np.testing.assert_allclose(traj, ref, rtol=1e-12)
 
     def test_within_half_percent_of_fitted_curve_with_offset(self):
         cfg = chip1_cfg()
         samples = np.linspace(0, 56 * DAY, 113)
         traj = simulate_trajectory(StorageSchedule.single(AMBIENT), [], cfg, 22_800.0, samples)
         ref = 22_800.0 * eval_single_log(AgingParams(a=0.21, tau_s=1.2e4, b=1.01), samples)
-        rel = np.abs(np.array([r for _, r in traj]) / ref - 1)
+        rel = np.abs(traj / ref - 1)
         assert rel.max() < 5e-3
 
     def test_validation_errors(self):
@@ -153,9 +153,23 @@ class TestSingleEnvironment:
         with pytest.raises(ValidationError, match="finite and >= 0"):
             simulate_trajectory(StorageSchedule.single(AMBIENT), [], chip1_cfg(), 1.0, times)
 
+    def test_returns_float_resistances_aligned_with_samples(self):
+        sched, cfg = StorageSchedule.single(AMBIENT), chip1_cfg()
+        r = simulate_trajectory(sched, [], cfg, 5.0, [0.0, DAY, 3 * DAY])
+        assert isinstance(r, np.ndarray) and r.dtype == np.float64 and r.shape == (3,)
+        # The bound starts at y = a ln(b) = 0; each entry is its own time's value.
+        assert r[0] == 5.0
+        assert r[2] == simulate_trajectory(sched, [], cfg, 5.0, [3 * DAY])[0] > r[1] > 5.0
+
     def test_no_sample_times_give_no_samples(self):
         assert simulate_trajectory(StorageSchedule.single(AMBIENT), [], chip1_cfg(), 1.0,
-                                   []) == []
+                                   []).shape == (0,)
+
+    @pytest.mark.parametrize("r0", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_initial_resistance_must_be_finite_and_positive(self, r0):
+        with pytest.raises(ParameterError, match="r0_ohm must be finite and > 0"):
+            simulate_trajectory(StorageSchedule.single(AMBIENT), [], chip1_cfg(), r0,
+                                [0.0, DAY])
 
     def test_start_below_minus_one_rejected(self):
         # y(0) = a ln(b) = 0.5 ln(0.1) < -1.
@@ -172,8 +186,7 @@ class TestSwapDynamics:
         cfg = chip1_cfg(relax_gas_to_gas_s=300.0)
         sched = StorageSchedule(segments=((0.0, AMBIENT), (4 * DAY, GLOVEBOX)))
         samples = 4 * DAY + 60.0 * np.arange(31)
-        traj = simulate_trajectory(sched, [], cfg, 1000.0, samples)
-        y = np.array([r for _, r in traj]) / 1000.0 - 1.0
+        y = simulate_trajectory(sched, [], cfg, 1000.0, samples) / 1000.0 - 1.0
         y_gb = 0.21 * np.log(samples / 4.3e4 + 1.0)
         gap = y - y_gb
         assert np.all(gap > 0)
@@ -188,8 +201,8 @@ class TestSwapDynamics:
         daily = np.arange(0.0, 21 * DAY, DAY)
         rng = np.random.default_rng(3)
         dense = np.sort(np.concatenate([daily, rng.uniform(0.0, 21 * DAY, 200)]))
-        coarse = dict(simulate_trajectory(sched, ev, cfg, 9e3, daily, seed=5))
-        fine = dict(simulate_trajectory(sched, ev, cfg, 9e3, dense, seed=5))
+        coarse = dict(zip(daily, simulate_trajectory(sched, ev, cfg, 9e3, daily, seed=5)))
+        fine = dict(zip(dense, simulate_trajectory(sched, ev, cfg, 9e3, dense, seed=5)))
         for t, r in coarse.items():
             assert fine[t] == pytest.approx(r, rel=1e-12)
 
@@ -197,8 +210,7 @@ class TestSwapDynamics:
         cfg = chip1_cfg(fab_a=0.05)
         sched = StorageSchedule(segments=((0.0, AMBIENT), (4 * DAY, GLOVEBOX)))
         samples = np.arange(4 * DAY, 6 * DAY, 0.1 * DAY)
-        traj = simulate_trajectory(sched, [], cfg, 1.0, samples)
-        rs = np.array([r for _, r in traj])
+        rs = simulate_trajectory(sched, [], cfg, 1.0, samples)
         first_incr = np.diff(rs)[:5]
         assert np.all(first_incr < 0), "expected an initial resistance decrease"
         # and the transient flattens: late increments are small and positive
@@ -210,17 +222,16 @@ class TestSwapDynamics:
         sched = StorageSchedule(segments=((0.0, GLOVEBOX), (4 * DAY, AMBIENT)))
         samples = [3.5 * DAY, 4 * DAY, 4.5 * DAY, 5 * DAY]
         traj = simulate_trajectory(sched, [], cfg, 1.0, samples)
-        before = traj[1][1] - traj[0][1]
-        after = traj[3][1] - traj[2][1]
+        before = traj[1] - traj[0]
+        after = traj[3] - traj[2]
         assert after > before
 
     def test_vacuum_exit_rapid_relaxation(self):
         cfg = chip1_cfg(fab_a=0.12)
         sched = StorageSchedule(segments=((0.0, VACUUM), (7 * DAY, GLOVEBOX)))
         samples = np.arange(7 * DAY, 9 * DAY, 0.05 * DAY)
-        traj = simulate_trajectory(sched, [], cfg, 1.0, samples)
+        y = simulate_trajectory(sched, [], cfg, 1.0, samples) - 1.0
         gb = eval_single_log(AgingParams(a=0.12, tau_s=4.3e4, b=1.0), samples) - 1.0
-        y = np.array([r for _, r in traj]) - 1.0
         rel = np.abs(y - gb) / gb
         hit = samples[rel <= 0.10]
         assert hit.size and hit[0] - 7 * DAY < 1 * DAY
@@ -246,9 +257,9 @@ class TestSwapDynamics:
         samples = np.linspace(0, 30 * DAY, 61)
         t1 = simulate_trajectory(sched, ev, cfg, 9e3, samples, seed=42)
         t2 = simulate_trajectory(sched, ev, cfg, 9e3, samples, seed=42)
-        assert t1 == t2
+        assert t1.tobytes() == t2.tobytes()
         t3 = simulate_trajectory(sched, ev, cfg, 9e3, samples, seed=43)
-        assert t3 != t1
+        assert t3.tobytes() != t1.tobytes()
 
 
 class TestVoltageAnneal:
@@ -391,9 +402,9 @@ class TestResume:
         cfg = chip1_cfg(fab_a=0.05)
         sched = StorageSchedule(segments=((0.0, AMBIENT), (4 * DAY, GLOVEBOX)))
         full = simulate_trajectory(sched, [], cfg, 1.0, [2 * DAY, 6 * DAY])
-        y2 = full[0][1] - 1.0
+        y2 = full[0] - 1.0
         y6 = resume_trajectory(y2, 2 * DAY, sched, cfg, 6 * DAY)
-        assert y6 == pytest.approx(full[1][1] - 1.0, rel=1e-12)
+        assert y6 == pytest.approx(full[1] - 1.0, rel=1e-12)
 
 
 class TestPropagate:
