@@ -47,7 +47,6 @@ from .trajectory import (
     apply_voltage_anneal,
     bound_curve,
     propagate,
-    resume_trajectory,
     simulate_trajectory,
 )
 from .ensemble import (

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -65,10 +66,8 @@ from .trajectory import (
     ThermalAnneal,
     TrajectoryState,
     VoltageAnneal,
-    apply_thermal_anneal,
-    apply_voltage_anneal,
-    propagate,
-    resume_trajectory,
+    _in_force,
+    _run_from,
 )
 
 
@@ -241,6 +240,9 @@ def _params_from_report(report: FitReport) -> AgingParams:
 
 
 def cmd_predict(args) -> int:
+    for flag, days in (("--target-days", args.target_days), ("--from-days", args.from_days)):
+        if days is not None and not (math.isfinite(days) and days >= 0):
+            raise ValidationError(f"{flag} must be finite and >= 0, got {days}")
     if args.report:
         report = read_report(args.report)
         params = _params_from_report(report)
@@ -256,8 +258,6 @@ def cmd_predict(args) -> int:
     else:
         raise ValidationError("predict needs --report or --preset")
 
-    if args.target_days is None:
-        raise ValidationError("--target-days is required")
     if args.target_days <= from_days:
         raise ValidationError(
             f"target day {args.target_days} is not after the last measurement "
@@ -281,10 +281,13 @@ def cmd_predict(args) -> int:
         tau_scale=params.tau_s / cfg.env_tau_s[anchor.kind],
     )
     y_from = float(eval_single_log(params, t_from)) - 1.0
-    y_end = resume_trajectory(y_from, t_from, schedule, cfg, t_target, profile)
+    env, relax, swaps = _in_force(schedule, cfg, t_from)
+    swaps = [sw for sw in swaps if sw[0] < t_target]
+    r_pred = float(_run_from(TrajectoryState(t_s=t_from, y_env=y_from), env, relax, swaps,
+                             None, np.array([t_target]), [0] * len(swaps), params.r0_ohm,
+                             profile, cfg)[0])
 
     r_from = params.r0_ohm * (1.0 + y_from)
-    r_pred = params.r0_ohm * (1.0 + y_end)
     dr_over_r = r_pred / r_from - 1.0
     constants = PhysicalConstants(
         gap_delta_J=args.delta_uev * 1e-6 * 1.602176634e-19
@@ -331,35 +334,31 @@ def cmd_anneal(args) -> int:
 
     tau_amb = cfg.env_tau_s[EnvironmentKind.AMBIENT]
     ok = ds.flag == FLAG_OK
-    junctions = {}
+    usable, first, last = [], [], []   # junctions with usable rows; their first and last
     t_rows = 0.0   # latest row of any usable junction, whatever its flag
     for j, lo, hi in ds.junction_rows():
         rows = lo + np.flatnonzero(ok[lo:hi])
         if not rows.size:
             continue
-        r0 = float(ds.r_ohm[rows[0]])
-        t_last, r_last = float(ds.t_s[rows[-1]]), float(ds.r_ohm[rows[-1]])
-        y0 = r_last / r0 - 1.0
-        # Each junction continues its own aging trend during session waits:
-        # amplitude inferred from its current state, state placed on that
-        # curve so waits add pure (strictly positive) aging increments.
-        a_eff = (
-            max(y0, 0.0) / math.log(t_last / tau_amb + 1.0) if t_last > 0 else 0.0
-        )
-        junctions[j] = {
-            "r0": r0,
-            "curve": JunctionProfile(a=a_eff, b=1.0),
-            "state": TrajectoryState(t_s=t_last, y_env=y0),
-            "last_r": r_last,
-        }
+        if ds.t_s[rows[0]] > 0:
+            # The floor is the initial-time resistance, which a later row
+            # overstates.
+            raise ValidationError(
+                f"junction {j}'s first usable row is at day {ds.t_s[rows[0]] / DAY_S:g}, "
+                f"not at t = 0, so its initial-time resistance is unknown"
+            )
+        usable.append(j)
+        first.append(rows[0])
+        last.append(rows[-1])
         t_rows = max(t_rows, float(ds.t_s[hi - 1]))
-    if not junctions:
+    if not usable:
         raise ValidationError("dataset has no usable junctions")
+    r0, t_last, r_last = ds.r_ohm[first], ds.t_s[last], ds.r_ohm[last]
 
     # Each step records every junction once, at ev.t_s plus the oven hold.
     # A step may not start before the previous measurement, and its record
     # must come strictly after every row the junction already has.
-    t_prev = max(info["state"].t_s for info in junctions.values())
+    t_prev = float(t_last.max())
     t_meas_of = []
     for ev in events:
         hold_s = ev.kind.hold_min * 60.0 if isinstance(ev.kind, ThermalAnneal) else 0.0
@@ -377,48 +376,49 @@ def cmd_anneal(args) -> int:
         t_prev = t_rows = t_meas
         t_meas_of.append(t_meas)
 
-    chip_id = ds.chip_id[0]
-    new_j: list[int] = []
-    new_t: list[float] = []
-    new_r: list[float] = []
+    # Row i of ``r_hist`` is junction usable[i]'s last measured resistance
+    # followed by its record of each step.  Step k's record comes after
+    # event k and before event k + 1, so the cut of event k is sample k.
+    t_meas = np.array(t_meas_of, dtype=float)
+    r_hist = np.empty((len(usable), len(events) + 1))
+    r_hist[:, 0] = r_last
+    for i, (j, r0_j, t_j, r_j) in enumerate(zip(usable, r0.tolist(), t_last.tolist(),
+                                                 r_last.tolist())):
+        y0 = r_j / r0_j - 1.0
+        # Each junction continues its own aging trend during session waits:
+        # amplitude inferred from its current state, state placed on that
+        # curve so waits add pure (strictly positive) aging increments.
+        a_eff = max(y0, 0.0) / math.log(t_j / tau_amb + 1.0) if t_j > 0 else 0.0
+        steps_j = [k for k, ev in enumerate(events)
+                   if ev.junction_ids is None or j in ev.junction_ids]
+        r_hist[i, 1:] = _run_from(
+            TrajectoryState(t_s=t_j, y_env=y0), AMBIENT, cfg.relax_gas_to_gas_s,
+            [(events[k].t_s, (k, events[k])) for k in steps_j],
+            partial(_junction_seed, seed, j), t_meas, steps_j, r0_j,
+            JunctionProfile(a=a_eff, b=1.0), cfg,
+        )
+    min_r_over_r0 = float((r_hist / r0[:, None]).min())
+    changes = r_hist[:, 1:] / r_hist[:, :-1] - 1.0
     steps = []
-    min_r_over_r0 = min(
-        info["last_r"] / info["r0"] for info in junctions.values()
-    )
-    for k, (ev, t_meas) in enumerate(zip(events, t_meas_of)):
-        changes = []
-        for j, info in junctions.items():
-            state = propagate(info["state"], ev.t_s, AMBIENT, cfg.relax_gas_to_gas_s,
-                              info["curve"], cfg)
-            if ev.junction_ids is None or j in ev.junction_ids:
-                if isinstance(ev.kind, ThermalAnneal):
-                    state = apply_thermal_anneal(state, ev, cfg)
-                else:
-                    state = apply_voltage_anneal(state, ev, cfg, _junction_seed(seed, j, k))
-            state = propagate(state, t_meas, AMBIENT, cfg.relax_gas_to_gas_s, info["curve"], cfg)
-            r_now = info["r0"] * (1.0 + state.y)
-            changes.append(r_now / info["last_r"] - 1.0)
-            min_r_over_r0 = min(min_r_over_r0, r_now / info["r0"])
-            info["state"] = state
-            info["last_r"] = r_now
-            new_j.append(j)
-            new_t.append(t_meas)
-            new_r.append(r_now)
+    for k, ev in enumerate(events):
         kind_name = "thermal" if isinstance(ev.kind, ThermalAnneal) else "voltage"
+        mean_change = np.mean(changes[:, k])
         steps.append({
             "step": k + 1,
             "t_days": ev.t_s / DAY_S,
             "kind": kind_name,
-            "mean_fractional_change": float(np.mean(changes)),
+            "mean_fractional_change": float(mean_change),
         })
         print(f"step {k + 1} ({kind_name} @ day {ev.t_s / DAY_S:g}): "
-              f"mean change {np.mean(changes) * 100:+.3f}%")
+              f"mean change {mean_change * 100:+.3f}%")
 
-    n_new = len(new_t)
+    chip_id = ds.chip_id[0]
+    n_new = r_hist[:, 1:].size
     out_ds = ChipDataset(
-        junction_id=np.concatenate([ds.junction_id, np.array(new_j, dtype=np.int64)]),
-        t_s=np.concatenate([ds.t_s, np.array(new_t, dtype=float)]),
-        r_ohm=np.concatenate([ds.r_ohm, np.array(new_r, dtype=float)]),
+        junction_id=np.concatenate([ds.junction_id,
+                                    np.repeat(np.array(usable, np.int64), len(events))]),
+        t_s=np.concatenate([ds.t_s, np.tile(t_meas, len(usable))]),
+        r_ohm=np.concatenate([ds.r_ohm, r_hist[:, 1:].ravel()]),
         env=np.concatenate([ds.env, np.full(n_new, ENV_LABELS.index("ambient"), np.int8)]),
         flag=np.concatenate([ds.flag, np.full(n_new, FLAG_OK, np.int8)]),
         chip_id=[*ds.chip_id.tolist(), *[chip_id] * n_new],

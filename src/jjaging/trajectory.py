@@ -32,16 +32,19 @@ and a junction on its bound (gap exactly 0.0) reproduces the closed form
 bit for bit.  Relaxation times only need to be finite and > 0: the gap
 decays monotonically for any of them.
 
-``simulate_trajectory`` cuts the sample times into *storage pieces* at the
-breakpoints, the schedule swaps and anneal events.  Within a piece the
-environment and the anneal channel are fixed, so all its samples come from
-one numpy expression of the map above, taken from the piece's start ``s``:
+One engine, ``_run_from``, advances a junction from a start state.  It cuts
+the sample times into *storage pieces* at the breakpoints, the schedule
+swaps and anneal events.  Within a piece the environment and the anneal
+channel are fixed, so all its samples come from one numpy expression of the
+map above, taken from the piece's start ``s``:
 
     y(t) = a ln(t / tau + b) + gap * exp(-(t - s) / T_relax)
 
 times the anneal gain and post-anneal drift.  Only the states at the
-breakpoints are advanced, by the same scalar map.  The first piece starts
-on the bound, where the gap is exactly 0.0, so it is the closed form.
+breakpoints are advanced, by the same scalar map.  ``simulate_trajectory``
+starts it at t = 0 on the bound, where the gap is exactly 0.0, so its first
+piece is the closed form; the CLI's ``predict`` starts it from a fitted
+state and ``anneal`` from each junction's last measured state.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -68,7 +72,6 @@ __all__ = [
     "bound_curve",
     "propagate",
     "simulate_trajectory",
-    "resume_trajectory",
     "apply_voltage_anneal",
     "apply_thermal_anneal",
 ]
@@ -102,8 +105,10 @@ class StorageSchedule:
     def environment_at(self, t_s: float) -> Environment:
         """The environment of the last segment starting at or before ``t_s``;
         the first segment's for t_s < 0 and for NaN."""
-        k = bisect_right(self._starts, t_s) - 1 if t_s >= 0.0 else 0
-        return self.segments[k][1]
+        return self.segments[self._index_at(t_s)][1]
+
+    def _index_at(self, t_s: float) -> int:
+        return bisect_right(self._starts, t_s) - 1 if t_s >= 0.0 else 0
 
 
 @dataclass(frozen=True)
@@ -385,34 +390,6 @@ def apply_thermal_anneal(
     return replace(state, anneal_gain=gain)
 
 
-def resume_trajectory(
-    y_start: float,
-    t_start_s: float,
-    schedule: StorageSchedule,
-    cfg: SimConfig,
-    t_end_s: float,
-    profile: JunctionProfile | None = None,
-) -> float:
-    """Advance fractional aging from (t_start, y_start) to t_end, no events.
-
-    Used for forward prediction from a fitted state; a state lying on the
-    active bound continues along it exactly.
-    """
-    if t_end_s < t_start_s:
-        raise ValidationError("t_end_s must be >= t_start_s")
-    prof = profile or JunctionProfile(a=cfg.fab_a)
-    state = TrajectoryState(t_s=t_start_s, y_env=y_start)
-    env = schedule.environment_at(t_start_s)
-    relax = cfg.relax_gas_to_gas_s
-    for start, nxt in schedule.segments:
-        if start <= t_start_s or start >= t_end_s:
-            continue
-        state = propagate(state, start, env, relax, prof, cfg)
-        relax = cfg.relax_time_s(env, nxt)
-        env = nxt
-    return propagate(state, t_end_s, env, relax, prof, cfg).y_env
-
-
 def _check_seed(seed) -> None:
     """Seeds feed ``np.random.SeedSequence``, which takes only integers >= 0."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -489,8 +466,56 @@ def _piece(
     return y
 
 
-# The anneal channel before any event: gain 1.0, no post-anneal drift.
-_INERT = TrajectoryState()
+def _in_force(schedule: StorageSchedule, cfg: SimConfig, t_s: float):
+    """The environment and relaxation time in force at ``t_s``, and the
+    schedule swaps after it.  The segment in force is the last one starting
+    at or before ``t_s``; its relaxation time is set by the swap into it,
+    and is gas-to-gas for the first segment."""
+    k = schedule._index_at(t_s)
+    env = schedule.segments[k][1]
+    relax = cfg.relax_time_s(schedule.segments[k - 1][1], env) if k else cfg.relax_gas_to_gas_s
+    return env, relax, schedule.segments[k + 1:]
+
+
+def _run_from(start: TrajectoryState, env: Environment, relax_s: float, breaks, event_seed,
+              t: np.ndarray, cuts, r0_ohm: float, profile: JunctionProfile,
+              cfg: SimConfig) -> np.ndarray:
+    """Resistances at sample times ``t`` of a junction that is in ``start``
+    under ``env``, relaxing with ``relax_s``, and then meets ``breaks``.
+
+    ``breaks`` are ``(time, payload)`` pairs in the order they apply, none
+    before ``start.t_s``.  A payload is the ``Environment`` a schedule swap
+    moves to, or ``(k, event)`` for an anneal event, whose voltage draw is
+    seeded by ``event_seed(k)``.  ``cuts[i]`` is the index of the first
+    (nondecreasing) sample that comes after breakpoint i.
+    """
+    a, b = profile.a, profile.b
+    tau = _tau(env, cfg, profile)
+    s, y_env = start.t_s, start.y_env
+    # ``anneal`` carries the anneal channel; it is rebuilt only when an
+    # event is applied.
+    anneal = start
+    r = np.empty(t.size)
+    lo = 0
+    for (t_bp, payload), stop in zip(breaks, cuts):
+        if stop > lo:
+            r[lo:stop] = _piece(t[lo:stop], r0_ohm, s, y_env, a, tau, b, relax_s, anneal)
+            lo = stop
+        y_env = _segment(y_env, s, t_bp, a, tau, b, relax_s)
+        s = t_bp
+        if isinstance(payload, Environment):
+            relax_s = cfg.relax_time_s(env, payload)
+            env = payload
+            tau = _tau(env, cfg, profile)
+        else:
+            k, ev = payload
+            state = replace(anneal, t_s=s, y_env=y_env)
+            if isinstance(ev.kind, VoltageAnneal):
+                anneal = apply_voltage_anneal(state, ev, cfg, event_seed(k))
+            else:
+                anneal = apply_thermal_anneal(state, ev, cfg)
+    r[lo:] = _piece(t[lo:], r0_ohm, s, y_env, a, tau, b, relax_s, anneal)
+    return r
 
 
 def simulate_trajectory(
@@ -506,10 +531,8 @@ def simulate_trajectory(
 
     Schedule swaps and events are breakpoints, ordered by time and, at equal
     times, swaps before events; samples at a breakpoint's time come after
-    it.  The breakpoints cut the sample times into storage pieces.  Only
-    the state at each breakpoint is advanced, by ``_segment``, and the
-    samples of a piece are evaluated together from the state at its start
-    (see ``_piece``).
+    it.  The breakpoints cut the sample times into storage pieces, which
+    ``_run_from`` evaluates from the t = 0 state.
 
     Parameters
     ----------
@@ -553,47 +576,18 @@ def simulate_trajectory(
         raise ValidationError("events must be sorted by time")
 
     prof = profile or JunctionProfile(a=cfg.fab_a)
-    taus = {env.kind: _tau(env, cfg, prof) for _, env in schedule.segments}
-    breaks = sorted(
-        [(start, 0, env) for start, env in schedule.segments[1:]]
-        + [(ev.t_s, 1, (k, ev)) for k, ev in enumerate(events)],
-        key=lambda item: (item[0], item[1]),
-    )
-    # The samples before breakpoint k's time, and at or after the time of
-    # the one before it, form piece k; ``stops[k]`` is one past its last.
-    stops = np.searchsorted(t, [bp[0] for bp in breaks]).tolist() if breaks else []
-
+    # An environment without a timescale is refused before any event runs.
+    for _, env in schedule.segments:
+        _tau(env, cfg, prof)
+    env, relax, breaks = _in_force(schedule, cfg, 0.0)
+    if events:
+        breaks = sorted(
+            [*breaks, *((ev.t_s, (k, ev)) for k, ev in enumerate(events))],
+            key=lambda bp: (bp[0], isinstance(bp[1], tuple)),
+        )
+    cuts = np.searchsorted(t, [bp[0] for bp in breaks]).tolist() if breaks else []
     # A junction with early-time offset b starts on its bound, slightly
-    # pre-aged: y(0) = a ln(b).  The current piece starts at time s with the
-    # environment component y_env; ``anneal`` carries the anneal channel
-    # and is rebuilt only when an event is applied.
-    a, b = prof.a, prof.b
-    y_env = a * math.log(b)
-    if y_env < -1.0:
-        raise ParameterError("fractional aging cannot go below -1")
-    anneal = _INERT
-    s = 0.0
-    env = schedule.segments[0][1]
-    tau = taus[env.kind]
-    relax = cfg.relax_gas_to_gas_s
-    r = np.empty(t.size)
-    lo = 0
-    for (t_bp, kind, payload), stop in zip(breaks, stops):
-        if stop > lo:
-            r[lo:stop] = _piece(t[lo:stop], r0_ohm, s, y_env, a, tau, b, relax, anneal)
-            lo = stop
-        y_env = _segment(y_env, s, t_bp, a, tau, b, relax)
-        s = t_bp
-        if kind == 0:
-            relax = cfg.relax_time_s(env, payload)
-            env = payload
-            tau = taus[env.kind]
-        else:
-            k, ev = payload
-            state = replace(anneal, t_s=s, y_env=y_env)
-            if isinstance(ev.kind, VoltageAnneal):
-                anneal = apply_voltage_anneal(state, ev, cfg, _event_seed(seed, k))
-            else:
-                anneal = apply_thermal_anneal(state, ev, cfg)
-    r[lo:] = _piece(t[lo:], r0_ohm, s, y_env, a, tau, b, relax, anneal)
-    return r
+    # pre-aged: y(0) = a ln(b).
+    start = TrajectoryState(y_env=prof.a * math.log(prof.b))
+    return _run_from(start, env, relax, breaks, partial(_event_seed, seed), t, cuts,
+                     r0_ohm, prof, cfg)

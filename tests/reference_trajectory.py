@@ -7,6 +7,11 @@ swaps, events and samples into one stream and advances the state from each
 action to the next with ``math.log``, so that tests can compare the two.
 It uses only the package's public API; the segment map and the event seed
 are restated here.
+
+``reference_resume_trajectory`` is the segment loop that ``predict`` used
+before it ran the trajectory engine from the fitted state.  It always
+resumes with the gas-to-gas relaxation time, so it agrees with ``predict``
+only when the segment in force at the start was not entered from vacuum.
 """
 
 import math
@@ -25,6 +30,7 @@ from jjaging.trajectory import (
     VoltageAnneal,
     apply_thermal_anneal,
     apply_voltage_anneal,
+    propagate,
 )
 
 
@@ -112,3 +118,27 @@ def reference_simulate_trajectory(
             gain = anneal.anneal_gain * anneal.drift_factor(t)
             out.append((t, r0_ohm * (1.0 + y_env) * gain))
     return out
+
+
+def reference_resume_trajectory(
+    y_start: float,
+    t_start_s: float,
+    schedule: StorageSchedule,
+    cfg: SimConfig,
+    t_end_s: float,
+    profile: JunctionProfile | None = None,
+) -> float:
+    """Advance fractional aging from (t_start, y_start) to t_end, no events."""
+    if t_end_s < t_start_s:
+        raise ValidationError("t_end_s must be >= t_start_s")
+    prof = profile or JunctionProfile(a=cfg.fab_a)
+    state = TrajectoryState(t_s=t_start_s, y_env=y_start)
+    env = schedule.environment_at(t_start_s)
+    relax = cfg.relax_gas_to_gas_s
+    for start, nxt in schedule.segments:
+        if start <= t_start_s or start >= t_end_s:
+            continue
+        state = propagate(state, start, env, relax, prof, cfg)
+        relax = cfg.relax_time_s(env, nxt)
+        env = nxt
+    return propagate(state, t_end_s, env, relax, prof, cfg).y_env

@@ -321,6 +321,33 @@ class TestPredict:
                    "--target-days", "40")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--target-days", "--from-days"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-5"])
+    def test_bad_days_exit_2(self, tmp_path, capsys, flag, value):
+        days = {"--from-days": "1", "--target-days": "10", flag: value}
+        out = tmp_path / "p.json"
+        code = run("predict", "--preset", "chip1", *(x for kv in days.items() for x in kv),
+                   "--out", str(out))
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resuming_at_a_vacuum_exit_is_continuous(self, tmp_path, capsys):
+        # Leaving vacuum at day 60 relaxes with the vacuum-to-gas time, also
+        # when the prediction starts at the swap or just after it.
+        sched = tmp_path / "exit.txt"
+        sched.write_text("0,vacuum\n60,ambient\n")
+        drift = {}
+        for from_days in ("59.9999", "60", "60.0001"):
+            out = tmp_path / f"{from_days}.json"
+            assert run("predict", "--preset", "chip4", "--schedule", str(sched),
+                       "--from-days", from_days, "--target-days", "61",
+                       "--out", str(out)) == 0
+            drift[from_days] = json.loads(out.read_text())["dr_over_r"]
+        assert drift["59.9999"] == pytest.approx(0.045, abs=5e-4)
+        assert drift["60"] == pytest.approx(drift["59.9999"], abs=1e-5)
+        assert drift["60.0001"] == pytest.approx(drift["59.9999"], abs=1e-5)
+
 
 OVEN_SEQUENCE = (
     "event,85.0,thermal,temp_c=200,env=glovebox,hold_min=10\n"
@@ -364,6 +391,25 @@ class TestAnneal:
                    "--out", str(out)) == 0
         info = json.loads(out.with_suffix(".steps.json").read_text())
         assert info["min_r_over_r0"] >= 1.0 - 1e-12
+
+    def test_first_row_after_t0_exits_2(self, tmp_path, capsys):
+        # Without its t = 0 row a junction's R0 is unknown; flooring at its
+        # first row would put the floor too high.
+        data = self._dataset(tmp_path, days="20")
+        lines = data.read_text().splitlines(keepends=True)
+        data.write_text(lines[0] + "".join(
+            row for row in lines[1:] if float(row.split(",")[2]) >= 2 * DAY))
+        events = tmp_path / "steps.txt"
+        events.write_text(
+            "event,20.5,thermal,temp_c=250,env=glovebox,hold_min=10\n"
+            "event,20.7,thermal,temp_c=250,env=glovebox,hold_min=10\n"
+            "event,20.9,thermal,temp_c=250,env=glovebox,hold_min=10\n"
+        )
+        out = tmp_path / "annealed.csv"
+        assert run("anneal", str(data), "--events", str(events), "--preset", "chip3",
+                   "--out", str(out)) == 2
+        assert "junction 0's first usable row is at day 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_event_list_is_identity(self, tmp_path, capsys):
         data = self._dataset(tmp_path, days="20")

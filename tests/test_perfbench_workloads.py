@@ -5,8 +5,10 @@ The workloads read the dataset API (``ds.records``, ``r.flag``,
 ``junction_ids()``) and the CLI; a change that breaks them would turn every
 benchmark operation into a failure.  The tracer counts samples, records and
 fits from spans of the public per-junction functions, so a kernel that
-bypasses them would read 0.  The full benchmark smoke test,
-``perfbench/test_smoke.py``, takes over a minute; this takes seconds.
+bypasses them would read 0, and it counts the anneal events applied from
+calls of ``apply_voltage_anneal`` and ``apply_thermal_anneal``.  The full
+benchmark smoke test, ``perfbench/test_smoke.py``, takes over a minute;
+this takes seconds.
 """
 
 import json
@@ -20,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
-from jjaging import load_measurements  # noqa: E402
+from jjaging import load_events, load_measurements, load_schedule  # noqa: E402
 from jjaging.ensemble import FLAGS  # noqa: E402
 
 FLAG_OPEN = FLAGS.index("open")
@@ -73,3 +75,12 @@ def test_traced_counts_of_cli_pipeline_op(tmp_path):
     assert m["trajectory.samples"] == int((ds.flag != FLAG_OPEN).sum())
     # The average curve plus one fit per usable junction.
     assert m["fitting.fits"] == 1 + len(report["per_junction"])
+    # Events go through the public apply functions: simulate's voltage
+    # event on the junctions it names that are not open, and every anneal
+    # step on every usable junction.
+    (ev,) = load_schedule(tmp_path / "chip1.schedule")[1]
+    not_open = set(ds.junction_id[ds.flag != FLAG_OPEN].tolist())
+    steps = load_events(tmp_path / "anneal_events.txt")
+    assert all(step.junction_ids is None for step in steps)
+    assert m["trajectory.events_applied"] == (
+        len(not_open & set(ev.junction_ids)) + len(steps) * len(not_open)) > 0

@@ -26,10 +26,10 @@ from jjaging import (
     bound_curve,
     eval_single_log,
     propagate,
-    resume_trajectory,
     simulate_trajectory,
 )
 from jjaging.model import EnvironmentKind
+from jjaging.trajectory import _in_force, _run_from
 
 DAY = 86400.0
 
@@ -389,22 +389,54 @@ class TestMeasurementExposure:
         assert c90 > c20 > 0
 
 
+def resume(y_from, t_from, schedule, cfg, t_to, prof):
+    """R/R0 - 1 at ``t_to`` of a junction in state ``y_from`` at ``t_from``,
+    advanced by the trajectory engine the way ``predict`` runs it."""
+    env, relax, swaps = _in_force(schedule, cfg, t_from)
+    swaps = [sw for sw in swaps if sw[0] < t_to]
+    r = _run_from(TrajectoryState(t_s=t_from, y_env=y_from), env, relax, swaps, None,
+                  np.array([t_to]), [0] * len(swaps), 1.0, prof, cfg)
+    return r[0] - 1.0
+
+
 class TestResume:
     def test_on_bound_continuation_matches_closed_form(self):
         cfg = chip1_cfg()
         p = AgingParams(a=0.21, tau_s=1.2e4, b=1.01)
         prof = JunctionProfile(a=p.a, b=p.b, tau_scale=1.0)
         y56 = float(eval_single_log(p, 56 * DAY)) - 1
-        y63 = resume_trajectory(y56, 56 * DAY, StorageSchedule.single(AMBIENT), cfg, 63 * DAY, prof)
+        y63 = resume(y56, 56 * DAY, StorageSchedule.single(AMBIENT), cfg, 63 * DAY, prof)
         assert y63 == pytest.approx(float(eval_single_log(p, 63 * DAY)) - 1, rel=1e-10)
 
     def test_crosses_swaps(self):
         cfg = chip1_cfg(fab_a=0.05)
         sched = StorageSchedule(segments=((0.0, AMBIENT), (4 * DAY, GLOVEBOX)))
         full = simulate_trajectory(sched, [], cfg, 1.0, [2 * DAY, 6 * DAY])
-        y2 = full[0] - 1.0
-        y6 = resume_trajectory(y2, 2 * DAY, sched, cfg, 6 * DAY)
+        y6 = resume(full[0] - 1.0, 2 * DAY, sched, cfg, 6 * DAY, JunctionProfile(a=0.05))
         assert y6 == pytest.approx(full[1] - 1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("t_from", [5 * DAY, 6 * DAY, 6.5 * DAY, 8 * DAY])
+    def test_resumes_in_the_segment_in_force(self, t_from):
+        # From a simulated state, resuming anywhere (a swap's own time
+        # included) continues the simulation: after a vacuum exit with the
+        # vacuum-to-gas relaxation time, not the gas-to-gas one.
+        cfg = chip1_cfg(fab_a=0.05)
+        sched = StorageSchedule(segments=((0.0, AMBIENT), (3 * DAY, VACUUM),
+                                          (6 * DAY, GLOVEBOX), (7 * DAY, AMBIENT)))
+        prof = JunctionProfile(a=0.05)
+        full = simulate_trajectory(sched, [], cfg, 1.0, [t_from, 10 * DAY])
+        y10 = resume(full[0] - 1.0, t_from, sched, cfg, 10 * DAY, prof)
+        assert y10 == pytest.approx(full[1] - 1.0, rel=1e-12)
+
+    def test_relaxation_in_force(self):
+        cfg = chip1_cfg()
+        sched = StorageSchedule(segments=((0.0, VACUUM), (2 * DAY, AMBIENT),
+                                          (4 * DAY, GLOVEBOX)))
+        assert _in_force(sched, cfg, 0.0) == (VACUUM, cfg.relax_gas_to_gas_s,
+                                              sched.segments[1:])
+        assert _in_force(sched, cfg, 2 * DAY) == (AMBIENT, cfg.relax_vacuum_to_gas_s,
+                                                  sched.segments[2:])
+        assert _in_force(sched, cfg, 5 * DAY) == (GLOVEBOX, cfg.relax_gas_to_gas_s, ())
 
 
 class TestPropagate:
