@@ -32,9 +32,10 @@ from .dataio import (
     write_report,
     TOOL_VERSION,
     _not_utf8,
+    _write_json,
 )
 from .ensemble import (
-    ENV_LABELS,
+    _ENV_CODE,
     FLAG_OK,
     ChipDataset,
     ChipSpec,
@@ -180,8 +181,7 @@ def cmd_simulate(args) -> int:
         "tool_version": TOOL_VERSION,
     }
     summary_path = Path(args.out).with_suffix(".summary.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    _write_json(summary, summary_path)
     print(
         f"simulated {spec.n_junctions} junctions to day {t_f / DAY_S:g}: "
         f"mean R = {mean_f:.1f} ohm, CV = {cv_f if not math.isnan(cv_f) else float('nan'):.4f}, "
@@ -195,7 +195,6 @@ def cmd_fit(args) -> int:
     ds = load_measurements(args.data)
     opts = FitOptions(model=args.model)
     chip_fit = fit_chip(ds, opts, share_b=args.share_b, window_s=args.window_s)
-    chip_id = ds.chip_id[0] if len(ds) else "chip"
     provenance = {
         "input_sha256": sha256_of_file(args.data),
         "tool_version": TOOL_VERSION,
@@ -203,7 +202,7 @@ def cmd_fit(args) -> int:
         "config_digest": _digest({"model": args.model, "share_b": args.share_b,
                                   "window_s": args.window_s}),
     }
-    report = build_fit_report(ds, chip_fit, chip_id, provenance, window_s=args.window_s)
+    report = build_fit_report(ds, chip_fit, provenance, window_s=args.window_s)
     write_report(report, args.out)
 
     n_bad = sum(1 for r in chip_fit.per_junction.values() if not r.converged)
@@ -265,7 +264,13 @@ def cmd_predict(args) -> int:
         )
 
     if args.schedule:
-        schedule, _ = load_schedule(args.schedule)
+        schedule, events = load_schedule(args.schedule)
+        if events:
+            # predict has no draw seed of its own (--seed is only recorded).
+            raise ValidationError(
+                f"{args.schedule}: predict does not apply anneal events; the first "
+                f"is at day {events[0].t_s / DAY_S:g}"
+            )
     else:
         schedule = StorageSchedule.single(Environment.from_kind(env_name))
     if cfg is None:
@@ -309,8 +314,7 @@ def cmd_predict(args) -> int:
         "tool_version": TOOL_VERSION,
     }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(result, sort_keys=True, indent=2) + "\n")
+        _write_json(result, args.out)
     print(
         f"day {from_days:g} -> {args.target_days:g}: R {r_from:.1f} -> {r_pred:.1f} ohm "
         f"({dr_over_r * 100:+.2f}%), I_c = {ic * 1e9:.2f} nA, df/f = {shift * 100:+.3f}%"
@@ -412,27 +416,25 @@ def cmd_anneal(args) -> int:
         print(f"step {k + 1} ({kind_name} @ day {ev.t_s / DAY_S:g}): "
               f"mean change {mean_change * 100:+.3f}%")
 
-    chip_id = ds.chip_id[0]
     n_new = r_hist[:, 1:].size
     out_ds = ChipDataset(
         junction_id=np.concatenate([ds.junction_id,
                                     np.repeat(np.array(usable, np.int64), len(events))]),
         t_s=np.concatenate([ds.t_s, np.tile(t_meas, len(usable))]),
         r_ohm=np.concatenate([ds.r_ohm, r_hist[:, 1:].ravel()]),
-        env=np.concatenate([ds.env, np.full(n_new, ENV_LABELS.index("ambient"), np.int8)]),
+        env=np.concatenate([ds.env, np.full(n_new, _ENV_CODE["ambient"], np.int8)]),
         flag=np.concatenate([ds.flag, np.full(n_new, FLAG_OK, np.int8)]),
-        chip_id=[*ds.chip_id.tolist(), *[chip_id] * n_new],
+        chip_id=ds.chip_id,
     )
     save_measurements(out_ds, args.out)
     steps_path = Path(args.out).with_suffix(".steps.json")
-    with open(steps_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({
-            "steps": steps,
-            "min_r_over_r0": min_r_over_r0,
-            "floor_at_r0": cfg.floor_at_r0,
-            "seed": seed,
-            "tool_version": TOOL_VERSION,
-        }, sort_keys=True, indent=2) + "\n")
+    _write_json({
+        "steps": steps,
+        "min_r_over_r0": min_r_over_r0,
+        "floor_at_r0": cfg.floor_at_r0,
+        "seed": seed,
+        "tool_version": TOOL_VERSION,
+    }, steps_path)
     print(f"min R/R0 across the sequence: {min_r_over_r0:.4f}")
     print(f"wrote {args.out} and {steps_path}")
     return 0

@@ -40,6 +40,8 @@ import numpy as np
 
 from .errors import InsufficientDataError, ParameterError, ParseError, ValidationError
 from .ensemble import (
+    _ENV_CODE,
+    _FLAG_CODE,
     ENV_LABELS,
     FLAG_OK,
     FLAG_OPEN,
@@ -161,25 +163,20 @@ def save_measurements(ds: ChipDataset, path) -> None:
     resistance field).
 
     The file is built as one string and written once.  Floats are written by
-    ``repr`` and junction ids by ``str``; each distinct chip id is quoted
-    once by the ``csv`` module, so the bytes equal a ``csv.writer``'s, except
-    that a chip id holding a bare carriage return is quoted too, so that the
-    file reads back.
+    ``repr`` and junction ids by ``str``; the chip id is quoted once by the
+    ``csv`` module, so the bytes equal a ``csv.writer``'s, except that a
+    chip id holding a bare carriage return is quoted too, so that the file
+    reads back.
     """
-    chip_ids = ds.chip_id.tolist()
-    prefix = {c: _csv_prefix(c) for c in set(chip_ids)}
+    prefix = _csv_prefix(ds.chip_id)
     res = list(map(repr, ds.r_ohm.tolist()))
     for i in np.flatnonzero(np.isnan(ds.r_ohm)).tolist():
         res[i] = ""
     tails = (ds.env.astype(np.intp) * len(FLAGS) + ds.flag).tolist()
-    rows = [f"{prefix[c]}{j},{t!r},{r}{_ROW_TAILS[k]}" for c, j, t, r, k in zip(
-        chip_ids, ds.junction_id.tolist(), ds.t_s.tolist(), res, tails)]
+    rows = [f"{prefix}{j},{t!r},{r}{_ROW_TAILS[k]}" for j, t, r, k in zip(
+        ds.junction_id.tolist(), ds.t_s.tolist(), res, tails)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(MEASUREMENT_HEADER) + "\n" + "".join(rows))
-
-
-_ENV_CODES = {label: code for code, label in enumerate(ENV_LABELS)}
-_FLAG_CODES = {label: code for code, label in enumerate(FLAGS)}
 
 
 def _parse_column(conv, texts: Sequence[str], fill) -> tuple[list, list[int]]:
@@ -270,9 +267,9 @@ def load_measurements(path) -> ChipDataset:
     blank = np.zeros(m, dtype=bool)
     blank[[i for i in bad_j if _blank(rows[i])]] = True
 
-    code_of = {s: _ENV_CODES.get(s.strip().lower(), -1) for s in set(env_raw)}
+    code_of = {s: _ENV_CODE.get(s.strip().lower(), -1) for s in set(env_raw)}
     env = np.fromiter(map(code_of.__getitem__, env_raw), np.int8, m)
-    code_of = {s: _FLAG_CODES.get(s.strip().lower() or "ok", -1) for s in set(flag_raw)}
+    code_of = {s: _FLAG_CODE.get(s.strip().lower() or "ok", -1) for s in set(flag_raw)}
     flag = np.fromiter(map(code_of.__getitem__, flag_raw), np.int8, m)
 
     r, bad_r = _parse_column(float, r_raw, math.nan)
@@ -549,7 +546,6 @@ class FitReport:
 def build_fit_report(
     ds: ChipDataset,
     chip_fit,
-    chip_id: str,
     provenance: Mapping,
     window_s: float = 600.0,
 ) -> FitReport:
@@ -574,7 +570,7 @@ def build_fit_report(
     ok_rows = np.flatnonzero(ds.flag == FLAG_OK)
     last = ok_rows[np.argmax(ds.t_s[ok_rows])]   # first row at the latest time
     return FitReport(
-        chip_id=chip_id,
+        chip_id=ds.chip_id,
         junction_ids=tuple(ds.junction_ids()),
         per_junction={j: _fit_to_dict(res) for j, res in chip_fit.per_junction.items()},
         average=_fit_to_dict(chip_fit.average),
@@ -589,12 +585,18 @@ def build_fit_report(
     )
 
 
+def _write_json(obj, path) -> None:
+    """Write ``obj`` as the package's canonical JSON: sorted keys, ``indent=2``,
+    newline-terminated, and no NaN or infinity (which JSON lacks)."""
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
 def write_report(report: FitReport, path) -> None:
     """Serialize a report as canonical JSON (sorted keys, newline-terminated);
     byte-stable for identical inputs."""
-    text = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    _write_json(report.to_dict(), path)
 
 
 def read_report(path) -> FitReport:

@@ -11,6 +11,9 @@ the resistance spread grow under ambient storage.
 
 Fabrication failures are modeled as open junctions (Bernoulli per
 junction): they report no resistance and are excluded from aggregates.
+
+A ``ChipDataset`` holds one chip's measurements as numpy columns and names
+its chip once, by a single ``chip_id`` string.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ FLAG_OK, FLAG_OPEN = FLAGS.index("ok"), FLAGS.index("open")
 # Environment labels a dataset row can carry, in code order.
 ENV_LABELS = tuple(kind.value for kind in EnvironmentKind) + ("unknown",)
 _ENV_CODE = {label: code for code, label in enumerate(ENV_LABELS)}
+_FLAG_CODE = {label: code for code, label in enumerate(FLAGS)}
 
 
 @dataclass(frozen=True)
@@ -129,14 +133,13 @@ class ChipDataset:
 
     Columns, one entry per row: ``junction_id`` (int64), ``t_s`` (float64),
     ``r_ohm`` (float64, NaN where a row has no resistance), ``env`` and
-    ``flag`` (int8 codes into ``ENV_LABELS`` and ``FLAGS``) and ``chip_id``
-    (object; a single string applies to every row).  Rows are sorted once,
+    ``flag`` (int8 codes into ``ENV_LABELS`` and ``FLAGS``).  ``chip_id`` is
+    one string naming the chip every row belongs to.  Rows are sorted once,
     stably, by (junction_id, t_s) and validated once: times finite, codes
     known, and a finite resistance > 0 on every row not flagged open.
     """
 
-    __slots__ = ("junction_id", "t_s", "r_ohm", "env", "flag", "chip_id",
-                 "spec", "schedule")
+    __slots__ = ("junction_id", "t_s", "r_ohm", "env", "flag", "chip_id")
 
     def __init__(
         self,
@@ -145,10 +148,10 @@ class ChipDataset:
         r_ohm,
         env,
         flag,
-        chip_id: str | Sequence[str],
-        spec: ChipSpec | None = None,
-        schedule: StorageSchedule | None = None,
+        chip_id: str,
     ):
+        if not isinstance(chip_id, str):
+            raise ValidationError(f"chip_id must be one string, got {chip_id!r}")
         cols = {
             "junction_id": np.asarray(junction_id, dtype=np.int64),
             "t_s": np.asarray(t_s, dtype=float),
@@ -157,11 +160,6 @@ class ChipDataset:
             "flag": np.asarray(flag, dtype=np.int8),
         }
         n = cols["t_s"].size
-        if isinstance(chip_id, str):
-            cols["chip_id"] = np.full(n, chip_id, dtype=object)
-        else:
-            cols["chip_id"] = np.empty(n, dtype=object)
-            cols["chip_id"][:] = list(chip_id)
         if any(c.shape != (n,) for c in cols.values()):
             raise ValidationError("dataset columns must be 1-D and of equal length")
         t, r, f, e = cols["t_s"], cols["r_ohm"], cols["flag"], cols["env"]
@@ -183,7 +181,7 @@ class ChipDataset:
             col = col[order]
             col.flags.writeable = False
             setattr(self, name, col)
-        self.spec, self.schedule = spec, schedule
+        self.chip_id = chip_id
 
     @property
     def records(self) -> tuple[MeasurementRecord, ...]:
@@ -194,7 +192,7 @@ class ChipDataset:
         """
         return tuple(map(
             MeasurementRecord,
-            self.chip_id.tolist(),
+            [self.chip_id] * len(self),
             self.junction_id.tolist(),
             self.t_s.tolist(),
             [None if math.isnan(r) else r for r in self.r_ohm.tolist()],
@@ -340,7 +338,7 @@ def simulate_chip(
         r_ohm=r.ravel(),
         env=np.tile(env, n_j),
         flag=np.repeat(np.where(is_open, FLAG_OPEN, FLAG_OK), n_s),
-        chip_id=chip_id, spec=chip.spec, schedule=schedule,
+        chip_id=chip_id,
     )
 
 
@@ -348,19 +346,13 @@ def coefficient_of_variation(values: Iterable) -> float:
     """Sample standard deviation over mean of resistances, ignoring missing
     ones (None or NaN).  Needs at least two usable values.
     """
-    xs = []
-    for v in values:
-        if v is None:
-            continue
-        v = float(v)
-        if not np.isfinite(v):
-            continue
-        xs.append(v)
-    if len(xs) < 2:
+    # Under a float dtype None reads as NaN, so one mask drops both.
+    arr = np.asarray(list(values), dtype=float)
+    arr = arr[np.isfinite(arr)]
+    if arr.size < 2:
         raise InsufficientDataError(
-            f"coefficient of variation needs >= 2 usable values, got {len(xs)}"
+            f"coefficient of variation needs >= 2 usable values, got {arr.size}"
         )
-    arr = np.asarray(xs)
     return float(np.std(arr, ddof=1) / np.mean(arr))
 
 

@@ -19,6 +19,10 @@ Ambegaokar-Baratoff mapping from normal-state resistance to critical
 current, and a transmon-style fractional frequency shift for a given
 fractional resistance change.
 
+A storage ``Environment`` is its ``EnvironmentKind`` (ambient air, nitrogen
+glovebox, high vacuum): the kinetics config keys the aging timescales and
+thermal responses on the kind alone.
+
 Everything here is pure and stateless; scalar or ndarray time inputs are
 accepted and the output follows the input shape.
 """
@@ -62,36 +66,16 @@ class EnvironmentKind(str, Enum):
     HIGH_VACUUM = "vacuum"
 
 
-# Default atmosphere composition per environment kind:
-# (O2 fraction, relative humidity).
-_ENV_DEFAULTS = {
-    EnvironmentKind.AMBIENT: (0.21, 0.60),
-    EnvironmentKind.NITROGEN_GLOVEBOX: (0.00, 0.01),
-    EnvironmentKind.HIGH_VACUUM: (0.0, 0.0),
-}
-
-
 @dataclass(frozen=True)
 class Environment:
-    """A storage environment: kind plus its atmosphere composition."""
+    """A storage environment.  The kinetics key on its kind alone."""
 
     kind: EnvironmentKind
-    o2_fraction: float
-    rel_humidity: float
-    label: str = ""
-
-    def __post_init__(self):
-        if not 0.0 <= self.o2_fraction <= 1.0:
-            raise ParameterError(f"o2_fraction must be in [0, 1], got {self.o2_fraction}")
-        if not 0.0 <= self.rel_humidity <= 1.0:
-            raise ParameterError(f"rel_humidity must be in [0, 1], got {self.rel_humidity}")
 
     @classmethod
-    def from_kind(cls, kind: EnvironmentKind | str, label: str = "") -> "Environment":
-        """Build an environment with the default composition for ``kind``."""
-        kind = EnvironmentKind(kind)
-        o2, rh = _ENV_DEFAULTS[kind]
-        return cls(kind=kind, o2_fraction=o2, rel_humidity=rh, label=label or kind.value)
+    def from_kind(cls, kind: EnvironmentKind | str) -> "Environment":
+        """Build the environment of ``kind`` (an ``EnvironmentKind`` or its value)."""
+        return cls(kind=EnvironmentKind(kind))
 
 
 AMBIENT = Environment.from_kind(EnvironmentKind.AMBIENT)

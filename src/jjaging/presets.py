@@ -38,7 +38,6 @@ class ChipPreset:
     name: str
     description: str
     aging: AgingParams          # average-curve parameters, r0 = chip mean
-    r0_cv: float
     home_env: Environment
     schedule: StorageSchedule
     spec: ChipSpec
@@ -87,7 +86,7 @@ def _preset(
     return ChipPreset(
         name=name, description=description,
         aging=AgingParams(a=a, tau_s=tau_s, b=b, r0_ohm=r0),
-        r0_cv=r0_cv, home_env=home, schedule=schedule, spec=spec, sim=sim,
+        home_env=home, schedule=schedule, spec=spec, sim=sim,
     )
 
 

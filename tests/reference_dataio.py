@@ -8,7 +8,8 @@ bytes, equal columns and equal error reports from the two.  It uses only
 the package's public API.
 
 One rule is deliberately not here: ``load_measurements`` refuses a file
-whose rows carry more than one chip id, and this reader accepts it.
+whose rows carry more than one chip id, and this reader accepts it, naming
+the dataset by its first valid row's id.
 """
 
 import csv
@@ -29,7 +30,7 @@ def reference_save_measurements(ds: ChipDataset, path) -> None:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(MEASUREMENT_HEADER)
         w.writerows(zip(
-            ds.chip_id.tolist(),
+            [ds.chip_id] * len(ds),
             ds.junction_id.tolist(),
             map(repr, ds.t_s.tolist()),
             res,
@@ -122,4 +123,4 @@ def reference_load_measurements(path) -> ChipDataset:
         problems.sort()
         details = "; ".join(f"line {ln}: {msg}" for ln, msg in problems)
         raise ParseError(f"{path}: {details}", lines=sorted(set(lines)))
-    return ChipDataset(junction, t, r, env, flag, chip)
+    return ChipDataset(junction, t, r, env, flag, chip[0] if chip else "")

@@ -290,7 +290,8 @@ def test_c10_determinism_and_io(tmp_path):
     copy = tmp_path / "copy.csv"
     save_measurements(ds, copy)
     back = load_measurements(copy)
-    for name in ("chip_id", "junction_id", "t_s", "r_ohm", "env", "flag"):
+    assert back.chip_id == ds.chip_id
+    for name in ("junction_id", "t_s", "r_ohm", "env", "flag"):
         np.testing.assert_array_equal(getattr(back, name), getattr(ds, name))
 
     rep1, rep2 = tmp_path / "rep1.json", tmp_path / "rep2.json"

@@ -348,6 +348,20 @@ class TestPredict:
         assert drift["60"] == pytest.approx(drift["59.9999"], abs=1e-5)
         assert drift["60.0001"] == pytest.approx(drift["59.9999"], abs=1e-5)
 
+    def test_schedule_with_events_exits_2(self, tmp_path, capsys):
+        # The events used to be dropped without a word, giving the drift of
+        # the schedule without them.
+        sched = tmp_path / "events.txt"
+        sched.write_text("0,ambient\nevent,12,thermal,temp_c=250,env=glovebox\n"
+                         "event,10,voltage\n")
+        out = tmp_path / "p.json"
+        code = run("predict", "--preset", "chip1", "--from-days", "5", "--target-days", "20",
+                   "--schedule", str(sched), "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(sched) in err and "day 10" in err
+        assert not out.exists()
+
 
 OVEN_SEQUENCE = (
     "event,85.0,thermal,temp_c=200,env=glovebox,hold_min=10\n"

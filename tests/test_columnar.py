@@ -52,7 +52,7 @@ SAMPLES = sorted([*np.arange(0.0, 40 * DAY + 1.0, DAY).tolist(), 7.5 * DAY])
 def rows(ds):
     """The dataset's rows read from its columns, None for a missing resistance."""
     return list(map(
-        Row, ds.chip_id.tolist(), ds.junction_id.tolist(), ds.t_s.tolist(),
+        Row, [ds.chip_id] * len(ds), ds.junction_id.tolist(), ds.t_s.tolist(),
         [None if math.isnan(r) else r for r in ds.r_ohm.tolist()],
         [ENV_LABELS[e] for e in ds.env.tolist()], [FLAGS[f] for f in ds.flag.tolist()],
     ))
@@ -62,23 +62,21 @@ def both(preset, seed, events):
     p = chip_preset(preset)
     chip = draw_chip(p.spec, seed)
     args = (chip, p.schedule, list(events), SAMPLES, p.sim, seed)
-    return (simulate_chip(*args, chip_id=preset), reference_simulate_chip(*args, chip_id=preset),
-            chip, p.schedule)
+    return simulate_chip(*args, chip_id=preset), reference_simulate_chip(*args, chip_id=preset)
 
 
 @pytest.mark.parametrize("events", sorted(EVENT_SETS))
 @pytest.mark.parametrize("seed", [0, 3, 11])
 @pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_simulate_chip_equals_reference(preset, seed, events):
-    ds, ref, chip, schedule = both(preset, seed, EVENT_SETS[events])
+    ds, ref = both(preset, seed, EVENT_SETS[events])
     assert rows(ds) == ref
-    assert ds.spec is chip.spec and ds.schedule is schedule
     # repr compares every float exactly and treats nan CVs as equal.
     assert repr(aggregate_series(ds)) == repr(reference_aggregate_series(ref))
 
 
 def test_reference_cases_cover_open_junctions_and_event_subsets():
-    ds, *_ = both("chip6", 0, EVENT_SETS["voltage+thermal"])
+    ds, _ = both("chip6", 0, EVENT_SETS["voltage+thermal"])
     assert FLAGS.index("open") in ds.flag
     assert any(math.isnan(r) for r in ds.r_ohm)
     # The day-20 voltage anneal raises junctions 0-7 only.
@@ -171,7 +169,7 @@ def test_hot_path_builds_no_row_objects(tmp_path, monkeypatch):
     fit = fit_chip(ds)
     save_measurements(ds, tmp_path / "d.csv")
     back = load_measurements(tmp_path / "d.csv")
-    build_fit_report(back, fit_chip(back), "c", {})
+    build_fit_report(back, fit_chip(back), {})
     assert len(fit.per_junction) + len(fit.skipped) == len(ds.junction_ids())
     with pytest.raises(AssertionError, match="was built"):
         ds.records
@@ -204,9 +202,15 @@ class TestColumns:
 
     def test_constructor_keeps_stable_order(self):
         ds = ChipDataset([1, 0, 0], [0.0, 3.0, 3.0], [5.0, 6.0, 7.0], env=[0, 0, 0],
-                         flag=[0, 0, 0], chip_id=["a", "b", "c"])
+                         flag=[0, 0, 0], chip_id="c")
         assert ds.r_ohm.tolist() == [6.0, 7.0, 5.0]
-        assert ds.chip_id.tolist() == ["b", "c", "a"]
+
+    @pytest.mark.parametrize("chip_id", [["a", "b", "a"], ("a", "a", "a"), None, 7])
+    def test_chip_id_must_be_one_string(self, chip_id):
+        # A per-row id list once built a dataset whose CSV did not load back.
+        with pytest.raises(ValidationError, match="chip_id must be one string"):
+            ChipDataset([0, 0, 0], [0.0, 1.0, 2.0], [5.0, 6.0, 7.0], env=[0, 0, 0],
+                        flag=[0, 0, 0], chip_id=chip_id)
 
     @pytest.mark.parametrize("over", [
         {"r_ohm": [10.0, np.nan, 12.0, np.nan]},     # NaN on a non-open row

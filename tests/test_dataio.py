@@ -83,7 +83,7 @@ def small_dataset():
 
 
 def columns(ds):
-    return (ds.chip_id.tolist(), ds.junction_id.tolist(), ds.t_s.tobytes(),
+    return (ds.chip_id, ds.junction_id.tolist(), ds.t_s.tobytes(),
             ds.r_ohm.tobytes(), ds.env.tolist(), ds.flag.tolist())
 
 
@@ -344,8 +344,8 @@ _REPORT_JSON = (b'{"average": {"converged": true, "params": {"a": 0.21, "b": 1.0
 
 
 def _dataset_columns(ds):
-    return [getattr(ds, c).tolist() for c in ("chip_id", "junction_id", "t_s", "r_ohm",
-                                                "env", "flag")]
+    return [ds.chip_id, *(getattr(ds, c).tolist() for c in ("junction_id", "t_s", "r_ohm",
+                                                             "env", "flag"))]
 
 
 @pytest.mark.parametrize("loader, content, view", [

@@ -44,11 +44,11 @@ CHIP_IDS = st.one_of(st.sampled_from(AWKWARD_IDS), TEXT)
 
 @st.composite
 def datasets(draw):
-    """Datasets of up to three chip ids, open rows holding any resistance."""
-    ids = draw(st.lists(CHIP_IDS, min_size=1, max_size=3))
+    """Datasets of one chip, open rows holding any resistance."""
+    chip_id = draw(CHIP_IDS)
     n = draw(st.integers(0, 14))
     finite = st.floats(allow_nan=False, allow_infinity=False)
-    cols = {k: [] for k in ("junction_id", "t_s", "r_ohm", "env", "flag", "chip_id")}
+    cols = {k: [] for k in ("junction_id", "t_s", "r_ohm", "env", "flag")}
     for _ in range(n):
         flag = draw(st.integers(0, len(FLAGS) - 1))
         if flag == FLAG_OPEN:
@@ -61,14 +61,13 @@ def datasets(draw):
         cols["r_ohm"].append(r)
         cols["env"].append(draw(st.integers(0, len(ENV_LABELS) - 1)))
         cols["flag"].append(flag)
-        cols["chip_id"].append(draw(st.sampled_from(ids)))
-    return ChipDataset(**cols)
+    return ChipDataset(**cols, chip_id=chip_id)
 
 
 def columns(ds: ChipDataset):
     return (ds.junction_id.dtype, ds.junction_id.tolist(), ds.t_s.dtype, ds.t_s.tobytes(),
             ds.r_ohm.dtype, ds.r_ohm.tobytes(), ds.env.dtype, ds.env.tolist(),
-            ds.flag.dtype, ds.flag.tolist(), ds.chip_id.dtype, ds.chip_id.tolist())
+            ds.flag.dtype, ds.flag.tolist(), ds.chip_id)
 
 
 def outcome(loader, path):
@@ -85,7 +84,7 @@ def test_writer_bytes_equal_reference(tmp_path, ds):
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
     save_measurements(ds, new)
     reference_save_measurements(ds, ref)
-    if not any("\r" in c for c in ds.chip_id.tolist()):
+    if "\r" not in ds.chip_id:
         assert new.read_bytes() == ref.read_bytes()
         return
     # The intended difference: the reference writes an id with a bare
@@ -94,10 +93,10 @@ def test_writer_bytes_equal_reference(tmp_path, ds):
     with open(new, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert rows == [MEASUREMENT_HEADER] + [
-        [c, str(j), repr(t), "" if math.isnan(r) else repr(r), ENV_LABELS[e], FLAGS[f]]
-        for c, j, t, r, e, f in zip(ds.chip_id.tolist(), ds.junction_id.tolist(),
-                                    ds.t_s.tolist(), ds.r_ohm.tolist(), ds.env.tolist(),
-                                    ds.flag.tolist())
+        [ds.chip_id, str(j), repr(t), "" if math.isnan(r) else repr(r), ENV_LABELS[e],
+         FLAGS[f]]
+        for j, t, r, e, f in zip(ds.junction_id.tolist(), ds.t_s.tolist(),
+                                 ds.r_ohm.tolist(), ds.env.tolist(), ds.flag.tolist())
     ]
 
 
@@ -292,7 +291,7 @@ def test_chip_ids_compare_after_stripping(tmp_path):
     write_records(path, [["A", "0", "0", "1", "ambient", "ok"],
                          [" A ", "0", "60", "1", "ambient", "ok"]])
     ds = load_measurements(path)
-    assert ds.chip_id.tolist() == ["A", "A"]
+    assert ds.chip_id == "A" and len(ds) == 2
 
 
 # --- round trips --------------------------------------------------------------
@@ -318,7 +317,9 @@ def test_save_load_save_is_byte_identical(tmp_path, ds):
     first, second = tmp_path / "1.csv", tmp_path / "2.csv"
     save_measurements(ds, first)
     back = load_measurements(first)
-    assert columns(back) == columns(ds)
+    assert columns(back)[:-1] == columns(ds)[:-1]
+    # The chip id is written on every row, so a header-only file names no chip.
+    assert back.chip_id == (ds.chip_id if len(ds) else "")
     save_measurements(back, second)
     assert second.read_bytes() == first.read_bytes()
 

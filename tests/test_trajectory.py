@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from jjaging import (
     AgingParams,
     AnnealEvent,
     ConfigurationError,
+    Environment,
     JunctionProfile,
     ParameterError,
     SimConfig,
@@ -69,7 +69,8 @@ class TestSchedule:
             nxt = starts[-1] + g
             if nxt > starts[-1]:
                 starts.append(nxt)
-        envs = [replace(AMBIENT, label=f"segment {k}") for k in range(len(starts))]
+        # Equal but distinct objects, so ``is`` tells the segments apart.
+        envs = [Environment(EnvironmentKind.AMBIENT) for _ in starts]
         sched = StorageSchedule(segments=tuple(zip(starts, envs)))
         near = [float(np.nextafter(s, d)) for s in starts for d in (-math.inf, math.inf)]
         t = data.draw(st.one_of(st.floats(allow_nan=True, allow_infinity=True),
