@@ -462,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("data", help="measurement CSV")
     fit.add_argument("--model", choices=("single-log", "two-log"), default="single-log")
     fit.add_argument("--share-b", action="store_true",
-                     help="fix every junction's b at the average-curve value")
+                     help="fix every junction's b at the average-curve value "
+                          "(single-log only)")
     fit.add_argument("--window-s", type=float, default=600.0)
     fit.add_argument("--seed", type=int, default=0)
     fit.add_argument("--out", required=True)

@@ -1,20 +1,20 @@
 """Nonlinear least-squares estimation of the aging models.
 
-Both models are fit by damped (Levenberg-style) least squares on analytic
-Jacobians, with the timescales optimized in log space so they stay positive
-and the steps are well scaled.  A trial step is accepted only if it lowers
-the residual sum of squares; otherwise the damping is increased and the
-step retried.  The returned point therefore never has a higher rss than the
-initialization.  Box bounds are enforced by projecting trial points.
-The 3x3 or 4x4 trial systems are solved by LAPACK's ``gesv`` gufunc under
-the error state ``np.linalg.solve`` sets: the same routine on the same
-bytes, without the wrapper's per-call type checks and casts, which cost
-more than the solve itself.
+One driver, ``_fit``, fits every model: it checks the series, builds the
+start and the box, minimizes, and reports timescales in seconds.  What sets
+a model apart (parameter names, minimum points, default start, box,
+residual/Jacobian pair, final step) is its row of the ``_MODELS`` table.
+The fit is damped (Levenberg-style) least squares on analytic Jacobians,
+with the timescales in log space so they stay positive and the steps are
+well scaled.  Only trial steps that lower the residual sum of squares are
+accepted, so the result never has a higher rss than its start; box bounds
+are enforced by projecting trial points.  The 3x3 or 4x4 trial systems go
+to LAPACK's ``gesv`` gufunc under ``np.linalg.solve``'s error state: the
+same routine on the same bytes, without the wrapper's per-call checks.
 
 ``grid_search_oracle`` provides an independent brute-force check: it
 evaluates the model on an explicit parameter grid and returns the grid
-minimizer, with no shared code path with the iterative fitter beyond the
-model formula itself.
+minimizer, sharing only the model formula with the iterative fitter.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Mapping, Sequence
@@ -52,10 +53,10 @@ _LOG_TAU_HI = math.log(1e8)
 class FitOptions:
     """Fit configuration: model choice, box bounds, stopping rules.
 
-    ``init`` takes natural-unit parameters: (a, tau_s, b) for the
-    single-log model, (a_int, tau_int_s, a_ext, tau_ext_s) for the two-log
-    model.  ``fix_b`` pins the single-log offset (used for chip-wide shared
-    b fits).
+    ``init`` takes natural-unit parameters: (a, tau_s) or (a, tau_s, b)
+    for the single-log model, (a_int, tau_int_s, a_ext, tau_ext_s) for the
+    two-log model.  ``fix_b`` pins the single-log offset (chip-wide shared
+    b fits); the two-log model, which has no b, refuses it.
     """
 
     model: str = "single-log"
@@ -71,6 +72,8 @@ class FitOptions:
     def __post_init__(self):
         if self.model not in ("single-log", "two-log"):
             raise ValidationError(f"unknown model {self.model!r}")
+        if self.fix_b is not None and self.model != "single-log":
+            raise ValidationError("fix_b applies to the single-log model only")
         n = self.max_iterations
         if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
             raise ValidationError("max_iterations must be an integer >= 1")
@@ -130,19 +133,6 @@ def _check_series(series, min_points: int) -> tuple[np.ndarray, np.ndarray]:
     if np.any(t < 0):
         raise ValidationError("series times must be >= 0")
     return t, y
-
-
-def _span_warning(t: np.ndarray) -> list[str]:
-    tpos = t[t > 0]
-    if tpos.size == 0:
-        raise InsufficientDataError("series needs at least one positive time")
-    if tpos.max() <= tpos.min():
-        raise InsufficientDataError("series time span is zero")
-    if tpos.max() / tpos.min() < 10.0:
-        msg = "time span below one decade; timescale is weakly constrained"
-        warnings.warn(msg, stacklevel=3)
-        return [msg]
-    return []
 
 
 def _weights(w, n: int) -> np.ndarray | None:
@@ -214,19 +204,6 @@ def _two_log_jac(cache, sw, out):
     if sw is not None:
         out *= sw[:, None]
     return out
-
-
-def _single_log_rj(x, t, y, sw, b_fixed=None):
-    """Residuals and a fresh Jacobian of the single-log model at ``x``."""
-    x = np.asarray(x, dtype=float)
-    r, cache = _single_log_resid(x, t, y, sw, b_fixed)
-    return r, _single_log_jac(cache, sw, np.empty((t.size, x.size)))
-
-
-def _two_log_rj(x, t, y, sw):
-    """Residuals and a fresh Jacobian of the two-log model at ``x``."""
-    r, cache = _two_log_resid(np.asarray(x, dtype=float), t, y, sw)
-    return r, _two_log_jac(cache, sw, np.empty((t.size, 4)))
 
 
 def _raise_singular(err, flag):
@@ -316,6 +293,111 @@ def _stderr_and_bounds(x, J, rss, n, lo, hi, names):
     return stderr, tuple(at)
 
 
+_SINGLE_KEYS = ("a", "tau_s", "b")
+_TWO_KEYS = ("a_int", "tau_int_s", "a_ext", "tau_ext_s")
+_CHANNEL_SWAP = dict(zip(_TWO_KEYS, _TWO_KEYS[2:] + _TWO_KEYS[:2]))
+
+
+def _two_log_finish(v, stderr, at, msgs):
+    if v[1] < v[3]:
+        # Canonical channel order: the label exchange symmetry is resolved
+        # by making the internal channel the slow one.
+        v = v[2:] + v[:2]
+        stderr = {name: stderr[_CHANNEL_SWAP[name]] for name in _TWO_KEYS}
+        at = tuple(sorted(_CHANNEL_SWAP[name] for name in at))
+    degenerate = max(v[1], v[3]) < 2.0 * min(v[1], v[3])
+    if degenerate:
+        msgs.append("recovered timescales within a factor of 2; channel split is "
+                    "practically unidentifiable")
+    return TwoLogParams(*v), stderr, at, degenerate
+
+
+# What sets each model's fit apart; ``_fit`` does the rest.  Timescales sit
+# in the odd slots of ``names`` and are fitted in ln tau.  ``box`` names each
+# slot's FitOptions bounds; ``guess(rise per e-fold, positive times)`` gives a
+# natural-unit start; ``finish`` returns (params, stderr, at_bounds, degenerate).
+_Model = namedtuple("_Model", "names box min_points init_lengths guess resid jac finish")
+_MODELS = {
+    "single-log": _Model(
+        _SINGLE_KEYS, ("a_bounds", "log_tau_bounds", "b_bounds"), 4, (2, 3),
+        lambda a, tpos: (a, tpos.min(), 1.0), _single_log_resid, _single_log_jac,
+        lambda v, stderr, at, msgs: (AgingParams(*v), stderr, at, False),
+    ),
+    "two-log": _Model(
+        _TWO_KEYS, ("a_bounds", "log_tau_bounds") * 2, 6, (4,),
+        lambda a, tpos: (a / 2.0, tpos.max() / 10.0, a / 2.0, tpos.min()),
+        _two_log_resid, _two_log_jac, _two_log_finish,
+    ),
+}
+
+
+def _rj(model: str, x, t, y, sw, **kw):
+    """Residuals and a fresh Jacobian of ``model`` at ``x``."""
+    m, x = _MODELS[model], np.asarray(x, dtype=float)
+    r, cache = m.resid(x, t, y, sw, **kw)
+    return r, m.jac(cache, sw, np.empty((t.size, x.size)))
+
+
+_single_log_rj, _two_log_rj = partial(_rj, "single-log"), partial(_rj, "two-log")
+
+
+def _fit(model: str, series, opts: FitOptions | None, weights) -> FitResult:
+    """Fit ``model``, a ``_MODELS`` key, whatever ``opts.model`` says."""
+    m = _MODELS[model]
+    opts = opts or FitOptions(model=model)
+    t, y = _check_series(series, m.min_points)
+    tpos = t[t > 0]
+    if tpos.size == 0:
+        raise InsufficientDataError("series needs at least one positive time")
+    if tpos.max() <= tpos.min():
+        raise InsufficientDataError("series time span is zero")
+    msgs = []
+    if tpos.max() / tpos.min() < 10.0:
+        msgs.append("time span below one decade; timescale is weakly constrained")
+        warnings.warn(msgs[0], stacklevel=3)  # names the fit function's caller
+    sw = _weights(weights, t.size)
+
+    fixed_b = opts.fix_b
+    if fixed_b is not None and "b" not in m.names:
+        raise ValidationError(f"fix_b does not apply to the {model} model")
+    if fixed_b is not None and not opts.b_bounds[0] <= fixed_b <= opts.b_bounds[1]:
+        raise ParameterError("fix_b outside b bounds")
+    start = opts.init or ()
+    if opts.init is not None and len(start) not in m.init_lengths:
+        raise ValidationError(f"{model} init takes {' or '.join(map(str, m.init_lengths))} "
+                              f"values, got {len(start)}")
+    if len(start) < len(m.names):
+        a = (y.max() - y.min()) / math.log(tpos.max() / tpos.min())
+        start = (*start, *m.guess(a, tpos)[len(start):])
+
+    names, box, resid_kw = m.names, m.box, {}
+    if fixed_b is not None:  # b, the last slot, leaves the fit for the residuals
+        names, box, start, resid_kw = names[:-1], box[:-1], start[:-1], {"b_fixed": fixed_b}
+    lo = np.asarray([getattr(opts, field)[0] for field in box])
+    hi = np.asarray([getattr(opts, field)[1] for field in box])
+    x0 = [v if k % 2 == 0 else math.log(max(v, 1e-300)) for k, v in enumerate(start)]
+    resid = partial(m.resid, t=t, y=y, sw=sw, **resid_kw)
+    jac = partial(m.jac, sw=sw, out=np.empty((t.size, len(x0))))
+    x, r, J, rss, iters, stop = _lm_minimize(resid, jac, x0, lo, hi, opts)
+
+    stderr, at = _stderr_and_bounds(x, J, rss, t.size, lo, hi, names)
+    values = x.tolist()
+    # Report timescales in seconds: delta method through the exp reparameterization.
+    for k in range(1, len(values), 2):
+        values[k] = math.exp(values[k])
+        stderr[names[k]] = values[k] * stderr[names[k]]
+    if fixed_b is not None:
+        values.append(float(fixed_b))
+        stderr["b"] = 0.0
+        msgs.append("b fixed by caller")
+    params, stderr, at, degenerate = m.finish(values, stderr, at, msgs)
+    return FitResult(
+        params=params, stderr=stderr, rss=rss, converged=stop != "max_iter",
+        n_points=int(t.size), iterations=iters, at_bounds=at, messages=tuple(msgs),
+        degenerate_timescales=degenerate, stop_reason=stop,
+    )
+
+
 def fit_single_log(series, opts: FitOptions | None = None, weights=None) -> FitResult:
     """Fit ``1 + a ln(t/tau + b)`` to a fractional-resistance series.
 
@@ -337,53 +419,7 @@ def fit_single_log(series, opts: FitOptions | None = None, weights=None) -> FitR
         non-convergence the best point so far is returned with
         ``converged=False``.
     """
-    opts = opts or FitOptions()
-    t, y = _check_series(series, 4)
-    msgs = _span_warning(t)
-    sw = _weights(weights, t.size)
-
-    fixed_b = opts.fix_b
-    if fixed_b is not None and not opts.b_bounds[0] <= fixed_b <= opts.b_bounds[1]:
-        raise ParameterError("fix_b outside b bounds")
-
-    tpos = t[t > 0]
-    if opts.init is not None:
-        a0, tau0 = opts.init[0], opts.init[1]
-        b0 = opts.init[2] if len(opts.init) > 2 and fixed_b is None else 1.0
-    else:
-        a0 = (y.max() - y.min()) / math.log(tpos.max() / tpos.min())
-        tau0 = tpos.min()
-        b0 = 1.0
-
-    lo = [opts.a_bounds[0], opts.log_tau_bounds[0]]
-    hi = [opts.a_bounds[1], opts.log_tau_bounds[1]]
-    x0 = [a0, math.log(max(tau0, 1e-300))]
-    names = ["a", "tau_s"]
-    if fixed_b is None:
-        lo.append(opts.b_bounds[0])
-        hi.append(opts.b_bounds[1])
-        x0.append(b0)
-        names.append("b")
-    lo, hi = np.asarray(lo), np.asarray(hi)
-
-    resid = partial(_single_log_resid, t=t, y=y, sw=sw, b_fixed=fixed_b)
-    jac = partial(_single_log_jac, sw=sw, out=np.empty((t.size, len(x0))))
-    x, r, J, rss, iters, stop = _lm_minimize(resid, jac, x0, lo, hi, opts)
-
-    stderr, at = _stderr_and_bounds(x, J, rss, t.size, lo, hi, names)
-    # Report tau in seconds: delta method through the exp reparameterization.
-    tau = math.exp(x[1])
-    stderr["tau_s"] = tau * stderr["tau_s"]
-    b = float(x[2]) if fixed_b is None else float(fixed_b)
-    params = AgingParams(a=float(x[0]), tau_s=tau, b=b, r0_ohm=1.0)
-    if fixed_b is not None:
-        stderr["b"] = 0.0
-        msgs = msgs + ["b fixed by caller"]
-    return FitResult(
-        params=params, stderr=stderr, rss=rss, converged=stop != "max_iter",
-        n_points=int(t.size), iterations=iters, at_bounds=at, messages=tuple(msgs),
-        stop_reason=stop,
-    )
+    return _fit("single-log", series, opts, weights)
 
 
 def fit_two_log(series, opts: FitOptions | None = None, weights=None) -> FitResult:
@@ -393,61 +429,7 @@ def fit_two_log(series, opts: FitOptions | None = None, weights=None) -> FitResu
     factor of 2) are flagged ``degenerate_timescales`` since the channel
     split is then practically unidentifiable.
     """
-    opts = opts or FitOptions(model="two-log")
-    t, y = _check_series(series, 6)
-    msgs = _span_warning(t)
-    sw = _weights(weights, t.size)
-
-    tpos = t[t > 0]
-    if opts.init is not None:
-        ai0, ti0, ae0, te0 = opts.init
-    else:
-        a_total = (y.max() - y.min()) / math.log(tpos.max() / tpos.min())
-        ai0 = ae0 = a_total / 2.0
-        ti0 = tpos.max() / 10.0
-        te0 = tpos.min()
-
-    lo = np.asarray(
-        [opts.a_bounds[0], opts.log_tau_bounds[0]] * 2
-    )
-    hi = np.asarray(
-        [opts.a_bounds[1], opts.log_tau_bounds[1]] * 2
-    )
-    x0 = [ai0, math.log(max(ti0, 1e-300)), ae0, math.log(max(te0, 1e-300))]
-
-    resid = partial(_two_log_resid, t=t, y=y, sw=sw)
-    jac = partial(_two_log_jac, sw=sw, out=np.empty((t.size, 4)))
-    x, r, J, rss, iters, stop = _lm_minimize(resid, jac, x0, lo, hi, opts)
-
-    names = ["a_int", "tau_int_s", "a_ext", "tau_ext_s"]
-    stderr, at = _stderr_and_bounds(x, J, rss, t.size, lo, hi, names)
-    taui, taue = math.exp(x[1]), math.exp(x[3])
-    stderr["tau_int_s"] = taui * stderr["tau_int_s"]
-    stderr["tau_ext_s"] = taue * stderr["tau_ext_s"]
-    ai, ae = float(x[0]), float(x[2])
-
-    if taui < taue:
-        # Canonical channel order: the label exchange symmetry is resolved
-        # by making the internal channel the slow one.
-        ai, ae, taui, taue = ae, ai, taue, taui
-        stderr = {
-            "a_int": stderr["a_ext"], "tau_int_s": stderr["tau_ext_s"],
-            "a_ext": stderr["a_int"], "tau_ext_s": stderr["tau_int_s"],
-        }
-        swap = {"a_int": "a_ext", "a_ext": "a_int",
-                "tau_int_s": "tau_ext_s", "tau_ext_s": "tau_int_s"}
-        at = tuple(sorted(swap[n] for n in at))
-
-    degenerate = max(taui, taue) < 2.0 * min(taui, taue)
-    if degenerate:
-        msgs.append("recovered timescales within a factor of 2; channel split is "
-                    "practically unidentifiable")
-    params = TwoLogParams(a_int=ai, tau_int_s=taui, a_ext=ae, tau_ext_s=taue, r0_ohm=1.0)
-    return FitResult(
-        params=params, stderr=stderr, rss=rss, converged=stop != "max_iter",
-        n_points=int(t.size), iterations=iters, at_bounds=at,
-        messages=tuple(msgs), degenerate_timescales=degenerate, stop_reason=stop,
-    )
+    return _fit("two-log", series, opts, weights)
 
 
 def fit_chip(
@@ -464,14 +446,17 @@ def fit_chip(
     resistance normalized by its earliest value.  Open and excluded records
     are dropped; junctions failing the prechecks are reported in
     ``skipped`` rather than aborting the chip.  With ``share_b`` the
-    average-curve offset is refit into every junction as a fixed b
-    (single-log model only).
+    average-curve offset is refit into every junction as a fixed b; it
+    applies to the single-log model only (``ValidationError`` otherwise).
     """
     opts = opts or FitOptions()
     for j, r0 in (r0_override or {}).items():
         if not (math.isfinite(r0) and r0 > 0):
             raise ValidationError(f"r0_override[{j}] must be finite and > 0, got {r0}")
-    min_pts = 4 if opts.model == "single-log" else 6
+    if share_b and opts.model != "single-log":
+        raise ValidationError(f"share_b applies to the single-log model only, not {opts.model}")
+    min_pts = _MODELS[opts.model].min_points
+    # The public names, looked up per call, so that wrapping them sees every fit.
     fit_fun = fit_single_log if opts.model == "single-log" else fit_two_log
 
     agg = aggregate_series(ds, window_s=window_s)
@@ -483,9 +468,7 @@ def fit_chip(
     avg_series = [(t, m / avg_r0) for t, m, _, _ in agg]
     average = fit_fun(avg_series, opts)
 
-    per_opts = opts
-    if share_b and opts.model == "single-log":
-        per_opts = replace(opts, fix_b=average.params.b)
+    per_opts = replace(opts, fix_b=average.params.b) if share_b else opts
 
     per_junction: dict[int, FitResult] = {}
     r0s: dict[int, float] = {}
@@ -511,8 +494,6 @@ def fit_chip(
 
 
 _GRID_NODE_LIMIT = int(1e8)
-_SINGLE_KEYS = ("a", "tau_s", "b")
-_TWO_KEYS = ("a_int", "tau_int_s", "a_ext", "tau_ext_s")
 
 
 def grid_search_oracle(series, grid: Mapping[str, Sequence[float]]):
@@ -527,14 +508,13 @@ def grid_search_oracle(series, grid: Mapping[str, Sequence[float]]):
     keys = tuple(sorted(grid.keys()))
     if keys == tuple(sorted(_SINGLE_KEYS)):
         names, model = _SINGLE_KEYS, "single"
-        t, y = _check_series(series, 1)
     elif keys == tuple(sorted(_TWO_KEYS)):
         names, model = _TWO_KEYS, "two"
-        t, y = _check_series(series, 1)
     else:
         raise ValidationError(
             f"grid keys {keys} match neither the single-log nor the two-log model"
         )
+    t, y = _check_series(series, 1)
     axes = [np.asarray(grid[name], dtype=float) for name in names]
     if any(ax.ndim != 1 or ax.size < 1 for ax in axes):
         raise ValidationError("each grid axis needs at least one value")
@@ -571,7 +551,12 @@ def grid_search_oracle(series, grid: Mapping[str, Sequence[float]]):
     return best, best_rss
 
 
-_HIST_FIELDS = ("a", "tau", "log_tau", "b")
+_HIST_GETTERS = {
+    "a": lambda p: p.a,
+    "tau": lambda p: p.tau_s,
+    "log_tau": lambda p: math.log(p.tau_s),
+    "b": lambda p: p.b,
+}
 
 
 def parameter_histogram(results: Sequence[FitResult], field: str, n_bins: int):
@@ -581,26 +566,16 @@ def parameter_histogram(results: Sequence[FitResult], field: str, n_bins: int):
     ln(tau).  Returns ``(counts, edges)`` as numpy arrays (np.histogram
     convention); total counts equal the number of results.
     """
-    if field not in _HIST_FIELDS:
-        raise ValidationError(f"unknown histogram field {field!r}; choose from {_HIST_FIELDS}")
+    if field not in _HIST_GETTERS:
+        raise ValidationError(f"unknown histogram field {field!r}; "
+                              f"choose from {tuple(_HIST_GETTERS)}")
     if not results:
         raise InsufficientDataError("need at least one fit result")
     if n_bins < 1:
         raise ValidationError("n_bins must be >= 1")
-    values = []
-    for res in results:
-        p = res.params
-        if not isinstance(p, AgingParams):
-            raise ValidationError("parameter histograms expect single-log fit results")
-        if field == "a":
-            values.append(p.a)
-        elif field == "tau":
-            values.append(p.tau_s)
-        elif field == "log_tau":
-            values.append(math.log(p.tau_s))
-        else:
-            values.append(p.b)
-    arr = np.asarray(values)
+    if not all(isinstance(res.params, AgingParams) for res in results):
+        raise ValidationError("parameter histograms expect single-log fit results")
+    arr = np.asarray([_HIST_GETTERS[field](res.params) for res in results])
     vmin, vmax = float(arr.min()), float(arr.max())
     if vmin == vmax:
         vmin, vmax = vmin - 0.5, vmax + 0.5

@@ -243,6 +243,13 @@ class TestFit:
         assert "line 3" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    def test_two_log_with_share_b_exits_2(self, tmp_path, capsys):
+        data = self._simulate(tmp_path, preset="chip1", days="20")
+        out = tmp_path / "r.json"
+        assert run("fit", str(data), "--model", "two-log", "--share-b", "--out", str(out)) == 2
+        assert "share_b applies to the single-log model only" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,measurement\n")

@@ -1,5 +1,5 @@
-"""The fitting kernel against the original one in ``reference_fit``, its stop
-reasons, and the fit inputs it refuses."""
+"""The fitting kernel and driver against the originals in ``reference_fit``,
+the kernel's stop reasons, and the fit inputs the package refuses."""
 
 import math
 import warnings
@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from jjaging import (
     AgingParams,
     FitOptions,
+    ParameterError,
     ValidationError,
     chip_preset,
     draw_chip,
@@ -26,7 +27,11 @@ from jjaging.fitting import _single_log_rj, _two_log_rj
 from jjaging.presets import PRESET_NAMES
 
 import reference_fit
-from reference_fit import reference_lm_minimize
+from reference_fit import (
+    reference_fit_single_log,
+    reference_fit_two_log,
+    reference_lm_minimize,
+)
 
 DAY = 86400.0
 FIT_MODES = {
@@ -120,23 +125,42 @@ def fit_cases(draw):
     return np.column_stack([t, y]), FitOptions(**kw), weights
 
 
+FITS = {
+    "single-log": (fit_single_log, reference_fit_single_log),
+    "two-log": (fit_two_log, reference_fit_two_log),
+}
+
+
 def outcome(fn, *args, **kwargs):
-    try:
-        return fields(fn(*args, **kwargs))
-    except Exception as exc:  # the reference must fail the same way
-        return type(exc).__name__
+    """``fn``'s result, or the name of the exception it raised, and the
+    (category, text, file) of each warning it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            res = fn(*args, **kwargs)
+        except Exception as exc:  # the reference must fail the same way
+            res = type(exc).__name__
+    return res, [(w.category, str(w.message), w.filename) for w in caught]
+
+
+def text(res, how):
+    return res if isinstance(res, str) else how(res)
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=fit_cases())
 def test_fits_equal_reference(case):
     series, opts, weights = case
-    fn = fit_single_log if opts.model == "single-log" else fit_two_log
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        new = outcome(fn, series, opts, weights=weights)
-        ref = outcome(on_reference, fn, series, opts, weights=weights)
-    assert new == ref
+    fn, reference_fn = FITS[opts.model]
+    new, new_warnings = outcome(fn, series, opts, weights=weights)
+    ref, _ = outcome(on_reference, fn, series, opts, weights=weights)
+    assert text(new, fields) == text(ref, fields)
+    # The separate per-model drivers that ``_fit`` replaced: every field,
+    # stop_reason and stderr key order included, and the same warnings,
+    # naming the same file.
+    old, old_warnings = outcome(reference_fn, series, opts, weights=weights)
+    assert text(new, repr) == text(old, repr)
+    assert new_warnings == old_warnings
 
 
 def test_model_evaluators_equal_reference():
@@ -206,6 +230,28 @@ def test_fit_options_reject_bad_numbers(kw):
         FitOptions(**kw)
 
 
+@pytest.mark.parametrize("fn, init", [
+    (fit_single_log, ()),
+    (fit_single_log, (0.1,)),
+    (fit_single_log, (0.1, 1e4, 1.0, 0.5)),
+    (fit_two_log, (0.1, 1e4)),
+    (fit_two_log, (0.1, 1e4, 0.1)),
+    (fit_two_log, (0.1, 1e4, 0.1, 1e3, 1.0)),
+])
+def test_init_length_must_fit_the_model(fn, init):
+    with pytest.raises(ValidationError, match="init takes"):
+        fn(EXACT, FitOptions(init=init))
+
+
+def test_fix_b_is_refused_by_a_model_without_b():
+    with pytest.raises(ValidationError, match="fix_b"):
+        FitOptions(model="two-log", fix_b=1.0)
+    with pytest.raises(ValidationError, match="fix_b"):
+        fit_two_log(EXACT, FitOptions(fix_b=1.0))
+    with pytest.raises(ParameterError, match="fix_b outside b bounds"):
+        fit_single_log(EXACT, FitOptions(fix_b=20.0))
+
+
 def test_fit_options_accept_numpy_integer_iterations():
     assert fit_single_log(EXACT, FitOptions(max_iterations=np.int64(3))).iterations <= 3
 
@@ -218,3 +264,11 @@ def test_fit_chip_rejects_bad_r0_override(r0):
     with pytest.raises(ValidationError, match="r0_override"):
         fit_chip(ds, r0_override={0: r0})
     assert fit_chip(ds, r0_override={0: float(ds.r_ohm[0])}).per_junction[0].converged
+
+
+def test_fit_chip_refuses_share_b_for_two_log():
+    p = chip_preset("chip1")
+    ds = simulate_chip(draw_chip(p.spec, 1), p.schedule, [],
+                       np.arange(0.0, 56 * DAY + 1.0, 2 * DAY), p.sim, 1)
+    with pytest.raises(ValidationError, match="share_b"):
+        fit_chip(ds, FitOptions(model="two-log"), share_b=True)
