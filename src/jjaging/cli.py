@@ -31,7 +31,7 @@ from .dataio import (
     sha256_of_file,
     write_report,
     TOOL_VERSION,
-    _not_utf8,
+    _read_json,
     _write_json,
 )
 from .ensemble import (
@@ -113,11 +113,7 @@ def _resolve_chip(args):
         return p.spec, p.sim, p.schedule, cfg_desc
     if not args.spec:
         raise ValidationError("either --preset or --spec is required")
-    with open(args.spec, "r", encoding="utf-8-sig") as fh:
-        try:
-            d = json.load(fh)
-        except UnicodeDecodeError:
-            raise _not_utf8(args.spec) from None
+    d = _read_json(args.spec, "spec")
     _checked_section(d, "spec", ("chip", "sim", "environment"))
     if "chip" not in d:
         raise ValidationError(f"{args.spec}: spec file needs a 'chip' section")
@@ -507,10 +503,7 @@ def main(argv=None) -> int:
                "anneal": cmd_anneal}[args.command]
     try:
         return command(args)
-    except JJAgingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (JJAgingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

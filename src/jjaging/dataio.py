@@ -2,7 +2,8 @@
 
 All files are plain UTF-8 text, newline-terminated, and byte-stable for
 identical inputs (no timestamps, sorted keys).  Times are stored in days at
-the file surface and converted to seconds internally.
+the file surface and converted to seconds internally.  Every input file is
+read and decoded once, by ``_read_text``.
 
 Measurement CSV (header required)::
 
@@ -22,7 +23,9 @@ lines ``event,t_days,voltage,...`` / ``event,t_days,thermal,...`` with
     event,56,voltage,n_pulses=30,amplitude_v=0.9,pulse_duration_s=1,junctions=0-7
     event,85,thermal,temp_c=200,env=glovebox,hold_min=10
 
-Lines starting with ``#`` and blank lines are ignored.
+An argument sets the event type's field of that name (an omitted one keeps
+its default); ``junctions`` lists ids and ``lo-hi`` ranges joined by ``+``.
+Lines end at \\n, \\r\\n or \\r; ``#`` comments and blank lines are ignored.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import MISSING, dataclass, fields
+from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -127,19 +130,35 @@ def resistance_from_iv(sweep: IVSweep, full_output: bool = False):
     return float(slope)
 
 
-def _not_utf8(path) -> ParseError:
-    """The ParseError for a file that does not decode as UTF-8, naming the
-    line (counting \\n, \\r\\n and \\r line ends) of its first bad byte."""
+def _read_text(path) -> str:
+    """The text of a UTF-8 file without a leading byte-order mark; an
+    undecodable byte is a ParseError naming its line (counting \\n, \\r\\n and
+    \\r line ends) and byte offset.  Every file the package reads comes here."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        data.decode("utf-8")
+        # As utf-8-sig, but the error offsets count the byte-order mark.
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        line = head.count(b"\n") + 1
-        return ParseError(f"{path}: line {line}: not valid UTF-8 "
-                          f"(byte {data[exc.start]:#04x} at offset {exc.start})", lines=[line])
-    return ParseError(f"{path}: not valid UTF-8")
+        bad = exc.start
+        line = data[:bad].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        raise ParseError(f"{path}: line {line}: not valid UTF-8 "
+                         f"(byte {data[bad]:#04x} at offset {bad})", lines=[line]) from None
+
+
+def _read_json(path, what: str):
+    """A UTF-8 JSON file's value; malformed JSON is a ParseError naming the file."""
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid {what} JSON ({exc})") from None
+
+
+def _problems_error(path, problems: Sequence[tuple[int, str]], named=()) -> ParseError:
+    """One ParseError listing ``(line, message)`` problems in line order; its
+    ``lines`` are theirs and the ``named`` ones, sorted and without repeats."""
+    details = "; ".join(f"line {ln}: {msg}" for ln, msg in sorted(problems))
+    return ParseError(f"{path}: {details}", lines=sorted({*named, *(ln for ln, _ in problems)}))
 
 
 def _csv_prefix(chip_id) -> str:
@@ -228,21 +247,17 @@ def load_measurements(path) -> ChipDataset:
     within int64; environment; flag; t_seconds finite and >= 0; empty
     resistance only on open rows; resistance parse; resistance > 0.
     """
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError(f"{path}: empty file (header required)")
-            if [h.strip() for h in header] != MEASUREMENT_HEADER:
-                raise ParseError(
-                    f"{path}: bad header {header!r}; expected {','.join(MEASUREMENT_HEADER)}",
-                    lines=[1],
-                )
-            rows = list(reader)
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file (header required)")
+    if [h.strip() for h in header] != MEASUREMENT_HEADER:
+        raise ParseError(
+            f"{path}: bad header {header!r}; expected {','.join(MEASUREMENT_HEADER)}",
+            lines=[1],
+        )
+    rows = list(reader)
     problems: list[tuple[int, str]] = []
     lineno = np.arange(2, len(rows) + 2)
     n_fields = np.fromiter(map(len, rows), np.intp, len(rows))
@@ -294,7 +309,6 @@ def load_measurements(path) -> ChipDataset:
     first[blank] = -1
     for i in np.flatnonzero((first >= 0) & (first < len(checks))).tolist():
         problems.append((int(lineno[i]), checks[first[i]][1](i)))
-    lines = [ln for ln, _ in problems]
 
     valid = np.flatnonzero(first == len(checks))
     names = {s: s.strip() for s in set(chip_raw)}
@@ -306,21 +320,19 @@ def load_measurements(path) -> ChipDataset:
         problems.append((int(lineno[other]), f"chip_id {names[chip_raw[other]]!r} differs "
                          f"from {chip_id!r} on line {int(lineno[valid[0]])}; "
                          "a measurement file holds one chip"))
-        lines.append(int(lineno[other]))
         valid = valid[own]
 
     junction, t, linenos = junction[valid], t[valid], lineno[valid].tolist()
     # Stable sort by (junction_id, t): of two equal keys the later line follows.
     order = np.lexsort((t, junction))
     same = (junction[order][1:] == junction[order][:-1]) & (t[order][1:] == t[order][:-1])
+    firsts = []   # the earlier line of each duplicate pair, which its message names
     for prev, cur in zip(order[:-1][same].tolist(), order[1:][same].tolist()):
         problems.append((linenos[cur], f"duplicate of line {linenos[prev]}: junction "
                                        f"{int(junction[cur])} at t_seconds {float(t[cur])!r}"))
-        lines += [linenos[prev], linenos[cur]]
+        firsts.append(linenos[prev])
     if problems:
-        problems.sort()
-        details = "; ".join(f"line {ln}: {msg}" for ln, msg in problems)
-        raise ParseError(f"{path}: {details}", lines=sorted(set(lines)))
+        raise _problems_error(path, problems, firsts)
     # Non-finite and above-threshold resistances read as open rows.
     r = r[valid]
     opened = ~np.isfinite(r) | (r > OPEN_RESISTANCE_THRESHOLD_OHM)
@@ -328,17 +340,6 @@ def load_measurements(path) -> ChipDataset:
         junction, t, np.where(opened, math.nan, r), env[valid],
         np.where(opened, FLAG_OPEN, flag[valid]), chip_id,
     )
-
-
-def _parse_kv(parts: Sequence[str], lineno: int, problems) -> dict[str, str]:
-    kv = {}
-    for part in parts:
-        if "=" not in part:
-            problems.append((lineno, f"expected key=value, got {part!r}"))
-            return {}
-        k, v = part.split("=", 1)
-        kv[k.strip()] = v.strip()
-    return kv
 
 
 # Widest ``lo-hi`` junction range an event line may name; far above any chip,
@@ -366,75 +367,86 @@ def load_schedule(path) -> tuple[StorageSchedule, list[AnnealEvent]]:
     """Parse a schedule file into a StorageSchedule plus sorted anneal events.
 
     A leading UTF-8 byte-order mark is skipped."""
-    schedule, events = _parse_schedule_text(path, require_segments=True)
-    return schedule, events
+    return _parse_schedule_text(path, require_segments=True)
 
 
 def load_events(path) -> list[AnnealEvent]:
     """Parse only the event lines of a schedule-format file (segments optional)."""
-    _, events = _parse_schedule_text(path, require_segments=False)
-    return events
+    return _parse_schedule_text(path, require_segments=False)[1]
+
+
+# Event kinds by name, with their fields' declared types.  Each argument but
+# ``junctions`` sets the field of that name, parsed by its type; an omitted one
+# keeps its default.
+_EVENT_KINDS = {name: (kind, get_type_hints(kind)) for name, kind in
+                (("voltage", VoltageAnneal), ("thermal", ThermalAnneal))}
+_ARGUMENT_TYPES = {int: int, float: float, Environment: Environment.from_kind}
+
+
+def _parse_event(line: str) -> AnnealEvent:
+    """The event of ``event,t_days,kind,key=value,...``; ValueError names a fault."""
+    parts = [p.strip() for p in line.split(",")]
+    if len(parts) < 3:
+        raise ValueError("event line needs at least a time and a kind")
+    try:
+        t_s = float(parts[1]) * DAY_S
+    except ValueError:
+        raise ValueError(f"bad event time {parts[1]!r}") from None
+    kind_name = parts[2].lower()
+    if kind_name not in _EVENT_KINDS:
+        raise ValueError(f"unknown event kind {kind_name!r}")
+    kind, types = _EVENT_KINDS[kind_name]
+    args: dict[str, str] = {}
+    for part in parts[3:]:
+        key, eq, value = part.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ValueError(f"expected key=value, got {part!r}")
+        if key in args:
+            raise ValueError(f"repeated argument {key!r}")
+        if key != "junctions" and key not in types:
+            raise ValueError(f"unknown {kind_name} argument {key!r}")
+        args[key] = value.strip()
+    missing = [f.name for f in fields(kind) if f.default is MISSING and f.name not in args]
+    if missing:
+        raise ValueError(f"missing {kind_name} argument {missing[0]!r}")
+    try:
+        junctions = _parse_junctions(args.pop("junctions")) if "junctions" in args else None
+        values = {key: _ARGUMENT_TYPES[types[key]](v) for key, v in args.items()}
+        return AnnealEvent(t_s=t_s, kind=kind(**values), junction_ids=junctions)
+    except ValueError as exc:
+        raise ValueError(f"bad event arguments: {exc}") from None
+
+
+def _parse_segment(line: str) -> tuple[float, Environment]:
+    """The (start_s, environment) of a line ``start_days,environment``."""
+    parts = [p.strip() for p in line.split(",")]
+    if len(parts) != 2:
+        raise ValueError("segment line must be start_days,environment")
+    try:
+        return float(parts[0]) * DAY_S, Environment.from_kind(parts[1].lower())
+    except ValueError:
+        raise ValueError(f"bad segment line {line!r}") from None
 
 
 def _parse_schedule_text(path, require_segments: bool):
     segments: list[tuple[float, Environment]] = []
     events: list[AnnealEvent] = []
     problems: list[tuple[int, str]] = []
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            text = fh.readlines()
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-    for lineno, raw in enumerate(text, start=1):
+    # Universal newlines: a line ends at \n, \r\n or \r, and nowhere else.
+    for lineno, raw in enumerate(io.StringIO(_read_text(path), newline=None), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = [p.strip() for p in line.split(",")]
-        if parts[0].lower() == "event":
-            if len(parts) < 3:
-                problems.append((lineno, "event line needs at least a time and a kind"))
-                continue
-            try:
-                t_s = float(parts[1]) * DAY_S
-            except ValueError:
-                problems.append((lineno, f"bad event time {parts[1]!r}"))
-                continue
-            kind_name = parts[2].lower()
-            kv = _parse_kv(parts[3:], lineno, problems)
-            try:
-                junctions = _parse_junctions(kv["junctions"]) if "junctions" in kv else None
-                if kind_name == "voltage":
-                    kind = VoltageAnneal(
-                        n_pulses=int(kv.get("n_pulses", 30)),
-                        amplitude_v=float(kv.get("amplitude_v", 0.9)),
-                        pulse_duration_s=float(kv.get("pulse_duration_s", 1.0)),
-                    )
-                elif kind_name == "thermal":
-                    kind = ThermalAnneal(
-                        temp_c=float(kv["temp_c"]),
-                        env=Environment.from_kind(kv.get("env", "glovebox")),
-                        hold_min=float(kv.get("hold_min", 10.0)),
-                    )
-                else:
-                    problems.append((lineno, f"unknown event kind {kind_name!r}"))
-                    continue
-                events.append(AnnealEvent(t_s=t_s, kind=kind, junction_ids=junctions))
-            except (KeyError, ValueError, ValidationError) as exc:
-                problems.append((lineno, f"bad event arguments: {exc}"))
-        else:
-            if len(parts) != 2:
-                problems.append((lineno, "segment line must be start_days,environment"))
-                continue
-            try:
-                start_s = float(parts[0]) * DAY_S
-                env = Environment.from_kind(parts[1].lower())
-            except ValueError:
-                problems.append((lineno, f"bad segment line {line!r}"))
-                continue
-            segments.append((start_s, env))
+        try:
+            if line.split(",", 1)[0].strip().lower() == "event":
+                events.append(_parse_event(line))
+            else:
+                segments.append(_parse_segment(line))
+        except ValueError as exc:
+            problems.append((lineno, str(exc)))
     if problems:
-        details = "; ".join(f"line {ln}: {msg}" for ln, msg in problems)
-        raise ParseError(f"{path}: {details}", lines=[ln for ln, _ in problems])
+        raise _problems_error(path, problems)
     events.sort(key=lambda ev: ev.t_s)
     if not segments:
         if require_segments:
@@ -600,15 +612,8 @@ def write_report(report: FitReport, path) -> None:
 
 
 def read_report(path) -> FitReport:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid report JSON ({exc})")
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
     try:
-        return FitReport.from_dict(d)
+        return FitReport.from_dict(_read_json(path, "report"))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path}: report missing field {exc}")
 

@@ -83,6 +83,8 @@ class FitOptions:
         for lo, hi in (self.a_bounds, self.log_tau_bounds, self.b_bounds):
             if not lo < hi:
                 raise ValidationError("bounds must satisfy lo < hi")
+        if self.init is not None and not all(map(math.isfinite, self.init)):
+            raise ValidationError(f"init values must be finite, got {tuple(self.init)}")
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, ValidationError
-from .model import AgingParams, Environment, EnvironmentKind
+from .model import GLOVEBOX, AgingParams, Environment, EnvironmentKind
 
 __all__ = [
     "StorageSchedule",
@@ -133,7 +133,7 @@ class ThermalAnneal:
     """One oven step: peak temperature, oven atmosphere, post-step wait."""
 
     temp_c: float
-    env: Environment
+    env: Environment = GLOVEBOX
     hold_min: float = 10.0
 
     def __post_init__(self):

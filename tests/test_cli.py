@@ -90,6 +90,25 @@ class TestSimulate:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    def test_truncated_spec_exits_2_naming_the_file(self, tmp_path, capsys):
+        path = write_flat_spec(tmp_path)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        out = tmp_path / "d.csv"
+        assert run("simulate", "--spec", str(path), "--seed", "1", "--out", str(out)) == 2
+        assert f"error: {path}: invalid spec JSON" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_misspelt_schedule_argument_exits_2(self, tmp_path, capsys):
+        # amplitude for amplitude_v used to run the default 0.9 V pulses.
+        sched = tmp_path / "sched.txt"
+        sched.write_text("0,ambient\nevent,1,voltage,amplitude=2.0\n")
+        out = tmp_path / "d.csv"
+        assert run("simulate", "--preset", "chip1", "--schedule", str(sched),
+                   "--target-days", "4", "--seed", "1", "--out", str(out)) == 2
+        assert "line 2: unknown voltage argument 'amplitude'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--target-days", "nan"), ("--target-days", "inf"), ("--target-days", "-5"),
         ("--sample-days", "nan"), ("--sample-days", "0"), ("--sample-days", "-1"),
@@ -459,6 +478,18 @@ class TestAnneal:
         code = run("anneal", str(data), "--events", str(events), "--preset", "chip1",
                    "--seed", "4", "--out", str(out))
         assert code == 2
+        assert not out.exists()
+
+    def test_misspelt_thermal_argument_exits_2(self, tmp_path, capsys):
+        # hold for hold_min used to record at the default 10-minute hold.
+        data = self._dataset(tmp_path, days="2")
+        events = tmp_path / "t.txt"
+        events.write_text("event,2,thermal,temp_c=250,env=glovebox,hold=30\n")
+        out = tmp_path / "x.csv"
+        code = run("anneal", str(data), "--events", str(events), "--preset", "chip3",
+                   "--out", str(out))
+        assert code == 2
+        assert "line 1: unknown thermal argument 'hold'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_inverted_junction_range_exits_2(self, tmp_path, capsys):

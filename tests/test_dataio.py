@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +8,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from jjaging import (
+    GLOVEBOX,
+    AnnealEvent,
     ChipDataset,
+    Environment,
     IVSweep,
     InsufficientDataError,
     ParameterError,
     ParseError,
+    StorageSchedule,
     ThermalAnneal,
     VoltageAnneal,
     export_plot_data,
@@ -275,6 +281,62 @@ class TestScheduleFile:
             load_schedule(path)
         assert err.value.lines == [2, 3]
 
+    def test_omitted_arguments_take_the_event_types_defaults(self, tmp_path):
+        path = tmp_path / "ev.txt"
+        path.write_text("event,1,voltage\nevent,2,thermal,temp_c=200\n")
+        v, t = load_events(path)
+        assert v.kind == VoltageAnneal() and v.junction_ids is None
+        assert t.kind == ThermalAnneal(temp_c=200.0) and t.kind.env == GLOVEBOX
+
+    @pytest.mark.parametrize("args, key", [
+        ("temp_c=250,env=glovebox,hold=30", "thermal argument 'hold'"),
+        ("temp_c=250,n_pulses=3", "thermal argument 'n_pulses'"),
+        ("temp_c=250,=30", "thermal argument ''"),
+    ])
+    def test_unknown_argument_refused_naming_the_line(self, tmp_path, args, key):
+        # A misspelt argument used to be dropped, running the default step.
+        path = tmp_path / "ev.txt"
+        path.write_text(f"event,1,thermal,temp_c=200\nevent,2,thermal,{args}\n")
+        with pytest.raises(ParseError, match=f"line 2: unknown {key}") as err:
+            load_events(path)
+        assert err.value.lines == [2]
+
+    def test_missing_required_argument_refused(self, tmp_path):
+        path = tmp_path / "ev.txt"
+        path.write_text("event,2,thermal,env=ambient\n")
+        with pytest.raises(ParseError, match="line 1: missing thermal argument 'temp_c'"):
+            load_events(path)
+
+    @pytest.mark.parametrize("args, key", [
+        ("junctions=0-3,junctions=5", "junctions"),
+        ("n_pulses=3,n_pulses=40", "n_pulses"),
+        ("n_pulses=3, n_pulses =3", "n_pulses"),
+    ])
+    def test_repeated_argument_refused_naming_it(self, tmp_path, args, key):
+        path = tmp_path / "ev.txt"
+        path.write_text(f"event,1,voltage\nevent,2,voltage,{args}\n")
+        with pytest.raises(ParseError, match=f"line 2: repeated argument '{key}'") as err:
+            load_events(path)
+        assert err.value.lines == [2]
+
+    def test_malformed_pair_reported_once(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("0,ambient\nevent,5,thermal,temp_c\n")
+        with pytest.raises(ParseError) as err:
+            load_schedule(path)
+        assert err.value.lines == [2]
+        assert str(err.value) == f"{path}: line 2: expected key=value, got 'temp_c'"
+
+    def test_line_ends_are_only_cr_and_lf(self, tmp_path):
+        # Vertical tab, form feed, \x1c-\x1e, NEL and the Unicode line and
+        # paragraph separators do not end a line, so a comment holding one
+        # stays a comment.
+        path = tmp_path / "s.txt"
+        path.write_text("0,ambient\n# a\x0bb\x0cc\x1cd\x1de\x1ef\x85g\u2028h\u2029,mars\n"
+                        "4,glovebox\n", encoding="utf-8")
+        sched, events = load_schedule(path)
+        assert [s for s, _ in sched.segments] == [0.0, 4 * DAY] and events == []
+
 
 # Tokens of schedule-format lines, good ones and ones each parser step
 # must refuse: non-finite and overflowing times, unknown kinds and
@@ -312,6 +374,92 @@ def test_schedule_parsers_return_or_raise_parse_error(tmp_path, lines):
             loader(path)
         except ParseError:
             pass
+
+
+ENVS = st.sampled_from([Environment.from_kind(k) for k in ("ambient", "glovebox", "vacuum")])
+POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
+# Each event kind's arguments, each present or left out (temp_c is required).
+EVENT_ARGUMENTS = {
+    VoltageAnneal: st.fixed_dictionaries({}, optional={
+        "n_pulses": st.integers(1, 10**6), "amplitude_v": POSITIVE,
+        "pulse_duration_s": POSITIVE}),
+    ThermalAnneal: st.fixed_dictionaries({"temp_c": st.floats(-300.0, 1000.0)}, optional={
+        "env": ENVS, "hold_min": st.floats(0.0, 1e4)}),
+}
+JUNCTION_CHUNKS = st.lists(st.one_of(
+    st.integers(0, 500),
+    st.tuples(st.integers(0, 500), st.integers(0, 40)).map(lambda c: (c[0], c[0] + c[1]))),
+    min_size=1, max_size=4)
+# Comments may hold any encodable character but \r and \n, including ones that
+# str.splitlines would take for line ends.
+COMMENTS = st.one_of(
+    st.just(""),
+    st.text(st.characters(blacklist_categories=["Cs"],
+                         blacklist_characters="\r\n"), max_size=12).map("#{}".format),
+    st.just("# \x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029 event,1,laser"),
+)
+
+
+def _argument_text(value) -> str:
+    return value.kind.value if isinstance(value, Environment) else repr(value)
+
+
+@st.composite
+def schedule_files(draw):
+    """(lines, schedule, events, arguments): the file's lines, what it
+    declares, and the (line index, part index) of every key=value argument."""
+    starts = draw(st.lists(st.floats(1e-3, 1e4), max_size=4, unique_by=lambda d: d * DAY))
+    segments = [(d, draw(ENVS)) for d in [0.0, *sorted(starts)]]
+    records = [("segment", f"{d!r},{env.kind.value}") for d, env in segments]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from([VoltageAnneal, ThermalAnneal]))
+        t_days = draw(st.floats(0.0, 1e4))
+        args = draw(EVENT_ARGUMENTS[kind])
+        texts = [f"{k}={_argument_text(v)}" for k, v in args.items()]
+        junctions = draw(st.none() | JUNCTION_CHUNKS)
+        ids = None
+        if junctions is not None:
+            texts.append("junctions=" + "+".join(
+                str(c) if isinstance(c, int) else f"{c[0]}-{c[1]}" for c in junctions))
+            ids = tuple(sorted({j for c in junctions for j in (
+                [c] if isinstance(c, int) else range(c[0], c[1] + 1))}))
+        texts = draw(st.permutations(texts))
+        name = "voltage" if kind is VoltageAnneal else "thermal"
+        event = AnnealEvent(t_s=t_days * DAY, kind=kind(**args), junction_ids=ids)
+        records.insert(draw(st.integers(0, len(records))),
+                       (event, ",".join(["event", repr(t_days), name, *texts])))
+    lines, events, arguments = [], [], []
+    for record, text in records:
+        lines.extend(draw(st.lists(COMMENTS, max_size=2)))
+        if record != "segment":
+            events.append(record)
+            arguments += [(len(lines), k) for k in range(3, len(text.split(",")))]
+        lines.append(text)
+    schedule = StorageSchedule(segments=tuple((d * DAY, env) for d, env in segments))
+    return lines, schedule, sorted(events, key=lambda ev: ev.t_s), arguments
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(file=schedule_files(), eol=st.sampled_from(["\n", "\r\n", "\r"]),
+       bom=st.sampled_from([b"", b"\xef\xbb\xbf"]), data=st.data())
+def test_schedule_file_round_trip(tmp_path, file, eol, bom, data):
+    lines, schedule, events, arguments = file
+    path = tmp_path / "round.txt"
+    path.write_bytes(bom + (eol.join(lines) + eol).encode("utf-8"))
+    assert load_schedule(path) == (schedule, events)
+    assert load_events(path) == events
+    if arguments:
+        # Renaming an argument, e.g. amplitude_v to amplitude_, names its line.
+        i, k = data.draw(st.sampled_from(arguments))
+        parts = lines[i].split(",")
+        key, value = parts[k].split("=", 1)
+        parts[k] = f"{key[:-1]}={value}"
+        renamed = [*lines[:i], ",".join(parts), *lines[i + 1:]]
+        path.write_bytes(bom + (eol.join(renamed) + eol).encode("utf-8"))
+        with pytest.raises(ParseError, match=f"line {i + 1}: unknown") as err:
+            load_schedule(path)
+        assert err.value.lines == [i + 1]
 
 
 _HEADER = b"chip_id,junction_id,t_seconds,resistance_ohms,environment,flag"
@@ -456,3 +604,38 @@ class TestPlotExport:
         export_plot_data(series, p1)
         export_plot_data(dict(reversed(series.items())), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+SOURCES = Path(__file__).resolve().parents[1] / "src" / "jjaging"
+# The only functions that may open a file to read it.
+READERS = {("dataio.py", "_read_text"), ("dataio.py", "sha256_of_file")}
+
+
+def _reading_opens(path: Path):
+    """(file, function, line) of each ``open(...)`` call in a source file whose
+    mode is not a write or append mode, and of each read_text/read_bytes call."""
+    sites = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id == "open":
+                mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                            node.args[1] if len(node.args) > 1 else None)
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                        and any(c in mode.value for c in "wax")):
+                    sites.append((path.name, func, node.lineno))
+            elif getattr(node.func, "attr", None) in ("read_text", "read_bytes"):
+                sites.append((path.name, func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return sites
+
+
+def test_every_file_is_read_through_read_text():
+    sites = [site for path in sorted(SOURCES.glob("*.py")) for site in _reading_opens(path)]
+    assert [s for s in sites if s[:2] not in READERS] == []
+    assert {s[:2] for s in sites} == READERS   # the guard still sees the two readers

@@ -109,6 +109,17 @@ class TestSingleLogFit:
         with pytest.raises(ValidationError):
             fit_single_log([(1e3, 1.0), (1e4, np.nan), (1e5, 1.2), (1e6, 1.3)])
 
+    @pytest.mark.parametrize("model, init", [
+        ("single-log", (math.nan, 1e4, 1.0)),
+        ("single-log", (0.2, math.inf)),
+        ("single-log", (0.2, 1e4, -math.inf)),
+        ("two-log", (0.1, 1e4, 0.1, math.nan)),
+    ])
+    def test_non_finite_init_refused_naming_it(self, model, init):
+        # Refused when the options are made, before any fit starts from it.
+        with pytest.raises(ValidationError, match="init"):
+            FitOptions(model=model, init=init)
+
     def test_fixed_b(self):
         series = single_log_series(AgingParams(a=0.21, tau_s=1.2e4, b=1.0))
         res = fit_single_log(series, FitOptions(fix_b=1.0))
