@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import (
-    FitReport,
+    MAX_SAMPLES,
     build_fit_report,
     load_events,
     load_measurements,
@@ -135,6 +135,11 @@ def cmd_simulate(args) -> int:
         raise ValidationError(f"--target-days must be finite and >= 0, got {args.target_days}")
     if not (math.isfinite(args.sample_days) and args.sample_days > 0):
         raise ValidationError(f"--sample-days must be finite and > 0, got {args.sample_days}")
+    target_s = args.target_days * DAY_S
+    step_s = args.sample_days * DAY_S
+    # np.arange makes ceil((target_s + 1e-9) / step_s) samples; one more may follow.
+    if (target_s + 1e-9) / step_s > MAX_SAMPLES - 1:
+        raise ValidationError(f"--target-days/--sample-days make more than {MAX_SAMPLES} samples")
     spec, cfg, schedule, cfg_desc = _resolve_chip(args)
     events = []
     if args.schedule:
@@ -143,8 +148,6 @@ def cmd_simulate(args) -> int:
         # Extra events join the schedule's own; the sort is stable, so at
         # equal times the schedule's events come first.
         events = sorted([*events, *load_events(args.events)], key=lambda ev: ev.t_s)
-    target_s = args.target_days * DAY_S
-    step_s = args.sample_days * DAY_S
     samples = list(np.arange(0.0, target_s + 1e-9, step_s))
     if samples[-1] < target_s:
         samples.append(target_s)
@@ -222,33 +225,26 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _params_from_report(report: FitReport) -> AgingParams:
-    d = report.average["params"]
-    if d["kind"] == "single-log":
-        return AgingParams(a=d["a"], tau_s=d["tau_s"], b=d["b"],
-                           r0_ohm=report.average_r0_ohm)
-    two = TwoLogParams(a_int=d["a_int"], tau_int_s=d["tau_int_s"],
-                       a_ext=d["a_ext"], tau_ext_s=d["tau_ext_s"], r0_ohm=1.0)
-    # Two-channel fits predict through their equivalent single-log curve.
-    return AgingParams(a=two.a_int + two.a_ext, tau_s=effective_tau(two), b=1.0,
-                       r0_ohm=report.average_r0_ohm)
-
-
 def cmd_predict(args) -> int:
     for flag, days in (("--target-days", args.target_days), ("--from-days", args.from_days)):
         if days is not None and not (math.isfinite(days) and days >= 0):
             raise ValidationError(f"{flag} must be finite and >= 0, got {days}")
     if args.report:
         report = read_report(args.report)
-        params = _params_from_report(report)
+        params = report.average.params
+        if isinstance(params, TwoLogParams):
+            # Two-channel fits predict through their equivalent single-log curve.
+            params = AgingParams(a=params.a_int + params.a_ext, tau_s=effective_tau(params), b=1.0)
+        params = replace(params, r0_ohm=report.average_r0_ohm)
         from_days = args.from_days if args.from_days is not None else report.last_t_s / DAY_S
-        env_name = report.last_env if report.last_env in ("ambient", "glovebox", "vacuum") else "ambient"
-        cfg = None
+        # Data from an unknown environment predicts as ambient.
+        home = Environment.from_kind("ambient" if report.last_env == "unknown" else report.last_env)
+        cfg = SimConfig(fab_a=params.a)
     elif args.preset:
         p = chip_preset(args.preset)
         params = p.aging
         from_days = args.from_days if args.from_days is not None else 0.0
-        env_name = p.home_env.kind.value
+        home = p.home_env
         cfg = p.sim
     else:
         raise ValidationError("predict needs --report or --preset")
@@ -268,18 +264,15 @@ def cmd_predict(args) -> int:
                 f"is at day {events[0].t_s / DAY_S:g}"
             )
     else:
-        schedule = StorageSchedule.single(Environment.from_kind(env_name))
-    if cfg is None:
-        cfg = SimConfig(fab_a=params.a)
+        schedule = StorageSchedule.single(home)
 
     t_from = from_days * DAY_S
     t_target = args.target_days * DAY_S
     # The fitted timescale belongs to the environment the data came from;
     # anchor the per-junction scale there, not to the future schedule.
-    anchor = Environment.from_kind(env_name)
     profile = JunctionProfile(
         a=params.a, b=params.b,
-        tau_scale=params.tau_s / cfg.env_tau_s[anchor.kind],
+        tau_scale=params.tau_s / cfg.env_tau_s[home.kind],
     )
     y_from = float(eval_single_log(params, t_from)) - 1.0
     env, relax, swaps = _in_force(schedule, cfg, t_from)

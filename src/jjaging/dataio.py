@@ -26,6 +26,10 @@ lines ``event,t_days,voltage,...`` / ``event,t_days,thermal,...`` with
 An argument sets the event type's field of that name (an omitted one keeps
 its default); ``junctions`` lists ids and ``lo-hi`` ranges joined by ``+``.
 Lines end at \\n, \\r\\n or \\r; ``#`` comments and blank lines are ignored.
+
+A fit report is the JSON of a ``FitReport`` of ``FitResult``s, whose layout
+only this module knows.  ``read_report`` refuses (ParseError) a report that
+``to_dict`` does not give back, or whose ``schema_version`` is not 1.
 """
 
 from __future__ import annotations
@@ -51,7 +55,9 @@ from .ensemble import (
     FLAGS,
     OPEN_RESISTANCE_THRESHOLD_OHM,
     ChipDataset,
+    aggregate_series,
 )
+from .fitting import FitResult, parameter_histogram
 from .model import AgingParams, Environment, TwoLogParams
 from .trajectory import (
     DAY_S,
@@ -345,6 +351,8 @@ def load_measurements(path) -> ChipDataset:
 # Widest ``lo-hi`` junction range an event line may name; far above any chip,
 # it keeps a typo from expanding into billions of ids.
 MAX_JUNCTION_RANGE = 2**16
+# Most sample times ``jjaging simulate`` makes; it refuses more before allocating.
+MAX_SAMPLES = 2**16 + 1
 
 
 def _parse_junctions(text: str) -> tuple[int, ...]:
@@ -459,19 +467,13 @@ def _parse_schedule_text(path, require_segments: bool):
     return schedule, events
 
 
-def _params_to_dict(p) -> dict:
-    if isinstance(p, AgingParams):
-        return {"kind": "single-log", "a": p.a, "tau_s": p.tau_s, "b": p.b,
-                "r0_ohm": p.r0_ohm}
-    if isinstance(p, TwoLogParams):
-        return {"kind": "two-log", "a_int": p.a_int, "tau_int_s": p.tau_int_s,
-                "a_ext": p.a_ext, "tau_ext_s": p.tau_ext_s, "r0_ohm": p.r0_ohm}
-    raise ValidationError(f"cannot serialize params of type {type(p)!r}")
+_PARAM_KINDS = {"single-log": AgingParams, "two-log": TwoLogParams}
+_KIND_OF = {cls: kind for kind, cls in _PARAM_KINDS.items()}
 
 
-def _fit_to_dict(res) -> dict:
+def _fit_to_dict(res: FitResult) -> dict:
     return {
-        "params": _params_to_dict(res.params),
+        "params": {"kind": _KIND_OF[type(res.params)], **vars(res.params)},
         "stderr": {k: _num(v) for k, v in sorted(res.stderr.items())},
         "rss": res.rss,
         "converged": res.converged,
@@ -483,6 +485,19 @@ def _fit_to_dict(res) -> dict:
     }
 
 
+def _fit_from_dict(d: dict) -> FitResult:
+    """The fit ``_fit_to_dict`` wrote; null stderr reads as NaN, ``stop_reason`` as None."""
+    p = d["params"]
+    return FitResult(
+        params=_PARAM_KINDS[p["kind"]](**{k: float(v) for k, v in p.items() if k != "kind"}),
+        stderr={k: math.nan if v is None else float(v) for k, v in d["stderr"].items()},
+        rss=float(d["rss"]), converged=bool(d["converged"]), n_points=int(d["n_points"]),
+        iterations=int(d["iterations"]), at_bounds=tuple(map(str, d["at_bounds"])),
+        messages=tuple(map(str, d["messages"])),
+        degenerate_timescales=bool(d["degenerate_timescales"]),
+    )
+
+
 def _num(v):
     # JSON has no NaN/inf; store as null.
     if v is None or (isinstance(v, float) and not math.isfinite(v)):
@@ -492,7 +507,7 @@ def _num(v):
 
 @dataclass(frozen=True)
 class FitReport:
-    """Structured fit output: per-junction and average results plus aggregates.
+    """Structured fit output: per-junction and average fits plus aggregates.
 
     ``provenance`` carries the input digest, tool version, seed, and config
     digest so a report is reproducible from its inputs alone.
@@ -500,8 +515,8 @@ class FitReport:
 
     chip_id: str
     junction_ids: tuple[int, ...]
-    per_junction: dict[int, dict]
-    average: dict
+    per_junction: dict[int, FitResult]
+    average: FitResult
     r0_ohm: dict[int, float]
     average_r0_ohm: float
     cv_series: tuple[tuple[float, float | None, int], ...]  # (t_days, cv, n_used)
@@ -524,8 +539,8 @@ class FitReport:
             "schema_version": self.schema_version,
             "chip_id": self.chip_id,
             "junction_ids": list(self.junction_ids),
-            "per_junction": {str(j): self.per_junction[j] for j in sorted(self.per_junction)},
-            "average": self.average,
+            "per_junction": {str(j): _fit_to_dict(f) for j, f in sorted(self.per_junction.items())},
+            "average": _fit_to_dict(self.average),
             "r0_ohm": {str(j): self.r0_ohm[j] for j in sorted(self.r0_ohm)},
             "average_r0_ohm": self.average_r0_ohm,
             "cv_series": [[t, _num(cv), n] for t, cv, n in self.cv_series],
@@ -538,20 +553,23 @@ class FitReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitReport":
+        """The report ``d`` encodes; scalars are built by their types' constructors."""
+        if d["schema_version"] != 1 or d["last_env"] not in ENV_LABELS:
+            raise ValueError(f"schema_version must be 1 and last_env in {ENV_LABELS}")
         return cls(
-            chip_id=d["chip_id"],
-            junction_ids=tuple(d["junction_ids"]),
-            per_junction={int(j): v for j, v in d["per_junction"].items()},
-            average=d["average"],
-            r0_ohm={int(j): v for j, v in d["r0_ohm"].items()},
-            average_r0_ohm=d["average_r0_ohm"],
-            cv_series=tuple((t, cv, n) for t, cv, n in d["cv_series"]),
+            chip_id=str(d["chip_id"]),
+            junction_ids=tuple(map(int, d["junction_ids"])),
+            per_junction={int(j): _fit_from_dict(v) for j, v in d["per_junction"].items()},
+            average=_fit_from_dict(d["average"]),
+            r0_ohm={int(j): float(v) for j, v in d["r0_ohm"].items()},
+            average_r0_ohm=float(d["average_r0_ohm"]),
+            cv_series=tuple((float(t), None if cv is None else float(cv), int(n))
+                            for t, cv, n in d["cv_series"]),
             histograms=d["histograms"],
-            skipped={int(j): msg for j, msg in d["skipped"].items()},
+            skipped={int(j): str(msg) for j, msg in d["skipped"].items()},
             provenance=d["provenance"],
-            last_t_s=d["last_t_s"],
+            last_t_s=float(d["last_t_s"]),
             last_env=d["last_env"],
-            schema_version=d["schema_version"],
         )
 
 
@@ -562,9 +580,6 @@ def build_fit_report(
     window_s: float = 600.0,
 ) -> FitReport:
     """Assemble a FitReport from a dataset and its ChipFitResult."""
-    from .ensemble import aggregate_series
-    from .fitting import parameter_histogram
-
     agg = aggregate_series(ds, window_s=window_s)
     cv_series = tuple(
         (t / DAY_S, (None if math.isnan(cv) else cv), n) for t, _, cv, n in agg
@@ -584,8 +599,8 @@ def build_fit_report(
     return FitReport(
         chip_id=ds.chip_id,
         junction_ids=tuple(ds.junction_ids()),
-        per_junction={j: _fit_to_dict(res) for j, res in chip_fit.per_junction.items()},
-        average=_fit_to_dict(chip_fit.average),
+        per_junction=dict(chip_fit.per_junction),
+        average=chip_fit.average,
         r0_ohm=dict(chip_fit.r0_ohm),
         average_r0_ohm=chip_fit.average_r0_ohm,
         cv_series=cv_series,
@@ -612,10 +627,18 @@ def write_report(report: FitReport, path) -> None:
 
 
 def read_report(path) -> FitReport:
+    """The report a file holds; a malformed one, or one that ``to_dict`` does not
+    give back (a coerced JSON type, an unknown key), is a ParseError naming the file."""
+    d = _read_json(path, "report")
     try:
-        return FitReport.from_dict(_read_json(path, "report"))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"{path}: report missing field {exc}")
+        report = FitReport.from_dict(d)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed report ({type(exc).__name__}: {exc})") from None
+    encoded = report.to_dict()
+    bad = [k for k in sorted(d) if k not in encoded or d[k] != encoded[k]]
+    if bad:
+        raise ParseError(f"{path}: malformed report: wrong JSON type or unknown key in {bad[0]!r}")
+    return report
 
 
 def export_plot_data(series: Mapping[str, Sequence], path) -> None:

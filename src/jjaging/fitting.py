@@ -579,7 +579,8 @@ def parameter_histogram(results: Sequence[FitResult], field: str, n_bins: int):
         raise ValidationError("parameter histograms expect single-log fit results")
     arr = np.asarray([_HIST_GETTERS[field](res.params) for res in results])
     vmin, vmax = float(arr.min()), float(arr.max())
-    if vmin == vmax:
+    # Values too close for n_bins + 1 distinct edges (equal ones included).
+    if not (np.diff(np.linspace(vmin, vmax, n_bins + 1)) > 0).all():
         vmin, vmax = vmin - 0.5, vmax + 0.5
     counts, edges = np.histogram(arr, bins=n_bins, range=(vmin, vmax))
     return counts, edges

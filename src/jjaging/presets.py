@@ -22,7 +22,7 @@ import math
 
 from .ensemble import ChipSpec
 from .errors import ConfigurationError
-from .model import AMBIENT, GLOVEBOX, VACUUM, AgingParams, Environment, EnvironmentKind
+from .model import AMBIENT, GLOVEBOX, VACUUM, AgingParams, Environment
 from .trajectory import DAY_S, DEFAULT_ENV_TAU_S, SimConfig, StorageSchedule
 
 __all__ = ["ChipPreset", "chip_preset", "PRESET_NAMES"]
@@ -38,15 +38,14 @@ class ChipPreset:
     name: str
     description: str
     aging: AgingParams          # average-curve parameters, r0 = chip mean
-    home_env: Environment
     schedule: StorageSchedule
     spec: ChipSpec
     sim: SimConfig
 
-
-def _scaled_taus(home_kind: EnvironmentKind, tau_home: float) -> dict[EnvironmentKind, float]:
-    scale = tau_home / DEFAULT_ENV_TAU_S[home_kind]
-    return {kind: tau * scale for kind, tau in DEFAULT_ENV_TAU_S.items()}
+    @property
+    def home_env(self) -> Environment:
+        """The first segment's environment, where the timescale is ``aging.tau_s``."""
+        return self.schedule.segments[0][1]
 
 
 def _preset(
@@ -57,14 +56,14 @@ def _preset(
     b: float,
     r0: float,
     r0_cv: float,
-    home: Environment,
     schedule: StorageSchedule,
     open_prob: float = 0.0,
     voltage_jump=(0.16, 0.02),
     voltage_drift_tau_s: float = 5.0e4,
 ) -> ChipPreset:
+    scale = tau_s / DEFAULT_ENV_TAU_S[schedule.segments[0][1].kind]
     sim = SimConfig(
-        env_tau_s=_scaled_taus(home.kind, tau_s),
+        env_tau_s={kind: tau * scale for kind, tau in DEFAULT_ENV_TAU_S.items()},
         fab_a=a,
         voltage_jump_mean=voltage_jump[0],
         voltage_jump_sd=voltage_jump[1],
@@ -86,7 +85,7 @@ def _preset(
     return ChipPreset(
         name=name, description=description,
         aging=AgingParams(a=a, tau_s=tau_s, b=b, r0_ohm=r0),
-        home_env=home, schedule=schedule, spec=spec, sim=sim,
+        schedule=schedule, spec=spec, sim=sim,
     )
 
 
@@ -105,35 +104,34 @@ _PRESETS = {
     "chip1": _preset(
         "chip1", "ambient-stored reference chip, voltage-annealed at day 56",
         a=0.21, tau_s=1.2e4, b=1.01, r0=22_800.0, r0_cv=0.048,
-        home=AMBIENT, schedule=StorageSchedule.single(AMBIENT),
+        schedule=StorageSchedule.single(AMBIENT),
         voltage_jump=(0.142, 0.010), voltage_drift_tau_s=5.0e4,
     ),
     "chip2": _preset(
         "chip2", "glovebox-stored reference chip, voltage-annealed at day 56",
         a=0.15, tau_s=4.3e4, b=1.06, r0=24_300.0, r0_cv=0.059,
-        home=GLOVEBOX, schedule=StorageSchedule.single(GLOVEBOX),
+        schedule=StorageSchedule.single(GLOVEBOX),
         voltage_jump=(0.181, 0.014), voltage_drift_tau_s=1.6e4,
     ),
     "chip3": _preset(
         "chip3", "alternating storage starting in ambient air; thermally annealed",
         a=0.05, tau_s=1.2e4, b=1.0, r0=7_500.0, r0_cv=0.039,
-        home=AMBIENT, schedule=_alternating(AMBIENT, GLOVEBOX),
+        schedule=_alternating(AMBIENT, GLOVEBOX),
     ),
     "chip4": _preset(
         "chip4", "alternating storage starting in the glovebox; thermally annealed",
         a=0.05, tau_s=4.3e4, b=1.0, r0=8_700.0, r0_cv=0.051,
-        home=GLOVEBOX, schedule=_alternating(GLOVEBOX, AMBIENT),
+        schedule=_alternating(GLOVEBOX, AMBIENT),
     ),
     "chip5": _preset(
         "chip5", "high vacuum for 7 days, then glovebox",
         a=0.12, tau_s=6.9e4, b=0.97, r0=11_100.0, r0_cv=0.033,
-        home=VACUUM,
         schedule=StorageSchedule(segments=((0.0, VACUUM), (7 * DAY_S, GLOVEBOX))),
     ),
     "chip6": _preset(
         "chip6", "glovebox-stored chip with a region of open junctions",
         a=0.11, tau_s=3.9e4, b=0.98, r0=11_100.0, r0_cv=0.121,
-        home=GLOVEBOX, schedule=StorageSchedule.single(GLOVEBOX),
+        schedule=StorageSchedule.single(GLOVEBOX),
         open_prob=0.20,
     ),
 }

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 from pathlib import Path
@@ -18,6 +19,7 @@ from jjaging import (
 )
 from jjaging import cli
 from jjaging.cli import build_parser, main
+from jjaging.dataio import MAX_SAMPLES
 from jjaging.ensemble import ENV_LABELS
 
 DAY = 86400.0
@@ -127,6 +129,31 @@ class TestSimulate:
                    "--out", str(out))
         assert code == 2
         assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_exabyte_sample_count_exits_2(self, tmp_path, capsys):
+        # 1e18 samples: numpy used to raise MemoryError asking for 6.94 EiB.
+        out = tmp_path / "d.csv"
+        code = run("simulate", "--preset", "chip1", "--target-days", "1e15",
+                   "--sample-days", "1e-3", "--seed", "1", "--out", str(out))
+        assert code == 2
+        assert f"more than {MAX_SAMPLES} samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sample_cap_is_checked_before_allocating(self, tmp_path, capsys, monkeypatch):
+        def allocate(*args, **kwargs):
+            raise AssertionError("allocated samples")
+
+        monkeypatch.setattr(cli.np, "arange", allocate)
+        out = tmp_path / "d.csv"
+        argv = ["simulate", "--preset", "chip1", "--sample-days", "1", "--seed", "1",
+                "--out", str(out)]
+        # Days 0 to MAX_SAMPLES are one sample over the cap ...
+        assert run(*argv, "--target-days", str(MAX_SAMPLES)) == 2
+        assert f"more than {MAX_SAMPLES} samples" in capsys.readouterr().err
+        # ... and days 0 to MAX_SAMPLES - 1 are exactly the cap, which passes.
+        with pytest.raises(AssertionError, match="allocated samples"):
+            run(*argv, "--target-days", str(MAX_SAMPLES - 1))
         assert not out.exists()
 
     def test_zero_target_days_gives_one_sample(self, tmp_path, capsys):
@@ -294,7 +321,43 @@ class TestFit:
         assert json.loads(out.read_text())["provenance"]["seed"] == -1
 
 
+@pytest.fixture(scope="module")
+def fit_report(tmp_path_factory):
+    """A real report's JSON: chip1 simulated for 20 days and fitted."""
+    d = tmp_path_factory.mktemp("fit")
+    assert run("simulate", "--preset", "chip1", "--target-days", "20", "--seed", "3",
+               "--out", str(d / "data.csv")) == 0
+    assert run("fit", str(d / "data.csv"), "--out", str(d / "report.json")) in (0, 3)
+    return json.loads((d / "report.json").read_text())
+
+
 class TestPredict:
+    # Each of these used to escape as a traceback or to predict with exit 0.
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.update(per_junction=[]),
+        lambda d: d.update(cv_series=[[1, 2]]),
+        lambda d: d.update(last_t_s="x"),
+        lambda d: d.update(average_r0_ohm="x"),
+        lambda d: d.update(average={"params": {"kind": "two-log"}}),
+        lambda d: d.update(last_env=5),
+        lambda d: d.update(schema_version=2),
+        lambda d: d.update(junction_ids=5),
+        lambda d: d.update(unknown=1),
+        lambda d: d["average"].update(unknown=1),
+    ], ids=["per_junction-list", "cv_series-pair", "last_t_s-string",
+            "average_r0_ohm-string", "two-log-without-params", "last_env-number",
+            "schema_version-2", "junction_ids-number", "unknown-key", "unknown-fit-key"])
+    def test_malformed_report_exits_2_naming_the_file(self, tmp_path, capsys, fit_report,
+                                                      mutate):
+        d = copy.deepcopy(fit_report)
+        mutate(d)
+        path, out = tmp_path / "bad.json", tmp_path / "p.json"
+        path.write_text(json.dumps(d))
+        code = run("predict", "--report", str(path), "--target-days", "30", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: malformed report")
+        assert not out.exists()
+
     def test_flat_amplitude_prediction_equals_last_resistance(self, tmp_path, capsys):
         spec = write_flat_spec(tmp_path)
         # a = 0: no aging; prediction equals the reference resistance

@@ -1,5 +1,7 @@
 import ast
 import json
+import math
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,16 +11,21 @@ from hypothesis import strategies as st
 
 from jjaging import (
     GLOVEBOX,
+    AgingParams,
     AnnealEvent,
     ChipDataset,
+    ChipFitResult,
     Environment,
+    FitResult,
     IVSweep,
     InsufficientDataError,
     ParameterError,
     ParseError,
     StorageSchedule,
     ThermalAnneal,
+    TwoLogParams,
     VoltageAnneal,
+    build_fit_report,
     export_plot_data,
     load_events,
     load_measurements,
@@ -483,8 +490,11 @@ def test_non_utf8_file_raises_parse_error_naming_the_line(tmp_path, loader, cont
 
 
 _BOM = b"\xef\xbb\xbf"
-_REPORT_JSON = (b'{"average": {"converged": true, "params": {"a": 0.21, "b": 1.01, '
-                b'"kind": "single-log", "r0_ohm": 1.0, "tau_s": 12000.0}, "rss": 0.0}, '
+_REPORT_JSON = (b'{"average": {"at_bounds": [], "converged": true, '
+                b'"degenerate_timescales": false, "iterations": 7, "messages": [], '
+                b'"n_points": 2, "params": {"a": 0.21, "b": 1.01, '
+                b'"kind": "single-log", "r0_ohm": 1.0, "tau_s": 12000.0}, "rss": 0.0, '
+                b'"stderr": {"a": 0.001, "b": 0.002, "tau_s": 150.0}}, '
                 b'"average_r0_ohm": 10050.0, "chip_id": "c7", "cv_series": [], '
                 b'"histograms": {}, "junction_ids": [0], "last_env": "ambient", '
                 b'"last_t_s": 86400.0, "per_junction": {}, "provenance": {}, "r0_ohm": {}, '
@@ -523,12 +533,12 @@ class TestReport:
         return FitReport(
             chip_id="c7",
             junction_ids=(0, 1, 2),
-            per_junction={0: {"params": {"kind": "single-log", "a": 0.2, "tau_s": 1e4,
-                                         "b": 1.0, "r0_ohm": 1.0},
-                              "rss": 0.0, "converged": True}},
-            average={"params": {"kind": "single-log", "a": 0.21, "tau_s": 1.2e4,
-                                "b": 1.01, "r0_ohm": 1.0},
-                     "rss": 1e-9, "converged": True},
+            per_junction={0: FitResult(AgingParams(a=0.2, tau_s=1e4, b=1.0),
+                                       stderr={"a": 0.01, "b": 0.02, "tau_s": 300.0},
+                                       rss=0.0, converged=True, n_points=2, iterations=4)},
+            average=FitResult(AgingParams(a=0.21, tau_s=1.2e4, b=1.01),
+                              stderr={"a": 0.001, "b": 0.002, "tau_s": 150.0},
+                              rss=1e-9, converged=True, n_points=2, iterations=7),
             r0_ohm={0: 10_000.0},
             average_r0_ohm=10_050.0,
             cv_series=((0.0, 0.05, 3), (1.0, None, 1)),
@@ -560,6 +570,110 @@ class TestReport:
         rep = self._report()
         with pytest.raises(Exception):
             FitReport(**{**rep.__dict__, "per_junction": {9: {}}})
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def fit_results(draw):
+    """Fits of either model, with NaN and inf among the stderr values."""
+    if draw(st.booleans()):
+        params = AgingParams(a=draw(_finite(0, 1)), tau_s=draw(_finite(1, 1e8)),
+                             b=draw(_finite(0.1, 10)))
+    else:
+        params = TwoLogParams(a_int=draw(_finite(0, 1)), tau_int_s=draw(_finite(1, 1e8)),
+                              a_ext=draw(_finite(0, 1)), tau_ext_s=draw(_finite(1, 1e8)))
+    names = [f.name for f in fields(params) if f.name != "r0_ohm"]
+    return FitResult(
+        params=params,
+        stderr={name: draw(st.floats()) for name in names},
+        rss=draw(_finite(0, 1e3)),
+        converged=draw(st.booleans()),
+        n_points=draw(st.integers(0, 10**4)),
+        iterations=draw(st.integers(0, 500)),
+        at_bounds=tuple(draw(st.lists(st.sampled_from(names), unique=True))),
+        messages=tuple(draw(st.lists(st.text(max_size=12), max_size=2))),
+        degenerate_timescales=draw(st.booleans()),
+        stop_reason=draw(st.sampled_from([None, "step_tol", "rss_tol", "no_descent",
+                                          "max_iter"])),
+    )
+
+
+@st.composite
+def chip_fits(draw):
+    """A ChipFitResult for ``small_dataset``'s junctions 0-2, each fitted or skipped."""
+    fitted = draw(st.lists(st.booleans(), min_size=3, max_size=3))
+    per_junction = {j: draw(fit_results()) for j in range(3) if fitted[j]}
+    return ChipFitResult(
+        per_junction=per_junction, average=draw(fit_results()),
+        r0_ohm={j: draw(_finite(1, 1e6)) for j in per_junction},
+        average_r0_ohm=draw(_finite(1, 1e6)),
+        skipped={j: draw(st.text(max_size=12)) for j in range(3) if not fitted[j]},
+    )
+
+
+def _as_read(fit: FitResult) -> FitResult:
+    """A fit as a report gives it back: no stop_reason, non-finite stderr as NaN.
+    (``math.nan`` is what the reader stores, so dict equality holds by identity.)"""
+    return replace(fit, stop_reason=None, stderr={
+        k: v if math.isfinite(v) else math.nan for k, v in fit.stderr.items()})
+
+
+def _typed_nodes(d: dict):
+    """(container, key) of every value in a report's typed fields; histograms
+    and provenance are free-form."""
+    stack = [(d, k) for k in d if k not in ("histograms", "provenance")]
+    nodes = []
+    while stack:
+        parent, key = stack.pop()
+        nodes.append((parent, key))
+        value = parent[key]
+        if isinstance(value, dict):
+            stack.extend((value, k) for k in value)
+        elif isinstance(value, list):
+            stack.extend((value, i) for i in range(len(value)))
+    return nodes
+
+
+def _records(d: dict) -> list[dict]:
+    """The report's objects whose keys are fixed: the top level, each fit
+    and each fit's params."""
+    fits = [d["average"], *d["per_junction"].values()]
+    return [d, *fits, *(f["params"] for f in fits)]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(chip_fit=chip_fits(), data=st.data())
+def test_report_round_trip_and_malformed_reports(tmp_path, chip_fit, data):
+    built = build_fit_report(small_dataset(), chip_fit, {"seed": 0})
+    p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    write_report(built, p1)
+    back = read_report(p1)
+    write_report(back, p2)
+    assert p2.read_bytes() == p1.read_bytes()
+    assert back == replace(built, average=_as_read(built.average), per_junction={
+        j: _as_read(f) for j, f in built.per_junction.items()})
+
+    # One change of a JSON type in a typed field, or one key deleted or added.
+    d = json.loads(p1.read_text())
+    change = data.draw(st.sampled_from(["retype", "delete", "add"]))
+    if change == "retype":
+        parent, key = data.draw(st.sampled_from(_typed_nodes(d)))
+        value = parent[key]
+        parent[key] = [value] if isinstance(value, str) else json.dumps(value)
+    else:
+        record = data.draw(st.sampled_from(_records(d)))
+        if change == "delete":
+            del record[data.draw(st.sampled_from(sorted(record)))]
+        else:
+            record["unknown"] = data.draw(st.sampled_from([None, 0, "x", [], {}]))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    with pytest.raises(ParseError, match="malformed report"):
+        read_report(bad)
 
 
 GOLDEN_CSV = """\

@@ -300,6 +300,13 @@ class TestHistogram:
         assert counts.sum() == 1
         assert (counts > 0).sum() == 1
 
+    def test_values_ulps_apart_get_finite_bins(self):
+        # 0 and the smallest subnormal used to make numpy refuse the range
+        # ("Too many bins for data range"), and with it build_fit_report.
+        counts, edges = parameter_histogram(self._results([0.0, 5e-324]), "a", n_bins=8)
+        assert counts.sum() == 2
+        assert (np.diff(edges) > 0).all()
+
     def test_counts_conserved(self):
         res = self._results([0.1, 0.15, 0.2, 0.25, 0.3, 0.12])
         counts, _ = parameter_histogram(res, "a", 4)
