@@ -41,6 +41,7 @@ import json
 import math
 import warnings
 from dataclasses import MISSING, dataclass, fields
+from functools import partial
 from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
@@ -152,11 +153,38 @@ def _read_text(path) -> str:
                          f"(byte {data[bad]:#04x} at offset {bad})", lines=[line]) from None
 
 
+def _json_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _json_number(parse):
+    """A ``json.loads`` number hook: ``parse(text)``, refusing a value that
+    overflows a float."""
+    def number(text: str):
+        value = parse(text)
+        try:
+            if math.isfinite(value):
+                return value
+        except OverflowError:   # an int too large for a float
+            pass
+        raise ValueError(f"{text[:24]}{'...' if len(text) > 24 else ''} overflows a float")
+    return number
+
+
+_JSON_HOOKS = {"parse_constant": _json_constant, "parse_float": _json_number(float),
+               "parse_int": _json_number(int)}
+
+
 def _read_json(path, what: str):
-    """A UTF-8 JSON file's value; malformed JSON is a ParseError naming the file."""
+    """A UTF-8 JSON file's value; malformed JSON is a ParseError naming the file.
+
+    JSON has no NaN or infinity, so the ``NaN``/``Infinity`` tokens that
+    Python's decoder takes, and numbers too large for a float, are malformed.
+    """
+    text = _read_text(path)
     try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+        return json.loads(text, **_JSON_HOOKS)
+    except ValueError as exc:   # json.JSONDecodeError, or a refused number
         raise ParseError(f"{path}: invalid {what} JSON ({exc})") from None
 
 
@@ -485,16 +513,53 @@ def _fit_to_dict(res: FitResult) -> dict:
     }
 
 
-def _fit_from_dict(d: dict) -> FitResult:
-    """The fit ``_fit_to_dict`` wrote; null stderr reads as NaN, ``stop_reason`` as None."""
-    p = d["params"]
+class _BadField(ValueError):
+    """A report field that is missing or whose value its constructor refused."""
+
+
+def _field(d: dict, key: str, decode, where: str = ""):
+    """``decode(d[key])``; a missing key, or a value that ``decode`` refuses, is
+    a ``_BadField`` naming the field by its dotted path ``where + key``."""
+    name = where + key
+    try:
+        value = d[key]
+    except KeyError:
+        raise _BadField(f"missing {name!r}") from None
+    try:
+        return decode(value)
+    except _BadField:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise _BadField(f"bad {name!r} ({type(exc).__name__}: {exc})") from None
+
+
+def _among(choices: tuple):
+    """A decoder that passes a value of ``choices`` through and refuses others."""
+    def decode(v):
+        if v not in choices:
+            raise ValueError(f"{v!r} is not one of {choices}")
+        return v
+    return decode
+
+
+def _params_from_dict(p: dict, where: str):
+    kind = _field(p, "kind", _among(tuple(_PARAM_KINDS)), where)
+    return _PARAM_KINDS[kind](**{k: _field(p, k, float, where) for k in p if k != "kind"})
+
+
+def _fit_from_dict(d: dict, where: str = "") -> FitResult:
+    """The fit ``_fit_to_dict`` wrote; null stderr reads as NaN, ``stop_reason`` as
+    None.  A bad field is a ``_BadField`` named from ``where``."""
+    get = partial(_field, d, where=where)
     return FitResult(
-        params=_PARAM_KINDS[p["kind"]](**{k: float(v) for k, v in p.items() if k != "kind"}),
-        stderr={k: math.nan if v is None else float(v) for k, v in d["stderr"].items()},
-        rss=float(d["rss"]), converged=bool(d["converged"]), n_points=int(d["n_points"]),
-        iterations=int(d["iterations"]), at_bounds=tuple(map(str, d["at_bounds"])),
-        messages=tuple(map(str, d["messages"])),
-        degenerate_timescales=bool(d["degenerate_timescales"]),
+        params=get("params", lambda p: _params_from_dict(p, f"{where}params.")),
+        stderr=get("stderr", lambda s: {k: math.nan if v is None else float(v)
+                                        for k, v in s.items()}),
+        rss=get("rss", float), converged=get("converged", bool),
+        n_points=get("n_points", int), iterations=get("iterations", int),
+        at_bounds=get("at_bounds", lambda v: tuple(map(str, v))),
+        messages=get("messages", lambda v: tuple(map(str, v))),
+        degenerate_timescales=get("degenerate_timescales", bool),
     )
 
 
@@ -553,23 +618,25 @@ class FitReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitReport":
-        """The report ``d`` encodes; scalars are built by their types' constructors."""
-        if d["schema_version"] != 1 or d["last_env"] not in ENV_LABELS:
-            raise ValueError(f"schema_version must be 1 and last_env in {ENV_LABELS}")
+        """The report ``d`` encodes; scalars are built by their types'
+        constructors, and a missing or refused field is a ValueError naming it."""
+        get = partial(_field, d)
+        get("schema_version", _among((1,)))
         return cls(
-            chip_id=str(d["chip_id"]),
-            junction_ids=tuple(map(int, d["junction_ids"])),
-            per_junction={int(j): _fit_from_dict(v) for j, v in d["per_junction"].items()},
-            average=_fit_from_dict(d["average"]),
-            r0_ohm={int(j): float(v) for j, v in d["r0_ohm"].items()},
-            average_r0_ohm=float(d["average_r0_ohm"]),
-            cv_series=tuple((float(t), None if cv is None else float(cv), int(n))
-                            for t, cv, n in d["cv_series"]),
-            histograms=d["histograms"],
-            skipped={int(j): str(msg) for j, msg in d["skipped"].items()},
-            provenance=d["provenance"],
-            last_t_s=float(d["last_t_s"]),
-            last_env=d["last_env"],
+            chip_id=get("chip_id", str),
+            junction_ids=get("junction_ids", lambda v: tuple(map(int, v))),
+            per_junction=get("per_junction", lambda v: {
+                int(j): _fit_from_dict(f, f"per_junction.{j}.") for j, f in v.items()}),
+            average=get("average", lambda v: _fit_from_dict(v, "average.")),
+            r0_ohm=get("r0_ohm", lambda v: {int(j): float(r) for j, r in v.items()}),
+            average_r0_ohm=get("average_r0_ohm", float),
+            cv_series=get("cv_series", lambda v: tuple(
+                (float(t), None if cv is None else float(cv), int(n)) for t, cv, n in v)),
+            histograms=get("histograms", lambda v: v),
+            skipped=get("skipped", lambda v: {int(j): str(msg) for j, msg in v.items()}),
+            provenance=get("provenance", lambda v: v),
+            last_t_s=get("last_t_s", float),
+            last_env=get("last_env", _among(ENV_LABELS)),
         )
 
 
@@ -630,10 +697,12 @@ def read_report(path) -> FitReport:
     """The report a file holds; a malformed one, or one that ``to_dict`` does not
     give back (a coerced JSON type, an unknown key), is a ParseError naming the file."""
     d = _read_json(path, "report")
+    if not isinstance(d, dict):
+        raise ParseError(f"{path}: malformed report: not a JSON object")
     try:
         report = FitReport.from_dict(d)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed report ({type(exc).__name__}: {exc})") from None
+    except ValueError as exc:   # a bad field, named, or junctions absent from the dataset
+        raise ParseError(f"{path}: malformed report: {exc}") from None
     encoded = report.to_dict()
     bad = [k for k in sorted(d) if k not in encoded or d[k] != encoded[k]]
     if bad:

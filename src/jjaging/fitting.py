@@ -314,21 +314,85 @@ def _two_log_finish(v, stderr, at, msgs):
     return TwoLogParams(*v), stderr, at, degenerate
 
 
+# The two-log start: ``_START_NODES`` ln tau nodes spanning the box, and every
+# pair of them with tau_int > tau_ext.  ``_PAIR_TAKE`` picks each pair's
+# (g_int, g_ext, g_int, c_int, c_ext, c_int, g_ie) out of the moment matrix
+# [basis | z].T @ [basis | z]: g the Gram entries of the nodes' basis
+# columns, c (in the last column) their products with z.
+_START_NODES = 41
+_START_STEPS = np.linspace(0.0, 1.0, _START_NODES)
+_PAIR_EXT, _PAIR_INT = np.triu_indices(_START_NODES, 1)
+_PAIR_Z = np.full_like(_PAIR_INT, _START_NODES)
+_PAIR_TAKE = np.ravel_multi_index(np.transpose([  # (row, column) of each entry taken
+    (_PAIR_INT, _PAIR_INT), (_PAIR_EXT, _PAIR_EXT), (_PAIR_INT, _PAIR_INT),
+    (_PAIR_INT, _PAIR_Z), (_PAIR_EXT, _PAIR_Z), (_PAIR_INT, _PAIR_Z),
+    (_PAIR_INT, _PAIR_EXT),
+], (1, 0, 2)), (_START_NODES + 1,) * 2)
+
+
+def _two_log_start(t, y, tpos, sw, opts: FitOptions):
+    """A natural-unit two-log start: the node pair, with amplitudes in the
+    box, of least rss.
+
+    For fixed timescales the model is linear in (a_int, a_ext) (the separable
+    structure of Golub & Pereyra 1973), so each pair's amplitudes solve a
+    2-variable bounded least-squares problem in closed form: the
+    unconstrained minimizer if it lies in the box, else the best point of an
+    edge, at that edge's clipped 1-D minimizer.  A convex problem's minimizer
+    lies on an edge of a bound that the unconstrained one violates, so two
+    candidates per pair cover it: one amplitude clipped from the
+    unconstrained minimizer and the other at its clipped 1-D minimizer, for
+    each amplitude in turn (both are the unconstrained minimizer when it is
+    feasible).  Candidates are ranked by rss from the normal equations; ties
+    go to the first in row-major order of the (row, pair) layout below.
+    """
+    lo, hi = opts.log_tau_bounds
+    bz = np.empty((t.size, _START_NODES + 1))
+    basis = bz[:, :-1]
+    np.multiply.outer(t, np.exp(_START_STEPS * (lo - hi) - lo), out=basis)
+    np.log1p(basis, out=basis)
+    np.subtract(y, 1.0, out=bz[:, -1])
+    if sw is not None:
+        bz *= sw[:, None]
+    m = (bz.T @ bz).take(_PAIR_TAKE)
+    # Row 0 clips a_int from the unconstrained minimizer and gives a_ext its
+    # clipped 1-D minimizer; row 1 does the reverse.  "own" is the amplitude
+    # clipped first, "oth" the other one.
+    g_own, g_oth, c_own, c_oth, g_ie = m[:2], m[1:3], m[3:5], m[4:6], m[6]
+    a_lo, a_hi = opts.a_bounds
+    # fmax/fmin send the NaN of a singular system to a bound, inside the box.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        own = (c_own * g_oth - c_oth * g_ie) / (g_own * g_oth - g_ie * g_ie)
+        own = np.fmin(np.fmax(own, a_lo), a_hi)
+        r = c_oth - own * g_ie
+        oth = np.fmin(np.fmax(r / g_oth, a_lo), a_hi)
+        rss = own * (own * g_own - 2.0 * c_own) + oth * (oth * g_oth - 2.0 * r)  # - z.z
+    row, pair = divmod(int(rss.argmin()), _PAIR_INT.size)
+    a_int, a_ext = (own[0, pair], oth[0, pair]) if row == 0 else (oth[1, pair], own[1, pair])
+    ln_tau_int, ln_tau_ext = lo + (hi - lo) * _START_STEPS[[_PAIR_INT[pair], _PAIR_EXT[pair]]]
+    return float(a_int), math.exp(ln_tau_int), float(a_ext), math.exp(ln_tau_ext)
+
+
+def _single_log_guess(t, y, tpos, sw, opts):
+    a = (y.max() - y.min()) / math.log(tpos.max() / tpos.min())   # rise per e-fold
+    return a, tpos.min(), 1.0
+
+
 # What sets each model's fit apart; ``_fit`` does the rest.  Timescales sit
 # in the odd slots of ``names`` and are fitted in ln tau.  ``box`` names each
-# slot's FitOptions bounds; ``guess(rise per e-fold, positive times)`` gives a
-# natural-unit start; ``finish`` returns (params, stderr, at_bounds, degenerate).
+# slot's FitOptions bounds; ``guess(t, y, positive times, square-root weights,
+# opts)`` gives a natural-unit start; ``finish`` returns (params, stderr,
+# at_bounds, degenerate).
 _Model = namedtuple("_Model", "names box min_points init_lengths guess resid jac finish")
 _MODELS = {
     "single-log": _Model(
         _SINGLE_KEYS, ("a_bounds", "log_tau_bounds", "b_bounds"), 4, (2, 3),
-        lambda a, tpos: (a, tpos.min(), 1.0), _single_log_resid, _single_log_jac,
+        _single_log_guess, _single_log_resid, _single_log_jac,
         lambda v, stderr, at, msgs: (AgingParams(*v), stderr, at, False),
     ),
     "two-log": _Model(
         _TWO_KEYS, ("a_bounds", "log_tau_bounds") * 2, 6, (4,),
-        lambda a, tpos: (a / 2.0, tpos.max() / 10.0, a / 2.0, tpos.min()),
-        _two_log_resid, _two_log_jac, _two_log_finish,
+        _two_log_start, _two_log_resid, _two_log_jac, _two_log_finish,
     ),
 }
 
@@ -369,8 +433,7 @@ def _fit(model: str, series, opts: FitOptions | None, weights) -> FitResult:
         raise ValidationError(f"{model} init takes {' or '.join(map(str, m.init_lengths))} "
                               f"values, got {len(start)}")
     if len(start) < len(m.names):
-        a = (y.max() - y.min()) / math.log(tpos.max() / tpos.min())
-        start = (*start, *m.guess(a, tpos)[len(start):])
+        start = (*start, *m.guess(t, y, tpos, sw, opts)[len(start):])
 
     names, box, resid_kw = m.names, m.box, {}
     if fixed_b is not None:  # b, the last slot, leaves the fit for the residuals

@@ -106,13 +106,13 @@ class AgingParams:
     r0_ohm: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.a) and self.a >= 0):
+        if not (math.isfinite(self.a) and self.a >= 0):
             raise ParameterError(f"amplitude a must be finite and >= 0, got {self.a}")
-        if not (np.isfinite(self.tau_s) and self.tau_s > 0):
+        if not (math.isfinite(self.tau_s) and self.tau_s > 0):
             raise ParameterError(f"tau_s must be finite and > 0, got {self.tau_s}")
-        if not (np.isfinite(self.b) and self.b > 0):
+        if not (math.isfinite(self.b) and self.b > 0):
             raise ParameterError(f"b must be finite and > 0, got {self.b}")
-        if not (np.isfinite(self.r0_ohm) and self.r0_ohm > 0):
+        if not (math.isfinite(self.r0_ohm) and self.r0_ohm > 0):
             raise ParameterError(f"r0_ohm must be finite and > 0, got {self.r0_ohm}")
 
 
@@ -129,11 +129,11 @@ class TwoLogParams:
     def __post_init__(self):
         for name in ("a_int", "a_ext"):
             v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0):
+            if not (math.isfinite(v) and v >= 0):
                 raise ParameterError(f"{name} must be finite and >= 0, got {v}")
         for name in ("tau_int_s", "tau_ext_s", "r0_ohm"):
             v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
+            if not (math.isfinite(v) and v > 0):
                 raise ParameterError(f"{name} must be finite and > 0, got {v}")
 
 

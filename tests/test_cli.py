@@ -78,9 +78,11 @@ class TestSimulate:
         (None, "enviroment", "glovebox", "unknown spec key 'enviroment'"),
         (None, "sim", [0.21], "spec section 'sim' must be a JSON object"),
         ("sim", "fab_a", "0.21", "bad sim value"),
-        ("sim", "relax_gas_to_gas_s", math.nan, "relax_gas_to_gas_s must be finite"),
+        # JSON has no NaN or infinity: the reader refuses Python's tokens for them.
+        ("sim", "relax_gas_to_gas_s", math.nan, "invalid spec JSON (NaN is not a JSON number)"),
         ("sim", "env_tau_s", {"mars": 1e4}, "bad sim value"),
         ("chip", "r0_mean_ohm", "big", "bad chip value"),
+        ("chip", "a_mean", math.inf, "invalid spec JSON (Infinity is not a JSON number)"),
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, section, key, value, named):
         path = write_flat_spec(tmp_path)
@@ -90,6 +92,19 @@ class TestSimulate:
         out = tmp_path / "d.csv"
         assert run("simulate", "--spec", str(path), "--seed", "1", "--out", str(out)) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key", [("chip", "r0_mean_ohm"), ("sim", "fab_a"),
+                                              ("chip", "n_junctions")])
+    def test_spec_number_too_large_for_a_float_exits_2(self, tmp_path, capsys, section, key):
+        # A float field used to escape as an OverflowError traceback.
+        path = write_flat_spec(tmp_path)
+        sp = json.loads(path.read_text())
+        sp[section][key] = 10**400
+        path.write_text(json.dumps(sp))
+        out = tmp_path / "d.csv"
+        assert run("simulate", "--spec", str(path), "--seed", "1", "--out", str(out)) == 2
+        assert f"error: {path}: invalid spec JSON (1000" in capsys.readouterr().err
         assert not out.exists()
 
     def test_truncated_spec_exits_2_naming_the_file(self, tmp_path, capsys):
@@ -356,6 +371,31 @@ class TestPredict:
         code = run("predict", "--report", str(path), "--target-days", "30", "--out", str(out))
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: malformed report")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mutate, named", [
+        (lambda d: d.update(junction_ids=5),
+         "bad 'junction_ids' (TypeError: 'int' object is not iterable)"),
+        (lambda d: d["average"]["params"].update(kind="three-log"),
+         "bad 'average.params.kind' (ValueError: 'three-log' is not one of"),
+        (lambda d: d["per_junction"]["3"].update(n_points="x"),
+         "bad 'per_junction.3.n_points' (ValueError:"),
+        (lambda d: d["average"]["params"].pop("a"), "bad 'average.params' (TypeError:"),
+        (lambda d: d["average"].pop("rss"), "missing 'average.rss'"),
+        (lambda d: d.update(last_env="mars"), "bad 'last_env' (ValueError: 'mars' is not one of"),
+        (lambda d: d["average"].update(rss=math.nan), "invalid report JSON (NaN is not"),
+        (lambda d: d["r0_ohm"].update({"0": -math.inf}), "invalid report JSON (-Infinity is not"),
+    ], ids=["junction_ids-number", "three-log", "n_points-string", "params-without-a",
+            "fit-without-rss", "last_env-unknown", "rss-nan", "r0-minus-infinity"])
+    def test_malformed_report_message_names_the_field(self, tmp_path, capsys, fit_report,
+                                                      mutate, named):
+        d = copy.deepcopy(fit_report)
+        mutate(d)
+        path, out = tmp_path / "bad.json", tmp_path / "p.json"
+        path.write_text(json.dumps(d))
+        code = run("predict", "--report", str(path), "--target-days", "30", "--out", str(out))
+        assert code == 2
+        assert f"error: {path}: " in (err := capsys.readouterr().err) and named in err
         assert not out.exists()
 
     def test_flat_amplitude_prediction_equals_last_resistance(self, tmp_path, capsys):

@@ -501,6 +501,29 @@ _REPORT_JSON = (b'{"average": {"at_bounds": [], "converged": true, '
                 b'"schema_version": 1, "skipped": {}}\n')
 
 
+@pytest.mark.parametrize("value, message", [
+    (b"NaN", "invalid report JSON (NaN is not a JSON number)"),
+    (b"Infinity", "invalid report JSON (Infinity is not a JSON number)"),
+    (b"-Infinity", "invalid report JSON (-Infinity is not a JSON number)"),
+    (b"1e400", "invalid report JSON (1e400 overflows a float)"),
+    (b"1" + b"0" * 400, "invalid report JSON (100000000000000000000000... overflows a float)"),
+])
+def test_report_without_a_finite_number_is_refused(tmp_path, value, message):
+    # Each used to be read, leaving a report that write_report then refused.
+    path = tmp_path / "r.json"
+    path.write_bytes(_REPORT_JSON.replace(b'"rss": 0.0', b'"rss": ' + value))
+    with pytest.raises(ParseError) as err:
+        read_report(path)
+    assert str(err.value).startswith(f"{path}: {message}")
+
+
+def test_report_that_is_not_an_object_is_refused(tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text("[1, 2]\n")
+    with pytest.raises(ParseError, match="malformed report: not a JSON object"):
+        read_report(path)
+
+
 def _dataset_columns(ds):
     return [ds.chip_id, *(getattr(ds, c).tolist() for c in ("junction_id", "t_s", "r_ohm",
                                                              "env", "flag"))]

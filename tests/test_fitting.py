@@ -22,6 +22,7 @@ from jjaging import (
     grid_search_oracle,
     parameter_histogram,
 )
+from jjaging import fitting
 from jjaging.ensemble import ENV_LABELS, FLAGS
 from jjaging.fitting import _single_log_rj, _solve, _two_log_rj
 
@@ -276,6 +277,60 @@ class TestGridOracle:
         })
         assert rss < 1e-20
         assert best["tau_int_s"] == 3.9e4 and best["tau_ext_s"] == 1.2e4
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_two_log_start_dominates_the_grid(self, data):
+        # The start's amplitudes are exact for its node pair, so it is at or
+        # below the grid's best over the same ln tau nodes (tau_int > tau_ext)
+        # and any amplitude grid in the box.  Its pairs are ranked by the
+        # normal equations, which are exact to about 1e-16 of sum((y - 1)^2);
+        # the noise keeps the grid's best rss far above that.
+        draw = data.draw
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        t = np.geomspace(draw(st.floats(10.0, 1e4)), 84 * DAY, draw(st.integers(6, 40)))
+        if draw(st.booleans()):
+            t[0] = 0.0
+        gen = TwoLogParams(a_int=draw(st.floats(0.0, 0.4)),
+                           tau_int_s=10 ** draw(st.floats(2.0, 7.0)),
+                           a_ext=draw(st.floats(0.0, 0.4)),
+                           tau_ext_s=10 ** draw(st.floats(2.0, 7.0)))
+        noise = draw(st.sampled_from([1e-3, 2e-2]))
+        y = eval_two_log(gen, t) * (1.0 + noise * rng.standard_normal(t.size))
+        w = rng.uniform(0.1, 10.0, t.size) if draw(st.booleans()) else np.ones_like(t)
+        opts = FitOptions(model="two-log", a_bounds=draw(st.sampled_from(
+            [(0.0, 1.0), (0.0, 0.05), (0.02, 0.08), (0.15, 0.3)])))
+        ai, ti, ae, te = fitting._two_log_start(t, y, t[t > 0], np.sqrt(w), opts)
+        lo, hi = opts.a_bounds
+        assert lo <= ai <= hi and lo <= ae <= hi and ti > te
+        basis = np.log1p(t / ti), np.log1p(t / te)
+        r = 1.0 + ai * basis[0] + ae * basis[1] - y
+        rss = float(r @ (w * r))
+        # The amplitudes are the box minimizer for their pair: the rss rises
+        # into the box from each bound an amplitude sits on, and is flat
+        # along an amplitude strictly inside.
+        for a, b in zip((ai, ae), basis):
+            slope, scale = r @ (w * b), 1e-7 * math.sqrt(rss * (b @ (w * b)))
+            assert slope >= -scale if a == lo else slope <= scale if a == hi else (
+                abs(slope) <= scale)
+        if np.all(w == 1.0):   # the grid oracle is unweighted
+            taus = np.exp(np.linspace(*opts.log_tau_bounds, 41))
+            amps = np.linspace(lo, hi, 21)
+            series = np.column_stack([t, y])
+            grid_rss = min(
+                grid_search_oracle(series, {"a_int": amps, "tau_int_s": [taus[k]],
+                                            "a_ext": amps, "tau_ext_s": taus[:k]})[1]
+                for k in range(1, taus.size))
+            assert rss <= grid_rss * (1.0 + 1e-9)
+
+    def test_two_log_start_ties_go_to_the_first_pair(self):
+        # A flat series fits every pair exactly with zero amplitudes.
+        t = np.geomspace(1e3, 84 * DAY, 20)
+        opts = FitOptions(model="two-log")
+        lo, hi = opts.log_tau_bounds
+        ai, ti, ae, te = fitting._two_log_start(t, np.ones_like(t), t, None, opts)
+        assert (ai, ae) == (0.0, 0.0)
+        assert (ti, te) == pytest.approx((math.exp(lo + (hi - lo) / 40), math.exp(lo)), rel=1e-12)
 
     def test_node_budget_refusal(self):
         series = single_log_series(CHIP1, n=4)

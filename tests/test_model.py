@@ -70,6 +70,23 @@ class TestSingleLog:
             AgingParams(a=-0.1, tau_s=5.0, b=1.0)
 
 
+_SINGLE_KW = {"a": 0.2, "tau_s": 1e4, "b": 1.0}
+_TWO_KW = {"a_int": 0.1, "tau_int_s": 1e5, "a_ext": 0.1, "tau_ext_s": 1e3}
+
+
+@pytest.mark.parametrize("cls, kw, name", [
+    *((AgingParams, _SINGLE_KW, name) for name in ("a", "tau_s", "b", "r0_ohm")),
+    *((TwoLogParams, _TWO_KW, name) for name in (*_TWO_KW, "r0_ohm")),
+])
+def test_params_take_numpy_and_int_scalars_and_refuse_non_finite(cls, kw, name):
+    for ok in (np.float64(2.0), np.float32(2.0), np.int64(2), 2):
+        assert getattr(cls(**{**kw, name: ok}), name) == ok
+    label = "amplitude a" if name == "a" else name
+    for bad in (math.nan, math.inf, -math.inf, np.float64("nan"), np.float32("inf")):
+        with pytest.raises(ParameterError, match=f"^{label} must be finite and "):
+            cls(**{**kw, name: bad})
+
+
 class TestTwoLog:
     def test_exactly_one_at_t0(self):
         p = TwoLogParams(a_int=0.3, tau_int_s=1e5, a_ext=0.2, tau_ext_s=1e3)
