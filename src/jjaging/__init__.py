@@ -45,7 +45,6 @@ from .trajectory import (
     VoltageAnneal,
     apply_thermal_anneal,
     apply_voltage_anneal,
-    bound_curve,
     propagate,
     simulate_trajectory,
 )
@@ -56,7 +55,6 @@ from .ensemble import (
     DrawnChip,
     MeasurementRecord,
     aggregate_series,
-    coefficient_of_variation,
     draw_chip,
     simulate_chip,
 )
@@ -72,14 +70,12 @@ from .fitting import (
 )
 from .dataio import (
     FitReport,
-    IVSweep,
     build_fit_report,
     export_plot_data,
     load_events,
     load_measurements,
     load_schedule,
     read_report,
-    resistance_from_iv,
     save_measurements,
     write_report,
 )

@@ -239,7 +239,7 @@ def cmd_predict(args) -> int:
         from_days = args.from_days if args.from_days is not None else report.last_t_s / DAY_S
         # Data from an unknown environment predicts as ambient.
         home = Environment.from_kind("ambient" if report.last_env == "unknown" else report.last_env)
-        cfg = SimConfig(fab_a=params.a)
+        cfg = SimConfig()
     elif args.preset:
         p = chip_preset(args.preset)
         params = p.aging

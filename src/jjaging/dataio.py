@@ -39,14 +39,13 @@ import hashlib
 import io
 import json
 import math
-import warnings
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
-from .errors import InsufficientDataError, ParameterError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .ensemble import (
     _ENV_CODE,
     _FLAG_CODE,
@@ -54,6 +53,7 @@ from .ensemble import (
     FLAG_OK,
     FLAG_OPEN,
     FLAGS,
+    MAX_JUNCTION_RANGE,
     OPEN_RESISTANCE_THRESHOLD_OHM,
     ChipDataset,
     aggregate_series,
@@ -69,8 +69,6 @@ from .trajectory import (
 )
 
 __all__ = [
-    "IVSweep",
-    "resistance_from_iv",
     "MEASUREMENT_HEADER",
     "load_measurements",
     "save_measurements",
@@ -94,47 +92,6 @@ MEASUREMENT_HEADER = [
     "environment",
     "flag",
 ]
-
-
-@dataclass(frozen=True)
-class IVSweep:
-    """A current-biased I-V sweep: (current_A, voltage_V) pairs."""
-
-    points: tuple[tuple[float, float], ...]
-    compliance_a: float = 1e-6
-
-    def __post_init__(self):
-        if len(self.points) < 2:
-            raise ValidationError("an I-V sweep needs at least 2 points")
-        for i, v in self.points:
-            if not (np.isfinite(i) and np.isfinite(v)):
-                raise ValidationError("sweep points must be finite")
-            if abs(i) > self.compliance_a:
-                raise ParameterError(
-                    f"current {i} A exceeds the compliance window +-{self.compliance_a} A"
-                )
-
-
-def resistance_from_iv(sweep: IVSweep, full_output: bool = False):
-    """Junction resistance as the least-squares slope of V against I.
-
-    The intercept absorbs any voltage offset and is reported as a
-    diagnostic with ``full_output=True`` (together with a ``suspect`` flag
-    for non-positive slopes).  Permutation of points and voltage offsets do
-    not change the result.
-    """
-    pts = np.asarray(sweep.points, dtype=float)
-    i, v = pts[:, 0], pts[:, 1]
-    if np.unique(i).size < 2:
-        raise InsufficientDataError("sweep needs at least 2 distinct currents")
-    A = np.column_stack([i, np.ones_like(i)])
-    (slope, offset), *_ = np.linalg.lstsq(A, v, rcond=None)
-    suspect = slope <= 0
-    if suspect:
-        warnings.warn(f"non-positive I-V slope ({slope} ohm); flagged suspect", stacklevel=2)
-    if full_output:
-        return float(slope), {"offset_v": float(offset), "suspect": bool(suspect)}
-    return float(slope)
 
 
 def _read_text(path) -> str:
@@ -219,8 +176,12 @@ def save_measurements(ds: ChipDataset, path) -> None:
     ``repr`` and junction ids by ``str``; the chip id is quoted once by the
     ``csv`` module, so the bytes equal a ``csv.writer``'s, except that a
     chip id holding a bare carriage return is quoted too, so that the file
-    reads back.
+    reads back.  An empty dataset is refused: the chip id is written on each
+    row, so a file without rows cannot name its chip.
     """
+    if not len(ds):
+        raise ValidationError(f"cannot save chip {ds.chip_id!r} with no rows: the "
+                              "measurement CSV names its chip only on a row")
     prefix = _csv_prefix(ds.chip_id)
     res = list(map(repr, ds.r_ohm.tolist()))
     for i in np.flatnonzero(np.isnan(ds.r_ohm)).tolist():
@@ -376,9 +337,6 @@ def load_measurements(path) -> ChipDataset:
     )
 
 
-# Widest ``lo-hi`` junction range an event line may name; far above any chip,
-# it keeps a typo from expanding into billions of ids.
-MAX_JUNCTION_RANGE = 2**16
 # Most sample times ``jjaging simulate`` makes; it refuses more before allocating.
 MAX_SAMPLES = 2**16 + 1
 

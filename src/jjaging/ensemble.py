@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,13 +48,16 @@ __all__ = [
     "DrawnChip",
     "draw_chip",
     "simulate_chip",
-    "coefficient_of_variation",
     "aggregate_series",
 ]
 
-# Ingestion rule for real data: resistances above this (or non-finite
-# slopes) are treated as open junctions.
+# Ingestion rule for real data: resistances above this (or non-finite ones)
+# are treated as open junctions.
 OPEN_RESISTANCE_THRESHOLD_OHM = 1.0e6
+# Most junctions a chip may hold, and the widest ``lo-hi`` range an event line
+# may name; far above any chip, it keeps a typo from expanding into billions
+# of junctions or ids.
+MAX_JUNCTION_RANGE = 2**16
 
 FLAGS = ("ok", "open", "excluded")
 FLAG_OK, FLAG_OPEN = FLAGS.index("ok"), FLAGS.index("open")
@@ -84,6 +87,8 @@ class ChipSpec:
         n = self.n_junctions
         if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
             raise ValidationError(f"n_junctions must be an integer >= 1, got {n!r}")
+        if n > MAX_JUNCTION_RANGE:
+            raise ValidationError(f"n_junctions must be <= {MAX_JUNCTION_RANGE}, got {n}")
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ParameterError(f"{f.name} must be finite, got {getattr(self, f.name)}")
@@ -340,20 +345,6 @@ def simulate_chip(
         flag=np.repeat(np.where(is_open, FLAG_OPEN, FLAG_OK), n_s),
         chip_id=chip_id,
     )
-
-
-def coefficient_of_variation(values: Iterable) -> float:
-    """Sample standard deviation over mean of resistances, ignoring missing
-    ones (None or NaN).  Needs at least two usable values.
-    """
-    # Under a float dtype None reads as NaN, so one mask drops both.
-    arr = np.asarray(list(values), dtype=float)
-    arr = arr[np.isfinite(arr)]
-    if arr.size < 2:
-        raise InsufficientDataError(
-            f"coefficient of variation needs >= 2 usable values, got {arr.size}"
-        )
-    return float(np.std(arr, ddof=1) / np.mean(arr))
 
 
 def aggregate_series(

@@ -69,7 +69,6 @@ __all__ = [
     "SimConfig",
     "JunctionProfile",
     "TrajectoryState",
-    "bound_curve",
     "propagate",
     "simulate_trajectory",
     "apply_voltage_anneal",
@@ -280,13 +279,6 @@ class TrajectoryState:
     def y(self) -> float:
         """Observable fractional aging R/R0 - 1 at the state's time."""
         return (1.0 + self.y_env) * self.anneal_gain * self.drift_factor() - 1.0
-
-
-def bound_curve(env: Environment, cfg: SimConfig, r0_ohm: float) -> AgingParams:
-    """Aging curve a junction follows if stored permanently in ``env``."""
-    if env.kind not in cfg.env_tau_s:
-        raise ConfigurationError(f"no timescale configured for environment {env.kind.value!r}")
-    return AgingParams(a=cfg.fab_a, tau_s=cfg.env_tau_s[env.kind], b=1.0, r0_ohm=r0_ohm)
 
 
 def _segment(

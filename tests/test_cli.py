@@ -71,6 +71,15 @@ class TestSimulate:
         assert f"n_junctions must be an integer >= 1, got {n!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", [2**16 + 1, 10**9])
+    def test_oversized_junction_count_exits_2(self, tmp_path, capsys, n):
+        # Refused by ChipSpec before any junction is drawn.
+        spec = write_flat_spec(tmp_path, n_junctions=n)
+        out = tmp_path / "d.csv"
+        assert run("simulate", "--spec", str(spec), "--seed", "1", "--out", str(out)) == 2
+        assert f"n_junctions must be <= {2**16}, got {n}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("section, key, value, named", [
         ("sim", "integration_dt_s", 600.0, "unknown sim key 'integration_dt_s'"),
         ("chip", "r0_mean", 22_800.0, "unknown chip key 'r0_mean'"),

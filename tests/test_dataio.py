@@ -17,73 +17,23 @@ from jjaging import (
     ChipFitResult,
     Environment,
     FitResult,
-    IVSweep,
-    InsufficientDataError,
-    ParameterError,
     ParseError,
     StorageSchedule,
     ThermalAnneal,
     TwoLogParams,
+    ValidationError,
     VoltageAnneal,
     build_fit_report,
     export_plot_data,
     load_events,
     load_measurements,
     load_schedule,
-    resistance_from_iv,
     save_measurements,
 )
 from jjaging.dataio import MAX_JUNCTION_RANGE, FitReport, read_report, write_report
 from jjaging.ensemble import ENV_LABELS, FLAGS
 
 DAY = 86400.0
-
-
-class TestIV:
-    def test_exact_line(self):
-        i = np.linspace(-25e-9, 25e-9, 11)
-        sweep = IVSweep(points=tuple(zip(i, 8000.0 * i)))
-        assert resistance_from_iv(sweep) == pytest.approx(8000.0, rel=1e-12)
-
-    def test_offset_absorbed_into_intercept(self):
-        i = np.linspace(-25e-9, 25e-9, 11)
-        sweep = IVSweep(points=tuple(zip(i, 8000.0 * i + 3e-6)))
-        r, info = resistance_from_iv(sweep, full_output=True)
-        assert r == pytest.approx(8000.0, rel=1e-10)
-        assert info["offset_v"] == pytest.approx(3e-6, rel=1e-9)
-        assert not info["suspect"]
-
-    def test_noisy_sweep_within_half_percent(self):
-        rng = np.random.default_rng(1)
-        i = np.linspace(-25e-9, 25e-9, 11)
-        v = 22_800.0 * i + 1e-6 * rng.standard_normal(11)
-        sweep = IVSweep(points=tuple(zip(i, v)))
-        assert resistance_from_iv(sweep) == pytest.approx(22_800.0, rel=5e-3)
-
-    def test_permutation_invariant(self):
-        rng = np.random.default_rng(2)
-        i = np.linspace(-25e-9, 25e-9, 9)
-        v = 1.5e4 * i + 1e-6 * rng.standard_normal(9)
-        pts = list(zip(i, v))
-        r1 = resistance_from_iv(IVSweep(points=tuple(pts)))
-        r2 = resistance_from_iv(IVSweep(points=tuple(reversed(pts))))
-        assert r1 == pytest.approx(r2, rel=1e-12)
-
-    def test_degenerate_currents(self):
-        sweep = IVSweep(points=((1e-9, 1e-5), (1e-9, 1.1e-5)))
-        with pytest.raises(InsufficientDataError):
-            resistance_from_iv(sweep)
-
-    def test_negative_slope_flagged_suspect(self):
-        i = np.linspace(-25e-9, 25e-9, 5)
-        sweep = IVSweep(points=tuple(zip(i, -5e3 * i)))
-        with pytest.warns(UserWarning, match="suspect"):
-            r, info = resistance_from_iv(sweep, full_output=True)
-        assert info["suspect"]
-
-    def test_compliance_window(self):
-        with pytest.raises(ParameterError):
-            IVSweep(points=((-2e-6, -1.0), (2e-6, 1.0)))
 
 
 def small_dataset():
@@ -121,6 +71,14 @@ class TestMeasurementCSV:
         path.write_text("chip_id,junction_id,t_seconds,resistance_ohms,environment,flag\n")
         ds = load_measurements(path)
         assert len(ds) == 0
+
+    def test_empty_dataset_not_saved(self, tmp_path):
+        # The chip id is written only on rows, so a header-only file names no chip.
+        path = tmp_path / "empty.csv"
+        empty = ChipDataset([], [], [], env=[], flag=[], chip_id="c7")
+        with pytest.raises(ValidationError, match="cannot save chip 'c7' with no rows"):
+            save_measurements(empty, path)
+        assert not path.exists()
 
     def test_huge_resistance_flagged_open(self, tmp_path):
         path = tmp_path / "open.csv"

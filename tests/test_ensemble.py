@@ -16,12 +16,11 @@ from jjaging import (
     ValidationError,
     VoltageAnneal,
     aggregate_series,
-    coefficient_of_variation,
     draw_chip,
     eval_single_log,
     simulate_chip,
 )
-from jjaging.ensemble import FLAGS
+from jjaging.ensemble import FLAGS, MAX_JUNCTION_RANGE
 
 DAY = 86400.0
 
@@ -88,6 +87,14 @@ class TestDrawChip:
     def test_n_junctions_must_be_an_integer(self, n):
         with pytest.raises(ValidationError, match="n_junctions must be an integer >= 1"):
             flat_spec(n_junctions=n)
+
+    def test_n_junctions_capped(self):
+        # Only specs are built here: a chip this large is never drawn.
+        assert flat_spec(n_junctions=MAX_JUNCTION_RANGE).n_junctions == MAX_JUNCTION_RANGE
+        for n in (MAX_JUNCTION_RANGE + 1, 10**9):
+            with pytest.raises(ValidationError, match=f"n_junctions must be <= "
+                                                      f"{MAX_JUNCTION_RANGE}, got {n}"):
+                flat_spec(n_junctions=n)
 
     def test_numpy_integer_n_junctions_accepted(self):
         assert len(draw_chip(flat_spec(n_junctions=np.int64(3)), seed=1)) == 3
@@ -156,23 +163,6 @@ class TestSimulateChip:
         assert abs(res.params.a - 0.21) < 0.03
 
 
-class TestCoefficientOfVariation:
-    def test_constant_list_is_zero(self):
-        assert coefficient_of_variation([5.0, 5.0, 5.0]) == 0.0
-
-    def test_hand_computed_pair(self):
-        # sample sd of [9, 11] is sqrt(2); cv = sqrt(2)/10
-        assert coefficient_of_variation([9.0, 11.0]) == pytest.approx(math.sqrt(2) / 10)
-
-    def test_none_and_nan_excluded(self):
-        values = [9.0, None, 11.0, math.nan]
-        assert coefficient_of_variation(values) == coefficient_of_variation([9.0, 11.0])
-
-    def test_insufficient(self):
-        with pytest.raises(InsufficientDataError):
-            coefficient_of_variation([4.2])
-
-
 class TestAggregateSeries:
     def _ds(self, rows):
         j, t, r = zip(*rows)
@@ -188,6 +178,11 @@ class TestAggregateSeries:
         ds = self._ds([(0, 0.0, 10.0), (1, 0.0, 10.0), (0, DAY, 12.0), (1, DAY, 12.0)])
         agg = aggregate_series(ds)
         assert [cv for _, _, cv, _ in agg] == [0.0, 0.0]
+
+    def test_hand_computed_pair_cv(self):
+        # The sample sd of [9, 11] is sqrt(2) and their mean 10.
+        agg = aggregate_series(self._ds([(0, 0.0, 9.0), (1, 0.0, 11.0)]))
+        assert agg == [(0.0, 10.0, pytest.approx(math.sqrt(2) / 10, rel=1e-15), 2)]
 
     def test_window_groups_nearby_times(self):
         ds = self._ds([(0, 0.0, 10.0), (1, 500.0, 12.0), (0, 5000.0, 11.0)])

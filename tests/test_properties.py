@@ -10,11 +10,12 @@ from jjaging import (
     AMBIENT,
     AgingParams,
     BarrierParams,
+    ChipDataset,
     JunctionProfile,
     SimConfig,
     TrajectoryState,
     TwoLogParams,
-    coefficient_of_variation,
+    aggregate_series,
     critical_current_from_resistance,
     effective_tau,
     eval_single_log,
@@ -24,6 +25,7 @@ from jjaging import (
     qubit_frequency_shift,
     resistance_ratio_from_barrier,
 )
+from jjaging.ensemble import FLAGS
 from jjaging.model import EnvironmentKind
 from reference_stepper import reference_advance
 
@@ -110,22 +112,33 @@ def test_frequency_shift_sign_opposes_resistance_change(x):
         assert abs(shift) < 1e-11
 
 
+def one_time_chip(values, flags=None):
+    """A dataset of one row per junction, all at t = 0."""
+    flags = [0] * len(values) if flags is None else flags
+    n = len(values)
+    return ChipDataset(range(n), [0.0] * n, values, env=[0] * n, flag=flags, chip_id="c")
+
+
 @given(
     values=st.lists(st.floats(min_value=1.0, max_value=1e6), min_size=2, max_size=30),
 )
-def test_cv_nonnegative_and_scale_invariant(values):
-    cv = coefficient_of_variation(values)
-    assert cv >= 0
-    scaled = [7.5 * v for v in values]
-    assert coefficient_of_variation(scaled) == pytest.approx(cv, rel=1e-9, abs=1e-12)
+def test_aggregate_cv_nonnegative_and_scale_invariant(values):
+    [(_, _, cv, n)] = aggregate_series(one_time_chip(values))
+    assert cv >= 0 and n == len(values)
+    [(_, _, scaled, _)] = aggregate_series(one_time_chip([7.5 * v for v in values]))
+    assert scaled == pytest.approx(cv, rel=1e-9, abs=1e-12)
 
 
 @given(
     values=st.lists(st.floats(min_value=1.0, max_value=1e6), min_size=2, max_size=15),
+    excluded=st.lists(st.floats(min_value=1.0, max_value=1e6), max_size=5),
+    n_open=st.integers(0, 5),
 )
-def test_cv_ignores_none_entries(values):
-    padded = list(values) + [None, float("nan")]
-    assert coefficient_of_variation(padded) == coefficient_of_variation(values)
+def test_aggregate_cv_ignores_open_and_excluded_rows(values, excluded, n_open):
+    flags = [0] * len(values) + [FLAGS.index("excluded")] * len(excluded) \
+        + [FLAGS.index("open")] * n_open
+    padded = one_time_chip(list(values) + list(excluded) + [math.nan] * n_open, flags)
+    assert aggregate_series(padded) == aggregate_series(one_time_chip(values))
 
 
 @settings(max_examples=25, deadline=None)

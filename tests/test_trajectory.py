@@ -23,7 +23,6 @@ from jjaging import (
     VoltageAnneal,
     apply_thermal_anneal,
     apply_voltage_anneal,
-    bound_curve,
     eval_single_log,
     propagate,
     simulate_trajectory,
@@ -84,20 +83,24 @@ class TestSchedule:
         assert sched.environment_at(t) is env
 
 
-class TestBoundCurve:
-    def test_ambient_reference_chip(self):
-        p = bound_curve(AMBIENT, chip1_cfg(), 22_800.0)
-        assert (p.a, p.tau_s, p.b) == (0.21, 1.2e4, 1.0)
+class TestMissingTimescale:
+    """An environment without a configured timescale is a ConfigurationError
+    wherever a junction is advanced through it."""
 
-    def test_glovebox_and_vacuum_timescales(self):
-        cfg = chip1_cfg()
-        assert bound_curve(GLOVEBOX, cfg, 1.0).tau_s == pytest.approx(4.3e4)
-        assert bound_curve(VACUUM, cfg, 1.0).tau_s == pytest.approx(6.9e4)
+    def cfg(self):
+        return chip1_cfg(env_tau_s={EnvironmentKind.AMBIENT: 1.2e4})
 
-    def test_unknown_environment_rejected(self):
-        cfg = chip1_cfg(env_tau_s={EnvironmentKind.AMBIENT: 1.2e4})
-        with pytest.raises(ConfigurationError):
-            bound_curve(GLOVEBOX, cfg, 1.0)
+    def test_simulate_trajectory_segment_after_t0(self):
+        sched = StorageSchedule(segments=((0.0, AMBIENT), (4 * DAY, GLOVEBOX)))
+        samples = np.linspace(0.0, 8 * DAY, 9)
+        with pytest.raises(ConfigurationError, match="'glovebox'"):
+            simulate_trajectory(sched, [], self.cfg(), 22_800.0, samples)
+
+    def test_propagate(self):
+        cfg = self.cfg()
+        with pytest.raises(ConfigurationError, match="'glovebox'"):
+            propagate(TrajectoryState(t_s=DAY, y_env=0.3), 2 * DAY, GLOVEBOX,
+                      cfg.relax_gas_to_gas_s, JunctionProfile(a=0.21), cfg)
 
 
 class TestSingleEnvironment:
