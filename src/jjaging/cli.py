@@ -233,8 +233,11 @@ def cmd_predict(args) -> int:
         report = read_report(args.report)
         params = report.average.params
         if isinstance(params, TwoLogParams):
-            # Two-channel fits predict through their equivalent single-log curve.
-            params = AgingParams(a=params.a_int + params.a_ext, tau_s=effective_tau(params), b=1.0)
+            # Two-channel fits predict through their equivalent single-log
+            # curve; one with no amplitude is flat at any timescale.
+            a = params.a_int + params.a_ext
+            tau_s = effective_tau(params) if a > 0 else params.tau_int_s
+            params = AgingParams(a=a, tau_s=tau_s, b=1.0)
         params = replace(params, r0_ohm=report.average_r0_ohm)
         from_days = args.from_days if args.from_days is not None else report.last_t_s / DAY_S
         # Data from an unknown environment predicts as ambient.

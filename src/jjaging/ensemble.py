@@ -33,6 +33,7 @@ from .trajectory import (
     SimConfig,
     StorageSchedule,
     VoltageAnneal,
+    _check_sample_times,
     _check_seed,
     _spawn_entropy,
     simulate_trajectory,
@@ -235,17 +236,29 @@ class DrawnChip:
         return len(self.junctions)
 
 
-def _truncated_normal(rng: np.random.Generator, mean: float, sd: float) -> float:
-    """Normal draw redrawn until positive; degenerate sd returns the mean."""
+def _truncated_normal(z, mean: float, sd: float) -> float:
+    """Normal draw redrawn until positive, taking values from the iterator
+    ``z`` of standard normals; degenerate sd returns the mean and takes
+    none."""
     if sd == 0.0:
         return mean
     for _ in range(10_000):
-        v = mean + sd * float(rng.standard_normal())
+        v = mean + sd * next(z)
         if v > 0:
             return v
     raise ParameterError(
         f"truncated normal(mean={mean}, sd={sd}) failed to produce a positive draw"
     )
+
+
+def _normals(rng: np.random.Generator, k: int):
+    """The next standard normals of ``rng``: ``k`` drawn as one block, then
+    one scalar draw each.  A Generator fills a block element by element
+    from its bit stream, exactly as successive scalar draws take it, so the
+    values and the state after them are those of scalar draws."""
+    yield from rng.standard_normal(k).tolist()
+    while True:
+        yield float(rng.standard_normal())
 
 
 def draw_chip(spec: ChipSpec, seed: int) -> DrawnChip:
@@ -254,15 +267,26 @@ def draw_chip(spec: ChipSpec, seed: int) -> DrawnChip:
     Draw order per junction is fixed (r0, a, ln tau, b, open) so results are
     reproducible for a given seed (an integer >= 0).  With all spreads zero
     every junction equals the population means.
+
+    Each junction takes its normals as one block of as many values as it
+    draws without a redraw (one per nonzero spread, and ln tau always), and
+    uses them in the draw order; a truncated draw that is redrawn past the
+    block takes scalar draws, and the open flag is drawn last.  This is the
+    same stream, value for value, as one scalar draw at a time.
     """
     _check_seed(seed)
     rng = np.random.default_rng(seed)
+    r0_sd = spec.r0_cv * spec.r0_mean_ohm
+    # The ``sd == 0.0`` tests of _truncated_normal: r0's sd is a product and
+    # can underflow to 0.0 while r0_cv is not.
+    k = 1 + (r0_sd != 0.0) + (spec.a_sd != 0.0) + (spec.b_sd != 0.0)
     junctions = []
     for _ in range(spec.n_junctions):
-        r0 = _truncated_normal(rng, spec.r0_mean_ohm, spec.r0_cv * spec.r0_mean_ohm)
-        a = spec.a_mean if spec.a_sd == 0 else _truncated_normal(rng, spec.a_mean, spec.a_sd)
-        tau = math.exp(spec.log_tau_mean + spec.log_tau_sd * float(rng.standard_normal()))
-        b = _truncated_normal(rng, spec.b_mean, spec.b_sd)
+        z = _normals(rng, k)
+        r0 = _truncated_normal(z, spec.r0_mean_ohm, r0_sd)
+        a = _truncated_normal(z, spec.a_mean, spec.a_sd)
+        tau = math.exp(spec.log_tau_mean + spec.log_tau_sd * next(z))
+        b = _truncated_normal(z, spec.b_mean, spec.b_sd)
         is_open = bool(rng.random() < spec.open_prob)
         junctions.append((AgingParams(a=a, tau_s=tau, b=b, r0_ohm=r0), is_open))
     return DrawnChip(junctions=tuple(junctions), spec=spec)
@@ -293,8 +317,11 @@ def simulate_chip(
     get independent multiplicative measurement noise (1 + eta), eta normal
     with sd ``chip.spec.noise_sigma``; open junctions yield flag="open" rows
     with no resistance.  Events carrying ``junction_ids`` apply only to
-    those junctions.  Sample times must be strictly increasing and ``seed``
-    an integer >= 0.
+    those junctions.  Sample times must be strictly increasing, finite and
+    >= 0, for every chip, also one whose junctions are all open, so every
+    dataset returned can be saved and loaded back; ``seed`` must be an
+    integer >= 0.  Each junction that is not open takes one
+    ``simulate_trajectory`` call.
     """
     _check_seed(seed)
     home_kind = schedule.segments[0][1].kind
@@ -307,6 +334,9 @@ def simulate_chip(
     # A dataset holds one row per (junction, time); so does its CSV.
     if (samples[1:] <= samples[:-1]).any():
         raise ValidationError("sample times must be strictly increasing")
+    # Checked here too, not only by simulate_trajectory, which an open
+    # junction never reaches.
+    _check_sample_times(samples)
     n_j, n_s = len(chip), samples.size
 
     # Rows of a junctions x samples array; open junctions keep NaN.

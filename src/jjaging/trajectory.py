@@ -241,7 +241,8 @@ class JunctionProfile:
     tau_scale: float = 1.0
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.a, self.b, self.tau_scale)):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)
+                and math.isfinite(self.tau_scale)):
             raise ParameterError("profile values must be finite")
         if self.a < 0 or self.b <= 0 or self.tau_scale <= 0:
             raise ParameterError("profile requires a >= 0, b > 0, tau_scale > 0")
@@ -458,6 +459,22 @@ def _piece(
     return y
 
 
+def _check_sample_times(t: np.ndarray) -> None:
+    """Refuse 1-D sample times that are not finite, >= 0 and nondecreasing.
+
+    Times in order need only their ends checked: every comparison with a
+    NaN is False, so a NaN anywhere fails the pairwise test, as do -inf
+    first and +inf last.  Only times that fail it pay for the two full
+    checks, which pick the message.
+    """
+    if not t.size or (t[0] >= 0 and t[-1] < math.inf and (t[1:] >= t[:-1]).all()):
+        return
+    # NaN propagates through min and max, so it fails this check too.
+    if not (t.min() >= 0 and t.max() < math.inf):
+        raise ValidationError("sample times must be finite and >= 0")
+    raise ValidationError("sample times must be nondecreasing")
+
+
 def _in_force(schedule: StorageSchedule, cfg: SimConfig, t_s: float):
     """The environment and relaxation time in force at ``t_s``, and the
     schedule swaps after it.  The segment in force is the last one starting
@@ -487,11 +504,11 @@ def _run_from(start: TrajectoryState, env: Environment, relax_s: float, breaks, 
     # ``anneal`` carries the anneal channel; it is rebuilt only when an
     # event is applied.
     anneal = start
-    r = np.empty(t.size)
+    pieces = []
     lo = 0
     for (t_bp, payload), stop in zip(breaks, cuts):
         if stop > lo:
-            r[lo:stop] = _piece(t[lo:stop], r0_ohm, s, y_env, a, tau, b, relax_s, anneal)
+            pieces.append(_piece(t[lo:stop], r0_ohm, s, y_env, a, tau, b, relax_s, anneal))
             lo = stop
         y_env = _segment(y_env, s, t_bp, a, tau, b, relax_s)
         s = t_bp
@@ -506,8 +523,9 @@ def _run_from(start: TrajectoryState, env: Environment, relax_s: float, breaks, 
                 anneal = apply_voltage_anneal(state, ev, cfg, event_seed(k))
             else:
                 anneal = apply_thermal_anneal(state, ev, cfg)
-    r[lo:] = _piece(t[lo:], r0_ohm, s, y_env, a, tau, b, relax_s, anneal)
-    return r
+    pieces.append(_piece(t[lo:], r0_ohm, s, y_env, a, tau, b, relax_s, anneal))
+    # One piece that covers every sample is returned as _piece built it.
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def simulate_trajectory(
@@ -558,11 +576,7 @@ def simulate_trajectory(
     t = np.asarray(sample_t_s, dtype=float)
     if t.ndim != 1:
         raise ValidationError("sample times must be a 1-D sequence")
-    # NaN propagates through min and max, so it fails this check too.
-    if t.size and not (t.min() >= 0 and t.max() < math.inf):
-        raise ValidationError("sample times must be finite and >= 0")
-    if (t[1:] < t[:-1]).any():
-        raise ValidationError("sample times must be nondecreasing")
+    _check_sample_times(t)
     ev_times = [ev.t_s for ev in events]
     if any(b < a for a, b in zip(ev_times, ev_times[1:])):
         raise ValidationError("events must be sorted by time")

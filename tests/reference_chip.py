@@ -1,18 +1,22 @@
-"""Reference chip pipeline: the per-record ``simulate_chip`` and
-``aggregate_series``, kept as a test oracle.
+"""Reference chip pipeline: the scalar-draw ``draw_chip`` and the
+per-record ``simulate_chip`` and ``aggregate_series``, kept as a test
+oracle.
 
-``jjaging.ensemble`` fills and groups numpy columns.  This module keeps the
-original versions, which build one ``Row`` per measurement and group lists
-of rows, so that tests can require equal outputs from the two.  It uses
-only the package's public API.
+``jjaging.ensemble`` draws each junction's normals as one block, and fills
+and groups numpy columns.  This module keeps the original versions, which
+take one scalar draw at a time, build one ``Row`` per measurement and group
+lists of rows, so that tests can require equal outputs from the two.  It
+uses only the package's public API.
 """
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from jjaging.ensemble import DrawnChip
-from jjaging.errors import InsufficientDataError, ValidationError
+from jjaging.ensemble import ChipSpec, DrawnChip
+from jjaging.errors import InsufficientDataError, ParameterError, ValidationError
+from jjaging.model import AgingParams
 from jjaging.trajectory import (
     AnnealEvent,
     JunctionProfile,
@@ -31,6 +35,36 @@ class Row(NamedTuple):
     r_ohm: float | None
     env_label: str
     flag: str
+
+
+def _truncated_normal(rng: np.random.Generator, mean: float, sd: float) -> float:
+    """Normal draw redrawn until positive; degenerate sd returns the mean."""
+    if sd == 0.0:
+        return mean
+    for _ in range(10_000):
+        v = mean + sd * float(rng.standard_normal())
+        if v > 0:
+            return v
+    raise ParameterError(
+        f"truncated normal(mean={mean}, sd={sd}) failed to produce a positive draw"
+    )
+
+
+def reference_draw_chip(spec: ChipSpec, seed: int) -> DrawnChip:
+    """Realize per-junction parameters from the chip population, one scalar
+    draw at a time, in the fixed order r0, a, ln tau, b, open."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+    rng = np.random.default_rng(seed)
+    junctions = []
+    for _ in range(spec.n_junctions):
+        r0 = _truncated_normal(rng, spec.r0_mean_ohm, spec.r0_cv * spec.r0_mean_ohm)
+        a = spec.a_mean if spec.a_sd == 0 else _truncated_normal(rng, spec.a_mean, spec.a_sd)
+        tau = math.exp(spec.log_tau_mean + spec.log_tau_sd * float(rng.standard_normal()))
+        b = _truncated_normal(rng, spec.b_mean, spec.b_sd)
+        is_open = bool(rng.random() < spec.open_prob)
+        junctions.append((AgingParams(a=a, tau_s=tau, b=b, r0_ohm=r0), is_open))
+    return DrawnChip(junctions=tuple(junctions), spec=spec)
 
 
 def _junction_seed(seed: int, junction_id: int, stream: int) -> int:

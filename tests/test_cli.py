@@ -8,6 +8,7 @@ import pytest
 
 from jjaging import (
     AgingParams,
+    ChipDataset,
     chip_preset,
     draw_chip,
     eval_single_log,
@@ -428,6 +429,30 @@ class TestPredict:
         assert p["r_predicted_ohm"] == pytest.approx(p["r_from_ohm"], rel=1e-9)
         assert p["dr_over_r"] == pytest.approx(0.0, abs=1e-9)
         assert p["freq_shift_fraction"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_flat_two_log_report_predicts_no_drift(self, tmp_path, capsys):
+        # Deaging glovebox junctions: the two-log fit, whose amplitudes are
+        # >= 0, ends at a_int = a_ext = 0.  That curve is flat at any
+        # timescale, so predict must not need an effective timescale.
+        t = np.arange(0.0, 30 * DAY + 1.0, DAY)
+        r0 = np.array([22_000.0, 23_000.0, 24_000.0])
+        n = r0.size * t.size
+        data = tmp_path / "deage.csv"
+        save_measurements(ChipDataset(
+            np.repeat(np.arange(r0.size), t.size), np.tile(t, r0.size),
+            (r0[:, None] * (1.0 - 0.001 * np.log1p(t / 1e4))).ravel(),
+            [ENV_LABELS.index("glovebox")] * n, [0] * n, "deage"), data)
+        report = tmp_path / "r.json"
+        assert run("fit", str(data), "--model", "two-log", "--out", str(report)) == 0
+        params = json.loads(report.read_text())["average"]["params"]
+        assert params["kind"] == "two-log" and params["a_int"] == params["a_ext"] == 0.0
+        pred = tmp_path / "p.json"
+        code = run("predict", "--report", str(report), "--target-days", "60",
+                   "--out", str(pred))
+        assert code == 0
+        p = json.loads(pred.read_text())
+        assert p["dr_over_r"] == 0.0
+        assert p["r_predicted_ohm"] == p["r_from_ohm"]
 
     def test_chip1_week_ahead_matches_closed_form_increment(self, tmp_path, capsys):
         pred = tmp_path / "p.json"

@@ -7,7 +7,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jjaging import (
     AnnealEvent,
@@ -31,7 +31,12 @@ from jjaging import (
 from jjaging.ensemble import ENV_LABELS, FLAGS
 from jjaging.presets import PRESET_NAMES
 
-from reference_chip import Row, reference_aggregate_series, reference_simulate_chip
+from reference_chip import (
+    Row,
+    reference_aggregate_series,
+    reference_draw_chip,
+    reference_simulate_chip,
+)
 
 DAY = 86400.0
 
@@ -73,6 +78,38 @@ def test_simulate_chip_equals_reference(preset, seed, events):
     assert rows(ds) == ref
     # repr compares every float exactly and treats nan CVs as equal.
     assert repr(aggregate_series(ds)) == repr(reference_aggregate_series(ref))
+
+
+# Spreads that draw nothing (0.0, and an r0 sd that underflows to 0.0:
+# 5e-324 * 0.4 == 0.0), small ones, and ones whose means force many redraws.
+SPEC_FIELDS = dict(
+    r0_mean_ohm=st.sampled_from([0.4, 7_500.0, 22_800.0]),
+    r0_cv=st.sampled_from([0.0, 5e-324, 0.048, 3.0]),
+    a_mean=st.sampled_from([0.0, 0.001, 0.21]),
+    a_sd=st.sampled_from([0.0, 0.015, 1.0]),
+    log_tau_sd=st.sampled_from([0.0, 0.3]),
+    b_mean=st.sampled_from([0.01, 1.01]),
+    b_sd=st.sampled_from([0.0, 0.05, 2.0]),
+    n_junctions=st.integers(1, 24),
+    open_prob=st.sampled_from([0.0, 0.2, 0.9]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=st.builds(ChipSpec, **SPEC_FIELDS), seed=st.integers(0, 2**64))
+@example(spec=ChipSpec(r0_mean_ohm=0.4, r0_cv=5e-324, a_mean=0.21, log_tau_sd=0.3,
+                       n_junctions=8, open_prob=0.2), seed=1)
+@example(spec=ChipSpec(r0_mean_ohm=22_800.0, r0_cv=3.0, a_mean=0.001, a_sd=1.0,
+                       log_tau_sd=0.3, b_mean=0.01, b_sd=2.0, n_junctions=16), seed=5)
+@example(spec=chip_preset("chip6").spec, seed=0)
+def test_draw_chip_equals_reference(spec, seed):
+    # Each junction's normals come as one block; the scalar-draw reference
+    # must give the same junctions, bit for bit, and the same open flags.
+    chip = draw_chip(spec, seed)
+    ref = reference_draw_chip(spec, seed)
+    assert chip == ref
+    # repr tells float from np.float64 and shows every float exactly.
+    assert repr(chip) == repr(ref)
 
 
 def test_reference_cases_cover_open_junctions_and_event_subsets():

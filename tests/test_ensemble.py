@@ -9,6 +9,7 @@ from jjaging import (
     AnnealEvent,
     ChipDataset,
     ChipSpec,
+    DrawnChip,
     InsufficientDataError,
     MeasurementRecord,
     SimConfig,
@@ -18,8 +19,12 @@ from jjaging import (
     aggregate_series,
     draw_chip,
     eval_single_log,
+    load_measurements,
+    save_measurements,
     simulate_chip,
+    simulate_trajectory,
 )
+from jjaging import ensemble
 from jjaging.ensemble import FLAGS, MAX_JUNCTION_RANGE
 
 DAY = 86400.0
@@ -146,6 +151,51 @@ class TestSimulateChip:
         rows = np.isin(ds.junction_id, open_ids)
         assert (ds.flag[rows] == FLAGS.index("open")).all()
         assert np.isnan(ds.r_ohm[rows]).all()
+
+    def test_one_simulate_trajectory_call_per_junction_not_open(self, monkeypatch):
+        # The benchmark's tracer counts samples through this public call.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return simulate_trajectory(*args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "simulate_trajectory", counting)
+        chip = draw_chip(flat_spec(open_prob=0.5, n_junctions=20), seed=11)
+        simulate_chip(chip, StorageSchedule.single(AMBIENT), [], [0.0, DAY],
+                      SimConfig(fab_a=0.21), seed=0)
+        assert calls == [p.r0_ohm for p, is_open in chip if not is_open]
+        assert 0 < len(calls) < len(chip)
+
+    @staticmethod
+    def all_open_chip(n=3):
+        params = AgingParams(a=0.21, tau_s=1.2e4, b=1.01, r0_ohm=22_800.0)
+        return DrawnChip(junctions=((params, True),) * n, spec=flat_spec(n_junctions=n))
+
+    @pytest.mark.parametrize("times", [
+        [0.0, math.nan, 2 * DAY], [-5.0, 0.0, 1.0], [0.0, DAY, math.inf],
+    ], ids=["nan", "negative", "inf"])
+    def test_all_open_chip_checks_sample_times(self, times):
+        # No junction reaches simulate_trajectory, so the chip checks the
+        # times itself, with the same message.
+        with pytest.raises(ValidationError, match="sample times must be finite and >= 0"):
+            simulate_chip(self.all_open_chip(), StorageSchedule.single(AMBIENT), [], times,
+                          SimConfig(fab_a=0.21), seed=1)
+
+    def test_strict_increase_checked_before_finiteness(self):
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            simulate_chip(self.all_open_chip(), StorageSchedule.single(AMBIENT), [],
+                          [-5.0, -5.0, 1.0], SimConfig(fab_a=0.21), seed=1)
+
+    def test_all_open_chip_saves_and_loads_back(self, tmp_path):
+        ds = simulate_chip(self.all_open_chip(), StorageSchedule.single(AMBIENT), [],
+                           [0.0, DAY, 2 * DAY], SimConfig(fab_a=0.21), seed=1, chip_id="c")
+        assert (ds.flag == FLAGS.index("open")).all()
+        save_measurements(ds, tmp_path / "open.csv")
+        back = load_measurements(tmp_path / "open.csv")
+        for col in ("junction_id", "t_s", "env", "flag"):
+            assert getattr(back, col).tolist() == getattr(ds, col).tolist()
+        assert np.isnan(back.r_ohm).all() and back.chip_id == "c"
 
     def test_mean_amplitude_round_trip(self):
         # Heterogeneous chip: refitting the mean curve lands near the mean amplitude.

@@ -29,6 +29,7 @@ from jjaging import (
 )
 from jjaging.model import EnvironmentKind
 from jjaging.trajectory import _in_force, _run_from
+from reference_trajectory import reference_simulate_trajectory
 
 DAY = 86400.0
 
@@ -151,11 +152,35 @@ class TestSingleEnvironment:
 
     @pytest.mark.parametrize("times", [
         [0.0, math.nan], [0.0, DAY, math.inf], [-1.0, DAY], [2 * DAY, math.nan, DAY],
+        [0.0, math.nan, DAY], [0.0, DAY, 2 * DAY, math.inf], [-math.inf, 0.0, DAY],
+        [DAY, 0.0, math.nan], [math.nan, DAY, 0.0],
     ])
     def test_bad_sample_time_anywhere_rejected_first(self, times):
-        # The finiteness check comes before the order check.
-        with pytest.raises(ValidationError, match="finite and >= 0"):
-            simulate_trajectory(StorageSchedule.single(AMBIENT), [], chip1_cfg(), 1.0, times)
+        # The finiteness check comes before the order check, with the
+        # reference's message: a NaN in the middle, +inf last, -inf first,
+        # and disorder together with a NaN.
+        args = (StorageSchedule.single(AMBIENT), [], chip1_cfg(), 1.0, times)
+        with pytest.raises(ValidationError, match="finite and >= 0") as got:
+            simulate_trajectory(*args)
+        with pytest.raises(ValidationError) as ref:
+            reference_simulate_trajectory(*args)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("times", [[DAY, 0.0], [0.0, 2 * DAY, DAY, 3 * DAY]])
+    def test_disorder_alone_rejected_as_nondecreasing(self, times):
+        args = (StorageSchedule.single(AMBIENT), [], chip1_cfg(), 1.0, times)
+        with pytest.raises(ValidationError) as got:
+            simulate_trajectory(*args)
+        with pytest.raises(ValidationError) as ref:
+            reference_simulate_trajectory(*args)
+        assert str(got.value) == str(ref.value) == "sample times must be nondecreasing"
+
+    def test_negative_zero_first_time_accepted(self):
+        sched, cfg = StorageSchedule.single(AMBIENT), chip1_cfg()
+        r = simulate_trajectory(sched, [], cfg, 5.0, [-0.0, DAY])
+        assert r.tolist() == simulate_trajectory(sched, [], cfg, 5.0, [0.0, DAY]).tolist()
+        ref = reference_simulate_trajectory(sched, [], cfg, 5.0, [-0.0, DAY])
+        assert r.tolist() == [r_ohm for _, r_ohm in ref]
 
     def test_returns_float_resistances_aligned_with_samples(self):
         sched, cfg = StorageSchedule.single(AMBIENT), chip1_cfg()
