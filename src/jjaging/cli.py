@@ -225,12 +225,25 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _warn_if_pinned(average) -> None:
+    """One stderr line when the average fit that ``predict`` extrapolates did
+    not converge or ended on a bound of its box (a flat a = 0 fit of falling
+    data, say).  The exit code stays 0."""
+    faults = [] if average.converged else ["did not converge"]
+    if average.at_bounds:
+        faults.append(f"ended at a bound of {', '.join(average.at_bounds)}")
+    if faults:
+        print(f"warning: the report's average fit {' and '.join(faults)}; "
+              "the prediction extrapolates it as it is", file=sys.stderr)
+
+
 def cmd_predict(args) -> int:
     for flag, days in (("--target-days", args.target_days), ("--from-days", args.from_days)):
         if days is not None and not (math.isfinite(days) and days >= 0):
             raise ValidationError(f"{flag} must be finite and >= 0, got {days}")
     if args.report:
         report = read_report(args.report)
+        _warn_if_pinned(report.average)
         params = report.average.params
         if isinstance(params, TwoLogParams):
             # Two-channel fits predict through their equivalent single-log

@@ -9,8 +9,9 @@ with the timescales in log space so they stay positive and the steps are
 well scaled.  Only trial steps that lower the residual sum of squares are
 accepted, so the result never has a higher rss than its start; box bounds
 are enforced by projecting trial points.  The 3x3 or 4x4 trial systems go
-to LAPACK's ``gesv`` gufunc under ``np.linalg.solve``'s error state: the
-same routine on the same bytes, without the wrapper's per-call checks.
+to LAPACK's ``gesv`` gufunc under ``np.linalg.solve``'s error state, and the
+standard errors' J.T @ J to the ``inv`` gufunc under the same state: the same
+routines on the same bytes, without the wrappers' per-call checks.
 
 ``grid_search_oracle`` provides an independent brute-force check: it
 evaluates the model on an explicit parameter grid and returns the grid
@@ -129,10 +130,10 @@ def _check_series(series, min_points: int) -> tuple[np.ndarray, np.ndarray]:
         raise InsufficientDataError(
             f"need >= {min_points} points, got {arr.shape[0]}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError("series contains non-finite values")
     t, y = arr[:, 0], arr[:, 1]
-    if np.any(t < 0):
+    if (t < 0).any():
         raise ValidationError("series times must be >= 0")
     return t, y
 
@@ -212,13 +213,24 @@ def _raise_singular(err, flag):
     raise LinAlgError("Singular matrix")
 
 
-@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
-             under="ignore")
+# The error state np.linalg sets around its LAPACK calls; as a decorator it
+# applies per call, thread-safely.
+_linalg_errstate = np.errstate(call=_raise_singular, invalid="call", over="ignore",
+                               divide="ignore", under="ignore")
+
+
+@_linalg_errstate
 def _solve(a, b):
     """``np.linalg.solve(a, b)`` for a float64 (p, p) ``a`` and (p,) ``b``:
     the same LAPACK call under the same error state, bit-identical, and a
     singular ``a`` raises ``LinAlgError`` likewise."""
     return _umath_linalg.solve1(a, b, signature="dd->d")
+
+
+@_linalg_errstate
+def _inv(a):
+    """``np.linalg.inv(a)`` for a float64 (p, p) ``a``, likewise."""
+    return _umath_linalg.inv(a, signature="d->d")
 
 
 def _lm_minimize(resid, jac, x0, lo, hi, opts: FitOptions):
@@ -231,7 +243,8 @@ def _lm_minimize(resid, jac, x0, lo, hi, opts: FitOptions):
     downhill step at any damping: stationary, or pinned at a bound) or
     ``"max_iter"``.
     """
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    # Same values as np.clip, signed zeros included, at a third of the cost.
+    x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lo), hi)
     r, cache = resid(x)
     J = jac(cache)
     rss = float(r @ r)
@@ -251,7 +264,6 @@ def _lm_minimize(resid, jac, x0, lo, hi, opts: FitOptions):
             except LinAlgError:
                 lam *= 5.0
                 continue
-            # Same values as np.clip, signed zeros included, at a third of the cost.
             x_trial = np.minimum(np.maximum(x + dx, lo), hi)
             step = x_trial - x
             if not np.count_nonzero(step):
@@ -279,20 +291,15 @@ def _lm_minimize(resid, jac, x0, lo, hi, opts: FitOptions):
 
 def _stderr_and_bounds(x, J, rss, n, lo, hi, names):
     p = len(x)
-    stderr = {}
     try:
-        cov = np.linalg.inv(J.T @ J) * (rss / (n - p) if n > p else float("nan"))
-        sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        cov = _inv(J.T @ J) * (rss / (n - p) if n > p else float("nan"))
+        sig = np.sqrt(np.maximum(cov.diagonal(), 0.0)).tolist()
     except LinAlgError:
-        sig = np.full(p, float("nan"))
-    at = []
-    for k, name in enumerate(names):
-        stderr[name] = float(sig[k])
-        if math.isclose(x[k], lo[k], rel_tol=0, abs_tol=1e-12) or math.isclose(
-            x[k], hi[k], rel_tol=0, abs_tol=1e-12
-        ):
-            at.append(name)
-    return stderr, tuple(at)
+        sig = [float("nan")] * p
+    at = tuple(name for name, v, v_lo, v_hi in zip(names, x.tolist(), lo.tolist(), hi.tolist())
+               if math.isclose(v, v_lo, rel_tol=0, abs_tol=1e-12)
+               or math.isclose(v, v_hi, rel_tol=0, abs_tol=1e-12))
+    return dict(zip(names, sig)), at
 
 
 _SINGLE_KEYS = ("a", "tau_s", "b")
@@ -382,17 +389,21 @@ def _single_log_guess(t, y, tpos, sw, opts):
 # in the odd slots of ``names`` and are fitted in ln tau.  ``box`` names each
 # slot's FitOptions bounds; ``guess(t, y, positive times, square-root weights,
 # opts)`` gives a natural-unit start; ``finish`` returns (params, stderr,
-# at_bounds, degenerate).
-_Model = namedtuple("_Model", "names box min_points init_lengths guess resid jac finish")
+# at_bounds, degenerate).  With ``start_from_average``, ``fit_chip`` starts
+# each junction's fit from the chip-average fit's parameters, read by
+# ``names``.  Two-log keeps its global grid start: from the average, its
+# junction fits took twice the LM iterations.
+_Model = namedtuple("_Model", "names box min_points init_lengths guess resid jac finish "
+                              "start_from_average")
 _MODELS = {
     "single-log": _Model(
         _SINGLE_KEYS, ("a_bounds", "log_tau_bounds", "b_bounds"), 4, (2, 3),
         _single_log_guess, _single_log_resid, _single_log_jac,
-        lambda v, stderr, at, msgs: (AgingParams(*v), stderr, at, False),
+        lambda v, stderr, at, msgs: (AgingParams(*v), stderr, at, False), True,
     ),
     "two-log": _Model(
         _TWO_KEYS, ("a_bounds", "log_tau_bounds") * 2, 6, (4,),
-        _two_log_start, _two_log_resid, _two_log_jac, _two_log_finish,
+        _two_log_start, _two_log_resid, _two_log_jac, _two_log_finish, False,
     ),
 }
 
@@ -415,10 +426,11 @@ def _fit(model: str, series, opts: FitOptions | None, weights) -> FitResult:
     tpos = t[t > 0]
     if tpos.size == 0:
         raise InsufficientDataError("series needs at least one positive time")
-    if tpos.max() <= tpos.min():
+    t_min, t_max = tpos.min(), tpos.max()
+    if t_max <= t_min:
         raise InsufficientDataError("series time span is zero")
     msgs = []
-    if tpos.max() / tpos.min() < 10.0:
+    if t_max / t_min < 10.0:
         msgs.append("time span below one decade; timescale is weakly constrained")
         warnings.warn(msgs[0], stacklevel=3)  # names the fit function's caller
     sw = _weights(weights, t.size)
@@ -513,6 +525,12 @@ def fit_chip(
     ``skipped`` rather than aborting the chip.  With ``share_b`` the
     average-curve offset is refit into every junction as a fixed b; it
     applies to the single-log model only (``ValidationError`` otherwise).
+
+    The average curve is fitted first.  Junctions scatter around it (their
+    aging amplitude is set mainly by fabrication), so each single-log
+    junction fit starts from the average fit's (a, tau_s, b), passed as
+    ``FitOptions.init``; two-log junction fits keep their global grid start.
+    An ``opts.init`` of the caller's own is used for every fit instead.
     """
     opts = opts or FitOptions()
     for j, r0 in (r0_override or {}).items():
@@ -520,7 +538,8 @@ def fit_chip(
             raise ValidationError(f"r0_override[{j}] must be finite and > 0, got {r0}")
     if share_b and opts.model != "single-log":
         raise ValidationError(f"share_b applies to the single-log model only, not {opts.model}")
-    min_pts = _MODELS[opts.model].min_points
+    model = _MODELS[opts.model]
+    min_pts = model.min_points
     # The public names, looked up per call, so that wrapping them sees every fit.
     fit_fun = fit_single_log if opts.model == "single-log" else fit_two_log
 
@@ -534,6 +553,9 @@ def fit_chip(
     average = fit_fun(avg_series, opts)
 
     per_opts = replace(opts, fix_b=average.params.b) if share_b else opts
+    if model.start_from_average and opts.init is None:
+        per_opts = replace(per_opts, init=tuple(getattr(average.params, name)
+                                                for name in model.names))
 
     per_junction: dict[int, FitResult] = {}
     r0s: dict[int, float] = {}

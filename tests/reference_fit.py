@@ -15,7 +15,10 @@ per-model table.  ``reference_fit_single_log`` and ``reference_fit_two_log``
 are the two separate fit functions it replaced, unchanged but for their
 names and for calling the package kernel as ``fitting._lm_minimize``; their
 ``_span_warning`` is the original one, which names the caller of the fit
-function two frames up.
+function two frames up.  Their series check and standard-error step are the
+original ``_check_series`` and ``_stderr_and_bounds`` (``np.linalg.inv``,
+``np.diag``, one ``math.isclose`` test per parameter), kept here so that a
+change to the package's versions shows as a mismatch.
 """
 
 import math
@@ -25,19 +28,51 @@ from functools import partial
 import numpy as np
 
 from jjaging import fitting
-from jjaging.errors import InsufficientDataError, ParameterError
+from jjaging.errors import InsufficientDataError, ParameterError, ValidationError
 from jjaging.fitting import (
     FitOptions,
     FitResult,
-    _check_series,
     _single_log_jac,
     _single_log_resid,
-    _stderr_and_bounds,
     _two_log_jac,
     _two_log_resid,
     _weights,
 )
 from jjaging.model import AgingParams, TwoLogParams
+
+
+def _check_series(series, min_points: int) -> tuple[np.ndarray, np.ndarray]:
+    arr = np.asarray(series, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValidationError("series must be a sequence of (t_s, ratio) pairs")
+    if arr.shape[0] < min_points:
+        raise InsufficientDataError(
+            f"need >= {min_points} points, got {arr.shape[0]}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("series contains non-finite values")
+    t, y = arr[:, 0], arr[:, 1]
+    if np.any(t < 0):
+        raise ValidationError("series times must be >= 0")
+    return t, y
+
+
+def _stderr_and_bounds(x, J, rss, n, lo, hi, names):
+    p = len(x)
+    stderr = {}
+    try:
+        cov = np.linalg.inv(J.T @ J) * (rss / (n - p) if n > p else float("nan"))
+        sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    except np.linalg.LinAlgError:
+        sig = np.full(p, float("nan"))
+    at = []
+    for k, name in enumerate(names):
+        stderr[name] = float(sig[k])
+        if math.isclose(x[k], lo[k], rel_tol=0, abs_tol=1e-12) or math.isclose(
+            x[k], hi[k], rel_tol=0, abs_tol=1e-12
+        ):
+            at.append(name)
+    return stderr, tuple(at)
 
 
 def _single_log_rj(x, t, y, sw, b_fixed=None):

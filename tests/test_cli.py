@@ -430,10 +430,9 @@ class TestPredict:
         assert p["dr_over_r"] == pytest.approx(0.0, abs=1e-9)
         assert p["freq_shift_fraction"] == pytest.approx(0.0, abs=1e-9)
 
-    def test_flat_two_log_report_predicts_no_drift(self, tmp_path, capsys):
-        # Deaging glovebox junctions: the two-log fit, whose amplitudes are
-        # >= 0, ends at a_int = a_ext = 0.  That curve is flat at any
-        # timescale, so predict must not need an effective timescale.
+    @staticmethod
+    def deaging_csv(tmp_path):
+        """Glovebox junctions falling as 1 - 0.001 ln(1 + t/1e4) for 30 days."""
         t = np.arange(0.0, 30 * DAY + 1.0, DAY)
         r0 = np.array([22_000.0, 23_000.0, 24_000.0])
         n = r0.size * t.size
@@ -442,6 +441,13 @@ class TestPredict:
             np.repeat(np.arange(r0.size), t.size), np.tile(t, r0.size),
             (r0[:, None] * (1.0 - 0.001 * np.log1p(t / 1e4))).ravel(),
             [ENV_LABELS.index("glovebox")] * n, [0] * n, "deage"), data)
+        return data
+
+    def test_flat_two_log_report_predicts_no_drift(self, tmp_path, capsys):
+        # Deaging glovebox junctions: the two-log fit, whose amplitudes are
+        # >= 0, ends at a_int = a_ext = 0.  That curve is flat at any
+        # timescale, so predict must not need an effective timescale.
+        data = self.deaging_csv(tmp_path)
         report = tmp_path / "r.json"
         assert run("fit", str(data), "--model", "two-log", "--out", str(report)) == 0
         params = json.loads(report.read_text())["average"]["params"]
@@ -453,6 +459,32 @@ class TestPredict:
         p = json.loads(pred.read_text())
         assert p["dr_over_r"] == 0.0
         assert p["r_predicted_ohm"] == p["r_from_ohm"]
+
+    def test_pinned_average_fit_warns_before_predicting(self, tmp_path, capsys, fit_report):
+        # The single-log fit of deaging data ends flat, at its bound a = 0.
+        report = tmp_path / "r.json"
+        assert run("fit", str(self.deaging_csv(tmp_path)), "--out", str(report)) == 0
+        assert json.loads(report.read_text())["average"]["at_bounds"] == ["a"]
+        clean = copy.deepcopy(fit_report)
+        assert clean["average"]["converged"] and clean["average"]["at_bounds"] == []
+        stuck = copy.deepcopy(clean)
+        stuck["average"]["converged"] = False
+        for name, d in (("clean", clean), ("stuck", stuck)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(d))
+        capsys.readouterr()
+        for path, warning in (
+            (report, "warning: the report's average fit ended at a bound of a; "),
+            (tmp_path / "stuck.json", "warning: the report's average fit did not converge; "),
+            (tmp_path / "clean.json", None),
+        ):
+            code = run("predict", "--report", str(path), "--target-days", "60",
+                       "--out", str(tmp_path / "p.json"))
+            assert code == 0  # tests/test_forecast.py pins exit 0 (ROADMAP item 9)
+            err = capsys.readouterr().err
+            if warning is None:
+                assert err == ""
+            else:
+                assert err.startswith(warning) and err.count("\n") == 1
 
     def test_chip1_week_ahead_matches_closed_form_increment(self, tmp_path, capsys):
         pred = tmp_path / "p.json"

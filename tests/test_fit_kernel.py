@@ -4,6 +4,7 @@ the kernel's stop reasons, and the fit inputs the package refuses."""
 import math
 import warnings
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from jjaging import (
     AgingParams,
+    ChipDataset,
     FitOptions,
     ParameterError,
     ValidationError,
@@ -24,6 +26,7 @@ from jjaging import (
     simulate_chip,
 )
 from jjaging import fitting
+from jjaging.ensemble import ENV_LABELS
 from jjaging.fitting import _single_log_rj, _two_log_rj
 from jjaging.presets import PRESET_NAMES
 
@@ -56,13 +59,17 @@ def on_reference(fn, *args, **kwargs):
         return fn(*args, **kwargs)
 
 
+def preset_chip(preset, seed):
+    p = chip_preset(preset)
+    return simulate_chip(draw_chip(p.spec, seed), p.schedule, [],
+                         np.arange(0.0, 84 * DAY + 1.0, 2 * DAY), p.sim, seed)
+
+
 @pytest.mark.parametrize("mode", sorted(FIT_MODES))
 @pytest.mark.parametrize("seed", [2, 9])
 @pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_fit_chip_equals_reference(preset, seed, mode):
-    p = chip_preset(preset)
-    ds = simulate_chip(draw_chip(p.spec, seed), p.schedule, [],
-                       np.arange(0.0, 84 * DAY + 1.0, 2 * DAY), p.sim, seed)
+    ds = preset_chip(preset, seed)
     opts, share_b = FIT_MODES[mode]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -76,17 +83,99 @@ def test_fit_chip_equals_reference(preset, seed, mode):
         ref.r0_ohm, ref.average_r0_ohm, ref.skipped)
 
 
+def hand_built_chip(chip_id, r0, curves, t):
+    """A glovebox chip whose junction k reads ``r0[k] * curves[k]`` at times ``t``."""
+    n = len(r0) * t.size
+    return ChipDataset(np.repeat(np.arange(len(r0)), t.size), np.tile(t, len(r0)),
+                       (np.asarray(r0)[:, None] * np.asarray(curves)).ravel(),
+                       [ENV_LABELS.index("glovebox")] * n, [0] * n, chip_id)
+
+
+def deaging_chip():
+    # Falling junctions: the chip-average single-log fit ends at a = 0.
+    t = np.arange(0.0, 30 * DAY + 1.0, DAY)
+    return hand_built_chip("deage", [22_000.0, 23_000.0, 24_000.0],
+                           [1.0 - 0.001 * np.log1p(t / 1e4)] * 3, t)
+
+
+def three_decade_chip():
+    # Junction timescales from 1e3 s to 1e6 s, with 0.1% noise.
+    t = np.concatenate([[0.0], np.geomspace(60.0, 84 * DAY, 48)])
+    taus = np.geomspace(1e3, 1e6, 7)
+    noise = 1.0 + 1e-3 * np.random.default_rng(4).standard_normal((taus.size, t.size))
+    curves = (1.0 + 0.02 * np.log(t / taus[:, None] + 1.0)) * noise
+    return hand_built_chip("decades", np.linspace(20_000.0, 26_000.0, taus.size), curves, t)
+
+
+WARM_START_CHIPS = {
+    **{f"{preset}-{seed}": partial(preset_chip, preset, seed)
+       for preset in PRESET_NAMES for seed in (2, 9)},
+    "deaging": deaging_chip,
+    "three-decades": three_decade_chip,
+}
+
+
+def recorded_fit_chip(ds, opts, share_b):
+    """``fit_chip``'s result and the (series, opts, result) of every fit it
+    made through the public fit functions, in call order."""
+    calls = []
+
+    def recording(fn):
+        def fit(series, opts=None, weights=None):
+            res = fn(series, opts, weights)
+            calls.append((series, opts, res))
+            return res
+        return fit
+
+    with mock.patch.object(fitting, "fit_single_log", recording(fit_single_log)), \
+            mock.patch.object(fitting, "fit_two_log", recording(fit_two_log)):
+        res = fit_chip(ds, opts, share_b=share_b)
+    return res, calls
+
+
+@pytest.mark.parametrize("mode", sorted(FIT_MODES))
+@pytest.mark.parametrize("chip", sorted(WARM_START_CHIPS))
+def test_junction_fits_from_the_average_are_no_worse(chip, mode):
+    """Single-log junction fits start from the chip-average fit: each ends
+    with the same convergence and bounds as a fit from its own guess, an rss
+    no higher (to 1e-9 relative), and no more iterations in all.  Two-log
+    junction fits keep their own start."""
+    ds = WARM_START_CHIPS[chip]()
+    opts, share_b = FIT_MODES[mode]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res, calls = recorded_fit_chip(ds, opts, share_b)
+        assert calls[0][2] is res.average
+        assert [c[2] for c in calls[1:]] == list(res.per_junction.values())
+        avg = res.average.params
+        if opts.model == "two-log":
+            for series, per_opts, fit in calls[1:]:
+                assert per_opts is opts
+                assert fields(fit) == fields(fit_two_log(series))
+            return
+        own_opts = replace(opts, fix_b=avg.b) if share_b else opts
+        iterations = own_iterations = 0
+        for series, per_opts, fit in calls[1:]:
+            assert per_opts == replace(own_opts, init=(avg.a, avg.tau_s, avg.b))
+            own = reference_fit_single_log(series, own_opts)
+            assert (fit.converged, fit.at_bounds) == (own.converged, own.at_bounds)
+            assert fit.rss <= own.rss * (1 + 1e-9)
+            iterations += fit.iterations
+            own_iterations += own.iterations
+    assert iterations <= own_iterations
+
+
+def test_a_callers_init_starts_every_junction_fit():
+    init = (0.1, 1e4, 1.0)
+    res, calls = recorded_fit_chip(preset_chip("chip1", 2), FitOptions(init=init), False)
+    assert [c[1].init for c in calls] == [init] * (1 + len(res.per_junction))
+
+
 def test_reference_cases_cover_open_junctions_and_nonconvergence():
-    p = chip_preset("chip6")
-    ds = simulate_chip(draw_chip(p.spec, 2), p.schedule, [],
-                       np.arange(0.0, 84 * DAY + 1.0, 2 * DAY), p.sim, 2)
-    assert np.isnan(ds.r_ohm).any()
+    assert np.isnan(preset_chip("chip6", 2).r_ohm).any()
     stops = set()
     for preset in PRESET_NAMES:
-        p = chip_preset(preset)
-        ds = simulate_chip(draw_chip(p.spec, 9), p.schedule, [],
-                           np.arange(0.0, 84 * DAY + 1.0, 2 * DAY), p.sim, 9)
-        res = fit_chip(ds, FitOptions(model="two-log"))
+        res = fit_chip(preset_chip(preset, 9), FitOptions(model="two-log"))
         stops |= {r.stop_reason for r in res.per_junction.values()}
     assert "max_iter" in stops and len(stops) >= 2
 
@@ -161,7 +250,7 @@ def test_fits_equal_reference(case):
     # naming the same file.  The old two-log driver started from a crude
     # guess; without an ``init`` it is handed the package's grid start.
     if opts.model == "two-log" and opts.init is None:
-        t, y = fitting._check_series(series, 6)
+        t, y = reference_fit._check_series(series, 6)
         start = fitting._two_log_start(t, y, t[t > 0], fitting._weights(weights, t.size), opts)
         opts = replace(opts, init=start)
     old, old_warnings = outcome(reference_fn, series, opts, weights=weights)

@@ -24,7 +24,7 @@ from jjaging import (
 )
 from jjaging import fitting
 from jjaging.ensemble import ENV_LABELS, FLAGS
-from jjaging.fitting import _single_log_rj, _solve, _two_log_rj
+from jjaging.fitting import _inv, _single_log_rj, _solve, _two_log_rj
 
 DAY = 86400.0
 CHIP1 = AgingParams(a=0.21, tau_s=1.2e4, b=1.01)
@@ -454,9 +454,9 @@ class TestFitChip:
             fit_chip(ds)
 
 
-def _solved(solve, a, b):
+def _solved(solve, *args):
     try:
-        return solve(a, b).tobytes()
+        return solve(*args).tobytes()
     except np.linalg.LinAlgError:
         return "LinAlgError"
 
@@ -496,5 +496,8 @@ def test_solve_matches_numpy_solve_bytes(system):
         warnings.simplefilter("error")
         for a in (damped, undamped):
             assert _solved(_solve, a, neg_g) == _solved(np.linalg.solve, a, neg_g)
+            # The undamped JᵀJ is what the standard errors invert.
+            assert _solved(_inv, a) == _solved(np.linalg.inv, a)
         assert _solved(_solve, np.zeros_like(damped), neg_g) == "LinAlgError"
+        assert _solved(_inv, np.zeros_like(damped)) == "LinAlgError"
     assert np.geterr() == before
