@@ -69,6 +69,7 @@ from .fitting import (
     parameter_histogram,
 )
 from .dataio import (
+    TOOL_VERSION as __version__,
     FitReport,
     build_fit_report,
     export_plot_data,
@@ -80,5 +81,3 @@ from .dataio import (
     write_report,
 )
 from .presets import PRESET_NAMES, ChipPreset, chip_preset
-
-__version__ = "0.1.0"

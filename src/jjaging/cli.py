@@ -28,7 +28,6 @@ from .dataio import (
     load_schedule,
     read_report,
     save_measurements,
-    sha256_of_file,
     write_report,
     TOOL_VERSION,
     _read_json,
@@ -191,17 +190,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    ds = load_measurements(args.data)
+    digest = hashlib.sha256()
+    ds = load_measurements(args.data, digest=digest)
     opts = FitOptions(model=args.model)
     chip_fit = fit_chip(ds, opts, share_b=args.share_b, window_s=args.window_s)
     provenance = {
-        "input_sha256": sha256_of_file(args.data),
+        "input_sha256": digest.hexdigest(),
         "tool_version": TOOL_VERSION,
         "seed": args.seed,
         "config_digest": _digest({"model": args.model, "share_b": args.share_b,
                                   "window_s": args.window_s}),
     }
-    report = build_fit_report(ds, chip_fit, provenance, window_s=args.window_s)
+    report = build_fit_report(ds, chip_fit, provenance)
     write_report(report, args.out)
 
     n_bad = sum(1 for r in chip_fit.per_junction.values() if not r.converged)

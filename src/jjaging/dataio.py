@@ -29,13 +29,13 @@ Lines end at \\n, \\r\\n or \\r; ``#`` comments and blank lines are ignored.
 
 A fit report is the JSON of a ``FitReport`` of ``FitResult``s, whose layout
 only this module knows.  ``read_report`` refuses (ParseError) a report that
-``to_dict`` does not give back, or whose ``schema_version`` is not 1.
+``to_dict`` does not give back, or whose ``schema_version`` is not 2; a
+version 1 report is first upgraded to version 2 by ``_from_v1``.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import math
@@ -56,9 +56,8 @@ from .ensemble import (
     MAX_JUNCTION_RANGE,
     OPEN_RESISTANCE_THRESHOLD_OHM,
     ChipDataset,
-    aggregate_series,
 )
-from .fitting import FitResult, parameter_histogram
+from .fitting import FitResult
 from .model import AgingParams, Environment, TwoLogParams
 from .trajectory import (
     DAY_S,
@@ -79,7 +78,6 @@ __all__ = [
     "write_report",
     "read_report",
     "export_plot_data",
-    "sha256_of_file",
 ]
 
 TOOL_VERSION = "0.1.0"
@@ -94,12 +92,15 @@ MEASUREMENT_HEADER = [
 ]
 
 
-def _read_text(path) -> str:
+def _read_text(path, digest=None) -> str:
     """The text of a UTF-8 file without a leading byte-order mark; an
     undecodable byte is a ParseError naming its line (counting \\n, \\r\\n and
-    \\r line ends) and byte offset.  Every file the package reads comes here."""
+    \\r line ends) and byte offset.  Every file the package reads comes here;
+    its raw bytes update a ``hashlib`` object ``digest`` if one is given."""
     with open(path, "rb") as fh:
         data = fh.read()
+    if digest is not None:
+        digest.update(data)
     try:
         # As utf-8-sig, but the error offsets count the byte-order mark.
         return data.decode("utf-8").removeprefix("\ufeff")
@@ -223,7 +224,7 @@ def _blank(row: Sequence[str]) -> bool:
     return not "".join(row).strip()
 
 
-def load_measurements(path) -> ChipDataset:
+def load_measurements(path, digest=None) -> ChipDataset:
     """Parse, validate, and sort a measurement CSV.
 
     Malformed rows are collected and raised together as a ParseError naming
@@ -240,9 +241,10 @@ def load_measurements(path) -> ChipDataset:
     column at a time.  Each row reports only the first check it fails, in
     the order: field count; junction_id and t_seconds parse; junction_id
     within int64; environment; flag; t_seconds finite and >= 0; empty
-    resistance only on open rows; resistance parse; resistance > 0.
+    resistance only on open rows; resistance parse; resistance > 0.  A
+    ``hashlib`` object ``digest`` is updated with the raw bytes parsed.
     """
-    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    reader = csv.reader(io.StringIO(_read_text(path, digest), newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -468,6 +470,7 @@ def _fit_to_dict(res: FitResult) -> dict:
         "at_bounds": list(res.at_bounds),
         "messages": list(res.messages),
         "degenerate_timescales": res.degenerate_timescales,
+        "stop_reason": res.stop_reason,
     }
 
 
@@ -506,8 +509,8 @@ def _params_from_dict(p: dict, where: str):
 
 
 def _fit_from_dict(d: dict, where: str = "") -> FitResult:
-    """The fit ``_fit_to_dict`` wrote; null stderr reads as NaN, ``stop_reason`` as
-    None.  A bad field is a ``_BadField`` named from ``where``."""
+    """The fit ``_fit_to_dict`` wrote; null stderr reads as NaN.  A bad field is
+    a ``_BadField`` named from ``where``."""
     get = partial(_field, d, where=where)
     return FitResult(
         params=get("params", lambda p: _params_from_dict(p, f"{where}params.")),
@@ -518,6 +521,7 @@ def _fit_from_dict(d: dict, where: str = "") -> FitResult:
         at_bounds=get("at_bounds", lambda v: tuple(map(str, v))),
         messages=get("messages", lambda v: tuple(map(str, v))),
         degenerate_timescales=get("degenerate_timescales", bool),
+        stop_reason=get("stop_reason", lambda v: None if v is None else str(v)),
     )
 
 
@@ -543,12 +547,11 @@ class FitReport:
     r0_ohm: dict[int, float]
     average_r0_ohm: float
     cv_series: tuple[tuple[float, float | None, int], ...]  # (t_days, cv, n_used)
-    histograms: dict[str, dict]
     skipped: dict[int, str]
     provenance: dict
     last_t_s: float
     last_env: str
-    schema_version: int = 1
+    schema_version: int = 2
 
     def __post_init__(self):
         missing = [j for j in self.per_junction if j not in self.junction_ids]
@@ -567,7 +570,6 @@ class FitReport:
             "r0_ohm": {str(j): self.r0_ohm[j] for j in sorted(self.r0_ohm)},
             "average_r0_ohm": self.average_r0_ohm,
             "cv_series": [[t, _num(cv), n] for t, cv, n in self.cv_series],
-            "histograms": self.histograms,
             "skipped": {str(j): msg for j, msg in sorted(self.skipped.items())},
             "provenance": self.provenance,
             "last_t_s": self.last_t_s,
@@ -579,7 +581,7 @@ class FitReport:
         """The report ``d`` encodes; scalars are built by their types'
         constructors, and a missing or refused field is a ValueError naming it."""
         get = partial(_field, d)
-        get("schema_version", _among((1,)))
+        get("schema_version", _among((2,)))
         return cls(
             chip_id=get("chip_id", str),
             junction_ids=get("junction_ids", lambda v: tuple(map(int, v))),
@@ -590,7 +592,6 @@ class FitReport:
             average_r0_ohm=get("average_r0_ohm", float),
             cv_series=get("cv_series", lambda v: tuple(
                 (float(t), None if cv is None else float(cv), int(n)) for t, cv, n in v)),
-            histograms=get("histograms", lambda v: v),
             skipped=get("skipped", lambda v: {int(j): str(msg) for j, msg in v.items()}),
             provenance=get("provenance", lambda v: v),
             last_t_s=get("last_t_s", float),
@@ -598,27 +599,11 @@ class FitReport:
         )
 
 
-def build_fit_report(
-    ds: ChipDataset,
-    chip_fit,
-    provenance: Mapping,
-    window_s: float = 600.0,
-) -> FitReport:
-    """Assemble a FitReport from a dataset and its ChipFitResult."""
-    agg = aggregate_series(ds, window_s=window_s)
-    cv_series = tuple(
-        (t / DAY_S, (None if math.isnan(cv) else cv), n) for t, _, cv, n in agg
-    )
-    histograms = {}
-    single = [r for r in chip_fit.per_junction.values()
-              if isinstance(r.params, AgingParams)]
-    if single:
-        for field_name in ("a", "tau", "log_tau", "b"):
-            counts, edges = parameter_histogram(single, field_name, n_bins=8)
-            histograms[field_name] = {
-                "counts": [int(c) for c in counts],
-                "edges": [float(e) for e in edges],
-            }
+def build_fit_report(ds: ChipDataset, chip_fit, provenance: Mapping) -> FitReport:
+    """Assemble a FitReport from a dataset and its ChipFitResult, whose
+    aggregate rows give the CV series."""
+    cv_series = tuple((t / DAY_S, None if math.isnan(cv) else cv, n)
+                      for t, _, cv, n in chip_fit.aggregate)
     ok_rows = np.flatnonzero(ds.flag == FLAG_OK)
     last = ok_rows[np.argmax(ds.t_s[ok_rows])]   # first row at the latest time
     return FitReport(
@@ -629,7 +614,6 @@ def build_fit_report(
         r0_ohm=dict(chip_fit.r0_ohm),
         average_r0_ohm=chip_fit.average_r0_ohm,
         cv_series=cv_series,
-        histograms=histograms,
         skipped=dict(chip_fit.skipped),
         provenance=dict(provenance),
         last_t_s=float(ds.t_s[last]),
@@ -651,13 +635,36 @@ def write_report(report: FitReport, path) -> None:
     _write_json(report.to_dict(), path)
 
 
+def _v1_fit(f, where: str):
+    if isinstance(f, dict) and "stop_reason" in f:
+        raise _BadField(f"unknown key {where + 'stop_reason'!r} in a version 1 report")
+    return {**f, "stop_reason": None} if isinstance(f, dict) else f
+
+
+def _from_v1(d: dict) -> dict:
+    """The version 2 value of a version 1 report: v1 wrote ``histograms``,
+    which v2 drops, and no fit ``stop_reason``, which reads as null.  Every
+    other fault is left for ``from_dict`` and the write-back check."""
+    _field(d, "histograms", lambda v: v)   # v1 requires it
+    v2 = {k: v for k, v in d.items() if k != "histograms"} | {"schema_version": 2}
+    if "average" in d:
+        v2["average"] = _v1_fit(d["average"], "average.")
+    if isinstance(d.get("per_junction"), dict):
+        v2["per_junction"] = {j: _v1_fit(f, f"per_junction.{j}.")
+                              for j, f in d["per_junction"].items()}
+    return v2
+
+
 def read_report(path) -> FitReport:
-    """The report a file holds; a malformed one, or one that ``to_dict`` does not
-    give back (a coerced JSON type, an unknown key), is a ParseError naming the file."""
+    """The report a file holds, a version 1 one upgraded by ``_from_v1``; a malformed
+    one, or one that ``to_dict`` does not give back (a coerced JSON type, an unknown
+    key), is a ParseError naming the file."""
     d = _read_json(path, "report")
     if not isinstance(d, dict):
         raise ParseError(f"{path}: malformed report: not a JSON object")
     try:
+        if d.get("schema_version") == 1:
+            d = _from_v1(d)
         report = FitReport.from_dict(d)
     except ValueError as exc:   # a bad field, named, or junctions absent from the dataset
         raise ParseError(f"{path}: malformed report: {exc}") from None
@@ -679,11 +686,3 @@ def export_plot_data(series: Mapping[str, Sequence], path) -> None:
         for sid in sorted(series):
             for t_s, value in series[sid]:
                 w.writerow([sid, repr(float(t_s) / DAY_S), repr(float(value))])
-
-
-def sha256_of_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()

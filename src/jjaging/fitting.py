@@ -120,6 +120,7 @@ class ChipFitResult:
     r0_ohm: dict[int, float]
     average_r0_ohm: float
     skipped: dict[int, str]
+    aggregate: list[tuple[float, float, float, int]]   # the average fit's aggregate_series
 
 
 def _check_series(series, min_points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -576,7 +577,7 @@ def fit_chip(
             skipped[j] = str(exc)
     return ChipFitResult(
         per_junction=per_junction, average=average,
-        r0_ohm=r0s, average_r0_ohm=avg_r0, skipped=skipped,
+        r0_ohm=r0s, average_r0_ohm=avg_r0, skipped=skipped, aggregate=agg,
     )
 
 

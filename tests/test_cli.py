@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from jjaging import (
     AgingParams,
     ChipDataset,
+    aggregate_series,
     chip_preset,
     draw_chip,
     eval_single_log,
@@ -20,8 +22,9 @@ from jjaging import (
 )
 from jjaging import cli
 from jjaging.cli import build_parser, main
-from jjaging.dataio import MAX_SAMPLES
+from jjaging.dataio import MAX_SAMPLES, read_report
 from jjaging.ensemble import ENV_LABELS
+from reference_report import v1_report
 
 DAY = 86400.0
 
@@ -261,7 +264,11 @@ class TestFit:
         a = report["average"]["params"]["a"]
         assert abs(a - 0.15) <= 0.02
         assert report["provenance"]["tool_version"]
-        assert report["histograms"]["a"]["counts"]
+        assert report["schema_version"] == 2 and "histograms" not in report
+        fits = [report["average"], *report["per_junction"].values()]
+        assert {f["stop_reason"] for f in fits} <= {"step_tol", "rss_tol", "no_descent",
+                                                   "max_iter"}
+        assert all((f["stop_reason"] == "max_iter") != f["converged"] for f in fits)
 
     @pytest.mark.parametrize("window", ["nan", "inf", "-5"])
     def test_bad_window_exits_2(self, tmp_path, capsys, window):
@@ -270,6 +277,21 @@ class TestFit:
         assert code == 2
         assert "window_s" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    def test_window_sets_the_cv_series(self, tmp_path, capsys):
+        # Each junction is measured 15 minutes after the one before it, so
+        # the default 600 s window gives one group per row time and 3600 s
+        # one group per day.
+        t = np.add.outer(np.arange(4) * 900.0, np.arange(12) * DAY).ravel()
+        ds = ChipDataset(np.repeat(np.arange(4), 12), t, 1e4 * (1.2 + 0.2 * np.log1p(t / 1e4)),
+                         [0] * t.size, [0] * t.size, "c")
+        data, out = tmp_path / "data.csv", tmp_path / "r.json"
+        save_measurements(ds, data)
+        assert run("fit", str(data), "--window-s", "3600", "--out", str(out)) in (0, 3)
+        agg = aggregate_series(ds, 3600.0)
+        assert len(agg) == 12 and len(aggregate_series(ds)) == 48
+        assert json.loads(out.read_text())["cv_series"] == [
+            [t_s / DAY, None if math.isnan(cv) else cv, n] for t_s, _, cv, n in agg]
 
     def test_too_few_time_points_exits_2(self, tmp_path, capsys):
         out = tmp_path / "short.csv"
@@ -356,32 +378,78 @@ def fit_report(tmp_path_factory):
     return json.loads((d / "report.json").read_text())
 
 
-class TestPredict:
-    # Each of these used to escape as a traceback or to predict with exit 0.
-    @pytest.mark.parametrize("mutate", [
+@pytest.fixture(scope="module")
+def fit_report_v1(tmp_path_factory, fit_report):
+    """``fit_report`` in the version 1 layout: with histograms, no stop_reason."""
+    path = tmp_path_factory.mktemp("fit_v1") / "report.json"
+    path.write_text(json.dumps(fit_report))
+    return v1_report(read_report(path))
+
+
+# Each of these used to escape as a traceback or to predict with exit 0.
+_malformed = pytest.mark.parametrize("mutate", [
         lambda d: d.update(per_junction=[]),
         lambda d: d.update(cv_series=[[1, 2]]),
         lambda d: d.update(last_t_s="x"),
         lambda d: d.update(average_r0_ohm="x"),
         lambda d: d.update(average={"params": {"kind": "two-log"}}),
         lambda d: d.update(last_env=5),
-        lambda d: d.update(schema_version=2),
+        lambda d: d.update(schema_version=3),
         lambda d: d.update(junction_ids=5),
         lambda d: d.update(unknown=1),
         lambda d: d["average"].update(unknown=1),
     ], ids=["per_junction-list", "cv_series-pair", "last_t_s-string",
             "average_r0_ohm-string", "two-log-without-params", "last_env-number",
-            "schema_version-2", "junction_ids-number", "unknown-key", "unknown-fit-key"])
+            "schema_version-3", "junction_ids-number", "unknown-key", "unknown-fit-key"])
+
+
+def assert_refused(tmp_path, capsys, d):
+    """``predict --report`` on the JSON ``d`` exits 2, naming the file."""
+    path, out = tmp_path / "bad.json", tmp_path / "p.json"
+    path.write_text(json.dumps(d))
+    code = run("predict", "--report", str(path), "--target-days", "30", "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: malformed report")
+    assert not out.exists()
+
+
+class TestPredict:
+    @_malformed
     def test_malformed_report_exits_2_naming_the_file(self, tmp_path, capsys, fit_report,
                                                       mutate):
         d = copy.deepcopy(fit_report)
         mutate(d)
-        path, out = tmp_path / "bad.json", tmp_path / "p.json"
-        path.write_text(json.dumps(d))
-        code = run("predict", "--report", str(path), "--target-days", "30", "--out", str(out))
-        assert code == 2
-        assert capsys.readouterr().err.startswith(f"error: {path}: malformed report")
-        assert not out.exists()
+        assert_refused(tmp_path, capsys, d)
+
+    @_malformed
+    def test_malformed_version_1_report_exits_2(self, tmp_path, capsys, fit_report_v1,
+                                                mutate):
+        d = copy.deepcopy(fit_report_v1)
+        mutate(d)
+        assert_refused(tmp_path, capsys, d)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.pop("histograms"),
+        lambda d: d["per_junction"]["3"].update(stop_reason="step_tol"),
+    ], ids=["without-histograms", "with-stop_reason"])
+    def test_version_1_report_in_another_layout_exits_2(self, tmp_path, capsys,
+                                                       fit_report_v1, mutate):
+        d = copy.deepcopy(fit_report_v1)
+        mutate(d)
+        assert_refused(tmp_path, capsys, d)
+
+    def test_version_1_report_predicts_like_version_2(self, tmp_path, capsys, fit_report,
+                                                     fit_report_v1):
+        runs = []
+        for d in (fit_report, fit_report_v1):
+            work = tmp_path / f"v{d['schema_version']}"
+            work.mkdir()
+            (work / "report.json").write_text(json.dumps(d, sort_keys=True, indent=2) + "\n")
+            code = run("predict", "--report", str(work / "report.json"), "--target-days", "30",
+                       "--out", str(work / "pred.json"))
+            runs.append((code, capsys.readouterr(), (work / "pred.json").read_bytes()))
+        assert [r[0] for r in runs] == [0, 0]
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("mutate, named", [
         (lambda d: d.update(junction_ids=5),
@@ -804,8 +872,6 @@ class TestByteOrderMark:
     ], ids=["schedule", "spec", "measurements", "report", "events"])
     def test_reads_like_the_file_without_it(self, tmp_path, capsys, monkeypatch, inputs,
                                             kind, argv):
-        from jjaging.dataio import sha256_of_file
-
         runs = []
         for name, prefix in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
             work = tmp_path / name
@@ -815,7 +881,8 @@ class TestByteOrderMark:
             names = {"IN": "in.txt", "DATA": inputs["DATA"]}
             code = run(*[names.get(a, a) for a in argv])
             outs = {p.name: p.read_bytes() for p in sorted(work.iterdir()) if p.name != "in.txt"}
-            runs.append((code, capsys.readouterr(), outs, sha256_of_file("in.txt").encode()))
+            digest = hashlib.sha256(Path("in.txt").read_bytes()).hexdigest().encode()
+            runs.append((code, capsys.readouterr(), outs, digest))
         (code, std, outs, digest), (code_b, std_b, outs_b, digest_b) = runs
         assert code == code_b == 0
         assert (std.out, std.err) == (std_b.out, std_b.err)

@@ -32,6 +32,7 @@ from jjaging import (
 )
 from jjaging.dataio import MAX_JUNCTION_RANGE, FitReport, read_report, write_report
 from jjaging.ensemble import ENV_LABELS, FLAGS
+from reference_report import v1_report
 
 DAY = 86400.0
 
@@ -448,6 +449,7 @@ def test_non_utf8_file_raises_parse_error_naming_the_line(tmp_path, loader, cont
 
 
 _BOM = b"\xef\xbb\xbf"
+# A report in the version 1 layout: with histograms, and no stop_reason.
 _REPORT_JSON = (b'{"average": {"at_bounds": [], "converged": true, '
                 b'"degenerate_timescales": false, "iterations": 7, "messages": [], '
                 b'"n_points": 2, "params": {"a": 0.21, "b": 1.01, '
@@ -516,14 +518,22 @@ class TestReport:
             junction_ids=(0, 1, 2),
             per_junction={0: FitResult(AgingParams(a=0.2, tau_s=1e4, b=1.0),
                                        stderr={"a": 0.01, "b": 0.02, "tau_s": 300.0},
-                                       rss=0.0, converged=True, n_points=2, iterations=4)},
+                                       rss=0.0, converged=True, n_points=2, iterations=4,
+                                       stop_reason="step_tol"),
+                          2: FitResult(TwoLogParams(a_int=0.0, tau_int_s=1e8, a_ext=0.1,
+                                                    tau_ext_s=5e7),
+                                       stderr={"a_ext": 0.5, "a_int": math.nan,
+                                               "tau_ext_s": 1e6, "tau_int_s": math.nan},
+                                       rss=1e-3, converged=False, n_points=9, iterations=200,
+                                       at_bounds=("a_int", "tau_int_s"),
+                                       messages=("J^T J is singular",),
+                                       degenerate_timescales=True, stop_reason="max_iter")},
             average=FitResult(AgingParams(a=0.21, tau_s=1.2e4, b=1.01),
                               stderr={"a": 0.001, "b": 0.002, "tau_s": 150.0},
                               rss=1e-9, converged=True, n_points=2, iterations=7),
-            r0_ohm={0: 10_000.0},
+            r0_ohm={0: 10_000.0, 2: 9_800.0},
             average_r0_ohm=10_050.0,
             cv_series=((0.0, 0.05, 3), (1.0, None, 1)),
-            histograms={"a": {"counts": [1], "edges": [0.1, 0.3]}},
             skipped={1: "fewer than 4 usable time points"},
             provenance={"input_sha256": "ab" * 32, "tool_version": "0.1.0", "seed": 0,
                         "config_digest": "cd" * 8},
@@ -537,6 +547,21 @@ class TestReport:
         write_report(rep, path)
         back = read_report(path)
         assert back == rep
+
+    def test_every_fit_field_round_trips(self, tmp_path):
+        rep = self._report()
+        path = tmp_path / "report.json"
+        write_report(rep, path)
+        back = read_report(path)
+        for j, fit in [(None, rep.average), *rep.per_junction.items()]:
+            got = back.average if j is None else back.per_junction[j]
+            for name in (f.name for f in fields(FitResult)):
+                want, have = getattr(fit, name), getattr(got, name)
+                if name == "stderr":   # NaN compares as NaN
+                    assert list(have) == list(want)
+                    assert [str(v) for v in have.values()] == [str(v) for v in want.values()]
+                else:
+                    assert have == want, name
 
     def test_byte_stable(self, tmp_path):
         rep = self._report()
@@ -592,19 +617,22 @@ def chip_fits(draw):
         r0_ohm={j: draw(_finite(1, 1e6)) for j in per_junction},
         average_r0_ohm=draw(_finite(1, 1e6)),
         skipped={j: draw(st.text(max_size=12)) for j in range(3) if not fitted[j]},
+        aggregate=draw(st.lists(st.tuples(_finite(0, 1e8), _finite(1, 1e6),
+                                          st.just(math.nan) | _finite(0, 1),
+                                          st.integers(1, 16)), max_size=3)),
     )
 
 
 def _as_read(fit: FitResult) -> FitResult:
-    """A fit as a report gives it back: no stop_reason, non-finite stderr as NaN.
-    (``math.nan`` is what the reader stores, so dict equality holds by identity.)"""
-    return replace(fit, stop_reason=None, stderr={
+    """A fit as a report gives it back: non-finite stderr as NaN.  (``math.nan``
+    is what the reader stores, so dict equality holds by identity.)"""
+    return replace(fit, stderr={
         k: v if math.isfinite(v) else math.nan for k, v in fit.stderr.items()})
 
 
 def _typed_nodes(d: dict):
     """(container, key) of every value in a report's typed fields; histograms
-    and provenance are free-form."""
+    (version 1) and provenance are free-form."""
     stack = [(d, k) for k in d if k not in ("histograms", "provenance")]
     nodes = []
     while stack:
@@ -630,6 +658,8 @@ def _records(d: dict) -> list[dict]:
 @given(chip_fit=chip_fits(), data=st.data())
 def test_report_round_trip_and_malformed_reports(tmp_path, chip_fit, data):
     built = build_fit_report(small_dataset(), chip_fit, {"seed": 0})
+    assert built.cv_series == tuple((t / DAY, None if math.isnan(cv) else cv, n)
+                                    for t, _, cv, n in chip_fit.aggregate)
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
     write_report(built, p1)
     back = read_report(p1)
@@ -638,8 +668,15 @@ def test_report_round_trip_and_malformed_reports(tmp_path, chip_fit, data):
     assert back == replace(built, average=_as_read(built.average), per_junction={
         j: _as_read(f) for j, f in built.per_junction.items()})
 
+    # The version 1 layout of the same report reads as it, without stop_reasons.
+    d = v1_report(back) if data.draw(st.booleans()) else json.loads(p1.read_text())
+    if d["schema_version"] == 1:
+        (tmp_path / "v1.json").write_text(json.dumps(d))
+        assert read_report(tmp_path / "v1.json") == replace(back, average=replace(
+            back.average, stop_reason=None), per_junction={
+            j: replace(f, stop_reason=None) for j, f in back.per_junction.items()})
+
     # One change of a JSON type in a typed field, or one key deleted or added.
-    d = json.loads(p1.read_text())
     change = data.draw(st.sampled_from(["retype", "delete", "add"]))
     if change == "retype":
         parent, key = data.draw(st.sampled_from(_typed_nodes(d)))
@@ -702,8 +739,8 @@ class TestPlotExport:
 
 
 SOURCES = Path(__file__).resolve().parents[1] / "src" / "jjaging"
-# The only functions that may open a file to read it.
-READERS = {("dataio.py", "_read_text"), ("dataio.py", "sha256_of_file")}
+# The only function that may open a file to read it.
+READERS = {("dataio.py", "_read_text")}
 
 
 def _reading_opens(path: Path):
@@ -733,4 +770,4 @@ def _reading_opens(path: Path):
 def test_every_file_is_read_through_read_text():
     sites = [site for path in sorted(SOURCES.glob("*.py")) for site in _reading_opens(path)]
     assert [s for s in sites if s[:2] not in READERS] == []
-    assert {s[:2] for s in sites} == READERS   # the guard still sees the two readers
+    assert {s[:2] for s in sites} == READERS   # the guard still sees the reader

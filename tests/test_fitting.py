@@ -357,7 +357,7 @@ class TestHistogram:
 
     def test_values_ulps_apart_get_finite_bins(self):
         # 0 and the smallest subnormal used to make numpy refuse the range
-        # ("Too many bins for data range"), and with it build_fit_report.
+        # ("Too many bins for data range").
         counts, edges = parameter_histogram(self._results([0.0, 5e-324]), "a", n_bins=8)
         assert counts.sum() == 2
         assert (np.diff(edges) > 0).all()

@@ -1,9 +1,13 @@
-"""README's library tour runs, and gives the values its comments state."""
+"""README's library tour runs, and gives the values its comments state; its
+report section names exactly the keys a report and a fit are written with."""
 
 import re
 from pathlib import Path
 
 import numpy as np
+
+from jjaging import AgingParams, FitResult
+from jjaging.dataio import FitReport, _fit_to_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -46,3 +50,29 @@ def test_tour_runs_and_gives_the_commented_values():
     assert ns["r"].shape == ns["samples"].shape and ns["r"].dtype == np.float64
     assert ns["state"].t_s == 6 * ns["day"]
     assert abs(ns["fit"].params.a - 0.21) < 1e-6
+
+
+def report_docs():
+    """README's report field table (first cells) and its fit paragraph."""
+    text = README.read_text(encoding="utf-8")
+    table = re.search(r"^\| field \| JSON type \|\n\|---\|---\|\n((?:\|.*\n)+)", text,
+                      re.MULTILINE)
+    paragraph = re.search(r"^A fit is an object with (.*?)\n\n", text, re.DOTALL | re.MULTILINE)
+    return [row.split("|")[1] for row in table.group(1).splitlines()], paragraph.group(1)
+
+
+FIT = FitResult(AgingParams(a=0.2, tau_s=1e4, b=1.0), {}, 0.0, True, 4, 1)
+
+
+def test_report_field_table_names_every_report_key():
+    report = FitReport("c", (0,), {0: FIT}, FIT, {0: 1e4}, 1e4, (), {}, {}, 0.0, "ambient")
+    cells, _ = report_docs()
+    names = [name for cell in cells for name in re.findall(r"`([^`]+)`", cell)]
+    assert sorted(names) == sorted(report.to_dict())
+
+
+def test_fit_paragraph_names_every_fit_key():
+    _, paragraph = report_docs()
+    # A field's own description, in parentheses, may name its parts.
+    outside = re.sub(r"\([^()]*\)", "", paragraph)
+    assert sorted(re.findall(r"`([^`]+)`", outside)) == sorted(_fit_to_dict(FIT))
