@@ -57,7 +57,7 @@ from .ensemble import (
     OPEN_RESISTANCE_THRESHOLD_OHM,
     ChipDataset,
 )
-from .fitting import FitResult
+from .fitting import STOP_REASONS, FitResult, _MAX_ITER
 from .model import AgingParams, Environment, TwoLogParams
 from .trajectory import (
     DAY_S,
@@ -510,9 +510,10 @@ def _params_from_dict(p: dict, where: str):
 
 def _fit_from_dict(d: dict, where: str = "") -> FitResult:
     """The fit ``_fit_to_dict`` wrote; null stderr reads as NaN.  A bad field is
-    a ``_BadField`` named from ``where``."""
+    a ``_BadField`` named from ``where``.  A ``stop_reason`` is one of the
+    fitter's, or null, and a fit converged unless it stopped on ``"max_iter"``."""
     get = partial(_field, d, where=where)
-    return FitResult(
+    fit = FitResult(
         params=get("params", lambda p: _params_from_dict(p, f"{where}params.")),
         stderr=get("stderr", lambda s: {k: math.nan if v is None else float(v)
                                         for k, v in s.items()}),
@@ -521,8 +522,13 @@ def _fit_from_dict(d: dict, where: str = "") -> FitResult:
         at_bounds=get("at_bounds", lambda v: tuple(map(str, v))),
         messages=get("messages", lambda v: tuple(map(str, v))),
         degenerate_timescales=get("degenerate_timescales", bool),
-        stop_reason=get("stop_reason", lambda v: None if v is None else str(v)),
+        stop_reason=get("stop_reason",
+                        lambda v: None if v is None else _among(STOP_REASONS)(v)),
     )
+    if fit.stop_reason is not None and fit.converged != (fit.stop_reason != _MAX_ITER):
+        raise _BadField(f"bad {where + 'stop_reason'!r} ({fit.stop_reason!r} on a fit with "
+                        f"converged {fit.converged})")
+    return fit
 
 
 def _num(v):

@@ -285,10 +285,17 @@ def draw_chip(spec: ChipSpec, seed: int) -> DrawnChip:
         z = _normals(rng, k)
         r0 = _truncated_normal(z, spec.r0_mean_ohm, r0_sd)
         a = _truncated_normal(z, spec.a_mean, spec.a_sd)
-        tau = math.exp(spec.log_tau_mean + spec.log_tau_sd * next(z))
+        log_tau = spec.log_tau_mean + spec.log_tau_sd * next(z)
+        try:
+            tau = math.exp(log_tau)
+        except OverflowError:
+            raise ParameterError(
+                f"drawn tau_s = exp({log_tau:g}) s overflows a float; lower log_tau_mean "
+                "or log_tau_sd"
+            ) from None
         b = _truncated_normal(z, spec.b_mean, spec.b_sd)
-        is_open = bool(rng.random() < spec.open_prob)
-        junctions.append((AgingParams(a=a, tau_s=tau, b=b, r0_ohm=r0), is_open))
+        # rng.random() is a Python float, so the open flag is a bool.
+        junctions.append((AgingParams(a, tau, b, r0), rng.random() < spec.open_prob))
     return DrawnChip(junctions=tuple(junctions), spec=spec)
 
 
@@ -299,6 +306,14 @@ def _junction_seed(seed: int, junction_id: int, stream: int) -> int:
     form gives."""
     ss = np.random.SeedSequence(_spawn_entropy(seed, stream, junction_id))
     return int(ss.generate_state(1)[0])
+
+
+def _stack(row: np.ndarray, n: int) -> np.ndarray:
+    """``n`` copies of ``row`` as the rows of a new array: ``np.tile(row, (n,
+    1))`` without its Python-level reshaping."""
+    out = np.empty((n, row.size), row.dtype)
+    out[:] = row
+    return out
 
 
 def simulate_chip(
@@ -346,20 +361,21 @@ def simulate_chip(
     # Row j is _spawn_entropy(seed, 1, j): the noise stream of junction j
     # comes from default_rng(_junction_seed(seed, j, 1)), whose int seed has
     # the same entropy pool as the one-word array generate_state(1) returns.
-    noise_entropy = np.tile(_spawn_entropy(seed, 1, 0), (n_j, 1))
+    noise_entropy = _stack(_spawn_entropy(seed, 1, 0), n_j)
     noise_entropy[:, -1] = np.arange(n_j)
     for j, (params, open_j) in enumerate(chip.junctions):
         if open_j:
             is_open[j] = True
             continue
         profile = JunctionProfile(a=params.a, b=params.b, tau_scale=params.tau_s / tau_home)
-        ev_j = [ev for ev in events if ev.junction_ids is None or j in ev.junction_ids]
-        # The anneal seed only feeds voltage-anneal draws.
-        draws = any(isinstance(ev.kind, VoltageAnneal) for ev in ev_j)
-        r[j] = simulate_trajectory(
-            schedule, ev_j, cfg, params.r0_ohm, samples,
-            seed=_junction_seed(seed, j, 0) if draws else 0, profile=profile,
-        )
+        ev_j, anneal_seed = [], 0
+        if events:
+            ev_j = [ev for ev in events if ev.junction_ids is None or j in ev.junction_ids]
+            # The anneal seed only feeds voltage-anneal draws.
+            if any(isinstance(ev.kind, VoltageAnneal) for ev in ev_j):
+                anneal_seed = _junction_seed(seed, j, 0)
+        r[j] = simulate_trajectory(schedule, ev_j, cfg, params.r0_ohm, samples,
+                                   seed=anneal_seed, profile=profile)
         ss = np.random.SeedSequence(noise_entropy[j])
         z[j] = np.random.default_rng(ss.generate_state(1)).standard_normal(n_s)
     r *= 1.0 + chip.spec.noise_sigma * z
@@ -369,9 +385,9 @@ def simulate_chip(
     env = seg_env[np.searchsorted(starts, samples, side="right") - 1]
     return ChipDataset(
         junction_id=np.repeat(np.arange(n_j), n_s),
-        t_s=np.tile(samples, n_j),
+        t_s=_stack(samples, n_j).ravel(),
         r_ohm=r.ravel(),
-        env=np.tile(env, n_j),
+        env=_stack(env, n_j).ravel(),
         flag=np.repeat(np.where(is_open, FLAG_OPEN, FLAG_OK), n_s),
         chip_id=chip_id,
     )
@@ -392,7 +408,10 @@ def aggregate_series(
 
     Groups of equal size are reduced together as the rows of one 2-D block;
     numpy reduces each row along the fast axis exactly as it reduces a 1-D
-    slice, so the values equal per-group ``np.mean``/``np.std`` bit for bit.
+    slice.  The mean and the ddof=1 standard deviation are the reductions
+    that ``np.mean`` and ``np.std`` run (sum, divide, subtract the mean,
+    square, sum, divide, sqrt), in their order, so the values equal
+    per-group ``np.mean``/``np.std`` bit for bit.
     """
     if not (math.isfinite(window_s) and window_s >= 0):
         raise ValidationError(f"window_s must be finite and >= 0, got {window_s}")
@@ -414,8 +433,11 @@ def aggregate_series(
         sel = size == g
         rows = lo[sel, None] + np.arange(g)
         block = rs[rows]
-        t_mean[sel] = np.mean(t[rows], axis=1)
-        r_mean[sel] = np.mean(block, axis=1)
+        t_mean[sel] = np.add.reduce(t[rows], axis=1) / g
+        mean = np.add.reduce(block, axis=1) / g
+        r_mean[sel] = mean
         if g >= 2:
-            cv[sel] = np.std(block, axis=1, ddof=1) / r_mean[sel]
+            dev = block - mean[:, None]
+            np.square(dev, out=dev)
+            cv[sel] = np.sqrt(np.add.reduce(dev, axis=1) / (g - 1)) / mean
     return list(zip(t_mean.tolist(), r_mean.tolist(), cv.tolist(), size.tolist()))

@@ -46,6 +46,11 @@ __all__ = [
     "parameter_histogram",
 ]
 
+# The exits of ``_lm_minimize``, the values of ``FitResult.stop_reason``: a
+# fit converged unless it stopped on the last one.
+STOP_REASONS = ("step_tol", "rss_tol", "no_descent", "max_iter")
+_STEP_TOL, _RSS_TOL, _NO_DESCENT, _MAX_ITER = STOP_REASONS
+
 _LOG_TAU_LO = math.log(1e2)
 _LOG_TAU_HI = math.log(1e8)
 
@@ -276,7 +281,7 @@ def _lm_minimize(resid, jac, x0, lo, hi, opts: FitOptions):
                 break
             lam *= 5.0
         else:
-            return x, r, J, rss, iterations, "no_descent"
+            return x, r, J, rss, iterations, _NO_DESCENT
         # math.sqrt(v.dot(v)) is what np.linalg.norm computes for a 1-D v.
         rel_step = math.sqrt(step.dot(step)) / max(math.sqrt(x_trial.dot(x_trial)), 1.0)
         improvement = rss - rss_trial
@@ -284,10 +289,10 @@ def _lm_minimize(resid, jac, x0, lo, hi, opts: FitOptions):
         J = jac(cache)
         lam = max(lam / 3.0, 1e-14)
         if rel_step < opts.step_tolerance:
-            return x, r, J, rss, iterations, "step_tol"
+            return x, r, J, rss, iterations, _STEP_TOL
         if improvement <= opts.residual_tolerance * max(rss, 1e-300):
-            return x, r, J, rss, iterations, "rss_tol"
-    return x, r, J, rss, iterations, "max_iter"
+            return x, r, J, rss, iterations, _RSS_TOL
+    return x, r, J, rss, iterations, _MAX_ITER
 
 
 def _stderr_and_bounds(x, J, rss, n, lo, hi, names):
@@ -470,7 +475,7 @@ def _fit(model: str, series, opts: FitOptions | None, weights) -> FitResult:
         msgs.append("b fixed by caller")
     params, stderr, at, degenerate = m.finish(values, stderr, at, msgs)
     return FitResult(
-        params=params, stderr=stderr, rss=rss, converged=stop != "max_iter",
+        params=params, stderr=stderr, rss=rss, converged=stop != _MAX_ITER,
         n_points=int(t.size), iterations=iters, at_bounds=at, messages=tuple(msgs),
         degenerate_timescales=degenerate, stop_reason=stop,
     )

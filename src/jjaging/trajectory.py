@@ -43,7 +43,9 @@ map above, taken from the piece's start ``s``:
 times the anneal gain and post-anneal drift.  Only the states at the
 breakpoints are advanced, by the same scalar map.  ``simulate_trajectory``
 starts it at t = 0 on the bound, where the gap is exactly 0.0, so its first
-piece is the closed form; the CLI's ``predict`` starts it from a fitted
+piece is the closed form; a junction with no breakpoints (one segment, no
+events) is that one closed-form piece, which ``simulate_trajectory``
+evaluates itself.  The CLI's ``predict`` starts the engine from a fitted
 state and ``anneal`` from each junction's last measured state.
 """
 
@@ -265,8 +267,7 @@ class TrajectoryState:
     post_anneal_t0_s: float = 0.0
 
     def __post_init__(self):
-        if self.y_env < -1.0:
-            raise ParameterError("fractional aging cannot go below -1")
+        _check_y_env(self.y_env)
 
     def drift_factor(self, t_s: float | None = None) -> float:
         """Multiplicative post-anneal drift factor at time ``t_s``."""
@@ -280,6 +281,15 @@ class TrajectoryState:
     def y(self) -> float:
         """Observable fractional aging R/R0 - 1 at the state's time."""
         return (1.0 + self.y_env) * self.anneal_gain * self.drift_factor() - 1.0
+
+
+def _check_y_env(y_env: float) -> None:
+    if y_env < -1.0:
+        raise ParameterError("fractional aging cannot go below -1")
+
+
+# The anneal channel at rest: gain 1.0 and no post-anneal drift.
+_AT_REST = TrajectoryState()
 
 
 def _segment(
@@ -496,7 +506,9 @@ def _run_from(start: TrajectoryState, env: Environment, relax_s: float, breaks, 
     before ``start.t_s``.  A payload is the ``Environment`` a schedule swap
     moves to, or ``(k, event)`` for an anneal event, whose voltage draw is
     seeded by ``event_seed(k)``.  ``cuts[i]`` is the index of the first
-    (nondecreasing) sample that comes after breakpoint i.
+    (nondecreasing) sample that comes after breakpoint i.  This is the only
+    code that maps a state across breakpoints; with none, its one piece is
+    what ``simulate_trajectory`` evaluates for a breakpoint-free junction.
     """
     a, b = profile.a, profile.b
     tau = _tau(env, cfg, profile)
@@ -542,7 +554,10 @@ def simulate_trajectory(
     Schedule swaps and events are breakpoints, ordered by time and, at equal
     times, swaps before events; samples at a breakpoint's time come after
     it.  The breakpoints cut the sample times into storage pieces, which
-    ``_run_from`` evaluates from the t = 0 state.
+    ``_run_from`` evaluates from the t = 0 state.  A junction with no
+    breakpoints (one segment and no events) is one closed-form piece from
+    t = 0, evaluated by ``_piece`` directly, after the same checks; its
+    bytes are those the engine gives.
 
     Parameters
     ----------
@@ -584,16 +599,22 @@ def simulate_trajectory(
     prof = profile or JunctionProfile(a=cfg.fab_a)
     # An environment without a timescale is refused before any event runs.
     for _, env in schedule.segments:
-        _tau(env, cfg, prof)
+        tau = _tau(env, cfg, prof)
+    # A junction with early-time offset b starts on its bound, slightly
+    # pre-aged: y(0) = a ln(b).
+    y0 = prof.a * math.log(prof.b)
+    _check_y_env(y0)
+    if len(schedule.segments) == 1 and not events:
+        # No breakpoints: one piece from t = 0, under the one segment's
+        # ``tau``, holds every sample, as _run_from would evaluate it.
+        return _piece(t, r0_ohm, 0.0, y0, prof.a, tau, prof.b, cfg.relax_gas_to_gas_s, _AT_REST)
     env, relax, breaks = _in_force(schedule, cfg, 0.0)
     if events:
         breaks = sorted(
             [*breaks, *((ev.t_s, (k, ev)) for k, ev in enumerate(events))],
             key=lambda bp: (bp[0], isinstance(bp[1], tuple)),
         )
-    cuts = np.searchsorted(t, [bp[0] for bp in breaks]).tolist() if breaks else []
-    # A junction with early-time offset b starts on its bound, slightly
-    # pre-aged: y(0) = a ln(b).
-    start = TrajectoryState(y_env=prof.a * math.log(prof.b))
+    cuts = np.searchsorted(t, [bp[0] for bp in breaks]).tolist()
+    start = TrajectoryState(y_env=y0)
     return _run_from(start, env, relax, breaks, partial(_event_seed, seed), t, cuts,
                      r0_ohm, prof, cfg)

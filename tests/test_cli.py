@@ -96,6 +96,9 @@ class TestSimulate:
         ("sim", "env_tau_s", {"mars": 1e4}, "bad sim value"),
         ("chip", "r0_mean_ohm", "big", "bad chip value"),
         ("chip", "a_mean", math.inf, "invalid spec JSON (Infinity is not a JSON number)"),
+        # ChipSpec takes these; the drawn tau used to escape as an OverflowError.
+        ("chip", "log_tau_mean", 800.0, "error: drawn tau_s = exp(800) s overflows a float"),
+        ("chip", "log_tau_sd", 1000.0, "error: drawn tau_s = exp(914.749) s overflows a float"),
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, section, key, value, named):
         path = write_flat_spec(tmp_path)
@@ -463,8 +466,13 @@ class TestPredict:
         (lambda d: d.update(last_env="mars"), "bad 'last_env' (ValueError: 'mars' is not one of"),
         (lambda d: d["average"].update(rss=math.nan), "invalid report JSON (NaN is not"),
         (lambda d: d["r0_ohm"].update({"0": -math.inf}), "invalid report JSON (-Infinity is not"),
+        (lambda d: d["average"].update(stop_reason="banana"),
+         "bad 'average.stop_reason' (ValueError: 'banana' is not one of"),
+        (lambda d: d["average"].update(converged=True, stop_reason="max_iter"),
+         "bad 'average.stop_reason' ('max_iter' on a fit with converged True)"),
     ], ids=["junction_ids-number", "three-log", "n_points-string", "params-without-a",
-            "fit-without-rss", "last_env-unknown", "rss-nan", "r0-minus-infinity"])
+            "fit-without-rss", "last_env-unknown", "rss-nan", "r0-minus-infinity",
+            "stop_reason-unknown", "converged-max_iter"])
     def test_malformed_report_message_names_the_field(self, tmp_path, capsys, fit_report,
                                                       mutate, named):
         d = copy.deepcopy(fit_report)
@@ -536,7 +544,7 @@ class TestPredict:
         clean = copy.deepcopy(fit_report)
         assert clean["average"]["converged"] and clean["average"]["at_bounds"] == []
         stuck = copy.deepcopy(clean)
-        stuck["average"]["converged"] = False
+        stuck["average"].update(converged=False, stop_reason="max_iter")
         for name, d in (("clean", clean), ("stuck", stuck)):
             (tmp_path / f"{name}.json").write_text(json.dumps(d))
         capsys.readouterr()

@@ -1,0 +1,41 @@
+"""The same-seed CLI gate (``tests/cli_gate.py``) runs, repeats itself, and
+sees only the exit codes README documents."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import cli_gate
+from jjaging.presets import PRESET_NAMES
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def gate(*args, **kwargs):
+    return subprocess.run([sys.executable, cli_gate.__file__, *map(str, args)],
+                          capture_output=True, text=True, timeout=300, **kwargs)
+
+
+def test_seed_1_manifest_repeats_with_documented_exit_codes(tmp_path):
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        assert gate(ROOT, "--seeds", "1", "--out", path).returncode == 0
+    a, b = (json.loads(p.read_text()) for p in paths)
+    assert a == b
+    assert [e["argv"] for e in a["commands"]] == cli_gate.commands([1], PRESET_NAMES)
+    assert len(a["commands"]) == 126
+    for e in a["commands"]:
+        # Exit 3 is fit non-convergence, with the report still written; every
+        # other command here has valid inputs.
+        assert e["exit"] in ((0, 3) if e["argv"][0] == "fit" else (0,)), e["argv"]
+        assert e["files"], e["argv"]
+        assert not any(arg.startswith("/") for arg in e["argv"]), e["argv"]
+
+    same = gate("--compare", *paths)
+    assert same.returncode == 0 and same.stdout.endswith("126 commands: identical\n")
+    a["commands"][5]["stdout"] = "0" * 64
+    paths[1].write_text(json.dumps(a))
+    differ = gate("--compare", *paths)
+    assert differ.returncode == 1
+    assert differ.stdout.startswith(f"5: {' '.join(a['commands'][5]['argv'])}: stdout differ\n")

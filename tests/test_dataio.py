@@ -572,6 +572,23 @@ class TestReport:
         assert p1.read_bytes().endswith(b"\n")
         json.loads(p1.read_text())  # strictly valid JSON, no NaN tokens
 
+    @pytest.mark.parametrize("fit, stop_reason, named", [
+        ("average", "banana", "bad 'average.stop_reason' (ValueError: 'banana' is not one of"),
+        ("0", "max_iter", "bad 'per_junction.0.stop_reason' ('max_iter' on a fit with "
+                          "converged True)"),
+        ("2", "no_descent", "bad 'per_junction.2.stop_reason' ('no_descent' on a fit with "
+                            "converged False)"),
+    ])
+    def test_stop_reason_must_be_the_fitters_and_agree_with_converged(
+            self, tmp_path, fit, stop_reason, named):
+        d = self._report().to_dict()
+        (d["average"] if fit == "average" else d["per_junction"][fit])["stop_reason"] = stop_reason
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ParseError, match="malformed report") as err:
+            read_report(path)
+        assert named in str(err.value)
+
     def test_unknown_junction_rejected(self):
         rep = self._report()
         with pytest.raises(Exception):
@@ -584,7 +601,9 @@ def _finite(lo, hi):
 
 @st.composite
 def fit_results(draw):
-    """Fits of either model, with NaN and inf among the stderr values."""
+    """Fits of either model, with NaN and inf among the stderr values.  A fit
+    with a stop reason converged unless it stopped on ``"max_iter"``, as the
+    fitter makes them; one without (a version 1 fit) may have either."""
     if draw(st.booleans()):
         params = AgingParams(a=draw(_finite(0, 1)), tau_s=draw(_finite(1, 1e8)),
                              b=draw(_finite(0.1, 10)))
@@ -592,18 +611,18 @@ def fit_results(draw):
         params = TwoLogParams(a_int=draw(_finite(0, 1)), tau_int_s=draw(_finite(1, 1e8)),
                               a_ext=draw(_finite(0, 1)), tau_ext_s=draw(_finite(1, 1e8)))
     names = [f.name for f in fields(params) if f.name != "r0_ohm"]
+    stop_reason = draw(st.sampled_from([None, "step_tol", "rss_tol", "no_descent", "max_iter"]))
     return FitResult(
         params=params,
         stderr={name: draw(st.floats()) for name in names},
         rss=draw(_finite(0, 1e3)),
-        converged=draw(st.booleans()),
+        converged=draw(st.booleans()) if stop_reason is None else stop_reason != "max_iter",
         n_points=draw(st.integers(0, 10**4)),
         iterations=draw(st.integers(0, 500)),
         at_bounds=tuple(draw(st.lists(st.sampled_from(names), unique=True))),
         messages=tuple(draw(st.lists(st.text(max_size=12), max_size=2))),
         degenerate_timescales=draw(st.booleans()),
-        stop_reason=draw(st.sampled_from([None, "step_tol", "rss_tol", "no_descent",
-                                          "max_iter"])),
+        stop_reason=stop_reason,
     )
 
 

@@ -11,12 +11,15 @@ from jjaging import (
     AgingParams,
     BarrierParams,
     ChipDataset,
+    ChipSpec,
     JunctionProfile,
+    ParameterError,
     SimConfig,
     TrajectoryState,
     TwoLogParams,
     aggregate_series,
     critical_current_from_resistance,
+    draw_chip,
     effective_tau,
     eval_single_log,
     eval_two_log,
@@ -139,6 +142,20 @@ def test_aggregate_cv_ignores_open_and_excluded_rows(values, excluded, n_open):
         + [FLAGS.index("open")] * n_open
     padded = one_time_chip(list(values) + list(excluded) + [math.nan] * n_open, flags)
     assert aggregate_series(padded) == aggregate_series(one_time_chip(values))
+
+
+# ChipSpec takes any finite ln tau spread; a drawn ln tau above ln(max
+# float) used to escape from math.exp as an OverflowError.
+@example(log_tau_mean=math.log(1.2e4), log_tau_sd=1000.0, seed=1)
+@example(log_tau_mean=800.0, log_tau_sd=0.0, seed=1)
+@settings(max_examples=50, deadline=None)
+@given(log_tau_mean=st.floats(800.0, 1e300), log_tau_sd=st.floats(0.0, 10.0),
+       seed=st.integers(0, 2**64))
+def test_drawn_tau_that_overflows_is_a_parameter_error(log_tau_mean, log_tau_sd, seed):
+    spec = ChipSpec(r0_mean_ohm=20_000.0, r0_cv=0.05, a_mean=0.2, log_tau_mean=log_tau_mean,
+                    log_tau_sd=log_tau_sd)
+    with pytest.raises(ParameterError, match=r"drawn tau_s = exp\(.+\) s overflows a float"):
+        draw_chip(spec, seed)
 
 
 @settings(max_examples=25, deadline=None)

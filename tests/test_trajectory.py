@@ -576,3 +576,35 @@ class TestObjectValidation:
         JunctionProfile(a=0.0, b=1e-3, tau_scale=1e3)
         ThermalAnneal(temp_c=250.0, env=AMBIENT, hold_min=0.0)
         VoltageAnneal(n_pulses=np.int64(5), amplitude_v=0.9, pulse_duration_s=1e-3)
+
+
+class TestBreakpointFree:
+    """A one-segment schedule without events has no breakpoints, so
+    ``simulate_trajectory`` evaluates it as one closed-form piece from t = 0."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(env=st.sampled_from([AMBIENT, GLOVEBOX, VACUUM]),
+           a=st.floats(0.0, 1.0), b=st.floats(0.5, 10.0).filter(lambda b: b != 1.0),
+           tau_scale=st.floats(0.01, 100.0), r0=st.floats(1.0, 1e6),
+           data=st.data())
+    def test_equals_the_engine_bytes_across_a_re_entry(self, env, a, b, tau_scale, r0, data):
+        # Re-entering the same environment at t_sw is a breakpoint that the
+        # engine maps with a gap of exactly 0.0: the junction stays on its
+        # bound, so the two schedules give the same resistances.
+        times = data.draw(st.lists(st.floats(0.0, 400 * DAY), max_size=40))
+        times = [0.0, *times]
+        times += data.draw(st.lists(st.sampled_from(times), max_size=5))
+        times.sort()
+        positive = [t for t in times if t > 0]
+        if positive and data.draw(st.booleans()):
+            t_sw = data.draw(st.sampled_from(positive))
+        else:
+            t_sw = data.draw(st.floats(1.0, 400 * DAY))
+        cfg = chip1_cfg()
+        profile = JunctionProfile(a=a, b=b, tau_scale=tau_scale)
+        one = simulate_trajectory(StorageSchedule.single(env), [], cfg, r0, times,
+                                  profile=profile)
+        split = simulate_trajectory(StorageSchedule(((0.0, env), (t_sw, env))), [], cfg, r0,
+                                    times, profile=profile)
+        assert one.dtype == np.float64 and one.shape == (len(times),)
+        assert one.tobytes() == split.tobytes()
