@@ -45,7 +45,6 @@ from .trajectory import (
     VoltageAnneal,
     apply_thermal_anneal,
     apply_voltage_anneal,
-    propagate,
     simulate_trajectory,
 )
 from .ensemble import (

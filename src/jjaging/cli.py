@@ -88,6 +88,10 @@ def _checked_section(section, name: str, known) -> dict:
 
 def _sim_config_from_dict(d) -> SimConfig:
     kwargs = dict(_checked_section(d, "sim", {f.name for f in fields(SimConfig)}))
+    # simulate draws each junction's amplitude from the chip section, so a
+    # fab_a here would be accepted and never read.
+    if "fab_a" in kwargs:
+        raise ValidationError("sim key 'fab_a' is not read: set the amplitude with chip.a_mean")
     try:
         if "env_tau_s" in kwargs:
             kwargs["env_tau_s"] = {
@@ -154,9 +158,9 @@ def cmd_simulate(args) -> int:
     chip = draw_chip(spec, args.seed)
     ds = simulate_chip(chip, schedule, events, samples, cfg, args.seed,
                        chip_id=args.chip_id)
-    save_measurements(ds, args.out)
-
+    # Refuses a chip with no usable record, before any file is written.
     agg = aggregate_series(ds)
+    save_measurements(ds, args.out)
     t_f, mean_f, cv_f, n_f = agg[-1]
     frac = []
     ok = ds.flag == FLAG_OK

@@ -71,7 +71,6 @@ __all__ = [
     "SimConfig",
     "JunctionProfile",
     "TrajectoryState",
-    "propagate",
     "simulate_trajectory",
     "apply_voltage_anneal",
     "apply_thermal_anneal",
@@ -114,7 +113,13 @@ class StorageSchedule:
 
 @dataclass(frozen=True)
 class VoltageAnneal:
-    """Alternating-bias pulse train applied at the probe station."""
+    """Alternating-bias pulse train applied at the probe station.
+
+    The fields describe the train and are validated, but the simulation does
+    not read them: the jump and the post-anneal drift come from
+    ``SimConfig``'s ``voltage_*`` fields, so two trains that differ only
+    here give the same trajectory.
+    """
 
     n_pulses: int = 30
     amplitude_v: float = 0.9
@@ -131,7 +136,13 @@ class VoltageAnneal:
 
 @dataclass(frozen=True)
 class ThermalAnneal:
-    """One oven step: peak temperature, oven atmosphere, post-step wait."""
+    """One oven step: peak temperature, oven atmosphere, post-step wait.
+
+    ``temp_c`` and ``env`` pick the step from ``SimConfig.thermal_response``.
+    ``hold_min`` only sets when the CLI's ``anneal`` records the resistance
+    after the step; ``simulate_trajectory`` (and so ``simulate``) applies
+    the step at the event's ``t_s`` and does not read it.
+    """
 
     temp_c: float
     env: Environment = GLOVEBOX
@@ -313,33 +324,6 @@ def _tau(env: Environment, cfg: SimConfig, profile: JunctionProfile) -> float:
     return cfg.env_tau_s[env.kind] * profile.tau_scale
 
 
-def propagate(
-    state: TrajectoryState,
-    t_to: float,
-    env: Environment,
-    relax_s: float,
-    profile: JunctionProfile,
-    cfg: SimConfig,
-) -> TrajectoryState:
-    """Advance a state to ``t_to`` under one storage environment.
-
-    The environment component relaxes toward ``profile``'s bound curve in
-    ``env`` with relaxation time ``relax_s``; the anneal channel is carried
-    unchanged.  ``t_to`` equal to the state's time is the identity.
-    """
-    if not math.isfinite(t_to):
-        raise ValidationError(f"target time must be finite, got {t_to}")
-    if not t_to >= state.t_s:
-        raise ValidationError(f"cannot propagate from t = {state.t_s} s to {t_to} s")
-    if not (math.isfinite(relax_s) and relax_s > 0):
-        raise ParameterError(f"relaxation time must be finite and > 0, got {relax_s}")
-    if t_to == state.t_s:
-        return state
-    y_env = _segment(state.y_env, state.t_s, t_to, profile.a, _tau(env, cfg, profile),
-                     profile.b, relax_s)
-    return replace(state, t_s=t_to, y_env=y_env)
-
-
 def apply_voltage_anneal(
     state: TrajectoryState, ev: AnnealEvent, cfg: SimConfig, rng_seed: int
 ) -> TrajectoryState:
@@ -479,7 +463,7 @@ def _check_sample_times(t: np.ndarray) -> None:
     """
     if not t.size or (t[0] >= 0 and t[-1] < math.inf and (t[1:] >= t[:-1]).all()):
         return
-    # NaN propagates through min and max, so it fails this check too.
+    # A NaN makes min and max NaN, so it fails this check too.
     if not (t.min() >= 0 and t.max() < math.inf):
         raise ValidationError("sample times must be finite and >= 0")
     raise ValidationError("sample times must be nondecreasing")

@@ -3,27 +3,27 @@
 The CLI's ``anneal`` runs each junction through the one trajectory engine
 (``jjaging.trajectory._run_from``) with the events that target it.  This
 module keeps the loop it replaced: for every step and every junction it
-calls ``propagate`` to the event, applies the event if it targets the
-junction, and calls ``propagate`` again to the step's record, keeping the
-states in a dict.  It uses only the package's public API; the per-junction
-event seed is restated here in its spawn-key form.
+advances the state to the event, applies the event if it targets the
+junction, and advances it again to the step's record, keeping the states in
+a dict.  It uses only the package's public API and takes no state map from
+it: the segment map is ``reference_trajectory``'s restatement, and the
+per-junction event seed is restated here in its spawn-key form.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from jjaging import (
-    AMBIENT,
-    JunctionProfile,
     ThermalAnneal,
     TrajectoryState,
     apply_thermal_anneal,
     apply_voltage_anneal,
-    propagate,
 )
 from jjaging.ensemble import FLAGS
 from jjaging.model import EnvironmentKind
+from reference_trajectory import _segment
 
 FLAG_OK = FLAGS.index("ok")
 
@@ -31,6 +31,13 @@ FLAG_OK = FLAGS.index("ok")
 def _junction_seed(seed: int, junction_id: int, stream: int) -> int:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, junction_id))
     return int(ss.generate_state(1)[0])
+
+
+def _advance(state, t_to, a_eff, tau_amb, relax_s):
+    """``state`` carried to ``t_to`` in ambient storage on the junction's
+    curve ``a_eff ln(t / tau_amb + 1)``; the anneal channel is unchanged."""
+    y_env = _segment(state.y_env, state.t_s, t_to, a_eff, tau_amb, 1.0, relax_s)
+    return replace(state, t_s=t_to, y_env=y_env)
 
 
 def reference_anneal(ds, events, cfg, seed: int):
@@ -42,6 +49,7 @@ def reference_anneal(ds, events, cfg, seed: int):
     fractional changes, and the smallest R/R0 over the sequence.
     """
     tau_amb = cfg.env_tau_s[EnvironmentKind.AMBIENT]
+    relax = cfg.relax_gas_to_gas_s
     ok = ds.flag == FLAG_OK
     junctions = {}
     for j, lo, hi in ds.junction_rows():
@@ -56,7 +64,7 @@ def reference_anneal(ds, events, cfg, seed: int):
         )
         junctions[j] = {
             "r0": r0,
-            "curve": JunctionProfile(a=a_eff, b=1.0),
+            "a_eff": a_eff,
             "state": TrajectoryState(t_s=t_last, y_env=y0),
             "last_r": r_last,
         }
@@ -73,14 +81,13 @@ def reference_anneal(ds, events, cfg, seed: int):
         t_meas = ev.t_s + hold_s
         changes = []
         for j, info in junctions.items():
-            state = propagate(info["state"], ev.t_s, AMBIENT, cfg.relax_gas_to_gas_s,
-                              info["curve"], cfg)
+            state = _advance(info["state"], ev.t_s, info["a_eff"], tau_amb, relax)
             if ev.junction_ids is None or j in ev.junction_ids:
                 if isinstance(ev.kind, ThermalAnneal):
                     state = apply_thermal_anneal(state, ev, cfg)
                 else:
                     state = apply_voltage_anneal(state, ev, cfg, _junction_seed(seed, j, k))
-            state = propagate(state, t_meas, AMBIENT, cfg.relax_gas_to_gas_s, info["curve"], cfg)
+            state = _advance(state, t_meas, info["a_eff"], tau_amb, relax)
             r_now = info["r0"] * (1.0 + state.y)
             changes.append(r_now / info["last_r"] - 1.0)
             min_r_over_r0 = min(min_r_over_r0, r_now / info["r0"])

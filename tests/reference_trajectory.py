@@ -5,8 +5,8 @@ storage piece (the stretch between two schedule swaps or anneal events) as
 one numpy expression.  This module keeps the loop it replaced, which sorts
 swaps, events and samples into one stream and advances the state from each
 action to the next with ``math.log``, so that tests can compare the two.
-It uses only the package's public API; the segment map and the event seed
-are restated here.
+It uses only the package's public API and takes no state map from it: the
+segment map and the event seed are restated here.
 
 ``reference_resume_trajectory`` is the segment loop that ``predict`` used
 before it ran the trajectory engine from the fitted state.  It always
@@ -30,7 +30,6 @@ from jjaging.trajectory import (
     VoltageAnneal,
     apply_thermal_anneal,
     apply_voltage_anneal,
-    propagate,
 )
 
 
@@ -132,13 +131,15 @@ def reference_resume_trajectory(
     if t_end_s < t_start_s:
         raise ValidationError("t_end_s must be >= t_start_s")
     prof = profile or JunctionProfile(a=cfg.fab_a)
-    state = TrajectoryState(t_s=t_start_s, y_env=y_start)
+    a, b = prof.a, prof.b
+    t, y_env = t_start_s, y_start
     env = schedule.environment_at(t_start_s)
     relax = cfg.relax_gas_to_gas_s
     for start, nxt in schedule.segments:
         if start <= t_start_s or start >= t_end_s:
             continue
-        state = propagate(state, start, env, relax, prof, cfg)
+        y_env = _segment(y_env, t, start, a, _tau(env, cfg, prof), b, relax)
+        t = start
         relax = cfg.relax_time_s(env, nxt)
         env = nxt
-    return propagate(state, t_end_s, env, relax, prof, cfg).y_env
+    return _segment(y_env, t, t_end_s, a, _tau(env, cfg, prof), b, relax)

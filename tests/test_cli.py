@@ -41,7 +41,7 @@ def write_flat_spec(tmp_path, n_junctions=16, env="ambient"):
             "b_mean": 1.01, "b_sd": 0.0, "n_junctions": n_junctions,
             "noise_sigma": 0.0,
         },
-        "sim": {"fab_a": 0.21},
+        "sim": {},
         "environment": env,
     }
     path = tmp_path / "spec.json"
@@ -67,6 +67,19 @@ class TestSimulate:
                    "--out", str(tmp_path / "d.csv"))
         assert code == 2
 
+    def test_all_open_chip_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # Every junction is open, so there is no record to summarize; the
+        # command refuses before it writes the CSV or the summary.
+        path = write_flat_spec(tmp_path, n_junctions=2)
+        sp = json.loads(path.read_text())
+        sp["chip"]["open_prob"] = 0.99
+        path.write_text(json.dumps(sp))
+        out = tmp_path / "d.csv"
+        assert run("simulate", "--spec", str(path), "--seed", "1", "--out", str(out)) == 2
+        assert "error: dataset has no usable records" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".summary.json").exists()
+
     @pytest.mark.parametrize("n", [True, 2.5])
     def test_non_integer_junction_count_exits_2(self, tmp_path, capsys, n):
         spec = write_flat_spec(tmp_path, n_junctions=n)
@@ -90,7 +103,7 @@ class TestSimulate:
         (None, "environment", "mars", "unknown environment 'mars'"),
         (None, "enviroment", "glovebox", "unknown spec key 'enviroment'"),
         (None, "sim", [0.21], "spec section 'sim' must be a JSON object"),
-        ("sim", "fab_a", "0.21", "bad sim value"),
+        ("sim", "voltage_jump_mean", "0.16", "bad sim value"),
         # JSON has no NaN or infinity: the reader refuses Python's tokens for them.
         ("sim", "relax_gas_to_gas_s", math.nan, "invalid spec JSON (NaN is not a JSON number)"),
         ("sim", "env_tau_s", {"mars": 1e4}, "bad sim value"),
@@ -99,6 +112,9 @@ class TestSimulate:
         # ChipSpec takes these; the drawn tau used to escape as an OverflowError.
         ("chip", "log_tau_mean", 800.0, "error: drawn tau_s = exp(800) s overflows a float"),
         ("chip", "log_tau_sd", 1000.0, "error: drawn tau_s = exp(914.749) s overflows a float"),
+        # simulate draws the amplitude from the chip section and never reads this.
+        ("sim", "fab_a", 0.21,
+         "error: sim key 'fab_a' is not read: set the amplitude with chip.a_mean"),
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, section, key, value, named):
         path = write_flat_spec(tmp_path)
@@ -110,7 +126,8 @@ class TestSimulate:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("section, key", [("chip", "r0_mean_ohm"), ("sim", "fab_a"),
+    @pytest.mark.parametrize("section, key", [("chip", "r0_mean_ohm"),
+                                              ("sim", "voltage_jump_mean"),
                                               ("chip", "n_junctions")])
     def test_spec_number_too_large_for_a_float_exits_2(self, tmp_path, capsys, section, key):
         # A float field used to escape as an OverflowError traceback.
@@ -490,7 +507,6 @@ class TestPredict:
         sp = json.loads(spec.read_text())
         sp["chip"]["a_mean"] = 0.0
         sp["chip"]["b_mean"] = 1.0
-        sp["sim"]["fab_a"] = 0.0
         spec.write_text(json.dumps(sp))
         data = tmp_path / "d.csv"
         assert run("simulate", "--spec", str(spec), "--target-days", "30",

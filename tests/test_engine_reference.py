@@ -1,8 +1,10 @@
 """The CLI's ``anneal`` and ``predict`` against the loops they replaced.
 
 Both commands run the one trajectory engine.  ``reference_anneal`` keeps the
-per-step ``propagate`` / apply / ``propagate`` loop over every junction, and
-``reference_resume_trajectory`` the segment loop ``predict`` used.  The engine
+per-step advance / apply / advance loop over every junction, and
+``reference_resume_trajectory`` the segment loop ``predict`` used; both
+advance their states by ``reference_trajectory``'s own restatement of the
+segment map, so no state map is shared with the engine.  The engine
 evaluates a sample with numpy's log and exp and splits a junction's time
 only at the events that target it, so resistances may differ from the loops
 in the last bits: they are compared to 4 ulps, and the step means and the

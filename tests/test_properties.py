@@ -7,15 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from jjaging import (
-    AMBIENT,
     AgingParams,
     BarrierParams,
     ChipDataset,
     ChipSpec,
-    JunctionProfile,
     ParameterError,
-    SimConfig,
-    TrajectoryState,
     TwoLogParams,
     aggregate_series,
     critical_current_from_resistance,
@@ -24,12 +20,11 @@ from jjaging import (
     eval_single_log,
     eval_two_log,
     fit_single_log,
-    propagate,
     qubit_frequency_shift,
     resistance_ratio_from_barrier,
 )
 from jjaging.ensemble import FLAGS
-from jjaging.model import EnvironmentKind
+from jjaging.trajectory import _segment
 from reference_stepper import reference_advance
 
 amps = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_subnormal=False)
@@ -183,16 +178,16 @@ def test_fit_round_trip_inside_bounds(a, log_tau, b):
     steps=st.integers(min_value=1, max_value=40),
 )
 def test_relaxation_contracts_state_pairs(y0, y1, steps):
-    cfg = SimConfig(fab_a=0.21)
-    prof = JunctionProfile(a=0.21)
+    # Two states mapped through the same ambient segments never move apart.
+    a, tau = 0.21, 1.2e4
     dt, relax = 600.0, 3 * 86400.0
-    s0 = TrajectoryState(t_s=5 * 86400.0, y_env=y0)
-    s1 = TrajectoryState(t_s=5 * 86400.0, y_env=y1)
+    t = 5 * 86400.0
     gap = abs(y1 - y0)
     for _ in range(steps):
-        s0 = propagate(s0, s0.t_s + dt, AMBIENT, relax, prof, cfg)
-        s1 = propagate(s1, s1.t_s + dt, AMBIENT, relax, prof, cfg)
-        new_gap = abs(s1.y_env - s0.y_env)
+        y0 = _segment(y0, t, t + dt, a, tau, 1.0, relax)
+        y1 = _segment(y1, t, t + dt, a, tau, 1.0, relax)
+        t += dt
+        new_gap = abs(y1 - y0)
         assert new_gap <= gap + 1e-15
         gap = new_gap
 
@@ -215,11 +210,7 @@ def test_propagate_matches_reference_stepper(y0, a, tau, b, tau_scale, t_a, span
     # segment the Euler gap factor (1 - x)^n, x = h/T <= 1, trails exp(-n x)
     # by at most x/2, so the two differ by no more than |gap0| * dt / relax.
     relax = dt * relax_steps
-    cfg = SimConfig(fab_a=a, env_tau_s={EnvironmentKind.AMBIENT: tau},
-                    relax_gas_to_gas_s=relax, relax_vacuum_to_gas_s=relax)
-    prof = JunctionProfile(a=a, b=b, tau_scale=tau_scale)
-    state = TrajectoryState(t_s=t_a, y_env=y0)
-    got = propagate(state, t_a + span, AMBIENT, relax, prof, cfg).y_env
+    got = _segment(y0, t_a, t_a + span, a, tau * tau_scale, b, relax)
     want = reference_advance(y0, t_a, t_a + span, a, tau * tau_scale, b, relax, dt)
     gap0 = y0 - a * math.log(t_a / (tau * tau_scale) + b)
     assert abs(got - want) <= abs(gap0) * dt / relax + 1e-11
@@ -230,10 +221,8 @@ def test_reference_stepper_error_is_first_order(span_days, relax_days):
     # Halving the stepper's dt about halves its distance to the exact map.
     a, tau, b, t_a = 0.21, 1.2e4, 1.0, 5 * 86400.0
     relax, t_b = relax_days * 86400.0, t_a + span_days * 86400.0
-    cfg = SimConfig(fab_a=a, relax_gas_to_gas_s=relax)
     y0 = a * math.log(t_a / tau + b) + 0.1
-    exact = propagate(TrajectoryState(t_s=t_a, y_env=y0), t_b, AMBIENT, relax,
-                      JunctionProfile(a=a, b=b), cfg).y_env
+    exact = _segment(y0, t_a, t_b, a, tau, b, relax)
     d600, d300 = (abs(exact - reference_advance(y0, t_a, t_b, a, tau, b, relax, dt))
                   for dt in (600.0, 300.0))
     assert d300 / d600 == pytest.approx(0.5, rel=0.01)
@@ -252,12 +241,8 @@ def test_reference_stepper_error_is_first_order(span_days, relax_days):
 )
 def test_propagate_composes_exactly(y0, a, tau, b, t_a, span, split, relax):
     # t_a -> t_m -> t_b lands where t_a -> t_b does, wherever t_m falls.
-    cfg = SimConfig(fab_a=a, env_tau_s={EnvironmentKind.AMBIENT: tau})
-    prof = JunctionProfile(a=a, b=b)
-    state = TrajectoryState(t_s=t_a, y_env=y0)
     t_b = t_a + span
     t_m = min(t_a + split * span, t_b)
-    direct = propagate(state, t_b, AMBIENT, relax, prof, cfg)
-    mid = propagate(state, t_m, AMBIENT, relax, prof, cfg)
-    two = propagate(mid, t_b, AMBIENT, relax, prof, cfg)
-    assert 1.0 + two.y_env == pytest.approx(1.0 + direct.y_env, rel=1e-12)
+    direct = _segment(y0, t_a, t_b, a, tau, b, relax)
+    two = _segment(_segment(y0, t_a, t_m, a, tau, b, relax), t_m, t_b, a, tau, b, relax)
+    assert 1.0 + two == pytest.approx(1.0 + direct, rel=1e-12)

@@ -37,6 +37,10 @@ def test_tour_runs_and_gives_the_commented_values():
     assert comment.startswith("-> 2.2604 ")
     assert f"{eval(code, ns):.4f}" == "2.2604"
 
+    code, comment = commented(source, "t_low = ")
+    assert comment.startswith("-> 7.5 ")
+    assert eval(code.partition("=")[2], ns) == 7.5
+
     _, comment = commented(source, "ic = ")
     assert comment.startswith("~35 nA ")
     assert round(ns["ic"] * 1e9) == 35
@@ -48,7 +52,6 @@ def test_tour_runs_and_gives_the_commented_values():
     # The rest of the tour: one resistance per sample, and a fit that
     # recovers the curve it was given.
     assert ns["r"].shape == ns["samples"].shape and ns["r"].dtype == np.float64
-    assert ns["state"].t_s == 6 * ns["day"]
     assert abs(ns["fit"].params.a - 0.21) < 1e-6
 
 

@@ -24,11 +24,10 @@ from jjaging import (
     apply_thermal_anneal,
     apply_voltage_anneal,
     eval_single_log,
-    propagate,
     simulate_trajectory,
 )
 from jjaging.model import EnvironmentKind
-from jjaging.trajectory import _in_force, _run_from
+from jjaging.trajectory import _in_force, _run_from, _segment
 from reference_trajectory import reference_simulate_trajectory
 
 DAY = 86400.0
@@ -96,12 +95,6 @@ class TestMissingTimescale:
         samples = np.linspace(0.0, 8 * DAY, 9)
         with pytest.raises(ConfigurationError, match="'glovebox'"):
             simulate_trajectory(sched, [], self.cfg(), 22_800.0, samples)
-
-    def test_propagate(self):
-        cfg = self.cfg()
-        with pytest.raises(ConfigurationError, match="'glovebox'"):
-            propagate(TrajectoryState(t_s=DAY, y_env=0.3), 2 * DAY, GLOVEBOX,
-                      cfg.relax_gas_to_gas_s, JunctionProfile(a=0.21), cfg)
 
 
 class TestSingleEnvironment:
@@ -267,16 +260,14 @@ class TestSwapDynamics:
 
     def test_contraction_same_environment(self):
         # Two states in one environment converge monotonically in |dy|.
-        cfg = chip1_cfg()
-        prof = JunctionProfile(a=0.21)
-        s1 = TrajectoryState(t_s=10 * DAY, y_env=0.30)
-        s2 = TrajectoryState(t_s=10 * DAY, y_env=0.80)
+        relax = chip1_cfg().relax_gas_to_gas_s
+        t, y1, y2 = 10 * DAY, 0.30, 0.80
         gaps = []
         for _ in range(20):
-            t = s1.t_s + DAY / 4
-            s1 = propagate(s1, t, AMBIENT, cfg.relax_gas_to_gas_s, prof, cfg)
-            s2 = propagate(s2, t, AMBIENT, cfg.relax_gas_to_gas_s, prof, cfg)
-            gaps.append(abs(s2.y_env - s1.y_env))
+            y1 = _segment(y1, t, t + DAY / 4, 0.21, 1.2e4, 1.0, relax)
+            y2 = _segment(y2, t, t + DAY / 4, 0.21, 1.2e4, 1.0, relax)
+            t += DAY / 4
+            gaps.append(abs(y2 - y1))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
     def test_determinism(self):
@@ -387,34 +378,65 @@ class TestThermalAnneal:
             apply_thermal_anneal(TrajectoryState(), ev, cfg)
 
 
-class TestMeasurementExposure:
-    """A probe-station visit of a glovebox-stored junction: the state
-    relaxes toward the ambient bound for the visit's duration."""
+class TestUnreadEventFields:
+    """An event's pulse-train fields and a thermal step's ``hold_min`` are
+    validated, but the simulated trajectory does not read them."""
 
     @staticmethod
-    def exposed(state, duration_s, cfg):
-        return propagate(state, state.t_s + duration_s, AMBIENT,
-                         cfg.relax_time_s(GLOVEBOX, AMBIENT), JunctionProfile(a=cfg.fab_a), cfg)
+    def run(*kinds):
+        cfg = chip1_cfg(voltage_jump_sd=0.02)
+        sched = StorageSchedule(segments=((0.0, AMBIENT), (10 * DAY, GLOVEBOX)))
+        events = [AnnealEvent(t_s=(12 + 4 * k) * DAY, kind=kind) for k, kind in enumerate(kinds)]
+        return simulate_trajectory(sched, events, cfg, 9e3, np.linspace(0, 30 * DAY, 61), seed=5)
+
+    def test_voltage_pulse_fields(self):
+        given = self.run(VoltageAnneal())
+        other = self.run(VoltageAnneal(n_pulses=3, amplitude_v=0.2, pulse_duration_s=60.0))
+        assert given.tobytes() == other.tobytes()
+        assert given.tobytes() != self.run().tobytes()   # the event does act
+
+    def test_thermal_hold_min(self):
+        # The step applies at the event's time, whatever the hold; so does
+        # the voltage anneal after it.
+        given = self.run(ThermalAnneal(temp_c=200.0), VoltageAnneal())
+        other = self.run(ThermalAnneal(temp_c=200.0, hold_min=0.0), VoltageAnneal())
+        longer = self.run(ThermalAnneal(temp_c=200.0, hold_min=600.0), VoltageAnneal())
+        assert given.tobytes() == other.tobytes() == longer.tobytes()
+        assert self.run(ThermalAnneal(temp_c=200.0)).tobytes() != self.run().tobytes()
+
+
+class TestMeasurementExposure:
+    """A probe-station visit of a glovebox-stored junction is a swap from
+    the glovebox to ambient storage: for the visit's duration the state
+    relaxes toward the ambient bound."""
+
+    @staticmethod
+    def exposed(duration_s):
+        """R/R0 at the start and at the end of a visit that begins on day 30."""
+        sched = StorageSchedule(segments=((0.0, GLOVEBOX), (30 * DAY, AMBIENT)))
+        return simulate_trajectory(sched, [], chip1_cfg(), 1.0,
+                                   [30 * DAY, 30 * DAY + duration_s])
 
     def test_zero_duration_identity(self):
-        cfg = chip1_cfg()
-        state = TrajectoryState(t_s=30 * DAY, y_env=0.5)
-        assert self.exposed(state, 0.0, cfg) == state
+        start, end = self.exposed(0.0)
+        assert end == start
+        # The visit starts from the glovebox-stored state; the swap at that
+        # instant moves it only by rounding.
+        stored = simulate_trajectory(StorageSchedule.single(GLOVEBOX), [], chip1_cfg(), 1.0,
+                                     [30 * DAY])
+        assert start == pytest.approx(stored[0], rel=1e-15)
 
     def test_20_minutes_on_glovebox_stored_junction_is_tiny(self):
-        cfg = chip1_cfg()
-        y_gb = float(eval_single_log(AgingParams(a=0.21, tau_s=4.3e4, b=1.0), 30 * DAY)) - 1
-        state = TrajectoryState(t_s=30 * DAY, y_env=y_gb)
-        out = self.exposed(state, 20 * 60.0, cfg)
-        change = (1 + out.y) / (1 + state.y) - 1
+        start, end = self.exposed(20 * 60.0)
+        r_gb = float(eval_single_log(AgingParams(a=0.21, tau_s=4.3e4, b=1.0), 30 * DAY))
+        assert start == pytest.approx(r_gb, rel=1e-15)
+        change = end / start - 1
         assert 0 < change < 1e-3
 
     def test_90_minutes_larger_than_20(self):
-        cfg = chip1_cfg()
-        y_gb = float(eval_single_log(AgingParams(a=0.21, tau_s=4.3e4, b=1.0), 30 * DAY)) - 1
-        state = TrajectoryState(t_s=30 * DAY, y_env=y_gb)
-        c20 = (1 + self.exposed(state, 20 * 60.0, cfg).y) / (1 + state.y) - 1
-        c90 = (1 + self.exposed(state, 90 * 60.0, cfg).y) / (1 + state.y) - 1
+        start, end20 = self.exposed(20 * 60.0)
+        _, end90 = self.exposed(90 * 60.0)
+        c20, c90 = end20 / start - 1, end90 / start - 1
         assert c90 > c20 > 0
 
 
@@ -469,46 +491,22 @@ class TestResume:
 
 
 class TestPropagate:
+    """Propagating a state through one storage segment: the engine's exact
+    segment map, ``_segment``."""
+
     def test_on_bound_state_stays_on_bound(self):
-        cfg = chip1_cfg()
-        prof = JunctionProfile(a=0.21, b=1.01)
         p = AgingParams(a=0.21, tau_s=1.2e4, b=1.01)
-        state = TrajectoryState(t_s=3 * DAY, y_env=float(eval_single_log(p, 3 * DAY)) - 1)
-        out = propagate(state, 40 * DAY, AMBIENT, cfg.relax_gas_to_gas_s, prof, cfg)
-        assert out.t_s == 40 * DAY
-        assert out.y_env == pytest.approx(float(eval_single_log(p, 40 * DAY)) - 1, rel=1e-12)
+        y3 = float(eval_single_log(p, 3 * DAY)) - 1
+        y40 = _segment(y3, 3 * DAY, 40 * DAY, 0.21, 1.2e4, 1.01, chip1_cfg().relax_gas_to_gas_s)
+        assert y40 == pytest.approx(float(eval_single_log(p, 40 * DAY)) - 1, rel=1e-12)
 
     def test_gap_decays_by_step_factor(self):
         # Off-bound by e: after a span s the gap is e exp(-s/T).
-        cfg = chip1_cfg()
-        prof = JunctionProfile(a=0.21)
-        relax = cfg.relax_gas_to_gas_s
+        relax = chip1_cfg().relax_gas_to_gas_s
         yb1, yb2 = (0.21 * math.log(t / 1.2e4 + 1.0) for t in (DAY, 2 * DAY))
-        state = TrajectoryState(t_s=DAY, y_env=yb1 + 0.1)
-        out = propagate(state, 2 * DAY, AMBIENT, relax, prof, cfg)
+        y2 = _segment(yb1 + 0.1, DAY, 2 * DAY, 0.21, 1.2e4, 1.0, relax)
         expected = 0.1 * math.exp(-DAY / relax)
-        assert out.y_env - yb2 == pytest.approx(expected, rel=1e-12)
-
-    def test_zero_span_identity_and_anneal_channel_kept(self):
-        cfg = chip1_cfg()
-        prof = JunctionProfile(a=0.21)
-        state = TrajectoryState(t_s=DAY, y_env=0.3, anneal_gain=1.1)
-        assert propagate(state, DAY, AMBIENT, 1e5, prof, cfg) == state
-        assert propagate(state, 2 * DAY, AMBIENT, 1e5, prof, cfg).anneal_gain == 1.1
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.5 * 86400.0])
-    def test_bad_target_time_rejected(self, bad):
-        cfg = chip1_cfg()
-        state = TrajectoryState(t_s=DAY, y_env=0.3)
-        with pytest.raises(ValidationError):
-            propagate(state, bad, AMBIENT, 1e5, JunctionProfile(a=0.21), cfg)
-
-    @pytest.mark.parametrize("bad", [0.0, -300.0, math.nan, math.inf])
-    def test_relax_must_be_finite_and_positive(self, bad):
-        cfg = chip1_cfg()
-        with pytest.raises(ParameterError):
-            propagate(TrajectoryState(), DAY, AMBIENT, bad, JunctionProfile(a=0.21), cfg)
-        propagate(TrajectoryState(), DAY, AMBIENT, 1.0, JunctionProfile(a=0.21), cfg)
+        assert y2 - yb2 == pytest.approx(expected, rel=1e-12)
 
 
 class TestConfigValidation:

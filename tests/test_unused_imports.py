@@ -1,13 +1,18 @@
-"""Source guard: no module of the package imports a name it never uses.
+"""Source guard: no module of the package, and no test or demo script,
+imports a name it never uses.
 
 No linter runs on this repository, and a deleted function easily leaves its
-imports behind.  ``__init__.py`` is exempt: its imports are the re-exports.
+imports behind, in the package and in the tests and demos that called it.
+The package's ``__init__.py`` is exempt: its imports are the re-exports.
 """
 
 import ast
 from pathlib import Path
 
-SOURCES = Path(__file__).resolve().parents[1] / "src" / "jjaging"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = ROOT / "src" / "jjaging"
 
 
 def _annotation_names(node):
@@ -51,6 +56,14 @@ def test_no_module_imports_an_unused_name():
     modules = sorted(p for p in SOURCES.glob("*.py") if p.name != "__init__.py")
     assert len(modules) >= 8   # the guard still sees the package
     found = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in modules}
+    assert {name: bad for name, bad in found.items() if bad} == {}
+
+
+@pytest.mark.parametrize("folder, at_least", [("tests", 25), ("demos", 6)])
+def test_no_test_or_demo_imports_an_unused_name(folder, at_least):
+    scripts = sorted((ROOT / folder).glob("*.py"))
+    assert len(scripts) >= at_least   # the guard still sees the folder
+    found = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in scripts}
     assert {name: bad for name, bad in found.items() if bad} == {}
 
 
