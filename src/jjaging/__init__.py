@@ -48,6 +48,8 @@ from .trajectory import (
     simulate_trajectory,
 )
 from .ensemble import (
+    ENV_LABELS,
+    FLAGS,
     OPEN_RESISTANCE_THRESHOLD_OHM,
     ChipDataset,
     ChipSpec,
@@ -68,6 +70,7 @@ from .fitting import (
     parameter_histogram,
 )
 from .dataio import (
+    MEASUREMENT_HEADER,
     TOOL_VERSION as __version__,
     FitReport,
     build_fit_report,

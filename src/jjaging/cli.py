@@ -38,6 +38,7 @@ from .ensemble import (
     FLAG_OK,
     ChipDataset,
     ChipSpec,
+    _check_event_junctions,
     _junction_seed,
     aggregate_series,
     draw_chip,
@@ -336,6 +337,7 @@ def cmd_anneal(args) -> int:
         raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     ds = load_measurements(args.data)
     events = load_events(args.events)
+    _check_event_junctions(events, set(ds.junction_ids()))
     p = chip_preset(args.preset) if args.preset else None
     cfg = p.sim if p else SimConfig()
     if args.no_floor:

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import InsufficientDataError, ParameterError, ValidationError
 from .model import AgingParams, EnvironmentKind
 from .trajectory import (
+    DAY_S,
     AnnealEvent,
     JunctionProfile,
     SimConfig,
@@ -308,6 +309,18 @@ def _junction_seed(seed: int, junction_id: int, stream: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def _check_event_junctions(events: Sequence[AnnealEvent], ids) -> None:
+    """Refuse an event naming a junction not in ``ids``: it would do nothing there."""
+    for ev in events:
+        absent = sorted({j for j in ev.junction_ids or () if j not in ids})
+        if absent:
+            cuts = [k for k in range(1, len(absent)) if absent[k] != absent[k - 1] + 1]
+            runs = "+".join(str(absent[a]) if b - a == 1 else f"{absent[a]}-{absent[b - 1]}"
+                            for a, b in zip([0, *cuts], [*cuts, len(absent)]))
+            raise ValidationError(f"event at day {ev.t_s / DAY_S:g} names junctions the chip "
+                                  f"does not have: {runs}")
+
+
 def _stack(row: np.ndarray, n: int) -> np.ndarray:
     """``n`` copies of ``row`` as the rows of a new array: ``np.tile(row, (n,
     1))`` without its Python-level reshaping."""
@@ -332,13 +345,14 @@ def simulate_chip(
     get independent multiplicative measurement noise (1 + eta), eta normal
     with sd ``chip.spec.noise_sigma``; open junctions yield flag="open" rows
     with no resistance.  Events carrying ``junction_ids`` apply only to
-    those junctions.  Sample times must be strictly increasing, finite and
-    >= 0, for every chip, also one whose junctions are all open, so every
-    dataset returned can be saved and loaded back; ``seed`` must be an
-    integer >= 0.  Each junction that is not open takes one
-    ``simulate_trajectory`` call.
+    those junctions, which the chip must have.  Sample times must be
+    strictly increasing, finite and >= 0, for every chip, also one whose
+    junctions are all open, so every dataset returned can be saved and
+    loaded back; ``seed`` must be an integer >= 0.  Each junction that is
+    not open takes one ``simulate_trajectory`` call.
     """
     _check_seed(seed)
+    _check_event_junctions(events, range(len(chip)))
     home_kind = schedule.segments[0][1].kind
     if home_kind not in cfg.env_tau_s:
         raise ValidationError(f"config lacks a timescale for {home_kind.value!r}")

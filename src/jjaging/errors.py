@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["JJAgingError", "ParameterError", "ConfigurationError", "ValidationError",
+           "InsufficientDataError", "ParseError"]
+
 
 class JJAgingError(Exception):
     """Base class for all package-specific errors."""

@@ -144,23 +144,13 @@ def _check_series(series, min_points: int) -> tuple[np.ndarray, np.ndarray]:
     return t, y
 
 
-def _weights(w, n: int) -> np.ndarray | None:
-    """Square-root weights, or None for an unweighted fit (no multiply)."""
-    if w is None:
-        return None
-    w = np.asarray(w, dtype=float)
-    if w.shape != (n,) or np.any(w <= 0) or not np.all(np.isfinite(w)):
-        raise ValidationError("weights must be positive, finite, one per point")
-    return np.sqrt(w)
-
-
 # --- model residuals and analytic Jacobians (in log-tau parameterization) ---
 #
 # Each model is split in two: ``*_resid(x, ...) -> (r, cache)`` for every
-# trial point and ``*_jac(cache, sw, out) -> out`` filling a preallocated
-# Jacobian, called only for accepted points.  ``sw`` is None when unweighted.
+# trial point and ``*_jac(cache, out) -> out`` filling a preallocated
+# Jacobian, called only for accepted points.
 
-def _single_log_resid(x, t, y, sw, b_fixed=None):
+def _single_log_resid(x, t, y, b_fixed=None):
     if b_fixed is None:
         a, lt, b = x.tolist()
     else:
@@ -171,23 +161,19 @@ def _single_log_resid(x, t, y, sw, b_fixed=None):
     r = a * log_u
     r += 1.0
     r -= y
-    if sw is not None:
-        r *= sw
     return r, (a, t_tau, u, log_u)
 
 
-def _single_log_jac(cache, sw, out):
+def _single_log_jac(cache, out):
     a, t_tau, u, log_u = cache
     out[:, 0] = log_u
     out[:, 1] = -a * t_tau / u
     if out.shape[1] == 3:
         out[:, 2] = a / u
-    if sw is not None:
-        out *= sw[:, None]
     return out
 
 
-def _two_log_resid(x, t, y, sw):
+def _two_log_resid(x, t, y):
     ai, lti, ae, lte = x.tolist()
     ti = t / math.exp(lti)
     te = t / math.exp(lte)
@@ -199,19 +185,15 @@ def _two_log_resid(x, t, y, sw):
     r += 1.0
     r += ae * log_ue
     r -= y
-    if sw is not None:
-        r *= sw
     return r, (ai, ti, ui, log_ui, ae, te, ue, log_ue)
 
 
-def _two_log_jac(cache, sw, out):
+def _two_log_jac(cache, out):
     ai, ti, ui, log_ui, ae, te, ue, log_ue = cache
     out[:, 0] = log_ui
     out[:, 1] = -ai * ti / ui
     out[:, 2] = log_ue
     out[:, 3] = -ae * te / ue
-    if sw is not None:
-        out *= sw[:, None]
     return out
 
 
@@ -343,7 +325,7 @@ _PAIR_TAKE = np.ravel_multi_index(np.transpose([  # (row, column) of each entry 
 ], (1, 0, 2)), (_START_NODES + 1,) * 2)
 
 
-def _two_log_start(t, y, tpos, sw, opts: FitOptions):
+def _two_log_start(t, y, tpos, opts: FitOptions):
     """A natural-unit two-log start: the node pair, with amplitudes in the
     box, of least rss.
 
@@ -365,8 +347,6 @@ def _two_log_start(t, y, tpos, sw, opts: FitOptions):
     np.multiply.outer(t, np.exp(_START_STEPS * (lo - hi) - lo), out=basis)
     np.log1p(basis, out=basis)
     np.subtract(y, 1.0, out=bz[:, -1])
-    if sw is not None:
-        bz *= sw[:, None]
     m = (bz.T @ bz).take(_PAIR_TAKE)
     # Row 0 clips a_int from the unconstrained minimizer and gives a_ext its
     # clipped 1-D minimizer; row 1 does the reverse.  "own" is the amplitude
@@ -386,19 +366,19 @@ def _two_log_start(t, y, tpos, sw, opts: FitOptions):
     return float(a_int), math.exp(ln_tau_int), float(a_ext), math.exp(ln_tau_ext)
 
 
-def _single_log_guess(t, y, tpos, sw, opts):
+def _single_log_guess(t, y, tpos, opts):
     a = (y.max() - y.min()) / math.log(tpos.max() / tpos.min())   # rise per e-fold
     return a, tpos.min(), 1.0
 
 
 # What sets each model's fit apart; ``_fit`` does the rest.  Timescales sit
 # in the odd slots of ``names`` and are fitted in ln tau.  ``box`` names each
-# slot's FitOptions bounds; ``guess(t, y, positive times, square-root weights,
-# opts)`` gives a natural-unit start; ``finish`` returns (params, stderr,
-# at_bounds, degenerate).  With ``start_from_average``, ``fit_chip`` starts
-# each junction's fit from the chip-average fit's parameters, read by
-# ``names``.  Two-log keeps its global grid start: from the average, its
-# junction fits took twice the LM iterations.
+# slot's FitOptions bounds; ``guess(t, y, positive times, opts)`` gives a
+# natural-unit start; ``finish`` returns (params, stderr, at_bounds,
+# degenerate).  With ``start_from_average``, ``fit_chip`` starts each
+# junction's fit from the chip-average fit's parameters, read by ``names``.
+# Two-log keeps its global grid start: from the average, its junction fits
+# took twice the LM iterations.
 _Model = namedtuple("_Model", "names box min_points init_lengths guess resid jac finish "
                               "start_from_average")
 _MODELS = {
@@ -414,17 +394,17 @@ _MODELS = {
 }
 
 
-def _rj(model: str, x, t, y, sw, **kw):
+def _rj(model: str, x, t, y, **kw):
     """Residuals and a fresh Jacobian of ``model`` at ``x``."""
     m, x = _MODELS[model], np.asarray(x, dtype=float)
-    r, cache = m.resid(x, t, y, sw, **kw)
-    return r, m.jac(cache, sw, np.empty((t.size, x.size)))
+    r, cache = m.resid(x, t, y, **kw)
+    return r, m.jac(cache, np.empty((t.size, x.size)))
 
 
 _single_log_rj, _two_log_rj = partial(_rj, "single-log"), partial(_rj, "two-log")
 
 
-def _fit(model: str, series, opts: FitOptions | None, weights) -> FitResult:
+def _fit(model: str, series, opts: FitOptions | None) -> FitResult:
     """Fit ``model``, a ``_MODELS`` key, whatever ``opts.model`` says."""
     m = _MODELS[model]
     opts = opts or FitOptions(model=model)
@@ -439,7 +419,6 @@ def _fit(model: str, series, opts: FitOptions | None, weights) -> FitResult:
     if t_max / t_min < 10.0:
         msgs.append("time span below one decade; timescale is weakly constrained")
         warnings.warn(msgs[0], stacklevel=3)  # names the fit function's caller
-    sw = _weights(weights, t.size)
 
     fixed_b = opts.fix_b
     if fixed_b is not None and "b" not in m.names:
@@ -451,7 +430,7 @@ def _fit(model: str, series, opts: FitOptions | None, weights) -> FitResult:
         raise ValidationError(f"{model} init takes {' or '.join(map(str, m.init_lengths))} "
                               f"values, got {len(start)}")
     if len(start) < len(m.names):
-        start = (*start, *m.guess(t, y, tpos, sw, opts)[len(start):])
+        start = (*start, *m.guess(t, y, tpos, opts)[len(start):])
 
     names, box, resid_kw = m.names, m.box, {}
     if fixed_b is not None:  # b, the last slot, leaves the fit for the residuals
@@ -459,8 +438,8 @@ def _fit(model: str, series, opts: FitOptions | None, weights) -> FitResult:
     lo = np.asarray([getattr(opts, field)[0] for field in box])
     hi = np.asarray([getattr(opts, field)[1] for field in box])
     x0 = [v if k % 2 == 0 else math.log(max(v, 1e-300)) for k, v in enumerate(start)]
-    resid = partial(m.resid, t=t, y=y, sw=sw, **resid_kw)
-    jac = partial(m.jac, sw=sw, out=np.empty((t.size, len(x0))))
+    resid = partial(m.resid, t=t, y=y, **resid_kw)
+    jac = partial(m.jac, out=np.empty((t.size, len(x0))))
     x, r, J, rss, iters, stop = _lm_minimize(resid, jac, x0, lo, hi, opts)
 
     stderr, at = _stderr_and_bounds(x, J, rss, t.size, lo, hi, names)
@@ -481,7 +460,7 @@ def _fit(model: str, series, opts: FitOptions | None, weights) -> FitResult:
     )
 
 
-def fit_single_log(series, opts: FitOptions | None = None, weights=None) -> FitResult:
+def fit_single_log(series, opts: FitOptions | None = None) -> FitResult:
     """Fit ``1 + a ln(t/tau + b)`` to a fractional-resistance series.
 
     Parameters
@@ -490,8 +469,6 @@ def fit_single_log(series, opts: FitOptions | None = None, weights=None) -> FitR
         Rows of (t_s, R/R0); n >= 4, times >= 0, values finite.
     opts : FitOptions, optional
         Bounds, stopping rules, explicit initialization, fixed b.
-    weights : array_like, optional
-        Per-point weights applied to squared residuals.
 
     Returns
     -------
@@ -502,17 +479,17 @@ def fit_single_log(series, opts: FitOptions | None = None, weights=None) -> FitR
         non-convergence the best point so far is returned with
         ``converged=False``.
     """
-    return _fit("single-log", series, opts, weights)
+    return _fit("single-log", series, opts)
 
 
-def fit_two_log(series, opts: FitOptions | None = None, weights=None) -> FitResult:
+def fit_two_log(series, opts: FitOptions | None = None) -> FitResult:
     """Fit the two-channel model; channels are reported with tau_int >= tau_ext.
 
     Requires >= 6 points.  Near-degenerate solutions (timescales within a
     factor of 2) are flagged ``degenerate_timescales`` since the channel
     split is then practically unidentifiable.
     """
-    return _fit("two-log", series, opts, weights)
+    return _fit("two-log", series, opts)
 
 
 def fit_chip(

@@ -74,6 +74,7 @@ __all__ = [
     "simulate_trajectory",
     "apply_voltage_anneal",
     "apply_thermal_anneal",
+    "DAY_S",
 ]
 
 DAY_S = 86_400.0
@@ -95,20 +96,13 @@ class StorageSchedule:
             raise ValidationError("first schedule segment must start at t = 0")
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValidationError("segment start times must be strictly increasing")
-        # Kept for environment_at's bisect; not a field, so eq and repr are unchanged.
-        object.__setattr__(self, "_starts", tuple(starts))
+        for _, env in self.segments:
+            if not isinstance(env, Environment):
+                raise ValidationError(f"segment environment must be an Environment, got {env!r}")
 
     @classmethod
     def single(cls, env: Environment) -> "StorageSchedule":
         return cls(segments=((0.0, env),))
-
-    def environment_at(self, t_s: float) -> Environment:
-        """The environment of the last segment starting at or before ``t_s``;
-        the first segment's for t_s < 0 and for NaN."""
-        return self.segments[self._index_at(t_s)][1]
-
-    def _index_at(self, t_s: float) -> int:
-        return bisect_right(self._starts, t_s) - 1 if t_s >= 0.0 else 0
 
 
 @dataclass(frozen=True)
@@ -278,6 +272,11 @@ class TrajectoryState:
     post_anneal_t0_s: float = 0.0
 
     def __post_init__(self):
+        for name in ("t_s", "anneal_gain", "post_anneal_t0_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.anneal_gain > 0:
+            raise ParameterError(f"anneal_gain must be > 0, got {self.anneal_gain}")
         _check_y_env(self.y_env)
 
     def drift_factor(self, t_s: float | None = None) -> float:
@@ -295,8 +294,8 @@ class TrajectoryState:
 
 
 def _check_y_env(y_env: float) -> None:
-    if y_env < -1.0:
-        raise ParameterError("fractional aging cannot go below -1")
+    if not -1.0 <= y_env < math.inf:
+        raise ParameterError(f"fractional aging cannot go below -1 or be non-finite, got {y_env}")
 
 
 # The anneal channel at rest: gain 1.0 and no post-anneal drift.
@@ -472,9 +471,9 @@ def _check_sample_times(t: np.ndarray) -> None:
 def _in_force(schedule: StorageSchedule, cfg: SimConfig, t_s: float):
     """The environment and relaxation time in force at ``t_s``, and the
     schedule swaps after it.  The segment in force is the last one starting
-    at or before ``t_s``; its relaxation time is set by the swap into it,
-    and is gas-to-gas for the first segment."""
-    k = schedule._index_at(t_s)
+    at or before ``t_s`` (the first for t_s < 0 and NaN); its relaxation time
+    is set by the swap into it, and is gas-to-gas for the first segment."""
+    k = bisect_right(schedule.segments, t_s, key=lambda seg: seg[0]) - 1 if t_s >= 0.0 else 0
     env = schedule.segments[k][1]
     relax = cfg.relax_time_s(schedule.segments[k - 1][1], env) if k else cfg.relax_gas_to_gas_s
     return env, relax, schedule.segments[k + 1:]

@@ -26,6 +26,16 @@ from jjaging.trajectory import (
 )
 
 
+def _environment_at(schedule: StorageSchedule, t: float):
+    """The environment of the last segment starting at or before ``t``, by a
+    linear scan; the first segment's before t = 0."""
+    env = schedule.segments[0][1]
+    for start, seg_env in schedule.segments:
+        if t >= start:
+            env = seg_env
+    return env
+
+
 class Row(NamedTuple):
     """One measurement, in the order of a dataset's columns."""
 
@@ -104,7 +114,7 @@ def reference_simulate_chip(
                 rows.append(
                     Row(
                         chip_id=chip_id, junction_id=j, t_s=float(t), r_ohm=None,
-                        env_label=schedule.environment_at(float(t)).kind.value,
+                        env_label=_environment_at(schedule, float(t)).kind.value,
                         flag="open",
                     )
                 )
@@ -122,7 +132,7 @@ def reference_simulate_chip(
             rows.append(
                 Row(
                     chip_id=chip_id, junction_id=j, t_s=t, r_ohm=r * (1.0 + e),
-                    env_label=schedule.environment_at(t).kind.value, flag="ok",
+                    env_label=_environment_at(schedule, t).kind.value, flag="ok",
                 )
             )
     return rows

@@ -36,7 +36,6 @@ from jjaging.fitting import (
     _single_log_resid,
     _two_log_jac,
     _two_log_resid,
-    _weights,
 )
 from jjaging.model import AgingParams, TwoLogParams
 
@@ -166,14 +165,13 @@ def reference_lm_minimize(resid, jac, x0, lo, hi, opts):
     """The original kernel on the original model, called like the package's.
 
     ``resid`` is the package's ``functools.partial`` over a model's residual
-    function; its bound data select the original model.  Unweighted fits ran
-    with all-ones weights originally, which is what is passed here.  The
-    original kernel does not tell its exits apart, so the stop reason is
-    ``"max_iter"`` when it did not converge and ``None`` otherwise.
+    function; its bound data select the original model.  The original models
+    take square-root weights and ran unweighted fits with all-ones weights,
+    which is what is passed here.  The original kernel does not tell its
+    exits apart, so the stop reason is ``"max_iter"`` when it did not
+    converge and ``None`` otherwise.
     """
-    kw = dict(resid.keywords)
-    if kw["sw"] is None:
-        kw["sw"] = np.ones_like(kw["t"])
+    kw = dict(resid.keywords, sw=np.ones_like(resid.keywords["t"]))
     model = _REFERENCE_MODELS[resid.func]
     x, r, J, rss, converged, iterations = _lm_minimize(
         lambda x: model(x, **kw), x0, lo, hi, opts
@@ -194,7 +192,7 @@ def _span_warning(t: np.ndarray) -> list[str]:
     return []
 
 
-def reference_fit_single_log(series, opts: FitOptions | None = None, weights=None) -> FitResult:
+def reference_fit_single_log(series, opts: FitOptions | None = None) -> FitResult:
     """Fit ``1 + a ln(t/tau + b)`` to a fractional-resistance series.
 
     Parameters
@@ -203,8 +201,6 @@ def reference_fit_single_log(series, opts: FitOptions | None = None, weights=Non
         Rows of (t_s, R/R0); n >= 4, times >= 0, values finite.
     opts : FitOptions, optional
         Bounds, stopping rules, explicit initialization, fixed b.
-    weights : array_like, optional
-        Per-point weights applied to squared residuals.
 
     Returns
     -------
@@ -218,7 +214,6 @@ def reference_fit_single_log(series, opts: FitOptions | None = None, weights=Non
     opts = opts or FitOptions()
     t, y = _check_series(series, 4)
     msgs = _span_warning(t)
-    sw = _weights(weights, t.size)
 
     fixed_b = opts.fix_b
     if fixed_b is not None and not opts.b_bounds[0] <= fixed_b <= opts.b_bounds[1]:
@@ -244,8 +239,8 @@ def reference_fit_single_log(series, opts: FitOptions | None = None, weights=Non
         names.append("b")
     lo, hi = np.asarray(lo), np.asarray(hi)
 
-    resid = partial(_single_log_resid, t=t, y=y, sw=sw, b_fixed=fixed_b)
-    jac = partial(_single_log_jac, sw=sw, out=np.empty((t.size, len(x0))))
+    resid = partial(_single_log_resid, t=t, y=y, b_fixed=fixed_b)
+    jac = partial(_single_log_jac, out=np.empty((t.size, len(x0))))
     x, r, J, rss, iters, stop = fitting._lm_minimize(resid, jac, x0, lo, hi, opts)
 
     stderr, at = _stderr_and_bounds(x, J, rss, t.size, lo, hi, names)
@@ -264,7 +259,7 @@ def reference_fit_single_log(series, opts: FitOptions | None = None, weights=Non
     )
 
 
-def reference_fit_two_log(series, opts: FitOptions | None = None, weights=None) -> FitResult:
+def reference_fit_two_log(series, opts: FitOptions | None = None) -> FitResult:
     """Fit the two-channel model; channels are reported with tau_int >= tau_ext.
 
     Requires >= 6 points.  Near-degenerate solutions (timescales within a
@@ -274,7 +269,6 @@ def reference_fit_two_log(series, opts: FitOptions | None = None, weights=None) 
     opts = opts or FitOptions(model="two-log")
     t, y = _check_series(series, 6)
     msgs = _span_warning(t)
-    sw = _weights(weights, t.size)
 
     tpos = t[t > 0]
     if opts.init is not None:
@@ -293,8 +287,8 @@ def reference_fit_two_log(series, opts: FitOptions | None = None, weights=None) 
     )
     x0 = [ai0, math.log(max(ti0, 1e-300)), ae0, math.log(max(te0, 1e-300))]
 
-    resid = partial(_two_log_resid, t=t, y=y, sw=sw)
-    jac = partial(_two_log_jac, sw=sw, out=np.empty((t.size, 4)))
+    resid = partial(_two_log_resid, t=t, y=y)
+    jac = partial(_two_log_jac, out=np.empty((t.size, 4)))
     x, r, J, rss, iters, stop = fitting._lm_minimize(resid, jac, x0, lo, hi, opts)
 
     names = ["a_int", "tau_int_s", "a_ext", "tau_ext_s"]

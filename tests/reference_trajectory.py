@@ -133,7 +133,10 @@ def reference_resume_trajectory(
     prof = profile or JunctionProfile(a=cfg.fab_a)
     a, b = prof.a, prof.b
     t, y_env = t_start_s, y_start
-    env = schedule.environment_at(t_start_s)
+    env = schedule.segments[0][1]
+    for start, seg_env in schedule.segments:   # the segment in force at t_start_s
+        if t_start_s >= start:
+            env = seg_env
     relax = cfg.relax_gas_to_gas_s
     for start, nxt in schedule.segments:
         if start <= t_start_s or start >= t_end_s:

@@ -239,7 +239,6 @@ def test_c09_fitter_integrity():
     t = np.logspace(3, 6.5, 25)
     y1 = eval_single_log(AgingParams(CHIP1.a, CHIP1.tau_s, CHIP1.b), t)
     y2 = eval_two_log(TwoLogParams(0.1, 3.9e4, 0.11, 1.2e4), t)
-    sw = np.ones_like(t)
 
     def check(fun, x):
         r0, J_an = fun(x)
@@ -252,10 +251,10 @@ def test_c09_fitter_integrity():
             np.testing.assert_allclose(J_an[:, k], fd, rtol=1e-6, atol=1e-9)
 
     for _ in range(100):
-        check(lambda x: _single_log_rj(x, t, y1, sw),
+        check(lambda x: _single_log_rj(x, t, y1),
               np.array([rng.uniform(0.05, 0.9), rng.uniform(math.log(5e2), math.log(5e6)),
                         rng.uniform(0.3, 5.0)]))
-        check(lambda x: _two_log_rj(x, t, y2, sw),
+        check(lambda x: _two_log_rj(x, t, y2),
               np.array([rng.uniform(0.05, 0.9), rng.uniform(math.log(5e2), math.log(5e6)),
                         rng.uniform(0.05, 0.9), rng.uniform(math.log(5e2), math.log(5e6))]))
 

@@ -242,6 +242,18 @@ class TestSimulate:
         labels = {ENV_LABELS[e] for e in ds.env.tolist()}
         assert labels == {"ambient", "glovebox"}
 
+    def test_event_on_absent_junctions_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # chip1 has junctions 0-15; the event used to change nothing, silently.
+        sched = tmp_path / "sched.txt"
+        sched.write_text("0,ambient\nevent,10,voltage,junctions=3+16-31+40\n")
+        out = tmp_path / "d.csv"
+        assert run("simulate", "--preset", "chip1", "--schedule", str(sched),
+                   "--target-days", "14", "--seed", "1", "--out", str(out)) == 2
+        assert ("event at day 10 names junctions the chip does not have: 16-31+40"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        assert not out.with_suffix(".summary.json").exists()
+
     def test_events_file_adds_to_schedule_events(self, tmp_path, capsys):
         sched = tmp_path / "sched.txt"
         sched.write_text("0,ambient\nevent,10,voltage,junctions=0-3\n")
@@ -752,6 +764,19 @@ class TestAnneal:
         assert code == 2
         assert "line 1: unknown thermal argument 'hold'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_event_on_absent_junctions_exits_2(self, tmp_path, capsys):
+        # The step used to report the wait's aging as its own change.
+        data = self._dataset(tmp_path, preset="chip1", days="14")
+        events = tmp_path / "v.txt"
+        events.write_text("event,20,voltage,junctions=40\n")
+        out = tmp_path / "x.csv"
+        assert run("anneal", str(data), "--events", str(events), "--seed", "1",
+                   "--out", str(out)) == 2
+        assert ("event at day 20 names junctions the chip does not have: 40"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        assert not out.with_suffix(".steps.json").exists()
 
     def test_inverted_junction_range_exits_2(self, tmp_path, capsys):
         data = self._dataset(tmp_path, days="20")

@@ -121,8 +121,8 @@ def recorded_fit_chip(ds, opts, share_b):
     calls = []
 
     def recording(fn):
-        def fit(series, opts=None, weights=None):
-            res = fn(series, opts, weights)
+        def fit(series, opts=None):
+            res = fn(series, opts)
             calls.append((series, opts, res))
             return res
         return fit
@@ -198,7 +198,6 @@ def fit_cases(draw):
         ti, te = 10 ** draw(st.floats(2.0, 7.0)), 10 ** draw(st.floats(2.0, 7.0))
         y = 1.0 + ai * np.log1p(t / ti) + ae * np.log1p(t / te)
     y = y * (1.0 + draw(st.sampled_from([0.0, 1e-3, 2e-2])) * rng.standard_normal(n))
-    weights = rng.uniform(0.1, 10.0, n) if draw(st.booleans()) else None
     kw = {
         "model": model,
         "a_bounds": (0.0, draw(st.sampled_from([1.0, 0.5, 0.05]))),
@@ -212,7 +211,7 @@ def fit_cases(draw):
             kw["init"] = (draw(amp), draw(scale), draw(st.floats(0.1, 5.0)))
         else:
             kw["init"] = (draw(amp), draw(scale), draw(amp), draw(scale))
-    return np.column_stack([t, y]), FitOptions(**kw), weights
+    return np.column_stack([t, y]), FitOptions(**kw)
 
 
 FITS = {
@@ -240,10 +239,10 @@ def text(res, how):
 @settings(max_examples=150, deadline=None)
 @given(case=fit_cases())
 def test_fits_equal_reference(case):
-    series, opts, weights = case
+    series, opts = case
     fn, reference_fn = FITS[opts.model]
-    new, new_warnings = outcome(fn, series, opts, weights=weights)
-    ref, _ = outcome(on_reference, fn, series, opts, weights=weights)
+    new, new_warnings = outcome(fn, series, opts)
+    ref, _ = outcome(on_reference, fn, series, opts)
     assert text(new, fields) == text(ref, fields)
     # The separate per-model drivers that ``_fit`` replaced: every field,
     # stop_reason and stderr key order included, and the same warnings,
@@ -251,9 +250,8 @@ def test_fits_equal_reference(case):
     # guess; without an ``init`` it is handed the package's grid start.
     if opts.model == "two-log" and opts.init is None:
         t, y = reference_fit._check_series(series, 6)
-        start = fitting._two_log_start(t, y, t[t > 0], fitting._weights(weights, t.size), opts)
-        opts = replace(opts, init=start)
-    old, old_warnings = outcome(reference_fn, series, opts, weights=weights)
+        opts = replace(opts, init=fitting._two_log_start(t, y, t[t > 0], opts))
+    old, old_warnings = outcome(reference_fn, series, opts)
     assert text(new, repr) == text(old, repr)
     assert new_warnings == old_warnings
 
@@ -262,21 +260,20 @@ def test_model_evaluators_equal_reference():
     rng = np.random.default_rng(5)
     t = np.logspace(2, 7, 33)
     y = 1.0 + 0.2 * np.log(t / 1e4 + 1.0)
-    w = rng.uniform(0.1, 10.0, t.size)
+    ones = np.ones_like(t)   # the original models' unweighted square-root weights
     for _ in range(50):
         x3 = np.array([rng.uniform(0, 1), rng.uniform(4.6, 18.4), rng.uniform(1e-6, 10)])
         x4 = np.array([rng.uniform(0, 1), rng.uniform(4.6, 18.4),
                        rng.uniform(0, 1), rng.uniform(4.6, 18.4)])
-        for sw, ref_sw in ((None, np.ones_like(t)), (np.sqrt(w), np.sqrt(w))):
-            pairs = [
-                (_single_log_rj(x3, t, y, sw), reference_fit._single_log_rj(x3, t, y, ref_sw)),
-                (_single_log_rj(x3[:2], t, y, sw, b_fixed=0.7),
-                 reference_fit._single_log_rj(x3[:2], t, y, ref_sw, b_fixed=0.7)),
-                (_two_log_rj(x4, t, y, sw), reference_fit._two_log_rj(x4, t, y, ref_sw)),
-            ]
-            for (r, J), (r_ref, J_ref) in pairs:
-                assert r.tobytes() == r_ref.tobytes()
-                assert J.shape == J_ref.shape and J.tobytes() == J_ref.tobytes()
+        pairs = [
+            (_single_log_rj(x3, t, y), reference_fit._single_log_rj(x3, t, y, ones)),
+            (_single_log_rj(x3[:2], t, y, b_fixed=0.7),
+             reference_fit._single_log_rj(x3[:2], t, y, ones, b_fixed=0.7)),
+            (_two_log_rj(x4, t, y), reference_fit._two_log_rj(x4, t, y, ones)),
+        ]
+        for (r, J), (r_ref, J_ref) in pairs:
+            assert r.tobytes() == r_ref.tobytes()
+            assert J.shape == J_ref.shape and J.tobytes() == J_ref.tobytes()
 
 
 # --- stop reasons ---

@@ -128,12 +128,6 @@ class TestSingleLogFit:
         assert res.params.a == pytest.approx(0.21, rel=1e-6)
         assert res.stderr["b"] == 0.0
 
-    def test_weights_accepted(self):
-        series = single_log_series(CHIP1, n=12)
-        w = np.linspace(1, 2, 12)
-        res = fit_single_log(series, weights=w)
-        assert res.converged and res.params.a == pytest.approx(0.21, rel=1e-4)
-
 
 class TestTwoLogFit:
     def test_single_channel_limit(self):
@@ -203,8 +197,7 @@ class TestJacobians:
         rng = np.random.default_rng(17)
         t = np.logspace(3, 6.5, 25)
         y = eval_single_log(CHIP1, t)
-        sw = np.ones_like(t)
-        fun = lambda x: _single_log_rj(x, t, y, sw)
+        fun = lambda x: _single_log_rj(x, t, y)
         for _ in range(100):
             x = np.array([rng.uniform(0.02, 0.9), rng.uniform(math.log(3e2), math.log(3e7)),
                           rng.uniform(0.2, 8.0)])
@@ -217,8 +210,7 @@ class TestJacobians:
         t = np.logspace(3, 6.5, 25)
         gen = TwoLogParams(a_int=0.1, tau_int_s=3.9e4, a_ext=0.11, tau_ext_s=1.2e4)
         y = eval_two_log(gen, t)
-        sw = np.ones_like(t)
-        fun = lambda x: _two_log_rj(x, t, y, sw)
+        fun = lambda x: _two_log_rj(x, t, y)
         for _ in range(100):
             x = np.array([
                 rng.uniform(0.02, 0.9), rng.uniform(math.log(3e2), math.log(3e7)),
@@ -297,38 +289,36 @@ class TestGridOracle:
                            tau_ext_s=10 ** draw(st.floats(2.0, 7.0)))
         noise = draw(st.sampled_from([1e-3, 2e-2]))
         y = eval_two_log(gen, t) * (1.0 + noise * rng.standard_normal(t.size))
-        w = rng.uniform(0.1, 10.0, t.size) if draw(st.booleans()) else np.ones_like(t)
         opts = FitOptions(model="two-log", a_bounds=draw(st.sampled_from(
             [(0.0, 1.0), (0.0, 0.05), (0.02, 0.08), (0.15, 0.3)])))
-        ai, ti, ae, te = fitting._two_log_start(t, y, t[t > 0], np.sqrt(w), opts)
+        ai, ti, ae, te = fitting._two_log_start(t, y, t[t > 0], opts)
         lo, hi = opts.a_bounds
         assert lo <= ai <= hi and lo <= ae <= hi and ti > te
         basis = np.log1p(t / ti), np.log1p(t / te)
         r = 1.0 + ai * basis[0] + ae * basis[1] - y
-        rss = float(r @ (w * r))
+        rss = float(r @ r)
         # The amplitudes are the box minimizer for their pair: the rss rises
         # into the box from each bound an amplitude sits on, and is flat
         # along an amplitude strictly inside.
         for a, b in zip((ai, ae), basis):
-            slope, scale = r @ (w * b), 1e-7 * math.sqrt(rss * (b @ (w * b)))
+            slope, scale = r @ b, 1e-7 * math.sqrt(rss * (b @ b))
             assert slope >= -scale if a == lo else slope <= scale if a == hi else (
                 abs(slope) <= scale)
-        if np.all(w == 1.0):   # the grid oracle is unweighted
-            taus = np.exp(np.linspace(*opts.log_tau_bounds, 41))
-            amps = np.linspace(lo, hi, 21)
-            series = np.column_stack([t, y])
-            grid_rss = min(
-                grid_search_oracle(series, {"a_int": amps, "tau_int_s": [taus[k]],
-                                            "a_ext": amps, "tau_ext_s": taus[:k]})[1]
-                for k in range(1, taus.size))
-            assert rss <= grid_rss * (1.0 + 1e-9)
+        taus = np.exp(np.linspace(*opts.log_tau_bounds, 41))
+        amps = np.linspace(lo, hi, 21)
+        series = np.column_stack([t, y])
+        grid_rss = min(
+            grid_search_oracle(series, {"a_int": amps, "tau_int_s": [taus[k]],
+                                        "a_ext": amps, "tau_ext_s": taus[:k]})[1]
+            for k in range(1, taus.size))
+        assert rss <= grid_rss * (1.0 + 1e-9)
 
     def test_two_log_start_ties_go_to_the_first_pair(self):
         # A flat series fits every pair exactly with zero amplitudes.
         t = np.geomspace(1e3, 84 * DAY, 20)
         opts = FitOptions(model="two-log")
         lo, hi = opts.log_tau_bounds
-        ai, ti, ae, te = fitting._two_log_start(t, np.ones_like(t), t, None, opts)
+        ai, ti, ae, te = fitting._two_log_start(t, np.ones_like(t), t, opts)
         assert (ai, ae) == (0.0, 0.0)
         assert (ti, te) == pytest.approx((math.exp(lo + (hi - lo) / 40), math.exp(lo)), rel=1e-12)
 

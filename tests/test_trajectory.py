@@ -53,11 +53,15 @@ class TestSchedule:
         with pytest.raises(ValidationError):
             StorageSchedule(segments=((0.0, AMBIENT), (bad, GLOVEBOX)))
 
+    def test_segment_environment_must_be_an_environment(self):
+        with pytest.raises(ValidationError, match="must be an Environment, got 'ambient'"):
+            StorageSchedule(segments=((0.0, "ambient"),))
+
     def test_environment_lookup(self):
         sched = StorageSchedule(segments=((0.0, AMBIENT), (4 * DAY, GLOVEBOX)))
-        assert sched.environment_at(0.0) is AMBIENT
-        assert sched.environment_at(3.9 * DAY) is AMBIENT
-        assert sched.environment_at(4 * DAY) is GLOVEBOX
+        assert _in_force(sched, SimConfig(), 0.0)[0] is AMBIENT
+        assert _in_force(sched, SimConfig(), 3.9 * DAY)[0] is AMBIENT
+        assert _in_force(sched, SimConfig(), 4 * DAY)[0] is GLOVEBOX
 
     @settings(max_examples=300, deadline=None)
     @given(gaps=st.lists(st.floats(1e-300, 1e9), min_size=0, max_size=6),
@@ -80,7 +84,7 @@ class TestSchedule:
         for start, e in sched.segments:
             if t >= start:
                 env = e
-        assert sched.environment_at(t) is env
+        assert _in_force(sched, SimConfig(), t)[0] is env
 
 
 class TestMissingTimescale:
@@ -570,7 +574,18 @@ class TestObjectValidation:
         with pytest.raises(ValidationError):
             VoltageAnneal(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"t_s": math.nan}, {"t_s": math.inf}, {"y_env": math.nan}, {"y_env": math.inf},
+        {"y_env": -1.5}, {"anneal_gain": math.nan}, {"anneal_gain": math.inf},
+        {"anneal_gain": 0.0}, {"anneal_gain": -2.0}, {"post_anneal_t0_s": math.nan},
+        {"post_anneal_t0_s": -math.inf},
+    ], ids=repr)
+    def test_trajectory_state_rejects_bad_values(self, kwargs):
+        with pytest.raises(ParameterError):
+            TrajectoryState(**kwargs)
+
     def test_valid_objects_accepted(self):
+        TrajectoryState(t_s=3.0, y_env=-1.0, anneal_gain=1e-300, post_anneal_t0_s=2.0)
         JunctionProfile(a=0.0, b=1e-3, tau_scale=1e3)
         ThermalAnneal(temp_c=250.0, env=AMBIENT, hold_min=0.0)
         VoltageAnneal(n_pulses=np.int64(5), amplitude_v=0.9, pulse_duration_s=1e-3)
