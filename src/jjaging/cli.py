@@ -1,9 +1,9 @@
 """Command-line front end: simulate, fit, predict, anneal.
 
-Exit codes: 0 success, 2 input/validation problems, 3 numerical
-non-convergence (the report is still written).  Every subcommand is
-reproducible from its arguments plus --seed; summaries embed a digest of
-the resolved configuration.
+Exit codes: 0 success, 2 input/validation problems, 3 from ``fit`` when a
+fit did not converge or converged on a bound of its box (the report is
+still written).  Every subcommand is reproducible from its arguments plus
+--seed; summaries embed a digest of the resolved configuration.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .ensemble import (
     ChipDataset,
     ChipSpec,
     _check_event_junctions,
+    _id_runs,
     _junction_seed,
     aggregate_series,
     draw_chip,
@@ -67,6 +68,7 @@ from .trajectory import (
     ThermalAnneal,
     TrajectoryState,
     VoltageAnneal,
+    _event_seed,
     _in_force,
     _run_from,
 )
@@ -209,9 +211,9 @@ def cmd_fit(args) -> int:
     report = build_fit_report(ds, chip_fit, provenance)
     write_report(report, args.out)
 
-    n_bad = sum(1 for r in chip_fit.per_junction.values() if not r.converged)
-    if not chip_fit.average.converged:
-        n_bad += 1
+    fits = [chip_fit.average, *chip_fit.per_junction.values()]
+    n_bad = sum(not r.converged for r in fits)
+    pinned = [r.at_bounds for r in fits if r.converged and r.at_bounds]
     p = chip_fit.average.params
     print(
         f"fitted {len(chip_fit.per_junction)} junctions "
@@ -226,8 +228,11 @@ def cmd_fit(args) -> int:
     print(f"wrote {args.out}")
     if n_bad:
         print(f"warning: {n_bad} fit(s) did not converge", file=sys.stderr)
-        return 3
-    return 0
+    if pinned:
+        names = sorted({name for at in pinned for name in at})
+        print(f"warning: {len(pinned)} fit(s) converged on a bound of their box "
+              f"({', '.join(names)})", file=sys.stderr)
+    return 3 if n_bad or pinned else 0
 
 
 def _warn_if_pinned(average) -> None:
@@ -368,6 +373,12 @@ def cmd_anneal(args) -> int:
         t_rows = max(t_rows, float(ds.t_s[hi - 1]))
     if not usable:
         raise ValidationError("dataset has no usable junctions")
+    # An event that touches no usable junction would credit the wait's aging
+    # to an anneal.
+    for ev in events:
+        if ev.junction_ids is not None and set(usable).isdisjoint(ev.junction_ids):
+            raise ValidationError(f"event at day {ev.t_s / DAY_S:g} names no junction with "
+                                  f"usable rows: {_id_runs(ev.junction_ids)}")
     r0, t_last, r_last = ds.r_ohm[first], ds.t_s[last], ds.r_ohm[last]
 
     # Each step records every junction once, at ev.t_s plus the oven hold.
@@ -406,10 +417,15 @@ def cmd_anneal(args) -> int:
         a_eff = max(y0, 0.0) / math.log(t_j / tau_amb + 1.0) if t_j > 0 else 0.0
         steps_j = [k for k, ev in enumerate(events)
                    if ev.junction_ids is None or j in ev.junction_ids]
+        # Seeded as simulate seeds it: the junction's i-th event draws from
+        # _event_seed(_junction_seed(seed, j), i).
+        anneal_seed = 0
+        if any(isinstance(events[k].kind, VoltageAnneal) for k in steps_j):
+            anneal_seed = _junction_seed(seed, j)
         r_hist[i, 1:] = _run_from(
             TrajectoryState(t_s=t_j, y_env=y0), AMBIENT, cfg.relax_gas_to_gas_s,
-            [(events[k].t_s, (k, events[k])) for k in steps_j],
-            partial(_junction_seed, seed, j), t_meas, steps_j, r0_j,
+            [(events[k].t_s, (n, events[k])) for n, k in enumerate(steps_j)],
+            partial(_event_seed, anneal_seed), t_meas, steps_j, r0_j,
             JunctionProfile(a=a_eff, b=1.0), cfg,
         )
     min_r_over_r0 = float((r_hist / r0[:, None]).min())

@@ -300,25 +300,33 @@ def draw_chip(spec: ChipSpec, seed: int) -> DrawnChip:
     return DrawnChip(junctions=tuple(junctions), spec=spec)
 
 
-def _junction_seed(seed: int, junction_id: int, stream: int) -> int:
-    """First word of ``SeedSequence(entropy=seed, spawn_key=(stream,
-    junction_id))``.  The sequence is built from the same entropy words
-    through ``_spawn_entropy``, so the seed is the same as the spawn-key
-    form gives."""
-    ss = np.random.SeedSequence(_spawn_entropy(seed, stream, junction_id))
+def _junction_seed(seed: int, junction_id: int) -> int:
+    """Junction ``junction_id``'s anneal seed: the first word of
+    ``SeedSequence(entropy=seed, spawn_key=(0, junction_id))``.  Its
+    voltage draw for the i-th event that touches it is seeded by
+    ``_event_seed(_junction_seed(seed, j), i)``; its measurement noise comes
+    from spawn key (1, junction_id).  The sequence is built from the same
+    entropy words through ``_spawn_entropy``, so the seed is the same as the
+    spawn-key form gives."""
+    ss = np.random.SeedSequence(_spawn_entropy(seed, 0, junction_id))
     return int(ss.generate_state(1)[0])
+
+
+def _id_runs(ids) -> str:
+    """Sorted distinct junction ids as runs: ``0-2+5``."""
+    ids = sorted(set(ids))
+    cuts = [k for k in range(1, len(ids)) if ids[k] != ids[k - 1] + 1]
+    return "+".join(str(ids[a]) if b - a == 1 else f"{ids[a]}-{ids[b - 1]}"
+                    for a, b in zip([0, *cuts], [*cuts, len(ids)]))
 
 
 def _check_event_junctions(events: Sequence[AnnealEvent], ids) -> None:
     """Refuse an event naming a junction not in ``ids``: it would do nothing there."""
     for ev in events:
-        absent = sorted({j for j in ev.junction_ids or () if j not in ids})
+        absent = [j for j in ev.junction_ids or () if j not in ids]
         if absent:
-            cuts = [k for k in range(1, len(absent)) if absent[k] != absent[k - 1] + 1]
-            runs = "+".join(str(absent[a]) if b - a == 1 else f"{absent[a]}-{absent[b - 1]}"
-                            for a, b in zip([0, *cuts], [*cuts, len(absent)]))
             raise ValidationError(f"event at day {ev.t_s / DAY_S:g} names junctions the chip "
-                                  f"does not have: {runs}")
+                                  f"does not have: {_id_runs(absent)}")
 
 
 def _stack(row: np.ndarray, n: int) -> np.ndarray:
@@ -372,9 +380,9 @@ def simulate_chip(
     r = np.full((n_j, n_s), np.nan)
     z = np.zeros((n_j, n_s))
     is_open = np.zeros(n_j, dtype=bool)
-    # Row j is _spawn_entropy(seed, 1, j): the noise stream of junction j
-    # comes from default_rng(_junction_seed(seed, j, 1)), whose int seed has
-    # the same entropy pool as the one-word array generate_state(1) returns.
+    # Row j is _spawn_entropy(seed, 1, j): junction j's noise stream is
+    # default_rng(w), w the first word that SeedSequence(row j) generates
+    # (the one-word array seeds the same stream as the int would).
     noise_entropy = _stack(_spawn_entropy(seed, 1, 0), n_j)
     noise_entropy[:, -1] = np.arange(n_j)
     for j, (params, open_j) in enumerate(chip.junctions):
@@ -387,7 +395,7 @@ def simulate_chip(
             ev_j = [ev for ev in events if ev.junction_ids is None or j in ev.junction_ids]
             # The anneal seed only feeds voltage-anneal draws.
             if any(isinstance(ev.kind, VoltageAnneal) for ev in ev_j):
-                anneal_seed = _junction_seed(seed, j, 0)
+                anneal_seed = _junction_seed(seed, j)
         r[j] = simulate_trajectory(schedule, ev_j, cfg, params.r0_ohm, samples,
                                    seed=anneal_seed, profile=profile)
         ss = np.random.SeedSequence(noise_entropy[j])

@@ -8,10 +8,12 @@ The fit is damped (Levenberg-style) least squares on analytic Jacobians,
 with the timescales in log space so they stay positive and the steps are
 well scaled.  Only trial steps that lower the residual sum of squares are
 accepted, so the result never has a higher rss than its start; box bounds
-are enforced by projecting trial points.  The 3x3 or 4x4 trial systems go
-to LAPACK's ``gesv`` gufunc under ``np.linalg.solve``'s error state, and the
-standard errors' J.T @ J to the ``inv`` gufunc under the same state: the same
-routines on the same bytes, without the wrappers' per-call checks.
+are enforced by projecting trial points, and a timescale that the gradient
+pins on its bound is held out of the step (see ``_lm_minimize``).  The 3x3
+or 4x4 trial systems go to LAPACK's ``gesv`` gufunc under
+``np.linalg.solve``'s error state, and the standard errors' J.T @ J to the
+``inv`` gufunc under the same state: the same routines on the same bytes,
+without the wrappers' per-call checks.
 
 ``grid_search_oracle`` provides an independent brute-force check: it
 evaluates the model on an explicit parameter grid and returns the grid
@@ -101,7 +103,11 @@ class FitResult:
     ``"rss_tol"`` (a tolerance was met), ``"no_descent"`` (no step at any
     damping lowered the rss: a stationary point, or one pinned at a bound)
     or ``"max_iter"``.  ``converged`` is False exactly for ``"max_iter"``.
-    Results not made by the fitter may leave it None.
+    A timescale that the gradient pins on its ln tau bound is held there
+    while the other parameters converge, so such a fit stops on a tolerance
+    with the timescale in ``at_bounds``; a fit pinned on an amplitude or b
+    bound may still run to ``"max_iter"``.  Results not made by the fitter
+    may leave it None.
     """
 
     params: AgingParams | TwoLogParams
@@ -230,6 +236,16 @@ def _lm_minimize(resid, jac, x0, lo, hi, opts: FitOptions):
     ``"step_tol"`` or ``"rss_tol"`` (tolerance met), ``"no_descent"`` (no
     downhill step at any damping: stationary, or pinned at a bound) or
     ``"max_iter"``.
+
+    Trial points are projected onto the box ``[lo, hi]``.  A timescale (an
+    odd slot, ln tau) that sits exactly on its box edge while the descent
+    direction -g points out of the box is held for the iteration: its step
+    is zero and the damped normal equations are solved over the other
+    parameters only (Bertsekas' projected Newton step with a binding set,
+    SIAM J. Control Optim. 20:221, 1982).  Without the hold such a fit
+    solved, iteration after iteration, for a step that the projection threw
+    away, and ran to ``max_iter``.  An iteration that holds nothing runs
+    the full system; amplitude and b bounds are never held.
     """
     # Same values as np.clip, signed zeros included, at a third of the cost.
     x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lo), hi)
@@ -241,14 +257,32 @@ def _lm_minimize(resid, jac, x0, lo, hi, opts: FitOptions):
     p = x.size
     D = np.zeros((p, p))
     d = D.reshape(-1)[:: p + 1]
+    # The box and x as Python floats (xs is refreshed with each accepted
+    # step), and the bounds of the timescale slots (odd, ln tau): an x with
+    # no value among ``edges`` holds nothing, found without a numpy call.
+    lo_s, hi_s, xs = lo.tolist(), hi.tolist(), x.tolist()
+    edges = {*lo_s[1::2], *hi_s[1::2]}
     for iterations in range(1, opts.max_iterations + 1):
         neg_g = -(J.T @ r)
         JtJ = J.T @ J
         d[:] = JtJ.diagonal()
         d[d <= 0] = 1.0
+        # Hold a timescale that sits on its box edge while -g points out of
+        # the box; the others take the step of their own damped system.
+        held = () if edges.isdisjoint(xs) else [
+            k for k in range(1, p, 2)
+            if (xs[k] == lo_s[k] and neg_g[k] < 0.0) or (xs[k] == hi_s[k] and neg_g[k] > 0.0)]
+        if held:
+            free = [k for k in range(p) if k not in held]
+            sub = np.ix_(free, free)
+            JtJ_f, D_f, neg_g_f = JtJ[sub], D[sub], neg_g[free]
+            dx = np.zeros(p)
         while lam < 1e15:
             try:
-                dx = _solve(JtJ + lam * D, neg_g)
+                if held:
+                    dx[free] = _solve(JtJ_f + lam * D_f, neg_g_f)
+                else:
+                    dx = _solve(JtJ + lam * D, neg_g)
             except LinAlgError:
                 lam *= 5.0
                 continue
@@ -268,6 +302,7 @@ def _lm_minimize(resid, jac, x0, lo, hi, opts: FitOptions):
         rel_step = math.sqrt(step.dot(step)) / max(math.sqrt(x_trial.dot(x_trial)), 1.0)
         improvement = rss - rss_trial
         x, r, rss = x_trial, r_trial, rss_trial
+        xs = x.tolist()
         J = jac(cache)
         lam = max(lam / 3.0, 1e-14)
         if rel_step < opts.step_tolerance:

@@ -356,7 +356,8 @@ def apply_thermal_anneal(
 
     With ``floor_at_r0`` set the observable resistance is clamped at its
     initial-time value: annealing can relax the junction toward its
-    as-fabricated state but not below it.
+    as-fabricated state but not below it.  A state whose resistance is zero
+    (``y_env = -1``) cannot be lifted to the floor: ``ParameterError``.
     """
     if not isinstance(ev.kind, ThermalAnneal):
         raise TypeError("apply_thermal_anneal requires a thermal event")
@@ -372,7 +373,11 @@ def apply_thermal_anneal(
     if cfg.floor_at_r0:
         total = (1.0 + state.y_env) * gain * drift
         if total < 1.0:
-            gain = 1.0 / ((1.0 + state.y_env) * drift)
+            base = (1.0 + state.y_env) * drift
+            if base == 0.0:
+                raise ParameterError(f"the R0 floor cannot raise a zero resistance "
+                                     f"(y_env = {state.y_env!r}, drift factor = {drift!r})")
+            gain = 1.0 / base
     return replace(state, anneal_gain=gain)
 
 

@@ -24,8 +24,9 @@ The manifest has one entry per command: its argv, its exit code, and the
 sha256 of its stdout, of its stderr and of each file it wrote.  The temporary
 directory's path reads ``<tmp>`` in all of them.  There are no golden
 digests, because numpy's log may differ by ulps between builds: compare
-manifests made on one machine.  ``--compare`` prints every entry that differs
-and exits 1 if any does.
+manifests made on one machine.  ``--compare`` prints every entry that differs,
+then one line per command and exit-code move with its count (``fit: 0 -> 3
+x2``), and exits 1 if any entry differs.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 SEEDS = (1, 7, 123)
@@ -150,11 +152,16 @@ def compare(a: Path, b: Path) -> int:
     if len(ma["commands"]) != len(mb["commands"]):
         print(f"{len(ma['commands'])} vs {len(mb['commands'])} commands")
         differ = 1
+    moves = Counter()
     for i, (ea, eb) in enumerate(zip(ma["commands"], mb["commands"])):
         if ea != eb:
             differ = 1
             fields = [k for k in ea if ea[k] != eb.get(k)]
             print(f"{i}: {' '.join(ea['argv'])}: {', '.join(fields)} differ")
+            if ea["exit"] != eb["exit"]:
+                moves[ea["argv"][0], ea["exit"], eb["exit"]] += 1
+    for (command, old, new), n in sorted(moves.items()):
+        print(f"{command}: {old} -> {new} x{n}")
     print(f"{len(ma['commands'])} commands: " + ("differ" if differ else "identical"))
     return differ
 

@@ -28,9 +28,15 @@ from reference_trajectory import _segment
 FLAG_OK = FLAGS.index("ok")
 
 
-def _junction_seed(seed: int, junction_id: int, stream: int) -> int:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, junction_id))
-    return int(ss.generate_state(1)[0])
+def _spawn_key_seed(entropy: int, *key) -> int:
+    return int(np.random.SeedSequence(entropy=entropy, spawn_key=key).generate_state(1)[0])
+
+
+def _voltage_seed(seed: int, junction_id: int, i: int) -> int:
+    """The draw seed of the i-th event that touches a junction (counting
+    every event that does): ``simulate``'s rule, spawn key (0, j) for the
+    junction and then (i,) for the event."""
+    return _spawn_key_seed(_spawn_key_seed(seed, 0, junction_id), i)
 
 
 def _advance(state, t_to, a_eff, tau_amb, relax_s):
@@ -67,6 +73,7 @@ def reference_anneal(ds, events, cfg, seed: int):
             "a_eff": a_eff,
             "state": TrajectoryState(t_s=t_last, y_env=y0),
             "last_r": r_last,
+            "touched": 0,
         }
 
     new_j: list[int] = []
@@ -76,7 +83,7 @@ def reference_anneal(ds, events, cfg, seed: int):
     min_r_over_r0 = min(
         info["last_r"] / info["r0"] for info in junctions.values()
     )
-    for k, ev in enumerate(events):
+    for ev in events:
         hold_s = ev.kind.hold_min * 60.0 if isinstance(ev.kind, ThermalAnneal) else 0.0
         t_meas = ev.t_s + hold_s
         changes = []
@@ -86,7 +93,9 @@ def reference_anneal(ds, events, cfg, seed: int):
                 if isinstance(ev.kind, ThermalAnneal):
                     state = apply_thermal_anneal(state, ev, cfg)
                 else:
-                    state = apply_voltage_anneal(state, ev, cfg, _junction_seed(seed, j, k))
+                    state = apply_voltage_anneal(state, ev, cfg,
+                                                 _voltage_seed(seed, j, info["touched"]))
+                info["touched"] += 1
             state = _advance(state, t_meas, info["a_eff"], tau_amb, relax)
             r_now = info["r0"] * (1.0 + state.y)
             changes.append(r_now / info["last_r"] - 1.0)

@@ -8,7 +8,10 @@ calls of each trial.  This module keeps the original versions, which build
 residuals and Jacobian together on every trial, so that tests can require
 equal fits from the two.  ``reference_lm_minimize`` has the package kernel's
 signature: patched over ``jjaging.fitting._lm_minimize``, it runs a whole
-``fit_single_log``/``fit_two_log``/``fit_chip`` on the original code.
+``fit_single_log``/``fit_two_log``/``fit_chip`` on the original code.  The
+original loop carries one later rule, restated here with numpy masks rather
+than the package's Python-float test: a ln tau parameter on its bound, with
+the gradient pointing into the box, is held out of the iteration's step.
 
 ``jjaging.fitting`` runs both models through one driver, ``_fit``, with a
 per-model table.  ``reference_fit_single_log`` and ``reference_fit_two_log``
@@ -106,25 +109,36 @@ def _two_log_rj(x, t, y, sw):
     return r, J
 
 
-def _lm_minimize(fun, x0, lo, hi, opts):
-    """Damped least squares over a box; accepts only rss-decreasing steps."""
+def _lm_minimize(fun, x0, lo, hi, opts, timescales):
+    """Damped least squares over a box; accepts only rss-decreasing steps.
+
+    Each iteration holds the parameters of ``timescales`` that lie on a
+    bound of the box with the gradient pointing into it (so that the
+    steepest-descent direction leaves the box): their step is zero, and the
+    damped system is solved for the other parameters alone.
+    """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     r, J = fun(x)
     rss = float(r @ r)
     lam = 1e-3
     converged = False
     iterations = 0
+    may_hold = np.isin(np.arange(x.size), timescales)
     for iterations in range(1, opts.max_iterations + 1):
         g = J.T @ r
         JtJ = J.T @ J
         d = np.diag(JtJ).copy()
         d[d <= 0] = 1.0
+        held = may_hold & (((x == lo) & (g > 0)) | ((x == hi) & (g < 0)))
+        free = np.flatnonzero(~held)
         accepted = False
         rel_step = np.inf
         improvement = np.inf
         while lam < 1e15:
             try:
-                dx = np.linalg.solve(JtJ + lam * np.diag(d), -g)
+                dx = np.zeros_like(x)
+                dx[free] = np.linalg.solve((JtJ + lam * np.diag(d))[np.ix_(free, free)],
+                                           -g[free])
             except np.linalg.LinAlgError:
                 lam *= 5.0
                 continue
@@ -155,9 +169,10 @@ def _lm_minimize(fun, x0, lo, hi, opts):
     return x, r, J, rss, converged, iterations
 
 
+# Each package model: the original model and the slots of its ln tau values.
 _REFERENCE_MODELS = {
-    fitting._single_log_resid: _single_log_rj,
-    fitting._two_log_resid: _two_log_rj,
+    fitting._single_log_resid: (_single_log_rj, [1]),
+    fitting._two_log_resid: (_two_log_rj, [1, 3]),
 }
 
 
@@ -172,9 +187,9 @@ def reference_lm_minimize(resid, jac, x0, lo, hi, opts):
     converge and ``None`` otherwise.
     """
     kw = dict(resid.keywords, sw=np.ones_like(resid.keywords["t"]))
-    model = _REFERENCE_MODELS[resid.func]
+    model, timescales = _REFERENCE_MODELS[resid.func]
     x, r, J, rss, converged, iterations = _lm_minimize(
-        lambda x: model(x, **kw), x0, lo, hi, opts
+        lambda x: model(x, **kw), x0, lo, hi, opts, timescales
     )
     return x, r, J, rss, iterations, None if converged else "max_iter"
 

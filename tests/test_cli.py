@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -393,6 +394,31 @@ class TestFit:
         assert "line 10: chip_id 'B' differs from 'A'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("faults, code, lines", [
+        ({}, 0, []),
+        ({"average": {"converged": False}}, 3, ["warning: 1 fit(s) did not converge"]),
+        ({0: {"at_bounds": ("tau_s",)}, 1: {"at_bounds": ("a", "b")}}, 3,
+         ["warning: 2 fit(s) converged on a bound of their box (a, b, tau_s)"]),
+        # A fit that did not converge counts once, whatever its bounds.
+        ({"average": {"converged": False, "at_bounds": ("a",)}, 2: {"at_bounds": ("a",)}}, 3,
+         ["warning: 1 fit(s) did not converge",
+          "warning: 1 fit(s) converged on a bound of their box (a)"]),
+    ], ids=["clean", "not-converged", "on-a-bound", "both"])
+    def test_fit_exits_3_with_one_warning_per_fault(self, tmp_path, capsys, monkeypatch,
+                                                     faults, code, lines):
+        def faulty_fit_chip(*args, **kwargs):
+            res = real_fit_chip(*args, **kwargs)
+            per = {j: replace(f, **faults.get(j, {})) for j, f in res.per_junction.items()}
+            return replace(res, per_junction=per,
+                           average=replace(res.average, **faults.get("average", {})))
+
+        data = self._simulate(tmp_path, preset="chip1", days="20")
+        real_fit_chip = cli.fit_chip
+        monkeypatch.setattr(cli, "fit_chip", faulty_fit_chip)
+        capsys.readouterr()
+        assert run("fit", str(data), "--out", str(tmp_path / "r.json")) == code
+        assert capsys.readouterr().err.splitlines() == lines
+
     def test_negative_seed_is_only_recorded(self, tmp_path, capsys):
         data = self._simulate(tmp_path, days="20")
         out = tmp_path / "r.json"
@@ -553,7 +579,8 @@ class TestPredict:
         # timescale, so predict must not need an effective timescale.
         data = self.deaging_csv(tmp_path)
         report = tmp_path / "r.json"
-        assert run("fit", str(data), "--model", "two-log", "--out", str(report)) == 0
+        # The fit ends on a bound, so fit exits 3 (the report is written).
+        assert run("fit", str(data), "--model", "two-log", "--out", str(report)) == 3
         params = json.loads(report.read_text())["average"]["params"]
         assert params["kind"] == "two-log" and params["a_int"] == params["a_ext"] == 0.0
         pred = tmp_path / "p.json"
@@ -567,7 +594,7 @@ class TestPredict:
     def test_pinned_average_fit_warns_before_predicting(self, tmp_path, capsys, fit_report):
         # The single-log fit of deaging data ends flat, at its bound a = 0.
         report = tmp_path / "r.json"
-        assert run("fit", str(self.deaging_csv(tmp_path)), "--out", str(report)) == 0
+        assert run("fit", str(self.deaging_csv(tmp_path)), "--out", str(report)) == 3
         assert json.loads(report.read_text())["average"]["at_bounds"] == ["a"]
         clean = copy.deepcopy(fit_report)
         assert clean["average"]["converged"] and clean["average"]["at_bounds"] == []
@@ -777,6 +804,28 @@ class TestAnneal:
                 in capsys.readouterr().err)
         assert not out.exists()
         assert not out.with_suffix(".steps.json").exists()
+
+    def test_event_on_open_junctions_only_exits_2(self, tmp_path, capsys):
+        # The step used to credit the wait's aging to an anneal that touched
+        # no usable junction.  This chip has open junctions 1, 7 and 10.
+        data = tmp_path / "open.csv"
+        assert run("simulate", "--preset", "chip6", "--target-days", "14", "--seed", "1",
+                   "--out", str(data)) == 0
+        ds = load_measurements(data)
+        assert sorted(set(ds.junction_id[ds.flag != 0].tolist())) == [1, 7, 10]
+        events, out = tmp_path / "v.txt", tmp_path / "x.csv"
+        for ids, want in (("7", "7"), ("10+1+7", "1+7+10")):
+            events.write_text(f"event,20,voltage,junctions={ids}\n")
+            capsys.readouterr()
+            assert run("anneal", str(data), "--events", str(events), "--seed", "1",
+                       "--out", str(out)) == 2
+            assert capsys.readouterr().err == (
+                f"error: event at day 20 names no junction with usable rows: {want}\n")
+            assert not out.exists() and not out.with_suffix(".steps.json").exists()
+        # One usable junction among them is enough.
+        events.write_text("event,20,voltage,junctions=7-8\n")
+        assert run("anneal", str(data), "--events", str(events), "--seed", "1",
+                   "--out", str(out)) == 0
 
     def test_inverted_junction_range_exits_2(self, tmp_path, capsys):
         data = self._dataset(tmp_path, days="20")

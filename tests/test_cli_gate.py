@@ -39,3 +39,32 @@ def test_seed_1_manifest_repeats_with_documented_exit_codes(tmp_path):
     differ = gate("--compare", *paths)
     assert differ.returncode == 1
     assert differ.stdout.startswith(f"5: {' '.join(a['commands'][5]['argv'])}: stdout differ\n")
+
+
+def test_compare_counts_exit_code_moves(tmp_path, capsys):
+    def entry(argv, code, stdout="s"):
+        return {"argv": argv.split(), "exit": code, "stdout": stdout, "stderr": "e",
+                "files": {}}
+
+    old = [entry("fit a.csv", 0), entry("fit b.csv", 0), entry("fit c.csv", 3),
+           entry("anneal a.csv", 0), entry("predict --report r.json", 0)]
+    new = [entry("fit a.csv", 3), entry("fit b.csv", 3), entry("fit c.csv", 0),
+           entry("anneal a.csv", 0, stdout="t"), entry("predict --report r.json", 0)]
+    paths = []
+    for name, commands in (("old", old), ("new", new)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"python": "3", "numpy": "2", "commands": commands}))
+    assert cli_gate.compare(*paths) == 1
+    assert capsys.readouterr().out == (
+        "0: fit a.csv: exit differ\n"
+        "1: fit b.csv: exit differ\n"
+        "2: fit c.csv: exit differ\n"
+        "3: anneal a.csv: stdout differ\n"
+        "fit: 0 -> 3 x2\n"
+        "fit: 3 -> 0 x1\n"
+        "5 commands: differ\n")
+    # Entries that differ only in their outputs move no exit code.
+    paths[1].write_text(json.dumps({"python": "3", "numpy": "2",
+                                    "commands": old[:3] + new[3:]}))
+    assert cli_gate.compare(*paths) == 1
+    assert capsys.readouterr().out == "3: anneal a.csv: stdout differ\n5 commands: differ\n"

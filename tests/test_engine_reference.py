@@ -31,6 +31,7 @@ from jjaging import (
     simulate_chip,
 )
 from jjaging.cli import main
+from jjaging.ensemble import FLAG_OK
 from jjaging.model import Environment
 from reference_anneal import reference_anneal
 from reference_trajectory import reference_resume_trajectory
@@ -64,13 +65,17 @@ def datasets(tmp_path_factory):
     return root, paths
 
 
-def run_anneal(root, data, name, lines, seed, no_floor):
+def run_anneal(root, data, name, lines, seed, no_floor, code=0):
     events = root / "events.txt"
     events.write_text("".join(lines))
     out = root / "annealed.csv"
+    out.unlink(missing_ok=True)
     argv = ["anneal", str(data), "--events", str(events), "--preset", name,
             "--seed", str(seed), "--out", str(out)]
-    assert main(argv + ["--no-floor"] * no_floor) == 0
+    assert main(argv + ["--no-floor"] * no_floor) == code
+    if code:
+        assert not out.exists()
+        return None
     steps = json.loads(out.with_suffix(".steps.json").read_text())
     return load_events(events), load_measurements(out), steps
 
@@ -135,6 +140,14 @@ def step_lists(draw):
        no_floor=st.booleans())
 def test_anneal_equals_reference_loop(datasets, name, lines, seed, no_floor):
     root, paths = datasets
+    ds = load_measurements(paths[name])
+    usable = set(ds.junction_id[ds.flag == FLAG_OK].tolist())
+    (root / "events.txt").write_text("".join(lines))
+    subsets = [ev.junction_ids for ev in load_events(root / "events.txt")]
+    if any(ids is not None and not usable.intersection(ids) for ids in subsets):
+        # A step that names only open junctions anneals nothing: refused.
+        assert run_anneal(root, paths[name], name, lines, seed, no_floor, code=2) is None
+        return
     events, out_ds, steps = run_anneal(root, paths[name], name, lines, seed, no_floor)
     check_against_reference(paths[name], name, events, out_ds, steps, seed, no_floor)
 

@@ -303,6 +303,27 @@ def test_stop_reason_names_the_exit(opts, reason):
         assert res.iterations == 1
 
 
+# Data whose timescale the window cannot resolve: the fit ends on the lower
+# ln tau bound (100 s), with -g pointing out of the box.  The projection-only
+# kernel kept solving for the step the box threw away and ran to
+# max_iterations, ending at these rss.
+DAYS = np.arange(0.0, 85 * DAY, 2 * DAY)
+PINNED = [
+    (fit_single_log, 1 + 0.05 * np.log(DAYS / 30 + 0.5), "tau_s", 1.0772821666491452e-3),
+    (fit_two_log, 1 + 0.1 * np.log1p(DAYS / 3e5) + 0.05 * np.log1p(DAYS / 20), "tau_ext_s",
+     1.8052801534224477e-6),
+]
+
+
+@pytest.mark.parametrize("fn, y, held, projected_rss", PINNED,
+                         ids=["single-log", "two-log"])
+def test_a_timescale_on_its_bound_is_held(fn, y, held, projected_rss):
+    res = fn(np.column_stack([DAYS, y]))
+    assert res.converged and res.iterations <= 20
+    assert held in res.at_bounds and getattr(res.params, held) == pytest.approx(100.0)
+    assert res.rss <= projected_rss
+
+
 def test_two_log_stop_reason():
     res = fit_two_log(NOISY)
     assert res.stop_reason in ("step_tol", "rss_tol", "no_descent") and res.converged

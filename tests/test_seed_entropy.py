@@ -5,12 +5,26 @@
 implementation detail; these tests hold it to the installed numpy.
 """
 
+import contextlib
+import io
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from jjaging import AMBIENT, ChipSpec, SimConfig, StorageSchedule, draw_chip, simulate_chip
+from jjaging import (
+    AMBIENT,
+    ChipSpec,
+    SimConfig,
+    StorageSchedule,
+    cli,
+    draw_chip,
+    load_events,
+    save_measurements,
+    simulate_chip,
+    trajectory,
+)
 from jjaging.ensemble import _junction_seed
 from jjaging.trajectory import _event_seed, _spawn_entropy
 
@@ -51,10 +65,10 @@ def test_entropy_gives_the_spawn_key_state(seed, kind, key):
 
 
 @settings(max_examples=100, deadline=None)
-@given(seed=SEEDS, kind=SEED_TYPES, j=st.integers(0, 2**40), stream=st.integers(0, 3))
-def test_seed_helpers_equal_the_spawn_key_form(seed, kind, j, stream):
+@given(seed=SEEDS, kind=SEED_TYPES, j=st.integers(0, 2**40))
+def test_seed_helpers_equal_the_spawn_key_form(seed, kind, j):
     seed = _typed(seed, kind)
-    assert _junction_seed(seed, j, stream) == _spawn_key_seed(seed, stream, j)
+    assert _junction_seed(seed, j) == _spawn_key_seed(seed, 0, j)
     assert _event_seed(seed, j) == _spawn_key_seed(seed, j)
 
 
@@ -77,3 +91,48 @@ def test_noise_rows_equal_spawn_key_streams(seed, kind, n_j, n_s):
                   for j in range(n_j)])
     expect = quiet.r_ohm * (1.0 + sigma * z.ravel())
     assert np.array_equal(noisy.r_ohm, expect)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS, kind=SEED_TYPES)
+def test_no_anneal_stream_is_a_noise_stream(seed, kind):
+    """Junction j's voltage draws (spawn key (0, j), then the event's index
+    i) and its measurement noise (spawn key (1, j)) are distinct streams."""
+    seed = _typed(seed, kind)
+    noise = {_spawn_key_seed(seed, 1, j) for j in range(16)}
+    anneal = {_event_seed(_junction_seed(seed, j), i) for j in range(16) for i in range(4)}
+    assert len(anneal) == 64 and not noise & anneal
+
+
+EVENTS = ("event,5,voltage,n_pulses=30\n"
+          "event,6,thermal,temp_c=200,env=glovebox,hold_min=10,junctions=1+2\n"
+          "event,7,voltage,n_pulses=30,junctions=0+2\n")
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**63))
+def test_anneal_draws_what_simulate_draws(seed, tmp_path_factory):
+    """``anneal`` and ``simulate`` seed junction j's draw for the i-th event
+    that touches it alike, so both apply each voltage step with one seed."""
+    spec = ChipSpec(r0_mean_ohm=1.0e4, r0_cv=0.05, a_mean=0.2, a_sd=0.01,
+                    log_tau_mean=math.log(1.2e4), log_tau_sd=0.2, n_junctions=4)
+    chip, sched, cfg = draw_chip(spec, seed), StorageSchedule.single(AMBIENT), SimConfig()
+    path = tmp_path_factory.mktemp("anneal") / "events.txt"
+    path.write_text(EVENTS)
+    seeds = {"simulate": [], "anneal": []}
+
+    def recording(name):
+        def apply(state, ev, cfg, rng_seed):
+            seeds[name].append(rng_seed)
+            return real(state, ev, cfg, rng_seed)
+        return mock.patch.object(trajectory, "apply_voltage_anneal", apply)
+
+    real = trajectory.apply_voltage_anneal
+    with recording("simulate"):
+        simulate_chip(chip, sched, load_events(path), np.arange(9) * DAY, cfg, seed)
+    data = path.with_name("data.csv")
+    save_measurements(simulate_chip(chip, sched, [], np.arange(5) * DAY, cfg, seed), data)
+    with recording("anneal"), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["anneal", str(data), "--events", str(path), "--seed", str(seed),
+                         "--out", str(data.with_name("out.csv"))]) == 0
+    assert len(seeds["simulate"]) == 6 and seeds["anneal"] == seeds["simulate"]

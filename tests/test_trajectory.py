@@ -375,6 +375,15 @@ class TestThermalAnneal:
         ev = AnnealEvent(t_s=1 * DAY, kind=ThermalAnneal(temp_c=150.0, env=AMBIENT))
         assert apply_thermal_anneal(state, ev, cfg).y == state.y
 
+    def test_floor_refuses_a_zero_resistance(self):
+        # y_env = -1 is a valid state, but no gain lifts its R = 0 to R0.
+        ev = AnnealEvent(t_s=1.0, kind=ThermalAnneal(temp_c=200.0))
+        state = TrajectoryState(y_env=-1.0)
+        with pytest.raises(ParameterError, match="y_env = -1.0"):
+            apply_thermal_anneal(state, ev, SimConfig())
+        out = apply_thermal_anneal(state, ev, SimConfig(floor_at_r0=False))
+        assert out.y == -1.0
+
     def test_missing_table_entry(self):
         cfg = chip1_cfg()
         ev = AnnealEvent(t_s=0.0, kind=ThermalAnneal(temp_c=300.0, env=AMBIENT))
