@@ -433,7 +433,10 @@ def cmd_anneal(args) -> int:
     steps = []
     for k, ev in enumerate(events):
         kind_name = "thermal" if isinstance(ev.kind, ThermalAnneal) else "voltage"
-        mean_change = np.mean(changes[:, k])
+        # The step's change is the mean over the junctions its event touches:
+        # the others only aged through the wait.
+        touched = slice(None) if ev.junction_ids is None else np.isin(usable, ev.junction_ids)
+        mean_change = np.mean(changes[touched, k])
         steps.append({
             "step": k + 1,
             "t_days": ev.t_s / DAY_S,

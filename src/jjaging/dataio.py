@@ -115,6 +115,17 @@ def _json_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+# How much of an input field a message echoes.
+_ECHO_CHARS = 24
+
+
+def _capped(text: str, form=str) -> str:
+    """``form(text)`` of ``text`` cut to ``_ECHO_CHARS`` characters, with
+    ``...`` if cut, so that a message does not echo a whole file (as a
+    stray quote that swallows the rest of a CSV makes one field)."""
+    return f"{form(text[:_ECHO_CHARS])}{'...' if len(text) > _ECHO_CHARS else ''}"
+
+
 def _json_number(parse):
     """A ``json.loads`` number hook: ``parse(text)``, refusing a value that
     overflows a float."""
@@ -125,7 +136,7 @@ def _json_number(parse):
                 return value
         except OverflowError:   # an int too large for a float
             pass
-        raise ValueError(f"{text[:24]}{'...' if len(text) > 24 else ''} overflows a float")
+        raise ValueError(f"{_capped(text)} overflows a float")
     return number
 
 
@@ -235,7 +246,10 @@ def load_measurements(path, digest=None) -> ChipDataset:
     non-finite) are flagged open.  A file holds one chip: the first row whose
     chip_id differs from the first valid row's is reported.  A leading UTF-8
     byte-order mark, as spreadsheet exports write, is skipped; a file that is
-    not UTF-8 is refused, naming the line of its first undecodable byte.
+    not UTF-8 is refused, naming the line of its first undecodable byte, and
+    one that ``csv.reader`` cannot split (a field longer than
+    ``csv.field_size_limit()``), naming the line it stopped on.  Messages
+    quote at most ``_ECHO_CHARS`` characters of a field.
 
     The fields are split by ``csv.reader`` and then parsed and checked a
     column at a time.  Each row reports only the first check it fails, in
@@ -246,15 +260,19 @@ def load_measurements(path, digest=None) -> ChipDataset:
     """
     reader = csv.reader(io.StringIO(_read_text(path, digest), newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
+        rows = list(reader)
+    except csv.Error as exc:   # e.g. a field longer than csv.field_size_limit()
+        line = reader.line_num
+        raise ParseError(f"{path}: line {line}: {exc}", lines=[line]) from None
+    if not rows:
         raise ParseError(f"{path}: empty file (header required)")
+    header, rows = rows[0], rows[1:]
     if [h.strip() for h in header] != MEASUREMENT_HEADER:
         raise ParseError(
-            f"{path}: bad header {header!r}; expected {','.join(MEASUREMENT_HEADER)}",
+            f"{path}: bad header [{', '.join(_capped(h, repr) for h in header)}]; "
+            f"expected {','.join(MEASUREMENT_HEADER)}",
             lines=[1],
         )
-    rows = list(reader)
     problems: list[tuple[int, str]] = []
     lineno = np.arange(2, len(rows) + 2)
     n_fields = np.fromiter(map(len, rows), np.intp, len(rows))
@@ -293,11 +311,11 @@ def load_measurements(path, digest=None) -> ChipDataset:
     checks = (
         (unparsed, lambda i: "junction_id must be an integer and t_seconds a number"),
         (wide, lambda i: "junction_id out of range"),
-        (env < 0, lambda i: f"unknown environment {env_raw[i].strip().lower()!r}"),
-        (flag < 0, lambda i: f"unknown flag {flag_raw[i].strip().lower()!r}"),
+        (env < 0, lambda i: f"unknown environment {_capped(env_raw[i].strip().lower(), repr)}"),
+        (flag < 0, lambda i: f"unknown flag {_capped(flag_raw[i].strip().lower(), repr)}"),
         (~(np.isfinite(t) & (t >= 0)), lambda i: "t_seconds must be finite and >= 0"),
         (empty & (flag != FLAG_OPEN), lambda i: "empty resistance only allowed for open rows"),
-        (bad_res, lambda i: f"bad resistance {r_raw[i].strip()!r}"),
+        (bad_res, lambda i: f"bad resistance {_capped(r_raw[i].strip(), repr)}"),
         (np.isfinite(r) & (r <= 0), lambda i: "resistance must be > 0"),
     )
     first = np.full(m, len(checks))
@@ -314,8 +332,9 @@ def load_measurements(path, digest=None) -> ChipDataset:
     own = np.fromiter(map(own.__getitem__, chip_raw), bool, m)[valid]
     if not own.all():
         other = valid[~own][0]
-        problems.append((int(lineno[other]), f"chip_id {names[chip_raw[other]]!r} differs "
-                         f"from {chip_id!r} on line {int(lineno[valid[0]])}; "
+        problems.append((int(lineno[other]),
+                         f"chip_id {_capped(names[chip_raw[other]], repr)} differs "
+                         f"from {_capped(chip_id, repr)} on line {int(lineno[valid[0]])}; "
                          "a measurement file holds one chip"))
         valid = valid[own]
 

@@ -9,8 +9,17 @@ with the timescales in log space so they stay positive and the steps are
 well scaled.  Only trial steps that lower the residual sum of squares are
 accepted, so the result never has a higher rss than its start; box bounds
 are enforced by projecting trial points, and a timescale that the gradient
-pins on its bound is held out of the step (see ``_lm_minimize``).  The 3x3
-or 4x4 trial systems go to LAPACK's ``gesv`` gufunc under
+pins on its bound is held out of the step (see ``_lm_minimize``).
+
+The two-log model is linear in its two amplitudes, so its fit is separable
+(variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10:413, 1973):
+the loop runs over the two ln tau only, and at every trial point the
+amplitudes are solved on ``a_bounds`` in closed form (``_pair_candidates``,
+the same solve that ranks the grid start's node pairs).  Its Jacobian is the
+exact derivative of that projected residual.  Once the loop stops, the
+four-parameter Jacobian at the final (a, tau) gives the standard errors.
+
+The 2x2 and 3x3 trial systems go to LAPACK's ``gesv`` gufunc under
 ``np.linalg.solve``'s error state, and the standard errors' J.T @ J to the
 ``inv`` gufunc under the same state: the same routines on the same bytes,
 without the wrappers' per-call checks.
@@ -62,9 +71,10 @@ class FitOptions:
     """Fit configuration: model choice, box bounds, stopping rules.
 
     ``init`` takes natural-unit parameters: (a, tau_s) or (a, tau_s, b)
-    for the single-log model, (a_int, tau_int_s, a_ext, tau_ext_s) for the
-    two-log model.  ``fix_b`` pins the single-log offset (chip-wide shared
-    b fits); the two-log model, which has no b, refuses it.
+    for the single-log model, (tau_int_s, tau_ext_s) for the two-log model,
+    whose amplitudes are solved at every trial point and so take no start.
+    ``fix_b`` pins the single-log offset (chip-wide shared b fits); the
+    two-log model, which has no b, refuses it.
     """
 
     model: str = "single-log"
@@ -203,6 +213,69 @@ def _two_log_jac(cache, out):
     return out
 
 
+def _two_log_vp_resid(x, t, y, a_bounds):
+    """The separable two-log residual at x = (ln tau_int, ln tau_ext): the
+    residual at the least-rss amplitudes inside ``a_bounds``
+    (``_pair_candidates``).  Its arithmetic is ``_two_log_resid``'s at
+    those amplitudes."""
+    lti, lte = x.tolist()
+    ti = t / math.exp(lti)
+    te = t / math.exp(lte)
+    ui = 1.0 + ti
+    ue = 1.0 + te
+    bz = np.empty((3, t.size))   # rows: the bases L_int, L_ext and z = y - 1
+    log_ui = np.log(ui, out=bz[0])
+    log_ue = np.log(ue, out=bz[1])
+    np.subtract(y, 1.0, out=bz[2])
+    g_ii, g_ie, c_i, _, g_ee, c_e = (bz[:2] @ bz.T).ravel().tolist()
+    moments = g_ii, g_ee, g_ie, c_i, c_e
+    if g_ii * g_ee - g_ie * g_ie > 0.0:
+        cands = _pair_candidates(*moments, *a_bounds, fmin=min, fmax=max)
+    else:
+        cands = _singular_pair_candidates(*map(np.float64, moments), *a_bounds)
+    (rss0, ai, ae), (rss1, ai1, ae1) = cands
+    if rss1 < rss0:
+        ai, ae = ai1, ae1
+    ai, ae = float(ai), float(ae)
+    r = ai * log_ui
+    r += 1.0
+    r += ae * log_ue
+    r -= y
+    return r, (ai, ae, ti, ui, te, ue, bz, (g_ii, g_ee, g_ie), r, a_bounds)
+
+
+def _two_log_vp_jac(cache, out):
+    """The exact Jacobian of ``_two_log_vp_resid`` (Golub & Pereyra 1973).
+
+    With D_k = dL_k/d ln tau_k = -t_k/u_k, A_F the bases of the amplitudes
+    strictly inside the box (the free ones; one on a bound is a constant
+    there), G_F = A_F.T A_F and P the projector off their span, column k is
+    P (a_k D_k) - A_F G_F^-1 e_k (D_k . r), the second term for a free k
+    only.  H below is G_F^-1, padded with zeros for the amplitudes on a
+    bound.  G_F is regular: a singular system puts an amplitude on a bound
+    (``_pair_candidates``)."""
+    ai, ae, ti, ui, te, ue, bz, (g_ii, g_ee, g_ie), r, (a_lo, a_hi) = cache
+    out[:, 0] = -ai * ti / ui
+    out[:, 1] = -ae * te / ue
+    free_i, free_e = a_lo < ai < a_hi, a_lo < ae < a_hi
+    if free_i and free_e:
+        det = g_ii * g_ee - g_ie * g_ie
+        h_ii, h_ie, h_ee = g_ee / det, -g_ie / det, g_ii / det
+    elif free_i or free_e:
+        h_ii, h_ie, h_ee = (1.0 / g_ii, 0.0, 0.0) if free_i else (0.0, 0.0, 1.0 / g_ee)
+    else:
+        return out
+    basis = bz[:2]
+    (w_ii, w_ie), (w_ei, w_ee) = (basis @ out).tolist()
+    if free_i:
+        w_ii -= float((ti / ui) @ r)
+    if free_e:
+        w_ee -= float((te / ue) @ r)
+    out -= basis.T @ np.array([[h_ii * w_ii + h_ie * w_ei, h_ii * w_ie + h_ie * w_ee],
+                               [h_ie * w_ii + h_ee * w_ei, h_ie * w_ie + h_ee * w_ee]])
+    return out
+
+
 def _raise_singular(err, flag):
     raise LinAlgError("Singular matrix")
 
@@ -227,7 +300,7 @@ def _inv(a):
     return _umath_linalg.inv(a, signature="d->d")
 
 
-def _lm_minimize(resid, jac, x0, lo, hi, opts: FitOptions):
+def _lm_minimize(resid, jac, x0, lo, hi, opts: FitOptions, timescales):
     """Damped least squares over a box; accepts only rss-decreasing steps.
 
     ``resid(x) -> (r, cache)`` is called for every trial point and
@@ -237,15 +310,15 @@ def _lm_minimize(resid, jac, x0, lo, hi, opts: FitOptions):
     downhill step at any damping: stationary, or pinned at a bound) or
     ``"max_iter"``.
 
-    Trial points are projected onto the box ``[lo, hi]``.  A timescale (an
-    odd slot, ln tau) that sits exactly on its box edge while the descent
-    direction -g points out of the box is held for the iteration: its step
-    is zero and the damped normal equations are solved over the other
-    parameters only (Bertsekas' projected Newton step with a binding set,
-    SIAM J. Control Optim. 20:221, 1982).  Without the hold such a fit
-    solved, iteration after iteration, for a step that the projection threw
-    away, and ran to ``max_iter``.  An iteration that holds nothing runs
-    the full system; amplitude and b bounds are never held.
+    Trial points are projected onto the box ``[lo, hi]``.  A timescale (a
+    ``timescales`` slot, in ln tau) that sits exactly on its box edge while
+    the descent direction -g points out of the box is held for the
+    iteration: its step is zero and the damped normal equations are solved
+    over the other parameters only (Bertsekas' projected Newton step with a
+    binding set, SIAM J. Control Optim. 20:221, 1982).  Without the hold
+    such a fit solved, iteration after iteration, for a step that the
+    projection threw away, and ran to ``max_iter``.  An iteration that holds
+    nothing runs the full system; amplitude and b bounds are never held.
     """
     # Same values as np.clip, signed zeros included, at a third of the cost.
     x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lo), hi)
@@ -258,10 +331,10 @@ def _lm_minimize(resid, jac, x0, lo, hi, opts: FitOptions):
     D = np.zeros((p, p))
     d = D.reshape(-1)[:: p + 1]
     # The box and x as Python floats (xs is refreshed with each accepted
-    # step), and the bounds of the timescale slots (odd, ln tau): an x with
-    # no value among ``edges`` holds nothing, found without a numpy call.
+    # step), and the bounds of the timescale slots: an x with no value among
+    # ``edges`` holds nothing, found without a numpy call.
     lo_s, hi_s, xs = lo.tolist(), hi.tolist(), x.tolist()
-    edges = {*lo_s[1::2], *hi_s[1::2]}
+    edges = {bound for k in timescales for bound in (lo_s[k], hi_s[k])}
     for iterations in range(1, opts.max_iterations + 1):
         neg_g = -(J.T @ r)
         JtJ = J.T @ J
@@ -270,7 +343,7 @@ def _lm_minimize(resid, jac, x0, lo, hi, opts: FitOptions):
         # Hold a timescale that sits on its box edge while -g points out of
         # the box; the others take the step of their own damped system.
         held = () if edges.isdisjoint(xs) else [
-            k for k in range(1, p, 2)
+            k for k in timescales
             if (xs[k] == lo_s[k] and neg_g[k] < 0.0) or (xs[k] == hi_s[k] and neg_g[k] > 0.0)]
         if held:
             free = [k for k in range(p) if k not in held]
@@ -346,7 +419,7 @@ def _two_log_finish(v, stderr, at, msgs):
 
 # The two-log start: ``_START_NODES`` ln tau nodes spanning the box, and every
 # pair of them with tau_int > tau_ext.  ``_PAIR_TAKE`` picks each pair's
-# (g_int, g_ext, g_int, c_int, c_ext, c_int, g_ie) out of the moment matrix
+# (g_int, g_ext, g_ie, c_int, c_ext) out of the moment matrix
 # [basis | z].T @ [basis | z]: g the Gram entries of the nodes' basis
 # columns, c (in the last column) their products with z.
 _START_NODES = 41
@@ -354,49 +427,69 @@ _START_STEPS = np.linspace(0.0, 1.0, _START_NODES)
 _PAIR_EXT, _PAIR_INT = np.triu_indices(_START_NODES, 1)
 _PAIR_Z = np.full_like(_PAIR_INT, _START_NODES)
 _PAIR_TAKE = np.ravel_multi_index(np.transpose([  # (row, column) of each entry taken
-    (_PAIR_INT, _PAIR_INT), (_PAIR_EXT, _PAIR_EXT), (_PAIR_INT, _PAIR_INT),
-    (_PAIR_INT, _PAIR_Z), (_PAIR_EXT, _PAIR_Z), (_PAIR_INT, _PAIR_Z),
-    (_PAIR_INT, _PAIR_EXT),
+    (_PAIR_INT, _PAIR_INT), (_PAIR_EXT, _PAIR_EXT), (_PAIR_INT, _PAIR_EXT),
+    (_PAIR_INT, _PAIR_Z), (_PAIR_EXT, _PAIR_Z),
 ], (1, 0, 2)), (_START_NODES + 1,) * 2)
+
+
+def _pair_candidates(g_int, g_ext, g_ie, c_int, c_ext, a_lo, a_hi, fmin=np.fmin, fmax=np.fmax):
+    """The two candidate amplitude pairs of each timescale pair, one of
+    which is the pair's least-rss (a_int, a_ext) inside [a_lo, a_hi].
+
+    The arguments are moments of the pair's bases L = ln(1 + t/tau) and of
+    z = y - 1: Gram entries g and products c with z.  For fixed timescales
+    the model is linear in (a_int, a_ext) (the separable structure of Golub
+    & Pereyra 1973), so the amplitudes solve a 2-variable bounded
+    least-squares problem in closed form: the unconstrained minimizer if it
+    lies in the box, else the best point of an edge, at that edge's clipped
+    1-D minimizer.  A convex problem's minimizer lies on an edge of a bound
+    that the unconstrained one violates, so two candidates cover it: one
+    amplitude clipped from the unconstrained minimizer and the other at its
+    clipped 1-D minimizer, a_int clipped first in candidate 0 and a_ext in
+    candidate 1 (both are the unconstrained minimizer when it is feasible).
+    Returns ``((rss, a_int, a_ext), (rss, a_int, a_ext))``, rss from the
+    normal equations less z.z; the best is the one of least rss, candidate
+    0 on a tie.
+
+    Moments as numpy arrays over pairs (or numpy scalars) are taken under
+    ``np.errstate`` (``_singular_pair_candidates``); fmax/fmin then send the
+    NaN of a singular system to a bound, inside the box.  Python floats with
+    the builtin ``min``/``max`` give the same values at a quarter of the
+    cost of numpy scalars, where no NaN can arise: for a Gram determinant
+    g_int g_ext - g_ie^2 > 0.
+    """
+    out = []
+    for k, (g_own, g_oth, c_own, c_oth) in enumerate(((g_int, g_ext, c_int, c_ext),
+                                                      (g_ext, g_int, c_ext, c_int))):
+        own = (c_own * g_oth - c_oth * g_ie) / (g_own * g_oth - g_ie * g_ie)
+        own = fmin(fmax(own, a_lo), a_hi)
+        r = c_oth - own * g_ie
+        oth = fmin(fmax(r / g_oth, a_lo), a_hi)
+        rss = own * (own * g_own - 2.0 * c_own) + oth * (oth * g_oth - 2.0 * r)
+        out.append((rss, own, oth) if k == 0 else (rss, oth, own))
+    return out
+
+
+# The candidates of a possibly singular system, under the error state that
+# lets fmax/fmin take its NaN.
+_singular_pair_candidates = np.errstate(divide="ignore", invalid="ignore", over="ignore")(
+    _pair_candidates)
 
 
 def _two_log_start(t, y, tpos, opts: FitOptions):
     """A natural-unit two-log start: the node pair, with amplitudes in the
-    box, of least rss.
-
-    For fixed timescales the model is linear in (a_int, a_ext) (the separable
-    structure of Golub & Pereyra 1973), so each pair's amplitudes solve a
-    2-variable bounded least-squares problem in closed form: the
-    unconstrained minimizer if it lies in the box, else the best point of an
-    edge, at that edge's clipped 1-D minimizer.  A convex problem's minimizer
-    lies on an edge of a bound that the unconstrained one violates, so two
-    candidates per pair cover it: one amplitude clipped from the
-    unconstrained minimizer and the other at its clipped 1-D minimizer, for
-    each amplitude in turn (both are the unconstrained minimizer when it is
-    feasible).  Candidates are ranked by rss from the normal equations; ties
-    go to the first in row-major order of the (row, pair) layout below.
-    """
+    box, of least rss (``_pair_candidates``); ties go to candidate 0, then
+    to the first pair."""
     lo, hi = opts.log_tau_bounds
     bz = np.empty((t.size, _START_NODES + 1))
     basis = bz[:, :-1]
     np.multiply.outer(t, np.exp(_START_STEPS * (lo - hi) - lo), out=basis)
     np.log1p(basis, out=basis)
     np.subtract(y, 1.0, out=bz[:, -1])
-    m = (bz.T @ bz).take(_PAIR_TAKE)
-    # Row 0 clips a_int from the unconstrained minimizer and gives a_ext its
-    # clipped 1-D minimizer; row 1 does the reverse.  "own" is the amplitude
-    # clipped first, "oth" the other one.
-    g_own, g_oth, c_own, c_oth, g_ie = m[:2], m[1:3], m[3:5], m[4:6], m[6]
-    a_lo, a_hi = opts.a_bounds
-    # fmax/fmin send the NaN of a singular system to a bound, inside the box.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        own = (c_own * g_oth - c_oth * g_ie) / (g_own * g_oth - g_ie * g_ie)
-        own = np.fmin(np.fmax(own, a_lo), a_hi)
-        r = c_oth - own * g_ie
-        oth = np.fmin(np.fmax(r / g_oth, a_lo), a_hi)
-        rss = own * (own * g_own - 2.0 * c_own) + oth * (oth * g_oth - 2.0 * r)  # - z.z
-    row, pair = divmod(int(rss.argmin()), _PAIR_INT.size)
-    a_int, a_ext = (own[0, pair], oth[0, pair]) if row == 0 else (oth[1, pair], own[1, pair])
+    (rss0, ai0, ae0), (rss1, ai1, ae1) = _singular_pair_candidates(
+        *(bz.T @ bz).take(_PAIR_TAKE), *opts.a_bounds)
+    row, pair = divmod(int(np.argmin((rss0, rss1))), _PAIR_INT.size)
+    a_int, a_ext = (ai0[pair], ae0[pair]) if row == 0 else (ai1[pair], ae1[pair])
     ln_tau_int, ln_tau_ext = lo + (hi - lo) * _START_STEPS[[_PAIR_INT[pair], _PAIR_EXT[pair]]]
     return float(a_int), math.exp(ln_tau_int), float(a_ext), math.exp(ln_tau_ext)
 
@@ -406,37 +499,63 @@ def _single_log_guess(t, y, tpos, opts):
     return a, tpos.min(), 1.0
 
 
-# What sets each model's fit apart; ``_fit`` does the rest.  Timescales sit
-# in the odd slots of ``names`` and are fitted in ln tau.  ``box`` names each
-# slot's FitOptions bounds; ``guess(t, y, positive times, opts)`` gives a
-# natural-unit start; ``finish`` returns (params, stderr, at_bounds,
-# degenerate).  With ``start_from_average``, ``fit_chip`` starts each
-# junction's fit from the chip-average fit's parameters, read by ``names``.
-# Two-log keeps its global grid start: from the average, its junction fits
-# took twice the LM iterations.
-_Model = namedtuple("_Model", "names box min_points init_lengths guess resid jac finish "
-                              "start_from_average")
+def _two_log_guess(t, y, tpos, opts):
+    return _two_log_start(t, y, tpos, opts)[1::2]
+
+
+def _two_log_expand(x, t, y, opts):
+    """The separable fit's end point x = (ln tau_int, ln tau_ext) as the
+    four-parameter model's (a_int, ln tau_int, a_ext, ln tau_ext), with that
+    model's Jacobian there, names and box: the standard errors and bounds
+    are those of the full model."""
+    ai, ae = _two_log_vp_resid(x, t, y, opts.a_bounds)[1][:2]
+    x = np.array([ai, x[0], ae, x[1]])
+    return x, _two_log_rj(x, t, y)[1], _TWO_KEYS, ("a_bounds", "log_tau_bounds") * 2
+
+
+# What sets each model's fit apart; ``_fit`` does the rest.  ``names`` are
+# the fitted parameters, ``box`` names each one's FitOptions bounds, and the
+# ``timescales`` slots are fitted in ln tau.  ``guess(t, y, positive times,
+# opts)`` gives a natural-unit start.  A separable model fits its
+# timescales only and solves its amplitudes inside the residual; its
+# ``expand(x, t, y, opts)`` gives the full (x, J, names, box) at the end,
+# with the timescales in the odd slots.  ``finish`` returns (params, stderr,
+# at_bounds, degenerate).  With ``start_from_average``, ``fit_chip`` starts
+# each junction's fit from the chip-average fit's parameters, read by
+# ``names``.  Two-log keeps its global grid start: from the average, its
+# junction fits took twice the LM iterations.
+_Model = namedtuple("_Model", "names box timescales min_points init_lengths guess resid jac "
+                              "expand finish start_from_average")
 _MODELS = {
     "single-log": _Model(
-        _SINGLE_KEYS, ("a_bounds", "log_tau_bounds", "b_bounds"), 4, (2, 3),
-        _single_log_guess, _single_log_resid, _single_log_jac,
+        _SINGLE_KEYS, ("a_bounds", "log_tau_bounds", "b_bounds"), (1,), 4, (2, 3),
+        _single_log_guess, _single_log_resid, _single_log_jac, None,
         lambda v, stderr, at, msgs: (AgingParams(*v), stderr, at, False), True,
     ),
     "two-log": _Model(
-        _TWO_KEYS, ("a_bounds", "log_tau_bounds") * 2, 6, (4,),
-        _two_log_start, _two_log_resid, _two_log_jac, _two_log_finish, False,
+        _TWO_KEYS[1::2], ("log_tau_bounds",) * 2, (0, 1), 6, (2,),
+        _two_log_guess, _two_log_vp_resid, _two_log_vp_jac, _two_log_expand,
+        _two_log_finish, False,
     ),
 }
 
 
-def _rj(model: str, x, t, y, **kw):
-    """Residuals and a fresh Jacobian of ``model`` at ``x``."""
-    m, x = _MODELS[model], np.asarray(x, dtype=float)
-    r, cache = m.resid(x, t, y, **kw)
-    return r, m.jac(cache, np.empty((t.size, x.size)))
+def _rj(resid, jac, x, t, y, **kw):
+    """Residuals and a fresh Jacobian of a model at ``x``."""
+    x = np.asarray(x, dtype=float)
+    r, cache = resid(x, t, y, **kw)
+    return r, jac(cache, np.empty((t.size, x.size)))
 
 
-_single_log_rj, _two_log_rj = partial(_rj, "single-log"), partial(_rj, "two-log")
+_single_log_rj = partial(_rj, _single_log_resid, _single_log_jac)
+_two_log_rj = partial(_rj, _two_log_resid, _two_log_jac)
+_two_log_vp_rj = partial(_rj, _two_log_vp_resid, _two_log_vp_jac)
+
+
+def _box(opts: FitOptions, fields):
+    """The lower and upper bounds of the named ``FitOptions`` bound fields."""
+    return (np.asarray([getattr(opts, field)[0] for field in fields]),
+            np.asarray([getattr(opts, field)[1] for field in fields]))
 
 
 def _fit(model: str, series, opts: FitOptions | None) -> FitResult:
@@ -470,16 +589,21 @@ def _fit(model: str, series, opts: FitOptions | None) -> FitResult:
     names, box, resid_kw = m.names, m.box, {}
     if fixed_b is not None:  # b, the last slot, leaves the fit for the residuals
         names, box, start, resid_kw = names[:-1], box[:-1], start[:-1], {"b_fixed": fixed_b}
-    lo = np.asarray([getattr(opts, field)[0] for field in box])
-    hi = np.asarray([getattr(opts, field)[1] for field in box])
-    x0 = [v if k % 2 == 0 else math.log(max(v, 1e-300)) for k, v in enumerate(start)]
+    if m.expand is not None:  # the amplitudes are solved inside the residuals
+        resid_kw = {"a_bounds": opts.a_bounds}
+    lo, hi = _box(opts, box)
+    x0 = [math.log(max(v, 1e-300)) if k in m.timescales else v for k, v in enumerate(start)]
     resid = partial(m.resid, t=t, y=y, **resid_kw)
     jac = partial(m.jac, out=np.empty((t.size, len(x0))))
-    x, r, J, rss, iters, stop = _lm_minimize(resid, jac, x0, lo, hi, opts)
+    x, r, J, rss, iters, stop = _lm_minimize(resid, jac, x0, lo, hi, opts, m.timescales)
+    if m.expand is not None:
+        x, J, names, box = m.expand(x, t, y, opts)
+        lo, hi = _box(opts, box)
 
     stderr, at = _stderr_and_bounds(x, J, rss, t.size, lo, hi, names)
     values = x.tolist()
-    # Report timescales in seconds: delta method through the exp reparameterization.
+    # Report timescales (the odd slots) in seconds: delta method through the
+    # exp reparameterization.
     for k in range(1, len(values), 2):
         values[k] = math.exp(values[k])
         stderr[names[k]] = values[k] * stderr[names[k]]
@@ -520,7 +644,10 @@ def fit_single_log(series, opts: FitOptions | None = None) -> FitResult:
 def fit_two_log(series, opts: FitOptions | None = None) -> FitResult:
     """Fit the two-channel model; channels are reported with tau_int >= tau_ext.
 
-    Requires >= 6 points.  Near-degenerate solutions (timescales within a
+    The fit is separable: Levenberg-Marquardt runs over (ln tau_int,
+    ln tau_ext), with the amplitudes of least rss inside ``a_bounds`` solved
+    at every trial point, so ``FitOptions.init`` takes the two timescales
+    only.  Requires >= 6 points.  Near-degenerate solutions (timescales within a
     factor of 2) are flagged ``degenerate_timescales`` since the channel
     split is then practically unidentifiable.
     """

@@ -25,8 +25,9 @@ sha256 of its stdout, of its stderr and of each file it wrote.  The temporary
 directory's path reads ``<tmp>`` in all of them.  There are no golden
 digests, because numpy's log may differ by ulps between builds: compare
 manifests made on one machine.  ``--compare`` prints every entry that differs,
-then one line per command and exit-code move with its count (``fit: 0 -> 3
-x2``), and exits 1 if any entry differs.
+then one line per command with its count of differing entries (``fit: 36
+differ``), then one line per command and exit-code move with its count
+(``fit: 0 -> 3 x2``), and exits 1 if any entry differs.
 """
 
 from __future__ import annotations
@@ -152,14 +153,17 @@ def compare(a: Path, b: Path) -> int:
     if len(ma["commands"]) != len(mb["commands"]):
         print(f"{len(ma['commands'])} vs {len(mb['commands'])} commands")
         differ = 1
-    moves = Counter()
+    counts, moves = Counter(), Counter()
     for i, (ea, eb) in enumerate(zip(ma["commands"], mb["commands"])):
         if ea != eb:
             differ = 1
             fields = [k for k in ea if ea[k] != eb.get(k)]
             print(f"{i}: {' '.join(ea['argv'])}: {', '.join(fields)} differ")
+            counts[ea["argv"][0]] += 1
             if ea["exit"] != eb["exit"]:
                 moves[ea["argv"][0], ea["exit"], eb["exit"]] += 1
+    for command, n in sorted(counts.items()):
+        print(f"{command}: {n} differ")
     for (command, old, new), n in sorted(moves.items()):
         print(f"{command}: {old} -> {new} x{n}")
     print(f"{len(ma['commands'])} commands: " + ("differ" if differ else "identical"))

@@ -51,8 +51,9 @@ def reference_anneal(ds, events, cfg, seed: int):
 
     ``events`` must be placeable (each starts at or after the previous
     record).  Returns ``(new_j, new_t, new_r, changes, min_r_over_r0)``:
-    the appended rows in step-major order, each step's per-junction
-    fractional changes, and the smallest R/R0 over the sequence.
+    the appended rows in step-major order, each step's fractional changes
+    of the junctions its event touches, and the smallest R/R0 over the
+    sequence.
     """
     tau_amb = cfg.env_tau_s[EnvironmentKind.AMBIENT]
     relax = cfg.relax_gas_to_gas_s
@@ -89,7 +90,8 @@ def reference_anneal(ds, events, cfg, seed: int):
         changes = []
         for j, info in junctions.items():
             state = _advance(info["state"], ev.t_s, info["a_eff"], tau_amb, relax)
-            if ev.junction_ids is None or j in ev.junction_ids:
+            touched = ev.junction_ids is None or j in ev.junction_ids
+            if touched:
                 if isinstance(ev.kind, ThermalAnneal):
                     state = apply_thermal_anneal(state, ev, cfg)
                 else:
@@ -98,7 +100,8 @@ def reference_anneal(ds, events, cfg, seed: int):
                 info["touched"] += 1
             state = _advance(state, t_meas, info["a_eff"], tau_amb, relax)
             r_now = info["r0"] * (1.0 + state.y)
-            changes.append(r_now / info["last_r"] - 1.0)
+            if touched:
+                changes.append(r_now / info["last_r"] - 1.0)
             min_r_over_r0 = min(min_r_over_r0, r_now / info["r0"])
             info["state"] = state
             info["last_r"] = r_now

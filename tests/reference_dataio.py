@@ -22,6 +22,11 @@ from jjaging.ensemble import ENV_LABELS, FLAGS, OPEN_RESISTANCE_THRESHOLD_OHM, C
 from jjaging.errors import ParseError
 
 
+def _quoted(field: str) -> str:
+    """A field as the messages quote it: at most 24 characters, then ``...``."""
+    return repr(field[:24]) + ("..." if len(field) > 24 else "")
+
+
 def reference_save_measurements(ds: ChipDataset, path) -> None:
     """Write a dataset in the measurement CSV schema (open rows keep an empty
     resistance field)."""
@@ -59,7 +64,8 @@ def reference_load_measurements(path) -> ChipDataset:
             raise ParseError(f"{path}: empty file (header required)")
         if [h.strip() for h in header] != MEASUREMENT_HEADER:
             raise ParseError(
-                f"{path}: bad header {header!r}; expected {','.join(MEASUREMENT_HEADER)}",
+                f"{path}: bad header [{', '.join(map(_quoted, header))}]; "
+                f"expected {','.join(MEASUREMENT_HEADER)}",
                 lines=[1],
             )
         for lineno, row in enumerate(reader, start=2):
@@ -82,10 +88,10 @@ def reference_load_measurements(path) -> ChipDataset:
             env = row[4].strip().lower()
             flag = row[5].strip().lower() if len(row) == 6 and row[5].strip() else "ok"
             if env not in ENV_LABELS:
-                problems.append((lineno, f"unknown environment {env!r}"))
+                problems.append((lineno, f"unknown environment {_quoted(env)}"))
                 continue
             if flag not in FLAGS:
-                problems.append((lineno, f"unknown flag {flag!r}"))
+                problems.append((lineno, f"unknown flag {_quoted(flag)}"))
                 continue
             if not (math.isfinite(t_s) and t_s >= 0):
                 problems.append((lineno, "t_seconds must be finite and >= 0"))
@@ -99,7 +105,7 @@ def reference_load_measurements(path) -> ChipDataset:
                 try:
                     r_ohm = float(raw_r)
                 except ValueError:
-                    problems.append((lineno, f"bad resistance {raw_r!r}"))
+                    problems.append((lineno, f"bad resistance {_quoted(raw_r)}"))
                     continue
                 if not math.isfinite(r_ohm) or r_ohm > OPEN_RESISTANCE_THRESHOLD_OHM:
                     r_ohm, flag = math.nan, "open"

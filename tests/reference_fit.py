@@ -13,6 +13,14 @@ original loop carries one later rule, restated here with numpy masks rather
 than the package's Python-float test: a ln tau parameter on its bound, with
 the gradient pointing into the box, is held out of the iteration's step.
 
+The package fits the two-log model separably, over its two ln tau only.
+``_two_log_vp_rj`` restates that model: the amplitudes from both
+closed-form candidates under numpy's rules (the package takes Python floats
+where no NaN can arise) and the Golub-Pereyra Jacobian built with masks
+and an adjugate inverse (the package branches on which amplitudes are
+free).  The original four-parameter model stays here for
+``reference_fit_two_log``, now a second oracle rather than an equal.
+
 ``jjaging.fitting`` runs both models through one driver, ``_fit``, with a
 per-model table.  ``reference_fit_single_log`` and ``reference_fit_two_log``
 are the two separate fit functions it replaced, unchanged but for their
@@ -109,6 +117,58 @@ def _two_log_rj(x, t, y, sw):
     return r, J
 
 
+def _two_log_candidates(moments, a_lo, a_hi):
+    """Both closed-form candidates of the bounded 2-amplitude least squares,
+    as numpy scalars under numpy's rules: a_int clipped from the
+    unconstrained minimizer and a_ext at its clipped 1-D minimizer, then the
+    reverse.  Returns rows of (rss - z.z, a_int, a_ext)."""
+    g_ii, g_ee, g_ie, c_i, c_e = (np.float64(v) for v in moments)
+    rows = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for first in (0, 1):
+            g1, g2, c1, c2 = (g_ii, g_ee, c_i, c_e) if first == 0 else (g_ee, g_ii, c_e, c_i)
+            a1 = np.fmin(np.fmax((c1 * g2 - c2 * g_ie) / (g1 * g2 - g_ie * g_ie), a_lo), a_hi)
+            rest = c2 - a1 * g_ie
+            a2 = np.fmin(np.fmax(rest / g2, a_lo), a_hi)
+            rss = a1 * (a1 * g1 - 2.0 * c1) + a2 * (a2 * g2 - 2.0 * rest)
+            rows.append((rss, a1, a2) if first == 0 else (rss, a2, a1))
+    return rows
+
+
+def _two_log_vp_rj(x, t, y, sw, a_bounds):
+    """The separable two-log model at x = (ln tau_int, ln tau_ext): the
+    residual at the least-rss amplitudes in the box, and the Golub-Pereyra
+    Jacobian over the amplitudes strictly inside it, built with masks."""
+    lti, lte = x
+    taui, taue = math.exp(lti), math.exp(lte)
+    ui = 1.0 + t / taui
+    ue = 1.0 + t / taue
+    A = np.stack([np.log(ui), np.log(ue), y - 1.0])
+    M = A[:2] @ A.T
+    rows = _two_log_candidates((M[0, 0], M[1, 1], M[0, 1], M[0, 2], M[1, 2]), *a_bounds)
+    _, ai, ae = min(rows, key=lambda row: row[0])   # the first of equal rss
+    a = np.array([float(ai), float(ae)])
+    r = (1.0 + a[0] * A[0] + a[1] * A[1] - y) * sw
+    J = np.column_stack([-a[0] * (t / taui) / ui, -a[1] * (t / taue) / ue]) * sw[:, None]
+    free = (a > a_bounds[0]) & (a < a_bounds[1])
+    G = M[:, :2]
+    # G restricted to the free amplitudes, inverted by its adjugate and padded
+    # with zeros: W's rows of amplitudes on a bound then drop out.
+    H = np.zeros((2, 2))
+    if free.all():
+        det = G[0, 0] * G[1, 1] - G[0, 1] * G[0, 1]
+        H = np.array([[G[1, 1], -G[0, 1]], [-G[0, 1], G[0, 0]]]) / det
+    elif free.any():
+        H[free, free] = 1.0 / G[free, free]
+    if H.any():
+        W = A[:2] @ J
+        minus_D = np.stack([t / taui / ui, t / taue / ue])
+        for k in np.flatnonzero(free):
+            W[k, k] -= minus_D[k] @ r
+        J = J - A[:2].T @ (H[:, :, None] * W[None]).sum(axis=1)
+    return r, J
+
+
 def _lm_minimize(fun, x0, lo, hi, opts, timescales):
     """Damped least squares over a box; accepts only rss-decreasing steps.
 
@@ -173,23 +233,25 @@ def _lm_minimize(fun, x0, lo, hi, opts, timescales):
 _REFERENCE_MODELS = {
     fitting._single_log_resid: (_single_log_rj, [1]),
     fitting._two_log_resid: (_two_log_rj, [1, 3]),
+    fitting._two_log_vp_resid: (_two_log_vp_rj, [0, 1]),
 }
 
 
-def reference_lm_minimize(resid, jac, x0, lo, hi, opts):
+def reference_lm_minimize(resid, jac, x0, lo, hi, opts, timescales):
     """The original kernel on the original model, called like the package's.
 
     ``resid`` is the package's ``functools.partial`` over a model's residual
-    function; its bound data select the original model.  The original models
-    take square-root weights and ran unweighted fits with all-ones weights,
-    which is what is passed here.  The original kernel does not tell its
+    function; its bound data select the original model, whose ln tau slots
+    come from this module's table (``timescales`` is not read).  The
+    original models take square-root weights and ran unweighted fits with
+    all-ones weights, which is what is passed here.  The original kernel does not tell its
     exits apart, so the stop reason is ``"max_iter"`` when it did not
     converge and ``None`` otherwise.
     """
     kw = dict(resid.keywords, sw=np.ones_like(resid.keywords["t"]))
-    model, timescales = _REFERENCE_MODELS[resid.func]
+    model, own_timescales = _REFERENCE_MODELS[resid.func]
     x, r, J, rss, converged, iterations = _lm_minimize(
-        lambda x: model(x, **kw), x0, lo, hi, opts, timescales
+        lambda x: model(x, **kw), x0, lo, hi, opts, own_timescales
     )
     return x, r, J, rss, iterations, None if converged else "max_iter"
 
@@ -256,7 +318,7 @@ def reference_fit_single_log(series, opts: FitOptions | None = None) -> FitResul
 
     resid = partial(_single_log_resid, t=t, y=y, b_fixed=fixed_b)
     jac = partial(_single_log_jac, out=np.empty((t.size, len(x0))))
-    x, r, J, rss, iters, stop = fitting._lm_minimize(resid, jac, x0, lo, hi, opts)
+    x, r, J, rss, iters, stop = fitting._lm_minimize(resid, jac, x0, lo, hi, opts, (1,))
 
     stderr, at = _stderr_and_bounds(x, J, rss, t.size, lo, hi, names)
     # Report tau in seconds: delta method through the exp reparameterization.
@@ -304,7 +366,7 @@ def reference_fit_two_log(series, opts: FitOptions | None = None) -> FitResult:
 
     resid = partial(_two_log_resid, t=t, y=y)
     jac = partial(_two_log_jac, out=np.empty((t.size, 4)))
-    x, r, J, rss, iters, stop = fitting._lm_minimize(resid, jac, x0, lo, hi, opts)
+    x, r, J, rss, iters, stop = fitting._lm_minimize(resid, jac, x0, lo, hi, opts, (1, 3))
 
     names = ["a_int", "tau_int_s", "a_ext", "tau_ext_s"]
     stderr, at = _stderr_and_bounds(x, J, rss, t.size, lo, hi, names)

@@ -394,6 +394,45 @@ class TestFit:
         assert "line 10: chip_id 'B' differs from 'A'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_field_past_the_csv_limit_exits_2_naming_the_line(self, tmp_path, capsys):
+        # csv.reader refuses a field longer than csv.field_size_limit()
+        # (131072 characters); it used to escape as a traceback.
+        data = self._simulate(tmp_path, "chip1", "14")
+        lines = data.read_text().splitlines(keepends=True)
+        lines[3] = "x" * 200_000 + lines[3][lines[3].index(","):]
+        data.write_text("".join(lines))
+        out = tmp_path / "r.json"
+        assert run("fit", str(data), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 4: field larger than field limit" in err
+        assert not out.exists()
+
+    def test_long_fields_are_echoed_cut(self, tmp_path, capsys):
+        # A quote that opens line 4's environment field swallows the rest of
+        # the file into it; the message echoes 24 characters of it.
+        data = self._simulate(tmp_path, "chip1", "14")
+        lines = data.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].replace("ambient", '"ambient', 1)
+        data.write_text("".join(lines))
+        assert run("fit", str(data), "--out", str(tmp_path / "r.json")) == 2
+        err = capsys.readouterr().err
+        field = "".join(lines[3:]).split(',"', 1)[1].lower()
+        assert f"line 4: unknown environment {field[:24]!r}...\n" in err
+        assert len(err) < 200
+        # Each capped message: flag, resistance and chip_id.
+        rows = "".join(f"A,{j},{t},10000.0,ambient,ok\n" for j in range(4) for t in (0.0, 86400.0))
+        long = "z" * 30
+        for row, want in [
+            (f"A,0,7200.0,10000.0,ambient,{long}\n", f"unknown flag {long[:24]!r}...\n"),
+            (f"A,0,7200.0,{long},ambient,ok\n", f"bad resistance {long[:24]!r}...\n"),
+            (f"{long},0,7200.0,10000.0,ambient,ok\n",
+             f"chip_id {long[:24]!r}... differs from 'A' on line 2"),
+        ]:
+            data.write_text(
+                "chip_id,junction_id,t_seconds,resistance_ohms,environment,flag\n" + rows + row)
+            assert run("fit", str(data), "--out", str(tmp_path / "r.json")) == 2
+            assert f"line 10: {want}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("faults, code, lines", [
         ({}, 0, []),
         ({"average": {"converged": False}}, 3, ["warning: 1 fit(s) did not converge"]),
@@ -826,6 +865,29 @@ class TestAnneal:
         events.write_text("event,20,voltage,junctions=7-8\n")
         assert run("anneal", str(data), "--events", str(events), "--seed", "1",
                    "--out", str(out)) == 0
+
+    def test_step_change_is_the_mean_over_the_touched_junctions(self, tmp_path, capsys):
+        # An oven step on junction 8 alone: the step reports that junction's
+        # change, not a mean that is mostly the wait's aging of the others.
+        data = tmp_path / "aged.csv"
+        assert run("simulate", "--preset", "chip6", "--target-days", "14", "--seed", "1",
+                   "--out", str(data)) == 0
+        events, out = tmp_path / "e.txt", tmp_path / "x.csv"
+        for ids, touched in (("8", [8]), ("7-9", [8, 9]), (None, None)):
+            events.write_text("event,20,thermal,temp_c=200,env=ambient,hold_min=0"
+                              + (f",junctions={ids}\n" if ids else "\n"))
+            assert run("anneal", str(data), "--events", str(events), "--seed", "1",
+                       "--out", str(out)) == 0
+            ds = load_measurements(out)
+            change = {}
+            for j, lo, hi in ds.junction_rows():
+                r = ds.r_ohm[lo:hi][ds.flag[lo:hi] == 0]
+                if r.size:
+                    change[j] = r[-1] / r[-2] - 1.0
+            want = float(np.mean([change[j] for j in (touched or sorted(change))]))
+            step = json.loads(out.with_suffix(".steps.json").read_text())["steps"][0]
+            assert step["mean_fractional_change"] == pytest.approx(want, rel=1e-12)
+            assert f"mean change {want * 100:+.3f}%" in capsys.readouterr().out
 
     def test_inverted_junction_range_exits_2(self, tmp_path, capsys):
         data = self._dataset(tmp_path, days="20")

@@ -60,6 +60,8 @@ def test_compare_counts_exit_code_moves(tmp_path, capsys):
         "1: fit b.csv: exit differ\n"
         "2: fit c.csv: exit differ\n"
         "3: anneal a.csv: stdout differ\n"
+        "anneal: 1 differ\n"
+        "fit: 3 differ\n"
         "fit: 0 -> 3 x2\n"
         "fit: 3 -> 0 x1\n"
         "5 commands: differ\n")
@@ -67,4 +69,5 @@ def test_compare_counts_exit_code_moves(tmp_path, capsys):
     paths[1].write_text(json.dumps({"python": "3", "numpy": "2",
                                     "commands": old[:3] + new[3:]}))
     assert cli_gate.compare(*paths) == 1
-    assert capsys.readouterr().out == "3: anneal a.csv: stdout differ\n5 commands: differ\n"
+    assert capsys.readouterr().out == (
+        "3: anneal a.csv: stdout differ\nanneal: 1 differ\n5 commands: differ\n")

@@ -163,6 +163,8 @@ FIELD_MUTATIONS = [
     (2, ""), (3, ""), (3, "0"), (3, "-5"), (3, "2.5e6"), (3, "1e6"), (3, "nan"), (3, "inf"),
     (3, "-inf"), (3, "abc"), (3, " 12.5 "), (4, "mars"), (4, " AmBiEnT "), (4, ""),
     (5, "broken"), (5, " OPEN"), (5, "Ok"), (5, ""), (5, "open"),
+    # Longer than the 24 characters a message quotes.
+    (3, "1" * 24 + "x"), (4, "m" * 30), (5, "b" * 25),
 ]
 BLANK_LINES = [[], [""], ["   "], [""] * 5, [" "] * 6, [""] * 3, ["", "\t"]]
 # Weighted so that each row check fails in some examples.
@@ -235,6 +237,7 @@ def test_reader_equals_reference_on_mutated_files(tmp_path, records):
     " chip_id , junction_id,t_seconds,resistance_ohms,environment,flag\n",
     "chip_id,junction_id,t_seconds,resistance_ohms,environment,flag\n",
     "chip_id,junction_id,t_seconds,resistance_ohms,environment,flag\n\n\n",
+    'chip_id,junction_id,t_seconds,resistance_ohms,"environment,flag\nc,0,0.0,1.0,ambient\n',
 ])
 def test_reader_equals_reference_on_headers(tmp_path, text):
     path = tmp_path / "h.csv"

@@ -24,7 +24,7 @@ from jjaging import (
 )
 from jjaging import fitting
 from jjaging.ensemble import ENV_LABELS, FLAGS
-from jjaging.fitting import _inv, _single_log_rj, _solve, _two_log_rj
+from jjaging.fitting import _inv, _single_log_rj, _solve, _two_log_rj, _two_log_vp_rj
 
 DAY = 86400.0
 CHIP1 = AgingParams(a=0.21, tau_s=1.2e4, b=1.01)
@@ -156,8 +156,8 @@ class TestTwoLogFit:
         gen = TwoLogParams(a_int=0.10, tau_int_s=3.9e4, a_ext=0.11, tau_ext_s=1.2e4)
         t = np.logspace(3, np.log10(5e6), 40)
         series = np.column_stack([t, eval_two_log(gen, t)])
-        r1 = fit_two_log(series, FitOptions(model="two-log", init=(0.10, 3.9e4, 0.11, 1.2e4)))
-        r2 = fit_two_log(series, FitOptions(model="two-log", init=(0.11, 1.2e4, 0.10, 3.9e4)))
+        r1 = fit_two_log(series, FitOptions(model="two-log", init=(3.9e4, 1.2e4)))
+        r2 = fit_two_log(series, FitOptions(model="two-log", init=(1.2e4, 3.9e4)))
         assert r1.params.tau_int_s >= r1.params.tau_ext_s
         assert r2.params.tau_int_s >= r2.params.tau_ext_s
         assert r1.params.a_int == pytest.approx(r2.params.a_int, rel=1e-6)
@@ -217,6 +217,34 @@ class TestJacobians:
                 rng.uniform(0.02, 0.9), rng.uniform(math.log(3e2), math.log(3e7)),
             ])
             np.testing.assert_allclose(fun(x)[1], self._fd(fun, x), rtol=1e-6, atol=1e-9)
+
+
+    def test_separable_two_log_jacobian_vs_central_differences(self):
+        # The projected residual is smooth where the set of amplitudes on a
+        # bound does not change: points whose difference stencil crosses a
+        # switch are skipped, and every set is required to occur.
+        rng = np.random.default_rng(29)
+        t = np.logspace(3, 6.5, 25)
+        gen = TwoLogParams(a_int=0.1, tau_int_s=3.9e4, a_ext=0.11, tau_ext_s=1.2e4)
+        y = eval_two_log(gen, t) * (1.0 + 0.01 * rng.standard_normal(t.size))
+        seen = set()
+        for a_bounds in [(0.0, 1.0), (0.0, 0.05), (0.02, 0.08), (0.15, 0.3)]:
+            lo, hi = a_bounds
+
+            def free(x):
+                return tuple(lo < a < hi for a in fitting._two_log_vp_resid(x, t, y, a_bounds)[1][:2])
+
+            fun = lambda x: _two_log_vp_rj(x, t, y, a_bounds=a_bounds)
+            for _ in range(100):
+                x = rng.uniform(math.log(3e2), math.log(3e7), 2)
+                steps = np.diag(1e-5 * np.maximum(abs(x), 1.0))   # _fd's, at eps=1e-5
+                if len({free(x)} | {free(x + s) for s in steps} | {free(x - s) for s in steps}) > 1:
+                    continue
+                seen.add(free(x))
+                J = fun(x)[1]
+                np.testing.assert_allclose(J, self._fd(fun, x, eps=1e-5),
+                                           rtol=1e-6, atol=1e-7 * abs(J).max())
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 class TestGridOracle:
