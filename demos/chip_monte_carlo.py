@@ -19,7 +19,6 @@ from jjaging import (
     draw_chip,
     export_plot_data,
     fit_chip,
-    parameter_histogram,
     simulate_chip,
 )
 
@@ -58,8 +57,13 @@ def main():
     print(f"fitted {len(results)} junctions; average curve: "
           f"a={out.average.params.a:.3f}, tau={out.average.params.tau_s:.3g} s, "
           f"b={out.average.params.b:.3f}")
-    for field in ("a", "log_tau", "b"):
-        counts, edges = parameter_histogram(results, field, n_bins=6)
+    fitted = {
+        "a": [r.params.a for r in results],
+        "log_tau": [np.log(r.params.tau_s) for r in results],
+        "b": [r.params.b for r in results],
+    }
+    for field, values in fitted.items():
+        counts, edges = np.histogram(values, bins=6)
         print(f"  {field:8s} histogram: counts {[int(c) for c in counts]} over "
               f"[{edges[0]:.3g}, {edges[-1]:.3g}]")
 

@@ -9,16 +9,15 @@ resistance is exponentially sensitive to the effective barrier.
 Run: python demos/fit_and_predict.py
 """
 
+import math
 import pathlib
 import tempfile
 
 from jjaging import (
-    BarrierParams,
+    DEFAULT_CONSTANTS,
     PhysicalConstants,
-    barrier_kappa,
     critical_current_from_resistance,
     qubit_frequency_shift,
-    resistance_ratio_from_barrier,
 )
 from jjaging.cli import main as cli
 
@@ -44,12 +43,13 @@ def main():
          "--delta-uev", "180", "--out", str(pred)])
 
     print("\n=== 4. Barrier sensitivity: why storage matters ===")
+    # Tunneling through a rectangular barrier gives R ~ exp(2 kappa d) with
+    # kappa = sqrt(2 m U) / hbar, so R2/R1 = exp(2 (kappa2 d2 - kappa1 d1)).
     u = 2.0 * EV
     m = 9.1093837015e-31
-    b1 = BarrierParams(thickness_d_m=1.0e-9, height_U_J=u, mass_m_kg=m)
-    b2 = BarrierParams(thickness_d_m=1.0e-9 + 0.3e-10, height_U_J=u, mass_m_kg=m)
-    kappa = barrier_kappa(b1)
-    ratio = resistance_ratio_from_barrier(b1, b2)
+    d1, d2 = 1.0e-9, 1.0e-9 + 0.3e-10
+    kappa = math.sqrt(2.0 * m * u) / DEFAULT_CONSTANTS.hbar_Js
+    ratio = math.exp(2.0 * (kappa * d2 - kappa * d1))
     print(f"kappa = {kappa:.3g} 1/m; a 0.3 angstrom thickness change "
           f"multiplies R by {ratio:.2f}")
 

@@ -21,18 +21,15 @@ from .model import (
     GLOVEBOX,
     VACUUM,
     AgingParams,
-    BarrierParams,
     Environment,
     EnvironmentKind,
     PhysicalConstants,
     TwoLogParams,
-    barrier_kappa,
     critical_current_from_resistance,
     effective_tau,
     eval_single_log,
     eval_two_log,
     qubit_frequency_shift,
-    resistance_ratio_from_barrier,
 )
 from .trajectory import (
     DAY_S,
@@ -67,7 +64,6 @@ from .fitting import (
     fit_single_log,
     fit_two_log,
     grid_search_oracle,
-    parameter_histogram,
 )
 from .dataio import (
     MEASUREMENT_HEADER,

@@ -522,9 +522,23 @@ def _among(choices: tuple):
     return decode
 
 
+def _json(kind: str, *types):
+    """A decoder for one JSON ``kind``, by the Python ``types`` that json.loads
+    gives it: as True == 1 and 6 == 6.0, the write-back check cannot tell."""
+    def decode(v):
+        if type(v) not in types:
+            raise ValueError(f"{v!r} is not a JSON {kind}")
+        return float(v) if kind == "number" else v
+    return decode
+
+
+_boolean, _integer = _json("boolean", bool), _json("integer", int)
+_number = _json("number", int, float)
+
+
 def _params_from_dict(p: dict, where: str):
     kind = _field(p, "kind", _among(tuple(_PARAM_KINDS)), where)
-    return _PARAM_KINDS[kind](**{k: _field(p, k, float, where) for k in p if k != "kind"})
+    return _PARAM_KINDS[kind](**{k: _field(p, k, _number, where) for k in p if k != "kind"})
 
 
 def _fit_from_dict(d: dict, where: str = "") -> FitResult:
@@ -534,13 +548,13 @@ def _fit_from_dict(d: dict, where: str = "") -> FitResult:
     get = partial(_field, d, where=where)
     fit = FitResult(
         params=get("params", lambda p: _params_from_dict(p, f"{where}params.")),
-        stderr=get("stderr", lambda s: {k: math.nan if v is None else float(v)
+        stderr=get("stderr", lambda s: {k: math.nan if v is None else _number(v)
                                         for k, v in s.items()}),
-        rss=get("rss", float), converged=get("converged", bool),
-        n_points=get("n_points", int), iterations=get("iterations", int),
+        rss=get("rss", _number), converged=get("converged", _boolean),
+        n_points=get("n_points", _integer), iterations=get("iterations", _integer),
         at_bounds=get("at_bounds", lambda v: tuple(map(str, v))),
         messages=get("messages", lambda v: tuple(map(str, v))),
-        degenerate_timescales=get("degenerate_timescales", bool),
+        degenerate_timescales=get("degenerate_timescales", _boolean),
         stop_reason=get("stop_reason",
                         lambda v: None if v is None else _among(STOP_REASONS)(v)),
     )
@@ -603,23 +617,25 @@ class FitReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitReport":
-        """The report ``d`` encodes; scalars are built by their types'
-        constructors, and a missing or refused field is a ValueError naming it."""
+        """The report ``d`` encodes; a boolean, integer or number field takes
+        only that JSON type (an integer is a number too), and a missing or
+        refused field is a ValueError naming it."""
         get = partial(_field, d)
-        get("schema_version", _among((2,)))
+        get("schema_version", lambda v: _among((2,))(_integer(v)))
         return cls(
             chip_id=get("chip_id", str),
-            junction_ids=get("junction_ids", lambda v: tuple(map(int, v))),
+            junction_ids=get("junction_ids", lambda v: tuple(map(_integer, v))),
             per_junction=get("per_junction", lambda v: {
                 int(j): _fit_from_dict(f, f"per_junction.{j}.") for j, f in v.items()}),
             average=get("average", lambda v: _fit_from_dict(v, "average.")),
-            r0_ohm=get("r0_ohm", lambda v: {int(j): float(r) for j, r in v.items()}),
-            average_r0_ohm=get("average_r0_ohm", float),
+            r0_ohm=get("r0_ohm", lambda v: {int(j): _number(r) for j, r in v.items()}),
+            average_r0_ohm=get("average_r0_ohm", _number),
             cv_series=get("cv_series", lambda v: tuple(
-                (float(t), None if cv is None else float(cv), int(n)) for t, cv, n in v)),
+                (_number(t), None if cv is None else _number(cv), _integer(n))
+                for t, cv, n in v)),
             skipped=get("skipped", lambda v: {int(j): str(msg) for j, msg in v.items()}),
             provenance=get("provenance", lambda v: v),
-            last_t_s=get("last_t_s", float),
+            last_t_s=get("last_t_s", _number),
             last_env=get("last_env", _among(ENV_LABELS)),
         )
 
@@ -688,7 +704,7 @@ def read_report(path) -> FitReport:
     if not isinstance(d, dict):
         raise ParseError(f"{path}: malformed report: not a JSON object")
     try:
-        if d.get("schema_version") == 1:
+        if type(d.get("schema_version")) is int and d["schema_version"] == 1:
             d = _from_v1(d)
         report = FitReport.from_dict(d)
     except ValueError as exc:   # a bad field, named, or junctions absent from the dataset

@@ -31,6 +31,7 @@ minimizer, sharing only the model formula with the iterative fitter.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import warnings
@@ -54,7 +55,6 @@ __all__ = [
     "fit_two_log",
     "fit_chip",
     "grid_search_oracle",
-    "parameter_histogram",
 ]
 
 # The exits of ``_lm_minimize``, the values of ``FitResult.stop_reason``: a
@@ -387,15 +387,21 @@ def _lm_minimize(resid, jac, x0, lo, hi, opts: FitOptions, timescales):
 
 def _stderr_and_bounds(x, J, rss, n, lo, hi, names):
     p = len(x)
+    scale = rss / (n - p) if n > p else float("nan")
     try:
-        cov = _inv(J.T @ J) * (rss / (n - p) if n > p else float("nan"))
-        sig = np.sqrt(np.maximum(cov.diagonal(), 0.0)).tolist()
+        var = _inv(J.T @ J).diagonal() * scale
     except LinAlgError:
-        sig = [float("nan")] * p
+        # Zero columns of J (the tau of an amplitude at 0, say) make J.T @ J
+        # singular: their errors are NaN, the others' come from the rest.
+        live = J.any(axis=0)
+        J_live, var = J[:, live], np.full(p, math.nan)
+        with contextlib.suppress(LinAlgError):
+            var[live] = _inv(J_live.T @ J_live).diagonal() * scale
+    sig = np.sqrt(np.maximum(var, 0.0))
     at = tuple(name for name, v, v_lo, v_hi in zip(names, x.tolist(), lo.tolist(), hi.tolist())
                if math.isclose(v, v_lo, rel_tol=0, abs_tol=1e-12)
                or math.isclose(v, v_hi, rel_tol=0, abs_tol=1e-12))
-    return dict(zip(names, sig)), at
+    return dict(zip(names, sig.tolist())), at
 
 
 _SINGLE_KEYS = ("a", "tau_s", "b")
@@ -781,36 +787,3 @@ def grid_search_oracle(series, grid: Mapping[str, Sequence[float]]):
             best_idx = start + k
     best = {name: float(flat[k][best_idx]) for k, name in enumerate(names)}
     return best, best_rss
-
-
-_HIST_GETTERS = {
-    "a": lambda p: p.a,
-    "tau": lambda p: p.tau_s,
-    "log_tau": lambda p: math.log(p.tau_s),
-    "b": lambda p: p.b,
-}
-
-
-def parameter_histogram(results: Sequence[FitResult], field: str, n_bins: int):
-    """Histogram one recovered parameter across fit results.
-
-    ``field`` is one of a, tau, log_tau, b; log_tau bins are uniform in
-    ln(tau).  Returns ``(counts, edges)`` as numpy arrays (np.histogram
-    convention); total counts equal the number of results.
-    """
-    if field not in _HIST_GETTERS:
-        raise ValidationError(f"unknown histogram field {field!r}; "
-                              f"choose from {tuple(_HIST_GETTERS)}")
-    if not results:
-        raise InsufficientDataError("need at least one fit result")
-    if n_bins < 1:
-        raise ValidationError("n_bins must be >= 1")
-    if not all(isinstance(res.params, AgingParams) for res in results):
-        raise ValidationError("parameter histograms expect single-log fit results")
-    arr = np.asarray([_HIST_GETTERS[field](res.params) for res in results])
-    vmin, vmax = float(arr.min()), float(arr.max())
-    # Values too close for n_bins + 1 distinct edges (equal ones included).
-    if not (np.diff(np.linspace(vmin, vmax, n_bins + 1)) > 0).all():
-        vmin, vmax = vmin - 0.5, vmax + 0.5
-    counts, edges = np.histogram(arr, bins=n_bins, range=(vmin, vmax))
-    return counts, edges

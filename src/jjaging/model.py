@@ -12,12 +12,9 @@ where the "internal" channel is insensitive to the storage environment and
 the "external" channel carries the environment-dependent kinetics.  All
 logarithms are natural logarithms and all times are seconds.
 
-It also provides the tunnel-barrier sensitivity relation
-``R ~ exp(2 kappa d)`` (exposed as resistance *ratios* only, since the
-proportionality prefactor is not modeled), the zero-temperature
-Ambegaokar-Baratoff mapping from normal-state resistance to critical
-current, and a transmon-style fractional frequency shift for a given
-fractional resistance change.
+It also provides the zero-temperature Ambegaokar-Baratoff mapping from
+normal-state resistance to critical current, and a transmon-style
+fractional frequency shift for a given fractional resistance change.
 
 A storage ``Environment`` is its ``EnvironmentKind`` (ambient air, nitrogen
 glovebox, high vacuum): the kinetics config keys the aging timescales and
@@ -45,14 +42,11 @@ __all__ = [
     "VACUUM",
     "AgingParams",
     "TwoLogParams",
-    "BarrierParams",
     "PhysicalConstants",
     "DEFAULT_CONSTANTS",
     "eval_single_log",
     "eval_two_log",
     "effective_tau",
-    "barrier_kappa",
-    "resistance_ratio_from_barrier",
     "critical_current_from_resistance",
     "qubit_frequency_shift",
 ]
@@ -134,21 +128,6 @@ class TwoLogParams:
         for name in ("tau_int_s", "tau_ext_s", "r0_ohm"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
-                raise ParameterError(f"{name} must be finite and > 0, got {v}")
-
-
-@dataclass(frozen=True)
-class BarrierParams:
-    """Effective rectangular tunnel-barrier parameters (SI units)."""
-
-    thickness_d_m: float
-    height_U_J: float
-    mass_m_kg: float
-
-    def __post_init__(self):
-        for name in ("thickness_d_m", "height_U_J", "mass_m_kg"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
                 raise ParameterError(f"{name} must be finite and > 0, got {v}")
 
 
@@ -237,26 +216,6 @@ def effective_tau(p: TwoLogParams) -> float:
         raise ParameterError("effective_tau requires a_int + a_ext > 0")
     log_tau = (p.a_int * math.log(p.tau_int_s) + p.a_ext * math.log(p.tau_ext_s)) / a
     return math.exp(log_tau)
-
-
-def barrier_kappa(bp: BarrierParams, c: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Tunneling decay constant ``kappa = sqrt(2 m U) / hbar`` in 1/m."""
-    return math.sqrt(2.0 * bp.mass_m_kg * bp.height_U_J) / c.hbar_Js
-
-
-def resistance_ratio_from_barrier(
-    b1: BarrierParams, b2: BarrierParams, c: PhysicalConstants = DEFAULT_CONSTANTS
-) -> float:
-    """Resistance ratio ``R2/R1 = exp(2 (kappa2 d2 - kappa1 d1))``.
-
-    Only ratios are exposed: the absolute-resistance prefactor of the
-    rectangular-barrier picture is not modeled.  Monotonically increasing
-    in d and U, equal to 1 for identical barriers, and composes
-    multiplicatively across intermediate barriers.
-    """
-    k1 = barrier_kappa(b1, c)
-    k2 = barrier_kappa(b2, c)
-    return math.exp(2.0 * (k2 * b2.thickness_d_m - k1 * b1.thickness_d_m))
 
 
 def critical_current_from_resistance(

@@ -29,7 +29,10 @@ names and for calling the package kernel as ``fitting._lm_minimize``; their
 function two frames up.  Their series check and standard-error step are the
 original ``_check_series`` and ``_stderr_and_bounds`` (``np.linalg.inv``,
 ``np.diag``, one ``math.isclose`` test per parameter), kept here so that a
-change to the package's versions shows as a mismatch.
+change to the package's versions shows as a mismatch.  The standard-error
+step also restates the package's rule for a singular J.T @ J: a parameter
+whose column of J is all zero gets NaN, and the others come from the system
+without those columns.
 """
 
 import math
@@ -70,11 +73,20 @@ def _check_series(series, min_points: int) -> tuple[np.ndarray, np.ndarray]:
 def _stderr_and_bounds(x, J, rss, n, lo, hi, names):
     p = len(x)
     stderr = {}
+    scale = rss / (n - p) if n > p else float("nan")
+    sig = np.full(p, float("nan"))
     try:
-        cov = np.linalg.inv(J.T @ J) * (rss / (n - p) if n > p else float("nan"))
-        sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        sig = np.sqrt(np.maximum(np.diag(np.linalg.inv(J.T @ J) * scale), 0.0))
     except np.linalg.LinAlgError:
-        sig = np.full(p, float("nan"))
+        # Only the parameters whose column of J is all zero lose their
+        # error, unless the system without those columns is singular too.
+        keep = np.any(J != 0, axis=0)
+        if keep.any() and not keep.all():
+            Jk = J[:, keep]
+            try:
+                sig[keep] = np.sqrt(np.maximum(np.diag(np.linalg.inv(Jk.T @ Jk) * scale), 0.0))
+            except np.linalg.LinAlgError:
+                pass
     at = []
     for k, name in enumerate(names):
         stderr[name] = float(sig[k])

@@ -356,6 +356,22 @@ class TestFit:
         assert p["tau_int_s"] >= p["tau_ext_s"]
         assert p["a_int"] + p["a_ext"] == pytest.approx(0.21, abs=0.02)
 
+    def test_two_log_channel_at_zero_keeps_the_other_stderrs(self, tmp_path, capsys):
+        # chip4's two-log fits each end with one amplitude at 0, whose tau
+        # column of J is zero: only that tau's stderr is null.
+        data, report = tmp_path / "d.csv", tmp_path / "r.json"
+        assert run("simulate", "--preset", "chip4", "--target-days", "56", "--seed", "1",
+                   "--out", str(data)) == 0
+        assert run("fit", str(data), "--model", "two-log", "--out", str(report)) == 3
+        d = json.loads(report.read_text())
+        for fit in (d["average"], *d["per_junction"].values()):
+            p, se = fit["params"], fit["stderr"]
+            dead, live = ("int", "ext") if p["a_int"] == 0.0 else ("ext", "int")
+            assert p[f"a_{dead}"] == 0.0 < p[f"a_{live}"]
+            assert se[f"tau_{dead}_s"] is None
+            assert all(math.isfinite(se[k]) and se[k] > 0
+                       for k in ("a_int", "a_ext", f"tau_{live}_s"))
+
     @pytest.mark.parametrize("rows", [
         "c,0,0,10000,ambient,ok\nc,0,nan,11000,ambient,ok\n",
         "c,0,0,10000,ambient,ok\nc,0,inf,11000,ambient,ok\n",
@@ -564,9 +580,28 @@ class TestPredict:
          "bad 'average.stop_reason' (ValueError: 'banana' is not one of"),
         (lambda d: d["average"].update(converged=True, stop_reason="max_iter"),
          "bad 'average.stop_reason' ('max_iter' on a fit with converged True)"),
+        # JSON types that Python compares equal to the right ones.
+        (lambda d: d["average"].update(converged=1),
+         "bad 'average.converged' (ValueError: 1 is not a JSON boolean)"),
+        (lambda d: d["per_junction"]["3"].update(degenerate_timescales=0),
+         "bad 'per_junction.3.degenerate_timescales' (ValueError: 0 is not a JSON boolean)"),
+        (lambda d: d["average"].update(iterations=6.0),
+         "bad 'average.iterations' (ValueError: 6.0 is not a JSON integer)"),
+        (lambda d: d["per_junction"]["3"].update(n_points=31.0),
+         "bad 'per_junction.3.n_points' (ValueError: 31.0 is not a JSON integer)"),
+        (lambda d: d.update(schema_version=2.0),
+         "bad 'schema_version' (ValueError: 2.0 is not a JSON integer)"),
+        (lambda d: d.update(junction_ids=[0, True]),
+         "bad 'junction_ids' (ValueError: True is not a JSON integer)"),
+        (lambda d: d["average"].update(rss=True),
+         "bad 'average.rss' (ValueError: True is not a JSON number)"),
+        (lambda d: d["per_junction"]["3"]["params"].update(b=False),
+         "bad 'per_junction.3.params.b' (ValueError: False is not a JSON number)"),
     ], ids=["junction_ids-number", "three-log", "n_points-string", "params-without-a",
             "fit-without-rss", "last_env-unknown", "rss-nan", "r0-minus-infinity",
-            "stop_reason-unknown", "converged-max_iter"])
+            "stop_reason-unknown", "converged-max_iter", "converged-integer",
+            "degenerate-integer", "iterations-float", "n_points-float",
+            "schema_version-float", "junction_ids-bool", "rss-bool", "params-bool"])
     def test_malformed_report_message_names_the_field(self, tmp_path, capsys, fit_report,
                                                       mutate, named):
         d = copy.deepcopy(fit_report)

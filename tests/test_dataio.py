@@ -665,6 +665,22 @@ def _typed_nodes(d: dict):
     return nodes
 
 
+def _retyped(value) -> list:
+    """Values of another JSON type than ``value``: a string goes in a list;
+    anything else becomes its JSON text or, for a bool, int or float, one of
+    the others, which Python compares equal to it.  A float becomes only a
+    bool, since a number field takes an integer too."""
+    if isinstance(value, str):
+        return [[value]]
+    if isinstance(value, bool):
+        return [json.dumps(value), int(value), float(value)]
+    if isinstance(value, int):
+        return [json.dumps(value), float(value), bool(value)]
+    if isinstance(value, float):
+        return [json.dumps(value), bool(value)]
+    return [json.dumps(value)]
+
+
 def _records(d: dict) -> list[dict]:
     """The report's objects whose keys are fixed: the top level, each fit
     and each fit's params."""
@@ -700,7 +716,7 @@ def test_report_round_trip_and_malformed_reports(tmp_path, chip_fit, data):
     if change == "retype":
         parent, key = data.draw(st.sampled_from(_typed_nodes(d)))
         value = parent[key]
-        parent[key] = [value] if isinstance(value, str) else json.dumps(value)
+        parent[key] = data.draw(st.sampled_from(_retyped(value)))
     else:
         record = data.draw(st.sampled_from(_records(d)))
         if change == "delete":

@@ -298,6 +298,26 @@ def test_fits_equal_reference(case):
     assert new_warnings == old_warnings
 
 
+_J = np.random.default_rng(5).standard_normal((12, 4))
+
+
+@pytest.mark.parametrize("J, nan", [
+    (_J, ()),
+    (_J * [1, 0, 1, 1], (1,)),
+    (_J * [0, 1, 1, 0], (0, 3)),
+    (np.zeros((12, 4)), (0, 1, 2, 3)),
+    # Without its zero column the system is still singular.
+    (np.column_stack([_J[:, 0], 2 * _J[:, 0], _J[:, 2], 0 * _J[:, 3]]), (0, 1, 2, 3)),
+], ids=["full-rank", "one-zero-column", "two-zero-columns", "all-zero", "rank-deficient"])
+def test_stderr_is_nan_only_for_zero_columns(J, nan):
+    names = ("a_int", "tau_int_s", "a_ext", "tau_ext_s")
+    x, lo, hi = np.full(4, 0.5), np.zeros(4), np.ones(4)
+    stderr, _ = fitting._stderr_and_bounds(x, J, 0.3, 12, lo, hi, names)
+    assert repr(stderr) == repr(reference_fit._stderr_and_bounds(x, J, 0.3, 12, lo, hi, names)[0])
+    assert tuple(k for k, name in enumerate(names) if math.isnan(stderr[name])) == nan
+    assert all(stderr[name] > 0 for k, name in enumerate(names) if k not in nan)
+
+
 def test_model_evaluators_equal_reference():
     rng = np.random.default_rng(5)
     t = np.logspace(2, 7, 33)

@@ -20,11 +20,11 @@ from jjaging import (
     fit_single_log,
     fit_two_log,
     grid_search_oracle,
-    parameter_histogram,
 )
 from jjaging import fitting
 from jjaging.ensemble import ENV_LABELS, FLAGS
 from jjaging.fitting import _inv, _single_log_rj, _solve, _two_log_rj, _two_log_vp_rj
+from reference_report import v1_histogram
 
 DAY = 86400.0
 CHIP1 = AgingParams(a=0.21, tau_s=1.2e4, b=1.01)
@@ -120,6 +120,15 @@ class TestSingleLogFit:
         # Refused when the options are made, before any fit starts from it.
         with pytest.raises(ValidationError, match="init"):
             FitOptions(model=model, init=init)
+
+    def test_zero_amplitude_keeps_the_amplitude_stderr(self):
+        # Deaging data ends the fit at a = 0, where the tau and b columns of
+        # J vanish: only their errors are undefined.
+        t = np.arange(0.0, 30 * DAY + 1.0, DAY)
+        res = fit_single_log(np.column_stack([t, 1.0 - 0.001 * np.log1p(t / 1e4)]))
+        assert res.params.a == 0.0 and res.at_bounds == ("a",)
+        assert math.isfinite(res.stderr["a"]) and res.stderr["a"] > 0
+        assert math.isnan(res.stderr["tau_s"]) and math.isnan(res.stderr["b"])
 
     def test_fixed_b(self):
         series = single_log_series(AgingParams(a=0.21, tau_s=1.2e4, b=1.0))
@@ -358,6 +367,8 @@ class TestGridOracle:
 
 
 class TestHistogram:
+    """The version 1 report's parameter binning, as its oracle restates it."""
+
     def _results(self, values):
         from jjaging import FitResult
 
@@ -369,20 +380,20 @@ class TestHistogram:
 
     def test_single_result_one_occupied_bin(self):
         res = self._results([0.2])
-        counts, edges = parameter_histogram(res, "a", n_bins=5)
+        counts, edges = v1_histogram(res, "a", n_bins=5)
         assert counts.sum() == 1
         assert (counts > 0).sum() == 1
 
     def test_values_ulps_apart_get_finite_bins(self):
         # 0 and the smallest subnormal used to make numpy refuse the range
         # ("Too many bins for data range").
-        counts, edges = parameter_histogram(self._results([0.0, 5e-324]), "a", n_bins=8)
+        counts, edges = v1_histogram(self._results([0.0, 5e-324]), "a", n_bins=8)
         assert counts.sum() == 2
         assert (np.diff(edges) > 0).all()
 
     def test_counts_conserved(self):
         res = self._results([0.1, 0.15, 0.2, 0.25, 0.3, 0.12])
-        counts, _ = parameter_histogram(res, "a", 4)
+        counts, _ = v1_histogram(res, "a", 4)
         assert counts.sum() == len(res)
 
     def test_log_tau_bins_uniform_in_log(self):
@@ -394,7 +405,7 @@ class TestHistogram:
                 params=AgingParams(a=0.1, tau_s=tau, b=1.0),
                 stderr={}, rss=0.0, converged=True, n_points=4, iterations=1,
             ))
-        counts, edges = parameter_histogram(results, "log_tau", 3)
+        counts, edges = v1_histogram(results, "log_tau", 3)
         widths = np.diff(edges)
         np.testing.assert_allclose(widths, widths[0])
         assert counts.sum() == 4
@@ -408,18 +419,10 @@ class TestHistogram:
             params=AgingParams(a=0.1, tau_s=float(tau), b=1.0),
             stderr={}, rss=0.0, converged=True, n_points=4, iterations=1,
         ) for tau in taus]
-        counts, edges = parameter_histogram(results, "log_tau", 21)
+        counts, edges = v1_histogram(results, "log_tau", 21)
         centers = (edges[:-1] + edges[1:]) / 2
         mean_of_hist = float((centers * counts).sum() / counts.sum())
         assert abs(mean_of_hist - math.log(3e4)) < 0.05
-
-    def test_unknown_field(self):
-        import jjaging
-
-        res = [jjaging.FitResult(params=CHIP1, stderr={}, rss=0.0, converged=True,
-                                 n_points=4, iterations=1)]
-        with pytest.raises(ValidationError):
-            parameter_histogram(res, "tau_squared", 4)
 
 
 def synthetic_dataset(n_junctions=6, p=CHIP1, r0=22_800.0, open_ids=(), n_times=12):

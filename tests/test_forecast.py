@@ -20,6 +20,12 @@ that should fix them, so the change that fixes a cell must flip its mark:
 
 ``predict`` exits 0 in every cell, also after a fit that did not converge
 (exit 3); ROADMAP item 9 is to settle what it should do then.
+
+The anneal cells run chip1, chip2 and chip6 the same way, with a voltage
+anneal (its jump without spread) on junction 0 in the middle of a 14- or
+28-day window from day 0 or 2, and a single-log fit.  All are strict
+xfails for ROADMAP item 16: ``fit`` does not know the event, and
+``predict`` forecasts the chip from one curve that no junction follows.
 """
 
 import contextlib
@@ -35,7 +41,9 @@ import numpy as np
 import pytest
 
 from jjaging import (
+    AnnealEvent,
     ChipDataset,
+    VoltageAnneal,
     aggregate_series,
     chip_preset,
     draw_chip,
@@ -56,9 +64,14 @@ pytestmark = pytest.mark.filterwarnings("ignore:time span below one decade:UserW
 
 CELLS = list(itertools.product(PRESET_NAMES, (14, 28), (0.0, 0.5, 2.0),
                                ("single-log", "two-log")))
+CELLS += [(*c, "single-log", True)   # the anneal cells
+          for c in itertools.product(("chip1", "chip2", "chip6"), (14, 28), (0.0, 2.0))]
 
 
-def _marks(preset, window, first, model):
+def _marks(preset, window, first, model, anneal=False):
+    if anneal:
+        return [pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+            "ROADMAP item 16: fit and predict do not know the anneal event"))]
     if preset in SWAP_CHIPS:
         return [pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
             "ROADMAP item 5: fit ignores the storage swaps"))]
@@ -69,18 +82,26 @@ def _marks(preset, window, first, model):
     return []
 
 
-def _id(preset, window, first, model):
-    return f"{preset}-{window}d-from{first:g}-{model}"
+def _id(preset, window, first, model, anneal=False):
+    return f"{preset}-{window}d-from{first:g}-{model}" + ("-anneal" if anneal else "")
 
 
 @functools.cache
-def run_cell(preset, window, first, model):
-    """(fit exit code, predict exit code, predicted dR/R, simulated dR/R)."""
+def run_cell(preset, window, first, model, anneal=False):
+    """(fit exit code, predict exit code, predicted dR/R, simulated dR/R).
+
+    With ``anneal``, a voltage anneal whose jump has no spread hits
+    junction 0 half a day after the window's midpoint."""
     p = chip_preset(preset)
     spec = replace(p.spec, r0_cv=0.0, a_sd=0.0, log_tau_sd=0.0, b_sd=0.0,
                    noise_sigma=0.0, open_prob=0.0, n_junctions=2)
+    sim, events = p.sim, []
+    if anneal:
+        sim = replace(p.sim, voltage_jump_sd=0.0)
+        events = [AnnealEvent((first + window / 2 + 0.5) * DAY, VoltageAnneal(),
+                              junction_ids=(0,))]
     days = np.append(first + np.arange(window + 1.0), TARGET_DAY)
-    ds = simulate_chip(draw_chip(spec, 0), p.schedule, [], days * DAY, p.sim, 0,
+    ds = simulate_chip(draw_chip(spec, 0), p.schedule, events, days * DAY, sim, 0,
                        chip_id=preset)
     agg = aggregate_series(ds)
     simulated = agg[-1][1] / agg[-2][1] - 1.0

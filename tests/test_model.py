@@ -10,20 +10,16 @@ import pytest
 
 from jjaging import (
     AgingParams,
-    BarrierParams,
-    DEFAULT_CONSTANTS,
     Environment,
     EnvironmentKind,
     ParameterError,
     PhysicalConstants,
     TwoLogParams,
-    barrier_kappa,
     critical_current_from_resistance,
     effective_tau,
     eval_single_log,
     eval_two_log,
     qubit_frequency_shift,
-    resistance_ratio_from_barrier,
 )
 
 DAY = 86400.0
@@ -122,44 +118,7 @@ class TestEffectiveTau:
             effective_tau(p)
 
 
-FREE_ELECTRON_KG = 9.1093837015e-31
 EV = 1.602176634e-19
-
-
-class TestBarrier:
-    def test_kappa_sqrt_scaling(self):
-        base = BarrierParams(thickness_d_m=1e-9, height_U_J=1.0 * EV, mass_m_kg=FREE_ELECTRON_KG)
-        u4 = BarrierParams(thickness_d_m=1e-9, height_U_J=4.0 * EV, mass_m_kg=FREE_ELECTRON_KG)
-        m4 = BarrierParams(thickness_d_m=1e-9, height_U_J=1.0 * EV, mass_m_kg=4 * FREE_ELECTRON_KG)
-        k0 = barrier_kappa(base)
-        assert barrier_kappa(u4) == pytest.approx(2 * k0, rel=1e-12)
-        assert barrier_kappa(m4) == pytest.approx(2 * k0, rel=1e-12)
-
-    def test_kappa_free_electron_2ev(self):
-        bp = BarrierParams(thickness_d_m=1e-9, height_U_J=2.0 * EV, mass_m_kg=FREE_ELECTRON_KG)
-        assert barrier_kappa(bp) == pytest.approx(7.2452525688e9, rel=1e-9)
-
-    def test_ratio_identity(self):
-        b = BarrierParams(thickness_d_m=1.5e-9, height_U_J=2 * EV, mass_m_kg=FREE_ELECTRON_KG)
-        assert resistance_ratio_from_barrier(b, b) == 1.0
-
-    def test_ratio_analytic_doubling(self):
-        b1 = BarrierParams(thickness_d_m=1.5e-9, height_U_J=2 * EV, mass_m_kg=FREE_ELECTRON_KG)
-        kappa = barrier_kappa(b1)
-        b2 = BarrierParams(
-            thickness_d_m=b1.thickness_d_m + math.log(2) / (2 * kappa),
-            height_U_J=b1.height_U_J,
-            mass_m_kg=b1.mass_m_kg,
-        )
-        assert resistance_ratio_from_barrier(b1, b2) == pytest.approx(2.0, rel=1e-12)
-
-    def test_sub_angstrom_change_is_order_tens_of_percent(self):
-        # 0.3 angstrom at kappa ~ 1e10 1/m: exp(0.6) ~ 1.82
-        u = 2 * EV
-        m = (1e10 * DEFAULT_CONSTANTS.hbar_Js) ** 2 / (2 * u)
-        b1 = BarrierParams(thickness_d_m=1.0e-9, height_U_J=u, mass_m_kg=m)
-        b2 = BarrierParams(thickness_d_m=1.0e-9 + 0.3e-10, height_U_J=u, mass_m_kg=m)
-        assert resistance_ratio_from_barrier(b1, b2) == pytest.approx(1.8221188003905089, rel=1e-9)
 
 
 class TestCriticalCurrent:

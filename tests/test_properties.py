@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from jjaging import (
     AgingParams,
-    BarrierParams,
     ChipDataset,
     ChipSpec,
     ParameterError,
@@ -21,7 +20,6 @@ from jjaging import (
     eval_two_log,
     fit_single_log,
     qubit_frequency_shift,
-    resistance_ratio_from_barrier,
 )
 from jjaging.ensemble import FLAGS
 from jjaging.trajectory import _segment
@@ -71,25 +69,6 @@ def test_effective_tau_between_channel_timescales(ai, ae, ti, te):
     teff = effective_tau(p)
     lo, hi = sorted((ti, te))
     assert lo * (1 - 1e-9) <= teff <= hi * (1 + 1e-9)
-
-
-EV = 1.602176634e-19
-ME = 9.1093837015e-31
-barriers = st.builds(
-    BarrierParams,
-    thickness_d_m=st.floats(min_value=5e-10, max_value=3e-9),
-    height_U_J=st.floats(min_value=0.5 * EV, max_value=4 * EV),
-    mass_m_kg=st.floats(min_value=0.3 * ME, max_value=3 * ME),
-)
-
-
-@given(b1=barriers, b2=barriers, b3=barriers)
-def test_barrier_ratio_composes_multiplicatively(b1, b2, b3):
-    r13 = resistance_ratio_from_barrier(b1, b3)
-    r12 = resistance_ratio_from_barrier(b1, b2)
-    r23 = resistance_ratio_from_barrier(b2, b3)
-    assert r13 == pytest.approx(r12 * r23, rel=1e-9)
-    assert resistance_ratio_from_barrier(b1, b1) == 1.0
 
 
 @given(r=st.floats(min_value=10.0, max_value=1e6))
