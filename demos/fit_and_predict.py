@@ -26,21 +26,23 @@ EV = 1.602176634e-19
 
 
 def main():
-    work = pathlib.Path(tempfile.mkdtemp(prefix="jjaging_demo_"))
-    data = work / "chip2.csv"
-    report = work / "report.json"
-    pred = work / "prediction.json"
+    # The work files live only as long as the run.
+    with tempfile.TemporaryDirectory(prefix="jjaging_demo_") as tmp:
+        work = pathlib.Path(tmp)
+        data = work / "chip2.csv"
+        report = work / "report.json"
+        pred = work / "prediction.json"
 
-    print("=== 1. Simulate a glovebox-stored chip for 56 days ===")
-    cli(["simulate", "--preset", "chip2", "--target-days", "56",
-         "--seed", "42", "--out", str(data)])
+        print("=== 1. Simulate a glovebox-stored chip for 56 days ===")
+        cli(["simulate", "--preset", "chip2", "--target-days", "56",
+             "--seed", "42", "--out", str(data)])
 
-    print("\n=== 2. Fit the measurement log ===")
-    cli(["fit", str(data), "--model", "single-log", "--out", str(report)])
+        print("\n=== 2. Fit the measurement log ===")
+        cli(["fit", str(data), "--model", "single-log", "--out", str(report)])
 
-    print("\n=== 3. Predict one week past the last measurement ===")
-    cli(["predict", "--report", str(report), "--target-days", "63",
-         "--delta-uev", "180", "--out", str(pred)])
+        print("\n=== 3. Predict one week past the last measurement ===")
+        cli(["predict", "--report", str(report), "--target-days", "63",
+             "--delta-uev", "180", "--out", str(pred)])
 
     print("\n=== 4. Barrier sensitivity: why storage matters ===")
     # Tunneling through a rectangular barrier gives R ~ exp(2 kappa d) with
@@ -61,7 +63,6 @@ def main():
     dr = 0.21
     print(f"a {dr * 100:.0f}% resistance rise shifts the qubit frequency by "
           f"{qubit_frequency_shift(dr) * 100:.2f}%")
-    print(f"\nartifacts in {work}")
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ STEPS = [
 
 
 def main():
-    cfg = SimConfig(fab_a=0.05)
+    cfg = SimConfig()
     state = TrajectoryState(t_s=85 * DAY, y_env=0.32)
     print("=== Five-step oven sequence on a junction aged to R/R0 = 1.32 ===")
     print(f"{'step':>4} {'T (C)':>6} {'oven':>9} {'R/R0 before':>12} {'R/R0 after':>11} {'change':>8}")

@@ -40,7 +40,7 @@ from .ensemble import (
     ChipSpec,
     _check_event_junctions,
     _id_runs,
-    _junction_seed,
+    _junction_events,
     aggregate_series,
     draw_chip,
     simulate_chip,
@@ -91,10 +91,6 @@ def _checked_section(section, name: str, known) -> dict:
 
 def _sim_config_from_dict(d) -> SimConfig:
     kwargs = dict(_checked_section(d, "sim", {f.name for f in fields(SimConfig)}))
-    # simulate draws each junction's amplitude from the chip section, so a
-    # fab_a here would be accepted and never read.
-    if "fab_a" in kwargs:
-        raise ValidationError("sim key 'fab_a' is not read: set the amplitude with chip.a_mean")
     try:
         if "env_tau_s" in kwargs:
             kwargs["env_tau_s"] = {
@@ -136,13 +132,21 @@ def _resolve_chip(args):
     return spec, sim, StorageSchedule.single(env), {"spec_file": d}
 
 
+def _day_seconds(flag: str, days: float, positive: bool = False) -> float:
+    """``days`` in seconds, refused unless finite and >= 0 (> 0 with
+    ``positive``), in days and in seconds."""
+    if not (math.isfinite(days) and (days > 0 if positive else days >= 0)):
+        raise ValidationError(f"{flag} must be finite and {'>' if positive else '>='} 0, "
+                              f"got {days}")
+    seconds = days * DAY_S
+    if not math.isfinite(seconds):
+        raise ValidationError(f"{flag} {days:g} days is not finite in seconds")
+    return seconds
+
+
 def cmd_simulate(args) -> int:
-    if not (math.isfinite(args.target_days) and args.target_days >= 0):
-        raise ValidationError(f"--target-days must be finite and >= 0, got {args.target_days}")
-    if not (math.isfinite(args.sample_days) and args.sample_days > 0):
-        raise ValidationError(f"--sample-days must be finite and > 0, got {args.sample_days}")
-    target_s = args.target_days * DAY_S
-    step_s = args.sample_days * DAY_S
+    target_s = _day_seconds("--target-days", args.target_days)
+    step_s = _day_seconds("--sample-days", args.sample_days, positive=True)
     # np.arange makes ceil((target_s + 1e-9) / step_s) samples; one more may follow.
     if (target_s + 1e-9) / step_s > MAX_SAMPLES - 1:
         raise ValidationError(f"--target-days/--sample-days make more than {MAX_SAMPLES} samples")
@@ -249,8 +253,8 @@ def _warn_if_pinned(average) -> None:
 
 def cmd_predict(args) -> int:
     for flag, days in (("--target-days", args.target_days), ("--from-days", args.from_days)):
-        if days is not None and not (math.isfinite(days) and days >= 0):
-            raise ValidationError(f"{flag} must be finite and >= 0, got {days}")
+        if days is not None:
+            _day_seconds(flag, days)
     if args.report:
         report = read_report(args.report)
         _warn_if_pinned(report.average)
@@ -394,6 +398,11 @@ def cmd_anneal(args) -> int:
                 f"event at day {ev.t_s / DAY_S:g} precedes the last measurement "
                 f"(day {t_prev / DAY_S:g})"
             )
+        if not math.isfinite(t_meas):
+            raise ValidationError(
+                f"event at day {ev.t_s / DAY_S:g} would record at a time that is not finite "
+                f"(a {ev.kind.hold_min:g} min hold)"
+            )
         if not t_meas > t_rows:
             raise ValidationError(
                 f"event at day {ev.t_s / DAY_S:g} would record at day {t_meas / DAY_S:g}, "
@@ -415,13 +424,9 @@ def cmd_anneal(args) -> int:
         # amplitude inferred from its current state, state placed on that
         # curve so waits add pure (strictly positive) aging increments.
         a_eff = max(y0, 0.0) / math.log(t_j / tau_amb + 1.0) if t_j > 0 else 0.0
-        steps_j = [k for k, ev in enumerate(events)
-                   if ev.junction_ids is None or j in ev.junction_ids]
         # Seeded as simulate seeds it: the junction's i-th event draws from
         # _event_seed(_junction_seed(seed, j), i).
-        anneal_seed = 0
-        if any(isinstance(events[k].kind, VoltageAnneal) for k in steps_j):
-            anneal_seed = _junction_seed(seed, j)
+        steps_j, anneal_seed = _junction_events(events, seed, j)
         r_hist[i, 1:] = _run_from(
             TrajectoryState(t_s=t_j, y_env=y0), AMBIENT, cfg.relax_gas_to_gas_s,
             [(events[k].t_s, (n, events[k])) for n, k in enumerate(steps_j)],

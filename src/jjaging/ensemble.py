@@ -312,6 +312,15 @@ def _junction_seed(seed: int, junction_id: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def _junction_events(events, seed: int, j: int) -> tuple[list[int], int]:
+    """The indices in ``events`` of those that touch junction ``j``, and the
+    seed of its anneal draws: ``_junction_seed(seed, j)`` if one of them is
+    a voltage anneal (the only kind that draws), else 0."""
+    ks = [k for k, ev in enumerate(events) if ev.junction_ids is None or j in ev.junction_ids]
+    draws = any(isinstance(events[k].kind, VoltageAnneal) for k in ks)
+    return ks, _junction_seed(seed, j) if draws else 0
+
+
 def _id_runs(ids) -> str:
     """Sorted distinct junction ids as runs: ``0-2+5``."""
     ids = sorted(set(ids))
@@ -392,10 +401,8 @@ def simulate_chip(
         profile = JunctionProfile(a=params.a, b=params.b, tau_scale=params.tau_s / tau_home)
         ev_j, anneal_seed = [], 0
         if events:
-            ev_j = [ev for ev in events if ev.junction_ids is None or j in ev.junction_ids]
-            # The anneal seed only feeds voltage-anneal draws.
-            if any(isinstance(ev.kind, VoltageAnneal) for ev in ev_j):
-                anneal_seed = _junction_seed(seed, j)
+            ks, anneal_seed = _junction_events(events, seed, j)
+            ev_j = [events[k] for k in ks]
         r[j] = simulate_trajectory(schedule, ev_j, cfg, params.r0_ohm, samples,
                                    seed=anneal_seed, profile=profile)
         ss = np.random.SeedSequence(noise_entropy[j])

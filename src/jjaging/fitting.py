@@ -14,7 +14,7 @@ pins on its bound is held out of the step (see ``_lm_minimize``).
 The two-log model is linear in its two amplitudes, so its fit is separable
 (variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10:413, 1973):
 the loop runs over the two ln tau only, and at every trial point the
-amplitudes are solved on ``a_bounds`` in closed form (``_pair_candidates``,
+amplitudes are solved on ``_A_BOUNDS`` in closed form (``_pair_candidates``,
 the same solve that ranks the grid start's node pairs).  Its Jacobian is the
 exact derivative of that projected residual.  Once the loop stops, the
 four-parameter Jacobian at the final (a, tau) gives the standard errors.
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import numbers
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -62,13 +61,19 @@ __all__ = [
 STOP_REASONS = ("step_tol", "rss_tol", "no_descent", "max_iter")
 _STEP_TOL, _RSS_TOL, _NO_DESCENT, _MAX_ITER = STOP_REASONS
 
-_LOG_TAU_LO = math.log(1e2)
-_LOG_TAU_HI = math.log(1e8)
+# The box of every fit, (lo, hi) per parameter kind with timescales in ln
+# tau, and its stopping rules, all read at call time.
+_A_BOUNDS = (0.0, 1.0)
+_LOG_TAU_BOUNDS = (math.log(1e2), math.log(1e8))
+_B_BOUNDS = (1e-6, 10.0)
+_MAX_ITERATIONS = 200
+_STEP_TOLERANCE = 1e-10
+_RESIDUAL_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Fit configuration: model choice, box bounds, stopping rules.
+    """Fit configuration: model choice, start, fixed b.
 
     ``init`` takes natural-unit parameters: (a, tau_s) or (a, tau_s, b)
     for the single-log model, (tau_int_s, tau_ext_s) for the two-log model,
@@ -78,12 +83,6 @@ class FitOptions:
     """
 
     model: str = "single-log"
-    a_bounds: tuple[float, float] = (0.0, 1.0)
-    log_tau_bounds: tuple[float, float] = (_LOG_TAU_LO, _LOG_TAU_HI)
-    b_bounds: tuple[float, float] = (1e-6, 10.0)
-    max_iterations: int = 200
-    step_tolerance: float = 1e-10
-    residual_tolerance: float = 1e-12
     init: tuple[float, ...] | None = None
     fix_b: float | None = None
 
@@ -92,15 +91,6 @@ class FitOptions:
             raise ValidationError(f"unknown model {self.model!r}")
         if self.fix_b is not None and self.model != "single-log":
             raise ValidationError("fix_b applies to the single-log model only")
-        n = self.max_iterations
-        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
-            raise ValidationError("max_iterations must be an integer >= 1")
-        for tol in (self.step_tolerance, self.residual_tolerance):
-            if not (math.isfinite(tol) and tol > 0):
-                raise ValidationError("tolerances must be finite and > 0")
-        for lo, hi in (self.a_bounds, self.log_tau_bounds, self.b_bounds):
-            if not lo < hi:
-                raise ValidationError("bounds must satisfy lo < hi")
         if self.init is not None and not all(map(math.isfinite, self.init)):
             raise ValidationError(f"init values must be finite, got {tuple(self.init)}")
 
@@ -213,9 +203,9 @@ def _two_log_jac(cache, out):
     return out
 
 
-def _two_log_vp_resid(x, t, y, a_bounds):
+def _two_log_vp_resid(x, t, y):
     """The separable two-log residual at x = (ln tau_int, ln tau_ext): the
-    residual at the least-rss amplitudes inside ``a_bounds``
+    residual at the least-rss amplitudes inside ``_A_BOUNDS``
     (``_pair_candidates``).  Its arithmetic is ``_two_log_resid``'s at
     those amplitudes."""
     lti, lte = x.tolist()
@@ -230,9 +220,9 @@ def _two_log_vp_resid(x, t, y, a_bounds):
     g_ii, g_ie, c_i, _, g_ee, c_e = (bz[:2] @ bz.T).ravel().tolist()
     moments = g_ii, g_ee, g_ie, c_i, c_e
     if g_ii * g_ee - g_ie * g_ie > 0.0:
-        cands = _pair_candidates(*moments, *a_bounds, fmin=min, fmax=max)
+        cands = _pair_candidates(*moments, *_A_BOUNDS, fmin=min, fmax=max)
     else:
-        cands = _singular_pair_candidates(*map(np.float64, moments), *a_bounds)
+        cands = _singular_pair_candidates(*map(np.float64, moments), *_A_BOUNDS)
     (rss0, ai, ae), (rss1, ai1, ae1) = cands
     if rss1 < rss0:
         ai, ae = ai1, ae1
@@ -241,7 +231,7 @@ def _two_log_vp_resid(x, t, y, a_bounds):
     r += 1.0
     r += ae * log_ue
     r -= y
-    return r, (ai, ae, ti, ui, te, ue, bz, (g_ii, g_ee, g_ie), r, a_bounds)
+    return r, (ai, ae, ti, ui, te, ue, bz, (g_ii, g_ee, g_ie), r)
 
 
 def _two_log_vp_jac(cache, out):
@@ -254,7 +244,8 @@ def _two_log_vp_jac(cache, out):
     only.  H below is G_F^-1, padded with zeros for the amplitudes on a
     bound.  G_F is regular: a singular system puts an amplitude on a bound
     (``_pair_candidates``)."""
-    ai, ae, ti, ui, te, ue, bz, (g_ii, g_ee, g_ie), r, (a_lo, a_hi) = cache
+    ai, ae, ti, ui, te, ue, bz, (g_ii, g_ee, g_ie), r = cache
+    a_lo, a_hi = _A_BOUNDS
     out[:, 0] = -ai * ti / ui
     out[:, 1] = -ae * te / ue
     free_i, free_e = a_lo < ai < a_hi, a_lo < ae < a_hi
@@ -300,7 +291,7 @@ def _inv(a):
     return _umath_linalg.inv(a, signature="d->d")
 
 
-def _lm_minimize(resid, jac, x0, lo, hi, opts: FitOptions, timescales):
+def _lm_minimize(resid, jac, x0, lo, hi, timescales):
     """Damped least squares over a box; accepts only rss-decreasing steps.
 
     ``resid(x) -> (r, cache)`` is called for every trial point and
@@ -308,7 +299,7 @@ def _lm_minimize(resid, jac, x0, lo, hi, opts: FitOptions, timescales):
     iterations, stop_reason)``; ``stop_reason`` names the exit that fired:
     ``"step_tol"`` or ``"rss_tol"`` (tolerance met), ``"no_descent"`` (no
     downhill step at any damping: stationary, or pinned at a bound) or
-    ``"max_iter"``.
+    ``"max_iter"``, after ``_MAX_ITERATIONS`` iterations.
 
     Trial points are projected onto the box ``[lo, hi]``.  A timescale (a
     ``timescales`` slot, in ln tau) that sits exactly on its box edge while
@@ -335,7 +326,7 @@ def _lm_minimize(resid, jac, x0, lo, hi, opts: FitOptions, timescales):
     # ``edges`` holds nothing, found without a numpy call.
     lo_s, hi_s, xs = lo.tolist(), hi.tolist(), x.tolist()
     edges = {bound for k in timescales for bound in (lo_s[k], hi_s[k])}
-    for iterations in range(1, opts.max_iterations + 1):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         neg_g = -(J.T @ r)
         JtJ = J.T @ J
         d[:] = JtJ.diagonal()
@@ -378,9 +369,9 @@ def _lm_minimize(resid, jac, x0, lo, hi, opts: FitOptions, timescales):
         xs = x.tolist()
         J = jac(cache)
         lam = max(lam / 3.0, 1e-14)
-        if rel_step < opts.step_tolerance:
+        if rel_step < _STEP_TOLERANCE:
             return x, r, J, rss, iterations, _STEP_TOL
-        if improvement <= opts.residual_tolerance * max(rss, 1e-300):
+        if improvement <= _RESIDUAL_TOLERANCE * max(rss, 1e-300):
             return x, r, J, rss, iterations, _RSS_TOL
     return x, r, J, rss, iterations, _MAX_ITER
 
@@ -482,49 +473,49 @@ _singular_pair_candidates = np.errstate(divide="ignore", invalid="ignore", over=
     _pair_candidates)
 
 
-def _two_log_start(t, y, tpos, opts: FitOptions):
+def _two_log_start(t, y, tpos):
     """A natural-unit two-log start: the node pair, with amplitudes in the
     box, of least rss (``_pair_candidates``); ties go to candidate 0, then
     to the first pair."""
-    lo, hi = opts.log_tau_bounds
+    lo, hi = _LOG_TAU_BOUNDS
     bz = np.empty((t.size, _START_NODES + 1))
     basis = bz[:, :-1]
     np.multiply.outer(t, np.exp(_START_STEPS * (lo - hi) - lo), out=basis)
     np.log1p(basis, out=basis)
     np.subtract(y, 1.0, out=bz[:, -1])
     (rss0, ai0, ae0), (rss1, ai1, ae1) = _singular_pair_candidates(
-        *(bz.T @ bz).take(_PAIR_TAKE), *opts.a_bounds)
+        *(bz.T @ bz).take(_PAIR_TAKE), *_A_BOUNDS)
     row, pair = divmod(int(np.argmin((rss0, rss1))), _PAIR_INT.size)
     a_int, a_ext = (ai0[pair], ae0[pair]) if row == 0 else (ai1[pair], ae1[pair])
     ln_tau_int, ln_tau_ext = lo + (hi - lo) * _START_STEPS[[_PAIR_INT[pair], _PAIR_EXT[pair]]]
     return float(a_int), math.exp(ln_tau_int), float(a_ext), math.exp(ln_tau_ext)
 
 
-def _single_log_guess(t, y, tpos, opts):
+def _single_log_guess(t, y, tpos):
     a = (y.max() - y.min()) / math.log(tpos.max() / tpos.min())   # rise per e-fold
     return a, tpos.min(), 1.0
 
 
-def _two_log_guess(t, y, tpos, opts):
-    return _two_log_start(t, y, tpos, opts)[1::2]
+def _two_log_guess(t, y, tpos):
+    return _two_log_start(t, y, tpos)[1::2]
 
 
-def _two_log_expand(x, t, y, opts):
+def _two_log_expand(x, t, y):
     """The separable fit's end point x = (ln tau_int, ln tau_ext) as the
     four-parameter model's (a_int, ln tau_int, a_ext, ln tau_ext), with that
     model's Jacobian there, names and box: the standard errors and bounds
     are those of the full model."""
-    ai, ae = _two_log_vp_resid(x, t, y, opts.a_bounds)[1][:2]
+    ai, ae = _two_log_vp_resid(x, t, y)[1][:2]
     x = np.array([ai, x[0], ae, x[1]])
-    return x, _two_log_rj(x, t, y)[1], _TWO_KEYS, ("a_bounds", "log_tau_bounds") * 2
+    return x, _two_log_rj(x, t, y)[1], _TWO_KEYS, (_A_BOUNDS, _LOG_TAU_BOUNDS) * 2
 
 
 # What sets each model's fit apart; ``_fit`` does the rest.  ``names`` are
-# the fitted parameters, ``box`` names each one's FitOptions bounds, and the
-# ``timescales`` slots are fitted in ln tau.  ``guess(t, y, positive times,
-# opts)`` gives a natural-unit start.  A separable model fits its
+# the fitted parameters, ``box()`` gives each one's (lo, hi) bounds, and the
+# ``timescales`` slots are fitted in ln tau.  ``guess(t, y, positive times)``
+# gives a natural-unit start.  A separable model fits its
 # timescales only and solves its amplitudes inside the residual; its
-# ``expand(x, t, y, opts)`` gives the full (x, J, names, box) at the end,
+# ``expand(x, t, y)`` gives the full (x, J, names, box) at the end,
 # with the timescales in the odd slots.  ``finish`` returns (params, stderr,
 # at_bounds, degenerate).  With ``start_from_average``, ``fit_chip`` starts
 # each junction's fit from the chip-average fit's parameters, read by
@@ -534,12 +525,12 @@ _Model = namedtuple("_Model", "names box timescales min_points init_lengths gues
                               "expand finish start_from_average")
 _MODELS = {
     "single-log": _Model(
-        _SINGLE_KEYS, ("a_bounds", "log_tau_bounds", "b_bounds"), (1,), 4, (2, 3),
+        _SINGLE_KEYS, lambda: (_A_BOUNDS, _LOG_TAU_BOUNDS, _B_BOUNDS), (1,), 4, (2, 3),
         _single_log_guess, _single_log_resid, _single_log_jac, None,
         lambda v, stderr, at, msgs: (AgingParams(*v), stderr, at, False), True,
     ),
     "two-log": _Model(
-        _TWO_KEYS[1::2], ("log_tau_bounds",) * 2, (0, 1), 6, (2,),
+        _TWO_KEYS[1::2], lambda: (_LOG_TAU_BOUNDS,) * 2, (0, 1), 6, (2,),
         _two_log_guess, _two_log_vp_resid, _two_log_vp_jac, _two_log_expand,
         _two_log_finish, False,
     ),
@@ -556,12 +547,6 @@ def _rj(resid, jac, x, t, y, **kw):
 _single_log_rj = partial(_rj, _single_log_resid, _single_log_jac)
 _two_log_rj = partial(_rj, _two_log_resid, _two_log_jac)
 _two_log_vp_rj = partial(_rj, _two_log_vp_resid, _two_log_vp_jac)
-
-
-def _box(opts: FitOptions, fields):
-    """The lower and upper bounds of the named ``FitOptions`` bound fields."""
-    return (np.asarray([getattr(opts, field)[0] for field in fields]),
-            np.asarray([getattr(opts, field)[1] for field in fields]))
 
 
 def _fit(model: str, series, opts: FitOptions | None) -> FitResult:
@@ -583,28 +568,26 @@ def _fit(model: str, series, opts: FitOptions | None) -> FitResult:
     fixed_b = opts.fix_b
     if fixed_b is not None and "b" not in m.names:
         raise ValidationError(f"fix_b does not apply to the {model} model")
-    if fixed_b is not None and not opts.b_bounds[0] <= fixed_b <= opts.b_bounds[1]:
+    if fixed_b is not None and not _B_BOUNDS[0] <= fixed_b <= _B_BOUNDS[1]:
         raise ParameterError("fix_b outside b bounds")
     start = opts.init or ()
     if opts.init is not None and len(start) not in m.init_lengths:
         raise ValidationError(f"{model} init takes {' or '.join(map(str, m.init_lengths))} "
                               f"values, got {len(start)}")
     if len(start) < len(m.names):
-        start = (*start, *m.guess(t, y, tpos, opts)[len(start):])
+        start = (*start, *m.guess(t, y, tpos)[len(start):])
 
-    names, box, resid_kw = m.names, m.box, {}
+    names, box, resid_kw = m.names, m.box(), {}
     if fixed_b is not None:  # b, the last slot, leaves the fit for the residuals
         names, box, start, resid_kw = names[:-1], box[:-1], start[:-1], {"b_fixed": fixed_b}
-    if m.expand is not None:  # the amplitudes are solved inside the residuals
-        resid_kw = {"a_bounds": opts.a_bounds}
-    lo, hi = _box(opts, box)
+    lo, hi = np.array(box).T   # box: a (lo, hi) pair per parameter
     x0 = [math.log(max(v, 1e-300)) if k in m.timescales else v for k, v in enumerate(start)]
     resid = partial(m.resid, t=t, y=y, **resid_kw)
     jac = partial(m.jac, out=np.empty((t.size, len(x0))))
-    x, r, J, rss, iters, stop = _lm_minimize(resid, jac, x0, lo, hi, opts, m.timescales)
-    if m.expand is not None:
-        x, J, names, box = m.expand(x, t, y, opts)
-        lo, hi = _box(opts, box)
+    x, r, J, rss, iters, stop = _lm_minimize(resid, jac, x0, lo, hi, m.timescales)
+    if m.expand is not None:  # the amplitudes were solved inside the residuals
+        x, J, names, box = m.expand(x, t, y)
+        lo, hi = np.array(box).T
 
     stderr, at = _stderr_and_bounds(x, J, rss, t.size, lo, hi, names)
     values = x.tolist()
@@ -633,7 +616,7 @@ def fit_single_log(series, opts: FitOptions | None = None) -> FitResult:
     series : array_like, shape (n, 2)
         Rows of (t_s, R/R0); n >= 4, times >= 0, values finite.
     opts : FitOptions, optional
-        Bounds, stopping rules, explicit initialization, fixed b.
+        Explicit initialization, fixed b.
 
     Returns
     -------
@@ -651,7 +634,7 @@ def fit_two_log(series, opts: FitOptions | None = None) -> FitResult:
     """Fit the two-channel model; channels are reported with tau_int >= tau_ext.
 
     The fit is separable: Levenberg-Marquardt runs over (ln tau_int,
-    ln tau_ext), with the amplitudes of least rss inside ``a_bounds`` solved
+    ln tau_ext), with the amplitudes of least rss inside ``_A_BOUNDS`` solved
     at every trial point, so ``FitOptions.init`` takes the two timescales
     only.  Requires >= 6 points.  Near-degenerate solutions (timescales within a
     factor of 2) are flagged ``degenerate_timescales`` since the channel
@@ -663,14 +646,13 @@ def fit_two_log(series, opts: FitOptions | None = None) -> FitResult:
 def fit_chip(
     ds: ChipDataset,
     opts: FitOptions | None = None,
-    r0_override: Mapping[int, float] | None = None,
     share_b: bool = False,
     window_s: float = 600.0,
 ) -> ChipFitResult:
     """Fit every junction and the chip-average curve.
 
-    Each junction is normalized by its earliest usable resistance (or by
-    ``r0_override[junction_id]``, which must be finite and > 0); the average curve is the per-time mean
+    Each junction is normalized by its earliest usable resistance; the
+    average curve is the per-time mean
     resistance normalized by its earliest value.  Open and excluded records
     are dropped; junctions failing the prechecks are reported in
     ``skipped`` rather than aborting the chip.  With ``share_b`` the
@@ -684,9 +666,6 @@ def fit_chip(
     An ``opts.init`` of the caller's own is used for every fit instead.
     """
     opts = opts or FitOptions()
-    for j, r0 in (r0_override or {}).items():
-        if not (math.isfinite(r0) and r0 > 0):
-            raise ValidationError(f"r0_override[{j}] must be finite and > 0, got {r0}")
     if share_b and opts.model != "single-log":
         raise ValidationError(f"share_b applies to the single-log model only, not {opts.model}")
     model = _MODELS[opts.model]
@@ -718,7 +697,7 @@ def fit_chip(
         if n_times < min_pts:
             skipped[j] = f"fewer than {min_pts} usable time points"
             continue
-        r0 = r0_override[j] if r0_override and j in r0_override else float(r[0])
+        r0 = float(r[0])
         series = np.column_stack((t, r / r0))
         try:
             per_junction[j] = fit_fun(series, per_opts)

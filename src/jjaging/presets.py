@@ -64,7 +64,6 @@ def _preset(
     scale = tau_s / DEFAULT_ENV_TAU_S[schedule.segments[0][1].kind]
     sim = SimConfig(
         env_tau_s={kind: tau * scale for kind, tau in DEFAULT_ENV_TAU_S.items()},
-        fab_a=a,
         voltage_jump_mean=voltage_jump[0],
         voltage_jump_sd=voltage_jump[1],
         voltage_drift_a=0.05,

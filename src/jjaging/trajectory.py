@@ -192,7 +192,6 @@ class SimConfig:
     env_tau_s: Mapping[EnvironmentKind, float] = field(
         default_factory=lambda: dict(DEFAULT_ENV_TAU_S)
     )
-    fab_a: float = 0.21
     relax_gas_to_gas_s: float = 3.0 * DAY_S
     relax_vacuum_to_gas_s: float = 0.5 * DAY_S
     thermal_response: Mapping[tuple[float, EnvironmentKind], float] = field(
@@ -205,12 +204,10 @@ class SimConfig:
     floor_at_r0: bool = True
 
     def __post_init__(self):
-        for name in ("fab_a", "voltage_jump_mean", "voltage_jump_sd", "voltage_drift_a"):
+        for name in ("voltage_jump_mean", "voltage_jump_sd", "voltage_drift_a"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ParameterError(f"{name} must be finite, got {v}")
-        if self.fab_a < 0:
-            raise ParameterError("fab_a must be >= 0")
         for kind, tau in self.env_tau_s.items():
             if not (math.isfinite(tau) and tau > 0):
                 raise ParameterError(f"env tau for {kind} must be finite and > 0, got {tau}")
@@ -236,9 +233,10 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class JunctionProfile:
-    """Per-junction deviation from the chip-level config.
+    """A junction's own bound curve on top of the chip-level config.
 
-    ``a`` and ``b`` replace the bound-curve amplitude and early-time offset;
+    ``a`` and ``b`` are the bound-curve amplitude and early-time offset (the
+    config has none: fabrication sets the amplitude per junction);
     ``tau_scale`` multiplies every environment timescale, so a junction that
     ages 20% slower than nominal does so in every environment.
     """
@@ -535,7 +533,8 @@ def simulate_trajectory(
     r0_ohm: float,
     sample_t_s: Sequence[float],
     seed: int = 0,
-    profile: JunctionProfile | None = None,
+    *,
+    profile: JunctionProfile,
 ) -> np.ndarray:
     """Simulate one junction through a storage schedule with anneal events.
 
@@ -565,8 +564,9 @@ def simulate_trajectory(
     seed : int
         Drives the voltage-anneal response draws (an integer >= 0); identical
         inputs and seed give bit-identical trajectories.
-    profile : JunctionProfile, optional
-        Per-junction bound-curve override used by ensemble simulation.
+    profile : JunctionProfile
+        The junction's bound curve: amplitude, early-time offset and
+        timescale scale.
 
     Returns
     -------
@@ -584,18 +584,18 @@ def simulate_trajectory(
     if any(b < a for a, b in zip(ev_times, ev_times[1:])):
         raise ValidationError("events must be sorted by time")
 
-    prof = profile or JunctionProfile(a=cfg.fab_a)
     # An environment without a timescale is refused before any event runs.
     for _, env in schedule.segments:
-        tau = _tau(env, cfg, prof)
+        tau = _tau(env, cfg, profile)
     # A junction with early-time offset b starts on its bound, slightly
     # pre-aged: y(0) = a ln(b).
-    y0 = prof.a * math.log(prof.b)
+    y0 = profile.a * math.log(profile.b)
     _check_y_env(y0)
     if len(schedule.segments) == 1 and not events:
         # No breakpoints: one piece from t = 0, under the one segment's
         # ``tau``, holds every sample, as _run_from would evaluate it.
-        return _piece(t, r0_ohm, 0.0, y0, prof.a, tau, prof.b, cfg.relax_gas_to_gas_s, _AT_REST)
+        return _piece(t, r0_ohm, 0.0, y0, profile.a, tau, profile.b, cfg.relax_gas_to_gas_s,
+                      _AT_REST)
     env, relax, breaks = _in_force(schedule, cfg, 0.0)
     if events:
         breaks = sorted(
@@ -605,4 +605,4 @@ def simulate_trajectory(
     cuts = np.searchsorted(t, [bp[0] for bp in breaks]).tolist()
     start = TrajectoryState(y_env=y0)
     return _run_from(start, env, relax, breaks, partial(_event_seed, seed), t, cuts,
-                     r0_ohm, prof, cfg)
+                     r0_ohm, profile, cfg)

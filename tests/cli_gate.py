@@ -12,13 +12,16 @@ and each seed the commands are:
 
 - ``simulate`` with the preset's schedule, and with ``SWAP_SCHEDULE`` (swaps
   and anneal events);
+- ``simulate --spec`` with a spec file of the preset's chip and home
+  environment, whose ``sim`` section overrides the timescales
+  (``spec_file``);
 - ``fit`` single-log, ``--share-b``, ``--model two-log`` and ``--window-s
   3600`` on each CSV;
 - ``predict --report`` on each report;
 - ``anneal --events`` on each CSV;
 - ``predict --preset``.
 
-That is 21 commands per preset and seed, 378 for the default seeds.
+That is 22 commands per preset and seed, 396 for the default seeds.
 
 The manifest has one entry per command: its argv, its exit code, and the
 sha256 of its stdout, of its stderr and of each file it wrote.  The temporary
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -76,6 +80,8 @@ def commands(seeds, presets) -> list[list[str]]:
                          csvs["preset"]])
             cmds.append(["simulate", "--preset", p, "--schedule", f"{TMP}/swap.schedule",
                          "--target-days", "60", *common, csvs["swap"]])
+            cmds.append(["simulate", "--spec", f"{TMP}/{p}.spec.json", "--target-days", "56",
+                         *common, f"{base}-spec.csv"])
             reports = []
             for tag, csv in csvs.items():
                 for name, opts in FITS:
@@ -90,6 +96,18 @@ def commands(seeds, presets) -> list[list[str]]:
             cmds.append(["predict", "--preset", p, "--from-days", "56", "--target-days", "63",
                          "--out", f"{base}-preset-pred.json"])
     return cmds
+
+
+def spec_file(preset) -> dict:
+    """A spec file for ``simulate --spec``: the preset's chip and home
+    environment, with every timescale doubled and a two-day gas-to-gas
+    relaxation in its ``sim`` section."""
+    return {
+        "chip": dataclasses.asdict(preset.spec),
+        "sim": {"env_tau_s": {kind.value: 2.0 * tau for kind, tau in preset.sim.env_tau_s.items()},
+                "relax_gas_to_gas_s": 2 * 86400.0},
+        "environment": preset.home_env.kind.value,
+    }
 
 
 def _sha(data: bytes) -> str:
@@ -109,6 +127,9 @@ def run_here(seeds, out: Path) -> None:
         work = Path(tmp)
         (work / "swap.schedule").write_text(SWAP_SCHEDULE)
         (work / "steps.txt").write_text(ANNEAL_EVENTS)
+        for name in presets.PRESET_NAMES:
+            spec = spec_file(presets.chip_preset(name))
+            (work / f"{name}.spec.json").write_text(json.dumps(spec))
 
         def norm(data: bytes) -> bytes:
             return data.replace(tmp.encode(), TMP.encode())

@@ -33,6 +33,12 @@ change to the package's versions shows as a mismatch.  The standard-error
 step also restates the package's rule for a singular J.T @ J: a parameter
 whose column of J is all zero gets NaN, and the others come from the system
 without those columns.
+
+The box and the stopping rules are this module's own copy of the
+package's: ``A_BOUNDS``, ``LOG_TAU_BOUNDS`` and ``B_BOUNDS`` (timescales in
+ln tau), ``MAX_ITERATIONS``, ``STEP_TOLERANCE`` and ``RESIDUAL_TOLERANCE``,
+read at call time, so that a test can patch them together with the
+package's.
 """
 
 import math
@@ -52,6 +58,13 @@ from jjaging.fitting import (
     _two_log_resid,
 )
 from jjaging.model import AgingParams, TwoLogParams
+
+A_BOUNDS = (0.0, 1.0)
+LOG_TAU_BOUNDS = (math.log(100.0), math.log(1e8))
+B_BOUNDS = (1e-6, 10.0)
+MAX_ITERATIONS = 200
+STEP_TOLERANCE = 1e-10
+RESIDUAL_TOLERANCE = 1e-12
 
 
 def _check_series(series, min_points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -147,11 +160,12 @@ def _two_log_candidates(moments, a_lo, a_hi):
     return rows
 
 
-def _two_log_vp_rj(x, t, y, sw, a_bounds):
+def _two_log_vp_rj(x, t, y, sw):
     """The separable two-log model at x = (ln tau_int, ln tau_ext): the
     residual at the least-rss amplitudes in the box, and the Golub-Pereyra
     Jacobian over the amplitudes strictly inside it, built with masks."""
     lti, lte = x
+    a_bounds = A_BOUNDS
     taui, taue = math.exp(lti), math.exp(lte)
     ui = 1.0 + t / taui
     ue = 1.0 + t / taue
@@ -181,7 +195,7 @@ def _two_log_vp_rj(x, t, y, sw, a_bounds):
     return r, J
 
 
-def _lm_minimize(fun, x0, lo, hi, opts, timescales):
+def _lm_minimize(fun, x0, lo, hi, timescales):
     """Damped least squares over a box; accepts only rss-decreasing steps.
 
     Each iteration holds the parameters of ``timescales`` that lie on a
@@ -196,7 +210,7 @@ def _lm_minimize(fun, x0, lo, hi, opts, timescales):
     converged = False
     iterations = 0
     may_hold = np.isin(np.arange(x.size), timescales)
-    for iterations in range(1, opts.max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         g = J.T @ r
         JtJ = J.T @ J
         d = np.diag(JtJ).copy()
@@ -235,7 +249,7 @@ def _lm_minimize(fun, x0, lo, hi, opts, timescales):
             # No downhill step at any damping: stationary (or pinned at bounds).
             converged = True
             break
-        if rel_step < opts.step_tolerance or improvement <= opts.residual_tolerance * max(rss, 1e-300):
+        if rel_step < STEP_TOLERANCE or improvement <= RESIDUAL_TOLERANCE * max(rss, 1e-300):
             converged = True
             break
     return x, r, J, rss, converged, iterations
@@ -249,7 +263,7 @@ _REFERENCE_MODELS = {
 }
 
 
-def reference_lm_minimize(resid, jac, x0, lo, hi, opts, timescales):
+def reference_lm_minimize(resid, jac, x0, lo, hi, timescales):
     """The original kernel on the original model, called like the package's.
 
     ``resid`` is the package's ``functools.partial`` over a model's residual
@@ -263,7 +277,7 @@ def reference_lm_minimize(resid, jac, x0, lo, hi, opts, timescales):
     kw = dict(resid.keywords, sw=np.ones_like(resid.keywords["t"]))
     model, own_timescales = _REFERENCE_MODELS[resid.func]
     x, r, J, rss, converged, iterations = _lm_minimize(
-        lambda x: model(x, **kw), x0, lo, hi, opts, own_timescales
+        lambda x: model(x, **kw), x0, lo, hi, own_timescales
     )
     return x, r, J, rss, iterations, None if converged else "max_iter"
 
@@ -289,7 +303,7 @@ def reference_fit_single_log(series, opts: FitOptions | None = None) -> FitResul
     series : array_like, shape (n, 2)
         Rows of (t_s, R/R0); n >= 4, times >= 0, values finite.
     opts : FitOptions, optional
-        Bounds, stopping rules, explicit initialization, fixed b.
+        Explicit initialization, fixed b.
 
     Returns
     -------
@@ -305,7 +319,7 @@ def reference_fit_single_log(series, opts: FitOptions | None = None) -> FitResul
     msgs = _span_warning(t)
 
     fixed_b = opts.fix_b
-    if fixed_b is not None and not opts.b_bounds[0] <= fixed_b <= opts.b_bounds[1]:
+    if fixed_b is not None and not B_BOUNDS[0] <= fixed_b <= B_BOUNDS[1]:
         raise ParameterError("fix_b outside b bounds")
 
     tpos = t[t > 0]
@@ -317,20 +331,20 @@ def reference_fit_single_log(series, opts: FitOptions | None = None) -> FitResul
         tau0 = tpos.min()
         b0 = 1.0
 
-    lo = [opts.a_bounds[0], opts.log_tau_bounds[0]]
-    hi = [opts.a_bounds[1], opts.log_tau_bounds[1]]
+    lo = [A_BOUNDS[0], LOG_TAU_BOUNDS[0]]
+    hi = [A_BOUNDS[1], LOG_TAU_BOUNDS[1]]
     x0 = [a0, math.log(max(tau0, 1e-300))]
     names = ["a", "tau_s"]
     if fixed_b is None:
-        lo.append(opts.b_bounds[0])
-        hi.append(opts.b_bounds[1])
+        lo.append(B_BOUNDS[0])
+        hi.append(B_BOUNDS[1])
         x0.append(b0)
         names.append("b")
     lo, hi = np.asarray(lo), np.asarray(hi)
 
     resid = partial(_single_log_resid, t=t, y=y, b_fixed=fixed_b)
     jac = partial(_single_log_jac, out=np.empty((t.size, len(x0))))
-    x, r, J, rss, iters, stop = fitting._lm_minimize(resid, jac, x0, lo, hi, opts, (1,))
+    x, r, J, rss, iters, stop = fitting._lm_minimize(resid, jac, x0, lo, hi, (1,))
 
     stderr, at = _stderr_and_bounds(x, J, rss, t.size, lo, hi, names)
     # Report tau in seconds: delta method through the exp reparameterization.
@@ -369,16 +383,16 @@ def reference_fit_two_log(series, opts: FitOptions | None = None) -> FitResult:
         te0 = tpos.min()
 
     lo = np.asarray(
-        [opts.a_bounds[0], opts.log_tau_bounds[0]] * 2
+        [A_BOUNDS[0], LOG_TAU_BOUNDS[0]] * 2
     )
     hi = np.asarray(
-        [opts.a_bounds[1], opts.log_tau_bounds[1]] * 2
+        [A_BOUNDS[1], LOG_TAU_BOUNDS[1]] * 2
     )
     x0 = [ai0, math.log(max(ti0, 1e-300)), ae0, math.log(max(te0, 1e-300))]
 
     resid = partial(_two_log_resid, t=t, y=y)
     jac = partial(_two_log_jac, out=np.empty((t.size, 4)))
-    x, r, J, rss, iters, stop = fitting._lm_minimize(resid, jac, x0, lo, hi, opts, (1, 3))
+    x, r, J, rss, iters, stop = fitting._lm_minimize(resid, jac, x0, lo, hi, (1, 3))
 
     names = ["a_int", "tau_int_s", "a_ext", "tau_ext_s"]
     stderr, at = _stderr_and_bounds(x, J, rss, t.size, lo, hi, names)

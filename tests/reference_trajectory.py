@@ -59,7 +59,8 @@ def reference_simulate_trajectory(
     r0_ohm: float,
     sample_t_s: Sequence[float],
     seed: int = 0,
-    profile: JunctionProfile | None = None,
+    *,
+    profile: JunctionProfile,
 ) -> list[tuple[float, float]]:
     """Simulate one junction through a storage schedule with anneal events,
     one action at a time; returns a list of (t_s, R_ohm)."""
@@ -76,7 +77,7 @@ def reference_simulate_trajectory(
     if any(b < a for a, b in zip(ev_times, ev_times[1:])):
         raise ValidationError("events must be sorted by time")
 
-    prof = profile or JunctionProfile(a=cfg.fab_a)
+    prof = profile
     taus = {env.kind: _tau(env, cfg, prof) for _, env in schedule.segments}
 
     # Action stream ordered by (time, kind): segment swaps, then events,
@@ -125,12 +126,12 @@ def reference_resume_trajectory(
     schedule: StorageSchedule,
     cfg: SimConfig,
     t_end_s: float,
-    profile: JunctionProfile | None = None,
+    profile: JunctionProfile,
 ) -> float:
     """Advance fractional aging from (t_start, y_start) to t_end, no events."""
     if t_end_s < t_start_s:
         raise ValidationError("t_end_s must be >= t_start_s")
-    prof = profile or JunctionProfile(a=cfg.fab_a)
+    prof = profile
     a, b = prof.a, prof.b
     t, y_env = t_start_s, y_start
     env = schedule.segments[0][1]

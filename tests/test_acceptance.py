@@ -18,6 +18,7 @@ from jjaging import (
     AgingParams,
     AnnealEvent,
     ChipSpec,
+    JunctionProfile,
     SimConfig,
     StorageSchedule,
     TwoLogParams,
@@ -50,10 +51,9 @@ def report(n, detail):
 
 def test_c01_single_environment_matches_closed_form():
     """Trajectory under one environment tracks the log law within 0.5%."""
-    cfg = SimConfig(fab_a=0.21)
     samples = np.arange(0.0, 56 * DAY + 1, 0.5 * DAY)
-    got = simulate_trajectory(StorageSchedule.single(AMBIENT), [], cfg,
-                              CHIP1.r0_ohm, samples)
+    got = simulate_trajectory(StorageSchedule.single(AMBIENT), [], SimConfig(),
+                              CHIP1.r0_ohm, samples, profile=JunctionProfile(a=0.21))
     want = CHIP1.r0_ohm * eval_single_log(CHIP1, samples)
     rel = np.abs(got / want - 1.0)
     assert rel.max() <= 5e-3
@@ -122,9 +122,9 @@ def _swap_schedule():
 def test_c05_alternating_schedule_pattern():
     """Alternating storage: bracketed by the bound curves, deaging after the
     day-4 swap, and <= 2% net drift over 40 days after the final swap."""
-    cfg = SimConfig(fab_a=0.05)
     samples = np.arange(0.0, 52 * DAY + 1, 0.25 * DAY)
-    y = simulate_trajectory(_swap_schedule(), [], cfg, 1.0, samples) - 1.0
+    y = simulate_trajectory(_swap_schedule(), [], SimConfig(), 1.0, samples,
+                            profile=JunctionProfile(a=0.05)) - 1.0
 
     amb = eval_single_log(AgingParams(0.05, 1.2e4, 1.0), samples) - 1.0
     gb = eval_single_log(AgingParams(0.05, 4.3e4, 1.0), samples) - 1.0
@@ -144,10 +144,10 @@ def test_c05_alternating_schedule_pattern():
 
 def test_c06_vacuum_exit_relaxation():
     """Leaving high vacuum reaches within 10% of the glovebox bound in < 1 day."""
-    cfg = SimConfig(fab_a=0.12)
     sched = StorageSchedule(segments=((0.0, VACUUM), (7 * DAY, GLOVEBOX)))
     samples = np.arange(7 * DAY, 8.5 * DAY, 0.02 * DAY)
-    y = simulate_trajectory(sched, [], cfg, 1.0, samples) - 1.0
+    y = simulate_trajectory(sched, [], SimConfig(), 1.0, samples,
+                            profile=JunctionProfile(a=0.12)) - 1.0
     gb = eval_single_log(AgingParams(0.12, 4.3e4, 1.0), samples) - 1.0
     rel = np.abs(y - gb) / gb
     hit = samples[rel <= 0.10]
@@ -161,8 +161,8 @@ def test_c07_voltage_anneal_response():
     """Configured jumps applied exactly; bystander junctions undisturbed;
     post-anneal drift refits to the installed timescale within 2x."""
     # exact jumps at the operation level
-    for mean, a_chip in ((0.142, 0.21), (0.181, 0.15)):
-        cfg = SimConfig(fab_a=a_chip, voltage_jump_mean=mean, voltage_jump_sd=0.0)
+    for mean in (0.142, 0.181):
+        cfg = SimConfig(voltage_jump_mean=mean, voltage_jump_sd=0.0)
         state = TrajectoryState(t_s=56 * DAY, y_env=1.0)
         out = apply_voltage_anneal(
             state, AnnealEvent(t_s=56 * DAY, kind=VoltageAnneal()), cfg, rng_seed=0
@@ -171,7 +171,7 @@ def test_c07_voltage_anneal_response():
         assert jump == pytest.approx(mean, abs=1e-12)
 
     # chip level: anneal half of a 16-junction chip at day 56
-    cfg = SimConfig(fab_a=0.21, voltage_jump_mean=0.142, voltage_jump_sd=0.0,
+    cfg = SimConfig(voltage_jump_mean=0.142, voltage_jump_sd=0.0,
                     voltage_drift_a=0.05, voltage_drift_tau_s=5.0e4)
     spec = ChipSpec(r0_mean_ohm=22_800.0, r0_cv=0.0, a_mean=0.21,
                     log_tau_mean=math.log(1.2e4), b_mean=1.0, noise_sigma=0.0)
@@ -191,7 +191,7 @@ def test_c07_voltage_anneal_response():
     traj = simulate_trajectory(
         StorageSchedule.single(AMBIENT),
         [AnnealEvent(t_s=56 * DAY, kind=VoltageAnneal())],
-        cfg, 22_800.0, samples,
+        cfg, 22_800.0, samples, profile=JunctionProfile(a=0.21),
     )
     series = [(t - 56 * DAY, r / traj[0]) for t, r in zip(samples[1:], traj[1:])]
     res = fit_single_log(series)
@@ -310,7 +310,7 @@ def test_c10_determinism_and_io(tmp_path):
 def test_c11_cv_trends():
     """Heterogeneous ambient ensemble: CV rises ~5% -> ~7%; homogeneous
     glovebox ensemble stays flat within one point (100-trial medians)."""
-    cfg = SimConfig(fab_a=0.21)
+    cfg = SimConfig()
     samples = np.arange(0.0, 56 * DAY + 1, 2 * DAY)
     het = ChipSpec(r0_mean_ohm=22_800.0, r0_cv=0.048, a_mean=0.21, a_sd=0.015,
                    log_tau_mean=math.log(1.2e4), log_tau_sd=0.3, b_mean=1.01,
@@ -328,7 +328,7 @@ def test_c11_cv_trends():
     assert abs(cv1 - 0.07) <= 0.02
     assert cv1 > cv0
 
-    cfg_gb = SimConfig(fab_a=0.15, env_tau_s=dict(cfg.env_tau_s))
+    cfg_gb = SimConfig(env_tau_s=dict(cfg.env_tau_s))
     hom = ChipSpec(r0_mean_ohm=24_300.0, r0_cv=0.059, a_mean=0.15, a_sd=0.0,
                    log_tau_mean=math.log(4.3e4), log_tau_sd=0.0, b_mean=1.0,
                    noise_sigma=0.003)

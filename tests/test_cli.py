@@ -113,9 +113,9 @@ class TestSimulate:
         # ChipSpec takes these; the drawn tau used to escape as an OverflowError.
         ("chip", "log_tau_mean", 800.0, "error: drawn tau_s = exp(800) s overflows a float"),
         ("chip", "log_tau_sd", 1000.0, "error: drawn tau_s = exp(914.749) s overflows a float"),
-        # simulate draws the amplitude from the chip section and never reads this.
-        ("sim", "fab_a", 0.21,
-         "error: sim key 'fab_a' is not read: set the amplitude with chip.a_mean"),
+        # The amplitude is drawn per junction from the chip section; the sim
+        # section has none.
+        ("sim", "fab_a", 0.21, "unknown sim key 'fab_a'"),
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, section, key, value, named):
         path = write_flat_spec(tmp_path)
@@ -163,6 +163,8 @@ class TestSimulate:
     @pytest.mark.parametrize("flag, value", [
         ("--target-days", "nan"), ("--target-days", "inf"), ("--target-days", "-5"),
         ("--sample-days", "nan"), ("--sample-days", "0"), ("--sample-days", "-1"),
+        # Finite in days, infinite in seconds.
+        ("--target-days", "1e308"), ("--sample-days", "1e307"),
     ])
     def test_bad_step_arguments_exit_2(self, tmp_path, capsys, flag, value):
         out = tmp_path / "d.csv"
@@ -722,7 +724,7 @@ class TestPredict:
         assert code == 2
 
     @pytest.mark.parametrize("flag", ["--target-days", "--from-days"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-5"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-5", "1e308"])
     def test_bad_days_exit_2(self, tmp_path, capsys, flag, value):
         days = {"--from-days": "1", "--target-days": "10", flag: value}
         out = tmp_path / "p.json"
@@ -974,16 +976,20 @@ class TestAnneal:
         "event,30,voltage\n",
         # Recorded at the previous step's measurement time.
         "event,30.5,voltage\nevent,30.5,thermal,temp_c=200,env=glovebox,hold_min=0\n",
+        # Recorded at a time that is not finite: ev.t_s + hold overflows.
+        "event,40,thermal,temp_c=200,hold_min=1e308\n",
     ])
     def test_unplaceable_event_exits_2(self, tmp_path, capsys, lines):
         data = self._dataset(tmp_path, days="30")
         events = tmp_path / "steps.txt"
         events.write_text(lines)
         out = tmp_path / "x.csv"
+        capsys.readouterr()
         code = run("anneal", str(data), "--events", str(events), "--preset", "chip3",
                    "--seed", "4", "--out", str(out))
         assert code == 2
-        assert not out.exists()
+        assert capsys.readouterr().out == ""   # refused before any step is printed
+        assert not out.exists() and not out.with_suffix(".steps.json").exists()
 
     def test_back_to_back_steps_reload(self, tmp_path, capsys):
         data = self._dataset(tmp_path, days="30")

@@ -111,18 +111,18 @@ class TestSimulateChip:
         chip = draw_chip(flat_spec(), seed=1)
         with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
             simulate_chip(chip, StorageSchedule.single(AMBIENT), [], [0.0, DAY],
-                          SimConfig(fab_a=0.21), seed=seed)
+                          SimConfig(), seed=seed)
 
     def test_sample_times_must_be_one_dimensional(self):
         chip = draw_chip(flat_spec(), seed=1)
         with pytest.raises(ValidationError, match="1-D"):
             simulate_chip(chip, StorageSchedule.single(AMBIENT), [], [[0.0, DAY]],
-                          SimConfig(fab_a=0.21), seed=1)
+                          SimConfig(), seed=1)
 
     def test_zero_noise_zero_spread_matches_closed_form(self):
         spec = flat_spec(n_junctions=4)
         chip = draw_chip(spec, seed=0)
-        cfg = SimConfig(fab_a=0.21)
+        cfg = SimConfig()
         samples = np.linspace(0, 56 * DAY, 15)
         ds = simulate_chip(chip, StorageSchedule.single(AMBIENT), [], samples, cfg, seed=0)
         ref = 22_800.0 * eval_single_log(AgingParams(a=0.21, tau_s=1.2e4, b=1.01), samples)
@@ -132,7 +132,7 @@ class TestSimulateChip:
     def test_voltage_anneal_on_half_leaves_rest_unperturbed(self):
         spec = flat_spec(n_junctions=8)
         chip = draw_chip(spec, seed=0)
-        cfg = SimConfig(fab_a=0.21, voltage_jump_mean=0.142, voltage_jump_sd=0.0)
+        cfg = SimConfig(voltage_jump_mean=0.142, voltage_jump_sd=0.0)
         ev = [AnnealEvent(t_s=30 * DAY, kind=VoltageAnneal(), junction_ids=(0, 1, 2, 3))]
         samples = [0.0, 29 * DAY, 31 * DAY]
         ds = simulate_chip(chip, StorageSchedule.single(AMBIENT), ev, samples, cfg, seed=0)
@@ -144,7 +144,7 @@ class TestSimulateChip:
     def test_open_junctions_flagged_without_resistance(self):
         spec = flat_spec(open_prob=0.5, n_junctions=20)
         chip = draw_chip(spec, seed=11)
-        cfg = SimConfig(fab_a=0.21)
+        cfg = SimConfig()
         ds = simulate_chip(chip, StorageSchedule.single(AMBIENT), [], [0.0, DAY], cfg, seed=0)
         open_ids = [j for j, (_, o) in enumerate(chip) if o]
         assert open_ids, "seed should produce some open junctions"
@@ -163,7 +163,7 @@ class TestSimulateChip:
         monkeypatch.setattr(ensemble, "simulate_trajectory", counting)
         chip = draw_chip(flat_spec(open_prob=0.5, n_junctions=20), seed=11)
         simulate_chip(chip, StorageSchedule.single(AMBIENT), [], [0.0, DAY],
-                      SimConfig(fab_a=0.21), seed=0)
+                      SimConfig(), seed=0)
         assert calls == [p.r0_ohm for p, is_open in chip if not is_open]
         assert 0 < len(calls) < len(chip)
 
@@ -180,16 +180,16 @@ class TestSimulateChip:
         # times itself, with the same message.
         with pytest.raises(ValidationError, match="sample times must be finite and >= 0"):
             simulate_chip(self.all_open_chip(), StorageSchedule.single(AMBIENT), [], times,
-                          SimConfig(fab_a=0.21), seed=1)
+                          SimConfig(), seed=1)
 
     def test_strict_increase_checked_before_finiteness(self):
         with pytest.raises(ValidationError, match="strictly increasing"):
             simulate_chip(self.all_open_chip(), StorageSchedule.single(AMBIENT), [],
-                          [-5.0, -5.0, 1.0], SimConfig(fab_a=0.21), seed=1)
+                          [-5.0, -5.0, 1.0], SimConfig(), seed=1)
 
     def test_all_open_chip_saves_and_loads_back(self, tmp_path):
         ds = simulate_chip(self.all_open_chip(), StorageSchedule.single(AMBIENT), [],
-                           [0.0, DAY, 2 * DAY], SimConfig(fab_a=0.21), seed=1, chip_id="c")
+                           [0.0, DAY, 2 * DAY], SimConfig(), seed=1, chip_id="c")
         assert (ds.flag == FLAGS.index("open")).all()
         save_measurements(ds, tmp_path / "open.csv")
         back = load_measurements(tmp_path / "open.csv")
@@ -203,7 +203,7 @@ class TestSimulateChip:
 
         spec = flat_spec(r0_cv=0.048, a_sd=0.015, log_tau_sd=0.3, noise_sigma=0.003)
         chip = draw_chip(spec, seed=21)
-        cfg = SimConfig(fab_a=0.21)
+        cfg = SimConfig()
         samples = np.concatenate([[600.0, 3600.0, 6 * 3600.0], np.linspace(DAY, 56 * DAY, 28)])
         ds = simulate_chip(chip, StorageSchedule.single(AMBIENT), [], samples, cfg, seed=21)
         agg = aggregate_series(ds)

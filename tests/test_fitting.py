@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -92,7 +93,8 @@ class TestSingleLogFit:
 
     def test_non_convergence_returns_best_so_far(self):
         series = single_log_series(CHIP1)
-        res = fit_single_log(series, FitOptions(max_iterations=1))
+        with mock.patch.object(fitting, "_MAX_ITERATIONS", 1):
+            res = fit_single_log(series)
         assert not res.converged
         assert res.iterations == 1
         assert np.isfinite(res.rss)
@@ -241,18 +243,20 @@ class TestJacobians:
             lo, hi = a_bounds
 
             def free(x):
-                return tuple(lo < a < hi for a in fitting._two_log_vp_resid(x, t, y, a_bounds)[1][:2])
+                return tuple(lo < a < hi for a in fitting._two_log_vp_resid(x, t, y)[1][:2])
 
-            fun = lambda x: _two_log_vp_rj(x, t, y, a_bounds=a_bounds)
-            for _ in range(100):
-                x = rng.uniform(math.log(3e2), math.log(3e7), 2)
-                steps = np.diag(1e-5 * np.maximum(abs(x), 1.0))   # _fd's, at eps=1e-5
-                if len({free(x)} | {free(x + s) for s in steps} | {free(x - s) for s in steps}) > 1:
-                    continue
-                seen.add(free(x))
-                J = fun(x)[1]
-                np.testing.assert_allclose(J, self._fd(fun, x, eps=1e-5),
-                                           rtol=1e-6, atol=1e-7 * abs(J).max())
+            fun = lambda x: _two_log_vp_rj(x, t, y)
+            with mock.patch.object(fitting, "_A_BOUNDS", a_bounds):
+                for _ in range(100):
+                    x = rng.uniform(math.log(3e2), math.log(3e7), 2)
+                    steps = np.diag(1e-5 * np.maximum(abs(x), 1.0))   # _fd's, at eps=1e-5
+                    if len({free(x)} | {free(x + s) for s in steps}
+                           | {free(x - s) for s in steps}) > 1:
+                        continue
+                    seen.add(free(x))
+                    J = fun(x)[1]
+                    np.testing.assert_allclose(J, self._fd(fun, x, eps=1e-5),
+                                               rtol=1e-6, atol=1e-7 * abs(J).max())
         assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
@@ -326,10 +330,9 @@ class TestGridOracle:
                            tau_ext_s=10 ** draw(st.floats(2.0, 7.0)))
         noise = draw(st.sampled_from([1e-3, 2e-2]))
         y = eval_two_log(gen, t) * (1.0 + noise * rng.standard_normal(t.size))
-        opts = FitOptions(model="two-log", a_bounds=draw(st.sampled_from(
-            [(0.0, 1.0), (0.0, 0.05), (0.02, 0.08), (0.15, 0.3)])))
-        ai, ti, ae, te = fitting._two_log_start(t, y, t[t > 0], opts)
-        lo, hi = opts.a_bounds
+        lo, hi = draw(st.sampled_from([(0.0, 1.0), (0.0, 0.05), (0.02, 0.08), (0.15, 0.3)]))
+        with mock.patch.object(fitting, "_A_BOUNDS", (lo, hi)):
+            ai, ti, ae, te = fitting._two_log_start(t, y, t[t > 0])
         assert lo <= ai <= hi and lo <= ae <= hi and ti > te
         basis = np.log1p(t / ti), np.log1p(t / te)
         r = 1.0 + ai * basis[0] + ae * basis[1] - y
@@ -341,7 +344,7 @@ class TestGridOracle:
             slope, scale = r @ b, 1e-7 * math.sqrt(rss * (b @ b))
             assert slope >= -scale if a == lo else slope <= scale if a == hi else (
                 abs(slope) <= scale)
-        taus = np.exp(np.linspace(*opts.log_tau_bounds, 41))
+        taus = np.exp(np.linspace(*fitting._LOG_TAU_BOUNDS, 41))
         amps = np.linspace(lo, hi, 21)
         series = np.column_stack([t, y])
         grid_rss = min(
@@ -353,9 +356,8 @@ class TestGridOracle:
     def test_two_log_start_ties_go_to_the_first_pair(self):
         # A flat series fits every pair exactly with zero amplitudes.
         t = np.geomspace(1e3, 84 * DAY, 20)
-        opts = FitOptions(model="two-log")
-        lo, hi = opts.log_tau_bounds
-        ai, ti, ae, te = fitting._two_log_start(t, np.ones_like(t), t, opts)
+        lo, hi = fitting._LOG_TAU_BOUNDS
+        ai, ti, ae, te = fitting._two_log_start(t, np.ones_like(t), t)
         assert (ai, ae) == (0.0, 0.0)
         assert (ti, te) == pytest.approx((math.exp(lo + (hi - lo) / 40), math.exp(lo)), rel=1e-12)
 

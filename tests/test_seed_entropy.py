@@ -15,9 +15,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from jjaging import (
     AMBIENT,
+    GLOVEBOX,
+    AnnealEvent,
     ChipSpec,
     SimConfig,
     StorageSchedule,
+    ThermalAnneal,
+    VoltageAnneal,
     cli,
     draw_chip,
     load_events,
@@ -25,7 +29,7 @@ from jjaging import (
     simulate_chip,
     trajectory,
 )
-from jjaging.ensemble import _junction_seed
+from jjaging.ensemble import _junction_events, _junction_seed
 from jjaging.trajectory import _event_seed, _spawn_entropy
 
 DAY = 86400.0
@@ -82,7 +86,7 @@ def test_noise_rows_equal_spawn_key_streams(seed, kind, n_j, n_s):
                 log_tau_mean=math.log(1.2e4), log_tau_sd=0.2, n_junctions=n_j)
     sigma = 0.01
     samples = np.arange(n_s) * DAY
-    sched, cfg = StorageSchedule.single(AMBIENT), SimConfig(fab_a=0.2)
+    sched, cfg = StorageSchedule.single(AMBIENT), SimConfig()
     quiet = simulate_chip(draw_chip(ChipSpec(**base, noise_sigma=0.0), seed), sched, [],
                           samples, cfg, seed)
     noisy = simulate_chip(draw_chip(ChipSpec(**base, noise_sigma=sigma), seed), sched, [],
@@ -102,6 +106,18 @@ def test_no_anneal_stream_is_a_noise_stream(seed, kind):
     noise = {_spawn_key_seed(seed, 1, j) for j in range(16)}
     anneal = {_event_seed(_junction_seed(seed, j), i) for j in range(16) for i in range(4)}
     assert len(anneal) == 64 and not noise & anneal
+
+
+def test_junction_events_select_and_seed_as_one_rule():
+    """The one rule ``simulate`` and ``anneal`` share: the events that name
+    junction j (or none), and j's anneal seed only if one of them draws."""
+    events = [AnnealEvent(5 * DAY, ThermalAnneal(200.0, GLOVEBOX)),
+              AnnealEvent(6 * DAY, VoltageAnneal(), junction_ids=(0, 2)),
+              AnnealEvent(7 * DAY, ThermalAnneal(250.0, GLOVEBOX), junction_ids=(1, 2))]
+    assert [_junction_events(events, 9, j) for j in range(4)] == [
+        ([0, 1], _junction_seed(9, 0)), ([0, 2], 0), ([0, 1, 2], _junction_seed(9, 2)),
+        ([0], 0)]
+    assert _junction_events([], 9, 0) == ([], 0)
 
 
 EVENTS = ("event,5,voltage,n_pulses=30\n"

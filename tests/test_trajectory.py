@@ -31,10 +31,11 @@ from jjaging.trajectory import _in_force, _run_from, _segment
 from reference_trajectory import reference_simulate_trajectory
 
 DAY = 86400.0
+CHIP1 = JunctionProfile(a=0.21)   # a chip1 junction's bound curve
 
 
 def chip1_cfg(**over):
-    defaults = dict(fab_a=0.21, voltage_jump_mean=0.142, voltage_jump_sd=0.0)
+    defaults = dict(voltage_jump_mean=0.142, voltage_jump_sd=0.0)
     defaults.update(over)
     return SimConfig(**defaults)
 
@@ -98,7 +99,7 @@ class TestMissingTimescale:
         sched = StorageSchedule(segments=((0.0, AMBIENT), (4 * DAY, GLOVEBOX)))
         samples = np.linspace(0.0, 8 * DAY, 9)
         with pytest.raises(ConfigurationError, match="'glovebox'"):
-            simulate_trajectory(sched, [], self.cfg(), 22_800.0, samples)
+            simulate_trajectory(sched, [], self.cfg(), 22_800.0, samples, profile=CHIP1)
 
 
 class TestSingleEnvironment:
@@ -106,14 +107,16 @@ class TestSingleEnvironment:
         # On-bound start: the exact-feedforward scheme reproduces the bound.
         cfg = chip1_cfg()
         samples = np.linspace(0, 56 * DAY, 57)
-        traj = simulate_trajectory(StorageSchedule.single(AMBIENT), [], cfg, 22_800.0, samples)
+        traj = simulate_trajectory(StorageSchedule.single(AMBIENT), [], cfg, 22_800.0, samples,
+                                   profile=CHIP1)
         ref = 22_800.0 * eval_single_log(AgingParams(a=0.21, tau_s=1.2e4, b=1.0), samples)
         np.testing.assert_allclose(traj, ref, rtol=1e-12)
 
     def test_within_half_percent_of_fitted_curve_with_offset(self):
         cfg = chip1_cfg()
         samples = np.linspace(0, 56 * DAY, 113)
-        traj = simulate_trajectory(StorageSchedule.single(AMBIENT), [], cfg, 22_800.0, samples)
+        traj = simulate_trajectory(StorageSchedule.single(AMBIENT), [], cfg, 22_800.0, samples,
+                                   profile=CHIP1)
         ref = 22_800.0 * eval_single_log(AgingParams(a=0.21, tau_s=1.2e4, b=1.01), samples)
         rel = np.abs(traj / ref - 1)
         assert rel.max() < 5e-3
@@ -122,30 +125,32 @@ class TestSingleEnvironment:
         cfg = chip1_cfg()
         sched = StorageSchedule.single(AMBIENT)
         with pytest.raises(ValidationError):
-            simulate_trajectory(sched, [], cfg, 1.0, [2.0, 1.0])
+            simulate_trajectory(sched, [], cfg, 1.0, [2.0, 1.0], profile=CHIP1)
         ev = [
             AnnealEvent(t_s=5 * DAY, kind=VoltageAnneal()),
             AnnealEvent(t_s=1 * DAY, kind=VoltageAnneal()),
         ]
         with pytest.raises(ValidationError):
-            simulate_trajectory(sched, ev, cfg, 1.0, [0.0])
+            simulate_trajectory(sched, ev, cfg, 1.0, [0.0], profile=CHIP1)
 
     @pytest.mark.parametrize("seed", [-1, 0.5])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
             simulate_trajectory(StorageSchedule.single(AMBIENT), [], chip1_cfg(), 1.0,
-                                [0.0, DAY], seed=seed)
+                                [0.0, DAY], seed=seed, profile=CHIP1)
 
     @pytest.mark.parametrize("bad", [5.0, [[0.0, DAY]]], ids=["scalar", "2-D"])
     def test_sample_times_must_be_one_dimensional(self, bad):
         with pytest.raises(ValidationError, match="1-D"):
-            simulate_trajectory(StorageSchedule.single(AMBIENT), [], chip1_cfg(), 1.0, bad)
+            simulate_trajectory(StorageSchedule.single(AMBIENT), [], chip1_cfg(), 1.0, bad,
+                                profile=CHIP1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_sample_time_rejected(self, bad):
         cfg = chip1_cfg()
         with pytest.raises(ValidationError):
-            simulate_trajectory(StorageSchedule.single(AMBIENT), [], cfg, 1.0, [bad, DAY])
+            simulate_trajectory(StorageSchedule.single(AMBIENT), [], cfg, 1.0, [bad, DAY],
+                                profile=CHIP1)
 
     @pytest.mark.parametrize("times", [
         [0.0, math.nan], [0.0, DAY, math.inf], [-1.0, DAY], [2 * DAY, math.nan, DAY],
@@ -158,44 +163,46 @@ class TestSingleEnvironment:
         # and disorder together with a NaN.
         args = (StorageSchedule.single(AMBIENT), [], chip1_cfg(), 1.0, times)
         with pytest.raises(ValidationError, match="finite and >= 0") as got:
-            simulate_trajectory(*args)
+            simulate_trajectory(*args, profile=CHIP1)
         with pytest.raises(ValidationError) as ref:
-            reference_simulate_trajectory(*args)
+            reference_simulate_trajectory(*args, profile=CHIP1)
         assert str(got.value) == str(ref.value)
 
     @pytest.mark.parametrize("times", [[DAY, 0.0], [0.0, 2 * DAY, DAY, 3 * DAY]])
     def test_disorder_alone_rejected_as_nondecreasing(self, times):
         args = (StorageSchedule.single(AMBIENT), [], chip1_cfg(), 1.0, times)
         with pytest.raises(ValidationError) as got:
-            simulate_trajectory(*args)
+            simulate_trajectory(*args, profile=CHIP1)
         with pytest.raises(ValidationError) as ref:
-            reference_simulate_trajectory(*args)
+            reference_simulate_trajectory(*args, profile=CHIP1)
         assert str(got.value) == str(ref.value) == "sample times must be nondecreasing"
 
     def test_negative_zero_first_time_accepted(self):
         sched, cfg = StorageSchedule.single(AMBIENT), chip1_cfg()
-        r = simulate_trajectory(sched, [], cfg, 5.0, [-0.0, DAY])
-        assert r.tolist() == simulate_trajectory(sched, [], cfg, 5.0, [0.0, DAY]).tolist()
-        ref = reference_simulate_trajectory(sched, [], cfg, 5.0, [-0.0, DAY])
+        r = simulate_trajectory(sched, [], cfg, 5.0, [-0.0, DAY], profile=CHIP1)
+        assert r.tolist() == simulate_trajectory(sched, [], cfg, 5.0, [0.0, DAY],
+                                                 profile=CHIP1).tolist()
+        ref = reference_simulate_trajectory(sched, [], cfg, 5.0, [-0.0, DAY], profile=CHIP1)
         assert r.tolist() == [r_ohm for _, r_ohm in ref]
 
     def test_returns_float_resistances_aligned_with_samples(self):
         sched, cfg = StorageSchedule.single(AMBIENT), chip1_cfg()
-        r = simulate_trajectory(sched, [], cfg, 5.0, [0.0, DAY, 3 * DAY])
+        r = simulate_trajectory(sched, [], cfg, 5.0, [0.0, DAY, 3 * DAY], profile=CHIP1)
         assert isinstance(r, np.ndarray) and r.dtype == np.float64 and r.shape == (3,)
         # The bound starts at y = a ln(b) = 0; each entry is its own time's value.
         assert r[0] == 5.0
-        assert r[2] == simulate_trajectory(sched, [], cfg, 5.0, [3 * DAY])[0] > r[1] > 5.0
+        assert r[2] == simulate_trajectory(sched, [], cfg, 5.0, [3 * DAY],
+                                           profile=CHIP1)[0] > r[1] > 5.0
 
     def test_no_sample_times_give_no_samples(self):
         assert simulate_trajectory(StorageSchedule.single(AMBIENT), [], chip1_cfg(), 1.0,
-                                   []).shape == (0,)
+                                   [], profile=CHIP1).shape == (0,)
 
     @pytest.mark.parametrize("r0", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_initial_resistance_must_be_finite_and_positive(self, r0):
         with pytest.raises(ParameterError, match="r0_ohm must be finite and > 0"):
             simulate_trajectory(StorageSchedule.single(AMBIENT), [], chip1_cfg(), r0,
-                                [0.0, DAY])
+                                [0.0, DAY], profile=CHIP1)
 
     def test_start_below_minus_one_rejected(self):
         # y(0) = a ln(b) = 0.5 ln(0.1) < -1.
@@ -212,7 +219,7 @@ class TestSwapDynamics:
         cfg = chip1_cfg(relax_gas_to_gas_s=300.0)
         sched = StorageSchedule(segments=((0.0, AMBIENT), (4 * DAY, GLOVEBOX)))
         samples = 4 * DAY + 60.0 * np.arange(31)
-        y = simulate_trajectory(sched, [], cfg, 1000.0, samples) / 1000.0 - 1.0
+        y = simulate_trajectory(sched, [], cfg, 1000.0, samples, profile=CHIP1) / 1000.0 - 1.0
         y_gb = 0.21 * np.log(samples / 4.3e4 + 1.0)
         gap = y - y_gb
         assert np.all(gap > 0)
@@ -227,16 +234,18 @@ class TestSwapDynamics:
         daily = np.arange(0.0, 21 * DAY, DAY)
         rng = np.random.default_rng(3)
         dense = np.sort(np.concatenate([daily, rng.uniform(0.0, 21 * DAY, 200)]))
-        coarse = dict(zip(daily, simulate_trajectory(sched, ev, cfg, 9e3, daily, seed=5)))
-        fine = dict(zip(dense, simulate_trajectory(sched, ev, cfg, 9e3, dense, seed=5)))
+        coarse = dict(zip(daily, simulate_trajectory(sched, ev, cfg, 9e3, daily, seed=5,
+                                                     profile=CHIP1)))
+        fine = dict(zip(dense, simulate_trajectory(sched, ev, cfg, 9e3, dense, seed=5,
+                                                   profile=CHIP1)))
         for t, r in coarse.items():
             assert fine[t] == pytest.approx(r, rel=1e-12)
 
     def test_deaging_after_move_into_glovebox(self):
-        cfg = chip1_cfg(fab_a=0.05)
         sched = StorageSchedule(segments=((0.0, AMBIENT), (4 * DAY, GLOVEBOX)))
         samples = np.arange(4 * DAY, 6 * DAY, 0.1 * DAY)
-        rs = simulate_trajectory(sched, [], cfg, 1.0, samples)
+        rs = simulate_trajectory(sched, [], chip1_cfg(), 1.0, samples,
+                                 profile=JunctionProfile(a=0.05))
         first_incr = np.diff(rs)[:5]
         assert np.all(first_incr < 0), "expected an initial resistance decrease"
         # and the transient flattens: late increments are small and positive
@@ -244,19 +253,19 @@ class TestSwapDynamics:
         assert np.all(np.abs(late) < np.abs(first_incr[0]))
 
     def test_faster_aging_after_move_into_ambient(self):
-        cfg = chip1_cfg(fab_a=0.05)
         sched = StorageSchedule(segments=((0.0, GLOVEBOX), (4 * DAY, AMBIENT)))
         samples = [3.5 * DAY, 4 * DAY, 4.5 * DAY, 5 * DAY]
-        traj = simulate_trajectory(sched, [], cfg, 1.0, samples)
+        traj = simulate_trajectory(sched, [], chip1_cfg(), 1.0, samples,
+                                   profile=JunctionProfile(a=0.05))
         before = traj[1] - traj[0]
         after = traj[3] - traj[2]
         assert after > before
 
     def test_vacuum_exit_rapid_relaxation(self):
-        cfg = chip1_cfg(fab_a=0.12)
         sched = StorageSchedule(segments=((0.0, VACUUM), (7 * DAY, GLOVEBOX)))
         samples = np.arange(7 * DAY, 9 * DAY, 0.05 * DAY)
-        y = simulate_trajectory(sched, [], cfg, 1.0, samples) - 1.0
+        y = simulate_trajectory(sched, [], chip1_cfg(), 1.0, samples,
+                                profile=JunctionProfile(a=0.12)) - 1.0
         gb = eval_single_log(AgingParams(a=0.12, tau_s=4.3e4, b=1.0), samples) - 1.0
         rel = np.abs(y - gb) / gb
         hit = samples[rel <= 0.10]
@@ -279,10 +288,10 @@ class TestSwapDynamics:
         sched = StorageSchedule(segments=((0.0, AMBIENT), (10 * DAY, GLOVEBOX)))
         ev = [AnnealEvent(t_s=20 * DAY, kind=VoltageAnneal())]
         samples = np.linspace(0, 30 * DAY, 61)
-        t1 = simulate_trajectory(sched, ev, cfg, 9e3, samples, seed=42)
-        t2 = simulate_trajectory(sched, ev, cfg, 9e3, samples, seed=42)
+        t1 = simulate_trajectory(sched, ev, cfg, 9e3, samples, seed=42, profile=CHIP1)
+        t2 = simulate_trajectory(sched, ev, cfg, 9e3, samples, seed=42, profile=CHIP1)
         assert t1.tobytes() == t2.tobytes()
-        t3 = simulate_trajectory(sched, ev, cfg, 9e3, samples, seed=43)
+        t3 = simulate_trajectory(sched, ev, cfg, 9e3, samples, seed=43, profile=CHIP1)
         assert t3.tobytes() != t1.tobytes()
 
 
@@ -295,7 +304,7 @@ class TestVoltageAnneal:
         assert (1 + out.y) / (1 + state.y) == pytest.approx(1.142, rel=1e-15)
 
     def test_chip2_like_jump_and_drift_tau(self):
-        cfg = SimConfig(fab_a=0.15, voltage_jump_mean=0.181, voltage_jump_sd=0.0,
+        cfg = SimConfig(voltage_jump_mean=0.181, voltage_jump_sd=0.0,
                         voltage_drift_tau_s=1.6e4)
         state = TrajectoryState(t_s=56 * DAY, y_env=0.71)
         out = apply_voltage_anneal(state, AnnealEvent(t_s=56 * DAY, kind=VoltageAnneal()), cfg, 7)
@@ -400,7 +409,8 @@ class TestUnreadEventFields:
         cfg = chip1_cfg(voltage_jump_sd=0.02)
         sched = StorageSchedule(segments=((0.0, AMBIENT), (10 * DAY, GLOVEBOX)))
         events = [AnnealEvent(t_s=(12 + 4 * k) * DAY, kind=kind) for k, kind in enumerate(kinds)]
-        return simulate_trajectory(sched, events, cfg, 9e3, np.linspace(0, 30 * DAY, 61), seed=5)
+        return simulate_trajectory(sched, events, cfg, 9e3, np.linspace(0, 30 * DAY, 61),
+                                   seed=5, profile=CHIP1)
 
     def test_voltage_pulse_fields(self):
         given = self.run(VoltageAnneal())
@@ -428,7 +438,7 @@ class TestMeasurementExposure:
         """R/R0 at the start and at the end of a visit that begins on day 30."""
         sched = StorageSchedule(segments=((0.0, GLOVEBOX), (30 * DAY, AMBIENT)))
         return simulate_trajectory(sched, [], chip1_cfg(), 1.0,
-                                   [30 * DAY, 30 * DAY + duration_s])
+                                   [30 * DAY, 30 * DAY + duration_s], profile=CHIP1)
 
     def test_zero_duration_identity(self):
         start, end = self.exposed(0.0)
@@ -436,7 +446,7 @@ class TestMeasurementExposure:
         # The visit starts from the glovebox-stored state; the swap at that
         # instant moves it only by rounding.
         stored = simulate_trajectory(StorageSchedule.single(GLOVEBOX), [], chip1_cfg(), 1.0,
-                                     [30 * DAY])
+                                     [30 * DAY], profile=CHIP1)
         assert start == pytest.approx(stored[0], rel=1e-15)
 
     def test_20_minutes_on_glovebox_stored_junction_is_tiny(self):
@@ -473,10 +483,10 @@ class TestResume:
         assert y63 == pytest.approx(float(eval_single_log(p, 63 * DAY)) - 1, rel=1e-10)
 
     def test_crosses_swaps(self):
-        cfg = chip1_cfg(fab_a=0.05)
+        cfg, prof = chip1_cfg(), JunctionProfile(a=0.05)
         sched = StorageSchedule(segments=((0.0, AMBIENT), (4 * DAY, GLOVEBOX)))
-        full = simulate_trajectory(sched, [], cfg, 1.0, [2 * DAY, 6 * DAY])
-        y6 = resume(full[0] - 1.0, 2 * DAY, sched, cfg, 6 * DAY, JunctionProfile(a=0.05))
+        full = simulate_trajectory(sched, [], cfg, 1.0, [2 * DAY, 6 * DAY], profile=prof)
+        y6 = resume(full[0] - 1.0, 2 * DAY, sched, cfg, 6 * DAY, prof)
         assert y6 == pytest.approx(full[1] - 1.0, rel=1e-12)
 
     @pytest.mark.parametrize("t_from", [5 * DAY, 6 * DAY, 6.5 * DAY, 8 * DAY])
@@ -484,11 +494,11 @@ class TestResume:
         # From a simulated state, resuming anywhere (a swap's own time
         # included) continues the simulation: after a vacuum exit with the
         # vacuum-to-gas relaxation time, not the gas-to-gas one.
-        cfg = chip1_cfg(fab_a=0.05)
+        cfg = chip1_cfg()
         sched = StorageSchedule(segments=((0.0, AMBIENT), (3 * DAY, VACUUM),
                                           (6 * DAY, GLOVEBOX), (7 * DAY, AMBIENT)))
         prof = JunctionProfile(a=0.05)
-        full = simulate_trajectory(sched, [], cfg, 1.0, [t_from, 10 * DAY])
+        full = simulate_trajectory(sched, [], cfg, 1.0, [t_from, 10 * DAY], profile=prof)
         y10 = resume(full[0] - 1.0, t_from, sched, cfg, 10 * DAY, prof)
         assert y10 == pytest.approx(full[1] - 1.0, rel=1e-12)
 
@@ -535,8 +545,6 @@ class TestConfigValidation:
         SimConfig(**{name: 1.0})
 
     @pytest.mark.parametrize("over", [
-        {"fab_a": math.nan},
-        {"fab_a": -0.1},
         {"voltage_jump_mean": math.nan},
         {"voltage_jump_sd": math.nan},
         {"voltage_drift_a": math.inf},

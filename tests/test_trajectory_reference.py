@@ -69,13 +69,12 @@ def cases(draw):
         samples.sort()
 
     cfg = SimConfig(
-        fab_a=draw(st.floats(0.0, 0.5)),
         relax_gas_to_gas_s=draw(st.floats(300.0, 5 * DAY)),
         relax_vacuum_to_gas_s=draw(st.floats(300.0, DAY)),
         voltage_jump_sd=draw(st.sampled_from([0.0, 0.02])),
         floor_at_r0=draw(st.booleans()),
     )
-    profile = draw(st.one_of(st.none(), st.builds(
+    profile = draw(st.one_of(st.builds(JunctionProfile, a=st.floats(0.0, 0.5)), st.builds(
         JunctionProfile, a=st.floats(0.0, 0.5), b=st.floats(0.01, 2.0),
         tau_scale=st.floats(0.5, 2.0))))
     kwargs = dict(schedule=schedule, events=events, cfg=cfg,
@@ -133,7 +132,7 @@ def test_single_environment_piece_is_the_reference_to_an_ulp():
     # against math.log.
     samples = np.arange(0.0, 365 * DAY + 1.0, DAY)
     kwargs = dict(schedule=StorageSchedule.single(AMBIENT), events=[],
-                  cfg=SimConfig(fab_a=0.21), r0_ohm=22_800.0, sample_t_s=samples,
+                  cfg=SimConfig(), r0_ohm=22_800.0, sample_t_s=samples,
                   profile=JunctionProfile(a=0.2, b=1.03, tau_scale=1.2))
     assert max_rel_diff(kwargs) <= 2.3e-16
 
@@ -143,7 +142,8 @@ def test_breakpoints_after_the_last_sample_are_still_applied():
     # sample follows it, as in the reference.
     kwargs = dict(schedule=StorageSchedule.single(AMBIENT),
                   events=[AnnealEvent(t_s=5 * DAY, kind=ThermalAnneal(*UNKNOWN_OVEN))],
-                  cfg=SimConfig(), r0_ohm=1.0, sample_t_s=[0.0, DAY])
+                  cfg=SimConfig(), r0_ohm=1.0, sample_t_s=[0.0, DAY],
+                  profile=JunctionProfile(a=0.21))
     for fn in (simulate_trajectory, reference_simulate_trajectory):
         with pytest.raises(ConfigurationError):
             fn(**kwargs)
