@@ -30,7 +30,11 @@ Lines end at \\n, \\r\\n or \\r; ``#`` comments and blank lines are ignored.
 A fit report is the JSON of a ``FitReport`` of ``FitResult``s, whose layout
 only this module knows.  ``read_report`` refuses (ParseError) a report that
 ``to_dict`` does not give back, or whose ``schema_version`` is not 2; a
-version 1 report is first upgraded to version 2 by ``_from_v1``.
+version 1 report is first upgraded to version 2 by ``_from_v1``.  Reports
+and the CLI's other JSON files are written compact, on one line
+(``_write_json``); a reader takes any whitespace, so the ``indent=2`` layout
+of earlier version 2 reports reads to the same report, and the schema is
+still version 2.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
+from itertools import repeat
 from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
@@ -235,6 +240,60 @@ def _blank(row: Sequence[str]) -> bool:
     return not "".join(row).strip()
 
 
+def _refuse_nul(path, text: str) -> None:
+    """A NUL in ``text`` is a ParseError naming the line of the first
+    (counting \\n, \\r\\n and \\r line ends), in the words of Python 3.10's
+    ``csv.reader``; Python 3.11's reader takes a NUL into its field."""
+    nul = text.find("\0")
+    if nul >= 0:
+        line = text[:nul].replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+        raise ParseError(f"{path}: line {line}: line contains NUL", lines=[line])
+
+
+def _split_fields(text: str):
+    """``(header, columns, line numbers, [])`` of a CSV text that ``str.split``
+    cuts as ``csv.reader`` does, else None.  Such a text has no quote and no
+    carriage return, is no longer than ``csv.field_size_limit()`` (so no
+    field is), ends in \\n, and has exactly five commas on every line: one
+    record per line, six fields each, and no blank line to skip."""
+    if ('"' in text or "\r" in text or len(text) > csv.field_size_limit()
+            or not text.endswith("\n")):
+        return None
+    lines = text.split("\n")
+    lines.pop()   # the empty string after the final \n
+    if set(map(str.count, lines, repeat(","))) != {5}:
+        return None
+    flat = ",".join(lines).split(",")
+    return flat[:6], [flat[6 + k::6] for k in range(6)], np.arange(2, len(lines) + 1), []
+
+
+def _csv_fields(path, text: str):
+    """``(header, columns, line numbers, problems)`` of a CSV text split by
+    ``csv.reader``.  A record of neither 5 nor 6 fields is a problem unless
+    it is blank, and is dropped; a 5-field record has no flag, which reads
+    as "ok"."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:   # e.g. a field longer than csv.field_size_limit()
+        line = reader.line_num
+        raise ParseError(f"{path}: line {line}: {exc}", lines=[line]) from None
+    if not rows:
+        raise ParseError(f"{path}: empty file (header required)")
+    header, rows = rows[0], rows[1:]
+    problems: list[tuple[int, str]] = []
+    lineno = np.arange(2, len(rows) + 2)
+    n_fields = np.fromiter(map(len, rows), np.intp, len(rows))
+    if (n_fields != 6).any():
+        for i in np.flatnonzero((n_fields != 5) & (n_fields != 6)).tolist():
+            if not _blank(rows[i]):
+                problems.append((i + 2, f"expected 5 or 6 fields, got {len(rows[i])}"))
+        keep = np.flatnonzero((n_fields == 5) | (n_fields == 6))
+        lineno = lineno[keep]
+        rows = [rows[i] if len(rows[i]) == 6 else [*rows[i], ""] for i in keep.tolist()]
+    return header, list(zip(*rows)) if rows else [()] * 6, lineno, problems
+
+
 def load_measurements(path, digest=None) -> ChipDataset:
     """Parse, validate, and sort a measurement CSV.
 
@@ -246,46 +305,33 @@ def load_measurements(path, digest=None) -> ChipDataset:
     non-finite) are flagged open.  A file holds one chip: the first row whose
     chip_id differs from the first valid row's is reported.  A leading UTF-8
     byte-order mark, as spreadsheet exports write, is skipped; a file that is
-    not UTF-8 is refused, naming the line of its first undecodable byte, and
-    one that ``csv.reader`` cannot split (a field longer than
+    not UTF-8 is refused, naming the line of its first undecodable byte, as
+    is one holding a NUL, naming the line of the first, and one that
+    ``csv.reader`` cannot split (a field longer than
     ``csv.field_size_limit()``), naming the line it stopped on.  Messages
     quote at most ``_ECHO_CHARS`` characters of a field.
 
-    The fields are split by ``csv.reader`` and then parsed and checked a
-    column at a time.  Each row reports only the first check it fails, in
-    the order: field count; junction_id and t_seconds parse; junction_id
-    within int64; environment; flag; t_seconds finite and >= 0; empty
-    resistance only on open rows; resistance parse; resistance > 0.  A
-    ``hashlib`` object ``digest`` is updated with the raw bytes parsed.
+    The fields are split by ``str.split`` when that cuts them as
+    ``csv.reader`` would (``_split_fields``: the files ``save_measurements``
+    writes for a plain chip id), and by ``csv.reader`` otherwise; either
+    way the columns are then parsed and checked a column at a time, by the
+    same code.  Each row reports only the first check it fails, in the
+    order: field count; junction_id and t_seconds parse; junction_id within
+    int64; environment; flag; t_seconds finite and >= 0; empty resistance
+    only on open rows; resistance parse; resistance > 0.  A ``hashlib``
+    object ``digest`` is updated with the raw bytes parsed.
     """
-    reader = csv.reader(io.StringIO(_read_text(path, digest), newline=""))
-    try:
-        rows = list(reader)
-    except csv.Error as exc:   # e.g. a field longer than csv.field_size_limit()
-        line = reader.line_num
-        raise ParseError(f"{path}: line {line}: {exc}", lines=[line]) from None
-    if not rows:
-        raise ParseError(f"{path}: empty file (header required)")
-    header, rows = rows[0], rows[1:]
+    text = _read_text(path, digest)
+    _refuse_nul(path, text)
+    header, columns, lineno, problems = _split_fields(text) or _csv_fields(path, text)
     if [h.strip() for h in header] != MEASUREMENT_HEADER:
         raise ParseError(
             f"{path}: bad header [{', '.join(_capped(h, repr) for h in header)}]; "
             f"expected {','.join(MEASUREMENT_HEADER)}",
             lines=[1],
         )
-    problems: list[tuple[int, str]] = []
-    lineno = np.arange(2, len(rows) + 2)
-    n_fields = np.fromiter(map(len, rows), np.intp, len(rows))
-    if (n_fields != 6).any():
-        for i in np.flatnonzero((n_fields != 5) & (n_fields != 6)).tolist():
-            if not _blank(rows[i]):
-                problems.append((i + 2, f"expected 5 or 6 fields, got {len(rows[i])}"))
-        keep = np.flatnonzero((n_fields == 5) | (n_fields == 6))
-        lineno = lineno[keep]
-        # A 5-field row has no flag, which reads as "ok".
-        rows = [rows[i] if len(rows[i]) == 6 else [*rows[i], ""] for i in keep.tolist()]
-    m = len(rows)
-    chip_raw, j_raw, t_raw, r_raw, env_raw, flag_raw = zip(*rows) if rows else ((),) * 6
+    m = len(lineno)
+    chip_raw, j_raw, t_raw, r_raw, env_raw, flag_raw = columns
 
     junction, bad_j = _parse_column(int, j_raw, 0)
     t, bad_t = _parse_column(float, t_raw, 0.0)
@@ -295,7 +341,7 @@ def load_measurements(path, digest=None) -> ChipDataset:
     unparsed[bad_j + bad_t] = True
     # Only a row whose junction_id fails to parse can be blank.
     blank = np.zeros(m, dtype=bool)
-    blank[[i for i in bad_j if _blank(rows[i])]] = True
+    blank[[i for i in bad_j if _blank([col[i] for col in columns])]] = True
 
     code_of = {s: _ENV_CODE.get(s.strip().lower(), -1) for s in set(env_raw)}
     env = np.fromiter(map(code_of.__getitem__, env_raw), np.int8, m)
@@ -663,16 +709,18 @@ def build_fit_report(ds: ChipDataset, chip_fit, provenance: Mapping) -> FitRepor
 
 
 def _write_json(obj, path) -> None:
-    """Write ``obj`` as the package's canonical JSON: sorted keys, ``indent=2``,
-    newline-terminated, and no NaN or infinity (which JSON lacks)."""
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    """Write ``obj`` as the package's canonical JSON: one line of sorted keys
+    without indentation (so that Python's C encoder writes it), then a
+    newline, and no NaN or infinity (which JSON lacks).  Readers take any
+    whitespace, so a file written with ``indent=2``, as before, reads alike."""
+    text = json.dumps(obj, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 
 def write_report(report: FitReport, path) -> None:
-    """Serialize a report as canonical JSON (sorted keys, newline-terminated);
-    byte-stable for identical inputs."""
+    """Serialize a report as canonical JSON (``_write_json``: one line, sorted
+    keys, newline-terminated); byte-stable for identical inputs."""
     _write_json(report.to_dict(), path)
 
 

@@ -20,9 +20,9 @@ exact derivative of that projected residual.  Once the loop stops, the
 four-parameter Jacobian at the final (a, tau) gives the standard errors.
 
 The 2x2 and 3x3 trial systems go to LAPACK's ``gesv`` gufunc under
-``np.linalg.solve``'s error state, and the standard errors' J.T @ J to the
-``inv`` gufunc under the same state: the same routines on the same bytes,
-without the wrappers' per-call checks.
+``np.linalg.solve``'s error state, entered once per LM run, and the
+standard errors' J.T @ J to the ``inv`` gufunc under the same state: the
+same routines on the same bytes, without the wrappers' per-call checks.
 
 ``grid_search_oracle`` provides an independent brute-force check: it
 evaluates the model on an explicit parameter grid and returns the grid
@@ -277,11 +277,11 @@ _linalg_errstate = np.errstate(call=_raise_singular, invalid="call", over="ignor
                                divide="ignore", under="ignore")
 
 
-@_linalg_errstate
 def _solve(a, b):
     """``np.linalg.solve(a, b)`` for a float64 (p, p) ``a`` and (p,) ``b``:
-    the same LAPACK call under the same error state, bit-identical, and a
-    singular ``a`` raises ``LinAlgError`` likewise."""
+    the same LAPACK call, bit-identical.  The caller holds
+    ``_linalg_errstate``, under which a singular ``a`` raises ``LinAlgError``
+    likewise; ``_lm_minimize`` enters it once per run, not once per solve."""
     return _umath_linalg.solve1(a, b, signature="dd->d")
 
 
@@ -291,6 +291,7 @@ def _inv(a):
     return _umath_linalg.inv(a, signature="d->d")
 
 
+@_linalg_errstate
 def _lm_minimize(resid, jac, x0, lo, hi, timescales):
     """Damped least squares over a box; accepts only rss-decreasing steps.
 
@@ -310,6 +311,11 @@ def _lm_minimize(resid, jac, x0, lo, hi, timescales):
     such a fit solved, iteration after iteration, for a step that the
     projection threw away, and ran to ``max_iter``.  An iteration that holds
     nothing runs the full system; amplitude and b bounds are never held.
+
+    The whole run holds ``_solve``'s error state, ``_linalg_errstate``,
+    entered once rather than around each solve.  ``resid``, ``jac`` and the
+    loop's own arithmetic run under it too; on resistance ratios in the box
+    they raise no floating-point error, so only the solves meet the state.
     """
     # Same values as np.clip, signed zeros included, at a third of the cost.
     x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lo), hi)

@@ -23,14 +23,18 @@ and each seed the commands are:
 
 That is 22 commands per preset and seed, 396 for the default seeds.
 
-The manifest has one entry per command: its argv, its exit code, and the
-sha256 of its stdout, of its stderr and of each file it wrote.  The temporary
-directory's path reads ``<tmp>`` in all of them.  There are no golden
-digests, because numpy's log may differ by ulps between builds: compare
-manifests made on one machine.  ``--compare`` prints every entry that differs,
-then one line per command with its count of differing entries (``fit: 36
-differ``), then one line per command and exit-code move with its count
-(``fit: 0 -> 3 x2``), and exits 1 if any entry differs.
+The manifest has one entry per command: its argv, its exit code, the sha256
+of its stdout, of its stderr and of each file it wrote, and, for each
+``.json`` file, the sha256 of its parsed value as ``json.dumps(value,
+sort_keys=True)`` writes it, which no change of whitespace moves.  The
+temporary directory's path reads ``<tmp>`` in all of them.  There are no
+golden digests, because numpy's log may differ by ulps between builds:
+compare manifests made on one machine.  ``--compare`` prints every entry
+that differs, marking ``(layout only)`` one that differs only in the bytes
+of JSON files whose values agree; then one line per command with its count
+of differing entries and of those in layout only (``fit: 36 differ, 36 in
+layout only``), then one line per command and exit-code move with its count
+(``fit: 0 -> 3 x2``).  It exits 1 if any entry differs, in layout only too.
 """
 
 from __future__ import annotations
@@ -140,18 +144,23 @@ def run_here(seeds, out: Path) -> None:
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = cli.main([a.replace(TMP, tmp) for a in argv])
-            files = {}
+            files, values = {}, {}
             for entry in os.scandir(tmp):
                 st = entry.stat()
                 stamp = (st.st_mtime_ns, st.st_size)
                 if stamps.get(entry.name) != stamp:
                     stamps[entry.name] = stamp
-                    files[entry.name] = _sha(norm(Path(entry.path).read_bytes()))
+                    data = norm(Path(entry.path).read_bytes())
+                    files[entry.name] = _sha(data)
+                    if entry.name.endswith(".json"):
+                        values[entry.name] = _sha(
+                            json.dumps(json.loads(data), sort_keys=True).encode())
             entries.append({
                 "argv": argv, "exit": code,
                 "stdout": _sha(norm(stdout.getvalue().encode())),
                 "stderr": _sha(norm(stderr.getvalue().encode())),
                 "files": dict(sorted(files.items())),
+                "values": dict(sorted(values.items())),
             })
     manifest = {"python": sys.version.split()[0], "numpy": np.__version__, "commands": entries}
     out.write_text(json.dumps(manifest, indent=1) + "\n")
@@ -164,6 +173,16 @@ def run_tree(tree: Path, seeds, out: Path) -> None:
                     "--out", str(out)], env=env, check=True)
 
 
+def layout_only(ea: dict, eb: dict) -> bool:
+    """Whether two entries differ only in the bytes of JSON files whose parsed
+    values agree."""
+    others = [k for k in ea.keys() | eb.keys() if k != "files"]
+    return ("values" in ea and all(ea.get(k) == eb.get(k) for k in others)
+            and ea["files"].keys() == eb["files"].keys()
+            and all(name in ea["values"] for name, sha in ea["files"].items()
+                    if sha != eb["files"][name]))
+
+
 def compare(a: Path, b: Path) -> int:
     """Print each command whose entry differs between two manifests; 1 if any."""
     ma, mb = (json.loads(p.read_text()) for p in (a, b))
@@ -174,17 +193,21 @@ def compare(a: Path, b: Path) -> int:
     if len(ma["commands"]) != len(mb["commands"]):
         print(f"{len(ma['commands'])} vs {len(mb['commands'])} commands")
         differ = 1
-    counts, moves = Counter(), Counter()
+    counts, layout, moves = Counter(), Counter(), Counter()
     for i, (ea, eb) in enumerate(zip(ma["commands"], mb["commands"])):
         if ea != eb:
             differ = 1
             fields = [k for k in ea if ea[k] != eb.get(k)]
-            print(f"{i}: {' '.join(ea['argv'])}: {', '.join(fields)} differ")
+            only = layout_only(ea, eb)
+            print(f"{i}: {' '.join(ea['argv'])}: {', '.join(fields)} differ"
+                  + (" (layout only)" if only else ""))
             counts[ea["argv"][0]] += 1
+            layout[ea["argv"][0]] += only
             if ea["exit"] != eb["exit"]:
                 moves[ea["argv"][0], ea["exit"], eb["exit"]] += 1
     for command, n in sorted(counts.items()):
-        print(f"{command}: {n} differ")
+        print(f"{command}: {n} differ" + (f", {layout[command]} in layout only"
+                                          if layout[command] else ""))
     for (command, old, new), n in sorted(moves.items()):
         print(f"{command}: {old} -> {new} x{n}")
     print(f"{len(ma['commands'])} commands: " + ("differ" if differ else "identical"))

@@ -51,13 +51,20 @@ def reference_load_measurements(path) -> ChipDataset:
     the offending 1-based line numbers; a header-only file yields an empty
     dataset.  Times must be finite and >= 0, and no two rows may share
     (junction_id, t_seconds); a duplicate names both lines.  Resistances
-    above the open threshold (or non-finite) are flagged open.
+    above the open threshold (or non-finite) are flagged open.  A file
+    holding a NUL is refused, naming the line of the first.
     """
     rows: list[tuple] = []   # (chip_id, junction_id, t_s, r_ohm, env code, flag code)
     linenos: list[int] = []
     problems: list[tuple[int, str]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        file_lines = fh.readlines()
+        # A NUL is refused on every Python, in the words of 3.10's csv.reader,
+        # naming the first line, as that reader splits lines, that holds one.
+        for lineno, line in enumerate(file_lines, start=1):
+            if "\0" in line:
+                raise ParseError(f"{path}: line {lineno}: line contains NUL", lines=[lineno])
+        reader = csv.reader(file_lines)
         try:
             header = next(reader)
         except StopIteration:

@@ -1144,3 +1144,51 @@ class TestParser:
         assert "unrecognized arguments: --no-such-flag" in cached[0][1][2]
         assert "unknown flag 'broken'" in cached[0][2][2]
         assert cached == fresh
+
+
+def _canonical(data: bytes) -> bytes:
+    return (json.dumps(json.loads(data), sort_keys=True, allow_nan=False) + "\n").encode()
+
+
+class TestJsonFiles:
+    def test_every_json_file_is_one_line_of_canonical_json(self, tmp_path, capsys):
+        (tmp_path / "steps.txt").write_text(
+            "event,21,thermal,temp_c=200,env=glovebox,hold_min=10\n"
+            "event,22,voltage,n_pulses=30,amplitude_v=0.9,pulse_duration_s=1\n")
+        w = str(tmp_path)
+        assert run("simulate", "--preset", "chip2", "--target-days", "20", "--seed", "3",
+                   "--out", f"{w}/data.csv") == 0
+        assert run("fit", f"{w}/data.csv", "--out", f"{w}/report.json") in (0, 3)
+        assert run("predict", "--report", f"{w}/report.json", "--target-days", "27",
+                   "--out", f"{w}/pred.json") == 0
+        assert run("predict", "--preset", "chip2", "--from-days", "5", "--target-days", "20",
+                   "--out", f"{w}/preset-pred.json") == 0
+        assert run("anneal", f"{w}/data.csv", "--events", f"{w}/steps.txt", "--preset",
+                   "chip2", "--seed", "3", "--out", f"{w}/annealed.csv") == 0
+        written = sorted(p.name for p in tmp_path.glob("*.json"))
+        assert written == ["annealed.steps.json", "data.summary.json", "pred.json",
+                           "preset-pred.json", "report.json"]
+        for name in written:
+            data = (tmp_path / name).read_bytes()
+            assert data == _canonical(data), name
+            assert data.count(b"\n") == 1, name
+
+    def test_reports_in_the_earlier_indented_layout_read_alike(self, tmp_path, capsys,
+                                                              fit_report, fit_report_v1):
+        # Until schema 2's layout went compact, reports were written with
+        # indent=2; the schema did not change, so those files still read.
+        runs, reports = [], []
+        for d in (fit_report, fit_report_v1):
+            compact = json.dumps(d, sort_keys=True, allow_nan=False) + "\n"
+            for layout, text in (("compact", compact), ("indented", json.dumps(
+                    d, sort_keys=True, indent=2, allow_nan=False) + "\n")):
+                work = tmp_path / f"v{d['schema_version']}-{layout}"
+                work.mkdir()
+                (work / "report.json").write_text(text)
+                reports.append(read_report(work / "report.json"))
+                code = run("predict", "--report", str(work / "report.json"),
+                           "--target-days", "30", "--out", str(work / "pred.json"))
+                runs.append((code, capsys.readouterr(), (work / "pred.json").read_bytes()))
+            assert text.count("\n") > 1 and compact.count("\n") == 1
+        assert reports[0] == reports[1] and reports[2] == reports[3]
+        assert runs[0][0] == 0 and runs.count(runs[0]) == 4

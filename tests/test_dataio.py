@@ -30,8 +30,15 @@ from jjaging import (
     load_schedule,
     save_measurements,
 )
-from jjaging.dataio import MAX_JUNCTION_RANGE, FitReport, read_report, write_report
+from jjaging.dataio import (
+    MAX_JUNCTION_RANGE,
+    MEASUREMENT_HEADER,
+    FitReport,
+    read_report,
+    write_report,
+)
 from jjaging.ensemble import ENV_LABELS, FLAGS
+from reference_dataio import reference_load_measurements
 from reference_report import v1_report
 
 DAY = 86400.0
@@ -157,6 +164,22 @@ class TestMeasurementCSV:
         path.write_text("a,b,c\n")
         with pytest.raises(ParseError):
             load_measurements(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("c,0,0.0,10000,ambient,ok\nch\0ip,0,86400.0,10100,ambient,ok\n", 3),
+        ("c,0,0.0,10000,ambient,ok\r\nc,1,0.0,1\0,ambient,ok\r\n", 3),
+        ('c,0,0.0,10000,ambient,ok\r"c\n\0",1,0.0,1,ambient,ok\r', 4),
+    ], ids=["plain", "crlf", "in-a-quoted-field"])
+    def test_nul_refused_naming_its_line(self, tmp_path, text, line):
+        # Python 3.10's csv.reader refuses a NUL and 3.11's reads it into the
+        # field; the file is refused on both, and the reference agrees.
+        path = tmp_path / "nul.csv"
+        path.write_text(",".join(MEASUREMENT_HEADER) + "\n" + text, newline="")
+        for loader in (load_measurements, reference_load_measurements):
+            with pytest.raises(ParseError) as err:
+                loader(path)
+            assert str(err.value) == f"{path}: line {line}: line contains NUL"
+            assert err.value.lines == [line]
 
     def test_default_flag_ok(self, tmp_path):
         path = tmp_path / "flags.csv"

@@ -12,6 +12,8 @@ a header-only file that names no chip.
 import csv
 import io
 import math
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from jjaging import (
     save_measurements,
     simulate_chip,
 )
+from jjaging import dataio
 from jjaging.dataio import MEASUREMENT_HEADER
 from jjaging.ensemble import ENV_LABELS, FLAGS
 from reference_dataio import reference_load_measurements, reference_save_measurements
@@ -173,7 +176,13 @@ MUTATION_KINDS = ["field"] * 4 + ["count", "blank", "duplicate", "five"]
 
 @st.composite
 def measurement_files(draw, mutate: bool):
-    """CSV records after the header, each a field list; one chip id throughout."""
+    """CSV records after the header, each a field list, with one chip id
+    throughout, and the line end that ``write_records`` ends them with.
+
+    Files that end every record in \\n and hold no quote, blank line or row
+    without six fields take the reader's ``str.split`` path; the others
+    take its ``csv.reader`` path."""
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
     chip_id = draw(CHIP_IDS).strip()
     records = draw(st.lists(good_rows(chip_id), max_size=10))
     if mutate:
@@ -197,14 +206,14 @@ def measurement_files(draw, mutate: bool):
                 src = records[draw(st.integers(0, len(records) - 1))]
                 row[1:3] = src[1:3]
             records[i] = row
-    return records
+    return records, eol
 
 
-def write_records(path, records, header=MEASUREMENT_HEADER):
+def write_records(path, records, header=MEASUREMENT_HEADER, eol="\r\n"):
     buf = io.StringIO()
     # With "\r\n" ending records the csv module quotes a field holding a
     # bare carriage return, so such a chip id stays in one record.
-    w = csv.writer(buf, lineterminator="\r\n")
+    w = csv.writer(buf, lineterminator=eol)
     w.writerow(header)
     for rec in records:
         if rec and not any(f.strip() for f in rec):
@@ -215,19 +224,45 @@ def write_records(path, records, header=MEASUREMENT_HEADER):
 
 
 @SETTINGS
-@given(records=measurement_files(mutate=False))
-def test_reader_equals_reference_on_well_formed_files(tmp_path, records):
+@given(file=measurement_files(mutate=False))
+def test_reader_equals_reference_on_well_formed_files(tmp_path, file):
     path = tmp_path / "good.csv"
-    write_records(path, records)
+    records, eol = file
+    write_records(path, records, eol=eol)
     assert outcome(load_measurements, path) == outcome(reference_load_measurements, path)
 
 
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(records=measurement_files(mutate=True))
-def test_reader_equals_reference_on_mutated_files(tmp_path, records):
-    path = tmp_path / "mutated.csv"
-    write_records(path, records)
+def test_reader_equals_reference_on_mutated_files(tmp_path):
+    # Both of the reader's paths, str.split and csv.reader, must be hit.
+    paths = Counter()
+    split_fields = dataio._split_fields
+
+    def spy(text):
+        split = split_fields(text)
+        paths["split" if split else "csv.reader"] += 1
+        return split
+
+    @settings(max_examples=300, deadline=None)
+    @given(file=measurement_files(mutate=True))
+    def check(file):
+        path = tmp_path / "mutated.csv"
+        records, eol = file
+        write_records(path, records, eol=eol)
+        assert outcome(load_measurements, path) == outcome(reference_load_measurements, path)
+
+    with mock.patch.object(dataio, "_split_fields", spy):
+        check()
+    assert paths["split"] and paths["csv.reader"], paths
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+@pytest.mark.parametrize("chip_id", AWKWARD_IDS)
+def test_reader_equals_reference_on_awkward_chip_ids(tmp_path, chip_id, eol):
+    # Every id through both line ends: with "\n" a plain id takes the
+    # str.split path, and an id the csv module must quote the csv.reader one.
+    path = tmp_path / "ids.csv"
+    write_records(path, [[chip_id, "0", "0.0", "1.0", "ambient", "ok"],
+                         [chip_id, "1", "60.0", "2.0", "ambient", "ok"]], eol=eol)
     assert outcome(load_measurements, path) == outcome(reference_load_measurements, path)
 
 

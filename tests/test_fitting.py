@@ -24,7 +24,14 @@ from jjaging import (
 )
 from jjaging import fitting
 from jjaging.ensemble import ENV_LABELS, FLAGS
-from jjaging.fitting import _inv, _single_log_rj, _solve, _two_log_rj, _two_log_vp_rj
+from jjaging.fitting import (
+    _inv,
+    _linalg_errstate,
+    _single_log_rj,
+    _solve,
+    _two_log_rj,
+    _two_log_vp_rj,
+)
 from reference_report import v1_histogram
 
 DAY = 86400.0
@@ -513,14 +520,44 @@ def lm_systems(draw):
 @settings(max_examples=300, deadline=None)
 @given(system=lm_systems())
 def test_solve_matches_numpy_solve_bytes(system):
+    # _solve runs under the error state that its caller, _lm_minimize, holds.
+    solve = _linalg_errstate(_solve)
     damped, undamped, neg_g = system
     before = np.geterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for a in (damped, undamped):
-            assert _solved(_solve, a, neg_g) == _solved(np.linalg.solve, a, neg_g)
+            assert _solved(solve, a, neg_g) == _solved(np.linalg.solve, a, neg_g)
             # The undamped JᵀJ is what the standard errors invert.
             assert _solved(_inv, a) == _solved(np.linalg.inv, a)
-        assert _solved(_solve, np.zeros_like(damped), neg_g) == "LinAlgError"
+        assert _solved(solve, np.zeros_like(damped), neg_g) == "LinAlgError"
         assert _solved(_inv, np.zeros_like(damped)) == "LinAlgError"
     assert np.geterr() == before
+
+
+def test_fits_leave_the_error_state_as_they_found_it():
+    # _lm_minimize holds the linalg error state for a whole run, not per
+    # solve; afterwards numpy's state is the caller's again, also when a fit
+    # or the run itself raises.
+    state = np.geterr(), np.geterrcall()
+    fit_single_log(single_log_series(CHIP1))
+    fit_two_log(single_log_series(CHIP2))
+    fit_chip(synthetic_dataset())
+    fit_chip(synthetic_dataset(), share_b=True)
+    with pytest.raises(InsufficientDataError):
+        fit_single_log(single_log_series(CHIP1, n=3))
+    assert (np.geterr(), np.geterrcall()) == state
+
+    seen = []
+
+    def resid(x):
+        seen.append((np.geterr()["invalid"], np.geterrcall()))
+        if len(seen) == 3:
+            raise ZeroDivisionError("from the residual")
+        return x - 1.0, None
+
+    lo, hi = np.full(2, -5.0), np.full(2, 5.0)
+    with pytest.raises(ZeroDivisionError, match="from the residual"):
+        fitting._lm_minimize(resid, lambda cache: np.eye(2), [0.0, 0.0], lo, hi, ())
+    assert seen == [("call", fitting._raise_singular)] * 3
+    assert (np.geterr(), np.geterrcall()) == state
