@@ -13,7 +13,9 @@ import functools
 import hashlib
 import json
 import math
+import re
 import sys
+import warnings
 from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
@@ -46,7 +48,7 @@ from .ensemble import (
     simulate_chip,
 )
 from .errors import JJAgingError, ValidationError
-from .fitting import FitOptions, fit_chip
+from .fitting import _SHORT_SPAN, FitOptions, fit_chip
 from .model import (
     AMBIENT,
     AgingParams,
@@ -204,7 +206,10 @@ def cmd_fit(args) -> int:
     digest = hashlib.sha256()
     ds = load_measurements(args.data, digest=digest)
     opts = FitOptions(model=args.model)
-    chip_fit = fit_chip(ds, opts, share_b=args.share_b, window_s=args.window_s)
+    with warnings.catch_warnings():
+        # The short-span caveat is printed below as one line for all fits.
+        warnings.filterwarnings("ignore", re.escape(_SHORT_SPAN), UserWarning)
+        chip_fit = fit_chip(ds, opts, share_b=args.share_b, window_s=args.window_s)
     provenance = {
         "input_sha256": digest.hexdigest(),
         "tool_version": TOOL_VERSION,
@@ -230,6 +235,9 @@ def cmd_fit(args) -> int:
         )
     )
     print(f"wrote {args.out}")
+    n_short = sum(_SHORT_SPAN in r.messages for r in fits)
+    if n_short:
+        print(f"warning: {n_short} fit(s): {_SHORT_SPAN}", file=sys.stderr)
     if n_bad:
         print(f"warning: {n_bad} fit(s) did not converge", file=sys.stderr)
     if pinned:

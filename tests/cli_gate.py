@@ -19,9 +19,11 @@ and each seed the commands are:
   3600`` on each CSV;
 - ``predict --report`` on each report;
 - ``anneal --events`` on each CSV;
-- ``predict --preset``.
+- ``predict --preset``;
+- a six-day ``simulate`` sampled daily, and ``fit`` on it, whose fits span
+  less than a decade (the short-span warning).
 
-That is 22 commands per preset and seed, 396 for the default seeds.
+That is 24 commands per preset and seed, 432 for the default seeds.
 
 The manifest has one entry per command: its argv, its exit code, the sha256
 of its stdout, of its stderr and of each file it wrote, and, for each
@@ -99,6 +101,10 @@ def commands(seeds, presets) -> list[list[str]]:
                              "--seed", seed, "--out", f"{base}-{tag}-annealed.csv"])
             cmds.append(["predict", "--preset", p, "--from-days", "56", "--target-days", "63",
                          "--out", f"{base}-preset-pred.json"])
+            cmds.append(["simulate", "--preset", p, "--target-days", "6", "--sample-days", "1",
+                         *common, f"{base}-short.csv"])
+            cmds.append(["fit", f"{base}-short.csv", "--seed", seed, "--out",
+                         f"{base}-short-single.json"])
     return cmds
 
 

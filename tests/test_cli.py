@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -475,6 +476,47 @@ class TestFit:
         capsys.readouterr()
         assert run("fit", str(data), "--out", str(tmp_path / "r.json")) == code
         assert capsys.readouterr().err.splitlines() == lines
+
+    def test_an_overflowing_junction_is_skipped_and_an_overflowing_average_exits_2(
+            self, tmp_path, capsys):
+        # Junction 0 reads 1e-150 ohm on day 0, so its ratios square past
+        # the largest float; every row passes load_measurements.
+        data = self._simulate(tmp_path, preset="chip1", days="20")
+        lines = data.read_text().splitlines(keepends=True)
+        row = lines[1].split(",")
+        assert row[1:3] == ["0", "0.0"]
+        lines[1] = ",".join([*row[:3], "1e-150", *row[4:]])
+        data.write_text("".join(lines))
+        report = tmp_path / "r.json"
+        assert run("fit", str(data), "--out", str(report)) in (0, 3)
+        skipped = json.loads(report.read_text())["skipped"]
+        assert list(skipped) == ["0"] and "residual sum of squares is not finite" in skipped["0"]
+
+        # With junction 0 alone, its series is the average curve.
+        alone = tmp_path / "alone.csv"
+        alone.write_text("".join(line for line in lines if line.split(",")[1] in
+                                 ("junction_id", "0")))
+        capsys.readouterr()
+        assert run("fit", str(alone), "--out", str(tmp_path / "alone.json")) == 2
+        assert "residual sum of squares is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "alone.json").exists()
+
+    def test_short_span_is_one_warning_line(self, tmp_path, capsys):
+        data = tmp_path / "short.csv"
+        assert run("simulate", "--preset", "chip1", "--target-days", "6", "--sample-days", "1",
+                   "--seed", "1", "--out", str(data)) == 0
+        # Twice in one process: each run prints its line, naming no source file.
+        for _ in range(2):
+            capsys.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run("fit", str(data), "--out", str(tmp_path / "r.json")) == 0
+            assert capsys.readouterr().err.splitlines() == [
+                "warning: 17 fit(s): time span below one decade; timescale is weakly "
+                "constrained"]
+        report = read_report(tmp_path / "r.json")
+        assert all("time span below one decade; timescale is weakly constrained" in f.messages
+                   for f in [report.average, *report.per_junction.values()])
 
     def test_negative_seed_is_only_recorded(self, tmp_path, capsys):
         data = self._simulate(tmp_path, days="20")

@@ -483,6 +483,81 @@ class TestFitChip:
         with pytest.raises(InsufficientDataError):
             fit_chip(ds)
 
+    @pytest.mark.parametrize("share_b", [False, True])
+    def test_junction_series_equal_their_own_rows(self, share_b):
+        # Each junction's fit, r0 and skip reason are those of its own usable
+        # rows over the first one, fitted alone: with excluded rows, a
+        # repeated time, a junction whose repeats leave three distinct times,
+        # one with no usable row, and one whose ratios overflow the rss.
+        base = synthetic_dataset(n_junctions=6)
+        j, t, r, flag = (np.array(c) for c in (base.junction_id, base.t_s, base.r_ohm,
+                                               base.flag))
+        rng = np.random.default_rng(4)
+        r = r * (1.0 + 1e-3 * rng.standard_normal(r.size))
+        excluded = FLAGS.index("excluded")
+        flag[(j == 1) & (t < 2e4)] = excluded
+        t[(j == 2) & (t == t[j == 2][5])] = t[j == 2][4]
+        t[j == 3] = np.repeat(t[j == 3][:3], 4)
+        flag[j == 4] = excluded
+        r[(j == 5) & (t == t.min())] = 1e-150
+        ds = ChipDataset(j, t, r, base.env, flag, base.chip_id)
+        out = fit_chip(ds, share_b=share_b)
+
+        p = out.average.params
+        opts = FitOptions(init=(p.a, p.tau_s, p.b), fix_b=p.b if share_b else None)
+        fits, r0s, skipped = {}, {}, {}
+        ok = ds.flag == FLAGS.index("ok")
+        for jid in ds.junction_ids():
+            rows = (ds.junction_id == jid) & ok
+            tj, rj = ds.t_s[rows], ds.r_ohm[rows]
+            if np.unique(tj).size < 4:
+                skipped[jid] = "fewer than 4 usable time points"
+                continue
+            try:
+                fits[jid] = fit_single_log(np.column_stack([tj, rj / rj[0]]), opts)
+                r0s[jid] = float(rj[0])
+            except ValidationError as exc:
+                skipped[jid] = str(exc)
+        assert repr(out.per_junction) == repr(fits)
+        assert out.r0_ohm == r0s
+        assert list(out.skipped.items()) == list(skipped.items())
+        assert sorted(skipped) == [3, 4, 5]
+        assert "residual sum of squares is not finite" in skipped[5]
+
+
+@pytest.mark.parametrize("fit, tau_init", [(fit_single_log, (0.2, 1e4, 1.0)),
+                                           (fit_two_log, (3e5, 2e3))])
+def test_fit_is_the_same_for_any_series_container(fit, tau_init):
+    t = np.concatenate([[0.0], np.geomspace(3600.0, 84 * DAY, 29)])
+    y = eval_single_log(CHIP1, t) * (1.0 + 1e-3 * np.random.default_rng(2).standard_normal(30))
+    pairs = list(zip(t.tolist(), y.tolist()))
+    strided = np.zeros((90, 5))
+    strided[::3, 1], strided[::3, 3] = t, y
+    containers = {
+        "pairs": pairs,
+        "C order": np.array(pairs),
+        "Fortran order": np.asfortranarray(pairs),
+        "strided view": strided[::3, 1::2],
+    }
+    for opts in (None, FitOptions(model="single-log" if fit is fit_single_log else "two-log",
+                                  init=tau_init)):
+        results = {name: repr(fit(series, opts)) for name, series in containers.items()}
+        assert len(set(results.values())) == 1, results
+
+
+@pytest.mark.parametrize("fit", [fit_single_log, fit_two_log])
+def test_an_overflowing_rss_is_refused_before_any_warning(fit):
+    t = np.arange(0.0, 85 * DAY, 2 * DAY)
+    y = np.full(t.size, 3.6e154)   # about 1e4 ohm read as 1e-150 ohm on day 0
+    y[0] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="residual sum of squares is not finite"):
+            fit(np.column_stack([t, y]))
+        # Large ratios whose squares still sum to a finite rss are fitted.
+        y[1:] = 1e150
+        assert math.isfinite(fit(np.column_stack([t, y])).rss)
+
 
 def _solved(solve, *args):
     try:
