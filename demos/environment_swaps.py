@@ -20,7 +20,6 @@ from jjaging import (
     GLOVEBOX,
     VACUUM,
     AgingParams,
-    JunctionProfile,
     SimConfig,
     StorageSchedule,
     eval_single_log,
@@ -34,14 +33,16 @@ OUT = pathlib.Path(__file__).parent / "output"
 
 def main():
     OUT.mkdir(exist_ok=True)
-    cfg, prof = SimConfig(), JunctionProfile(a=0.05)
+    cfg = SimConfig()
+    # A junction whose timescale is the configured one in its first environment.
+    junction = AgingParams(a=0.05, tau_s=cfg.env_tau_s[AMBIENT.kind])
 
     print("=== Alternating ambient/glovebox storage (swaps at days 4, 8, 12) ===")
     sched = StorageSchedule(segments=(
         (0.0, AMBIENT), (4 * DAY, GLOVEBOX), (8 * DAY, AMBIENT), (12 * DAY, GLOVEBOX),
     ))
     samples = np.arange(0, 52 * DAY + 1, 0.25 * DAY)
-    y = simulate_trajectory(sched, [], cfg, 1.0, samples, profile=prof) - 1
+    y = simulate_trajectory(sched, [], cfg, junction, samples) - 1
 
     i4 = int(np.searchsorted(samples, 4 * DAY))
     print(f"fractional aging at the day-4 swap: {y[i4]:.4f}")
@@ -52,15 +53,16 @@ def main():
     drift = (1 + y[-1]) / (1 + y[i12]) - 1
     print(f"net drift over the 40 days after the final swap: {drift * 100:+.2f}%")
 
-    amb = eval_single_log(AgingParams(prof.a, 1.2e4, 1.0), samples) - 1
-    gb = eval_single_log(AgingParams(prof.a, 4.3e4, 1.0), samples) - 1
+    amb = eval_single_log(AgingParams(junction.a, 1.2e4, 1.0), samples) - 1
+    gb = eval_single_log(AgingParams(junction.a, 4.3e4, 1.0), samples) - 1
     print(f"bracketing check: min(y - lower bound) = {(y - gb).min():.2e}, "
           f"max(y - upper bound) = {(y - amb).max():.2e}")
 
     print("\n=== Vacuum exit at day 7 ===")
     sched5 = StorageSchedule(segments=((0.0, VACUUM), (7 * DAY, GLOVEBOX)))
     samples5 = np.arange(0, 10 * DAY, 0.02 * DAY)
-    y5 = simulate_trajectory(sched5, [], cfg, 1.0, samples5, profile=JunctionProfile(a=0.12)) - 1
+    junction5 = AgingParams(a=0.12, tau_s=cfg.env_tau_s[VACUUM.kind])
+    y5 = simulate_trajectory(sched5, [], cfg, junction5, samples5) - 1
     gb5 = eval_single_log(AgingParams(0.12, 4.3e4, 1.0), samples5) - 1
     post = samples5 >= 7 * DAY
     rel = np.abs(y5[post] - gb5[post]) / gb5[post]

@@ -13,16 +13,12 @@ import math
 import pathlib
 import tempfile
 
-from jjaging import (
-    DEFAULT_CONSTANTS,
-    PhysicalConstants,
-    critical_current_from_resistance,
-    qubit_frequency_shift,
-)
+from jjaging import critical_current_from_resistance, qubit_frequency_shift
 from jjaging.cli import main as cli
 
 DAY = 86400.0
 EV = 1.602176634e-19
+HBAR_JS = 1.054571817e-34
 
 
 def main():
@@ -50,15 +46,14 @@ def main():
     u = 2.0 * EV
     m = 9.1093837015e-31
     d1, d2 = 1.0e-9, 1.0e-9 + 0.3e-10
-    kappa = math.sqrt(2.0 * m * u) / DEFAULT_CONSTANTS.hbar_Js
+    kappa = math.sqrt(2.0 * m * u) / HBAR_JS
     ratio = math.exp(2.0 * (kappa * d2 - kappa * d1))
     print(f"kappa = {kappa:.3g} 1/m; a 0.3 angstrom thickness change "
           f"multiplies R by {ratio:.2f}")
 
     print("\n=== 5. Resistance -> critical current -> frequency shift ===")
-    c = PhysicalConstants(gap_delta_J=180e-6 * EV)
     for r in (8_000.0, 24_300.0, 41_600.0):
-        ic = critical_current_from_resistance(r, c)
+        ic = critical_current_from_resistance(r, gap_delta_J=180e-6 * EV)
         print(f"R = {r / 1e3:5.1f} kohm -> I_c = {ic * 1e9:6.2f} nA")
     dr = 0.21
     print(f"a {dr * 100:.0f}% resistance rise shifts the qubit frequency by "

@@ -15,7 +15,6 @@ import numpy as np
 
 from jjaging import (
     AnnealEvent,
-    JunctionProfile,
     VoltageAnneal,
     chip_preset,
     export_plot_data,
@@ -42,8 +41,7 @@ def main():
             [56 * DAY],
             56 * DAY + np.logspace(np.log10(600), np.log10(6 * DAY), 40),
         ])
-        rs = simulate_trajectory(p.schedule, ev, cfg, p.aging.r0_ohm, samples, seed=1,
-                                 profile=JunctionProfile(a=p.aging.a))
+        rs = simulate_trajectory(p.schedule, ev, cfg, p.aging, samples, seed=1)
         jump = rs[13] / rs[12] - 1
         print(f"{name}: R just before = {rs[12] / 1e3:.1f} kohm, jump = {jump * 100:+.1f}% "
               f"(configured mean {cfg.voltage_jump_mean * 100:.1f}%)")

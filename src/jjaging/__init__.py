@@ -17,13 +17,11 @@ from .errors import (
 )
 from .model import (
     AMBIENT,
-    DEFAULT_CONSTANTS,
     GLOVEBOX,
     VACUUM,
     AgingParams,
     Environment,
     EnvironmentKind,
-    PhysicalConstants,
     TwoLogParams,
     critical_current_from_resistance,
     effective_tau,
@@ -34,7 +32,6 @@ from .model import (
 from .trajectory import (
     DAY_S,
     AnnealEvent,
-    JunctionProfile,
     SimConfig,
     StorageSchedule,
     ThermalAnneal,

@@ -38,6 +38,7 @@ from .dataio import (
 from .ensemble import (
     _ENV_CODE,
     FLAG_OK,
+    OPEN_RESISTANCE_THRESHOLD_OHM,
     ChipDataset,
     ChipSpec,
     _check_event_junctions,
@@ -51,10 +52,10 @@ from .errors import JJAgingError, ValidationError
 from .fitting import _SHORT_SPAN, FitOptions, fit_chip
 from .model import (
     AMBIENT,
+    ELECTRON_CHARGE_C,
     AgingParams,
     Environment,
     EnvironmentKind,
-    PhysicalConstants,
     TwoLogParams,
     critical_current_from_resistance,
     effective_tau,
@@ -64,7 +65,6 @@ from .model import (
 from .presets import PRESET_NAMES, chip_preset
 from .trajectory import (
     DAY_S,
-    JunctionProfile,
     SimConfig,
     StorageSchedule,
     ThermalAnneal,
@@ -73,6 +73,7 @@ from .trajectory import (
     _event_seed,
     _in_force,
     _run_from,
+    _tau_scale,
 )
 
 
@@ -308,23 +309,17 @@ def cmd_predict(args) -> int:
     t_target = args.target_days * DAY_S
     # The fitted timescale belongs to the environment the data came from;
     # anchor the per-junction scale there, not to the future schedule.
-    profile = JunctionProfile(
-        a=params.a, b=params.b,
-        tau_scale=params.tau_s / cfg.env_tau_s[home.kind],
-    )
+    tau_scale = _tau_scale(params, home, cfg)
     y_from = float(eval_single_log(params, t_from)) - 1.0
     env, relax, swaps = _in_force(schedule, cfg, t_from)
     swaps = [sw for sw in swaps if sw[0] < t_target]
     r_pred = float(_run_from(TrajectoryState(t_s=t_from, y_env=y_from), env, relax, swaps,
-                             None, np.array([t_target]), [0] * len(swaps), params.r0_ohm,
-                             profile, cfg)[0])
+                             None, np.array([t_target]), [0] * len(swaps), params,
+                             tau_scale, cfg)[0])
 
     r_from = params.r0_ohm * (1.0 + y_from)
     dr_over_r = r_pred / r_from - 1.0
-    constants = PhysicalConstants(
-        gap_delta_J=args.delta_uev * 1e-6 * 1.602176634e-19
-    )
-    ic = critical_current_from_resistance(r_pred, constants)
+    ic = critical_current_from_resistance(r_pred, args.delta_uev * 1e-6 * ELECTRON_CHARGE_C)
     shift = qubit_frequency_shift(dr_over_r)
 
     result = {
@@ -430,16 +425,34 @@ def cmd_anneal(args) -> int:
         y0 = r_j / r0_j - 1.0
         # Each junction continues its own aging trend during session waits:
         # amplitude inferred from its current state, state placed on that
-        # curve so waits add pure (strictly positive) aging increments.
-        a_eff = max(y0, 0.0) / math.log(t_j / tau_amb + 1.0) if t_j > 0 else 0.0
+        # curve so waits add pure (strictly positive) aging increments.  A
+        # junction with y0 > 0 has a last row at t_j > 0 (its first is at 0).
+        a_eff = 0.0
+        if y0 > 0:
+            span = math.log(t_j / tau_amb + 1.0)
+            if not span:
+                raise ValidationError(
+                    f"junction {j}'s last usable row, at t = {t_j!r} s, is too close to "
+                    f"t = 0 to infer its aging trend"
+                )
+            a_eff = y0 / span
         # Seeded as simulate seeds it: the junction's i-th event draws from
         # _event_seed(_junction_seed(seed, j), i).
         steps_j, anneal_seed = _junction_events(events, seed, j)
         r_hist[i, 1:] = _run_from(
             TrajectoryState(t_s=t_j, y_env=y0), AMBIENT, cfg.relax_gas_to_gas_s,
             [(events[k].t_s, (n, events[k])) for n, k in enumerate(steps_j)],
-            partial(_event_seed, anneal_seed), t_meas, steps_j, r0_j,
-            JunctionProfile(a=a_eff, b=1.0), cfg,
+            partial(_event_seed, anneal_seed), t_meas, steps_j,
+            AgingParams(a=a_eff, tau_s=tau_amb, r0_ohm=r0_j), 1.0, cfg,
+        )
+    # A record that load_measurements would read back as open (an aging
+    # trend inferred from a row near t = 0 can reach 1e13 ohm) is refused.
+    too_high = ~(r_hist[:, 1:] <= OPEN_RESISTANCE_THRESHOLD_OHM)
+    if too_high.any():
+        i, k = np.argwhere(too_high)[0].tolist()
+        raise ValidationError(
+            f"step {k + 1} would record junction {usable[i]} at {r_hist[i, k + 1]:.4g} ohm, "
+            f"which reads back as open (above {OPEN_RESISTANCE_THRESHOLD_OHM:g} ohm)"
         )
     min_r_over_r0 = float((r_hist / r0[:, None]).min())
     changes = r_hist[:, 1:] / r_hist[:, :-1] - 1.0

@@ -30,7 +30,6 @@ from .model import AgingParams, EnvironmentKind
 from .trajectory import (
     DAY_S,
     AnnealEvent,
-    JunctionProfile,
     SimConfig,
     StorageSchedule,
     VoltageAnneal,
@@ -357,7 +356,8 @@ def simulate_chip(
 ) -> ChipDataset:
     """Simulate every junction of a drawn chip through a shared schedule.
 
-    The drawn per-junction timescale is interpreted in the first segment's
+    Each junction's drawn ``AgingParams`` go to ``simulate_trajectory`` as
+    they are: its timescale is interpreted in the first segment's
     environment and carried to the others as a common scale factor.  Records
     get independent multiplicative measurement noise (1 + eta), eta normal
     with sd ``chip.spec.noise_sigma``; open junctions yield flag="open" rows
@@ -370,10 +370,10 @@ def simulate_chip(
     """
     _check_seed(seed)
     _check_event_junctions(events, range(len(chip)))
+    # Checked here too, for a chip whose junctions are all open.
     home_kind = schedule.segments[0][1].kind
     if home_kind not in cfg.env_tau_s:
         raise ValidationError(f"config lacks a timescale for {home_kind.value!r}")
-    tau_home = cfg.env_tau_s[home_kind]
     samples = np.asarray(sample_t_s, dtype=float)
     if samples.ndim != 1:
         raise ValidationError("sample times must be a 1-D sequence")
@@ -398,13 +398,11 @@ def simulate_chip(
         if open_j:
             is_open[j] = True
             continue
-        profile = JunctionProfile(a=params.a, b=params.b, tau_scale=params.tau_s / tau_home)
         ev_j, anneal_seed = [], 0
         if events:
             ks, anneal_seed = _junction_events(events, seed, j)
             ev_j = [events[k] for k in ks]
-        r[j] = simulate_trajectory(schedule, ev_j, cfg, params.r0_ohm, samples,
-                                   seed=anneal_seed, profile=profile)
+        r[j] = simulate_trajectory(schedule, ev_j, cfg, params, samples, seed=anneal_seed)
         ss = np.random.SeedSequence(noise_entropy[j])
         z[j] = np.random.default_rng(ss.generate_state(1)).standard_normal(n_s)
     r *= 1.0 + chip.spec.noise_sigma * z

@@ -512,10 +512,10 @@ _singular_pair_candidates = np.errstate(divide="ignore", invalid="ignore", over=
     _pair_candidates)
 
 
-def _two_log_start(t, y, tpos):
+def _two_log_start(t, y):
     """A natural-unit two-log start: the node pair, with amplitudes in the
     box, of least rss (``_pair_candidates``); ties go to candidate 0, then
-    to the first pair.  ``tpos`` is not read."""
+    to the first pair."""
     lo, hi = _LOG_TAU_BOUNDS
     bz = np.empty((t.size, _START_NODES + 1))
     basis = bz[:, :-1]
@@ -537,7 +537,7 @@ def _single_log_guess(t, y, span):
 
 
 def _two_log_guess(t, y, span):
-    return _two_log_start(t, y, None)[1::2]
+    return _two_log_start(t, y)[1::2]
 
 
 def _two_log_expand(x, t, y):

@@ -42,8 +42,6 @@ __all__ = [
     "VACUUM",
     "AgingParams",
     "TwoLogParams",
-    "PhysicalConstants",
-    "DEFAULT_CONSTANTS",
     "eval_single_log",
     "eval_two_log",
     "effective_tau",
@@ -131,26 +129,10 @@ class TwoLogParams:
                 raise ParameterError(f"{name} must be finite and > 0, got {v}")
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Physical constants plus the superconducting gap.
-
-    The gap is a configuration input (it depends on the film), defaulting
-    to 180 ueV, a typical value for thin-film aluminum.
-    """
-
-    hbar_Js: float = 1.054571817e-34
-    electron_charge_C: float = 1.602176634e-19
-    gap_delta_J: float = 180e-6 * 1.602176634e-19
-
-    def __post_init__(self):
-        for name in ("hbar_Js", "electron_charge_C", "gap_delta_J"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ParameterError(f"{name} must be finite and > 0, got {v}")
-
-
-DEFAULT_CONSTANTS = PhysicalConstants()
+ELECTRON_CHARGE_C = 1.602176634e-19
+# The superconducting gap depends on the film; 180 ueV is typical of
+# thin-film aluminum.
+DEFAULT_GAP_DELTA_J = 180e-6 * ELECTRON_CHARGE_C
 
 
 def _check_times(t_s):
@@ -219,12 +201,15 @@ def effective_tau(p: TwoLogParams) -> float:
 
 
 def critical_current_from_resistance(
-    r_ohm: float, c: PhysicalConstants = DEFAULT_CONSTANTS
+    r_ohm: float, gap_delta_J: float = DEFAULT_GAP_DELTA_J
 ) -> float:
-    """Zero-temperature critical current ``I_c = pi Delta / (2 e R)`` in A."""
+    """Zero-temperature critical current ``I_c = pi Delta / (2 e R)`` in A,
+    for a gap ``Delta`` in J."""
+    if not (np.isfinite(gap_delta_J) and gap_delta_J > 0):
+        raise ParameterError(f"gap_delta_J must be finite and > 0, got {gap_delta_J}")
     if not (np.isfinite(r_ohm) and r_ohm > 0):
         raise ParameterError(f"resistance must be finite and > 0, got {r_ohm}")
-    return math.pi * c.gap_delta_J / (2.0 * c.electron_charge_C * r_ohm)
+    return math.pi * gap_delta_J / (2.0 * ELECTRON_CHARGE_C * r_ohm)
 
 
 def qubit_frequency_shift(dr_over_r) -> float | np.ndarray:

@@ -32,6 +32,13 @@ and a junction on its bound (gap exactly 0.0) reproduces the closed form
 bit for bit.  Relaxation times only need to be finite and > 0: the gap
 decays monotonically for any of them.
 
+A junction's own bound curves come from its ``AgingParams``, the one
+representation of a junction's aging law: fabrication sets the amplitude
+``a``, the offset ``b`` and ``r0``, and storage sets the speed.  ``tau_s``
+is the timescale in the schedule's first environment; its ratio to that
+environment's configured timescale scales every environment's, so a
+junction that ages 20% slower than nominal there does so everywhere.
+
 One engine, ``_run_from``, advances a junction from a start state.  It cuts
 the sample times into *storage pieces* at the breakpoints, the schedule
 swaps and anneal events.  Within a piece the environment and the anneal
@@ -69,7 +76,6 @@ __all__ = [
     "ThermalAnneal",
     "AnnealEvent",
     "SimConfig",
-    "JunctionProfile",
     "TrajectoryState",
     "simulate_trajectory",
     "apply_voltage_anneal",
@@ -232,28 +238,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class JunctionProfile:
-    """A junction's own bound curve on top of the chip-level config.
-
-    ``a`` and ``b`` are the bound-curve amplitude and early-time offset (the
-    config has none: fabrication sets the amplitude per junction);
-    ``tau_scale`` multiplies every environment timescale, so a junction that
-    ages 20% slower than nominal does so in every environment.
-    """
-
-    a: float
-    b: float = 1.0
-    tau_scale: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)
-                and math.isfinite(self.tau_scale)):
-            raise ParameterError("profile values must be finite")
-        if self.a < 0 or self.b <= 0 or self.tau_scale <= 0:
-            raise ParameterError("profile requires a >= 0, b > 0, tau_scale > 0")
-
-
-@dataclass(frozen=True)
 class TrajectoryState:
     """Junction state at time ``t_s``.
 
@@ -315,10 +299,20 @@ def _segment(
     return a * math.log(t_b / tau + b) + gap * math.exp(-span / relax_s)
 
 
-def _tau(env: Environment, cfg: SimConfig, profile: JunctionProfile) -> float:
+def _tau(env: Environment, cfg: SimConfig, tau_scale: float) -> float:
     if env.kind not in cfg.env_tau_s:
         raise ConfigurationError(f"no timescale configured for environment {env.kind.value!r}")
-    return cfg.env_tau_s[env.kind] * profile.tau_scale
+    return cfg.env_tau_s[env.kind] * tau_scale
+
+
+def _tau_scale(params: AgingParams, home: Environment, cfg: SimConfig) -> float:
+    """``params.tau_s``, the junction's timescale in ``home``, over the
+    configured one there: the factor on every environment's timescale."""
+    scale = params.tau_s / _tau(home, cfg, 1.0)
+    if not 0.0 < scale < math.inf:
+        raise ParameterError(f"tau_s = {params.tau_s!r} s scales the {home.kind.value!r} "
+                             f"timescale by {scale!r}, not by a finite factor > 0")
+    return scale
 
 
 def apply_voltage_anneal(
@@ -483,7 +477,7 @@ def _in_force(schedule: StorageSchedule, cfg: SimConfig, t_s: float):
 
 
 def _run_from(start: TrajectoryState, env: Environment, relax_s: float, breaks, event_seed,
-              t: np.ndarray, cuts, r0_ohm: float, profile: JunctionProfile,
+              t: np.ndarray, cuts, params: AgingParams, tau_scale: float,
               cfg: SimConfig) -> np.ndarray:
     """Resistances at sample times ``t`` of a junction that is in ``start``
     under ``env``, relaxing with ``relax_s``, and then meets ``breaks``.
@@ -495,9 +489,12 @@ def _run_from(start: TrajectoryState, env: Environment, relax_s: float, breaks, 
     (nondecreasing) sample that comes after breakpoint i.  This is the only
     code that maps a state across breakpoints; with none, its one piece is
     what ``simulate_trajectory`` evaluates for a breakpoint-free junction.
+    The junction's bound curves are ``params``' amplitude and offset with
+    each environment's timescale times ``tau_scale``; ``params.tau_s`` is
+    not read.
     """
-    a, b = profile.a, profile.b
-    tau = _tau(env, cfg, profile)
+    a, b, r0_ohm = params.a, params.b, params.r0_ohm
+    tau = _tau(env, cfg, tau_scale)
     s, y_env = start.t_s, start.y_env
     # ``anneal`` carries the anneal channel; it is rebuilt only when an
     # event is applied.
@@ -513,7 +510,7 @@ def _run_from(start: TrajectoryState, env: Environment, relax_s: float, breaks, 
         if isinstance(payload, Environment):
             relax_s = cfg.relax_time_s(env, payload)
             env = payload
-            tau = _tau(env, cfg, profile)
+            tau = _tau(env, cfg, tau_scale)
         else:
             k, ev = payload
             state = replace(anneal, t_s=s, y_env=y_env)
@@ -530,11 +527,9 @@ def simulate_trajectory(
     schedule: StorageSchedule,
     events: Sequence[AnnealEvent],
     cfg: SimConfig,
-    r0_ohm: float,
+    params: AgingParams,
     sample_t_s: Sequence[float],
     seed: int = 0,
-    *,
-    profile: JunctionProfile,
 ) -> np.ndarray:
     """Simulate one junction through a storage schedule with anneal events.
 
@@ -556,25 +551,23 @@ def simulate_trajectory(
         after the last sample.
     cfg : SimConfig
         Environment timescales, relaxation times and anneal responses.
-    r0_ohm : float
-        Initial-time resistance, finite and > 0; output resistances are
-        r0 * (1 + y).
+    params : AgingParams
+        The junction's bound curve: amplitude ``a``, early-time offset ``b``
+        and initial-time resistance ``r0_ohm`` (output resistances are
+        r0 * (1 + y)).  ``tau_s`` is its timescale in the schedule's first
+        environment; the ratio to that environment's configured timescale
+        scales every environment's, and must be finite and > 0.
     sample_t_s : sequence of float
         Nondecreasing times at which to record the resistance.
     seed : int
         Drives the voltage-anneal response draws (an integer >= 0); identical
         inputs and seed give bit-identical trajectories.
-    profile : JunctionProfile
-        The junction's bound curve: amplitude, early-time offset and
-        timescale scale.
 
     Returns
     -------
     numpy.ndarray
         float64 resistances in ohm, one per entry of ``sample_t_s``.
     """
-    if not (0 < r0_ohm < math.inf):
-        raise ParameterError(f"r0_ohm must be finite and > 0, got {r0_ohm!r}")
     _check_seed(seed)
     t = np.asarray(sample_t_s, dtype=float)
     if t.ndim != 1:
@@ -586,16 +579,17 @@ def simulate_trajectory(
 
     # An environment without a timescale is refused before any event runs.
     for _, env in schedule.segments:
-        tau = _tau(env, cfg, profile)
+        _tau(env, cfg, 1.0)
+    tau_scale = _tau_scale(params, schedule.segments[0][1], cfg)
     # A junction with early-time offset b starts on its bound, slightly
     # pre-aged: y(0) = a ln(b).
-    y0 = profile.a * math.log(profile.b)
+    y0 = params.a * math.log(params.b)
     _check_y_env(y0)
     if len(schedule.segments) == 1 and not events:
         # No breakpoints: one piece from t = 0, under the one segment's
-        # ``tau``, holds every sample, as _run_from would evaluate it.
-        return _piece(t, r0_ohm, 0.0, y0, profile.a, tau, profile.b, cfg.relax_gas_to_gas_s,
-                      _AT_REST)
+        # timescale, holds every sample, as _run_from would evaluate it.
+        return _piece(t, params.r0_ohm, 0.0, y0, params.a, _tau(env, cfg, tau_scale), params.b,
+                      cfg.relax_gas_to_gas_s, _AT_REST)
     env, relax, breaks = _in_force(schedule, cfg, 0.0)
     if events:
         breaks = sorted(
@@ -605,4 +599,4 @@ def simulate_trajectory(
     cuts = np.searchsorted(t, [bp[0] for bp in breaks]).tolist()
     start = TrajectoryState(y_env=y0)
     return _run_from(start, env, relax, breaks, partial(_event_seed, seed), t, cuts,
-                     r0_ohm, profile, cfg)
+                     params, tau_scale, cfg)

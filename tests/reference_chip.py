@@ -19,7 +19,6 @@ from jjaging.errors import InsufficientDataError, ParameterError, ValidationErro
 from jjaging.model import AgingParams
 from jjaging.trajectory import (
     AnnealEvent,
-    JunctionProfile,
     SimConfig,
     StorageSchedule,
     simulate_trajectory,
@@ -104,7 +103,6 @@ def reference_simulate_chip(
     home_kind = schedule.segments[0][1].kind
     if home_kind not in cfg.env_tau_s:
         raise ValidationError(f"config lacks a timescale for {home_kind.value!r}")
-    tau_home = cfg.env_tau_s[home_kind]
     noise_sigma = chip.spec.noise_sigma
 
     rows: list[Row] = []
@@ -119,11 +117,9 @@ def reference_simulate_chip(
                     )
                 )
             continue
-        profile = JunctionProfile(a=params.a, b=params.b, tau_scale=params.tau_s / tau_home)
         ev_j = [ev for ev in events if ev.junction_ids is None or j in ev.junction_ids]
         traj = simulate_trajectory(
-            schedule, ev_j, cfg, params.r0_ohm, sample_t_s,
-            seed=_junction_seed(seed, j, 0), profile=profile,
+            schedule, ev_j, cfg, params, sample_t_s, seed=_junction_seed(seed, j, 0),
         )
         noise_rng = np.random.default_rng(_junction_seed(seed, j, 1))
         eta = noise_sigma * noise_rng.standard_normal(len(traj))

@@ -21,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from jjaging.errors import ConfigurationError, ParameterError, ValidationError
+from jjaging.model import AgingParams
 from jjaging.trajectory import (
     AnnealEvent,
-    JunctionProfile,
     SimConfig,
     StorageSchedule,
     TrajectoryState,
@@ -41,10 +41,21 @@ def _segment(y_env, t_a, t_b, a, tau, b, relax_s):
     return a * math.log(t_b / tau + b) + gap * math.exp(-span / relax_s)
 
 
-def _tau(env, cfg, profile):
+def _tau(env, cfg, tau_scale):
     if env.kind not in cfg.env_tau_s:
         raise ConfigurationError(f"no timescale configured for environment {env.kind.value!r}")
-    return cfg.env_tau_s[env.kind] * profile.tau_scale
+    return cfg.env_tau_s[env.kind] * tau_scale
+
+
+def _tau_scale(params, schedule, cfg):
+    """``params.tau_s`` is the timescale in the schedule's first environment."""
+    for _, env in schedule.segments:
+        _tau(env, cfg, 1.0)
+    scale = params.tau_s / cfg.env_tau_s[schedule.segments[0][1].kind]
+    if not (math.isfinite(scale) and scale > 0):
+        raise ParameterError("tau_s must scale the first environment's timescale by a "
+                             "finite factor > 0")
+    return scale
 
 
 def _event_seed(seed: int, index: int) -> int:
@@ -56,16 +67,12 @@ def reference_simulate_trajectory(
     schedule: StorageSchedule,
     events: Sequence[AnnealEvent],
     cfg: SimConfig,
-    r0_ohm: float,
+    params: AgingParams,
     sample_t_s: Sequence[float],
     seed: int = 0,
-    *,
-    profile: JunctionProfile,
 ) -> list[tuple[float, float]]:
     """Simulate one junction through a storage schedule with anneal events,
     one action at a time; returns a list of (t_s, R_ohm)."""
-    if not (math.isfinite(r0_ohm) and r0_ohm > 0):
-        raise ParameterError("r0_ohm must be finite and > 0")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
     samples = [float(t) for t in sample_t_s]
@@ -77,8 +84,8 @@ def reference_simulate_trajectory(
     if any(b < a for a, b in zip(ev_times, ev_times[1:])):
         raise ValidationError("events must be sorted by time")
 
-    prof = profile
-    taus = {env.kind: _tau(env, cfg, prof) for _, env in schedule.segments}
+    tau_scale = _tau_scale(params, schedule, cfg)
+    taus = {env.kind: _tau(env, cfg, tau_scale) for _, env in schedule.segments}
 
     # Action stream ordered by (time, kind): segment swaps, then events,
     # then sample emissions.
@@ -91,7 +98,7 @@ def reference_simulate_trajectory(
         actions.append((t, 2, None))
     actions.sort(key=lambda item: (item[0], item[1]))
 
-    a, b = prof.a, prof.b
+    a, b, r0_ohm = params.a, params.b, params.r0_ohm
     anneal = TrajectoryState(y_env=a * math.log(b))
     t, y_env = 0.0, anneal.y_env
     env = schedule.segments[0][1]
@@ -126,13 +133,15 @@ def reference_resume_trajectory(
     schedule: StorageSchedule,
     cfg: SimConfig,
     t_end_s: float,
-    profile: JunctionProfile,
+    params: AgingParams,
+    tau_scale: float,
 ) -> float:
-    """Advance fractional aging from (t_start, y_start) to t_end, no events."""
+    """Advance fractional aging from (t_start, y_start) to t_end, no events,
+    on the bound curves of ``params``' amplitude and offset with every
+    environment's timescale times ``tau_scale``."""
     if t_end_s < t_start_s:
         raise ValidationError("t_end_s must be >= t_start_s")
-    prof = profile
-    a, b = prof.a, prof.b
+    a, b = params.a, params.b
     t, y_env = t_start_s, y_start
     env = schedule.segments[0][1]
     for start, seg_env in schedule.segments:   # the segment in force at t_start_s
@@ -142,8 +151,8 @@ def reference_resume_trajectory(
     for start, nxt in schedule.segments:
         if start <= t_start_s or start >= t_end_s:
             continue
-        y_env = _segment(y_env, t, start, a, _tau(env, cfg, prof), b, relax)
+        y_env = _segment(y_env, t, start, a, _tau(env, cfg, tau_scale), b, relax)
         t = start
         relax = cfg.relax_time_s(env, nxt)
         env = nxt
-    return _segment(y_env, t, t_end_s, a, _tau(env, cfg, prof), b, relax)
+    return _segment(y_env, t, t_end_s, a, _tau(env, cfg, tau_scale), b, relax)

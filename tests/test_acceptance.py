@@ -18,7 +18,6 @@ from jjaging import (
     AgingParams,
     AnnealEvent,
     ChipSpec,
-    JunctionProfile,
     SimConfig,
     StorageSchedule,
     TwoLogParams,
@@ -53,7 +52,7 @@ def test_c01_single_environment_matches_closed_form():
     """Trajectory under one environment tracks the log law within 0.5%."""
     samples = np.arange(0.0, 56 * DAY + 1, 0.5 * DAY)
     got = simulate_trajectory(StorageSchedule.single(AMBIENT), [], SimConfig(),
-                              CHIP1.r0_ohm, samples, profile=JunctionProfile(a=0.21))
+                              AgingParams(a=0.21, tau_s=1.2e4, r0_ohm=CHIP1.r0_ohm), samples)
     want = CHIP1.r0_ohm * eval_single_log(CHIP1, samples)
     rel = np.abs(got / want - 1.0)
     assert rel.max() <= 5e-3
@@ -123,8 +122,8 @@ def test_c05_alternating_schedule_pattern():
     """Alternating storage: bracketed by the bound curves, deaging after the
     day-4 swap, and <= 2% net drift over 40 days after the final swap."""
     samples = np.arange(0.0, 52 * DAY + 1, 0.25 * DAY)
-    y = simulate_trajectory(_swap_schedule(), [], SimConfig(), 1.0, samples,
-                            profile=JunctionProfile(a=0.05)) - 1.0
+    y = simulate_trajectory(_swap_schedule(), [], SimConfig(), AgingParams(0.05, 1.2e4),
+                            samples) - 1.0
 
     amb = eval_single_log(AgingParams(0.05, 1.2e4, 1.0), samples) - 1.0
     gb = eval_single_log(AgingParams(0.05, 4.3e4, 1.0), samples) - 1.0
@@ -146,8 +145,7 @@ def test_c06_vacuum_exit_relaxation():
     """Leaving high vacuum reaches within 10% of the glovebox bound in < 1 day."""
     sched = StorageSchedule(segments=((0.0, VACUUM), (7 * DAY, GLOVEBOX)))
     samples = np.arange(7 * DAY, 8.5 * DAY, 0.02 * DAY)
-    y = simulate_trajectory(sched, [], SimConfig(), 1.0, samples,
-                            profile=JunctionProfile(a=0.12)) - 1.0
+    y = simulate_trajectory(sched, [], SimConfig(), AgingParams(0.12, 6.9e4), samples) - 1.0
     gb = eval_single_log(AgingParams(0.12, 4.3e4, 1.0), samples) - 1.0
     rel = np.abs(y - gb) / gb
     hit = samples[rel <= 0.10]
@@ -191,7 +189,7 @@ def test_c07_voltage_anneal_response():
     traj = simulate_trajectory(
         StorageSchedule.single(AMBIENT),
         [AnnealEvent(t_s=56 * DAY, kind=VoltageAnneal())],
-        cfg, 22_800.0, samples, profile=JunctionProfile(a=0.21),
+        cfg, AgingParams(a=0.21, tau_s=1.2e4, r0_ohm=22_800.0), samples,
     )
     series = [(t - 56 * DAY, r / traj[0]) for t, r in zip(samples[1:], traj[1:])]
     res = fit_single_log(series)

@@ -571,6 +571,14 @@ def assert_refused(tmp_path, capsys, d):
 
 
 class TestPredict:
+    @pytest.mark.parametrize("delta", ["0", "-180", "nan", "inf"])
+    def test_gap_not_finite_and_positive_exits_2(self, tmp_path, capsys, delta):
+        out = tmp_path / "p.json"
+        assert run("predict", "--preset", "chip1", "--target-days", "7",
+                   "--delta-uev", delta, "--out", str(out)) == 2
+        assert "gap_delta_J must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @_malformed
     def test_malformed_report_exits_2_naming_the_file(self, tmp_path, capsys, fit_report,
                                                       mutate):
@@ -1044,6 +1052,24 @@ class TestAnneal:
         ds = load_measurements(out)
         assert len(ds) == len(load_measurements(data)) + 2 * 16
         assert (np.diff(ds.t_s.reshape(16, -1), axis=1) > 0).all()
+
+    @pytest.mark.parametrize("t_last, err", [
+        # The amplitude inferred from this row divided by ln(t/tau + 1) == 0.0.
+        ("5e-324", "junction 0's last usable row, at t = 5e-324 s, is too close to t = 0 "
+                   "to infer its aging trend"),
+        # It used to write a 2.7e15 ohm row flagged ok, which reads back as open.
+        ("1e-09", "step 1 would record junction 0 at 2.686e+15 ohm, which reads back as "
+                  "open (above 1e+06 ohm)"),
+    ], ids=["zero-span", "reads-back-open"])
+    def test_last_row_near_t0_exits_2(self, tmp_path, capsys, t_last, err):
+        data = tmp_path / "early.csv"
+        data.write_text("chip_id,junction_id,t_seconds,resistance_ohms,environment,flag\n"
+                        f"c,0,0.0,10000.0,ambient,ok\nc,0,{t_last},10100.0,ambient,ok\n")
+        events, out = tmp_path / "t.txt", tmp_path / "x.csv"
+        events.write_text("event,1,thermal,temp_c=200,env=ambient,hold_min=10\n")
+        assert run("anneal", str(data), "--events", str(events), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not out.exists() and not out.with_suffix(".steps.json").exists()
 
     def test_voltage_events_require_seed(self, tmp_path, capsys):
         data = self._dataset(tmp_path, days="20")

@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jjaging import (
-    JunctionProfile,
     StorageSchedule,
     chip_preset,
     draw_chip,
@@ -208,10 +207,10 @@ def test_predict_equals_reference_resume(tmp_path_factory, case):
         return
     p = chip_preset(name)
     params, cfg = p.aging, p.sim
-    profile = JunctionProfile(a=params.a, b=params.b,
-                              tau_scale=params.tau_s / cfg.env_tau_s[p.home_env.kind])
+    tau_scale = params.tau_s / cfg.env_tau_s[p.home_env.kind]
     t_from = from_days * DAY
     y_end = reference_resume_trajectory(float(eval_single_log(params, t_from)) - 1.0,
-                                        t_from, schedule, cfg, target_days * DAY, profile)
+                                        t_from, schedule, cfg, target_days * DAY, params,
+                                        tau_scale)
     assert ulp_distance(got, params.r0_ohm * (1.0 + y_end)) <= ULPS
 

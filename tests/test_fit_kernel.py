@@ -129,7 +129,7 @@ def test_separable_two_log_is_no_worse_than_the_four_parameter_fit(chip):
         compared = 0
         for series, _, fit in calls:
             t, y = np.asarray(series).T
-            start = fitting._two_log_start(t, y, t[t > 0])
+            start = fitting._two_log_start(t, y)
             old = reference_fit_two_log(series, replace(opts, init=start))
             if fit.converged and old.converged:
                 assert fit.rss <= old.rss * (1 + 1e-6)
@@ -308,7 +308,7 @@ def check_fit_equals_reference(series, opts):
     # only its warnings are compared; it is handed the package's grid start.
     if opts.model == "two-log":
         t, y = reference_fit._check_series(series, 6)
-        opts = replace(opts, init=fitting._two_log_start(t, y, t[t > 0]))
+        opts = replace(opts, init=fitting._two_log_start(t, y))
     old, old_warnings = outcome(reference_fn, series, opts)
     if opts.model == "single-log":
         assert text(new, repr) == text(old, repr)

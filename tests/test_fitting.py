@@ -339,7 +339,7 @@ class TestGridOracle:
         y = eval_two_log(gen, t) * (1.0 + noise * rng.standard_normal(t.size))
         lo, hi = draw(st.sampled_from([(0.0, 1.0), (0.0, 0.05), (0.02, 0.08), (0.15, 0.3)]))
         with mock.patch.object(fitting, "_A_BOUNDS", (lo, hi)):
-            ai, ti, ae, te = fitting._two_log_start(t, y, t[t > 0])
+            ai, ti, ae, te = fitting._two_log_start(t, y)
         assert lo <= ai <= hi and lo <= ae <= hi and ti > te
         basis = np.log1p(t / ti), np.log1p(t / te)
         r = 1.0 + ai * basis[0] + ae * basis[1] - y
@@ -364,7 +364,7 @@ class TestGridOracle:
         # A flat series fits every pair exactly with zero amplitudes.
         t = np.geomspace(1e3, 84 * DAY, 20)
         lo, hi = fitting._LOG_TAU_BOUNDS
-        ai, ti, ae, te = fitting._two_log_start(t, np.ones_like(t), t)
+        ai, ti, ae, te = fitting._two_log_start(t, np.ones_like(t))
         assert (ai, ae) == (0.0, 0.0)
         assert (ti, te) == pytest.approx((math.exp(lo + (hi - lo) / 40), math.exp(lo)), rel=1e-12)
 

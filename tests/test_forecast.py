@@ -26,6 +26,12 @@ anneal (its jump without spread) on junction 0 in the middle of a 14- or
 28-day window from day 0 or 2, and a single-log fit.  All are strict
 xfails for ROADMAP item 16: ``fit`` does not know the event, and
 ``predict`` forecasts the chip from one curve that no junction follows.
+
+The thermal cells run chip1, chip2 and chip6 with one oven step on every
+junction on day 7, inside a 14- or 28-day window from day 0, and a
+single-log fit: 250 C in the glovebox (-12%) or 200 C in ambient air
+(+6%).  All are strict xfails for ROADMAP item 22: ``fit`` fits one curve
+through the step, so the forecast misses by tens of percent.
 """
 
 import contextlib
@@ -41,8 +47,11 @@ import numpy as np
 import pytest
 
 from jjaging import (
+    AMBIENT,
+    GLOVEBOX,
     AnnealEvent,
     ChipDataset,
+    ThermalAnneal,
     VoltageAnneal,
     aggregate_series,
     chip_preset,
@@ -57,6 +66,9 @@ DAY = 86400.0
 TARGET_DAY = 84.0
 TOLERANCE = 1e-3
 SWAP_CHIPS = ("chip3", "chip4", "chip5")
+# The oven steps of the thermal cells, by the label in their ids.
+THERMAL_STEPS = {"thermal250-glovebox": ThermalAnneal(250.0, GLOVEBOX),
+                 "thermal200-ambient": ThermalAnneal(200.0, AMBIENT)}
 
 # A 14-day window from day 2 spans less than one decade of time; the fitter
 # warns, as it should, and the cell still runs.
@@ -64,14 +76,20 @@ pytestmark = pytest.mark.filterwarnings("ignore:time span below one decade:UserW
 
 CELLS = list(itertools.product(PRESET_NAMES, (14, 28), (0.0, 0.5, 2.0),
                                ("single-log", "two-log")))
-CELLS += [(*c, "single-log", True)   # the anneal cells
+CELLS += [(*c, "single-log", "anneal")   # the voltage anneal cells
           for c in itertools.product(("chip1", "chip2", "chip6"), (14, 28), (0.0, 2.0))]
+CELLS += [(preset, window, 0.0, "single-log", step)   # the thermal cells
+          for preset, window, step in itertools.product(("chip1", "chip2", "chip6"), (14, 28),
+                                                        THERMAL_STEPS)]
 
 
-def _marks(preset, window, first, model, anneal=False):
-    if anneal:
+def _marks(preset, window, first, model, event=""):
+    if event == "anneal":
         return [pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
             "ROADMAP item 16: fit and predict do not know the anneal event"))]
+    if event:
+        return [pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+            "ROADMAP item 22: fit fits one curve through the oven step"))]
     if preset in SWAP_CHIPS:
         return [pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
             "ROADMAP item 5: fit ignores the storage swaps"))]
@@ -82,24 +100,27 @@ def _marks(preset, window, first, model, anneal=False):
     return []
 
 
-def _id(preset, window, first, model, anneal=False):
-    return f"{preset}-{window}d-from{first:g}-{model}" + ("-anneal" if anneal else "")
+def _id(preset, window, first, model, event=""):
+    return f"{preset}-{window}d-from{first:g}-{model}" + (f"-{event}" if event else "")
 
 
 @functools.cache
-def run_cell(preset, window, first, model, anneal=False):
+def run_cell(preset, window, first, model, event=""):
     """(fit exit code, predict exit code, predicted dR/R, simulated dR/R).
 
-    With ``anneal``, a voltage anneal whose jump has no spread hits
-    junction 0 half a day after the window's midpoint."""
+    With ``event`` "anneal", a voltage anneal whose jump has no spread hits
+    junction 0 half a day after the window's midpoint; with a key of
+    ``THERMAL_STEPS``, that oven step hits every junction on day 7."""
     p = chip_preset(preset)
     spec = replace(p.spec, r0_cv=0.0, a_sd=0.0, log_tau_sd=0.0, b_sd=0.0,
                    noise_sigma=0.0, open_prob=0.0, n_junctions=2)
     sim, events = p.sim, []
-    if anneal:
+    if event == "anneal":
         sim = replace(p.sim, voltage_jump_sd=0.0)
         events = [AnnealEvent((first + window / 2 + 0.5) * DAY, VoltageAnneal(),
                               junction_ids=(0,))]
+    elif event:
+        events = [AnnealEvent(7 * DAY, THERMAL_STEPS[event])]
     days = np.append(first + np.arange(window + 1.0), TARGET_DAY)
     ds = simulate_chip(draw_chip(spec, 0), p.schedule, events, days * DAY, sim, 0,
                        chip_id=preset)

@@ -13,7 +13,6 @@ from jjaging import (
     Environment,
     EnvironmentKind,
     ParameterError,
-    PhysicalConstants,
     TwoLogParams,
     critical_current_from_resistance,
     effective_tau,
@@ -133,13 +132,18 @@ class TestCriticalCurrent:
         assert i1 == pytest.approx(2 * i2, rel=1e-12)
 
     def test_reference_value_180uev_8kohm(self):
-        c = PhysicalConstants(gap_delta_J=180e-6 * EV)
-        ic = critical_current_from_resistance(8000.0, c)
+        ic = critical_current_from_resistance(8000.0, gap_delta_J=180e-6 * EV)
         assert ic == pytest.approx(3.534291735e-8, rel=1e-9)
+        assert critical_current_from_resistance(8000.0) == ic   # the default gap
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ParameterError):
             critical_current_from_resistance(0.0)
+
+    @pytest.mark.parametrize("gap", [0.0, -1e-23, math.nan, math.inf])
+    def test_rejects_a_gap_not_finite_and_positive(self, gap):
+        with pytest.raises(ParameterError, match="gap_delta_J must be finite and > 0"):
+            critical_current_from_resistance(8000.0, gap)
 
 
 class TestFrequencyShift:

@@ -13,7 +13,6 @@ from jjaging import (
     AnnealEvent,
     ConfigurationError,
     Environment,
-    JunctionProfile,
     ParameterError,
     SimConfig,
     StorageSchedule,
@@ -27,11 +26,19 @@ from jjaging import (
     simulate_trajectory,
 )
 from jjaging.model import EnvironmentKind
-from jjaging.trajectory import _in_force, _run_from, _segment
+from jjaging.trajectory import _in_force, _run_from, _segment, _tau_scale
 from reference_trajectory import reference_simulate_trajectory
 
 DAY = 86400.0
-CHIP1 = JunctionProfile(a=0.21)   # a chip1 junction's bound curve
+
+
+def junction(a=0.21, r0=1.0, b=1.0, first=AMBIENT):
+    """A junction of amplitude ``a`` whose timescale is the configured one in
+    ``first``, the schedule's first environment."""
+    return AgingParams(a=a, tau_s=SimConfig().env_tau_s[first.kind], b=b, r0_ohm=r0)
+
+
+CHIP1 = junction()   # a chip1 junction's bound curve, at r0 = 1
 
 
 def chip1_cfg(**over):
@@ -99,7 +106,37 @@ class TestMissingTimescale:
         sched = StorageSchedule(segments=((0.0, AMBIENT), (4 * DAY, GLOVEBOX)))
         samples = np.linspace(0.0, 8 * DAY, 9)
         with pytest.raises(ConfigurationError, match="'glovebox'"):
-            simulate_trajectory(sched, [], self.cfg(), 22_800.0, samples, profile=CHIP1)
+            simulate_trajectory(sched, [], self.cfg(), junction(r0=22_800.0), samples)
+
+    def test_comes_before_a_timescale_that_does_not_scale(self):
+        sched = StorageSchedule(segments=((0.0, AMBIENT), (4 * DAY, GLOVEBOX)))
+        with pytest.raises(ConfigurationError, match="'glovebox'"):
+            simulate_trajectory(sched, [], self.cfg(), AgingParams(a=0.21, tau_s=5e-324),
+                                [0.0, DAY])
+
+
+class TestTimescaleScale:
+    """A junction's ``tau_s`` is its timescale in the schedule's first
+    environment; the ratio to that environment's configured timescale must
+    be a finite factor > 0."""
+
+    @pytest.mark.parametrize("tau_s, env_tau_s", [(5e-324, 1.2e4), (1e300, 1e-10)],
+                             ids=["to-0", "to-inf"])
+    def test_tau_s_that_scales_to_0_or_inf_rejected(self, tau_s, env_tau_s):
+        cfg = chip1_cfg(env_tau_s={EnvironmentKind.AMBIENT: env_tau_s})
+        with pytest.raises(ParameterError, match="not by a finite factor > 0"):
+            simulate_trajectory(StorageSchedule.single(AMBIENT), [], cfg,
+                                AgingParams(a=0.21, tau_s=tau_s), [0.0, DAY])
+
+    def test_scale_carries_to_every_environment(self):
+        # A junction aging 3x slower than nominal in its first environment,
+        # the glovebox, is 3x slower on the ambient bound it meets later.
+        cfg = chip1_cfg()
+        slow = AgingParams(a=0.21, tau_s=3 * 4.3e4)
+        sched = StorageSchedule(segments=((0.0, GLOVEBOX), (4 * DAY, AMBIENT)))
+        r = simulate_trajectory(sched, [], cfg, slow, [400 * DAY])[0]
+        bound = eval_single_log(AgingParams(a=0.21, tau_s=3 * 1.2e4), 400 * DAY)
+        assert r == pytest.approx(bound, rel=1e-9)
 
 
 class TestSingleEnvironment:
@@ -107,16 +144,16 @@ class TestSingleEnvironment:
         # On-bound start: the exact-feedforward scheme reproduces the bound.
         cfg = chip1_cfg()
         samples = np.linspace(0, 56 * DAY, 57)
-        traj = simulate_trajectory(StorageSchedule.single(AMBIENT), [], cfg, 22_800.0, samples,
-                                   profile=CHIP1)
+        traj = simulate_trajectory(StorageSchedule.single(AMBIENT), [], cfg,
+                                   junction(r0=22_800.0), samples)
         ref = 22_800.0 * eval_single_log(AgingParams(a=0.21, tau_s=1.2e4, b=1.0), samples)
         np.testing.assert_allclose(traj, ref, rtol=1e-12)
 
     def test_within_half_percent_of_fitted_curve_with_offset(self):
         cfg = chip1_cfg()
         samples = np.linspace(0, 56 * DAY, 113)
-        traj = simulate_trajectory(StorageSchedule.single(AMBIENT), [], cfg, 22_800.0, samples,
-                                   profile=CHIP1)
+        traj = simulate_trajectory(StorageSchedule.single(AMBIENT), [], cfg,
+                                   junction(r0=22_800.0), samples)
         ref = 22_800.0 * eval_single_log(AgingParams(a=0.21, tau_s=1.2e4, b=1.01), samples)
         rel = np.abs(traj / ref - 1)
         assert rel.max() < 5e-3
@@ -125,32 +162,30 @@ class TestSingleEnvironment:
         cfg = chip1_cfg()
         sched = StorageSchedule.single(AMBIENT)
         with pytest.raises(ValidationError):
-            simulate_trajectory(sched, [], cfg, 1.0, [2.0, 1.0], profile=CHIP1)
+            simulate_trajectory(sched, [], cfg, CHIP1, [2.0, 1.0])
         ev = [
             AnnealEvent(t_s=5 * DAY, kind=VoltageAnneal()),
             AnnealEvent(t_s=1 * DAY, kind=VoltageAnneal()),
         ]
         with pytest.raises(ValidationError):
-            simulate_trajectory(sched, ev, cfg, 1.0, [0.0], profile=CHIP1)
+            simulate_trajectory(sched, ev, cfg, CHIP1, [0.0])
 
     @pytest.mark.parametrize("seed", [-1, 0.5])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
-            simulate_trajectory(StorageSchedule.single(AMBIENT), [], chip1_cfg(), 1.0,
-                                [0.0, DAY], seed=seed, profile=CHIP1)
+            simulate_trajectory(StorageSchedule.single(AMBIENT), [], chip1_cfg(), CHIP1,
+                                [0.0, DAY], seed=seed)
 
     @pytest.mark.parametrize("bad", [5.0, [[0.0, DAY]]], ids=["scalar", "2-D"])
     def test_sample_times_must_be_one_dimensional(self, bad):
         with pytest.raises(ValidationError, match="1-D"):
-            simulate_trajectory(StorageSchedule.single(AMBIENT), [], chip1_cfg(), 1.0, bad,
-                                profile=CHIP1)
+            simulate_trajectory(StorageSchedule.single(AMBIENT), [], chip1_cfg(), CHIP1, bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_sample_time_rejected(self, bad):
         cfg = chip1_cfg()
         with pytest.raises(ValidationError):
-            simulate_trajectory(StorageSchedule.single(AMBIENT), [], cfg, 1.0, [bad, DAY],
-                                profile=CHIP1)
+            simulate_trajectory(StorageSchedule.single(AMBIENT), [], cfg, CHIP1, [bad, DAY])
 
     @pytest.mark.parametrize("times", [
         [0.0, math.nan], [0.0, DAY, math.inf], [-1.0, DAY], [2 * DAY, math.nan, DAY],
@@ -161,54 +196,54 @@ class TestSingleEnvironment:
         # The finiteness check comes before the order check, with the
         # reference's message: a NaN in the middle, +inf last, -inf first,
         # and disorder together with a NaN.
-        args = (StorageSchedule.single(AMBIENT), [], chip1_cfg(), 1.0, times)
+        args = (StorageSchedule.single(AMBIENT), [], chip1_cfg(), CHIP1, times)
         with pytest.raises(ValidationError, match="finite and >= 0") as got:
-            simulate_trajectory(*args, profile=CHIP1)
+            simulate_trajectory(*args)
         with pytest.raises(ValidationError) as ref:
-            reference_simulate_trajectory(*args, profile=CHIP1)
+            reference_simulate_trajectory(*args)
         assert str(got.value) == str(ref.value)
 
     @pytest.mark.parametrize("times", [[DAY, 0.0], [0.0, 2 * DAY, DAY, 3 * DAY]])
     def test_disorder_alone_rejected_as_nondecreasing(self, times):
-        args = (StorageSchedule.single(AMBIENT), [], chip1_cfg(), 1.0, times)
+        args = (StorageSchedule.single(AMBIENT), [], chip1_cfg(), CHIP1, times)
         with pytest.raises(ValidationError) as got:
-            simulate_trajectory(*args, profile=CHIP1)
+            simulate_trajectory(*args)
         with pytest.raises(ValidationError) as ref:
-            reference_simulate_trajectory(*args, profile=CHIP1)
+            reference_simulate_trajectory(*args)
         assert str(got.value) == str(ref.value) == "sample times must be nondecreasing"
 
     def test_negative_zero_first_time_accepted(self):
         sched, cfg = StorageSchedule.single(AMBIENT), chip1_cfg()
-        r = simulate_trajectory(sched, [], cfg, 5.0, [-0.0, DAY], profile=CHIP1)
-        assert r.tolist() == simulate_trajectory(sched, [], cfg, 5.0, [0.0, DAY],
-                                                 profile=CHIP1).tolist()
-        ref = reference_simulate_trajectory(sched, [], cfg, 5.0, [-0.0, DAY], profile=CHIP1)
+        r = simulate_trajectory(sched, [], cfg, junction(r0=5.0), [-0.0, DAY])
+        assert r.tolist() == simulate_trajectory(sched, [], cfg, junction(r0=5.0),
+                                                 [0.0, DAY]).tolist()
+        ref = reference_simulate_trajectory(sched, [], cfg, junction(r0=5.0), [-0.0, DAY])
         assert r.tolist() == [r_ohm for _, r_ohm in ref]
 
     def test_returns_float_resistances_aligned_with_samples(self):
         sched, cfg = StorageSchedule.single(AMBIENT), chip1_cfg()
-        r = simulate_trajectory(sched, [], cfg, 5.0, [0.0, DAY, 3 * DAY], profile=CHIP1)
+        r = simulate_trajectory(sched, [], cfg, junction(r0=5.0), [0.0, DAY, 3 * DAY])
         assert isinstance(r, np.ndarray) and r.dtype == np.float64 and r.shape == (3,)
         # The bound starts at y = a ln(b) = 0; each entry is its own time's value.
         assert r[0] == 5.0
-        assert r[2] == simulate_trajectory(sched, [], cfg, 5.0, [3 * DAY],
-                                           profile=CHIP1)[0] > r[1] > 5.0
+        assert r[2] == simulate_trajectory(sched, [], cfg, junction(r0=5.0),
+                                           [3 * DAY])[0] > r[1] > 5.0
 
     def test_no_sample_times_give_no_samples(self):
-        assert simulate_trajectory(StorageSchedule.single(AMBIENT), [], chip1_cfg(), 1.0,
-                                   [], profile=CHIP1).shape == (0,)
+        assert simulate_trajectory(StorageSchedule.single(AMBIENT), [], chip1_cfg(), CHIP1,
+                                   []).shape == (0,)
 
     @pytest.mark.parametrize("r0", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_initial_resistance_must_be_finite_and_positive(self, r0):
         with pytest.raises(ParameterError, match="r0_ohm must be finite and > 0"):
-            simulate_trajectory(StorageSchedule.single(AMBIENT), [], chip1_cfg(), r0,
-                                [0.0, DAY], profile=CHIP1)
+            simulate_trajectory(StorageSchedule.single(AMBIENT), [], chip1_cfg(),
+                                junction(r0=r0), [0.0, DAY])
 
     def test_start_below_minus_one_rejected(self):
         # y(0) = a ln(b) = 0.5 ln(0.1) < -1.
         with pytest.raises(ParameterError, match="fractional aging cannot go below -1"):
-            simulate_trajectory(StorageSchedule.single(AMBIENT), [], chip1_cfg(), 1.0,
-                                [0.0, DAY], profile=JunctionProfile(a=0.5, b=0.1))
+            simulate_trajectory(StorageSchedule.single(AMBIENT), [], chip1_cfg(),
+                                junction(a=0.5, b=0.1), [0.0, DAY])
 
 
 class TestSwapDynamics:
@@ -219,7 +254,7 @@ class TestSwapDynamics:
         cfg = chip1_cfg(relax_gas_to_gas_s=300.0)
         sched = StorageSchedule(segments=((0.0, AMBIENT), (4 * DAY, GLOVEBOX)))
         samples = 4 * DAY + 60.0 * np.arange(31)
-        y = simulate_trajectory(sched, [], cfg, 1000.0, samples, profile=CHIP1) / 1000.0 - 1.0
+        y = simulate_trajectory(sched, [], cfg, junction(r0=1000.0), samples) / 1000.0 - 1.0
         y_gb = 0.21 * np.log(samples / 4.3e4 + 1.0)
         gap = y - y_gb
         assert np.all(gap > 0)
@@ -234,18 +269,17 @@ class TestSwapDynamics:
         daily = np.arange(0.0, 21 * DAY, DAY)
         rng = np.random.default_rng(3)
         dense = np.sort(np.concatenate([daily, rng.uniform(0.0, 21 * DAY, 200)]))
-        coarse = dict(zip(daily, simulate_trajectory(sched, ev, cfg, 9e3, daily, seed=5,
-                                                     profile=CHIP1)))
-        fine = dict(zip(dense, simulate_trajectory(sched, ev, cfg, 9e3, dense, seed=5,
-                                                   profile=CHIP1)))
+        coarse = dict(zip(daily, simulate_trajectory(sched, ev, cfg, junction(r0=9e3), daily,
+                                                     seed=5)))
+        fine = dict(zip(dense, simulate_trajectory(sched, ev, cfg, junction(r0=9e3), dense,
+                                                   seed=5)))
         for t, r in coarse.items():
             assert fine[t] == pytest.approx(r, rel=1e-12)
 
     def test_deaging_after_move_into_glovebox(self):
         sched = StorageSchedule(segments=((0.0, AMBIENT), (4 * DAY, GLOVEBOX)))
         samples = np.arange(4 * DAY, 6 * DAY, 0.1 * DAY)
-        rs = simulate_trajectory(sched, [], chip1_cfg(), 1.0, samples,
-                                 profile=JunctionProfile(a=0.05))
+        rs = simulate_trajectory(sched, [], chip1_cfg(), junction(a=0.05), samples)
         first_incr = np.diff(rs)[:5]
         assert np.all(first_incr < 0), "expected an initial resistance decrease"
         # and the transient flattens: late increments are small and positive
@@ -255,8 +289,8 @@ class TestSwapDynamics:
     def test_faster_aging_after_move_into_ambient(self):
         sched = StorageSchedule(segments=((0.0, GLOVEBOX), (4 * DAY, AMBIENT)))
         samples = [3.5 * DAY, 4 * DAY, 4.5 * DAY, 5 * DAY]
-        traj = simulate_trajectory(sched, [], chip1_cfg(), 1.0, samples,
-                                   profile=JunctionProfile(a=0.05))
+        traj = simulate_trajectory(sched, [], chip1_cfg(), junction(a=0.05, first=GLOVEBOX),
+                                   samples)
         before = traj[1] - traj[0]
         after = traj[3] - traj[2]
         assert after > before
@@ -264,8 +298,8 @@ class TestSwapDynamics:
     def test_vacuum_exit_rapid_relaxation(self):
         sched = StorageSchedule(segments=((0.0, VACUUM), (7 * DAY, GLOVEBOX)))
         samples = np.arange(7 * DAY, 9 * DAY, 0.05 * DAY)
-        y = simulate_trajectory(sched, [], chip1_cfg(), 1.0, samples,
-                                profile=JunctionProfile(a=0.12)) - 1.0
+        y = simulate_trajectory(sched, [], chip1_cfg(), junction(a=0.12, first=VACUUM),
+                                samples) - 1.0
         gb = eval_single_log(AgingParams(a=0.12, tau_s=4.3e4, b=1.0), samples) - 1.0
         rel = np.abs(y - gb) / gb
         hit = samples[rel <= 0.10]
@@ -288,10 +322,10 @@ class TestSwapDynamics:
         sched = StorageSchedule(segments=((0.0, AMBIENT), (10 * DAY, GLOVEBOX)))
         ev = [AnnealEvent(t_s=20 * DAY, kind=VoltageAnneal())]
         samples = np.linspace(0, 30 * DAY, 61)
-        t1 = simulate_trajectory(sched, ev, cfg, 9e3, samples, seed=42, profile=CHIP1)
-        t2 = simulate_trajectory(sched, ev, cfg, 9e3, samples, seed=42, profile=CHIP1)
+        t1 = simulate_trajectory(sched, ev, cfg, junction(r0=9e3), samples, seed=42)
+        t2 = simulate_trajectory(sched, ev, cfg, junction(r0=9e3), samples, seed=42)
         assert t1.tobytes() == t2.tobytes()
-        t3 = simulate_trajectory(sched, ev, cfg, 9e3, samples, seed=43, profile=CHIP1)
+        t3 = simulate_trajectory(sched, ev, cfg, junction(r0=9e3), samples, seed=43)
         assert t3.tobytes() != t1.tobytes()
 
 
@@ -409,8 +443,8 @@ class TestUnreadEventFields:
         cfg = chip1_cfg(voltage_jump_sd=0.02)
         sched = StorageSchedule(segments=((0.0, AMBIENT), (10 * DAY, GLOVEBOX)))
         events = [AnnealEvent(t_s=(12 + 4 * k) * DAY, kind=kind) for k, kind in enumerate(kinds)]
-        return simulate_trajectory(sched, events, cfg, 9e3, np.linspace(0, 30 * DAY, 61),
-                                   seed=5, profile=CHIP1)
+        return simulate_trajectory(sched, events, cfg, junction(r0=9e3),
+                                   np.linspace(0, 30 * DAY, 61), seed=5)
 
     def test_voltage_pulse_fields(self):
         given = self.run(VoltageAnneal())
@@ -437,16 +471,16 @@ class TestMeasurementExposure:
     def exposed(duration_s):
         """R/R0 at the start and at the end of a visit that begins on day 30."""
         sched = StorageSchedule(segments=((0.0, GLOVEBOX), (30 * DAY, AMBIENT)))
-        return simulate_trajectory(sched, [], chip1_cfg(), 1.0,
-                                   [30 * DAY, 30 * DAY + duration_s], profile=CHIP1)
+        return simulate_trajectory(sched, [], chip1_cfg(), junction(first=GLOVEBOX),
+                                   [30 * DAY, 30 * DAY + duration_s])
 
     def test_zero_duration_identity(self):
         start, end = self.exposed(0.0)
         assert end == start
         # The visit starts from the glovebox-stored state; the swap at that
         # instant moves it only by rounding.
-        stored = simulate_trajectory(StorageSchedule.single(GLOVEBOX), [], chip1_cfg(), 1.0,
-                                     [30 * DAY], profile=CHIP1)
+        stored = simulate_trajectory(StorageSchedule.single(GLOVEBOX), [], chip1_cfg(),
+                                     junction(first=GLOVEBOX), [30 * DAY])
         assert start == pytest.approx(stored[0], rel=1e-15)
 
     def test_20_minutes_on_glovebox_stored_junction_is_tiny(self):
@@ -463,13 +497,15 @@ class TestMeasurementExposure:
         assert c90 > c20 > 0
 
 
-def resume(y_from, t_from, schedule, cfg, t_to, prof):
-    """R/R0 - 1 at ``t_to`` of a junction in state ``y_from`` at ``t_from``,
-    advanced by the trajectory engine the way ``predict`` runs it."""
+def resume(y_from, t_from, schedule, cfg, t_to, params):
+    """R/R0 - 1 at ``t_to`` of a junction (r0 = 1) in state ``y_from`` at
+    ``t_from``, advanced by the trajectory engine the way ``predict`` runs it,
+    with ``params.tau_s`` the timescale in the schedule's first environment."""
     env, relax, swaps = _in_force(schedule, cfg, t_from)
     swaps = [sw for sw in swaps if sw[0] < t_to]
     r = _run_from(TrajectoryState(t_s=t_from, y_env=y_from), env, relax, swaps, None,
-                  np.array([t_to]), [0] * len(swaps), 1.0, prof, cfg)
+                  np.array([t_to]), [0] * len(swaps), params,
+                  _tau_scale(params, schedule.segments[0][1], cfg), cfg)
     return r[0] - 1.0
 
 
@@ -477,16 +513,15 @@ class TestResume:
     def test_on_bound_continuation_matches_closed_form(self):
         cfg = chip1_cfg()
         p = AgingParams(a=0.21, tau_s=1.2e4, b=1.01)
-        prof = JunctionProfile(a=p.a, b=p.b, tau_scale=1.0)
         y56 = float(eval_single_log(p, 56 * DAY)) - 1
-        y63 = resume(y56, 56 * DAY, StorageSchedule.single(AMBIENT), cfg, 63 * DAY, prof)
+        y63 = resume(y56, 56 * DAY, StorageSchedule.single(AMBIENT), cfg, 63 * DAY, p)
         assert y63 == pytest.approx(float(eval_single_log(p, 63 * DAY)) - 1, rel=1e-10)
 
     def test_crosses_swaps(self):
-        cfg, prof = chip1_cfg(), JunctionProfile(a=0.05)
+        cfg, p = chip1_cfg(), junction(a=0.05)
         sched = StorageSchedule(segments=((0.0, AMBIENT), (4 * DAY, GLOVEBOX)))
-        full = simulate_trajectory(sched, [], cfg, 1.0, [2 * DAY, 6 * DAY], profile=prof)
-        y6 = resume(full[0] - 1.0, 2 * DAY, sched, cfg, 6 * DAY, prof)
+        full = simulate_trajectory(sched, [], cfg, p, [2 * DAY, 6 * DAY])
+        y6 = resume(full[0] - 1.0, 2 * DAY, sched, cfg, 6 * DAY, p)
         assert y6 == pytest.approx(full[1] - 1.0, rel=1e-12)
 
     @pytest.mark.parametrize("t_from", [5 * DAY, 6 * DAY, 6.5 * DAY, 8 * DAY])
@@ -497,9 +532,9 @@ class TestResume:
         cfg = chip1_cfg()
         sched = StorageSchedule(segments=((0.0, AMBIENT), (3 * DAY, VACUUM),
                                           (6 * DAY, GLOVEBOX), (7 * DAY, AMBIENT)))
-        prof = JunctionProfile(a=0.05)
-        full = simulate_trajectory(sched, [], cfg, 1.0, [t_from, 10 * DAY], profile=prof)
-        y10 = resume(full[0] - 1.0, t_from, sched, cfg, 10 * DAY, prof)
+        p = junction(a=0.05)
+        full = simulate_trajectory(sched, [], cfg, p, [t_from, 10 * DAY])
+        y10 = resume(full[0] - 1.0, t_from, sched, cfg, 10 * DAY, p)
         assert y10 == pytest.approx(full[1] - 1.0, rel=1e-12)
 
     def test_relaxation_in_force(self):
@@ -567,14 +602,6 @@ class TestConfigValidation:
 
 class TestObjectValidation:
     @pytest.mark.parametrize("kwargs", [
-        {"a": math.nan}, {"a": math.inf}, {"b": math.nan}, {"b": 0.0},
-        {"tau_scale": math.inf}, {"tau_scale": math.nan},
-    ], ids=repr)
-    def test_junction_profile_rejects_bad_values(self, kwargs):
-        with pytest.raises(ParameterError):
-            JunctionProfile(**{"a": 0.2, **kwargs})
-
-    @pytest.mark.parametrize("kwargs", [
         {"hold_min": math.nan}, {"hold_min": math.inf}, {"hold_min": -1.0},
         {"temp_c": math.nan}, {"temp_c": math.inf},
     ], ids=repr)
@@ -603,7 +630,6 @@ class TestObjectValidation:
 
     def test_valid_objects_accepted(self):
         TrajectoryState(t_s=3.0, y_env=-1.0, anneal_gain=1e-300, post_anneal_t0_s=2.0)
-        JunctionProfile(a=0.0, b=1e-3, tau_scale=1e3)
         ThermalAnneal(temp_c=250.0, env=AMBIENT, hold_min=0.0)
         VoltageAnneal(n_pulses=np.int64(5), amplitude_v=0.9, pulse_duration_s=1e-3)
 
@@ -631,10 +657,9 @@ class TestBreakpointFree:
         else:
             t_sw = data.draw(st.floats(1.0, 400 * DAY))
         cfg = chip1_cfg()
-        profile = JunctionProfile(a=a, b=b, tau_scale=tau_scale)
-        one = simulate_trajectory(StorageSchedule.single(env), [], cfg, r0, times,
-                                  profile=profile)
-        split = simulate_trajectory(StorageSchedule(((0.0, env), (t_sw, env))), [], cfg, r0,
-                                    times, profile=profile)
+        params = AgingParams(a=a, tau_s=tau_scale * cfg.env_tau_s[env.kind], b=b, r0_ohm=r0)
+        one = simulate_trajectory(StorageSchedule.single(env), [], cfg, params, times)
+        split = simulate_trajectory(StorageSchedule(((0.0, env), (t_sw, env))), [], cfg, params,
+                                    times)
         assert one.dtype == np.float64 and one.shape == (len(times),)
         assert one.tobytes() == split.tobytes()

@@ -20,9 +20,9 @@ from jjaging import (
     AMBIENT,
     GLOVEBOX,
     VACUUM,
+    AgingParams,
     AnnealEvent,
     ConfigurationError,
-    JunctionProfile,
     SimConfig,
     StorageSchedule,
     ThermalAnneal,
@@ -74,15 +74,18 @@ def cases(draw):
         voltage_jump_sd=draw(st.sampled_from([0.0, 0.02])),
         floor_at_r0=draw(st.booleans()),
     )
-    profile = draw(st.one_of(st.builds(JunctionProfile, a=st.floats(0.0, 0.5)), st.builds(
-        JunctionProfile, a=st.floats(0.0, 0.5), b=st.floats(0.01, 2.0),
-        tau_scale=st.floats(0.5, 2.0))))
-    kwargs = dict(schedule=schedule, events=events, cfg=cfg,
-                  r0_ohm=draw(st.floats(1.0, 1e5)), sample_t_s=samples,
-                  seed=draw(st.integers(0, 2**32)), profile=profile)
+    # The junction's timescale in the first environment: the configured one,
+    # or 0.5 to 2 times it.
+    tau_first = cfg.env_tau_s[envs[0].kind]
+    tau_s = draw(st.one_of(st.just(tau_first), st.floats(0.5, 2.0).map(tau_first.__mul__)))
+    b = draw(st.one_of(st.just(1.0), st.floats(0.01, 2.0)))
+    params = AgingParams(a=draw(st.floats(0.0, 0.5)), tau_s=tau_s, b=b,
+                         r0_ohm=draw(st.floats(1.0, 1e5)))
+    kwargs = dict(schedule=schedule, events=events, cfg=cfg, params=params,
+                  sample_t_s=samples, seed=draw(st.integers(0, 2**32)))
 
     refusal = draw(st.sampled_from([None] * 12 + ["unsorted", "decreasing", "nan", "seed",
-                                                  "r0"]))
+                                                  "tau_s"]))
     if refusal == "unsorted" and len(events) >= 2 and events[0].t_s != events[-1].t_s:
         kwargs["events"] = events[::-1]
     elif refusal == "decreasing" and len(samples) >= 2 and samples[0] != samples[-1]:
@@ -91,8 +94,10 @@ def cases(draw):
         kwargs["sample_t_s"] = samples + [draw(st.sampled_from([math.nan, math.inf, -1.0]))]
     elif refusal == "seed":
         kwargs["seed"] = draw(st.sampled_from([-1, 0.5, True]))
-    elif refusal == "r0":
-        kwargs["r0_ohm"] = draw(st.sampled_from([0.0, -1.0, math.nan, math.inf]))
+    elif refusal == "tau_s":
+        # A timescale that scales the first environment's to 0.
+        kwargs["params"] = AgingParams(a=params.a, tau_s=5e-324, b=params.b,
+                                       r0_ohm=params.r0_ohm)
     return kwargs
 
 
@@ -132,8 +137,9 @@ def test_single_environment_piece_is_the_reference_to_an_ulp():
     # against math.log.
     samples = np.arange(0.0, 365 * DAY + 1.0, DAY)
     kwargs = dict(schedule=StorageSchedule.single(AMBIENT), events=[],
-                  cfg=SimConfig(), r0_ohm=22_800.0, sample_t_s=samples,
-                  profile=JunctionProfile(a=0.2, b=1.03, tau_scale=1.2))
+                  cfg=SimConfig(), params=AgingParams(a=0.2, tau_s=1.2 * 1.2e4, b=1.03,
+                                                      r0_ohm=22_800.0),
+                  sample_t_s=samples)
     assert max_rel_diff(kwargs) <= 2.3e-16
 
 
@@ -142,8 +148,8 @@ def test_breakpoints_after_the_last_sample_are_still_applied():
     # sample follows it, as in the reference.
     kwargs = dict(schedule=StorageSchedule.single(AMBIENT),
                   events=[AnnealEvent(t_s=5 * DAY, kind=ThermalAnneal(*UNKNOWN_OVEN))],
-                  cfg=SimConfig(), r0_ohm=1.0, sample_t_s=[0.0, DAY],
-                  profile=JunctionProfile(a=0.21))
+                  cfg=SimConfig(), params=AgingParams(a=0.21, tau_s=1.2e4),
+                  sample_t_s=[0.0, DAY])
     for fn in (simulate_trajectory, reference_simulate_trajectory):
         with pytest.raises(ConfigurationError):
             fn(**kwargs)
