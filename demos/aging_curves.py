@@ -41,7 +41,7 @@ def main():
         ratio = eval_single_log(p.aging, t)
         series[name] = list(zip(t, ratio))
         print(
-            f"{name:6s} ({p.home_env.kind.value:8s}): a={p.aging.a:.2f} "
+            f"{name:6s} ({p.home_env.value:8s}): a={p.aging.a:.2f} "
             f"tau={p.aging.tau_s:.2g} s -> R/R0 at 56 d = "
             f"{float(eval_single_log(p.aging, 56 * DAY)):.3f}"
         )

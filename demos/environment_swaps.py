@@ -35,7 +35,7 @@ def main():
     OUT.mkdir(exist_ok=True)
     cfg = SimConfig()
     # A junction whose timescale is the configured one in its first environment.
-    junction = AgingParams(a=0.05, tau_s=cfg.env_tau_s[AMBIENT.kind])
+    junction = AgingParams(a=0.05, tau_s=cfg.env_tau_s[AMBIENT])
 
     print("=== Alternating ambient/glovebox storage (swaps at days 4, 8, 12) ===")
     sched = StorageSchedule(segments=(
@@ -61,7 +61,7 @@ def main():
     print("\n=== Vacuum exit at day 7 ===")
     sched5 = StorageSchedule(segments=((0.0, VACUUM), (7 * DAY, GLOVEBOX)))
     samples5 = np.arange(0, 10 * DAY, 0.02 * DAY)
-    junction5 = AgingParams(a=0.12, tau_s=cfg.env_tau_s[VACUUM.kind])
+    junction5 = AgingParams(a=0.12, tau_s=cfg.env_tau_s[VACUUM])
     y5 = simulate_trajectory(sched5, [], cfg, junction5, samples5) - 1
     gb5 = eval_single_log(AgingParams(0.12, 4.3e4, 1.0), samples5) - 1
     post = samples5 >= 7 * DAY

@@ -40,7 +40,7 @@ def main():
         ev = AnnealEvent(t_s=state.t_s, kind=ThermalAnneal(temp_c=temp, env=env, hold_min=hold))
         state = apply_thermal_anneal(state, ev, cfg)
         after = 1 + state.y
-        print(f"{k:>4} {temp:>6.0f} {env.kind.value:>9} {before:>12.4f} {after:>11.4f} "
+        print(f"{k:>4} {temp:>6.0f} {env.value:>9} {before:>12.4f} {after:>11.4f} "
               f"{(after / before - 1) * 100:>+7.2f}%")
     print(f"\nfinal R/R0 = {1 + state.y:.4f} (floor at 1.0 was "
           f"{'not needed' if 1 + state.y > 1.0 else 'engaged'})")

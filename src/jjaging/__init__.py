@@ -20,7 +20,6 @@ from .model import (
     GLOVEBOX,
     VACUUM,
     AgingParams,
-    Environment,
     EnvironmentKind,
     TwoLogParams,
     critical_current_from_resistance,

@@ -54,7 +54,6 @@ from .model import (
     AMBIENT,
     ELECTRON_CHARGE_C,
     AgingParams,
-    Environment,
     EnvironmentKind,
     TwoLogParams,
     critical_current_from_resistance,
@@ -131,8 +130,7 @@ def _resolve_chip(args):
     env_name = d.get("environment", "ambient")
     if env_name not in [k.value for k in EnvironmentKind]:
         raise ValidationError(f"unknown environment {env_name!r}")
-    env = Environment.from_kind(env_name)
-    return spec, sim, StorageSchedule.single(env), {"spec_file": d}
+    return spec, sim, StorageSchedule.single(EnvironmentKind(env_name)), {"spec_file": d}
 
 
 def _day_seconds(flag: str, days: float, positive: bool = False) -> float:
@@ -277,7 +275,7 @@ def cmd_predict(args) -> int:
         params = replace(params, r0_ohm=report.average_r0_ohm)
         from_days = args.from_days if args.from_days is not None else report.last_t_s / DAY_S
         # Data from an unknown environment predicts as ambient.
-        home = Environment.from_kind("ambient" if report.last_env == "unknown" else report.last_env)
+        home = EnvironmentKind("ambient" if report.last_env == "unknown" else report.last_env)
         cfg = SimConfig()
     elif args.preset:
         p = chip_preset(args.preset)

@@ -63,7 +63,7 @@ from .ensemble import (
     ChipDataset,
 )
 from .fitting import STOP_REASONS, FitResult, _MAX_ITER
-from .model import AgingParams, Environment, TwoLogParams
+from .model import AgingParams, EnvironmentKind, TwoLogParams
 from .trajectory import (
     DAY_S,
     AnnealEvent,
@@ -441,7 +441,7 @@ def load_events(path) -> list[AnnealEvent]:
 # keeps its default.
 _EVENT_KINDS = {name: (kind, get_type_hints(kind)) for name, kind in
                 (("voltage", VoltageAnneal), ("thermal", ThermalAnneal))}
-_ARGUMENT_TYPES = {int: int, float: float, Environment: Environment.from_kind}
+_ARGUMENT_TYPES = {int: int, float: float, EnvironmentKind: EnvironmentKind}
 
 
 def _parse_event(line: str) -> AnnealEvent:
@@ -479,19 +479,19 @@ def _parse_event(line: str) -> AnnealEvent:
         raise ValueError(f"bad event arguments: {exc}") from None
 
 
-def _parse_segment(line: str) -> tuple[float, Environment]:
+def _parse_segment(line: str) -> tuple[float, EnvironmentKind]:
     """The (start_s, environment) of a line ``start_days,environment``."""
     parts = [p.strip() for p in line.split(",")]
     if len(parts) != 2:
         raise ValueError("segment line must be start_days,environment")
     try:
-        return float(parts[0]) * DAY_S, Environment.from_kind(parts[1].lower())
+        return float(parts[0]) * DAY_S, EnvironmentKind(parts[1].lower())
     except ValueError:
         raise ValueError(f"bad segment line {line!r}") from None
 
 
 def _parse_schedule_text(path, require_segments: bool):
-    segments: list[tuple[float, Environment]] = []
+    segments: list[tuple[float, EnvironmentKind]] = []
     events: list[AnnealEvent] = []
     problems: list[tuple[int, str]] = []
     # Universal newlines: a line ends at \n, \r\n or \r, and nowhere else.

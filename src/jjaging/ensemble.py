@@ -36,6 +36,7 @@ from .trajectory import (
     _check_sample_times,
     _check_seed,
     _spawn_entropy,
+    _tau,
     simulate_trajectory,
 )
 
@@ -370,10 +371,10 @@ def simulate_chip(
     """
     _check_seed(seed)
     _check_event_junctions(events, range(len(chip)))
-    # Checked here too, for a chip whose junctions are all open.
-    home_kind = schedule.segments[0][1].kind
-    if home_kind not in cfg.env_tau_s:
-        raise ValidationError(f"config lacks a timescale for {home_kind.value!r}")
+    # Every segment's timescale is checked here too, for a chip whose
+    # junctions are all open.
+    for _, env in schedule.segments:
+        _tau(env, cfg, 1.0)
     samples = np.asarray(sample_t_s, dtype=float)
     if samples.ndim != 1:
         raise ValidationError("sample times must be a 1-D sequence")
@@ -408,7 +409,7 @@ def simulate_chip(
     r *= 1.0 + chip.spec.noise_sigma * z
 
     starts = [start for start, _ in schedule.segments]
-    seg_env = np.array([_ENV_CODE[env.kind.value] for _, env in schedule.segments], np.int8)
+    seg_env = np.array([_ENV_CODE[env.value] for _, env in schedule.segments], np.int8)
     env = seg_env[np.searchsorted(starts, samples, side="right") - 1]
     return ChipDataset(
         junction_id=np.repeat(np.arange(n_j), n_s),

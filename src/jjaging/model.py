@@ -16,9 +16,9 @@ It also provides the zero-temperature Ambegaokar-Baratoff mapping from
 normal-state resistance to critical current, and a transmon-style
 fractional frequency shift for a given fractional resistance change.
 
-A storage ``Environment`` is its ``EnvironmentKind`` (ambient air, nitrogen
-glovebox, high vacuum): the kinetics config keys the aging timescales and
-thermal responses on the kind alone.
+A storage environment is an ``EnvironmentKind`` member (ambient air,
+nitrogen glovebox, high vacuum): the kinetics config keys the aging
+timescales and thermal responses on it.
 
 Everything here is pure and stateless; scalar or ndarray time inputs are
 accepted and the output follows the input shape.
@@ -36,7 +36,6 @@ from .errors import ParameterError
 
 __all__ = [
     "EnvironmentKind",
-    "Environment",
     "AMBIENT",
     "GLOVEBOX",
     "VACUUM",
@@ -51,28 +50,23 @@ __all__ = [
 
 
 class EnvironmentKind(str, Enum):
-    """Storage environment classes distinguished by the kinetics config."""
+    """A storage environment, as distinguished by the kinetics config."""
 
     AMBIENT = "ambient"
     NITROGEN_GLOVEBOX = "glovebox"
     HIGH_VACUUM = "vacuum"
 
-
-@dataclass(frozen=True)
-class Environment:
-    """A storage environment.  The kinetics key on its kind alone."""
-
-    kind: EnvironmentKind
-
-    @classmethod
-    def from_kind(cls, kind: EnvironmentKind | str) -> "Environment":
-        """Build the environment of ``kind`` (an ``EnvironmentKind`` or its value)."""
-        return cls(kind=EnvironmentKind(kind))
+    @property
+    def kind(self) -> "EnvironmentKind":
+        """The member itself.  Kept for the benchmark, whose
+        ``perfbench/workloads.py`` is its only reader (``env.kind.value``);
+        it goes with ROADMAP item 1, as ``ChipDataset.records`` does."""
+        return self
 
 
-AMBIENT = Environment.from_kind(EnvironmentKind.AMBIENT)
-GLOVEBOX = Environment.from_kind(EnvironmentKind.NITROGEN_GLOVEBOX)
-VACUUM = Environment.from_kind(EnvironmentKind.HIGH_VACUUM)
+AMBIENT = EnvironmentKind.AMBIENT
+GLOVEBOX = EnvironmentKind.NITROGEN_GLOVEBOX
+VACUUM = EnvironmentKind.HIGH_VACUUM
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import math
 
 from .ensemble import ChipSpec
 from .errors import ConfigurationError
-from .model import AMBIENT, GLOVEBOX, VACUUM, AgingParams, Environment
+from .model import AMBIENT, GLOVEBOX, VACUUM, AgingParams, EnvironmentKind
 from .trajectory import DAY_S, DEFAULT_ENV_TAU_S, SimConfig, StorageSchedule
 
 __all__ = ["ChipPreset", "chip_preset", "PRESET_NAMES"]
@@ -43,7 +43,7 @@ class ChipPreset:
     sim: SimConfig
 
     @property
-    def home_env(self) -> Environment:
+    def home_env(self) -> EnvironmentKind:
         """The first segment's environment, where the timescale is ``aging.tau_s``."""
         return self.schedule.segments[0][1]
 
@@ -61,7 +61,7 @@ def _preset(
     voltage_jump=(0.16, 0.02),
     voltage_drift_tau_s: float = 5.0e4,
 ) -> ChipPreset:
-    scale = tau_s / DEFAULT_ENV_TAU_S[schedule.segments[0][1].kind]
+    scale = tau_s / DEFAULT_ENV_TAU_S[schedule.segments[0][1]]
     sim = SimConfig(
         env_tau_s={kind: tau * scale for kind, tau in DEFAULT_ENV_TAU_S.items()},
         voltage_jump_mean=voltage_jump[0],
@@ -88,7 +88,7 @@ def _preset(
     )
 
 
-def _alternating(first: Environment, second: Environment) -> StorageSchedule:
+def _alternating(first: EnvironmentKind, second: EnvironmentKind) -> StorageSchedule:
     return StorageSchedule(
         segments=(
             (0.0, first),

@@ -68,7 +68,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, ValidationError
-from .model import GLOVEBOX, AgingParams, Environment, EnvironmentKind
+from .model import GLOVEBOX, AgingParams, EnvironmentKind
 
 __all__ = [
     "StorageSchedule",
@@ -90,7 +90,7 @@ DAY_S = 86_400.0
 class StorageSchedule:
     """Piecewise storage timeline: ordered (start time, environment) segments."""
 
-    segments: tuple[tuple[float, Environment], ...]
+    segments: tuple[tuple[float, EnvironmentKind], ...]
 
     def __post_init__(self):
         if not self.segments:
@@ -103,11 +103,12 @@ class StorageSchedule:
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValidationError("segment start times must be strictly increasing")
         for _, env in self.segments:
-            if not isinstance(env, Environment):
-                raise ValidationError(f"segment environment must be an Environment, got {env!r}")
+            if not isinstance(env, EnvironmentKind):
+                raise ValidationError(f"segment environment must be an EnvironmentKind, "
+                                      f"got {env!r}")
 
     @classmethod
-    def single(cls, env: Environment) -> "StorageSchedule":
+    def single(cls, env: EnvironmentKind) -> "StorageSchedule":
         return cls(segments=((0.0, env),))
 
 
@@ -145,10 +146,13 @@ class ThermalAnneal:
     """
 
     temp_c: float
-    env: Environment = GLOVEBOX
+    env: EnvironmentKind = GLOVEBOX
     hold_min: float = 10.0
 
     def __post_init__(self):
+        if not isinstance(self.env, EnvironmentKind):
+            raise ValidationError(f"oven environment must be an EnvironmentKind, "
+                                  f"got {self.env!r}")
         if not math.isfinite(self.temp_c):
             raise ValidationError(f"temp_c must be finite, got {self.temp_c}")
         if not (math.isfinite(self.hold_min) and self.hold_min >= 0):
@@ -216,23 +220,23 @@ class SimConfig:
                 raise ParameterError(f"{name} must be finite, got {v}")
         for kind, tau in self.env_tau_s.items():
             if not (math.isfinite(tau) and tau > 0):
-                raise ParameterError(f"env tau for {kind} must be finite and > 0, got {tau}")
+                raise ParameterError(f"env tau for {getattr(kind, 'value', kind)!r} must be "
+                                     f"finite and > 0, got {tau}")
         for name in ("relax_gas_to_gas_s", "relax_vacuum_to_gas_s", "voltage_drift_tau_s"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ParameterError(f"{name} must be finite and > 0, got {v}")
         if self.voltage_jump_sd < 0 or self.voltage_drift_a < 0:
             raise ParameterError("voltage response parameters must be >= 0")
+        if not isinstance(self.floor_at_r0, bool):
+            raise ParameterError(f"floor_at_r0 must be a bool, got {self.floor_at_r0!r}")
         for key, step in self.thermal_response.items():
             if not (math.isfinite(step) and step > -1.0):
                 raise ParameterError(f"thermal response for {key} must be finite and > -1")
 
-    def relax_time_s(self, old: Environment, new: Environment) -> float:
+    def relax_time_s(self, old: EnvironmentKind, new: EnvironmentKind) -> float:
         """Relaxation time for the transition class old -> new."""
-        if (
-            old.kind is EnvironmentKind.HIGH_VACUUM
-            and new.kind is not EnvironmentKind.HIGH_VACUUM
-        ):
+        if old is EnvironmentKind.HIGH_VACUUM and new is not EnvironmentKind.HIGH_VACUUM:
             return self.relax_vacuum_to_gas_s
         return self.relax_gas_to_gas_s
 
@@ -299,18 +303,18 @@ def _segment(
     return a * math.log(t_b / tau + b) + gap * math.exp(-span / relax_s)
 
 
-def _tau(env: Environment, cfg: SimConfig, tau_scale: float) -> float:
-    if env.kind not in cfg.env_tau_s:
-        raise ConfigurationError(f"no timescale configured for environment {env.kind.value!r}")
-    return cfg.env_tau_s[env.kind] * tau_scale
+def _tau(env: EnvironmentKind, cfg: SimConfig, tau_scale: float) -> float:
+    if env not in cfg.env_tau_s:
+        raise ConfigurationError(f"no timescale configured for environment {env.value!r}")
+    return cfg.env_tau_s[env] * tau_scale
 
 
-def _tau_scale(params: AgingParams, home: Environment, cfg: SimConfig) -> float:
+def _tau_scale(params: AgingParams, home: EnvironmentKind, cfg: SimConfig) -> float:
     """``params.tau_s``, the junction's timescale in ``home``, over the
     configured one there: the factor on every environment's timescale."""
     scale = params.tau_s / _tau(home, cfg, 1.0)
     if not 0.0 < scale < math.inf:
-        raise ParameterError(f"tau_s = {params.tau_s!r} s scales the {home.kind.value!r} "
+        raise ParameterError(f"tau_s = {params.tau_s!r} s scales the {home.value!r} "
                              f"timescale by {scale!r}, not by a finite factor > 0")
     return scale
 
@@ -353,11 +357,10 @@ def apply_thermal_anneal(
     """
     if not isinstance(ev.kind, ThermalAnneal):
         raise TypeError("apply_thermal_anneal requires a thermal event")
-    key = (ev.kind.temp_c, ev.kind.env.kind)
+    key = (ev.kind.temp_c, ev.kind.env)
     if key not in cfg.thermal_response:
         raise ConfigurationError(
-            f"no thermal response configured for {ev.kind.temp_c} C in "
-            f"{ev.kind.env.kind.value!r}"
+            f"no thermal response configured for {ev.kind.temp_c} C in {ev.kind.env.value!r}"
         )
     step = cfg.thermal_response[key]
     gain = state.anneal_gain * (1.0 + step)
@@ -476,14 +479,14 @@ def _in_force(schedule: StorageSchedule, cfg: SimConfig, t_s: float):
     return env, relax, schedule.segments[k + 1:]
 
 
-def _run_from(start: TrajectoryState, env: Environment, relax_s: float, breaks, event_seed,
+def _run_from(start: TrajectoryState, env: EnvironmentKind, relax_s: float, breaks, event_seed,
               t: np.ndarray, cuts, params: AgingParams, tau_scale: float,
               cfg: SimConfig) -> np.ndarray:
     """Resistances at sample times ``t`` of a junction that is in ``start``
     under ``env``, relaxing with ``relax_s``, and then meets ``breaks``.
 
     ``breaks`` are ``(time, payload)`` pairs in the order they apply, none
-    before ``start.t_s``.  A payload is the ``Environment`` a schedule swap
+    before ``start.t_s``.  A payload is the ``EnvironmentKind`` a schedule swap
     moves to, or ``(k, event)`` for an anneal event, whose voltage draw is
     seeded by ``event_seed(k)``.  ``cuts[i]`` is the index of the first
     (nondecreasing) sample that comes after breakpoint i.  This is the only
@@ -507,7 +510,7 @@ def _run_from(start: TrajectoryState, env: Environment, relax_s: float, breaks, 
             lo = stop
         y_env = _segment(y_env, s, t_bp, a, tau, b, relax_s)
         s = t_bp
-        if isinstance(payload, Environment):
+        if isinstance(payload, EnvironmentKind):
             relax_s = cfg.relax_time_s(env, payload)
             env = payload
             tau = _tau(env, cfg, tau_scale)

@@ -116,7 +116,7 @@ def spec_file(preset) -> dict:
         "chip": dataclasses.asdict(preset.spec),
         "sim": {"env_tau_s": {kind.value: 2.0 * tau for kind, tau in preset.sim.env_tau_s.items()},
                 "relax_gas_to_gas_s": 2 * 86400.0},
-        "environment": preset.home_env.kind.value,
+        "environment": preset.home_env.value,
     }
 
 

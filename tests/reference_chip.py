@@ -15,7 +15,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from jjaging.ensemble import ChipSpec, DrawnChip
-from jjaging.errors import InsufficientDataError, ParameterError, ValidationError
+from jjaging.errors import (
+    ConfigurationError,
+    InsufficientDataError,
+    ParameterError,
+    ValidationError,
+)
 from jjaging.model import AgingParams
 from jjaging.trajectory import (
     AnnealEvent,
@@ -100,9 +105,9 @@ def reference_simulate_chip(
     those junctions.  Rows come junction by junction, each in sample
     order.
     """
-    home_kind = schedule.segments[0][1].kind
-    if home_kind not in cfg.env_tau_s:
-        raise ValidationError(f"config lacks a timescale for {home_kind.value!r}")
+    for _, env in schedule.segments:
+        if env not in cfg.env_tau_s:
+            raise ConfigurationError(f"no timescale configured for environment {env.value!r}")
     noise_sigma = chip.spec.noise_sigma
 
     rows: list[Row] = []
@@ -112,7 +117,7 @@ def reference_simulate_chip(
                 rows.append(
                     Row(
                         chip_id=chip_id, junction_id=j, t_s=float(t), r_ohm=None,
-                        env_label=_environment_at(schedule, float(t)).kind.value,
+                        env_label=_environment_at(schedule, float(t)).value,
                         flag="open",
                     )
                 )
@@ -128,7 +133,7 @@ def reference_simulate_chip(
             rows.append(
                 Row(
                     chip_id=chip_id, junction_id=j, t_s=t, r_ohm=r * (1.0 + e),
-                    env_label=_environment_at(schedule, t).kind.value, flag="ok",
+                    env_label=_environment_at(schedule, t).value, flag="ok",
                 )
             )
     return rows

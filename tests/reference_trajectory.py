@@ -42,16 +42,16 @@ def _segment(y_env, t_a, t_b, a, tau, b, relax_s):
 
 
 def _tau(env, cfg, tau_scale):
-    if env.kind not in cfg.env_tau_s:
-        raise ConfigurationError(f"no timescale configured for environment {env.kind.value!r}")
-    return cfg.env_tau_s[env.kind] * tau_scale
+    if env not in cfg.env_tau_s:
+        raise ConfigurationError(f"no timescale configured for environment {env.value!r}")
+    return cfg.env_tau_s[env] * tau_scale
 
 
 def _tau_scale(params, schedule, cfg):
     """``params.tau_s`` is the timescale in the schedule's first environment."""
     for _, env in schedule.segments:
         _tau(env, cfg, 1.0)
-    scale = params.tau_s / cfg.env_tau_s[schedule.segments[0][1].kind]
+    scale = params.tau_s / cfg.env_tau_s[schedule.segments[0][1]]
     if not (math.isfinite(scale) and scale > 0):
         raise ParameterError("tau_s must scale the first environment's timescale by a "
                              "finite factor > 0")
@@ -85,7 +85,7 @@ def reference_simulate_trajectory(
         raise ValidationError("events must be sorted by time")
 
     tau_scale = _tau_scale(params, schedule, cfg)
-    taus = {env.kind: _tau(env, cfg, tau_scale) for _, env in schedule.segments}
+    taus = {env: _tau(env, cfg, tau_scale) for _, env in schedule.segments}
 
     # Action stream ordered by (time, kind): segment swaps, then events,
     # then sample emissions.
@@ -102,7 +102,7 @@ def reference_simulate_trajectory(
     anneal = TrajectoryState(y_env=a * math.log(b))
     t, y_env = 0.0, anneal.y_env
     env = schedule.segments[0][1]
-    tau = taus[env.kind]
+    tau = taus[env]
     relax = cfg.relax_gas_to_gas_s
     out: list[tuple[float, float]] = []
 
@@ -113,7 +113,7 @@ def reference_simulate_trajectory(
         if kind == 0:
             relax = cfg.relax_time_s(env, payload)
             env = payload
-            tau = taus[env.kind]
+            tau = taus[env]
         elif kind == 1:
             k, ev = payload
             state = replace(anneal, t_s=t, y_env=y_env)

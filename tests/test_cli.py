@@ -117,6 +117,8 @@ class TestSimulate:
         # The amplitude is drawn per junction from the chip section; the sim
         # section has none.
         ("sim", "fab_a", 0.21, "unknown sim key 'fab_a'"),
+        # A string is truthy, so "false" used to keep the R0 floor on.
+        ("sim", "floor_at_r0", "false", "bad sim value: floor_at_r0 must be a bool, got 'false'"),
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, section, key, value, named):
         path = write_flat_spec(tmp_path)

@@ -15,7 +15,7 @@ from jjaging import (
     AnnealEvent,
     ChipDataset,
     ChipFitResult,
-    Environment,
+    EnvironmentKind,
     FitResult,
     ParseError,
     StorageSchedule,
@@ -205,7 +205,7 @@ class TestScheduleFile:
         sched, events = load_schedule(path)
         assert len(sched.segments) == 3
         assert sched.segments[1][0] == 4 * DAY
-        assert sched.segments[1][1].kind.value == "glovebox"
+        assert sched.segments[1][1] is GLOVEBOX
         assert len(events) == 2
         v, t = events
         assert isinstance(v.kind, VoltageAnneal) and v.junction_ids == tuple(range(8))
@@ -365,7 +365,7 @@ def test_schedule_parsers_return_or_raise_parse_error(tmp_path, lines):
             pass
 
 
-ENVS = st.sampled_from([Environment.from_kind(k) for k in ("ambient", "glovebox", "vacuum")])
+ENVS = st.sampled_from(list(EnvironmentKind))
 POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
 # Each event kind's arguments, each present or left out (temp_c is required).
 EVENT_ARGUMENTS = {
@@ -390,7 +390,7 @@ COMMENTS = st.one_of(
 
 
 def _argument_text(value) -> str:
-    return value.kind.value if isinstance(value, Environment) else repr(value)
+    return value.value if isinstance(value, EnvironmentKind) else repr(value)
 
 
 @st.composite
@@ -399,7 +399,7 @@ def schedule_files(draw):
     declares, and the (line index, part index) of every key=value argument."""
     starts = draw(st.lists(st.floats(1e-3, 1e4), max_size=4, unique_by=lambda d: d * DAY))
     segments = [(d, draw(ENVS)) for d in [0.0, *sorted(starts)]]
-    records = [("segment", f"{d!r},{env.kind.value}") for d, env in segments]
+    records = [("segment", f"{d!r},{env.value}") for d, env in segments]
     for _ in range(draw(st.integers(0, 4))):
         kind = draw(st.sampled_from([VoltageAnneal, ThermalAnneal]))
         t_days = draw(st.floats(0.0, 1e4))

@@ -31,7 +31,7 @@ from jjaging import (
 )
 from jjaging.cli import main
 from jjaging.ensemble import FLAG_OK
-from jjaging.model import Environment
+from jjaging.model import EnvironmentKind
 from reference_anneal import reference_anneal
 from reference_trajectory import reference_resume_trajectory
 
@@ -198,7 +198,7 @@ def test_predict_equals_reference_resume(tmp_path_factory, case):
     got = json.loads(out.read_text())["r_predicted_ohm"]
 
     schedule = StorageSchedule(segments=tuple(
-        (s * DAY, Environment.from_kind(env)) for s, env in segments))
+        (s * DAY, EnvironmentKind(env)) for s, env in segments))
     k = max(i for i, (s, _) in enumerate(segments) if s <= from_days)
     if k and segments[k - 1][1] == "vacuum" and segments[k][1] != "vacuum":
         # The reference resumes a vacuum exit with the gas-to-gas relaxation
@@ -207,7 +207,7 @@ def test_predict_equals_reference_resume(tmp_path_factory, case):
         return
     p = chip_preset(name)
     params, cfg = p.aging, p.sim
-    tau_scale = params.tau_s / cfg.env_tau_s[p.home_env.kind]
+    tau_scale = params.tau_s / cfg.env_tau_s[p.home_env]
     t_from = from_days * DAY
     y_end = reference_resume_trajectory(float(eval_single_log(params, t_from)) - 1.0,
                                         t_from, schedule, cfg, target_days * DAY, params,

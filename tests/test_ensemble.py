@@ -5,10 +5,12 @@ import pytest
 
 from jjaging import (
     AMBIENT,
+    GLOVEBOX,
     AgingParams,
     AnnealEvent,
     ChipDataset,
     ChipSpec,
+    ConfigurationError,
     DrawnChip,
     InsufficientDataError,
     MeasurementRecord,
@@ -188,6 +190,20 @@ class TestSimulateChip:
         with pytest.raises(ValidationError, match="strictly increasing"):
             simulate_chip(self.all_open_chip(), StorageSchedule.single(AMBIENT), [],
                           [-5.0, -5.0, 1.0], SimConfig(), seed=1)
+
+    @pytest.mark.parametrize("opens", [(True, True), (True, False)], ids=["all-open", "mixed"])
+    @pytest.mark.parametrize("segments", [((0.0, AMBIENT), (DAY, GLOVEBOX)), ((0.0, GLOVEBOX),)],
+                             ids=["later", "home"])
+    def test_segment_without_timescale_refused_whatever_opens(self, opens, segments):
+        # Every segment is checked before any junction runs, as
+        # simulate_trajectory checks it, also when no junction reaches it.
+        params = AgingParams(a=0.21, tau_s=1.2e4, b=1.01, r0_ohm=22_800.0)
+        chip = DrawnChip(junctions=tuple((params, o) for o in opens),
+                         spec=flat_spec(n_junctions=len(opens)))
+        cfg = SimConfig(env_tau_s={AMBIENT: 1.2e4})
+        with pytest.raises(ConfigurationError,
+                           match="no timescale configured for environment 'glovebox'"):
+            simulate_chip(chip, StorageSchedule(segments), [], [0.0, 2 * DAY], cfg, seed=1)
 
     def test_all_open_chip_saves_and_loads_back(self, tmp_path):
         ds = simulate_chip(self.all_open_chip(), StorageSchedule.single(AMBIENT), [],

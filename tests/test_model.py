@@ -10,7 +10,9 @@ import pytest
 
 from jjaging import (
     AgingParams,
-    Environment,
+    AMBIENT,
+    GLOVEBOX,
+    VACUUM,
     EnvironmentKind,
     ParameterError,
     TwoLogParams,
@@ -167,7 +169,7 @@ class TestFrequencyShift:
 
 class TestEnvironment:
     def test_defaults(self):
-        assert Environment.from_kind("ambient").kind is EnvironmentKind.AMBIENT
-        gb = Environment.from_kind(EnvironmentKind.NITROGEN_GLOVEBOX)
-        assert gb.kind is EnvironmentKind.NITROGEN_GLOVEBOX
-        assert Environment.from_kind("vacuum").kind is EnvironmentKind.HIGH_VACUUM
+        # An environment is its EnvironmentKind member; text parses to it.
+        assert AMBIENT is EnvironmentKind("ambient") is EnvironmentKind.AMBIENT
+        assert GLOVEBOX is EnvironmentKind("glovebox") is EnvironmentKind.NITROGEN_GLOVEBOX
+        assert VACUUM is EnvironmentKind("vacuum") is EnvironmentKind.HIGH_VACUUM

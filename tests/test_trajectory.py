@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from jjaging import (
     AgingParams,
     AnnealEvent,
     ConfigurationError,
-    Environment,
     ParameterError,
     SimConfig,
     StorageSchedule,
@@ -35,7 +35,7 @@ DAY = 86400.0
 def junction(a=0.21, r0=1.0, b=1.0, first=AMBIENT):
     """A junction of amplitude ``a`` whose timescale is the configured one in
     ``first``, the schedule's first environment."""
-    return AgingParams(a=a, tau_s=SimConfig().env_tau_s[first.kind], b=b, r0_ohm=r0)
+    return AgingParams(a=a, tau_s=SimConfig().env_tau_s[first], b=b, r0_ohm=r0)
 
 
 CHIP1 = junction()   # a chip1 junction's bound curve, at r0 = 1
@@ -62,7 +62,7 @@ class TestSchedule:
             StorageSchedule(segments=((0.0, AMBIENT), (bad, GLOVEBOX)))
 
     def test_segment_environment_must_be_an_environment(self):
-        with pytest.raises(ValidationError, match="must be an Environment, got 'ambient'"):
+        with pytest.raises(ValidationError, match="must be an EnvironmentKind, got 'ambient'"):
             StorageSchedule(segments=((0.0, "ambient"),))
 
     def test_environment_lookup(self):
@@ -80,19 +80,20 @@ class TestSchedule:
             nxt = starts[-1] + g
             if nxt > starts[-1]:
                 starts.append(nxt)
-        # Equal but distinct objects, so ``is`` tells the segments apart.
-        envs = [Environment(EnvironmentKind.AMBIENT) for _ in starts]
+        envs = [list(EnvironmentKind)[k % 3] for k in range(len(starts))]
         sched = StorageSchedule(segments=tuple(zip(starts, envs)))
         near = [float(np.nextafter(s, d)) for s in starts for d in (-math.inf, math.inf)]
         t = data.draw(st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                                 st.sampled_from(starts + near)))
 
-        # The linear scan the lookup replaced.
-        env = sched.segments[0][1]
-        for start, e in sched.segments:
+        # The linear scan the lookup replaced.  The swaps after the segment
+        # in force tell apart segments of the same environment.
+        k = 0
+        for i, (start, _) in enumerate(sched.segments):
             if t >= start:
-                env = e
-        assert _in_force(sched, SimConfig(), t)[0] is env
+                k = i
+        env, _, after = _in_force(sched, SimConfig(), t)
+        assert env is envs[k] and after == sched.segments[k + 1:]
 
 
 class TestMissingTimescale:
@@ -113,6 +114,46 @@ class TestMissingTimescale:
         with pytest.raises(ConfigurationError, match="'glovebox'"):
             simulate_trajectory(sched, [], self.cfg(), AgingParams(a=0.21, tau_s=5e-324),
                                 [0.0, DAY])
+
+
+class TestEnvironmentMessages:
+    """A message names an environment by its value, on every Python: an
+    f-string of the member reads ``EnvironmentKind.AMBIENT`` on some."""
+
+    @staticmethod
+    def message(exc_type, call) -> str:
+        with pytest.raises(exc_type) as info:
+            call()
+        return str(info.value)
+
+    @pytest.fixture(params=list(EnvironmentKind), ids=lambda env: env.value)
+    def env(self, request):
+        return request.param
+
+    def check(self, text, env):
+        assert repr(env.value) in text and "EnvironmentKind." not in text
+
+    def test_missing_timescale(self, env):
+        others = {e: 1e4 for e in EnvironmentKind if e is not env}
+        self.check(self.message(ConfigurationError, lambda: simulate_trajectory(
+            StorageSchedule.single(env), [], SimConfig(env_tau_s=others),
+            AgingParams(a=0.2, tau_s=1e4), [0.0])), env)
+
+    def test_missing_thermal_response(self, env):
+        ev = AnnealEvent(t_s=0.0, kind=ThermalAnneal(temp_c=300.0, env=env))
+        text = self.message(ConfigurationError,
+                            lambda: apply_thermal_anneal(TrajectoryState(), ev, SimConfig()))
+        assert "no thermal response" in text
+        self.check(text, env)
+
+    def test_timescale_that_does_not_scale(self, env):
+        self.check(self.message(ParameterError, lambda: simulate_trajectory(
+            StorageSchedule.single(env), [], SimConfig(), AgingParams(a=0.2, tau_s=5e-324),
+            [0.0])), env)
+
+    def test_bad_configured_timescale(self, env):
+        self.check(self.message(ParameterError, lambda: SimConfig(env_tau_s={env: math.nan})),
+                   env)
 
 
 class TestTimescaleScale:
@@ -588,6 +629,8 @@ class TestConfigValidation:
         {"env_tau_s": {EnvironmentKind.AMBIENT: math.inf}},
         {"thermal_response": {(200.0, EnvironmentKind.AMBIENT): math.nan}},
         {"thermal_response": {(200.0, EnvironmentKind.AMBIENT): -1.0}},
+        {"floor_at_r0": "false"},
+        {"floor_at_r0": 0},
     ], ids=repr)
     def test_non_finite_or_out_of_range_rejected(self, over):
         with pytest.raises(ParameterError):
@@ -604,9 +647,13 @@ class TestObjectValidation:
     @pytest.mark.parametrize("kwargs", [
         {"hold_min": math.nan}, {"hold_min": math.inf}, {"hold_min": -1.0},
         {"temp_c": math.nan}, {"temp_c": math.inf},
+        # A string is refused, though the response table lookup would take it.
+        {"env": "glovebox"}, {"env": None},
     ], ids=repr)
     def test_thermal_anneal_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValidationError):
+        # The message names the value refused.
+        [bad] = kwargs.values()
+        with pytest.raises(ValidationError, match=re.escape(f"got {bad!r}")):
             ThermalAnneal(**{"temp_c": 200.0, "env": GLOVEBOX, **kwargs})
 
     @pytest.mark.parametrize("kwargs", [
@@ -657,7 +704,7 @@ class TestBreakpointFree:
         else:
             t_sw = data.draw(st.floats(1.0, 400 * DAY))
         cfg = chip1_cfg()
-        params = AgingParams(a=a, tau_s=tau_scale * cfg.env_tau_s[env.kind], b=b, r0_ohm=r0)
+        params = AgingParams(a=a, tau_s=tau_scale * cfg.env_tau_s[env], b=b, r0_ohm=r0)
         one = simulate_trajectory(StorageSchedule.single(env), [], cfg, params, times)
         split = simulate_trajectory(StorageSchedule(((0.0, env), (t_sw, env))), [], cfg, params,
                                     times)

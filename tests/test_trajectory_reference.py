@@ -76,7 +76,7 @@ def cases(draw):
     )
     # The junction's timescale in the first environment: the configured one,
     # or 0.5 to 2 times it.
-    tau_first = cfg.env_tau_s[envs[0].kind]
+    tau_first = cfg.env_tau_s[envs[0]]
     tau_s = draw(st.one_of(st.just(tau_first), st.floats(0.5, 2.0).map(tau_first.__mul__)))
     b = draw(st.one_of(st.just(1.0), st.floats(0.01, 2.0)))
     params = AgingParams(a=draw(st.floats(0.0, 0.5)), tau_s=tau_s, b=b,
