@@ -17,7 +17,6 @@ import re
 import sys
 import warnings
 from dataclasses import fields, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -67,10 +66,7 @@ from .trajectory import (
     SimConfig,
     StorageSchedule,
     ThermalAnneal,
-    TrajectoryState,
     VoltageAnneal,
-    _event_seed,
-    _in_force,
     _run_from,
     _tau_scale,
 )
@@ -304,16 +300,12 @@ def cmd_predict(args) -> int:
         schedule = StorageSchedule.single(home)
 
     t_from = from_days * DAY_S
-    t_target = args.target_days * DAY_S
     # The fitted timescale belongs to the environment the data came from;
     # anchor the per-junction scale there, not to the future schedule.
     tau_scale = _tau_scale(params, home, cfg)
     y_from = float(eval_single_log(params, t_from)) - 1.0
-    env, relax, swaps = _in_force(schedule, cfg, t_from)
-    swaps = [sw for sw in swaps if sw[0] < t_target]
-    r_pred = float(_run_from(TrajectoryState(t_s=t_from, y_env=y_from), env, relax, swaps,
-                             None, np.array([t_target]), [0] * len(swaps), params,
-                             tau_scale, cfg)[0])
+    r_pred = float(_run_from(t_from, y_from, schedule, (), 0, np.array([args.target_days * DAY_S]),
+                             params, tau_scale, cfg)[0])
 
     r_from = params.r0_ohm * (1.0 + y_from)
     dr_over_r = r_pred / r_from - 1.0
@@ -414,8 +406,9 @@ def cmd_anneal(args) -> int:
 
     # Row i of ``r_hist`` is junction usable[i]'s last measured resistance
     # followed by its record of each step.  Step k's record comes after
-    # event k and before event k + 1, so the cut of event k is sample k.
+    # event k and before event k + 1, even at its time, so event k cuts at sample k.
     t_meas = np.array(t_meas_of, dtype=float)
+    ambient = StorageSchedule.single(AMBIENT)
     r_hist = np.empty((len(usable), len(events) + 1))
     r_hist[:, 0] = r_last
     for i, (j, r0_j, t_j, r_j) in enumerate(zip(usable, r0.tolist(), t_last.tolist(),
@@ -434,14 +427,11 @@ def cmd_anneal(args) -> int:
                     f"t = 0 to infer its aging trend"
                 )
             a_eff = y0 / span
-        # Seeded as simulate seeds it: the junction's i-th event draws from
-        # _event_seed(_junction_seed(seed, j), i).
+        # Seeded as simulate seeds it, from the junction's anneal seed.
         steps_j, anneal_seed = _junction_events(events, seed, j)
         r_hist[i, 1:] = _run_from(
-            TrajectoryState(t_s=t_j, y_env=y0), AMBIENT, cfg.relax_gas_to_gas_s,
-            [(events[k].t_s, (n, events[k])) for n, k in enumerate(steps_j)],
-            partial(_event_seed, anneal_seed), t_meas, steps_j,
-            AgingParams(a=a_eff, tau_s=tau_amb, r0_ohm=r0_j), 1.0, cfg,
+            t_j, y0, ambient, [events[k] for k in steps_j], anneal_seed, t_meas,
+            AgingParams(a=a_eff, tau_s=tau_amb, r0_ohm=r0_j), 1.0, cfg, cuts=steps_j,
         )
     # A record that load_measurements would read back as open (an aging
     # trend inferred from a row near t = 0 can reach 1e13 ohm) is refused.

@@ -31,9 +31,7 @@ whether every value is finite; the least positive time is searched for
 only when a check or the start needs it; the standard errors and
 ``at_bounds`` are taken in Python floats; and ``fit_chip`` slices a chip's
 usable rows once, passing each junction a Fortran-ordered view with
-contiguous columns.  On a chip1 junction of 43 points (5 LM iterations, a
-2-vCPU VM) the work outside ``_lm_minimize`` went from 28.6 to 26.8 us, and
-``fit_chip``'s own work around its 17 fits from 260 to 177 us.
+contiguous columns.
 
 ``grid_search_oracle`` provides an independent brute-force check: it
 evaluates the model on an explicit parameter grid and returns the grid

@@ -66,7 +66,6 @@ def _preset(
         env_tau_s={kind: tau * scale for kind, tau in DEFAULT_ENV_TAU_S.items()},
         voltage_jump_mean=voltage_jump[0],
         voltage_jump_sd=voltage_jump[1],
-        voltage_drift_a=0.05,
         voltage_drift_tau_s=voltage_drift_tau_s,
     )
     spec = ChipSpec(
@@ -104,7 +103,7 @@ _PRESETS = {
         "chip1", "ambient-stored reference chip, voltage-annealed at day 56",
         a=0.21, tau_s=1.2e4, b=1.01, r0=22_800.0, r0_cv=0.048,
         schedule=StorageSchedule.single(AMBIENT),
-        voltage_jump=(0.142, 0.010), voltage_drift_tau_s=5.0e4,
+        voltage_jump=(0.142, 0.010),
     ),
     "chip2": _preset(
         "chip2", "glovebox-stored reference chip, voltage-annealed at day 56",

@@ -52,8 +52,10 @@ breakpoints are advanced, by the same scalar map.  ``simulate_trajectory``
 starts it at t = 0 on the bound, where the gap is exactly 0.0, so its first
 piece is the closed form; a junction with no breakpoints (one segment, no
 events) is that one closed-form piece, which ``simulate_trajectory``
-evaluates itself.  The CLI's ``predict`` starts the engine from a fitted
-state and ``anneal`` from each junction's last measured state.
+evaluates itself.  Callers pass a start (t, y), the schedule and the
+junction's events, and only the engine builds breakpoints from them: the
+CLI's ``predict`` starts from a fitted state and ``anneal`` from each
+junction's last measured state.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -219,9 +220,11 @@ class SimConfig:
             if not math.isfinite(v):
                 raise ParameterError(f"{name} must be finite, got {v}")
         for kind, tau in self.env_tau_s.items():
+            if not isinstance(kind, EnvironmentKind):
+                raise ParameterError(f"env tau key {kind!r} is not an EnvironmentKind")
             if not (math.isfinite(tau) and tau > 0):
-                raise ParameterError(f"env tau for {getattr(kind, 'value', kind)!r} must be "
-                                     f"finite and > 0, got {tau}")
+                raise ParameterError(f"env tau for {kind.value!r} must be finite and > 0, "
+                                     f"got {tau}")
         for name in ("relax_gas_to_gas_s", "relax_vacuum_to_gas_s", "voltage_drift_tau_s"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
@@ -231,8 +234,16 @@ class SimConfig:
         if not isinstance(self.floor_at_r0, bool):
             raise ParameterError(f"floor_at_r0 must be a bool, got {self.floor_at_r0!r}")
         for key, step in self.thermal_response.items():
+            temp, env = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
+            if not isinstance(env, EnvironmentKind):
+                raise ParameterError(f"thermal response key {key!r} is not a "
+                                     f"(temperature, EnvironmentKind) pair")
+            if not (isinstance(temp, numbers.Real) and math.isfinite(temp)):
+                raise ParameterError(f"thermal response temperature {temp!r} C in "
+                                     f"{env.value!r} is not a finite number")
             if not (math.isfinite(step) and step > -1.0):
-                raise ParameterError(f"thermal response for {key} must be finite and > -1")
+                raise ParameterError(f"thermal response for {temp} C in {env.value!r} "
+                                     f"must be finite and > -1")
 
     def relax_time_s(self, old: EnvironmentKind, new: EnvironmentKind) -> float:
         """Relaxation time for the transition class old -> new."""
@@ -479,29 +490,39 @@ def _in_force(schedule: StorageSchedule, cfg: SimConfig, t_s: float):
     return env, relax, schedule.segments[k + 1:]
 
 
-def _run_from(start: TrajectoryState, env: EnvironmentKind, relax_s: float, breaks, event_seed,
-              t: np.ndarray, cuts, params: AgingParams, tau_scale: float,
-              cfg: SimConfig) -> np.ndarray:
-    """Resistances at sample times ``t`` of a junction that is in ``start``
-    under ``env``, relaxing with ``relax_s``, and then meets ``breaks``.
+def _run_from(t0: float, y0: float, schedule: StorageSchedule, events: Sequence[AnnealEvent],
+              seed: int, t: np.ndarray, params: AgingParams, tau_scale: float, cfg: SimConfig,
+              cuts=None) -> np.ndarray:
+    """Resistances at sample times ``t`` of a junction at ``y_env = y0`` at
+    ``t0``, in the segment of ``schedule`` in force then and at rest in the
+    anneal channel, that then meets the later swaps and ``events``.
 
-    ``breaks`` are ``(time, payload)`` pairs in the order they apply, none
-    before ``start.t_s``.  A payload is the ``EnvironmentKind`` a schedule swap
-    moves to, or ``(k, event)`` for an anneal event, whose voltage draw is
-    seeded by ``event_seed(k)``.  ``cuts[i]`` is the index of the first
-    (nondecreasing) sample that comes after breakpoint i.  This is the only
-    code that maps a state across breakpoints; with none, its one piece is
-    what ``simulate_trajectory`` evaluates for a breakpoint-free junction.
-    The junction's bound curves are ``params``' amplitude and offset with
-    each environment's timescale times ``tau_scale``; ``params.tau_s`` is
-    not read.
+    ``events`` are sorted and none is before ``t0``; event k's voltage draw
+    is seeded by ``_event_seed(seed, k)``.  Swaps and events are applied in
+    time order, swaps first at equal times, also after the last sample.  A
+    sample at a breakpoint's time comes after it, unless ``cuts`` is given:
+    ``cuts[i]`` is the index of the first (nondecreasing) sample after
+    breakpoint i.  This is the only code that maps a state across
+    breakpoints; with none, its one piece is what ``simulate_trajectory``
+    evaluates for a breakpoint-free junction.  The bound curves are
+    ``params``' amplitude and offset with each environment's timescale times
+    ``tau_scale``; ``params.tau_s`` is not read.
     """
+    _check_y_env(y0)
+    env, relax_s, breaks = _in_force(schedule, cfg, t0)
+    if events:
+        breaks = sorted(
+            [*breaks, *((ev.t_s, (k, ev)) for k, ev in enumerate(events))],
+            key=lambda bp: (bp[0], isinstance(bp[1], tuple)),
+        )
+    if cuts is None:
+        cuts = np.searchsorted(t, [bp[0] for bp in breaks]).tolist()
     a, b, r0_ohm = params.a, params.b, params.r0_ohm
     tau = _tau(env, cfg, tau_scale)
-    s, y_env = start.t_s, start.y_env
+    s, y_env = t0, y0
     # ``anneal`` carries the anneal channel; it is rebuilt only when an
     # event is applied.
-    anneal = start
+    anneal = _AT_REST
     pieces = []
     lo = 0
     for (t_bp, payload), stop in zip(breaks, cuts):
@@ -518,7 +539,7 @@ def _run_from(start: TrajectoryState, env: EnvironmentKind, relax_s: float, brea
             k, ev = payload
             state = replace(anneal, t_s=s, y_env=y_env)
             if isinstance(ev.kind, VoltageAnneal):
-                anneal = apply_voltage_anneal(state, ev, cfg, event_seed(k))
+                anneal = apply_voltage_anneal(state, ev, cfg, _event_seed(seed, k))
             else:
                 anneal = apply_thermal_anneal(state, ev, cfg)
     pieces.append(_piece(t[lo:], r0_ohm, s, y_env, a, tau, b, relax_s, anneal))
@@ -593,13 +614,4 @@ def simulate_trajectory(
         # timescale, holds every sample, as _run_from would evaluate it.
         return _piece(t, params.r0_ohm, 0.0, y0, params.a, _tau(env, cfg, tau_scale), params.b,
                       cfg.relax_gas_to_gas_s, _AT_REST)
-    env, relax, breaks = _in_force(schedule, cfg, 0.0)
-    if events:
-        breaks = sorted(
-            [*breaks, *((ev.t_s, (k, ev)) for k, ev in enumerate(events))],
-            key=lambda bp: (bp[0], isinstance(bp[1], tuple)),
-        )
-    cuts = np.searchsorted(t, [bp[0] for bp in breaks]).tolist()
-    start = TrajectoryState(y_env=y0)
-    return _run_from(start, env, relax, breaks, partial(_event_seed, seed), t, cuts,
-                     params, tau_scale, cfg)
+    return _run_from(0.0, y0, schedule, events, seed, t, params, tau_scale, cfg)

@@ -17,13 +17,14 @@ and each seed the commands are:
   (``spec_file``);
 - ``fit`` single-log, ``--share-b``, ``--model two-log`` and ``--window-s
   3600`` on each CSV;
-- ``predict --report`` on each report;
+- ``predict --report`` on each report, and with ``FUTURE_SCHEDULE`` (swaps
+  only, one on the target day) on the single-log report of the preset's CSV;
 - ``anneal --events`` on each CSV;
 - ``predict --preset``;
 - a six-day ``simulate`` sampled daily, and ``fit`` on it, whose fits span
   less than a decade (the short-span warning).
 
-That is 24 commands per preset and seed, 432 for the default seeds.
+That is 25 commands per preset and seed, 450 for the default seeds.
 
 The manifest has one entry per command: its argv, its exit code, the sha256
 of its stdout, of its stderr and of each file it wrote, and, for each
@@ -64,6 +65,12 @@ SWAP_SCHEDULE = (
     "event,21,voltage,n_pulses=30,amplitude_v=0.9,pulse_duration_s=1,junctions=0-7\n"
     "event,42,thermal,temp_c=200,env=glovebox,hold_min=10\n"
 )
+FUTURE_SCHEDULE = (
+    "0,ambient\n"
+    "58,glovebox\n"
+    "63,vacuum\n"
+    "70,ambient\n"
+)
 ANNEAL_EVENTS = (
     "event,61,thermal,temp_c=200,env=glovebox,hold_min=10\n"
     "event,62,thermal,temp_c=250,env=glovebox,hold_min=10\n"
@@ -96,6 +103,9 @@ def commands(seeds, presets) -> list[list[str]]:
             for report in reports:
                 cmds.append(["predict", "--report", report, "--target-days", "70",
                              "--out", report.replace(".json", "-pred.json")])
+            cmds.append(["predict", "--report", reports[0], "--schedule",
+                         f"{TMP}/future.schedule", "--target-days", "70",
+                         "--out", f"{base}-preset-single-future-pred.json"])
             for tag, csv in csvs.items():
                 cmds.append(["anneal", csv, "--events", f"{TMP}/steps.txt", "--preset", p,
                              "--seed", seed, "--out", f"{base}-{tag}-annealed.csv"])
@@ -136,6 +146,7 @@ def run_here(seeds, out: Path) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "swap.schedule").write_text(SWAP_SCHEDULE)
+        (work / "future.schedule").write_text(FUTURE_SCHEDULE)
         (work / "steps.txt").write_text(ANNEAL_EVENTS)
         for name in presets.PRESET_NAMES:
             spec = spec_file(presets.chip_preset(name))

@@ -119,6 +119,9 @@ class TestSimulate:
         ("sim", "fab_a", 0.21, "unknown sim key 'fab_a'"),
         # A string is truthy, so "false" used to keep the R0 floor on.
         ("sim", "floor_at_r0", "false", "bad sim value: floor_at_r0 must be a bool, got 'false'"),
+        # float() reads "inf", and no oven event can match that temperature.
+        ("sim", "thermal_response", {"inf,ambient": 0.1},
+         "bad sim value: thermal response temperature inf C in 'ambient' is not a finite number"),
     ])
     def test_malformed_spec_exits_2(self, tmp_path, capsys, section, key, value, named):
         path = write_flat_spec(tmp_path)
@@ -801,6 +804,19 @@ class TestPredict:
         assert drift["59.9999"] == pytest.approx(0.045, abs=5e-4)
         assert drift["60"] == pytest.approx(drift["59.9999"], abs=1e-5)
         assert drift["60.0001"] == pytest.approx(drift["59.9999"], abs=1e-5)
+
+    def test_start_below_minus_one_exits_2(self, tmp_path, capsys, fit_report):
+        # a ln(b) = ln(1e-6) at day 0: the start state has a negative
+        # resistance, which the engine refuses before it advances it.
+        d = copy.deepcopy(fit_report)
+        d["average"]["params"].update(a=1.0, b=1e-6, tau_s=1e8)
+        report, out = tmp_path / "r.json", tmp_path / "p.json"
+        report.write_text(json.dumps(d))
+        code = run("predict", "--report", str(report), "--from-days", "0",
+                   "--target-days", "30", "--out", str(out))
+        assert code == 2
+        assert "fractional aging cannot go below -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_schedule_with_events_exits_2(self, tmp_path, capsys):
         # The events used to be dropped without a word, giving the drift of

@@ -24,7 +24,7 @@ def test_seed_1_manifest_repeats_with_documented_exit_codes(tmp_path):
     a, b = (json.loads(p.read_text()) for p in paths)
     assert a == b
     assert [e["argv"] for e in a["commands"]] == cli_gate.commands([1], PRESET_NAMES)
-    assert len(a["commands"]) == 144
+    assert len(a["commands"]) == 150
     for e in a["commands"]:
         # Exit 3 is fit non-convergence, with the report still written; every
         # other command here has valid inputs.
@@ -36,7 +36,7 @@ def test_seed_1_manifest_repeats_with_documented_exit_codes(tmp_path):
         assert not any(arg.startswith("/") for arg in e["argv"]), e["argv"]
 
     same = gate("--compare", *paths)
-    assert same.returncode == 0 and same.stdout.endswith("144 commands: identical\n")
+    assert same.returncode == 0 and same.stdout.endswith("150 commands: identical\n")
     a["commands"][5]["stdout"] = "0" * 64
     paths[1].write_text(json.dumps(a))
     differ = gate("--compare", *paths)

@@ -155,6 +155,15 @@ class TestEnvironmentMessages:
         self.check(self.message(ParameterError, lambda: SimConfig(env_tau_s={env: math.nan})),
                    env)
 
+    @pytest.mark.parametrize("temp, step", [(200.0, math.nan), (math.inf, 0.0)],
+                             ids=["step", "temp"])
+    def test_bad_thermal_response(self, env, temp, step):
+        # A bad step, or a key whose temperature is not finite.
+        text = self.message(ParameterError,
+                            lambda: SimConfig(thermal_response={(temp, env): step}))
+        assert f"{temp} C in {env.value!r}" in text
+        self.check(text, env)
+
 
 class TestTimescaleScale:
     """A junction's ``tau_s`` is its timescale in the schedule's first
@@ -542,10 +551,7 @@ def resume(y_from, t_from, schedule, cfg, t_to, params):
     """R/R0 - 1 at ``t_to`` of a junction (r0 = 1) in state ``y_from`` at
     ``t_from``, advanced by the trajectory engine the way ``predict`` runs it,
     with ``params.tau_s`` the timescale in the schedule's first environment."""
-    env, relax, swaps = _in_force(schedule, cfg, t_from)
-    swaps = [sw for sw in swaps if sw[0] < t_to]
-    r = _run_from(TrajectoryState(t_s=t_from, y_env=y_from), env, relax, swaps, None,
-                  np.array([t_to]), [0] * len(swaps), params,
+    r = _run_from(t_from, y_from, schedule, (), 0, np.array([t_to]), params,
                   _tau_scale(params, schedule.segments[0][1], cfg), cfg)
     return r[0] - 1.0
 
@@ -564,6 +570,18 @@ class TestResume:
         full = simulate_trajectory(sched, [], cfg, p, [2 * DAY, 6 * DAY])
         y6 = resume(full[0] - 1.0, 2 * DAY, sched, cfg, 6 * DAY, p)
         assert y6 == pytest.approx(full[1] - 1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("t_to", [3 * DAY, 6 * DAY])
+    def test_resumes_to_a_swap_instant(self, t_to):
+        # A sample at a swap's own time comes after the swap, in the engine
+        # run from a resumed state as in simulate_trajectory.
+        cfg = chip1_cfg()
+        sched = StorageSchedule(segments=((0.0, AMBIENT), (3 * DAY, VACUUM),
+                                          (6 * DAY, GLOVEBOX)))
+        p = junction(a=0.05)
+        full = simulate_trajectory(sched, [], cfg, p, [DAY, t_to])
+        y = resume(full[0] - 1.0, DAY, sched, cfg, t_to, p)
+        assert y == pytest.approx(full[1] - 1.0, rel=1e-12)
 
     @pytest.mark.parametrize("t_from", [5 * DAY, 6 * DAY, 6.5 * DAY, 8 * DAY])
     def test_resumes_in_the_segment_in_force(self, t_from):
@@ -634,6 +652,20 @@ class TestConfigValidation:
     ], ids=repr)
     def test_non_finite_or_out_of_range_rejected(self, over):
         with pytest.raises(ParameterError):
+            SimConfig(**over)
+
+    @pytest.mark.parametrize("over, named", [
+        ({"env_tau_s": {"mars": 1.0, "ambient": 2.0}}, "env tau key 'mars'"),
+        # A str-mixin member compares equal to its value, but is not it.
+        ({"env_tau_s": {"ambient": 2.0}}, "env tau key 'ambient'"),
+        ({"thermal_response": {(200.0, "ambient"): 0.06}}, "key (200.0, 'ambient')"),
+        ({"thermal_response": {200.0: 0.06}}, "key 200.0"),
+        ({"thermal_response": {(200.0, AMBIENT, 1): 0.06}}, "is not a (temperature, "),
+        ({"thermal_response": {("200", AMBIENT): 0.06}}, "temperature '200' C in 'ambient'"),
+        ({"thermal_response": {(math.nan, AMBIENT): 0.06}}, "temperature nan C in 'ambient'"),
+    ], ids=repr)
+    def test_table_keys_checked(self, over, named):
+        with pytest.raises(ParameterError, match=re.escape(named)):
             SimConfig(**over)
 
     def test_relax_class_selection(self):
