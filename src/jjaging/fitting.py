@@ -23,6 +23,12 @@ The 2x2 and 3x3 trial systems go to LAPACK's ``gesv`` gufunc under
 ``np.linalg.solve``'s error state, entered once per LM run, and the
 standard errors' J.T @ J to the ``inv`` gufunc under the same state: the
 same routines on the same bytes, without the wrappers' per-call checks.
+Each LM iteration is kept as lean, bit for bit: the gradient, J.T J and
+the rss are ``ndarray.dot`` calls (the BLAS routines of ``@`` without the
+matmul dispatch), the damped matrix is written into one buffer per run,
+and a trial point is projected onto the box and passed to the residual as
+Python floats (``_project``), with the ndarray x and its step built only
+for an accepted point.
 
 ``fit_chip`` makes one fit per junction, so each fit's work around its LM
 iterations is kept small, and every result stays bit-identical: the series
@@ -178,14 +184,14 @@ def _check_series(series, min_points: int):
 # --- model residuals and analytic Jacobians (in log-tau parameterization) ---
 #
 # Each model is split in two: ``*_resid(x, ...) -> (r, cache)`` for every
-# trial point and ``*_jac(cache, out) -> out`` filling a preallocated
-# Jacobian, called only for accepted points.
+# trial point, given as a sequence of Python floats, and ``*_jac(cache, out)
+# -> out`` filling a preallocated Jacobian, called only for accepted points.
 
 def _single_log_resid(x, t, y, b_fixed=None):
     if b_fixed is None:
-        a, lt, b = x.tolist()
+        a, lt, b = x
     else:
-        (a, lt), b = x.tolist(), b_fixed
+        (a, lt), b = x, b_fixed
     t_tau = t / math.exp(lt)
     u = t_tau + b
     log_u = np.log(u)
@@ -198,14 +204,15 @@ def _single_log_resid(x, t, y, b_fixed=None):
 def _single_log_jac(cache, out):
     a, t_tau, u, log_u = cache
     out[:, 0] = log_u
-    out[:, 1] = -a * t_tau / u
+    col = np.multiply(t_tau, -a, out=out[:, 1])   # -a * t_tau / u, in place
+    np.divide(col, u, out=col)
     if out.shape[1] == 3:
-        out[:, 2] = a / u
+        np.divide(a, u, out=out[:, 2])
     return out
 
 
 def _two_log_resid(x, t, y):
-    ai, lti, ae, lte = x.tolist()
+    ai, lti, ae, lte = x
     ti = t / math.exp(lti)
     te = t / math.exp(lte)
     ui = 1.0 + ti
@@ -233,7 +240,7 @@ def _two_log_vp_resid(x, t, y):
     residual at the least-rss amplitudes inside ``_A_BOUNDS``
     (``_pair_candidates``).  Its arithmetic is ``_two_log_resid``'s at
     those amplitudes."""
-    lti, lte = x.tolist()
+    lti, lte = x
     ti = t / math.exp(lti)
     te = t / math.exp(lte)
     ui = 1.0 + ti
@@ -304,10 +311,11 @@ _linalg_errstate = np.errstate(call=_raise_singular, invalid="call", over="ignor
 
 def _solve(a, b):
     """``np.linalg.solve(a, b)`` for a float64 (p, p) ``a`` and (p,) ``b``:
-    the same LAPACK call, bit-identical.  The caller holds
+    the same LAPACK call, bit-identical (float64 inputs select the gufunc's
+    ``dd->d`` loop without a ``signature``).  The caller holds
     ``_linalg_errstate``, under which a singular ``a`` raises ``LinAlgError``
     likewise; ``_lm_minimize`` enters it once per run, not once per solve."""
-    return _umath_linalg.solve1(a, b, signature="dd->d")
+    return _umath_linalg.solve1(a, b)
 
 
 @_linalg_errstate
@@ -316,16 +324,40 @@ def _inv(a):
     return _umath_linalg.inv(a, signature="d->d")
 
 
+def _project(xs, dxs, lo, hi):
+    """The trial point x + dx on the box ``[lo, hi]`` as a list of Python
+    floats, and whether it differs from x; all four are float sequences.
+
+    The values are ``np.minimum(np.maximum(x + dx, lo), hi)``'s: a bound
+    replaces a value that is not strictly inside it and not NaN, so a tie
+    gives the bound (-0.0 against a 0.0 bound gives 0.0).  For an x inside
+    the finite box, or NaN, "differs" is ``np.count_nonzero(x_trial - x) >
+    0``: a difference of finite floats is zero only when they are equal.
+    """
+    trial = []
+    moved = False
+    for x_k, dx_k, lo_k, hi_k in zip(xs, dxs, lo, hi):
+        v = x_k + dx_k
+        if not v > lo_k and v == v:
+            v = lo_k
+        if not v < hi_k and v == v:
+            v = hi_k
+        moved = moved or v != x_k
+        trial.append(v)
+    return trial, moved
+
+
 @_linalg_errstate
 def _lm_minimize(resid, jac, x0, lo, hi, timescales):
     """Damped least squares over a box; accepts only rss-decreasing steps.
 
-    ``resid(x) -> (r, cache)`` is called for every trial point and
-    ``jac(cache) -> J`` only for accepted ones.  Returns ``(x, r, J, rss,
-    iterations, stop_reason)``; ``stop_reason`` names the exit that fired:
-    ``"step_tol"`` or ``"rss_tol"`` (tolerance met), ``"no_descent"`` (no
-    downhill step at any damping: stationary, or pinned at a bound) or
-    ``"max_iter"``, after ``_MAX_ITERATIONS`` iterations.
+    ``resid(x) -> (r, cache)`` is called for every trial point, given as a
+    list of Python floats, and ``jac(cache) -> J`` only for accepted ones.
+    Returns ``(x, r, J, rss, iterations, stop_reason)``; ``stop_reason``
+    names the exit that fired: ``"step_tol"`` or ``"rss_tol"`` (tolerance
+    met), ``"no_descent"`` (no downhill step at any damping: stationary, or
+    pinned at a bound) or ``"max_iter"``, after ``_MAX_ITERATIONS``
+    iterations.
 
     Trial points are projected onto the box ``[lo, hi]``.  A timescale (a
     ``timescales`` slot, in ln tau) that sits exactly on its box edge while
@@ -337,6 +369,12 @@ def _lm_minimize(resid, jac, x0, lo, hi, timescales):
     projection threw away, and ran to ``max_iter``.  An iteration that holds
     nothing runs the full system; amplitude and b bounds are never held.
 
+    A trial point is projected onto the box, and tested for a move, in
+    Python floats with numpy's rules (``_project``); the ndarray x and its
+    step are built only for an accepted point.  The gradient, J.T J and the
+    rss are ``ndarray.dot`` calls, the BLAS routines of ``@`` without the
+    matmul dispatch, and JtJ + lam D is written into one buffer per run.
+
     The whole run holds ``_solve``'s error state, ``_linalg_errstate``,
     entered once rather than around each solve.  ``resid``, ``jac`` and the
     loop's own arithmetic run under it too; on resistance ratios in the box
@@ -344,24 +382,27 @@ def _lm_minimize(resid, jac, x0, lo, hi, timescales):
     """
     # Same values as np.clip, signed zeros included, at a third of the cost.
     x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lo), hi)
-    r, cache = resid(x)
-    J = jac(cache)
-    rss = float(r @ r)
-    lam = 1e-3
-    # D is diag(d): zeros off the diagonal, d written through a view of it.
-    p = x.size
-    D = np.zeros((p, p))
-    d = D.reshape(-1)[:: p + 1]
     # The box and x as Python floats (xs is refreshed with each accepted
     # step), and the bounds of the timescale slots: an x with no value among
     # ``edges`` holds nothing, found without a numpy call.
     lo_s, hi_s, xs = lo.tolist(), hi.tolist(), x.tolist()
+    r, cache = resid(xs)
+    J = jac(cache)
+    rss = float(r.dot(r))
+    lam = 1e-3
+    # D is diag(d): zeros off the diagonal, d written through a view of it.
+    # A takes JtJ + lam D for each solve of the full system.
+    p = x.size
+    D = np.zeros((p, p))
+    d = D.reshape(-1)[:: p + 1]
+    A = np.empty((p, p))
     edges = {bound for k in timescales for bound in (lo_s[k], hi_s[k])}
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        neg_g = -(J.T @ r)
-        JtJ = J.T @ J
-        d[:] = JtJ.diagonal()
-        d[d <= 0] = 1.0
+        Jt = J.T
+        neg_g = -Jt.dot(r)
+        JtJ = Jt.dot(J)
+        # d is diag(JtJ) with its entries <= 0 set to 1.0; a NaN stays NaN.
+        d[:] = [1.0 if v <= 0 else v for v in JtJ.diagonal().tolist()]
         # Hold a timescale that sits on its box edge while -g points out of
         # the box; the others take the step of their own damped system.
         held = () if edges.isdisjoint(xs) else [
@@ -377,27 +418,28 @@ def _lm_minimize(resid, jac, x0, lo, hi, timescales):
                 if held:
                     dx[free] = _solve(JtJ_f + lam * D_f, neg_g_f)
                 else:
-                    dx = _solve(JtJ + lam * D, neg_g)
+                    np.multiply(lam, D, out=A)
+                    dx = _solve(np.add(JtJ, A, out=A), neg_g)
             except LinAlgError:
                 lam *= 5.0
                 continue
-            x_trial = np.minimum(np.maximum(x + dx, lo), hi)
-            step = x_trial - x
-            if not np.count_nonzero(step):
+            trial, moved = _project(xs, dx.tolist(), lo_s, hi_s)
+            if not moved:
                 lam *= 5.0
                 continue
-            r_trial, cache = resid(x_trial)
-            rss_trial = float(r_trial @ r_trial)
+            r_trial, cache = resid(trial)
+            rss_trial = float(r_trial.dot(r_trial))
             if rss_trial < rss:
                 break
             lam *= 5.0
         else:
             return x, r, J, rss, iterations, _NO_DESCENT
+        x_trial = np.array(trial)
+        step = x_trial - x
         # math.sqrt(v.dot(v)) is what np.linalg.norm computes for a 1-D v.
         rel_step = math.sqrt(step.dot(step)) / max(math.sqrt(x_trial.dot(x_trial)), 1.0)
         improvement = rss - rss_trial
-        x, r, rss = x_trial, r_trial, rss_trial
-        xs = x.tolist()
+        x, xs, r, rss = x_trial, trial, r_trial, rss_trial
         J = jac(cache)
         lam = max(lam / 3.0, 1e-14)
         if rel_step < _STEP_TOLERANCE:
@@ -543,7 +585,7 @@ def _two_log_expand(x, t, y):
     four-parameter model's (a_int, ln tau_int, a_ext, ln tau_ext), with that
     model's Jacobian there, names and box: the standard errors and bounds
     are those of the full model."""
-    ai, ae = _two_log_vp_resid(x, t, y)[1][:2]
+    ai, ae = _two_log_vp_resid(x.tolist(), t, y)[1][:2]
     x = np.array([ai, x[0], ae, x[1]])
     return x, _two_log_rj(x, t, y)[1], _TWO_KEYS, (_A_BOUNDS, _LOG_TAU_BOUNDS) * 2
 
@@ -589,7 +631,7 @@ def _sum_of_squares(z):
 def _rj(resid, jac, x, t, y, **kw):
     """Residuals and a fresh Jacobian of a model at ``x``."""
     x = np.asarray(x, dtype=float)
-    r, cache = resid(x, t, y, **kw)
+    r, cache = resid(x.tolist(), t, y, **kw)
     return r, jac(cache, np.empty((t.size, x.size)))
 
 

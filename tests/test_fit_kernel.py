@@ -355,6 +355,114 @@ def test_model_evaluators_equal_reference():
             assert J.shape == J_ref.shape and J.tobytes() == J_ref.tobytes()
 
 
+def test_residuals_take_floats_or_an_ndarray():
+    # The kernel passes each trial point as a list of Python floats; the
+    # models give the same bytes for the ndarray of those floats, directly
+    # and through _rj.
+    rng = np.random.default_rng(11)
+    t = np.concatenate([[0.0], np.logspace(2, 7, 32)])
+    y = 1.0 + 0.2 * np.log(t / 1e4 + 1.0) * (1.0 + 1e-3 * rng.standard_normal(t.size))
+    rows = [(m, kw) for m in fitting._MODELS.values()
+            for kw in ([{}, {"b_fixed": 0.7}] if "b" in m.names else [{}])]
+    for _ in range(30):
+        for m, kw in rows:
+            box = m.box()[:len(m.names) - len(kw)]
+            xs = [rng.uniform(lo, hi) for lo, hi in box]
+            outs = []
+            for x in (xs, np.array(xs)):
+                r, cache = m.resid(x, t, y, **kw)
+                J = m.jac(cache, np.empty((t.size, len(xs))))
+                outs.append((r.tobytes(), J.tobytes()))
+                r, J = fitting._rj(m.resid, m.jac, x, t, y, **kw)
+                outs.append((r.tobytes(), J.tobytes()))
+            assert outs.count(outs[0]) == len(outs)
+
+
+# --- the kernel's trial point in Python floats ---
+
+def numpy_projection(xs, dxs, lo, hi):
+    """The trial point as the kernel's array code made it, and whether it moved."""
+    x = np.array(xs)
+    x_trial = np.minimum(np.maximum(x + np.array(dxs), lo), hi)
+    return x_trial.tolist(), bool(np.count_nonzero(x_trial - x))
+
+
+def assert_projection_is_numpys(xs, dxs, lo, hi):
+    trial, moved = fitting._project(xs, dxs, lo, hi)
+    want, want_moved = numpy_projection(xs, dxs, lo, hi)
+    assert moved is want_moved
+    assert len(trial) == len(want)
+    for v, w in zip(trial, want):
+        assert type(v) is float
+        # Equal values with equal signs (signed zeros), or both NaN.
+        assert (math.isnan(v) and math.isnan(w)) or (
+            v == w and math.copysign(1.0, v) == math.copysign(1.0, w)), (v, w)
+
+
+LN_TAU = (math.log(1e2), math.log(1e8))
+SINGLE_BOX = ([0.0, LN_TAU[0], 1e-6], [1.0, LN_TAU[1], 10.0])
+ONE_ULP = math.nextafter(0.5, 1.0) - 0.5
+
+
+@pytest.mark.parametrize("xs, dxs, lo, hi", [
+    # ties at each bound, from inside and from outside the box
+    ([0.5, 10.0, 5.0], [0.5, LN_TAU[1] - 10.0, -5.0 + 1e-6], *SINGLE_BOX),
+    ([0.5, 10.0, 5.0], [-0.5, LN_TAU[0] - 10.0, 5.0], *SINGLE_BOX),
+    ([0.0, LN_TAU[0], 1e-6], [-1.0, -3.0, -1.0], *SINGLE_BOX),
+    ([1.0, LN_TAU[1], 10.0], [2.0, 3.0, 1.0], *SINGLE_BOX),
+    # -0.0 and +0.0 against a 0.0 bound, below and above
+    ([-0.0, 10.0], [-0.0, 0.0], [0.0, LN_TAU[0]], [1.0, LN_TAU[1]]),
+    ([0.0, 10.0], [-0.0, 0.0], [0.0, LN_TAU[0]], [1.0, LN_TAU[1]]),
+    ([-0.0, -0.0], [-0.0, 0.0], [-1.0, -1.0], [0.0, 0.0]),
+    ([-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [1.0, 1.0]),
+    ([-0.5, 0.5], [0.5, -0.5], [-0.0, -1.0], [1.0, -0.0]),
+    # NaN and infinite steps
+    ([0.5, 10.0, 5.0], [math.nan, 0.0, 0.0], *SINGLE_BOX),
+    ([0.5, 10.0, 5.0], [math.inf, -math.inf, 0.0], *SINGLE_BOX),
+    ([0.5, 10.0, 5.0], [-math.inf, math.inf, math.nan], *SINGLE_BOX),
+    ([math.nan, 10.0, 5.0], [0.0, 0.0, 0.0], *SINGLE_BOX),
+    # a move of one ulp, up and down, and none at all
+    ([0.5, 10.0, 5.0], [ONE_ULP, 0.0, 0.0], *SINGLE_BOX),
+    ([0.5, 10.0, 5.0], [0.0, 0.0, -math.ulp(5.0)], *SINGLE_BOX),
+    ([0.5, 10.0, 5.0], [0.0, 0.0, -math.ulp(5.0) / 2], *SINGLE_BOX),
+    ([0.5, 10.0, 5.0], [0.0, 0.0, 0.0], *SINGLE_BOX),
+    ([0.5, 10.0], [-0.0, -0.0], [0.0, LN_TAU[0]], [1.0, LN_TAU[1]]),
+    ([1.0, LN_TAU[1], 10.0], [1e-300, 5e-324, 0.0], *SINGLE_BOX),
+], ids=["tie-upper", "tie-lower", "past-lower", "past-upper", "neg-zero-lower",
+        "pos-zero-lower", "neg-zero-upper", "neg-zero-bound", "to-neg-zero-bound", "nan-step",
+        "inf-steps", "inf-nan-steps", "nan-x", "one-ulp-up", "one-ulp-down", "half-ulp-rounds-back", "zero-step",
+        "neg-zero-step", "clipped-to-x"])
+def test_float_projection_is_numpys(xs, dxs, lo, hi):
+    assert_projection_is_numpys(xs, dxs, lo, hi)
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324])
+
+
+@st.composite
+def projection_cases(draw):
+    p = draw(st.integers(1, 4))
+    lo, hi, xs, dxs = [], [], [], []
+    for _ in range(p):
+        a, b = sorted(draw(st.lists(st.sampled_from([0.0, -0.0, 1e-6, 1.0, *LN_TAU]) |
+                                    st.floats(-20.0, 20.0), min_size=2, max_size=2)))
+        lo.append(a)
+        hi.append(b)
+        x = draw(st.sampled_from([a, b, math.nan]) | (st.floats(a, b) if a < b else st.nothing()))
+        xs.append(x)
+        step = draw(SPECIAL | st.floats(allow_nan=False, allow_infinity=False) |
+                    st.sampled_from([a - x, b - x]) |
+                    st.integers(-3, 3).map(lambda k: k * math.ulp(x if x == x else 1.0)))
+        dxs.append(step)
+    return xs, dxs, lo, hi
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=projection_cases())
+def test_float_projection_is_numpys_on_drawn_boxes(case):
+    assert_projection_is_numpys(*case)
+
+
 # --- stop reasons ---
 
 T = np.logspace(3, 6.5, 25)

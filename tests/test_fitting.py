@@ -629,7 +629,7 @@ def test_fits_leave_the_error_state_as_they_found_it():
         seen.append((np.geterr()["invalid"], np.geterrcall()))
         if len(seen) == 3:
             raise ZeroDivisionError("from the residual")
-        return x - 1.0, None
+        return np.subtract(x, 1.0), None   # x is a list of Python floats
 
     lo, hi = np.full(2, -5.0), np.full(2, 5.0)
     with pytest.raises(ZeroDivisionError, match="from the residual"):
