@@ -13,9 +13,7 @@ import functools
 import hashlib
 import json
 import math
-import re
 import sys
-import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -68,7 +66,6 @@ from .trajectory import (
     ThermalAnneal,
     VoltageAnneal,
     _run_from,
-    _tau_scale,
 )
 
 
@@ -201,10 +198,7 @@ def cmd_fit(args) -> int:
     digest = hashlib.sha256()
     ds = load_measurements(args.data, digest=digest)
     opts = FitOptions(model=args.model)
-    with warnings.catch_warnings():
-        # The short-span caveat is printed below as one line for all fits.
-        warnings.filterwarnings("ignore", re.escape(_SHORT_SPAN), UserWarning)
-        chip_fit = fit_chip(ds, opts, share_b=args.share_b, window_s=args.window_s)
+    chip_fit = fit_chip(ds, opts, share_b=args.share_b, window_s=args.window_s)
     provenance = {
         "input_sha256": digest.hexdigest(),
         "tool_version": TOOL_VERSION,
@@ -254,6 +248,12 @@ def _warn_if_pinned(average) -> None:
               "the prediction extrapolates it as it is", file=sys.stderr)
 
 
+def _home(label: str) -> EnvironmentKind:
+    """The environment that data labelled ``label`` ages in: its own, or
+    ambient air for data labelled unknown."""
+    return EnvironmentKind("ambient" if label == "unknown" else label)
+
+
 def cmd_predict(args) -> int:
     for flag, days in (("--target-days", args.target_days), ("--from-days", args.from_days)):
         if days is not None:
@@ -270,8 +270,7 @@ def cmd_predict(args) -> int:
             params = AgingParams(a=a, tau_s=tau_s, b=1.0)
         params = replace(params, r0_ohm=report.average_r0_ohm)
         from_days = args.from_days if args.from_days is not None else report.last_t_s / DAY_S
-        # Data from an unknown environment predicts as ambient.
-        home = EnvironmentKind("ambient" if report.last_env == "unknown" else report.last_env)
+        home = _home(report.last_env)
         cfg = SimConfig()
     elif args.preset:
         p = chip_preset(args.preset)
@@ -300,12 +299,11 @@ def cmd_predict(args) -> int:
         schedule = StorageSchedule.single(home)
 
     t_from = from_days * DAY_S
-    # The fitted timescale belongs to the environment the data came from;
-    # anchor the per-junction scale there, not to the future schedule.
-    tau_scale = _tau_scale(params, home, cfg)
     y_from = float(eval_single_log(params, t_from)) - 1.0
+    # The fitted timescale belongs to the environment the data came from,
+    # not to the future schedule's first.
     r_pred = float(_run_from(t_from, y_from, schedule, (), 0, np.array([args.target_days * DAY_S]),
-                             params, tau_scale, cfg)[0])
+                             params, home, cfg)[0])
 
     r_from = params.r0_ohm * (1.0 + y_from)
     dr_over_r = r_pred / r_from - 1.0
@@ -431,7 +429,7 @@ def cmd_anneal(args) -> int:
         steps_j, anneal_seed = _junction_events(events, seed, j)
         r_hist[i, 1:] = _run_from(
             t_j, y0, ambient, [events[k] for k in steps_j], anneal_seed, t_meas,
-            AgingParams(a=a_eff, tau_s=tau_amb, r0_ohm=r0_j), 1.0, cfg, cuts=steps_j,
+            AgingParams(a=a_eff, tau_s=tau_amb, r0_ohm=r0_j), AMBIENT, cfg, cuts=steps_j,
         )
     # A record that load_measurements would read back as open (an aging
     # trend inferred from a row near t = 0 can reach 1e13 ohm) is refused.

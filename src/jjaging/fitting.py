@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import warnings
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -86,8 +85,8 @@ _MAX_ITERATIONS = 200
 _STEP_TOLERANCE = 1e-10
 _RESIDUAL_TOLERANCE = 1e-12
 
-# The caveat of a fit whose positive times span less than a decade: a
-# ``UserWarning`` and a ``FitResult.messages`` entry.
+# The caveat of a fit whose positive times span less than a decade, given
+# only as a ``FitResult.messages`` entry.
 _SHORT_SPAN = "time span below one decade; timescale is weakly constrained"
 
 
@@ -662,7 +661,6 @@ def _fit(model: str, series, opts: FitOptions | None) -> FitResult:
             raise InsufficientDataError("series time span is zero")
         if t_max / t_lo < 10.0:
             msgs.append(_SHORT_SPAN)
-            warnings.warn(_SHORT_SPAN, stacklevel=3)  # names the fit function's caller
 
     init, fixed_b = (opts.init, opts.fix_b) if opts is not None else (None, None)
     if fixed_b is not None and "b" not in m.names:

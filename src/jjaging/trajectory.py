@@ -35,7 +35,8 @@ decays monotonically for any of them.
 A junction's own bound curves come from its ``AgingParams``, the one
 representation of a junction's aging law: fabrication sets the amplitude
 ``a``, the offset ``b`` and ``r0``, and storage sets the speed.  ``tau_s``
-is the timescale in the schedule's first environment; its ratio to that
+is the timescale in the junction's home environment (for
+``simulate_trajectory``, the schedule's first); its ratio to that
 environment's configured timescale scales every environment's, so a
 junction that ages 20% slower than nominal there does so everywhere.
 
@@ -52,10 +53,12 @@ breakpoints are advanced, by the same scalar map.  ``simulate_trajectory``
 starts it at t = 0 on the bound, where the gap is exactly 0.0, so its first
 piece is the closed form; a junction with no breakpoints (one segment, no
 events) is that one closed-form piece, which ``simulate_trajectory``
-evaluates itself.  Callers pass a start (t, y), the schedule and the
-junction's events, and only the engine builds breakpoints from them: the
-CLI's ``predict`` starts from a fitted state and ``anneal`` from each
-junction's last measured state.
+evaluates itself.  Callers pass a start (t, y), the schedule, the
+junction's events, its ``AgingParams`` and its home environment; only the
+engine builds breakpoints from them and turns the params and the home into
+a speed.  The CLI's ``predict`` starts from a fitted state in the data's
+last environment, and ``anneal`` from each junction's last measured state
+in the environment of that row.
 """
 
 from __future__ import annotations
@@ -491,8 +494,8 @@ def _in_force(schedule: StorageSchedule, cfg: SimConfig, t_s: float):
 
 
 def _run_from(t0: float, y0: float, schedule: StorageSchedule, events: Sequence[AnnealEvent],
-              seed: int, t: np.ndarray, params: AgingParams, tau_scale: float, cfg: SimConfig,
-              cuts=None) -> np.ndarray:
+              seed: int, t: np.ndarray, params: AgingParams, home: EnvironmentKind,
+              cfg: SimConfig, cuts=None) -> np.ndarray:
     """Resistances at sample times ``t`` of a junction at ``y_env = y0`` at
     ``t0``, in the segment of ``schedule`` in force then and at rest in the
     anneal channel, that then meets the later swaps and ``events``.
@@ -505,9 +508,11 @@ def _run_from(t0: float, y0: float, schedule: StorageSchedule, events: Sequence[
     breakpoint i.  This is the only code that maps a state across
     breakpoints; with none, its one piece is what ``simulate_trajectory``
     evaluates for a breakpoint-free junction.  The bound curves are
-    ``params``' amplitude and offset with each environment's timescale times
-    ``tau_scale``; ``params.tau_s`` is not read.
+    ``params``' amplitude and offset with each environment's timescale,
+    scaled by ``params.tau_s`` over the configured timescale of ``home``,
+    the environment where ``params.tau_s`` is the junction's timescale.
     """
+    tau_scale = _tau_scale(params, home, cfg)
     _check_y_env(y0)
     env, relax_s, breaks = _in_force(schedule, cfg, t0)
     if events:
@@ -604,14 +609,15 @@ def simulate_trajectory(
     # An environment without a timescale is refused before any event runs.
     for _, env in schedule.segments:
         _tau(env, cfg, 1.0)
-    tau_scale = _tau_scale(params, schedule.segments[0][1], cfg)
+    home = schedule.segments[0][1]
     # A junction with early-time offset b starts on its bound, slightly
     # pre-aged: y(0) = a ln(b).
     y0 = params.a * math.log(params.b)
+    if len(schedule.segments) > 1 or events:
+        return _run_from(0.0, y0, schedule, events, seed, t, params, home, cfg)
+    # No breakpoints: one piece from t = 0, under the one segment's
+    # timescale, holds every sample, as _run_from would evaluate it.
+    tau = _tau(home, cfg, _tau_scale(params, home, cfg))
     _check_y_env(y0)
-    if len(schedule.segments) == 1 and not events:
-        # No breakpoints: one piece from t = 0, under the one segment's
-        # timescale, holds every sample, as _run_from would evaluate it.
-        return _piece(t, params.r0_ohm, 0.0, y0, params.a, _tau(env, cfg, tau_scale), params.b,
-                      cfg.relax_gas_to_gas_s, _AT_REST)
-    return _run_from(0.0, y0, schedule, events, seed, t, params, tau_scale, cfg)
+    return _piece(t, params.r0_ohm, 0.0, y0, params.a, tau, params.b, cfg.relax_gas_to_gas_s,
+                  _AT_REST)

@@ -24,9 +24,10 @@ free).  The original four-parameter model stays here for
 ``jjaging.fitting`` runs both models through one driver, ``_fit``, with a
 per-model table.  ``reference_fit_single_log`` and ``reference_fit_two_log``
 are the two separate fit functions it replaced, unchanged but for their
-names and for calling the package kernel as ``fitting._lm_minimize``; their
-``_span_warning`` is the original one, which names the caller of the fit
-function two frames up.  Their series check and standard-error step are the
+names and for calling the package kernel as ``fitting._lm_minimize``, and
+for their ``_span_warning``, which gives the short-span caveat only as a
+message, as the package does (the original also raised it as a
+``UserWarning``).  Their series check and standard-error step are the
 original ``_check_series`` and ``_stderr_and_bounds`` (``np.linalg.inv``,
 ``np.diag``, one ``math.isclose`` test per parameter), kept here so that a
 change to the package's versions shows as a mismatch.  The standard-error
@@ -42,7 +43,6 @@ package's.
 """
 
 import math
-import warnings
 from functools import partial
 
 import numpy as np
@@ -289,9 +289,7 @@ def _span_warning(t: np.ndarray) -> list[str]:
     if tpos.max() <= tpos.min():
         raise InsufficientDataError("series time span is zero")
     if tpos.max() / tpos.min() < 10.0:
-        msg = "time span below one decade; timescale is weakly constrained"
-        warnings.warn(msg, stacklevel=3)
-        return [msg]
+        return ["time span below one decade; timescale is weakly constrained"]
     return []
 
 

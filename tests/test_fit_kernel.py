@@ -104,10 +104,8 @@ def test_fit_chip_equals_reference_across_an_anneal(mode):
 
 def assert_chip_fit_equals_reference(ds, mode):
     opts, share_b = FIT_MODES[mode]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        new = fit_chip(ds, opts, share_b=share_b)
-        ref = on_reference(fit_chip, ds, opts, share_b=share_b)
+    new = fit_chip(ds, opts, share_b=share_b)
+    ref = on_reference(fit_chip, ds, opts, share_b=share_b)
     assert fields(new.average) == fields(ref.average)
     assert sorted(new.per_junction) == sorted(ref.per_junction)
     for j, res in new.per_junction.items():
@@ -123,17 +121,15 @@ def test_separable_two_log_is_no_worse_than_the_four_parameter_fit(chip):
     higher than the old one's, to 1e-6 relative."""
     preset, seed = chip.split("-")
     opts = FitOptions(model="two-log")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        _, calls = recorded_fit_chip(preset_chip(preset, int(seed)), opts, False)
-        compared = 0
-        for series, _, fit in calls:
-            t, y = np.asarray(series).T
-            start = fitting._two_log_start(t, y)
-            old = reference_fit_two_log(series, replace(opts, init=start))
-            if fit.converged and old.converged:
-                assert fit.rss <= old.rss * (1 + 1e-6)
-                compared += 1
+    _, calls = recorded_fit_chip(preset_chip(preset, int(seed)), opts, False)
+    compared = 0
+    for series, _, fit in calls:
+        t, y = np.asarray(series).T
+        start = fitting._two_log_start(t, y)
+        old = reference_fit_two_log(series, replace(opts, init=start))
+        if fit.converged and old.converged:
+            assert fit.rss <= old.rss * (1 + 1e-6)
+            compared += 1
     assert compared >= len(calls) // 2
 
 
@@ -196,26 +192,24 @@ def test_junction_fits_from_the_average_are_no_worse(chip, mode):
     junction fits keep their own start."""
     ds = WARM_START_CHIPS[chip]()
     opts, share_b = FIT_MODES[mode]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res, calls = recorded_fit_chip(ds, opts, share_b)
-        assert calls[0][2] is res.average
-        assert [c[2] for c in calls[1:]] == list(res.per_junction.values())
-        avg = res.average.params
-        if opts.model == "two-log":
-            for series, per_opts, fit in calls[1:]:
-                assert per_opts is opts
-                assert fields(fit) == fields(fit_two_log(series))
-            return
-        own_opts = replace(opts, fix_b=avg.b) if share_b else opts
-        iterations = own_iterations = 0
+    res, calls = recorded_fit_chip(ds, opts, share_b)
+    assert calls[0][2] is res.average
+    assert [c[2] for c in calls[1:]] == list(res.per_junction.values())
+    avg = res.average.params
+    if opts.model == "two-log":
         for series, per_opts, fit in calls[1:]:
-            assert per_opts == replace(own_opts, init=(avg.a, avg.tau_s, avg.b))
-            own = reference_fit_single_log(series, own_opts)
-            assert (fit.converged, fit.at_bounds) == (own.converged, own.at_bounds)
-            assert fit.rss <= own.rss * (1 + 1e-9)
-            iterations += fit.iterations
-            own_iterations += own.iterations
+            assert per_opts is opts
+            assert fields(fit) == fields(fit_two_log(series))
+        return
+    own_opts = replace(opts, fix_b=avg.b) if share_b else opts
+    iterations = own_iterations = 0
+    for series, per_opts, fit in calls[1:]:
+        assert per_opts == replace(own_opts, init=(avg.a, avg.tau_s, avg.b))
+        own = reference_fit_single_log(series, own_opts)
+        assert (fit.converged, fit.at_bounds) == (own.converged, own.at_bounds)
+        assert fit.rss <= own.rss * (1 + 1e-9)
+        iterations += fit.iterations
+        own_iterations += own.iterations
     assert iterations <= own_iterations
 
 

@@ -106,12 +106,13 @@ class TestSingleLogFit:
         assert res.iterations == 1
         assert np.isfinite(res.rss)
 
-    def test_short_span_warns(self):
+    def test_short_span_is_a_message_not_a_warning(self):
         t = np.linspace(1e4, 5e4, 8)
         series = np.column_stack([t, eval_single_log(CHIP1, t)])
-        with pytest.warns(UserWarning, match="decade"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             res = fit_single_log(series)
-        assert res.messages
+        assert res.messages == ("time span below one decade; timescale is weakly constrained",)
 
     def test_prechecks(self):
         with pytest.raises(InsufficientDataError):

@@ -70,10 +70,6 @@ SWAP_CHIPS = ("chip3", "chip4", "chip5")
 THERMAL_STEPS = {"thermal250-glovebox": ThermalAnneal(250.0, GLOVEBOX),
                  "thermal200-ambient": ThermalAnneal(200.0, AMBIENT)}
 
-# A 14-day window from day 2 spans less than one decade of time; the fitter
-# warns, as it should, and the cell still runs.
-pytestmark = pytest.mark.filterwarnings("ignore:time span below one decade:UserWarning")
-
 CELLS = list(itertools.product(PRESET_NAMES, (14, 28), (0.0, 0.5, 2.0),
                                ("single-log", "two-log")))
 CELLS += [(*c, "single-log", "anneal")   # the voltage anneal cells

@@ -26,7 +26,7 @@ from jjaging import (
     simulate_trajectory,
 )
 from jjaging.model import EnvironmentKind
-from jjaging.trajectory import _in_force, _run_from, _segment, _tau_scale
+from jjaging.trajectory import _in_force, _run_from, _segment
 from reference_trajectory import reference_simulate_trajectory
 
 DAY = 86400.0
@@ -547,12 +547,11 @@ class TestMeasurementExposure:
         assert c90 > c20 > 0
 
 
-def resume(y_from, t_from, schedule, cfg, t_to, params):
+def resume(y_from, t_from, schedule, cfg, t_to, params, home):
     """R/R0 - 1 at ``t_to`` of a junction (r0 = 1) in state ``y_from`` at
     ``t_from``, advanced by the trajectory engine the way ``predict`` runs it,
-    with ``params.tau_s`` the timescale in the schedule's first environment."""
-    r = _run_from(t_from, y_from, schedule, (), 0, np.array([t_to]), params,
-                  _tau_scale(params, schedule.segments[0][1], cfg), cfg)
+    with ``params.tau_s`` the timescale in ``home``."""
+    r = _run_from(t_from, y_from, schedule, (), 0, np.array([t_to]), params, home, cfg)
     return r[0] - 1.0
 
 
@@ -561,14 +560,14 @@ class TestResume:
         cfg = chip1_cfg()
         p = AgingParams(a=0.21, tau_s=1.2e4, b=1.01)
         y56 = float(eval_single_log(p, 56 * DAY)) - 1
-        y63 = resume(y56, 56 * DAY, StorageSchedule.single(AMBIENT), cfg, 63 * DAY, p)
+        y63 = resume(y56, 56 * DAY, StorageSchedule.single(AMBIENT), cfg, 63 * DAY, p, AMBIENT)
         assert y63 == pytest.approx(float(eval_single_log(p, 63 * DAY)) - 1, rel=1e-10)
 
     def test_crosses_swaps(self):
         cfg, p = chip1_cfg(), junction(a=0.05)
         sched = StorageSchedule(segments=((0.0, AMBIENT), (4 * DAY, GLOVEBOX)))
         full = simulate_trajectory(sched, [], cfg, p, [2 * DAY, 6 * DAY])
-        y6 = resume(full[0] - 1.0, 2 * DAY, sched, cfg, 6 * DAY, p)
+        y6 = resume(full[0] - 1.0, 2 * DAY, sched, cfg, 6 * DAY, p, AMBIENT)
         assert y6 == pytest.approx(full[1] - 1.0, rel=1e-12)
 
     @pytest.mark.parametrize("t_to", [3 * DAY, 6 * DAY])
@@ -580,7 +579,7 @@ class TestResume:
                                           (6 * DAY, GLOVEBOX)))
         p = junction(a=0.05)
         full = simulate_trajectory(sched, [], cfg, p, [DAY, t_to])
-        y = resume(full[0] - 1.0, DAY, sched, cfg, t_to, p)
+        y = resume(full[0] - 1.0, DAY, sched, cfg, t_to, p, AMBIENT)
         assert y == pytest.approx(full[1] - 1.0, rel=1e-12)
 
     @pytest.mark.parametrize("t_from", [5 * DAY, 6 * DAY, 6.5 * DAY, 8 * DAY])
@@ -593,7 +592,7 @@ class TestResume:
                                           (6 * DAY, GLOVEBOX), (7 * DAY, AMBIENT)))
         p = junction(a=0.05)
         full = simulate_trajectory(sched, [], cfg, p, [t_from, 10 * DAY])
-        y10 = resume(full[0] - 1.0, t_from, sched, cfg, 10 * DAY, p)
+        y10 = resume(full[0] - 1.0, t_from, sched, cfg, 10 * DAY, p, AMBIENT)
         assert y10 == pytest.approx(full[1] - 1.0, rel=1e-12)
 
     def test_relaxation_in_force(self):
