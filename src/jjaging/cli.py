@@ -33,7 +33,7 @@ from .dataio import (
     _write_json,
 )
 from .ensemble import (
-    _ENV_CODE,
+    ENV_LABELS,
     FLAG_OK,
     OPEN_RESISTANCE_THRESHOLD_OHM,
     ChipDataset,
@@ -48,7 +48,6 @@ from .ensemble import (
 from .errors import JJAgingError, ValidationError
 from .fitting import _SHORT_SPAN, FitOptions, fit_chip
 from .model import (
-    AMBIENT,
     ELECTRON_CHARGE_C,
     AgingParams,
     EnvironmentKind,
@@ -66,6 +65,7 @@ from .trajectory import (
     ThermalAnneal,
     VoltageAnneal,
     _run_from,
+    _tau,
 )
 
 
@@ -347,7 +347,6 @@ def cmd_anneal(args) -> int:
                               "voltage anneals")
     seed = args.seed if args.seed is not None else 0
 
-    tau_amb = cfg.env_tau_s[EnvironmentKind.AMBIENT]
     ok = ds.flag == FLAG_OK
     usable, first, last = [], [], []   # junctions with usable rows; their first and last
     t_rows = 0.0   # latest row of any usable junction, whatever its flag
@@ -406,19 +405,22 @@ def cmd_anneal(args) -> int:
     # followed by its record of each step.  Step k's record comes after
     # event k and before event k + 1, even at its time, so event k cuts at sample k.
     t_meas = np.array(t_meas_of, dtype=float)
-    ambient = StorageSchedule.single(AMBIENT)
+    env_last = ds.env[last]
     r_hist = np.empty((len(usable), len(events) + 1))
     r_hist[:, 0] = r_last
-    for i, (j, r0_j, t_j, r_j) in enumerate(zip(usable, r0.tolist(), t_last.tolist(),
-                                                 r_last.tolist())):
+    for i, (j, r0_j, t_j, r_j, code) in enumerate(zip(usable, r0.tolist(), t_last.tolist(),
+                                                       r_last.tolist(), env_last.tolist())):
         y0 = r_j / r0_j - 1.0
-        # Each junction continues its own aging trend during session waits:
-        # amplitude inferred from its current state, state placed on that
-        # curve so waits add pure (strictly positive) aging increments.  A
-        # junction with y0 > 0 has a last row at t_j > 0 (its first is at 0).
+        # Each junction continues its own aging trend during session waits,
+        # in the environment of its last usable row: amplitude inferred from
+        # its current state, state placed on that curve so waits add pure
+        # (strictly positive) aging increments.  A junction with y0 > 0 has
+        # a last row at t_j > 0 (its first is at 0).
+        home = _home(ENV_LABELS[code])
+        tau_home = _tau(home, cfg, 1.0)
         a_eff = 0.0
         if y0 > 0:
-            span = math.log(t_j / tau_amb + 1.0)
+            span = math.log(t_j / tau_home + 1.0)
             if not span:
                 raise ValidationError(
                     f"junction {j}'s last usable row, at t = {t_j!r} s, is too close to "
@@ -428,8 +430,8 @@ def cmd_anneal(args) -> int:
         # Seeded as simulate seeds it, from the junction's anneal seed.
         steps_j, anneal_seed = _junction_events(events, seed, j)
         r_hist[i, 1:] = _run_from(
-            t_j, y0, ambient, [events[k] for k in steps_j], anneal_seed, t_meas,
-            AgingParams(a=a_eff, tau_s=tau_amb, r0_ohm=r0_j), AMBIENT, cfg, cuts=steps_j,
+            t_j, y0, StorageSchedule.single(home), [events[k] for k in steps_j], anneal_seed,
+            t_meas, AgingParams(a=a_eff, tau_s=tau_home, r0_ohm=r0_j), home, cfg, cuts=steps_j,
         )
     # A record that load_measurements would read back as open (an aging
     # trend inferred from a row near t = 0 can reach 1e13 ohm) is refused.
@@ -464,7 +466,7 @@ def cmd_anneal(args) -> int:
                                     np.repeat(np.array(usable, np.int64), len(events))]),
         t_s=np.concatenate([ds.t_s, np.tile(t_meas, len(usable))]),
         r_ohm=np.concatenate([ds.r_ohm, r_hist[:, 1:].ravel()]),
-        env=np.concatenate([ds.env, np.full(n_new, _ENV_CODE["ambient"], np.int8)]),
+        env=np.concatenate([ds.env, np.repeat(env_last, len(events))]),
         flag=np.concatenate([ds.flag, np.full(n_new, FLAG_OK, np.int8)]),
         chip_id=ds.chip_id,
     )

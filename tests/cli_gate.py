@@ -19,12 +19,13 @@ and each seed the commands are:
   3600`` on each CSV;
 - ``predict --report`` on each report, and with ``FUTURE_SCHEDULE`` (swaps
   only, one on the target day) on the single-log report of the preset's CSV;
-- ``anneal --events`` on each CSV;
+- ``anneal --events`` on each CSV, the ``--spec`` one included, which
+  never leaves the preset's home environment;
 - ``predict --preset``;
 - a six-day ``simulate`` sampled daily, and ``fit`` on it, whose fits span
   less than a decade (the short-span warning).
 
-That is 25 commands per preset and seed, 450 for the default seeds.
+That is 26 commands per preset and seed, 468 for the default seeds.
 
 The manifest has one entry per command: its argv, its exit code, the sha256
 of its stdout, of its stderr and of each file it wrote, and, for each
@@ -106,7 +107,7 @@ def commands(seeds, presets) -> list[list[str]]:
             cmds.append(["predict", "--report", reports[0], "--schedule",
                          f"{TMP}/future.schedule", "--target-days", "70",
                          "--out", f"{base}-preset-single-future-pred.json"])
-            for tag, csv in csvs.items():
+            for tag, csv in (*csvs.items(), ("spec", f"{base}-spec.csv")):
                 cmds.append(["anneal", csv, "--events", f"{TMP}/steps.txt", "--preset", p,
                              "--seed", seed, "--out", f"{base}-{tag}-annealed.csv"])
             cmds.append(["predict", "--preset", p, "--from-days", "56", "--target-days", "63",

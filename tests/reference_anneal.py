@@ -8,6 +8,11 @@ junction, and advances it again to the step's record, keeping the states in
 a dict.  It uses only the package's public API and takes no state map from
 it: the segment map is ``reference_trajectory``'s restatement, and the
 per-junction event seed is restated here in its spawn-key form.
+
+Each junction waits in the environment of its last usable row (ambient air
+for a row labelled unknown), on the curve ``a_eff ln(t / tau + 1)`` through
+that row, with ``tau`` that environment's configured timescale; its
+appended rows keep that row's label.
 """
 
 import math
@@ -21,7 +26,7 @@ from jjaging import (
     apply_thermal_anneal,
     apply_voltage_anneal,
 )
-from jjaging.ensemble import FLAGS
+from jjaging.ensemble import ENV_LABELS, FLAGS
 from jjaging.model import EnvironmentKind
 from reference_trajectory import _segment
 
@@ -39,10 +44,10 @@ def _voltage_seed(seed: int, junction_id: int, i: int) -> int:
     return _spawn_key_seed(_spawn_key_seed(seed, 0, junction_id), i)
 
 
-def _advance(state, t_to, a_eff, tau_amb, relax_s):
-    """``state`` carried to ``t_to`` in ambient storage on the junction's
-    curve ``a_eff ln(t / tau_amb + 1)``; the anneal channel is unchanged."""
-    y_env = _segment(state.y_env, state.t_s, t_to, a_eff, tau_amb, 1.0, relax_s)
+def _advance(state, t_to, a_eff, tau, relax_s):
+    """``state`` carried to ``t_to`` in storage on the junction's curve
+    ``a_eff ln(t / tau + 1)``; the anneal channel is unchanged."""
+    y_env = _segment(state.y_env, state.t_s, t_to, a_eff, tau, 1.0, relax_s)
     return replace(state, t_s=t_to, y_env=y_env)
 
 
@@ -50,12 +55,12 @@ def reference_anneal(ds, events, cfg, seed: int):
     """The records ``anneal`` appends and its step summary.
 
     ``events`` must be placeable (each starts at or after the previous
-    record).  Returns ``(new_j, new_t, new_r, changes, min_r_over_r0)``:
-    the appended rows in step-major order, each step's fractional changes
+    record).  Returns ``(new_j, new_t, new_r, new_env, changes,
+    min_r_over_r0)``: the appended rows, with their env codes, in
+    step-major order, each step's fractional changes
     of the junctions its event touches, and the smallest R/R0 over the
     sequence.
     """
-    tau_amb = cfg.env_tau_s[EnvironmentKind.AMBIENT]
     relax = cfg.relax_gas_to_gas_s
     ok = ds.flag == FLAG_OK
     junctions = {}
@@ -66,11 +71,16 @@ def reference_anneal(ds, events, cfg, seed: int):
         r0 = float(ds.r_ohm[rows[0]])
         t_last, r_last = float(ds.t_s[rows[-1]]), float(ds.r_ohm[rows[-1]])
         y0 = r_last / r0 - 1.0
+        env = int(ds.env[rows[-1]])
+        label = ENV_LABELS[env]
+        tau = cfg.env_tau_s[EnvironmentKind("ambient" if label == "unknown" else label)]
         a_eff = (
-            max(y0, 0.0) / math.log(t_last / tau_amb + 1.0) if t_last > 0 else 0.0
+            max(y0, 0.0) / math.log(t_last / tau + 1.0) if t_last > 0 else 0.0
         )
         junctions[j] = {
             "r0": r0,
+            "env": env,
+            "tau": tau,
             "a_eff": a_eff,
             "state": TrajectoryState(t_s=t_last, y_env=y0),
             "last_r": r_last,
@@ -80,6 +90,7 @@ def reference_anneal(ds, events, cfg, seed: int):
     new_j: list[int] = []
     new_t: list[float] = []
     new_r: list[float] = []
+    new_env: list[int] = []
     step_changes = []
     min_r_over_r0 = min(
         info["last_r"] / info["r0"] for info in junctions.values()
@@ -89,7 +100,7 @@ def reference_anneal(ds, events, cfg, seed: int):
         t_meas = ev.t_s + hold_s
         changes = []
         for j, info in junctions.items():
-            state = _advance(info["state"], ev.t_s, info["a_eff"], tau_amb, relax)
+            state = _advance(info["state"], ev.t_s, info["a_eff"], info["tau"], relax)
             touched = ev.junction_ids is None or j in ev.junction_ids
             if touched:
                 if isinstance(ev.kind, ThermalAnneal):
@@ -98,7 +109,7 @@ def reference_anneal(ds, events, cfg, seed: int):
                     state = apply_voltage_anneal(state, ev, cfg,
                                                  _voltage_seed(seed, j, info["touched"]))
                 info["touched"] += 1
-            state = _advance(state, t_meas, info["a_eff"], tau_amb, relax)
+            state = _advance(state, t_meas, info["a_eff"], info["tau"], relax)
             r_now = info["r0"] * (1.0 + state.y)
             if touched:
                 changes.append(r_now / info["last_r"] - 1.0)
@@ -108,5 +119,6 @@ def reference_anneal(ds, events, cfg, seed: int):
             new_j.append(j)
             new_t.append(t_meas)
             new_r.append(r_now)
+            new_env.append(info["env"])
         step_changes.append(changes)
-    return new_j, new_t, new_r, step_changes, min_r_over_r0
+    return new_j, new_t, new_r, new_env, step_changes, min_r_over_r0

@@ -904,6 +904,24 @@ class TestAnneal:
                    "--out", str(out)) == 0
         assert out.read_bytes() == data.read_bytes()
 
+    def test_waits_in_the_last_environment_and_keeps_its_label(self, tmp_path, capsys):
+        # chip2's rows are all glovebox.  Relabelled, the same rows wait in
+        # the new label's environment, unknown in ambient air, and the step
+        # rows keep the label.
+        data = self._dataset(tmp_path, preset="chip2", days="20")
+        events = tmp_path / "t.txt"
+        events.write_text("event,21,thermal,temp_c=200,env=glovebox,hold_min=10\n")
+        r = {}
+        for label in ("glovebox", "ambient", "unknown"):
+            relabelled, out = tmp_path / f"{label}.csv", tmp_path / f"{label}-annealed.csv"
+            relabelled.write_text(data.read_text().replace(",glovebox,", f",{label},"))
+            assert run("anneal", str(relabelled), "--events", str(events), "--preset", "chip2",
+                       "--out", str(out)) == 0
+            ds = load_measurements(out)
+            assert {ENV_LABELS[e] for e in ds.env.tolist()} == {label}
+            r[label] = ds.r_ohm.tolist()
+        assert r["unknown"] == r["ambient"] != r["glovebox"]
+
     def test_unknown_thermal_entry_exits_2(self, tmp_path, capsys):
         data = self._dataset(tmp_path, days="20")
         events = tmp_path / "steps.txt"

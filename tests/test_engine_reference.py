@@ -85,16 +85,17 @@ def check_against_reference(data, name, events, out_ds, steps, seed, no_floor):
     cfg = chip_preset(name).sim
     if no_floor:
         cfg = replace(cfg, floor_at_r0=False)
-    new_j, new_t, new_r, changes, min_ratio = reference_anneal(ds, events, cfg, seed)
+    new_j, new_t, new_r, new_env, changes, min_ratio = reference_anneal(ds, events, cfg, seed)
     # The output keeps the input's rows and sorts by (junction, time); every
     # appended row comes after the input's last one.
-    want = sorted(zip(new_j, new_t, new_r))
+    want = sorted(zip(new_j, new_t, new_r, new_env))
     appended = out_ds.t_s > ds.t_s.max()
     assert len(out_ds) - appended.sum() == len(ds)
     got_j, got_t = out_ds.junction_id[appended], out_ds.t_s[appended]
-    assert got_j.tolist() == [j for j, _, _ in want]
-    assert got_t.tolist() == [t for _, t, _ in want]
-    assert ulp_distance(out_ds.r_ohm[appended], [r for _, _, r in want]) <= ULPS
+    assert got_j.tolist() == [j for j, _, _, _ in want]
+    assert got_t.tolist() == [t for _, t, _, _ in want]
+    assert ulp_distance(out_ds.r_ohm[appended], [r for _, _, r, _ in want]) <= ULPS
+    assert out_ds.env[appended].tolist() == [e for _, _, _, e in want]
     assert len(steps["steps"]) == len(events)
     for step, ch in zip(steps["steps"], changes):
         assert abs(step["mean_fractional_change"] - float(np.mean(ch))) <= ABS_TOL
