@@ -13,6 +13,7 @@ timescale.
 Run: python demos/aging_curves.py
 """
 
+import csv
 import pathlib
 
 import numpy as np
@@ -23,7 +24,6 @@ from jjaging import (
     effective_tau,
     eval_single_log,
     eval_two_log,
-    export_plot_data,
 )
 
 DAY = 86400.0
@@ -60,7 +60,11 @@ def main():
     print(f"worst-case mismatch of the approximation over the window: {worst * 100:.2f}%")
 
     path = OUT / "aging_curves.csv"
-    export_plot_data(series, path)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["series_id", "t_days", "value"])
+        for sid, points in series.items():
+            w.writerows((sid, float(t) / DAY, float(v)) for t, v in points)
     print(f"\nwrote tidy plot data to {path}")
 
 

@@ -9,6 +9,7 @@ storage; a homogeneous glovebox chip keeps its spread flat.
 Run: python demos/chip_monte_carlo.py
 """
 
+import csv
 import pathlib
 
 import numpy as np
@@ -17,7 +18,6 @@ from jjaging import (
     aggregate_series,
     chip_preset,
     draw_chip,
-    export_plot_data,
     fit_chip,
     simulate_chip,
 )
@@ -74,9 +74,13 @@ def main():
     print(f"{n_open} of {len(chip6)} junctions drawn open; "
           "they carry flag=open and are excluded from aggregates")
 
-    cv_series = [(t, cv) for t, _, cv, n in agg if n >= 2]
+    series = {"cv_chip1_like": [(t, cv) for t, _, cv, n in agg if n >= 2]}
     path = OUT / "chip_monte_carlo.csv"
-    export_plot_data({"cv_chip1_like": cv_series}, path)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["series_id", "t_days", "value"])
+        for sid, points in series.items():
+            w.writerows((sid, float(t) / DAY, float(v)) for t, v in points)
     print(f"\nwrote tidy plot data to {path}")
 
 

@@ -11,6 +11,7 @@ day) than gas-to-gas swaps (days).
 Run: python demos/environment_swaps.py
 """
 
+import csv
 import pathlib
 
 import numpy as np
@@ -23,7 +24,6 @@ from jjaging import (
     SimConfig,
     StorageSchedule,
     eval_single_log,
-    export_plot_data,
     simulate_trajectory,
 )
 
@@ -71,12 +71,17 @@ def main():
           f"{t_hit:.2f} days after leaving vacuum")
 
     path = OUT / "environment_swaps.csv"
-    export_plot_data({
-        "alternating": list(zip(samples, 1 + y)),
-        "ambient_bound": list(zip(samples, 1 + amb)),
-        "glovebox_bound": list(zip(samples, 1 + gb)),
-        "vacuum_exit": list(zip(samples5, 1 + y5)),
-    }, path)
+    series = {
+        "alternating": zip(samples, 1 + y),
+        "ambient_bound": zip(samples, 1 + amb),
+        "glovebox_bound": zip(samples, 1 + gb),
+        "vacuum_exit": zip(samples5, 1 + y5),
+    }
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["series_id", "t_days", "value"])
+        for sid, points in series.items():
+            w.writerows((sid, float(t) / DAY, float(v)) for t, v in points)
     print(f"\nwrote tidy plot data to {path}")
 
 

@@ -9,6 +9,7 @@ chip that are not pulsed are unaffected.
 Run: python demos/voltage_anneal.py
 """
 
+import csv
 import pathlib
 
 import numpy as np
@@ -17,7 +18,6 @@ from jjaging import (
     AnnealEvent,
     VoltageAnneal,
     chip_preset,
-    export_plot_data,
     fit_single_log,
     simulate_trajectory,
 )
@@ -54,7 +54,11 @@ def main():
         series[name] = list(zip(samples, rs / rs[0]))
 
     path = OUT / "voltage_anneal.csv"
-    export_plot_data(series, path)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["series_id", "t_days", "value"])
+        for sid, points in series.items():
+            w.writerows((sid, float(t) / DAY, float(v)) for t, v in points)
     print(f"\nwrote tidy plot data to {path}")
 
 

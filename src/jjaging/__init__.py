@@ -66,7 +66,6 @@ from .dataio import (
     TOOL_VERSION as __version__,
     FitReport,
     build_fit_report,
-    export_plot_data,
     load_events,
     load_measurements,
     load_schedule,

@@ -1,4 +1,4 @@
-"""File formats: measurement CSV, schedule files, fit reports, plot data.
+"""File formats: measurement CSV, schedule files, fit reports.
 
 All files are plain UTF-8 text, newline-terminated, and byte-stable for
 identical inputs (no timestamps, sorted keys).  Times are stored in days at
@@ -82,7 +82,6 @@ __all__ = [
     "build_fit_report",
     "write_report",
     "read_report",
-    "export_plot_data",
 ]
 
 TOOL_VERSION = "0.1.0"
@@ -762,16 +761,3 @@ def read_report(path) -> FitReport:
     if bad:
         raise ParseError(f"{path}: malformed report: wrong JSON type or unknown key in {bad[0]!r}")
     return report
-
-
-def export_plot_data(series: Mapping[str, Sequence], path) -> None:
-    """Write tidy plot data: one row per point, columns series_id,t_days,value.
-
-    ``series`` maps a series id to a sequence of (t_s, value) pairs.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["series_id", "t_days", "value"])
-        for sid in sorted(series):
-            for t_s, value in series[sid]:
-                w.writerow([sid, repr(float(t_s) / DAY_S), repr(float(value))])

@@ -24,7 +24,6 @@ from jjaging import (
     ValidationError,
     VoltageAnneal,
     build_fit_report,
-    export_plot_data,
     load_events,
     load_measurements,
     load_schedule,
@@ -760,40 +759,11 @@ c7,1,0.0,,ambient,open
 c7,2,0.0,9800.0,glovebox,excluded
 """
 
-GOLDEN_PLOT = """\
-series_id,t_days,value
-r,0.0,1.0
-r,0.5,1.25
-"""
-
-
 class TestGoldenFiles:
     def test_measurement_csv_bytes(self, tmp_path):
         path = tmp_path / "golden.csv"
         save_measurements(small_dataset(), path)
         assert path.read_text() == GOLDEN_CSV
-
-    def test_plot_data_bytes(self, tmp_path):
-        path = tmp_path / "golden_plot.csv"
-        export_plot_data({"r": [(0.0, 1.0), (0.5 * DAY, 1.25)]}, path)
-        assert path.read_text() == GOLDEN_PLOT
-
-
-class TestPlotExport:
-    def test_three_point_series(self, tmp_path):
-        path = tmp_path / "plot.csv"
-        export_plot_data({"mean_r": [(0.0, 1.0), (DAY, 1.5), (2 * DAY, 1.8)]}, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "series_id,t_days,value"
-        assert len(lines) == 4
-        assert lines[1].startswith("mean_r,0.0,")
-
-    def test_deterministic_ordering(self, tmp_path):
-        series = {"b": [(0.0, 2.0)], "a": [(0.0, 1.0)]}
-        p1, p2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
-        export_plot_data(series, p1)
-        export_plot_data(dict(reversed(series.items())), p2)
-        assert p1.read_bytes() == p2.read_bytes()
 
 
 SOURCES = Path(__file__).resolve().parents[1] / "src" / "jjaging"
