@@ -53,8 +53,8 @@ from .ensemble import (
     simulate_chip,
 )
 from .fitting import (
-    ChipFitResult,
     FitOptions,
+    FitReport,
     FitResult,
     fit_chip,
     fit_single_log,
@@ -64,8 +64,6 @@ from .fitting import (
 from .dataio import (
     MEASUREMENT_HEADER,
     TOOL_VERSION as __version__,
-    FitReport,
-    build_fit_report,
     load_events,
     load_measurements,
     load_schedule,

@@ -21,7 +21,6 @@ import numpy as np
 
 from .dataio import (
     MAX_SAMPLES,
-    build_fit_report,
     load_events,
     load_measurements,
     load_schedule,
@@ -198,7 +197,6 @@ def cmd_fit(args) -> int:
     digest = hashlib.sha256()
     ds = load_measurements(args.data, digest=digest)
     opts = FitOptions(model=args.model)
-    chip_fit = fit_chip(ds, opts, share_b=args.share_b, window_s=args.window_s)
     provenance = {
         "input_sha256": digest.hexdigest(),
         "tool_version": TOOL_VERSION,
@@ -206,16 +204,17 @@ def cmd_fit(args) -> int:
         "config_digest": _digest({"model": args.model, "share_b": args.share_b,
                                   "window_s": args.window_s}),
     }
-    report = build_fit_report(ds, chip_fit, provenance)
+    report = replace(fit_chip(ds, opts, share_b=args.share_b, window_s=args.window_s),
+                     provenance=provenance)
     write_report(report, args.out)
 
-    fits = [chip_fit.average, *chip_fit.per_junction.values()]
+    fits = [report.average, *report.per_junction.values()]
     n_bad = sum(not r.converged for r in fits)
     pinned = [r.at_bounds for r in fits if r.converged and r.at_bounds]
-    p = chip_fit.average.params
+    p = report.average.params
     print(
-        f"fitted {len(chip_fit.per_junction)} junctions "
-        f"(skipped {len(chip_fit.skipped)}); average: "
+        f"fitted {len(report.per_junction)} junctions "
+        f"(skipped {len(report.skipped)}); average: "
         + (
             f"a={p.a:.4f} tau={p.tau_s:.4g} s b={p.b:.4f}"
             if isinstance(p, AgingParams)

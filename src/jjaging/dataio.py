@@ -27,10 +27,12 @@ An argument sets the event type's field of that name (an omitted one keeps
 its default); ``junctions`` lists ids and ``lo-hi`` ranges joined by ``+``.
 Lines end at \\n, \\r\\n or \\r; ``#`` comments and blank lines are ignored.
 
-A fit report is the JSON of a ``FitReport`` of ``FitResult``s, whose layout
-only this module knows.  ``read_report`` refuses (ParseError) a report that
-``to_dict`` does not give back, or whose ``schema_version`` is not 2; a
-version 1 report is first upgraded to version 2 by ``_from_v1``.  Reports
+A fit report is the JSON of the ``FitReport`` that ``fitting.fit_chip``
+returns, with the ``FitResult``s it holds; only this module knows the
+layout (``_report_to_dict``/``_report_from_dict`` and ``_fit_to_dict``/
+``_fit_from_dict``).  ``read_report`` refuses (ParseError) a report that
+``_report_to_dict`` does not give back, or whose ``schema_version`` is not
+2; a version 1 report is first upgraded to version 2 by ``_from_v1``.  Reports
 and the CLI's other JSON files are written compact, on one line
 (``_write_json``); a reader takes any whitespace, so the ``indent=2`` layout
 of earlier version 2 reports reads to the same report, and the schema is
@@ -43,10 +45,10 @@ import csv
 import io
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, fields
 from functools import partial
 from itertools import repeat
-from typing import Mapping, Sequence, get_type_hints
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -55,14 +57,13 @@ from .ensemble import (
     _ENV_CODE,
     _FLAG_CODE,
     ENV_LABELS,
-    FLAG_OK,
     FLAG_OPEN,
     FLAGS,
     MAX_JUNCTION_RANGE,
     OPEN_RESISTANCE_THRESHOLD_OHM,
     ChipDataset,
 )
-from .fitting import STOP_REASONS, FitResult, _MAX_ITER
+from .fitting import STOP_REASONS, FitReport, FitResult, _MAX_ITER
 from .model import AgingParams, EnvironmentKind, TwoLogParams
 from .trajectory import (
     DAY_S,
@@ -78,8 +79,6 @@ __all__ = [
     "save_measurements",
     "load_schedule",
     "load_events",
-    "FitReport",
-    "build_fit_report",
     "write_report",
     "read_report",
 ]
@@ -616,94 +615,44 @@ def _num(v):
     return v
 
 
-@dataclass(frozen=True)
-class FitReport:
-    """Structured fit output: per-junction and average fits plus aggregates.
-
-    ``provenance`` carries the input digest, tool version, seed, and config
-    digest so a report is reproducible from its inputs alone.
-    """
-
-    chip_id: str
-    junction_ids: tuple[int, ...]
-    per_junction: dict[int, FitResult]
-    average: FitResult
-    r0_ohm: dict[int, float]
-    average_r0_ohm: float
-    cv_series: tuple[tuple[float, float | None, int], ...]  # (t_days, cv, n_used)
-    skipped: dict[int, str]
-    provenance: dict
-    last_t_s: float
-    last_env: str
-    schema_version: int = 2
-
-    def __post_init__(self):
-        missing = [j for j in self.per_junction if j not in self.junction_ids]
-        if missing:
-            raise ValidationError(
-                f"report mentions junctions {missing} absent from the input dataset"
-            )
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "chip_id": self.chip_id,
-            "junction_ids": list(self.junction_ids),
-            "per_junction": {str(j): _fit_to_dict(f) for j, f in sorted(self.per_junction.items())},
-            "average": _fit_to_dict(self.average),
-            "r0_ohm": {str(j): self.r0_ohm[j] for j in sorted(self.r0_ohm)},
-            "average_r0_ohm": self.average_r0_ohm,
-            "cv_series": [[t, _num(cv), n] for t, cv, n in self.cv_series],
-            "skipped": {str(j): msg for j, msg in sorted(self.skipped.items())},
-            "provenance": self.provenance,
-            "last_t_s": self.last_t_s,
-            "last_env": self.last_env,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FitReport":
-        """The report ``d`` encodes; a boolean, integer or number field takes
-        only that JSON type (an integer is a number too), and a missing or
-        refused field is a ValueError naming it."""
-        get = partial(_field, d)
-        get("schema_version", lambda v: _among((2,))(_integer(v)))
-        return cls(
-            chip_id=get("chip_id", str),
-            junction_ids=get("junction_ids", lambda v: tuple(map(_integer, v))),
-            per_junction=get("per_junction", lambda v: {
-                int(j): _fit_from_dict(f, f"per_junction.{j}.") for j, f in v.items()}),
-            average=get("average", lambda v: _fit_from_dict(v, "average.")),
-            r0_ohm=get("r0_ohm", lambda v: {int(j): _number(r) for j, r in v.items()}),
-            average_r0_ohm=get("average_r0_ohm", _number),
-            cv_series=get("cv_series", lambda v: tuple(
-                (_number(t), None if cv is None else _number(cv), _integer(n))
-                for t, cv, n in v)),
-            skipped=get("skipped", lambda v: {int(j): str(msg) for j, msg in v.items()}),
-            provenance=get("provenance", lambda v: v),
-            last_t_s=get("last_t_s", _number),
-            last_env=get("last_env", _among(ENV_LABELS)),
-        )
+def _report_to_dict(report: FitReport) -> dict:
+    return {
+        "schema_version": 2,
+        "chip_id": report.chip_id,
+        "junction_ids": list(report.junction_ids),
+        "per_junction": {str(j): _fit_to_dict(f) for j, f in sorted(report.per_junction.items())},
+        "average": _fit_to_dict(report.average),
+        "r0_ohm": {str(j): report.r0_ohm[j] for j in sorted(report.r0_ohm)},
+        "average_r0_ohm": report.average_r0_ohm,
+        "cv_series": [[t, _num(cv), n] for t, cv, n in report.cv_series],
+        "skipped": {str(j): msg for j, msg in sorted(report.skipped.items())},
+        "provenance": report.provenance,
+        "last_t_s": report.last_t_s,
+        "last_env": report.last_env,
+    }
 
 
-def build_fit_report(ds: ChipDataset, chip_fit, provenance: Mapping) -> FitReport:
-    """Assemble a FitReport from a dataset and its ChipFitResult, whose
-    aggregate rows give the CV series."""
-    cv_series = tuple((t / DAY_S, None if math.isnan(cv) else cv, n)
-                      for t, _, cv, n in chip_fit.aggregate)
-    ok_rows = np.flatnonzero(ds.flag == FLAG_OK)
-    last = ok_rows[np.argmax(ds.t_s[ok_rows])]   # first row at the latest time
+def _report_from_dict(d: dict) -> FitReport:
+    """The report ``d`` encodes; a boolean, integer or number field takes
+    only that JSON type (an integer is a number too), and a missing or
+    refused field is a ValueError naming it."""
+    get = partial(_field, d)
+    get("schema_version", lambda v: _among((2,))(_integer(v)))
     return FitReport(
-        chip_id=ds.chip_id,
-        junction_ids=tuple(ds.junction_ids()),
-        per_junction=dict(chip_fit.per_junction),
-        average=chip_fit.average,
-        r0_ohm=dict(chip_fit.r0_ohm),
-        average_r0_ohm=chip_fit.average_r0_ohm,
-        cv_series=cv_series,
-        skipped=dict(chip_fit.skipped),
-        provenance=dict(provenance),
-        last_t_s=float(ds.t_s[last]),
-        last_env=ENV_LABELS[ds.env[last]],
+        chip_id=get("chip_id", str),
+        junction_ids=get("junction_ids", lambda v: tuple(map(_integer, v))),
+        per_junction=get("per_junction", lambda v: {
+            int(j): _fit_from_dict(f, f"per_junction.{j}.") for j, f in v.items()}),
+        average=get("average", lambda v: _fit_from_dict(v, "average.")),
+        r0_ohm=get("r0_ohm", lambda v: {int(j): _number(r) for j, r in v.items()}),
+        average_r0_ohm=get("average_r0_ohm", _number),
+        cv_series=get("cv_series", lambda v: tuple(
+            (_number(t), None if cv is None else _number(cv), _integer(n))
+            for t, cv, n in v)),
+        skipped=get("skipped", lambda v: {int(j): str(msg) for j, msg in v.items()}),
+        provenance=get("provenance", lambda v: v),
+        last_t_s=get("last_t_s", _number),
+        last_env=get("last_env", _among(ENV_LABELS)),
     )
 
 
@@ -720,7 +669,7 @@ def _write_json(obj, path) -> None:
 def write_report(report: FitReport, path) -> None:
     """Serialize a report as canonical JSON (``_write_json``: one line, sorted
     keys, newline-terminated); byte-stable for identical inputs."""
-    _write_json(report.to_dict(), path)
+    _write_json(_report_to_dict(report), path)
 
 
 def _v1_fit(f, where: str):
@@ -732,7 +681,7 @@ def _v1_fit(f, where: str):
 def _from_v1(d: dict) -> dict:
     """The version 2 value of a version 1 report: v1 wrote ``histograms``,
     which v2 drops, and no fit ``stop_reason``, which reads as null.  Every
-    other fault is left for ``from_dict`` and the write-back check."""
+    other fault is left for ``_report_from_dict`` and the write-back check."""
     _field(d, "histograms", lambda v: v)   # v1 requires it
     v2 = {k: v for k, v in d.items() if k != "histograms"} | {"schema_version": 2}
     if "average" in d:
@@ -745,18 +694,18 @@ def _from_v1(d: dict) -> dict:
 
 def read_report(path) -> FitReport:
     """The report a file holds, a version 1 one upgraded by ``_from_v1``; a malformed
-    one, or one that ``to_dict`` does not give back (a coerced JSON type, an unknown
-    key), is a ParseError naming the file."""
+    one, or one that ``_report_to_dict`` does not give back (a coerced JSON type, an
+    unknown key), is a ParseError naming the file."""
     d = _read_json(path, "report")
     if not isinstance(d, dict):
         raise ParseError(f"{path}: malformed report: not a JSON object")
     try:
         if type(d.get("schema_version")) is int and d["schema_version"] == 1:
             d = _from_v1(d)
-        report = FitReport.from_dict(d)
+        report = _report_from_dict(d)
     except ValueError as exc:   # a bad field, named, or junctions absent from the dataset
         raise ParseError(f"{path}: malformed report: {exc}") from None
-    encoded = report.to_dict()
+    encoded = _report_to_dict(report)
     bad = [k for k in sorted(d) if k not in encoded or d[k] != encoded[k]]
     if bad:
         raise ParseError(f"{path}: malformed report: wrong JSON type or unknown key in {bad[0]!r}")

@@ -37,7 +37,8 @@ whether every value is finite; the least positive time is searched for
 only when a check or the start needs it; the standard errors and
 ``at_bounds`` are taken in Python floats; and ``fit_chip`` slices a chip's
 usable rows once, passing each junction a Fortran-ordered view with
-contiguous columns.
+contiguous columns.  It returns the chip's fit as the ``FitReport`` that
+``jjaging fit`` writes; only ``dataio`` knows the report's JSON layout.
 
 ``grid_search_oracle`` provides an independent brute-force check: it
 evaluates the model on an explicit parameter grid and returns the grid
@@ -50,7 +51,7 @@ import contextlib
 import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Mapping, Sequence
 
@@ -58,13 +59,14 @@ import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import InsufficientDataError, ParameterError, ValidationError
-from .ensemble import FLAG_OK, ChipDataset, aggregate_series
+from .ensemble import ENV_LABELS, FLAG_OK, ChipDataset, aggregate_series
 from .model import AgingParams, TwoLogParams
+from .trajectory import DAY_S
 
 __all__ = [
     "FitOptions",
     "FitResult",
-    "ChipFitResult",
+    "FitReport",
     "fit_single_log",
     "fit_two_log",
     "fit_chip",
@@ -142,15 +144,35 @@ class FitResult:
 
 
 @dataclass(frozen=True)
-class ChipFitResult:
-    """Per-junction fits plus the average-curve fit for one chip."""
+class FitReport:
+    """One chip's fit, as ``fit_chip`` returns it and ``jjaging fit`` writes it.
 
+    ``junction_ids`` lists every junction of the dataset, open ones
+    included; ``cv_series`` holds (t_days, CV or None, n_used) per
+    ``aggregate_series`` row of the average fit; ``last_t_s`` and
+    ``last_env`` come from the first usable row at the latest time, where
+    ``predict`` resumes.  ``provenance`` is what ``fit`` records (input and
+    config digests, tool version, seed).  The JSON layout lives in ``dataio``.
+    """
+
+    chip_id: str
+    junction_ids: tuple[int, ...]
     per_junction: dict[int, FitResult]
     average: FitResult
     r0_ohm: dict[int, float]
     average_r0_ohm: float
+    cv_series: tuple[tuple[float, float | None, int], ...]  # (t_days, cv, n_used)
     skipped: dict[int, str]
-    aggregate: list[tuple[float, float, float, int]]   # the average fit's aggregate_series
+    last_t_s: float
+    last_env: str
+    provenance: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        missing = [j for j in self.per_junction if j not in self.junction_ids]
+        if missing:
+            raise ValidationError(
+                f"report mentions junctions {missing} absent from the input dataset"
+            )
 
 
 def _check_series(series, min_points: int):
@@ -757,8 +779,8 @@ def fit_chip(
     opts: FitOptions | None = None,
     share_b: bool = False,
     window_s: float = 600.0,
-) -> ChipFitResult:
-    """Fit every junction and the chip-average curve.
+) -> FitReport:
+    """Fit every junction and the chip-average curve, as a ``FitReport``.
 
     Each junction is normalized by its earliest usable resistance; the
     average curve is the per-time mean
@@ -826,9 +848,13 @@ def fit_chip(
             r0s[j] = float(r[a])
         except (InsufficientDataError, ValidationError) as exc:
             skipped[j] = str(exc)
-    return ChipFitResult(
-        per_junction=per_junction, average=average,
-        r0_ohm=r0s, average_r0_ohm=avg_r0, skipped=skipped, aggregate=agg,
+    last = np.flatnonzero(ok)[np.argmax(t)]   # the first usable row at the latest time
+    return FitReport(
+        chip_id=ds.chip_id, junction_ids=tuple(ds.junction_ids()),
+        per_junction=per_junction, average=average, r0_ohm=r0s, average_r0_ohm=avg_r0,
+        cv_series=tuple((t_g / DAY_S, None if math.isnan(cv) else cv, n)
+                        for t_g, _, cv, n in agg),
+        skipped=skipped, last_t_s=float(ds.t_s[last]), last_env=ENV_LABELS[ds.env[last]],
     )
 
 

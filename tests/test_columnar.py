@@ -20,7 +20,6 @@ from jjaging import (
     ValidationError,
     VoltageAnneal,
     aggregate_series,
-    build_fit_report,
     chip_preset,
     draw_chip,
     fit_chip,
@@ -206,7 +205,7 @@ def test_hot_path_builds_no_row_objects(tmp_path, monkeypatch):
     fit = fit_chip(ds)
     save_measurements(ds, tmp_path / "d.csv")
     back = load_measurements(tmp_path / "d.csv")
-    build_fit_report(back, fit_chip(back), {})
+    fit_chip(back)
     assert len(fit.per_junction) + len(fit.skipped) == len(ds.junction_ids())
     with pytest.raises(AssertionError, match="was built"):
         ds.records

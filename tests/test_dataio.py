@@ -3,6 +3,7 @@ import json
 import math
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 
 from jjaging import (
     GLOVEBOX,
+    PRESET_NAMES,
     AgingParams,
     AnnealEvent,
     ChipDataset,
-    ChipFitResult,
     EnvironmentKind,
+    FitReport,
     FitResult,
     ParseError,
     StorageSchedule,
@@ -23,22 +25,26 @@ from jjaging import (
     TwoLogParams,
     ValidationError,
     VoltageAnneal,
-    build_fit_report,
+    aggregate_series,
+    chip_preset,
+    draw_chip,
+    fit_chip,
     load_events,
     load_measurements,
     load_schedule,
     save_measurements,
+    simulate_chip,
 )
 from jjaging.dataio import (
     MAX_JUNCTION_RANGE,
     MEASUREMENT_HEADER,
-    FitReport,
+    _report_to_dict,
     read_report,
     write_report,
 )
 from jjaging.ensemble import ENV_LABELS, FLAGS
 from reference_dataio import reference_load_measurements
-from reference_report import v1_report
+from reference_report import build_fit_report, v1_report
 
 DAY = 86400.0
 
@@ -603,7 +609,7 @@ class TestReport:
     ])
     def test_stop_reason_must_be_the_fitters_and_agree_with_converged(
             self, tmp_path, fit, stop_reason, named):
-        d = self._report().to_dict()
+        d = _report_to_dict(self._report())
         (d["average"] if fit == "average" else d["per_junction"][fit])["stop_reason"] = stop_reason
         path = tmp_path / "report.json"
         path.write_text(json.dumps(d))
@@ -613,7 +619,8 @@ class TestReport:
 
     def test_unknown_junction_rejected(self):
         rep = self._report()
-        with pytest.raises(Exception):
+        with pytest.raises(ValidationError, match=r"^report mentions junctions \[9\] absent "
+                                                  r"from the input dataset$"):
             FitReport(**{**rep.__dict__, "per_junction": {9: {}}})
 
 
@@ -650,17 +657,19 @@ def fit_results(draw):
 
 @st.composite
 def chip_fits(draw):
-    """A ChipFitResult for ``small_dataset``'s junctions 0-2, each fitted or skipped."""
+    """A FitReport of junctions 0-2, each fitted or skipped."""
     fitted = draw(st.lists(st.booleans(), min_size=3, max_size=3))
     per_junction = {j: draw(fit_results()) for j in range(3) if fitted[j]}
-    return ChipFitResult(
+    return FitReport(
+        chip_id="c7", junction_ids=(0, 1, 2),
         per_junction=per_junction, average=draw(fit_results()),
         r0_ohm={j: draw(_finite(1, 1e6)) for j in per_junction},
         average_r0_ohm=draw(_finite(1, 1e6)),
+        cv_series=tuple(draw(st.lists(st.tuples(_finite(0, 1e3), st.none() | _finite(0, 1),
+                                                st.integers(1, 16)), max_size=3))),
         skipped={j: draw(st.text(max_size=12)) for j in range(3) if not fitted[j]},
-        aggregate=draw(st.lists(st.tuples(_finite(0, 1e8), _finite(1, 1e6),
-                                          st.just(math.nan) | _finite(0, 1),
-                                          st.integers(1, 16)), max_size=3)),
+        last_t_s=draw(_finite(0, 1e8)), last_env=draw(st.sampled_from(ENV_LABELS)),
+        provenance={"seed": 0},
     )
 
 
@@ -712,18 +721,15 @@ def _records(d: dict) -> list[dict]:
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(chip_fit=chip_fits(), data=st.data())
-def test_report_round_trip_and_malformed_reports(tmp_path, chip_fit, data):
-    built = build_fit_report(small_dataset(), chip_fit, {"seed": 0})
-    assert built.cv_series == tuple((t / DAY, None if math.isnan(cv) else cv, n)
-                                    for t, _, cv, n in chip_fit.aggregate)
+@given(report=chip_fits(), data=st.data())
+def test_report_round_trip_and_malformed_reports(tmp_path, report, data):
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    write_report(built, p1)
+    write_report(report, p1)
     back = read_report(p1)
     write_report(back, p2)
     assert p2.read_bytes() == p1.read_bytes()
-    assert back == replace(built, average=_as_read(built.average), per_junction={
-        j: _as_read(f) for j, f in built.per_junction.items()})
+    assert back == replace(report, average=_as_read(report.average), per_junction={
+        j: _as_read(f) for j, f in report.per_junction.items()})
 
     # The version 1 layout of the same report reads as it, without stop_reasons.
     d = v1_report(back) if data.draw(st.booleans()) else json.loads(p1.read_text())
@@ -749,6 +755,105 @@ def test_report_round_trip_and_malformed_reports(tmp_path, chip_fit, data):
     bad.write_text(json.dumps(d))
     with pytest.raises(ParseError, match="malformed report"):
         read_report(bad)
+
+
+# The report fields that ``fit_chip`` derives from the dataset, or passes
+# through from its fits.
+_DERIVED = ("chip_id", "junction_ids", "r0_ohm", "average_r0_ohm", "cv_series", "skipped",
+            "last_t_s", "last_env")
+
+
+def fit_chip_against_reference(ds, window_s=600.0):
+    """``fit_chip(ds)``, required equal to the report that the builder it
+    replaced (``reference_report.build_fit_report``) made of the same fits,
+    with the CV series and the average r0 of ``aggregate_series`` at
+    ``window_s``."""
+    report = fit_chip(ds, window_s=window_s)
+    agg = aggregate_series(ds, window_s=window_s)
+    former = SimpleNamespace(per_junction=report.per_junction, average=report.average,
+                             r0_ohm=report.r0_ohm, average_r0_ohm=agg[0][1],
+                             skipped=report.skipped, aggregate=agg)
+    want = build_fit_report(ds, former, {})
+    for name in _DERIVED:
+        assert getattr(report, name) == getattr(want, name), name
+    assert report == want
+    assert _report_to_dict(report) == _report_to_dict(want)
+    assert type(report.last_t_s) is float
+    assert {type(j) for j in report.junction_ids} == {int}
+    return report
+
+
+def _daily_chip(envs, days=7, stagger_s=0.0):
+    """Junction j of ``envs`` measured daily from day 0, ``stagger_s * j``
+    after the day starts, in environment ``envs[j]``, aging as
+    1 + 0.05 (j + 1) ln(1 + t / 1e4)."""
+    rows = [(j, t, 1e4 * (1.0 + 0.05 * (j + 1) * math.log1p(t / 1e4)), ENV_LABELS.index(env))
+            for j, env in enumerate(envs)
+            for t in (day * DAY + stagger_s * j for day in range(days))]
+    return [*zip(*rows)]
+
+
+class TestFitChipReport:
+    """``fit_chip`` returns the report that ``fit`` writes; its fields equal
+    those of the builder it replaced."""
+
+    @pytest.mark.parametrize("window_s", [0.0, 3600.0])
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_presets(self, preset, seed, window_s):
+        p = chip_preset(preset)
+        ds = simulate_chip(draw_chip(p.spec, seed), p.schedule, [],
+                           np.arange(0.0, 30 * DAY + 1.0, 2 * DAY), p.sim, seed)
+        report = fit_chip_against_reference(ds, window_s)
+        assert report.provenance == {}
+        assert sorted([*report.per_junction, *report.skipped]) == list(report.junction_ids)
+
+    def test_chip6_lists_its_open_junctions(self):
+        p = chip_preset("chip6")
+        ds = simulate_chip(draw_chip(p.spec, 1), p.schedule, [],
+                           np.arange(0.0, 30 * DAY + 1.0, 2 * DAY), p.sim, 1)
+        report = fit_chip_against_reference(ds)
+        ok = ds.flag == FLAGS.index("ok")
+        open_ids = [j for j, lo, hi in ds.junction_rows() if not ok[lo:hi].any()]
+        assert open_ids and all(j in report.junction_ids and j in report.skipped
+                                for j in open_ids)
+
+    @pytest.mark.parametrize("window_s", [0.0, 3600.0])
+    @pytest.mark.parametrize("flag", ["excluded", "open"])
+    def test_latest_row_not_usable(self, flag, window_s):
+        # Junction 2 has one more row, on day 8, that is not usable: the
+        # report ends at its day-6 row, the latest usable one.
+        j, t, r, env = _daily_chip(["ambient", "glovebox", "vacuum"], stagger_s=300.0)
+        ok = FLAGS.index("ok")
+        ds = ChipDataset(junction_id=[*j, 2], t_s=[*t, 8 * DAY],
+                         r_ohm=[*r, 2e4 if flag == "excluded" else math.nan],
+                         env=[*env, ENV_LABELS.index("ambient")],
+                         flag=[ok] * len(j) + [FLAGS.index(flag)], chip_id="late")
+        report = fit_chip_against_reference(ds, window_s)
+        assert (report.last_t_s, report.last_env) == (6 * DAY + 600.0, "vacuum")
+        assert len(report.cv_series) == (7 if window_s else 21)
+
+    @pytest.mark.parametrize("envs", [("ambient", "glovebox", "vacuum"),
+                                      ("ambient", "vacuum", "glovebox"),
+                                      ("ambient", "unknown", "ambient")])
+    def test_first_row_at_the_latest_time_names_the_environment(self, envs):
+        # Junction 0 stops on day 5; junctions 1 and 2 share the latest
+        # time, day 6, under their own labels.
+        j, t, r, env = _daily_chip(envs)
+        keep = [k for k in range(len(j)) if not (j[k] == 0 and t[k] == 6 * DAY)]
+        ds = ChipDataset(junction_id=[j[k] for k in keep], t_s=[t[k] for k in keep],
+                         r_ohm=[r[k] for k in keep], env=[env[k] for k in keep],
+                         flag=[FLAGS.index("ok")] * len(keep), chip_id="tie")
+        report = fit_chip_against_reference(ds)
+        assert (report.last_t_s, report.last_env) == (6 * DAY, envs[1])
+
+    def test_csv_round_trip(self, tmp_path):
+        p = chip_preset("chip6")
+        ds = simulate_chip(draw_chip(p.spec, 7), p.schedule, [],
+                           np.arange(0.0, 30 * DAY + 1.0, 2 * DAY), p.sim, 7)
+        save_measurements(ds, tmp_path / "d.csv")
+        back = load_measurements(tmp_path / "d.csv")
+        assert fit_chip_against_reference(back) == fit_chip_against_reference(ds)
 
 
 GOLDEN_CSV = """\

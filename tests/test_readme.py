@@ -6,8 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
-from jjaging import AgingParams, FitResult
-from jjaging.dataio import FitReport, _fit_to_dict
+from jjaging import AgingParams, FitReport, FitResult
+from jjaging.dataio import _fit_to_dict, _report_to_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -68,10 +68,10 @@ FIT = FitResult(AgingParams(a=0.2, tau_s=1e4, b=1.0), {}, 0.0, True, 4, 1)
 
 
 def test_report_field_table_names_every_report_key():
-    report = FitReport("c", (0,), {0: FIT}, FIT, {0: 1e4}, 1e4, (), {}, {}, 0.0, "ambient")
+    report = FitReport("c", (0,), {0: FIT}, FIT, {0: 1e4}, 1e4, (), {}, 0.0, "ambient")
     cells, _ = report_docs()
     names = [name for cell in cells for name in re.findall(r"`([^`]+)`", cell)]
-    assert sorted(names) == sorted(report.to_dict())
+    assert sorted(names) == sorted(_report_to_dict(report))
 
 
 def test_fit_paragraph_names_every_fit_key():
