@@ -45,7 +45,7 @@ from .ensemble import (
     simulate_chip,
 )
 from .errors import JJAgingError, ValidationError
-from .fitting import _SHORT_SPAN, FitOptions, fit_chip
+from .fitting import _LOG_TAU_BOUNDS, _SHORT_SPAN, FitOptions, fit_chip
 from .model import (
     ELECTRON_CHARGE_C,
     AgingParams,
@@ -259,8 +259,14 @@ def cmd_predict(args) -> int:
             _day_seconds(flag, days)
     if args.report:
         report = read_report(args.report)
-        _warn_if_pinned(report.average)
         params = report.average.params
+        # A fit's timescales lie in the fitter's box; one edited out of it is refused.
+        lo, hi = map(math.exp, _LOG_TAU_BOUNDS)
+        for name, tau in vars(params).items():
+            if name.startswith("tau") and not lo <= tau <= hi:
+                raise ValidationError(f"the report's average {name} {tau!r} s is outside "
+                                      f"the fitter's box [{lo!r}, {hi!r}] s")
+        _warn_if_pinned(report.average)
         if isinstance(params, TwoLogParams):
             # Two-channel fits predict through their equivalent single-log
             # curve; one with no amplitude is flat at any timescale.

@@ -818,6 +818,58 @@ class TestPredict:
         assert "fractional aging cannot go below -1" in capsys.readouterr().err
         assert not out.exists()
 
+    # The fitter's box for a timescale, exp(ln 1e2) to exp(ln 1e8) seconds:
+    # every timescale a fit writes lies in it.
+    TAU_BOX = (100.00000000000004, 100000000.00000018)
+
+    @staticmethod
+    def predict_with_params(tmp_path, fit_report, params):
+        """``predict --report`` to day 30 on ``fit_report`` with its average
+        fit's ``params`` replaced: (exit code, path of the output)."""
+        d = copy.deepcopy(fit_report)
+        d["average"]["params"] = params
+        report, out = tmp_path / "r.json", tmp_path / "p.json"
+        report.write_text(json.dumps(d))
+        return run("predict", "--report", str(report), "--target-days", "30",
+                   "--out", str(out)), out
+
+    @pytest.mark.parametrize("a", [0.21, 0.0])
+    @pytest.mark.parametrize("model, name, tau", [
+        *(("single-log", "tau_s", tau) for tau in (
+            1e-305, 5e-324, 1e-300, 1e9, math.nextafter(TAU_BOX[0], 0.0),
+            math.nextafter(TAU_BOX[1], math.inf))),
+        ("two-log", "tau_int_s", 1e9),
+        ("two-log", "tau_ext_s", 1e-305),
+    ])
+    def test_timescale_outside_the_fitters_box_exits_2(self, tmp_path, capsys, fit_report,
+                                                       a, model, name, tau):
+        # Hand-edited timescales that no fit writes: at 1e-305 and 5e-324 s
+        # numpy used to warn of an overflow before the exit 2, and 1e-300 s
+        # predicted 3.47 Mohm for a chip of about 22.8 kohm, with exit 0.
+        if model == "single-log":
+            params = {"kind": model, "a": a, "tau_s": tau, "b": 1.0, "r0_ohm": 1.0}
+        else:
+            params = {"kind": model, "a_int": a, "tau_int_s": 1e6, "a_ext": a,
+                      "tau_ext_s": 1e4, "r0_ohm": 1.0, name: tau}
+        code, out = self.predict_with_params(tmp_path, fit_report, params)
+        assert code == 2
+        lo, hi = self.TAU_BOX
+        assert capsys.readouterr().err == (f"error: the report's average {name} {tau!r} s is "
+                                           f"outside the fitter's box [{lo!r}, {hi!r}] s\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("params", [
+        {"kind": "single-log", "a": 0.21, "tau_s": TAU_BOX[0], "b": 1.0, "r0_ohm": 1.0},
+        {"kind": "single-log", "a": 0.21, "tau_s": TAU_BOX[1], "b": 1.0, "r0_ohm": 1.0},
+        {"kind": "two-log", "a_int": 0.1, "tau_int_s": TAU_BOX[1], "a_ext": 0.1,
+         "tau_ext_s": 1e4, "r0_ohm": 1.0},
+    ], ids=["single-log-lower-edge", "single-log-upper-edge", "two-log-upper-edge"])
+    def test_timescale_on_the_edge_of_the_box_predicts(self, tmp_path, capsys, fit_report,
+                                                        params):
+        code, out = self.predict_with_params(tmp_path, fit_report, params)
+        assert code == 0 and capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["r_predicted_ohm"] > 0
+
     def test_schedule_with_events_exits_2(self, tmp_path, capsys):
         # The events used to be dropped without a word, giving the drift of
         # the schedule without them.
