@@ -845,7 +845,8 @@ class TestPredict:
                                                        a, model, name, tau):
         # Hand-edited timescales that no fit writes: at 1e-305 and 5e-324 s
         # numpy used to warn of an overflow before the exit 2, and 1e-300 s
-        # predicted 3.47 Mohm for a chip of about 22.8 kohm, with exit 0.
+        # predicted 3.47 Mohm with exit 0 on a 56-day chip1 report whose own
+        # fit predicts 53 kohm at day 63.
         if model == "single-log":
             params = {"kind": model, "a": a, "tau_s": tau, "b": 1.0, "r0_ohm": 1.0}
         else:
