@@ -783,6 +783,13 @@ def fit_chip_against_reference(ds, window_s=600.0):
     return report
 
 
+def preset_chip(preset, seed):
+    """``preset``'s chip through its schedule to day 30, sampled every 2 days."""
+    p = chip_preset(preset)
+    return simulate_chip(draw_chip(p.spec, seed), p.schedule, [],
+                         np.arange(0.0, 30 * DAY + 1.0, 2 * DAY), p.sim, seed)
+
+
 def _daily_chip(envs, days=7, stagger_s=0.0):
     """Junction j of ``envs`` measured daily from day 0, ``stagger_s * j``
     after the day starts, in environment ``envs[j]``, aging as
@@ -801,17 +808,13 @@ class TestFitChipReport:
     @pytest.mark.parametrize("seed", [1, 7])
     @pytest.mark.parametrize("preset", PRESET_NAMES)
     def test_presets(self, preset, seed, window_s):
-        p = chip_preset(preset)
-        ds = simulate_chip(draw_chip(p.spec, seed), p.schedule, [],
-                           np.arange(0.0, 30 * DAY + 1.0, 2 * DAY), p.sim, seed)
+        ds = preset_chip(preset, seed)
         report = fit_chip_against_reference(ds, window_s)
         assert report.provenance == {}
         assert sorted([*report.per_junction, *report.skipped]) == list(report.junction_ids)
 
     def test_chip6_lists_its_open_junctions(self):
-        p = chip_preset("chip6")
-        ds = simulate_chip(draw_chip(p.spec, 1), p.schedule, [],
-                           np.arange(0.0, 30 * DAY + 1.0, 2 * DAY), p.sim, 1)
+        ds = preset_chip("chip6", 1)
         report = fit_chip_against_reference(ds)
         ok = ds.flag == FLAGS.index("ok")
         open_ids = [j for j, lo, hi in ds.junction_rows() if not ok[lo:hi].any()]
@@ -848,9 +851,7 @@ class TestFitChipReport:
         assert (report.last_t_s, report.last_env) == (6 * DAY, envs[1])
 
     def test_csv_round_trip(self, tmp_path):
-        p = chip_preset("chip6")
-        ds = simulate_chip(draw_chip(p.spec, 7), p.schedule, [],
-                           np.arange(0.0, 30 * DAY + 1.0, 2 * DAY), p.sim, 7)
+        ds = preset_chip("chip6", 7)
         save_measurements(ds, tmp_path / "d.csv")
         back = load_measurements(tmp_path / "d.csv")
         assert fit_chip_against_reference(back) == fit_chip_against_reference(ds)
